@@ -82,22 +82,102 @@ impl BestResponse {
 }
 
 /// How a [`ResponseOracle::build_from_cache`] call sourced its candidate
-/// rows: overlay-row reuse, residual-row hits, or fresh `G_{-i}` sweeps.
+/// rows: residual-row hits, overlay rows reused verbatim or repaired by
+/// [`CsrGraph::dijkstra_without`], or full `G_{-i}` sweeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct OracleReuse {
     /// Candidate rows served verbatim from the overlay distance matrix.
     pub(crate) rows_reused: usize,
     /// Candidate rows served from retained residual `G_{-i}` rows.
     pub(crate) residual_hits: usize,
-    /// Candidate rows that paid a fresh `G_{-i}` sweep.
+    /// Candidate rows repaired from a valid but dirty overlay row.
+    pub(crate) rows_repaired: usize,
+    /// Candidate rows that paid a full `G_{-i}` Dijkstra sweep.
     pub(crate) rows_swept: usize,
 }
 
 impl OracleReuse {
-    /// Rows that did **not** pay a sweep, whatever tier served them.
+    /// Rows served for free — verbatim from a cache tier, with neither a
+    /// repair nor a sweep.
     pub(crate) fn hits(&self) -> usize {
         self.rows_reused + self.residual_hits
     }
+}
+
+/// The overlay CSR and its transpose — the graphs the cached oracle
+/// tiers turn overlay rows into residual rows against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Overlay<'a> {
+    pub(crate) csr: &'a CsrGraph,
+    pub(crate) transpose: &'a CsrGraph,
+}
+
+/// The exact residual row `D_{G_{-i}}(v, ·)` for candidate `v`, from
+/// the cheapest exact tier — the one row-sourcing policy of every cached
+/// oracle path:
+///
+/// 1. a **residual row** retained from an earlier build for `i`, kept
+///    exact across profile mutations by
+///    [`OracleCache::repair_after_edges`];
+/// 2. the valid **overlay row** `d_G(v, ·)`, handed to
+///    [`CsrGraph::dijkstra_without`]: when none of `i`'s out-links is
+///    tight on it (the conservative [`EDGE_ON_PATH_EPS`] test) it already
+///    is the residual row and is reused verbatim, otherwise only the
+///    subtree below `i`'s tight out-links is recomputed;
+/// 3. a full sweep of `G_{-i}` when the overlay row is invalid.
+///
+/// Repaired and swept rows are retained in the residual tier for the
+/// next build, space permitting. `buf` is the caller's row buffer.
+fn candidate_row<'c>(
+    overlay: Overlay<'_>,
+    cache: &'c mut OracleCache,
+    i: usize,
+    v: usize,
+    buf: &'c mut Vec<f64>,
+    scratch: &mut DijkstraScratch,
+    reuse: &mut OracleReuse,
+) -> &'c [f64] {
+    if cache.residual_row(i, v).is_some() {
+        reuse.residual_hits += 1;
+        return cache.residual_row(i, v).expect("checked above");
+    }
+    buf.clear();
+    if cache.row_is_valid(v) {
+        buf.extend_from_slice(cache.row(v));
+        let affected =
+            overlay
+                .csr
+                .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, buf, scratch);
+        if affected == 0 {
+            reuse.rows_reused += 1;
+            return buf;
+        }
+        reuse.rows_repaired += 1;
+    } else {
+        buf.resize(overlay.csr.node_count(), f64::INFINITY);
+        overlay
+            .csr
+            .relax_decrease_skipping(buf, &[(v, 0.0)], i, scratch);
+        reuse.rows_swept += 1;
+    }
+    cache.store_residual(i, v, buf);
+    buf
+}
+
+/// One facility row of the reduction: the assignment costs
+/// `(d(i, v) + D(v, j)) / d(i, j)` over the candidate clients `j`.
+fn assignment_row(
+    game: &Game,
+    i: usize,
+    v: usize,
+    candidates: &[usize],
+    residual: &[f64],
+) -> Vec<f64> {
+    let d_iv = game.distance(i, v);
+    candidates
+        .iter()
+        .map(|&j| (d_iv + residual[j]) / game.distance(i, j))
+        .collect()
 }
 
 /// The best-response reduction: candidate links as facilities, other peers
@@ -142,12 +222,7 @@ impl ResponseOracle {
         let mut assignment = Vec::with_capacity(candidates.len());
         for &v in &candidates {
             let buf = csr.dijkstra_row_with(v, scratch);
-            let d_iv = game.distance(i, v);
-            let row: Vec<f64> = candidates
-                .iter()
-                .map(|&j| (d_iv + buf[j]) / game.distance(i, j))
-                .collect();
-            assignment.push(row);
+            assignment.push(assignment_row(game, i, v, &candidates, buf));
         }
         let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
             .expect("reduction produces non-negative costs by construction");
@@ -164,26 +239,26 @@ impl ResponseOracle {
     /// The oracle needs residual distances `D_{G_{-i}}(v, j)` — shortest
     /// paths that avoid `i`'s out-links. Per candidate `v`, in order:
     ///
-    /// 1. the cached full-overlay row `d_G(v, ·)` is already that row
-    ///    whenever **no** out-link of `i` is tight on any of `v`'s
-    ///    shortest paths, checked in `O(deg(i))` with the same
-    ///    conservative tightness test the cache's removal repair uses
-    ///    (`d_v(i) + w > d_v(t)` beyond [`EDGE_ON_PATH_EPS`]; ties fall
-    ///    through, so reuse never changes a value);
-    /// 2. a **residual row** retained from an earlier build for the same
-    ///    peer — kept exact across profile mutations by
-    ///    [`OracleCache::repair_after_edges`] — is used as-is;
-    /// 3. otherwise the row pays a fresh `G_{-i}` sweep, and the result
-    ///    is retained for the next build (space permitting).
+    /// 1. a **residual row** retained from an earlier build for the same
+    ///    peer is used as-is;
+    /// 2. the valid **overlay row** `d_G(v, ·)` is turned into the
+    ///    residual row by [`CsrGraph::dijkstra_without`] on `overlay`:
+    ///    verbatim when no out-link of `i` is tight on it (the same
+    ///    conservative [`EDGE_ON_PATH_EPS`] test the cache's removal
+    ///    repair uses), otherwise by recomputing only the shortest-path
+    ///    subtree below `i`'s tight out-links;
+    /// 3. a full `G_{-i}` sweep, only when the overlay row is invalid.
     ///
-    /// Candidate rows that are **invalid** in the overlay tier skip
-    /// straight to step 2 — the lazy refill leaves a row invalid exactly
-    /// when the residual tier serves it, so step 3 only pays for rows no
-    /// tier covers. Returns the oracle plus the per-tier row accounting.
+    /// Every tier is exact, so the oracle is bit-identical to
+    /// [`ResponseOracle::build_with`]. After
+    /// `GameSession::ensure_rows_for_oracle` every candidate row is valid
+    /// or residual-served, so step 3 never runs on this path. Repaired
+    /// rows are retained in the residual tier for the next build. Returns
+    /// the oracle plus the per-tier row accounting.
     pub(crate) fn build_from_cache(
         game: &Game,
-        profile: &StrategyProfile,
         peer: PeerId,
+        overlay: Overlay<'_>,
         cache: &mut OracleCache,
         scratch: &mut DijkstraScratch,
     ) -> Result<(Self, OracleReuse), CoreError> {
@@ -195,57 +270,13 @@ impl ResponseOracle {
             });
         }
         let i = peer.index();
-        let out: Vec<(usize, f64)> = profile
-            .strategy(peer)
-            .iter()
-            .map(|t| (t.index(), game.distance(i, t.index())))
-            .collect();
         let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
-        // `G_{-i}` is only materialised if some row actually routes
-        // through `i`, needs a fresh sweep, and no residual row covers it.
-        let mut g_minus: Option<CsrGraph> = None;
         let mut reuse = OracleReuse::default();
+        let mut buf = Vec::with_capacity(n);
         let mut assignment = Vec::with_capacity(candidates.len());
         for &v in &candidates {
-            // A candidate row may legitimately be invalid in the overlay
-            // tier: the lazy refill (`GameSession::ensure_rows_for_oracle`)
-            // leaves rows alone when the residual tier already serves
-            // them. The tier order is unchanged — overlay when valid and
-            // clean, residual, fresh sweep — and every tier is exact, so
-            // laziness never changes a value.
-            let overlay = cache.row_is_valid(v).then(|| {
-                let cached = cache.row(v);
-                let d_vi = cached[i];
-                out.iter()
-                    .all(|&(t, w)| !edge_on_path(d_vi, w, cached[t], EDGE_ON_PATH_EPS))
-            });
-            let d_iv = game.distance(i, v);
-            let assign = |residual: &[f64]| -> Vec<f64> {
-                candidates
-                    .iter()
-                    .map(|&j| (d_iv + residual[j]) / game.distance(i, j))
-                    .collect()
-            };
-            let row: Vec<f64> = if overlay == Some(true) {
-                reuse.rows_reused += 1;
-                assign(cache.row(v))
-            } else if let Some(residual) = cache.residual_row(i, v) {
-                reuse.residual_hits += 1;
-                assign(residual)
-            } else {
-                reuse.rows_swept += 1;
-                if g_minus.is_none() {
-                    let g = topology_without_peer(game, profile, peer)
-                        .expect("peer bounds checked above");
-                    g_minus = Some(CsrGraph::from_digraph(&g));
-                }
-                let csr = g_minus.as_ref().expect("built above");
-                let buf = csr.dijkstra_row_with(v, scratch);
-                let row = assign(buf);
-                cache.store_residual(i, v, buf);
-                row
-            };
-            assignment.push(row);
+            let row = candidate_row(overlay, cache, i, v, &mut buf, scratch, &mut reuse);
+            assignment.push(assignment_row(game, i, v, &candidates, row));
         }
         let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
             .expect("reduction produces non-negative costs by construction");
@@ -368,7 +399,8 @@ impl ResponseOracle {
 /// the bound-tier outcomes unique to the lazy path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LazyScan {
-    /// Exact-tier row accounting (overlay reuse / residual hits / sweeps).
+    /// Exact-tier row accounting (residual hits / overlay reuse /
+    /// repairs / sweeps).
     pub(crate) reuse: OracleReuse,
     /// Candidate moves rejected on a certified lower bound alone — no
     /// exact row for the new link target was ever materialised.
@@ -388,106 +420,84 @@ enum LazyRow {
     /// removing `i`'s links only lengthens paths) or the metric row
     /// (`d_met(v, ·) ≤ D_{G_{-i}}(v, ·)` by the triangle inequality).
     Lower(Vec<f64>),
-    /// The exact residual assignment row (overlay-clean, residual-tier,
-    /// or freshly swept — the same three tiers as
-    /// [`ResponseOracle::build_from_cache`]).
+    /// The exact residual assignment row, from the same tiers as
+    /// [`ResponseOracle::build_from_cache`].
     Exact(Vec<f64>),
 }
 
 /// Lazily resolved candidate rows for one `(profile, peer)` scan.
 ///
 /// Unlike [`ResponseOracle::build_from_cache`], which materialises every
-/// candidate row up front (and therefore pays a fresh `G_{-i}` sweep for
-/// every row a move by a hub peer dirtied), this store resolves rows to
-/// the *weakest sufficient tier*: certified lower bounds serve rejection,
-/// and only candidates whose bound survives the improvement test pay for
-/// exact rows. Every exact row comes from the identical tier order as the
-/// eager build, so any move this scan **accepts** is bit-identical (same
-/// links, same cost) to the eager scan's acceptance.
+/// candidate row up front (and therefore repairs every row a move by a
+/// hub peer dirtied), this store resolves rows to the *weakest
+/// sufficient tier*: certified lower bounds serve rejection, and only
+/// candidates whose bound survives the improvement test pay for exact
+/// rows. Every exact row comes from the same [`candidate_row`] policy as
+/// the eager build, so any move this scan **accepts** is bit-identical
+/// (same links, same cost) to the eager scan's acceptance.
 struct LazyRows<'a> {
     game: &'a Game,
-    profile: &'a StrategyProfile,
     peer: PeerId,
-    /// `peer`'s out-links `(target, weight)` for the overlay-clean test.
-    out: Vec<(usize, f64)>,
+    overlay: Overlay<'a>,
     candidates: Vec<usize>,
     rows: Vec<LazyRow>,
-    g_minus: Option<CsrGraph>,
+    /// Row buffer for [`candidate_row`].
+    buf: Vec<f64>,
 }
 
 impl<'a> LazyRows<'a> {
-    fn new(game: &'a Game, profile: &'a StrategyProfile, peer: PeerId) -> Self {
+    fn new(game: &'a Game, peer: PeerId, overlay: Overlay<'a>) -> Self {
         let i = peer.index();
-        let out: Vec<(usize, f64)> = profile
-            .strategy(peer)
-            .iter()
-            .map(|t| (t.index(), game.distance(i, t.index())))
-            .collect();
         let candidates: Vec<usize> = (0..game.n()).filter(|&v| v != i).collect();
         let rows = (0..candidates.len()).map(|_| LazyRow::Unresolved).collect();
         LazyRows {
             game,
-            profile,
             peer,
-            out,
+            overlay,
             candidates,
             rows,
-            g_minus: None,
+            buf: Vec::with_capacity(game.n()),
         }
     }
 
     fn assign(&self, v: usize, residual: &[f64]) -> Vec<f64> {
-        let i = self.peer.index();
-        let d_iv = self.game.distance(i, v);
-        self.candidates
-            .iter()
-            .map(|&j| (d_iv + residual[j]) / self.game.distance(i, j))
-            .collect()
+        assignment_row(self.game, self.peer.index(), v, &self.candidates, residual)
     }
 
-    /// Tries the two *free exact* tiers (overlay-clean, residual) shared
-    /// with [`ResponseOracle::build_from_cache`]. Returns the exact row
-    /// on a hit.
-    fn try_free_exact(
-        &mut self,
-        k: usize,
-        cache: &mut OracleCache,
-        scan: &mut LazyScan,
-    ) -> Option<Vec<f64>> {
+    /// `true` when no out-link of `peer` is tight on overlay row `v`
+    /// (caller guarantees validity) — the row then already is the
+    /// residual row.
+    fn overlay_clean(&self, cache: &OracleCache, v: usize) -> bool {
         let i = self.peer.index();
-        let v = self.candidates[k];
-        let overlay = cache.row_is_valid(v).then(|| {
-            let cached = cache.row(v);
-            let d_vi = cached[i];
-            self.out
-                .iter()
-                .all(|&(t, w)| !edge_on_path(d_vi, w, cached[t], EDGE_ON_PATH_EPS))
-        });
-        if overlay == Some(true) {
-            scan.reuse.rows_reused += 1;
-            return Some(self.assign(v, cache.row(v)));
-        }
-        if let Some(residual) = cache.residual_row(i, v) {
-            scan.reuse.residual_hits += 1;
-            return Some(self.assign(v, residual));
-        }
-        None
+        let cached = cache.row(v);
+        let (ts, ws) = self.overlay.csr.out_neighbors(i);
+        ts.iter()
+            .zip(ws)
+            .all(|(&t, &w)| !edge_on_path(cached[i], w, cached[t], EDGE_ON_PATH_EPS))
     }
 
-    /// Ensures `rows[k]` holds at least a certified lower bound. Free
-    /// exact tiers are preferred (they cost the same `O(n)` conversion);
-    /// otherwise a valid-but-dirty overlay row, and failing that the
-    /// metric row, serve as the bound — neither pays a sweep.
+    /// Ensures `rows[k]` holds at least a certified lower bound. The
+    /// free exact tiers are preferred (a residual row, or a clean overlay
+    /// row — they cost the same `O(n)` conversion); otherwise a
+    /// valid-but-dirty overlay row, and failing that the metric row,
+    /// serve as the bound — neither pays a repair or a sweep.
     fn ensure_bound(&mut self, k: usize, cache: &mut OracleCache, scan: &mut LazyScan) {
         if !matches!(self.rows[k], LazyRow::Unresolved) {
             return;
         }
-        if let Some(exact) = self.try_free_exact(k, cache, scan) {
-            self.rows[k] = LazyRow::Exact(exact);
+        let v = self.candidates[k];
+        if let Some(residual) = cache.residual_row(self.peer.index(), v) {
+            scan.reuse.residual_hits += 1;
+            self.rows[k] = LazyRow::Exact(self.assign(v, residual));
             return;
         }
-        let v = self.candidates[k];
-        let lower = if cache.row_is_valid(v) {
+        let valid = cache.row_is_valid(v);
+        if valid && self.overlay_clean(cache, v) {
+            scan.reuse.rows_reused += 1;
+            self.rows[k] = LazyRow::Exact(self.assign(v, cache.row(v)));
+            return;
+        }
+        let lower = if valid {
             // Valid but dirty: a lower bound on the residual row.
             self.assign(v, cache.row(v))
         } else {
@@ -500,9 +510,9 @@ impl<'a> LazyRows<'a> {
         self.rows[k] = LazyRow::Lower(lower);
     }
 
-    /// Ensures `rows[k]` is exact, sweeping `G_{-i}` if no free tier
-    /// serves it (and retaining the swept row in the residual tier,
-    /// exactly like the eager build).
+    /// Ensures `rows[k]` is exact, through the same [`candidate_row`]
+    /// tiers as the eager build (repairing a dirty overlay row, sweeping
+    /// only when no valid row exists).
     fn ensure_exact(
         &mut self,
         k: usize,
@@ -513,30 +523,18 @@ impl<'a> LazyRows<'a> {
         if matches!(self.rows[k], LazyRow::Exact(_)) {
             return;
         }
-        let from_free = if matches!(self.rows[k], LazyRow::Unresolved) {
-            self.try_free_exact(k, cache, scan)
-        } else {
-            // A `Lower` row already failed both free tiers; nothing in the
-            // cache changes mid-scan except residual rows we store
-            // ourselves, one per candidate, so re-checking cannot hit.
-            None
-        };
-        if let Some(exact) = from_free {
-            self.rows[k] = LazyRow::Exact(exact);
-            return;
-        }
-        scan.reuse.rows_swept += 1;
-        if self.g_minus.is_none() {
-            let g = topology_without_peer(self.game, self.profile, self.peer)
-                .expect("peer bounds checked by caller");
-            self.g_minus = Some(CsrGraph::from_digraph(&g));
-        }
-        let csr = self.g_minus.as_ref().expect("built above");
+        let i = self.peer.index();
         let v = self.candidates[k];
-        let buf = csr.dijkstra_row_with(v, scratch);
-        let row = self.assign(v, buf);
-        cache.store_residual(self.peer.index(), v, buf);
-        self.rows[k] = LazyRow::Exact(row);
+        let row = candidate_row(
+            self.overlay,
+            cache,
+            i,
+            v,
+            &mut self.buf,
+            scratch,
+            &mut scan.reuse,
+        );
+        self.rows[k] = LazyRow::Exact(assignment_row(self.game, i, v, &self.candidates, row));
     }
 
     /// `FacilityProblem::cost_of` replicated over the lazy rows: open
@@ -627,6 +625,7 @@ pub(crate) fn first_improving_move_lazy(
     game: &Game,
     profile: &StrategyProfile,
     peer: PeerId,
+    overlay: Overlay<'_>,
     cache: &mut OracleCache,
     scratch: &mut DijkstraScratch,
     tol: f64,
@@ -639,7 +638,7 @@ pub(crate) fn first_improving_move_lazy(
         });
     }
     let mut scan = LazyScan::default();
-    let mut rows = LazyRows::new(game, profile, peer);
+    let mut rows = LazyRows::new(game, peer, overlay);
     let current = profile.strategy(peer);
     let current_open = rows.positions(current);
     let current_cost = rows.eval_exact(&current_open, cache, scratch, &mut scan);

@@ -8,13 +8,24 @@
 //!
 //! 1. **Overlay rows** — the full-overlay distance matrix `d_G(u, ·)`
 //!    with per-row validity, exactly the cache `GameSession` has carried
-//!    since PR 1. A best-response oracle for peer `i` reuses row `v`
-//!    verbatim whenever none of `i`'s out-links is tight on it.
+//!    since PR 1.
 //! 2. **Residual rows** — `D_{G_{-i}}(v, ·)` rows that a previous oracle
-//!    build for peer `i` had to sweep because row `v` *does* route
+//!    build for peer `i` had to derive because row `v` *does* route
 //!    through `i`'s out-links. They are keyed by `(i, v)` and survive
 //!    [`GameSession::apply`] / `apply_batch`, so consecutive activations
-//!    of the same peer in sequential dynamics stop re-sweeping them.
+//!    of the same peer in sequential dynamics stop re-deriving them.
+//!
+//! A best-response oracle for peer `i` reads candidate row `v` from the
+//! residual tier when `(i, v)` is retained. Otherwise it hands the valid
+//! overlay row to [`sp_graph::CsrGraph::dijkstra_without`], which leaves
+//! it untouched when none of `i`'s out-links is tight on it (the row is
+//! reused verbatim) and otherwise recomputes only the shortest-path
+//! subtree below `i`'s tight out-links, seeded through the overlay CSR's
+//! transpose. Only a candidate with no valid overlay row pays a full
+//! `G_{-i}` sweep. Repaired and swept rows are retained in the residual
+//! tier. This is the confinement idea of the min+1 protocol of
+//! Dubois–Masuzawa–Tixeuil: recompute only the part of the
+//! shortest-path tree a change touched.
 //!
 //! # Invalidation invariants
 //!

@@ -7,7 +7,8 @@
 //! single peer's out-links. A [`GameSession`] owns the game and the
 //! current profile and keeps three derived structures resident:
 //!
-//! * the overlay CSR snapshot;
+//! * the overlay CSR snapshot (and, once an oracle or a sparse sketch
+//!   needs it, its transpose);
 //! * the overlay distance matrix, with **per-row validity** — rows are
 //!   (re)computed lazily, one Dijkstra sweep at a time;
 //! * the stretch matrix, derived from the distances on demand.
@@ -69,7 +70,7 @@ use std::sync::Arc;
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, DenseBackend, SessionBackend};
-use crate::best_response::{first_improving_move_lazy, OracleReuse, ResponseOracle};
+use crate::best_response::{first_improving_move_lazy, OracleReuse, Overlay, ResponseOracle};
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -159,16 +160,18 @@ pub struct SessionStats {
     pub oracle_parallel_rounds: usize,
     /// Worker shards spawned across those parallel rounds.
     pub oracle_shards: usize,
-    /// Oracle candidate rows served from the round-frozen distance
-    /// snapshot instead of a fresh `G_{-i}` sweep.
+    /// Oracle candidate rows of round builds served verbatim — from the
+    /// round-frozen distance snapshot or a retained residual row —
+    /// without a repair or a sweep.
     pub oracle_rows_reused: usize,
-    /// Oracle candidate rows that did pay a fresh `G_{-i}` sweep (the
-    /// candidate's shortest paths may route through the responding peer).
+    /// Oracle candidate rows that paid a full `G_{-i}` Dijkstra sweep
+    /// (no valid snapshot row to repair; repaired rows are counted in
+    /// [`SessionStats::oracle_rows_repaired`]).
     pub oracle_rows_swept: usize,
-    /// Candidate rows served without a sweep by **sequential** cached
-    /// oracle builds ([`GameSession::best_response`],
+    /// Candidate rows served verbatim by **sequential** cached oracle
+    /// builds ([`GameSession::best_response`],
     /// [`GameSession::first_improving_move`], `nash_gap`, `is_nash`) —
-    /// overlay-row reuse plus residual-row hits. The round engine's
+    /// clean overlay rows plus residual-row hits. The round engine's
     /// reuse is counted separately in
     /// [`SessionStats::oracle_rows_reused`].
     pub seq_oracle_hits: usize,
@@ -176,9 +179,16 @@ pub struct SessionStats {
     /// [`GameSession::apply_batch`] repair because a removed link (owned
     /// by another peer) could have been tight on them.
     pub seq_oracle_invalidated: usize,
-    /// Candidate rows that paid a fresh `G_{-i}` sweep inside sequential
-    /// cached oracle builds (neither cache tier could serve them).
+    /// Candidate rows that paid a full `G_{-i}` Dijkstra sweep inside
+    /// sequential cached oracle builds (no residual row and no valid
+    /// overlay row to repair).
     pub seq_oracle_swept: usize,
+    /// Candidate rows of cached oracle builds — sequential and round
+    /// alike — that neither tier served verbatim but that were repaired
+    /// from a valid overlay row by `sp_graph::CsrGraph::dijkstra_without`,
+    /// recomputing only the shortest-path subtree below the responding
+    /// peer's tight out-links instead of paying a full sweep.
+    pub oracle_rows_repaired: usize,
     /// Invalid overlay rows a cached oracle build did **not** refill
     /// because the residual tier already served them (the lazy-refill
     /// path; each skip saves one full sweep `ensure_all_rows` would have
@@ -254,6 +264,7 @@ impl SessionStats {
             seq_oracle_hits,
             seq_oracle_invalidated,
             seq_oracle_swept,
+            oracle_rows_repaired,
             seq_refills_skipped,
             snapshot_exports,
             snapshot_restores,
@@ -282,6 +293,7 @@ impl SessionStats {
         self.seq_oracle_hits += seq_oracle_hits;
         self.seq_oracle_invalidated += seq_oracle_invalidated;
         self.seq_oracle_swept += seq_oracle_swept;
+        self.oracle_rows_repaired += oracle_rows_repaired;
         self.seq_refills_skipped += seq_refills_skipped;
         self.snapshot_exports += snapshot_exports;
         self.snapshot_restores += snapshot_restores;
@@ -352,6 +364,11 @@ pub struct GameSession {
     /// Overlay CSR snapshot; `None` when no query has needed it yet (or
     /// after a full reset).
     csr: Option<CsrGraph>,
+    /// Transpose of `csr` — the in-edges the cached oracle's row repair
+    /// seeds from, and the graph a sparse session's landmark sketch
+    /// sweeps backward on. Built lazily by the first query that needs it
+    /// and dropped whenever `csr` is.
+    transpose: Option<CsrGraph>,
     /// The pluggable distance backend. Dense sessions hold the two-tier
     /// row cache (overlay distance rows with per-row validity plus
     /// retained residual `G_{-i}` oracle rows); sparse sessions hold
@@ -398,6 +415,7 @@ impl GameSession {
             game: Arc::new(game),
             profile,
             csr: None,
+            transpose: None,
             backend: SessionBackend::Dense(DenseBackend::new(n)),
             stretch: None,
             scratch: DijkstraScratch::new(),
@@ -450,6 +468,7 @@ impl GameSession {
             game: Arc::new(game),
             profile,
             csr: None,
+            transpose: None,
             backend,
             stretch: None,
             scratch: DijkstraScratch::new(),
@@ -525,11 +544,12 @@ impl GameSession {
     ///
     /// The fork **shares** the immutable [`Game`] (one atomic increment,
     /// no O(n²) distance-matrix copy) and snapshots the mutable caches as
-    /// they stand: the overlay CSR, the distance matrix with its per-row
-    /// validity, and the profile. Nothing is recomputed. The fork gets a
-    /// fresh [`DijkstraScratch`] (so shards never contend) and zeroed
-    /// [`SessionStats`], and its bulk refills are pinned to the calling
-    /// thread (`Some(1)`) — shards must not nest worker pools. Retained
+    /// they stand: the overlay CSR and its transpose, the distance matrix
+    /// with its per-row validity, and the profile. Nothing is recomputed.
+    /// The fork gets a fresh [`DijkstraScratch`] (so shards never
+    /// contend) and zeroed [`SessionStats`], and its bulk refills are
+    /// pinned to the calling thread (`Some(1)`) — shards must not nest
+    /// worker pools. Retained
     /// residual oracle rows are **not** carried into the fork (a shard
     /// lives for one round and would never read its own stores), so the
     /// fork is cheap even when the parent's residual cache is full.
@@ -550,6 +570,7 @@ impl GameSession {
             game: Arc::clone(&self.game),
             profile: self.profile.clone(),
             csr: self.csr.clone(),
+            transpose: self.transpose.clone(),
             backend,
             stretch: None,
             scratch: DijkstraScratch::new(),
@@ -586,7 +607,8 @@ impl GameSession {
     }
 
     /// Semantic size of this session's mutable state in bytes: the
-    /// profile, the overlay CSR snapshot, the cached stretch matrix, and
+    /// profile, the overlay CSR snapshot and its transpose, the cached
+    /// stretch matrix, and
     /// both tiers of the oracle cache. The (shared, immutable) [`Game`]
     /// is excluded — registries account for it per slot, since sessions
     /// may share one game through [`GameSession::game_arc`].
@@ -602,9 +624,9 @@ impl GameSession {
         let f64_b = std::mem::size_of::<f64>();
         let profile = n * std::mem::size_of::<LinkSet>()
             + self.profile.link_count() * std::mem::size_of::<PeerId>();
-        let csr = self.csr.as_ref().map_or(0, |c| {
-            (n + 1) * usize_b + c.edge_count() * (usize_b + f64_b)
-        });
+        let csr_bytes = |c: &CsrGraph| (n + 1) * usize_b + c.edge_count() * (usize_b + f64_b);
+        let csr =
+            self.csr.as_ref().map_or(0, csr_bytes) + self.transpose.as_ref().map_or(0, csr_bytes);
         let stretch = self.stretch.as_ref().map_or(0, |_| n * n * f64_b);
         profile + csr + stretch + self.backend.memory_bytes()
     }
@@ -739,7 +761,7 @@ impl GameSession {
     }
 
     fn invalidate_all(&mut self) {
-        self.csr = None;
+        self.drop_csr();
         self.backend.invalidate();
         self.stretch = None;
     }
@@ -916,16 +938,22 @@ impl GameSession {
             // cached, dropping the CSR is strictly cheaper than
             // rebuilding it just to repair an empty sketch.
             if self.csr.is_none() || !self.backend.sparse().has_cached_state() {
-                self.csr = None;
+                self.drop_csr();
                 self.backend.invalidate();
                 return;
             }
             self.rebuild_csr();
+            if self.backend.sparse().has_sketch() {
+                self.ensure_transpose();
+            }
             let csr = self.csr.as_ref().expect("just rebuilt");
-            let repair = self
-                .backend
-                .sparse_mut()
-                .repair(csr, added, removed, &mut self.scratch);
+            let repair = self.backend.sparse_mut().repair(
+                csr,
+                self.transpose.as_ref(),
+                added,
+                removed,
+                &mut self.scratch,
+            );
             self.stats.rows_invalidated += repair.rows_rebuilt;
             self.stats.rows_preserved += repair.rows_preserved;
             self.stats.full_sssp += repair.rows_rebuilt;
@@ -942,7 +970,7 @@ impl GameSession {
             || (!self.backend.dense().any_valid_row() && !self.backend.dense().has_residual_rows())
         {
             // Nothing cached worth repairing; stay lazy.
-            self.csr = None;
+            self.drop_csr();
             self.backend.invalidate();
             return;
         }
@@ -961,6 +989,12 @@ impl GameSession {
         self.stats.seq_oracle_invalidated += counts.residual_invalidated;
     }
 
+    /// Drops the overlay CSR and its transpose together.
+    fn drop_csr(&mut self) {
+        self.csr = None;
+        self.transpose = None;
+    }
+
     fn rebuild_csr(&mut self) {
         let mut g = DiGraph::new(self.game.n());
         for (i, s) in self.profile.iter() {
@@ -973,12 +1007,24 @@ impl GameSession {
             }
         }
         self.csr = Some(CsrGraph::from_digraph(&g));
+        self.transpose = None;
         self.stats.csr_rebuilds += 1;
     }
 
     fn ensure_csr(&mut self) {
         if self.csr.is_none() {
             self.rebuild_csr();
+        }
+    }
+
+    /// Makes the overlay CSR and its transpose available — what the
+    /// cached oracle tiers repair rows against and the sparse sketch
+    /// sweeps on.
+    fn ensure_transpose(&mut self) {
+        self.ensure_csr();
+        if self.transpose.is_none() {
+            let csr = self.csr.as_ref().expect("ensured above");
+            self.transpose = Some(csr.transpose());
         }
     }
 
@@ -1240,22 +1286,27 @@ impl GameSession {
     }
 
     /// `peer`'s best response against the fixed rest of the current
-    /// profile, served from the persistent oracle cache: a candidate
-    /// row comes verbatim from the overlay distance matrix whenever none
-    /// of `peer`'s out-links is tight on its shortest paths (the same
-    /// conservative test the removal repair uses, so reuse never changes
-    /// a value), from a retained residual `G_{-i}` row swept by an
-    /// earlier build otherwise, and only pays a fresh sweep when neither
-    /// tier can serve it — that sweep is then retained for the next
-    /// build. Because [`GameSession::apply`] repairs both tiers
-    /// per-move, consecutive activations in sequential dynamics serve
-    /// most candidate rows without sweeping.
+    /// profile, served from the persistent oracle cache. A candidate row
+    /// comes from a residual `G_{-i}` row retained by an earlier build
+    /// when there is one. Otherwise the valid overlay row is turned into
+    /// the residual row by `sp_graph::CsrGraph::dijkstra_without`: taken
+    /// verbatim when none of `peer`'s out-links is tight on its shortest
+    /// paths (the same conservative test the removal repair uses, so
+    /// reuse never changes a value), and otherwise repaired by
+    /// recomputing only the shortest-path subtree below the tight
+    /// out-links — no full sweep. Repaired rows are retained for the next
+    /// build. Because [`GameSession::apply`] repairs both tiers per-move,
+    /// consecutive activations in sequential dynamics serve most
+    /// candidate rows verbatim.
     ///
-    /// Fills the whole distance cache on first use. Bit-identical to
+    /// Fills the whole distance cache on first use (lazily: rows the
+    /// residual tier serves stay unfilled), plus the overlay CSR's
+    /// transpose the repair seeds from. Bit-identical to
     /// [`GameSession::best_response_uncached`] (property-tested in
     /// `crates/core/tests/proptest_session.rs`, including across
     /// arbitrary interleaved `apply` sequences); cache tier accounting
     /// lands in [`SessionStats::seq_oracle_hits`] /
+    /// [`SessionStats::oracle_rows_repaired`] /
     /// [`SessionStats::seq_oracle_swept`].
     ///
     /// # Errors
@@ -1373,14 +1424,20 @@ impl GameSession {
         counter: OracleCounter,
     ) -> Result<ResponseOracle, CoreError> {
         self.ensure_rows_for_oracle(peer);
+        self.ensure_transpose();
+        let overlay = Overlay {
+            csr: self.csr.as_ref().expect("ensured above"),
+            transpose: self.transpose.as_ref().expect("ensured above"),
+        };
         let (oracle, reuse): (ResponseOracle, OracleReuse) = ResponseOracle::build_from_cache(
             &self.game,
-            &self.profile,
             peer,
+            overlay,
             self.backend.dense_mut(),
             &mut self.scratch,
         )?;
         self.stats.oracle_builds += 1;
+        self.stats.oracle_rows_repaired += reuse.rows_repaired;
         match counter {
             OracleCounter::Sequential => {
                 self.stats.seq_oracle_hits += reuse.hits();
@@ -1506,8 +1563,10 @@ impl GameSession {
                 .map(|&p| self.best_response(p, method))
                 .collect();
         }
-        // Freeze the round-start snapshot every oracle will read.
+        // Freeze the round-start snapshot every oracle will read, with
+        // the transpose its row repairs need, so forks carry both.
         self.ensure_all_rows();
+        self.ensure_transpose();
         let workers = self.worker_count().min(peers.len());
         let shards =
             if workers > 1 && (self.parallelism.is_some() || peers.len() >= PAR_ORACLES_MIN) {
@@ -1594,10 +1653,16 @@ impl GameSession {
             // candidates without materialising their exact rows; the
             // accepted move (or `None`) is bit-identical to the eager
             // scan below.
+            self.ensure_transpose();
+            let overlay = Overlay {
+                csr: self.csr.as_ref().expect("ensured above"),
+                transpose: self.transpose.as_ref().expect("ensured above"),
+            };
             let (mv, scan) = first_improving_move_lazy(
                 &self.game,
                 &self.profile,
                 peer,
+                overlay,
                 self.backend.dense_mut(),
                 &mut self.scratch,
                 tol,
@@ -1605,6 +1670,7 @@ impl GameSession {
             self.stats.oracle_builds += 1;
             self.stats.seq_oracle_hits += scan.reuse.hits();
             self.stats.seq_oracle_swept += scan.reuse.rows_swept;
+            self.stats.oracle_rows_repaired += scan.reuse.rows_repaired;
             self.stats.lazy_certified_rejects += scan.certified_rejects;
             self.stats.lazy_exact_evals += scan.exact_evals;
             return Ok(mv);
@@ -1634,15 +1700,17 @@ impl GameSession {
         Ok(oracle.first_improving_move(peer, self.profile.strategy(peer), tol))
     }
 
-    /// Builds the landmark sketch (and transpose) of a sparse session if
-    /// absent, charging the `2·L` landmark sweeps to the stats.
+    /// Builds the landmark sketch (and the overlay transpose it sweeps
+    /// backward on) of a sparse session if absent, charging the `2·L`
+    /// landmark sweeps to the stats.
     fn ensure_sparse_ready(&mut self) {
-        self.ensure_csr();
+        self.ensure_transpose();
         let csr = self.csr.as_ref().expect("ensured above");
+        let transpose = self.transpose.as_ref().expect("ensured above");
         let swept = self
             .backend
             .sparse_mut()
-            .ensure_ready(csr, &mut self.scratch);
+            .ensure_ready(csr, transpose, &mut self.scratch);
         if swept > 0 {
             self.stats.full_sssp += swept;
             self.stats.sparse_sketch_rows += swept;
@@ -2426,9 +2494,43 @@ mod tests {
                 "some candidate rows must come from the cache: {stats:?}"
             );
             assert_eq!(
-                stats.seq_oracle_hits + stats.seq_oracle_swept,
+                stats.seq_oracle_hits + stats.oracle_rows_repaired + stats.seq_oracle_swept,
                 4 * 3,
                 "every candidate row of every cached build is accounted for"
+            );
+        }
+    }
+
+    #[test]
+    fn hub_rows_are_repaired_not_swept() {
+        // Peer 0 is a hub: every leaf links only to it, so every leaf's
+        // shortest paths run through the hub's out-links and nearly every
+        // candidate row of the hub's oracle is dirty. A chord between two
+        // leaves keeps one row partly clean.
+        let g = Game::from_space(
+            &LineSpace::new(vec![0.0, 1.0, 2.5, 4.0, 4.5, 7.0, 9.0, 12.0]).unwrap(),
+            1.5,
+        )
+        .unwrap();
+        let mut links: Vec<(usize, usize)> = (1..8).flat_map(|v| [(0, v), (v, 0)]).collect();
+        links.push((3, 4));
+        let p = StrategyProfile::from_links(8, &links).unwrap();
+        let hub = PeerId::new(0);
+        for method in [BestResponseMethod::Exact, BestResponseMethod::Greedy] {
+            let mut s = GameSession::from_refs(&g, &p).unwrap();
+            let fresh = s.best_response_uncached(hub, method).unwrap();
+            let cached = s.best_response(hub, method).unwrap();
+            assert_eq!(fresh.links, cached.links, "{method:?}");
+            assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(), "{method:?}");
+            assert_eq!(fresh.current_cost.to_bits(), cached.current_cost.to_bits());
+            let stats = s.stats();
+            assert_eq!(
+                stats.seq_oracle_swept, 0,
+                "no row may pay a full sweep: {stats:?}"
+            );
+            assert_eq!(
+                stats.oracle_rows_repaired, 7,
+                "every leaf row routes through the hub and must be repaired: {stats:?}"
             );
         }
     }
@@ -2437,7 +2539,7 @@ mod tests {
     fn residual_rows_survive_unrelated_moves() {
         let g = game(1.2);
         // A hub at peer 0 forces candidate rows through its out-links,
-        // so the first cached build pays fresh G_{-0} sweeps.
+        // so the first cached build repairs them into G_{-0} rows.
         let p = StrategyProfile::from_links(
             5,
             &[
@@ -2455,10 +2557,10 @@ mod tests {
         let mut s = GameSession::from_refs(&g, &p).unwrap();
         let hub = PeerId::new(0);
         let first = s.best_response(hub, BestResponseMethod::Exact).unwrap();
-        let swept_once = s.stats().seq_oracle_swept;
-        assert!(swept_once > 0, "hub oracle must sweep at least one row");
+        let repaired_once = s.stats().oracle_rows_repaired;
+        assert!(repaired_once > 0, "hub oracle must repair at least one row");
         // The hub moving does not change G_{-0}: a second activation must
-        // serve every previously swept row from the residual tier.
+        // serve every previously repaired row from the residual tier.
         s.apply(Move::AddLink {
             from: hub,
             to: PeerId::new(2),
@@ -2472,9 +2574,9 @@ mod tests {
         let second = s.best_response(hub, BestResponseMethod::Exact).unwrap();
         assert_eq!(first.links, second.links);
         assert_eq!(
-            s.stats().seq_oracle_swept,
-            swept_once,
-            "re-activating the mover itself must not re-sweep residual rows: {:?}",
+            s.stats().oracle_rows_repaired,
+            repaired_once,
+            "re-activating the mover itself must not re-repair residual rows: {:?}",
             s.stats()
         );
         // A *removal by another peer* that can carry shortest paths kills
@@ -2502,7 +2604,7 @@ mod tests {
     #[test]
     fn residual_rows_outlive_a_fully_invalidated_overlay() {
         // Bidirectional chain 0-1-2-3-4 on the line metric. A cached
-        // build for the middle peer 2 sweeps residual G_{-2} rows for
+        // build for the middle peer 2 repairs residual G_{-2} rows for
         // every candidate that routes through it (all four: each side
         // reaches the other only via 2).
         let g = game(1.0);
@@ -2523,7 +2625,10 @@ mod tests {
         let mut s = GameSession::from_refs(&g, &chain).unwrap();
         let mid = PeerId::new(2);
         let _ = s.best_response(mid, BestResponseMethod::Exact).unwrap();
-        assert!(s.stats().seq_oracle_swept > 0, "chain middle must sweep");
+        assert!(
+            s.stats().oracle_rows_repaired > 0,
+            "chain middle must repair"
+        );
 
         // Cutting 0 <-> 1 is tight for every overlay row (each side of
         // the cut reaches the other through it, and the endpoint rows use
@@ -2559,8 +2664,8 @@ mod tests {
         // Re-activating peer 2: candidates 3 and 4 still route through
         // it, their residual rows survived both repairs (no removed edge
         // was tight on them in G_{-2}), and must be served without a
-        // fresh sweep.
-        let swept_before = s.stats().seq_oracle_swept;
+        // fresh repair.
+        let repaired_before = s.stats().oracle_rows_repaired;
         let hits_before = s.stats().seq_oracle_hits;
         let cached = s.best_response(mid, BestResponseMethod::Exact).unwrap();
         assert!(
@@ -2569,8 +2674,8 @@ mod tests {
             s.stats()
         );
         assert!(
-            s.stats().seq_oracle_swept - swept_before <= 2,
-            "only the rows the cut genuinely touched may re-sweep: {:?}",
+            s.stats().oracle_rows_repaired - repaired_before <= 2,
+            "only the rows the cut genuinely touched may be re-derived: {:?}",
             s.stats()
         );
         let fresh = s

@@ -100,9 +100,6 @@ pub struct SparseBackend {
     /// Landmark rows over the current overlay; `None` until first use
     /// and after a wholesale profile replacement.
     sketch: Option<LandmarkSketch>,
-    /// Transpose of the current overlay CSR (kept in lock-step with the
-    /// sketch; rebuilding it is `O(n + m)`).
-    transpose: Option<CsrGraph>,
     bounded: BoundedDijkstra,
     /// Transient exact row for `peer_cost`-style queries.
     row_buf: Vec<f64>,
@@ -130,7 +127,6 @@ impl SparseBackend {
             landmarks,
             near,
             sketch: None,
-            transpose: None,
             bounded: BoundedDijkstra::new(),
             row_buf: Vec::new(),
             row_src: None,
@@ -146,27 +142,39 @@ impl SparseBackend {
         self.window
     }
 
-    /// Builds the sketch (and transpose) for the current overlay if it
-    /// is not already standing. Returns the number of full rows swept
-    /// (`2 · L` on a build, `0` otherwise) for the session's counters.
-    pub(crate) fn ensure_ready(&mut self, csr: &CsrGraph, scratch: &mut DijkstraScratch) -> usize {
+    /// Builds the sketch for the current overlay (`transpose` is
+    /// `csr.transpose()`) if it is not already standing. Returns the
+    /// number of full rows swept (`2 · L` on a build, `0` otherwise) for
+    /// the session's counters.
+    pub(crate) fn ensure_ready(
+        &mut self,
+        csr: &CsrGraph,
+        transpose: &CsrGraph,
+        scratch: &mut DijkstraScratch,
+    ) -> usize {
         if self.sketch.is_some() {
             return 0;
         }
-        let transpose = csr.transpose();
-        let sketch = LandmarkSketch::build(csr, &transpose, self.landmarks.clone(), scratch);
-        let swept = 2 * self.landmarks.len();
+        let sketch = LandmarkSketch::build(csr, transpose, self.landmarks.clone(), scratch);
         self.sketch = Some(sketch);
-        self.transpose = Some(transpose);
-        swept
+        2 * self.landmarks.len()
+    }
+
+    /// Whether the landmark sketch is standing — the session then keeps
+    /// the overlay transpose its repair needs.
+    pub(crate) fn has_sketch(&self) -> bool {
+        self.sketch.is_some()
     }
 
     /// Repairs the sketch after a committed edge diff (the sparse arm of
-    /// the session's single invalidation code path). No-op while the
+    /// the session's single invalidation code path) against the new
+    /// overlay `csr` and its transpose, which the session supplies
+    /// whenever [`SparseBackend::has_sketch`] holds. No-op while the
     /// sketch is lazily absent.
     pub(crate) fn repair(
         &mut self,
         csr: &CsrGraph,
+        transpose: Option<&CsrGraph>,
         added: &[(usize, usize, f64)],
         removed: &[(usize, usize, f64)],
         scratch: &mut DijkstraScratch,
@@ -176,11 +184,8 @@ impl SparseBackend {
         let Some(sketch) = self.sketch.as_mut() else {
             return SketchRepair::default();
         };
-        let transpose = csr.transpose();
-        let counts =
-            sketch.repair_after_edges(csr, &transpose, added, removed, EDGE_ON_PATH_EPS, scratch);
-        self.transpose = Some(transpose);
-        counts
+        let transpose = transpose.expect("the session keeps a transpose while a sketch stands");
+        sketch.repair_after_edges(csr, transpose, added, removed, EDGE_ON_PATH_EPS, scratch)
     }
 
     /// Whether any overlay-derived state is standing (sketch, transient
@@ -417,10 +422,6 @@ impl DistanceBackend for SparseBackend {
         if let Some(s) = &self.sketch {
             bytes += s.memory_bytes();
         }
-        if let Some(t) = &self.transpose {
-            bytes += (t.node_count() + 1) * std::mem::size_of::<usize>()
-                + t.edge_count() * (std::mem::size_of::<usize>() + f64s);
-        }
         if let Some(e) = &self.escape {
             bytes += e.len() * e.len() * f64s;
         }
@@ -429,7 +430,6 @@ impl DistanceBackend for SparseBackend {
 
     fn invalidate(&mut self) {
         self.sketch = None;
-        self.transpose = None;
         self.row_src = None;
         self.escape = None;
     }

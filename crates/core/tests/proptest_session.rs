@@ -7,6 +7,8 @@
 //! [`Move`]s must answer every query exactly like a cold session (full
 //! rebuild) on the same final profile.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use rand::prelude::*;
 use sp_core::{
@@ -344,11 +346,23 @@ proptest! {
         let stats = cached.stats();
         let n = game.n();
         prop_assert_eq!(
-            stats.oracle_rows_reused + stats.oracle_rows_swept,
+            stats.oracle_rows_reused + stats.oracle_rows_repaired + stats.oracle_rows_swept,
             n * (n - 1),
-            "every candidate row is either reused or swept"
+            "every candidate row is reused, repaired, or swept"
         );
     }
+}
+
+/// Cases of [`cached_oracles_survive_interleaved_applies`]; the
+/// repair-branch check runs once the last of them has passed.
+const INTERLEAVED_CASES: u32 = 64;
+/// Cases of that test run so far, and the oracle rows their cached
+/// builds repaired with `CsrGraph::dijkstra_without`.
+static INTERLEAVED_RUN: AtomicUsize = AtomicUsize::new(0);
+static INTERLEAVED_REPAIRED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(INTERLEAVED_CASES))]
 
     /// **The cross-move cache contract.** A session whose persistent
     /// oracle cache lives through an arbitrary interleaving of
@@ -401,14 +415,24 @@ proptest! {
             check(&mut s, PeerId::new(i))?;
         }
         // Accounting: every candidate row of every sequential cached
-        // build was either served from a cache tier or swept.
+        // build was served from a cache tier or repaired from a valid
+        // overlay row. Every build refills the overlay rows no residual
+        // row covers first, so none may pay a full sweep.
         let stats = s.stats();
         let n = game.n();
         let cached_builds = 2 * (2 * script.len() + n);
         prop_assert_eq!(
-            stats.seq_oracle_hits + stats.seq_oracle_swept,
+            stats.seq_oracle_hits + stats.oracle_rows_repaired + stats.seq_oracle_swept,
             cached_builds * (n - 1),
             "sequential oracle row accounting must balance"
         );
+        prop_assert_eq!(stats.seq_oracle_swept, 0, "no cached build may sweep: {:?}", stats);
+        // Across the whole run the repair branch must have fired: the
+        // cases above would pass vacuously if every row were clean.
+        let repaired = INTERLEAVED_REPAIRED.fetch_add(stats.oracle_rows_repaired, Ordering::SeqCst)
+            + stats.oracle_rows_repaired;
+        if INTERLEAVED_RUN.fetch_add(1, Ordering::SeqCst) + 1 == INTERLEAVED_CASES as usize {
+            prop_assert!(repaired > 0, "no case exercised the oracle row repair");
+        }
     }
 }

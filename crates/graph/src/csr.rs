@@ -1,7 +1,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::DiGraph;
+use crate::{edge_on_path, DiGraph};
 
 /// An immutable compressed-sparse-row snapshot of a [`DiGraph`].
 ///
@@ -55,11 +55,17 @@ impl PartialOrd for Entry {
 /// scratch avoids a heap allocation per sweep. Besides the priority
 /// queue, the scratch owns a distance row for
 /// [`CsrGraph::dijkstra_row_with`], so back-to-back oracle builds reuse
-/// both the heap and the output buffer across calls.
+/// both the heap and the output buffer across calls, and the
+/// affected-set bookkeeping of [`CsrGraph::dijkstra_without`].
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraScratch {
     heap: BinaryHeap<Entry>,
     row: Vec<f64>,
+    /// Per-node membership flags of the affected set; all `false`
+    /// between calls.
+    marked: Vec<bool>,
+    /// The affected set, in discovery order (doubles as the worklist).
+    affected: Vec<usize>,
 }
 
 impl DijkstraScratch {
@@ -313,6 +319,103 @@ impl CsrGraph {
         self.relax_from_heap_skipping(dist, scratch, skip);
     }
 
+    /// Turns `dist`, the exact row of `self` from `source`, into the
+    /// exact row of `self` **without the out-edges of `skip`** — bit for
+    /// bit what a fresh sweep of that subgraph computes — by recomputing
+    /// only the part of the shortest-path tree those edges could carry:
+    ///
+    /// 1. *Roots:* the targets of `skip`'s out-edges that are tight on
+    ///    `dist` under [`edge_on_path`] with tolerance `eps`.
+    /// 2. *Affected set:* everything reachable from the roots over tight
+    ///    edges, `source` excluded (its distance is 0 in every
+    ///    subgraph). Those distances are reset to `∞`.
+    /// 3. *Seeding:* each affected node takes its best in-edge from an
+    ///    unaffected node other than `skip`, read from `transpose`.
+    /// 4. *Settling:* Dijkstra from those seeds, never expanding `skip`.
+    ///
+    /// An unaffected node has a tight predecessor that is itself
+    /// unaffected and not `skip`, so it keeps a shortest path that avoids
+    /// `skip`'s out-edges and its distance cannot change. The affected
+    /// distances are re-derived from the same `d(u) + w` sums a fresh
+    /// sweep forms, so the result is bit-identical. Any `eps >= 0` is
+    /// exact; a larger one only widens the affected set. Work is
+    /// proportional to the affected set and its edges, not to the graph.
+    ///
+    /// Returns the size of the affected set. `0` means no out-edge of
+    /// `skip` was tight, and `dist` is left untouched: it already is the
+    /// subgraph's row.
+    ///
+    /// `transpose` must be [`CsrGraph::transpose`] of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dist.len() != node_count()`, if `source` or `skip` is
+    /// out of bounds, or if `transpose` has a different node count.
+    pub fn dijkstra_without(
+        &self,
+        transpose: &CsrGraph,
+        source: usize,
+        skip: usize,
+        eps: f64,
+        dist: &mut [f64],
+        scratch: &mut DijkstraScratch,
+    ) -> usize {
+        let n = self.node_count();
+        assert_eq!(dist.len(), n, "distance buffer has wrong length");
+        assert_eq!(transpose.node_count(), n, "transpose has wrong node count");
+        assert!(source < n, "source {source} out of bounds for {n} nodes");
+        assert!(skip < n, "skip {skip} out of bounds for {n} nodes");
+        scratch.marked.resize(n, false);
+        scratch.affected.clear();
+
+        // Steps 1–2: the roots, then their closure over tight edges. The
+        // affected list is its own worklist; `skip`'s out-edges only lead
+        // back to roots, so `skip` is not expanded a second time.
+        self.mark_tight_targets(skip, source, eps, dist, scratch);
+        let mut next = 0;
+        while let Some(&u) = scratch.affected.get(next) {
+            next += 1;
+            if u != skip {
+                self.mark_tight_targets(u, source, eps, dist, scratch);
+            }
+        }
+        let affected = scratch.affected.len();
+        if affected == 0 {
+            return 0;
+        }
+
+        // Step 3: reset, then seed from the unaffected in-neighbours.
+        for &a in &scratch.affected {
+            dist[a] = f64::INFINITY;
+        }
+        scratch.heap.clear();
+        for &a in &scratch.affected {
+            let (ps, ws) = transpose.out_neighbors(a);
+            let mut best = f64::INFINITY;
+            for (&p, &w) in ps.iter().zip(ws) {
+                if p != skip && !scratch.marked[p] {
+                    // The same `d(u) + w` sums a fresh sweep relaxes;
+                    // `min` returns one of them exactly.
+                    best = best.min(dist[p] + w);
+                }
+            }
+            if best.is_finite() {
+                dist[a] = best;
+                scratch.heap.push(Entry {
+                    dist: best,
+                    node: a,
+                });
+            }
+        }
+        for &a in &scratch.affected {
+            scratch.marked[a] = false;
+        }
+
+        // Step 4.
+        self.relax_from_heap_skipping(dist, scratch, skip);
+        affected
+    }
+
     /// Runs one full single-source sweep per `(source, buffer)` job,
     /// sharding the jobs over at most `workers` scoped threads with a
     /// per-thread [`DijkstraScratch`].
@@ -348,6 +451,27 @@ impl CsrGraph {
                 });
             }
         });
+    }
+
+    /// Adds every unmarked out-neighbour of `u` other than `source` whose
+    /// edge is tight on `dist` to the affected set of
+    /// [`CsrGraph::dijkstra_without`].
+    fn mark_tight_targets(
+        &self,
+        u: usize,
+        source: usize,
+        eps: f64,
+        dist: &[f64],
+        scratch: &mut DijkstraScratch,
+    ) {
+        let d_u = dist[u];
+        let (ts, ws) = self.out_neighbors(u);
+        for (&v, &w) in ts.iter().zip(ws) {
+            if v != source && !scratch.marked[v] && edge_on_path(d_u, w, dist[v], eps) {
+                scratch.marked[v] = true;
+                scratch.affected.push(v);
+            }
+        }
     }
 
     /// Settles whatever is queued in `scratch.heap` against `dist` (lazy

@@ -1,7 +1,9 @@
 //! Property tests for the incremental shortest-path machinery backing
 //! `GameSession`'s cache repair: decrease-only re-relaxation must agree
-//! with a from-scratch Dijkstra after arbitrary edge additions, and the
-//! sharded multi-row sweep must agree with sequential sweeps exactly.
+//! with a from-scratch Dijkstra after arbitrary edge additions, removing
+//! one node's out-edges from an exact row must agree with a sweep of the
+//! materialised subgraph, and the sharded multi-row sweep must agree with
+//! sequential sweeps exactly.
 
 use proptest::prelude::*;
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
@@ -20,6 +22,62 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
             }),
         )
     })
+}
+
+/// Like [`arb_graph`], but half the graphs carry small integer weights,
+/// so many paths tie and many edges are tight on several shortest paths.
+fn arb_tied_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
+    (2usize..=12, proptest::bool::ANY).prop_flat_map(|(n, integer)| {
+        (
+            Just(n),
+            proptest::collection::vec((0..n, 0..n, 0.1f64..10.0, 1u8..4), 0..40).prop_map(
+                move |edges| {
+                    edges
+                        .into_iter()
+                        .filter(|&(u, v, _, _)| u != v)
+                        .map(|(u, v, w, k)| (u, v, if integer { f64::from(k) } else { w }))
+                        .collect::<Vec<_>>()
+                },
+            ),
+        )
+    })
+}
+
+/// Checks [`CsrGraph::dijkstra_without`] against a fresh sweep of the
+/// materialised `G − skip` (every out-edge of `skip` dropped), bit for
+/// bit, for every source. One scratch serves every call, so leftover
+/// affected-set state would show up as a mismatch.
+fn check_without(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    skip: usize,
+    eps: f64,
+    scratch: &mut DijkstraScratch,
+) -> Result<(), TestCaseError> {
+    let csr = CsrGraph::from_digraph(&build(n, edges));
+    let transpose = csr.transpose();
+    let kept: Vec<(usize, usize, f64)> = edges.iter().copied().filter(|e| e.0 != skip).collect();
+    let sub = CsrGraph::from_digraph(&build(n, &kept));
+    for source in 0..n {
+        let mut dist = csr.dijkstra(source);
+        let before = dist.clone();
+        let affected = csr.dijkstra_without(&transpose, source, skip, eps, &mut dist, scratch);
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(
+            bits(&dist),
+            bits(&sub.dijkstra(source)),
+            "source {} skip {} eps {}: {:?} vs {:?}",
+            source,
+            skip,
+            eps,
+            dist,
+            sub.dijkstra(source)
+        );
+        if affected == 0 {
+            prop_assert_eq!(bits(&dist), bits(&before), "no roots must mean no writes");
+        }
+    }
+    Ok(())
 }
 
 fn build(n: usize, edges: &[(usize, usize, f64)]) -> DiGraph {
@@ -84,5 +142,67 @@ proptest! {
             let fresh = csr.dijkstra(s);
             prop_assert_eq!(m.row(s), fresh.as_slice(), "row {}", s);
         }
+    }
+
+    /// Dropping one node's out-edges from an exact row matches a fresh
+    /// sweep of the subgraph, bit for bit: with tied integer or real
+    /// weights, unreachable nodes, `skip` equal to the source, and
+    /// (`isolate`) a `skip` stripped of every out-edge.
+    #[test]
+    fn dijkstra_without_matches_fresh_subgraph_sweep(
+        (n, edges) in arb_tied_graph(),
+        skip_raw in 0usize..12,
+        isolate in proptest::bool::ANY,
+        loose in proptest::bool::ANY
+    ) {
+        let skip = skip_raw % n;
+        let edges: Vec<(usize, usize, f64)> = if isolate {
+            edges.into_iter().filter(|e| e.0 != skip).collect()
+        } else {
+            edges
+        };
+        let eps = if loose { 1e-9 } else { 0.0 };
+        let mut scratch = DijkstraScratch::new();
+        check_without(n, &edges, skip, eps, &mut scratch)?;
+        // The same scratch, every other skip node.
+        for other in (0..n).filter(|&k| k != skip) {
+            check_without(n, &edges, other, eps, &mut scratch)?;
+        }
+    }
+
+    /// `skip` is the only bridge from one half of the graph to the
+    /// other: every row that crossed it must lose the far half (to `∞`
+    /// or to a path back through the far half's own edges).
+    #[test]
+    fn dijkstra_without_cuts_the_only_bridge(
+        (half, left, right) in (1usize..=6).prop_flat_map(|h| (
+            Just(h),
+            proptest::collection::vec((0..h, 0..h, 1u8..4), 0..16),
+            proptest::collection::vec((0..h, 0..h, 0.1f64..10.0), 0..16),
+        )),
+        bridge_from in 0usize..6,
+        bridge_to in 0usize..6,
+        back in proptest::bool::ANY
+    ) {
+        let n = 2 * half;
+        let skip = bridge_from % half;
+        let mut edges: Vec<(usize, usize, f64)> = left
+            .into_iter()
+            .filter(|&(u, v, _)| u != v)
+            .map(|(u, v, k)| (u, v, f64::from(k)))
+            .collect();
+        edges.extend(
+            right
+                .into_iter()
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, w)| (half + u, half + v, w)),
+        );
+        edges.push((skip, half + bridge_to % half, 1.0));
+        if back {
+            // A way back lets far-half rows reach the near half too.
+            edges.push((half + bridge_to % half, skip, 2.0));
+        }
+        let mut scratch = DijkstraScratch::new();
+        check_without(n, &edges, skip, 1e-9, &mut scratch)?;
     }
 }

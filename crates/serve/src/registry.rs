@@ -594,6 +594,7 @@ impl SessionRegistry {
             ("work.full_sssp", w.full_sssp),
             ("work.incremental_relaxations", w.incremental_relaxations),
             ("work.oracle_builds", w.oracle_builds),
+            ("work.oracle_rows_repaired", w.oracle_rows_repaired),
             ("work.snapshot_exports", w.snapshot_exports),
             ("work.snapshot_restores", w.snapshot_restores),
         ]
