@@ -1,33 +1,26 @@
 //! Persistent oracle cache vs fresh oracles on a sequential dynamics run.
 //!
-//! Scenario (the workload the cross-move `OracleCache` was built for,
-//! ROADMAP open item #1 of PR 3): a full sequential **better-response**
-//! dynamics run — the paper's Section-5 low-churn dynamic, where every
-//! accepted move is a single-link drop/add/swap — on a 64-peer α = 1
-//! instance, two best-response rounds into the run. The pre-cache
-//! engine (`DynamicsConfig { oracle_reuse: false }`) sweeps a fresh
-//! `G_{-i}` oracle per activation — `n - 1` Dijkstra sweeps each, every
-//! activation, forever. The cached engine serves candidate rows from the
-//! session's persistent two-tier cache: overlay rows survive `apply`
-//! via the tightness-test repair, residual `G_{-i}` rows are retained
-//! across moves (link *additions* repair them in place and invalidate
-//! nothing), and a valid overlay row that routes through the responder
-//! is **repaired** into its residual row by
+//! Scenario: a full sequential **better-response** dynamics run — the
+//! paper's Section-5 low-churn dynamic, where every accepted move is a
+//! single-link drop/add/swap — on a 64-peer α = 1 instance, two
+//! best-response rounds into the run. The fresh engine
+//! (`DynamicsConfig { oracle_reuse: false }`) sweeps a fresh `G_{-i}`
+//! oracle per activation — `n - 1` Dijkstra sweeps each, every
+//! activation. The cached engine runs `GameSession::first_improving_move`,
+//! a lazy scan over the session's persistent overlay rows: overlay rows
+//! survive `apply` via the tightness-test repair, candidate moves are
+//! first rejected on certified lower bounds (dirty overlay rows, metric
+//! rows), and only the survivors pay for exact residual rows. An exact
+//! row comes from its overlay row through
 //! `sp_graph::CsrGraph::dijkstra_without`, which recomputes only the
-//! shortest-path subtree below the responder's tight out-links.
+//! shortest-path subtree below the responder's tight out-links; an
+//! invalid overlay row is swept into the cache first.
 //!
 //! A "sweep" here is a full single-source Dijkstra: the cached engine's
-//! overlay refills plus any full `G_{-i}` sweep (which the eager cached
-//! build no longer pays — every row it reads is valid or residual).
-//! Repaired rows are partial work and are counted apart, as
-//! `seq_oracle_rows_repaired` (unit `rows`).
-//!
-//! Reuse is workload-dependent: at large α the sparse overlay routes
-//! most rows through hub peers, so more candidate rows are tight on the
-//! responder's out-links and more retained rows die per accepted move
-//! (measured on this instance family: ~2.6× fewer sweeps at α = 1,
-//! ~2.1× at α = 2, ~1.5× at α = 4). The gate below asserts the α = 1
-//! figure conservatively at 2×.
+//! overlay refills (`full_sssp`) plus the overlay rows its scans had to
+//! sweep before a repair (`seq_oracle_swept`). Repaired rows are partial
+//! work and are counted apart, as `seq_oracle_rows_repaired` (unit
+//! `rows`).
 //!
 //! Wall-clock is machine-dependent, so besides the timed comparison the
 //! bench reports and **asserts** the machine-independent metric: total
@@ -99,8 +92,9 @@ fn run_engine(
 
 /// Total full single-source sweeps an engine paid across the run: cache
 /// fills (`full_sssp`) plus full oracle candidate sweeps — all `n - 1`
-/// per build for the fresh engine, only rows with no valid overlay row
-/// to repair for the cached one (repairs are counted apart).
+/// per build for the fresh engine, only the invalid overlay rows a scan
+/// swept before repairing them for the cached one (repairs are counted
+/// apart).
 fn oracle_sweeps(stats: &SessionStats, n: usize, fresh_oracles: bool) -> usize {
     let oracle = if fresh_oracles {
         stats.oracle_builds * (n - 1)
@@ -140,15 +134,13 @@ fn bench_sequential_reuse(c: &mut Criterion) {
     let hit_rate = cached_stats.seq_oracle_hits as f64 / total_rows.max(1) as f64;
     println!(
         "n={N}: {} activations, {} moves; oracle SSSP sweeps {fresh_sweeps} (fresh) vs \
-         {cached_sweeps} (cached: {} fills + {} fallback sweeps, {:.1}% of candidate rows \
-         served verbatim from cache, {repaired} rows repaired, {} residual rows invalidated \
-         by repairs) — {reduction:.1}x less work",
+         {cached_sweeps} (cached: {} fills + {} scan sweeps, {:.1}% of resolved candidate \
+         rows served verbatim from cache, {repaired} rows repaired) — {reduction:.1}x less work",
         cached_out.steps,
         cached_out.moves,
         cached_stats.full_sssp,
         cached_stats.seq_oracle_swept,
         hit_rate * 100.0,
-        cached_stats.seq_oracle_invalidated,
     );
     c.report_value(
         &format!("seq_oracle_sweeps/fresh/{N}"),
@@ -177,17 +169,13 @@ fn bench_sequential_reuse(c: &mut Criterion) {
     bench_lazy_oracle(c);
 }
 
-/// The lazy-refill scenario (ROADMAP open item resolved in PR 5): a
-/// *monitoring* loop that mutates one hot peer and immediately rebuilds
-/// that peer's oracle — the `sp-serve` pattern of an `apply` followed
-/// by a same-peer `best_response`. The mover's own edits invalidate
-/// overlay rows that its retained residual rows (which ignore the
-/// mover's links by construction) survive, so the lazy
-/// `ensure_rows_for_oracle` skips their refills entirely instead of
-/// re-sweeping rows the oracle build would then ignore. Round-robin
-/// dynamics never hits this (interleaved builds refill everything), so
-/// the saving gets its own gated counters: total monitor sweeps (must
-/// not regress) and the fraction of refills skipped (must stay high).
+/// The monitoring pattern: a loop that mutates one hot peer and
+/// immediately rebuilds that peer's oracle — the `sp-serve` pattern of
+/// an `apply` followed by a same-peer `best_response`. The mover's own
+/// edits invalidate the overlay rows tight on its out-links, and every
+/// `best_response` refills all invalid rows before it builds, so this
+/// loop pays more sweeps than round-robin dynamics does. The gated
+/// counter is the total monitor sweeps (must not regress).
 fn bench_monitored_mover(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
     const MONITOR_STEPS: usize = 24;
     let run = |session: &mut GameSession| {
@@ -224,54 +212,38 @@ fn bench_monitored_mover(c: &mut Criterion, game: &Game, start: &StrategyProfile
     run(&mut session);
     let stats = session.stats();
     let sweeps = stats.full_sssp + stats.seq_oracle_swept;
-    let skip_rate = stats.seq_refills_skipped as f64
-        / (stats.seq_refills_skipped + stats.full_sssp).max(1) as f64;
     println!(
-        "monitored mover: {MONITOR_STEPS} apply+rebuild steps — {} refills paid, {} skipped \
-         ({:.1}% of invalid rows served residual-first), {} fallback sweeps",
-        stats.full_sssp,
-        stats.seq_refills_skipped,
-        skip_rate * 100.0,
-        stats.seq_oracle_swept,
+        "monitored mover: {MONITOR_STEPS} apply+rebuild steps — {} refills, {} scan sweeps, \
+         {} rows repaired",
+        stats.full_sssp, stats.seq_oracle_swept, stats.oracle_rows_repaired,
     );
     c.report_value(
         &format!("monitor_oracle_sweeps/{N}"),
         sweeps as f64,
         "sweeps",
     );
-    c.report_value(&format!("monitor_refill_skip_rate/{N}"), skip_rate, "ratio");
-    assert!(
-        stats.seq_refills_skipped > 0,
-        "the monitoring pattern must exercise the lazy refill: {stats:?}"
-    );
-    assert!(
-        skip_rate > 0.5,
-        "lazy refills should absorb most invalidations here, got {skip_rate:.2}"
-    );
 }
 
-/// The certified-lower-bound oracle (PR 7 satellite): with
-/// [`GameSession::set_lazy_oracle`] on, `first_improving_move` rejects
-/// hopeless candidate rows from a certified bound without materialising
-/// their exact `G_{-i}` distances, and pays the exact evaluation only
-/// for survivors — bit-identically to the eager scan. Measured at
-/// α = 4, the regime where cross-move row reuse is weakest (~1.5×, see
-/// the module doc), so bound-driven rejection matters most. The gated
-/// counters: candidates absorbed by the certified bound (`hits`, must
-/// stay high), exact evaluations paid (`count`, must not regress), and
-/// their ratio as the headline reduction (`x`).
+/// The certified-lower-bound scan behind the cached
+/// `first_improving_move`: it rejects hopeless candidate rows from a
+/// certified bound without materialising their exact `G_{-i}` distances,
+/// and pays the exact evaluation only for survivors — bit-identically to
+/// the fresh engine. Measured at α = 4, where sparse overlays route most
+/// rows through hub peers and bound-driven rejection matters most. The
+/// gated counters: candidates absorbed by the certified bound (`hits`,
+/// must stay high), exact evaluations paid (`count`, must not regress),
+/// and their ratio as the headline reduction (`x`).
 fn bench_lazy_oracle(c: &mut Criterion) {
     const ALPHA: f64 = 4.0;
     let (game, start) = instance_at_alpha(N, 42, ALPHA);
-    let run = |lazy: bool| {
+    let run = |oracle_reuse: bool| {
         let config = DynamicsConfig {
             rule: ResponseRule::BetterResponse,
             max_rounds: MAX_ROUNDS,
-            oracle_reuse: true,
+            oracle_reuse,
             ..DynamicsConfig::default()
         };
         let mut session = GameSession::new(game.clone(), start.clone()).expect("sizes match");
-        session.set_lazy_oracle(lazy);
         let mut runner = DynamicsRunner::new(&game, config);
         let out = runner.run_session(&mut session);
         (out, session.stats())
@@ -279,7 +251,7 @@ fn bench_lazy_oracle(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("lazy_oracle_dynamics");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("eager", N), &N, |b, _| {
+    group.bench_with_input(BenchmarkId::new("fresh", N), &N, |b, _| {
         b.iter(|| run(false));
     });
     group.bench_with_input(BenchmarkId::new("lazy", N), &N, |b, _| {
@@ -287,19 +259,19 @@ fn bench_lazy_oracle(c: &mut Criterion) {
     });
     group.finish();
 
-    let (eager_out, _) = run(false);
+    let (fresh_out, _) = run(false);
     let (lazy_out, lazy_stats) = run(true);
-    assert_eq!(eager_out.profile, lazy_out.profile, "lazy oracle diverged");
-    assert_eq!(eager_out.termination, lazy_out.termination);
-    assert_eq!(eager_out.steps, lazy_out.steps);
-    assert_eq!(eager_out.moves, lazy_out.moves);
+    assert_eq!(fresh_out.profile, lazy_out.profile, "lazy oracle diverged");
+    assert_eq!(fresh_out.termination, lazy_out.termination);
+    assert_eq!(fresh_out.steps, lazy_out.steps);
+    assert_eq!(fresh_out.moves, lazy_out.moves);
 
     let rejects = lazy_stats.lazy_certified_rejects;
     let evals = lazy_stats.lazy_exact_evals;
     let reduction = (rejects + evals) as f64 / evals.max(1) as f64;
     println!(
         "lazy oracle (alpha={ALPHA}): {} activations — {} candidates certified away, \
-         {} exact evaluations paid ({reduction:.1}x fewer evals than the eager scan)",
+         {} exact evaluations paid ({reduction:.1}x fewer evals than a full scan)",
         lazy_out.steps, rejects, evals,
     );
     c.report_value(

@@ -5,9 +5,9 @@
 //! answers valid while the profile mutates. This module splits that job
 //! into a trait with two implementations:
 //!
-//! * [`DenseBackend`] — the exact two-tier `OracleCache` (overlay rows +
-//!   retained residual rows) the workspace has carried since PR 1.
-//!   **Bit-identical to the pre-refactor behaviour, and the default.**
+//! * [`DenseBackend`] — the exact `OracleCache`: the overlay distance
+//!   matrix with per-row validity, from which best-response oracles
+//!   derive their residual rows by subtree repair. **The default.**
 //! * [`SparseBackend`] — landmark distance
 //!   sketches with certified upper/lower bounds, exact bounded-radius
 //!   sweeps for near rows, and metric-window candidate pruning.
@@ -89,7 +89,7 @@ pub trait DistanceBackend {
     fn invalidate(&mut self);
 }
 
-/// The exact dense backend: a thin named wrapper around the two-tier
+/// The exact dense backend: a thin named wrapper around the
 /// `OracleCache` so the cache itself stays private to the crate.
 #[derive(Debug, Clone)]
 pub struct DenseBackend {
@@ -101,10 +101,6 @@ impl DenseBackend {
         DenseBackend {
             cache: OracleCache::new(n),
         }
-    }
-
-    pub(crate) fn from_cache(cache: OracleCache) -> Self {
-        DenseBackend { cache }
     }
 }
 

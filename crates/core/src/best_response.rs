@@ -81,86 +81,59 @@ impl BestResponse {
     }
 }
 
-/// How a [`ResponseOracle::build_from_cache`] call sourced its candidate
-/// rows: residual-row hits, overlay rows reused verbatim or repaired by
-/// [`CsrGraph::dijkstra_without`], or full `G_{-i}` sweeps.
+/// How a cached oracle path sourced its candidate rows: overlay rows
+/// reused verbatim or repaired by [`CsrGraph::dijkstra_without`], or
+/// rows whose overlay row first had to be swept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct OracleReuse {
-    /// Candidate rows served verbatim from the overlay distance matrix.
+    /// Candidate rows served verbatim from a valid overlay row.
     pub(crate) rows_reused: usize,
-    /// Candidate rows served from retained residual `G_{-i}` rows.
-    pub(crate) residual_hits: usize,
     /// Candidate rows repaired from a valid but dirty overlay row.
     pub(crate) rows_repaired: usize,
-    /// Candidate rows that paid a full `G_{-i}` Dijkstra sweep.
+    /// Candidate rows whose overlay row was invalid and paid a full
+    /// sweep (kept in the cache) before the repair.
     pub(crate) rows_swept: usize,
 }
 
-impl OracleReuse {
-    /// Rows served for free — verbatim from a cache tier, with neither a
-    /// repair nor a sweep.
-    pub(crate) fn hits(&self) -> usize {
-        self.rows_reused + self.residual_hits
-    }
-}
-
 /// The overlay CSR and its transpose — the graphs the cached oracle
-/// tiers turn overlay rows into residual rows against.
+/// paths turn overlay rows into residual rows against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Overlay<'a> {
     pub(crate) csr: &'a CsrGraph,
     pub(crate) transpose: &'a CsrGraph,
 }
 
-/// The exact residual row `D_{G_{-i}}(v, ·)` for candidate `v`, from
-/// the cheapest exact tier — the one row-sourcing policy of every cached
-/// oracle path:
-///
-/// 1. a **residual row** retained from an earlier build for `i`, kept
-///    exact across profile mutations by
-///    [`OracleCache::repair_after_edges`];
-/// 2. the valid **overlay row** `d_G(v, ·)`, handed to
-///    [`CsrGraph::dijkstra_without`]: when none of `i`'s out-links is
-///    tight on it (the conservative [`EDGE_ON_PATH_EPS`] test) it already
-///    is the residual row and is reused verbatim, otherwise only the
-///    subtree below `i`'s tight out-links is recomputed;
-/// 3. a full sweep of `G_{-i}` when the overlay row is invalid.
-///
-/// Repaired and swept rows are retained in the residual tier for the
-/// next build, space permitting. `buf` is the caller's row buffer.
-fn candidate_row<'c>(
+/// The exact residual row `D_{G_{-i}}(v, ·)` for candidate `v` — the one
+/// row-sourcing policy of every cached oracle path: make the overlay row
+/// `d_G(v, ·)` valid ([`OracleCache::ensure_row`], a full sweep only when
+/// it was invalid), then hand a copy to [`CsrGraph::dijkstra_without`].
+/// When none of `i`'s out-links is tight on it (the conservative
+/// [`EDGE_ON_PATH_EPS`] test) it already is the residual row and is
+/// reused verbatim; otherwise only the subtree below `i`'s tight
+/// out-links is recomputed. `buf` is the caller's row buffer.
+fn candidate_row<'b>(
     overlay: Overlay<'_>,
-    cache: &'c mut OracleCache,
+    cache: &mut OracleCache,
     i: usize,
     v: usize,
-    buf: &'c mut Vec<f64>,
+    buf: &'b mut Vec<f64>,
     scratch: &mut DijkstraScratch,
     reuse: &mut OracleReuse,
-) -> &'c [f64] {
-    if cache.residual_row(i, v).is_some() {
-        reuse.residual_hits += 1;
-        return cache.residual_row(i, v).expect("checked above");
-    }
+) -> &'b [f64] {
+    let swept = cache.ensure_row(overlay.csr, v, scratch);
     buf.clear();
-    if cache.row_is_valid(v) {
-        buf.extend_from_slice(cache.row(v));
-        let affected =
-            overlay
-                .csr
-                .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, buf, scratch);
-        if affected == 0 {
-            reuse.rows_reused += 1;
-            return buf;
-        }
-        reuse.rows_repaired += 1;
-    } else {
-        buf.resize(overlay.csr.node_count(), f64::INFINITY);
+    buf.extend_from_slice(cache.row(v));
+    let affected =
         overlay
             .csr
-            .relax_decrease_skipping(buf, &[(v, 0.0)], i, scratch);
+            .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, buf, scratch);
+    if swept {
         reuse.rows_swept += 1;
+    } else if affected == 0 {
+        reuse.rows_reused += 1;
+    } else {
+        reuse.rows_repaired += 1;
     }
-    cache.store_residual(i, v, buf);
     buf
 }
 
@@ -232,29 +205,20 @@ impl ResponseOracle {
         })
     }
 
-    /// Like [`ResponseOracle::build_with`], but serves candidate rows
-    /// from a persistent [`OracleCache`] instead of sweeping `G_{-i}`
-    /// from every candidate.
+    /// Like [`ResponseOracle::build_with`], but derives every candidate
+    /// row from the persistent [`OracleCache`] through
+    /// [`candidate_row`] instead of sweeping `G_{-i}` from every
+    /// candidate: the valid overlay row `d_G(v, ·)` is turned into the
+    /// residual row `D_{G_{-i}}(v, ·)` by [`CsrGraph::dijkstra_without`]
+    /// on `overlay` — verbatim when no out-link of `i` is tight on it
+    /// (the same conservative [`EDGE_ON_PATH_EPS`] test the cache's
+    /// removal repair uses), otherwise by recomputing only the
+    /// shortest-path subtree below `i`'s tight out-links.
     ///
-    /// The oracle needs residual distances `D_{G_{-i}}(v, j)` — shortest
-    /// paths that avoid `i`'s out-links. Per candidate `v`, in order:
-    ///
-    /// 1. a **residual row** retained from an earlier build for the same
-    ///    peer is used as-is;
-    /// 2. the valid **overlay row** `d_G(v, ·)` is turned into the
-    ///    residual row by [`CsrGraph::dijkstra_without`] on `overlay`:
-    ///    verbatim when no out-link of `i` is tight on it (the same
-    ///    conservative [`EDGE_ON_PATH_EPS`] test the cache's removal
-    ///    repair uses), otherwise by recomputing only the shortest-path
-    ///    subtree below `i`'s tight out-links;
-    /// 3. a full `G_{-i}` sweep, only when the overlay row is invalid.
-    ///
-    /// Every tier is exact, so the oracle is bit-identical to
-    /// [`ResponseOracle::build_with`]. After
-    /// `GameSession::ensure_rows_for_oracle` every candidate row is valid
-    /// or residual-served, so step 3 never runs on this path. Repaired
-    /// rows are retained in the residual tier for the next build. Returns
-    /// the oracle plus the per-tier row accounting.
+    /// Every row is exact, so the oracle is bit-identical to
+    /// [`ResponseOracle::build_with`]. `GameSession` makes every overlay
+    /// row valid before calling this, so no row pays a sweep here.
+    /// Returns the oracle plus the per-row accounting.
     pub(crate) fn build_from_cache(
         game: &Game,
         peer: PeerId,
@@ -394,13 +358,12 @@ impl ResponseOracle {
     }
 }
 
-/// Accounting for one [`first_improving_move_lazy`] scan: the exact-tier
-/// row sourcing it shares with [`ResponseOracle::build_from_cache`], plus
-/// the bound-tier outcomes unique to the lazy path.
+/// Accounting for one [`first_improving_move_lazy`] scan: the exact-row
+/// sourcing it shares with [`ResponseOracle::build_from_cache`], plus
+/// the bound outcomes unique to the lazy path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LazyScan {
-    /// Exact-tier row accounting (residual hits / overlay reuse /
-    /// repairs / sweeps).
+    /// Exact-row accounting (overlay reuse / repairs / sweeps).
     pub(crate) reuse: OracleReuse,
     /// Candidate moves rejected on a certified lower bound alone — no
     /// exact row for the new link target was ever materialised.
@@ -420,8 +383,8 @@ enum LazyRow {
     /// removing `i`'s links only lengthens paths) or the metric row
     /// (`d_met(v, ·) ≤ D_{G_{-i}}(v, ·)` by the triangle inequality).
     Lower(Vec<f64>),
-    /// The exact residual assignment row, from the same tiers as
-    /// [`ResponseOracle::build_from_cache`].
+    /// The exact residual assignment row, from the same
+    /// [`candidate_row`] policy as [`ResponseOracle::build_from_cache`].
     Exact(Vec<f64>),
 }
 
@@ -430,11 +393,12 @@ enum LazyRow {
 /// Unlike [`ResponseOracle::build_from_cache`], which materialises every
 /// candidate row up front (and therefore repairs every row a move by a
 /// hub peer dirtied), this store resolves rows to the *weakest
-/// sufficient tier*: certified lower bounds serve rejection, and only
+/// sufficient form*: certified lower bounds serve rejection, and only
 /// candidates whose bound survives the improvement test pay for exact
 /// rows. Every exact row comes from the same [`candidate_row`] policy as
-/// the eager build, so any move this scan **accepts** is bit-identical
-/// (same links, same cost) to the eager scan's acceptance.
+/// the full build and is bit-identical to a fresh `G_{-i}` sweep, so any
+/// move this scan **accepts** is bit-identical (same links, same cost)
+/// to the fresh oracle's acceptance.
 struct LazyRows<'a> {
     game: &'a Game,
     peer: PeerId,
@@ -476,21 +440,15 @@ impl<'a> LazyRows<'a> {
             .all(|(&t, &w)| !edge_on_path(cached[i], w, cached[t], EDGE_ON_PATH_EPS))
     }
 
-    /// Ensures `rows[k]` holds at least a certified lower bound. The
-    /// free exact tiers are preferred (a residual row, or a clean overlay
-    /// row — they cost the same `O(n)` conversion); otherwise a
-    /// valid-but-dirty overlay row, and failing that the metric row,
-    /// serve as the bound — neither pays a repair or a sweep.
-    fn ensure_bound(&mut self, k: usize, cache: &mut OracleCache, scan: &mut LazyScan) {
+    /// Ensures `rows[k]` holds at least a certified lower bound. A clean
+    /// overlay row is exact for free (the same `O(n)` conversion);
+    /// otherwise a valid-but-dirty overlay row, and failing that the
+    /// metric row, serve as the bound — neither pays a repair or a sweep.
+    fn ensure_bound(&mut self, k: usize, cache: &OracleCache, scan: &mut LazyScan) {
         if !matches!(self.rows[k], LazyRow::Unresolved) {
             return;
         }
         let v = self.candidates[k];
-        if let Some(residual) = cache.residual_row(self.peer.index(), v) {
-            scan.reuse.residual_hits += 1;
-            self.rows[k] = LazyRow::Exact(self.assign(v, residual));
-            return;
-        }
         let valid = cache.row_is_valid(v);
         if valid && self.overlay_clean(cache, v) {
             scan.reuse.rows_reused += 1;
@@ -511,8 +469,8 @@ impl<'a> LazyRows<'a> {
     }
 
     /// Ensures `rows[k]` is exact, through the same [`candidate_row`]
-    /// tiers as the eager build (repairing a dirty overlay row, sweeping
-    /// only when no valid row exists).
+    /// policy as the full build (sweeping the overlay row only when it is
+    /// invalid, then repairing it).
     fn ensure_exact(
         &mut self,
         k: usize,
@@ -540,7 +498,7 @@ impl<'a> LazyRows<'a> {
     /// `FacilityProblem::cost_of` replicated over the lazy rows: open
     /// costs accumulate per facility, then one ascending client pass
     /// taking the per-client min over open rows. With all-exact rows the
-    /// result is bit-identical to the eager oracle's `eval`.
+    /// result is bit-identical to [`ResponseOracle::eval`].
     fn cost_with(&self, open: &[usize]) -> f64 {
         let alpha = self.game.alpha();
         let mut total = 0.0;
@@ -582,7 +540,7 @@ impl<'a> LazyRows<'a> {
     /// `lower ≤ exact` makes every per-client min and hence the total a
     /// lower bound, so a bound that fails the improvement test certifies
     /// the exact cost fails it too.
-    fn eval_lower(&mut self, open: &[usize], cache: &mut OracleCache, scan: &mut LazyScan) -> f64 {
+    fn eval_lower(&mut self, open: &[usize], cache: &OracleCache, scan: &mut LazyScan) -> f64 {
         for &k in open {
             self.ensure_bound(k, cache, scan);
         }
@@ -601,26 +559,28 @@ impl<'a> LazyRows<'a> {
     }
 }
 
-/// Satellite-2 lazy better-response scan: [`first_improving_move`]
-/// semantics with per-candidate row resolution.
+/// The cached better-response scan: [`first_improving_move`] semantics
+/// with per-candidate row resolution, behind
+/// `GameSession::first_improving_move`.
 ///
-/// The eager cached scan ([`ResponseOracle::build_from_cache`] +
-/// [`ResponseOracle::first_improving_move`]) materialises **every**
-/// candidate row before evaluating a single move, so one hub move that
-/// dirties most overlay rows forces ~`n` fresh sweeps on the next scan
-/// even though (at high `α`) almost every candidate move is hopeless.
-/// This variant rejects candidate adds/swaps on **certified lower
-/// bounds** — dirty overlay rows and metric rows, both provably `≤` the
-/// exact residual rows — and escalates to exact rows only for candidates
-/// whose bound survives the improvement test. Drops evaluate exact
-/// directly (their rows are the current links', needed anyway).
+/// Building a full oracle ([`ResponseOracle::build_from_cache`]) would
+/// materialise **every** candidate row before evaluating a single move,
+/// so one hub move that dirties most overlay rows would force ~`n` row
+/// repairs on the next scan even though (at high `α`) almost every
+/// candidate move is hopeless. This scan rejects candidate adds/swaps on
+/// **certified lower bounds** — dirty overlay rows and metric rows, both
+/// provably `≤` the exact residual rows — and escalates to exact rows
+/// only for candidates whose bound survives the improvement test. Drops
+/// evaluate exact directly (their rows are the current links', needed
+/// anyway).
 ///
 /// Guarantee: the scan visits moves in the identical drop/add/swap order
-/// with the identical improvement predicate, rejection by bound is sound
+/// with the identical improvement predicate as
+/// [`ResponseOracle::first_improving_move`], rejection by bound is sound
 /// (`bound ≤ exact`, and the predicate is monotone in cost), and every
-/// accepted move's cost comes from exact rows sourced by the same tier
-/// order as the eager build — so the returned move (or `None`) is
-/// **bit-identical** to the eager scan's.
+/// accepted move's cost comes from exact rows — so the returned move (or
+/// `None`) is **bit-identical** to the scan over a fresh `G_{-i}`
+/// oracle.
 pub(crate) fn first_improving_move_lazy(
     game: &Game,
     profile: &StrategyProfile,

@@ -39,12 +39,6 @@ pub enum CoreError {
         /// The solver's limit.
         limit: usize,
     },
-    /// A session snapshot is internally inconsistent (wrong row lengths,
-    /// out-of-range indices) and cannot be restored.
-    InvalidSnapshot {
-        /// What was wrong with the snapshot.
-        reason: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -69,9 +63,6 @@ impl fmt::Display for CoreError {
                     f,
                     "instance of {n} peers exceeds the exact-solver limit {limit}"
                 )
-            }
-            CoreError::InvalidSnapshot { ref reason } => {
-                write!(f, "invalid session snapshot: {reason}")
             }
         }
     }

@@ -22,11 +22,10 @@
 //!   owning a game and its evolving profile, keeping the overlay CSR,
 //!   distance matrix, and stretch matrix cached across queries, and
 //!   repairing them incrementally when [`GameSession::apply`] mutates a
-//!   peer's links. Best-response oracles are served from the same
-//!   persistent two-tier cache (overlay rows plus retained residual
-//!   `G_{-i}` rows — see the `session` module docs for the invalidation
-//!   invariants), so hot sequential loops stop paying `n - 1` fresh
-//!   sweeps per activation. Multi-peer events (simultaneous rounds,
+//!   peer's links. Best-response oracles derive their residual `G_{-i}`
+//!   rows from the same persistent overlay rows by subtree repair (see
+//!   the `session` module docs for the invalidation invariants), so hot
+//!   sequential loops stop paying `n - 1` fresh sweeps per activation. Multi-peer events (simultaneous rounds,
 //!   churn) commit through [`GameSession::apply_batch`] — one CSR
 //!   rebuild and one repair pass for the whole batch — and bulk row
 //!   refills shard their Dijkstra sweeps over worker threads
@@ -116,7 +115,7 @@ pub use cost::{all_peer_costs, peer_cost, social_cost, SocialCost};
 pub use error::CoreError;
 pub use game::Game;
 pub use peer::{LinkSet, PeerId};
-pub use session::{GameSession, Move, SessionSnapshot, SessionStats};
+pub use session::{GameSession, Move, SessionStats};
 pub use sparse::{SparseBackend, SparseParams};
 pub use strategy::StrategyProfile;
 pub use topology::{

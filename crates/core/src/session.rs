@@ -37,12 +37,14 @@
 //! scoped worker threads ([`sp_graph::CsrGraph::dijkstra_rows_with`]),
 //! each with its own [`DijkstraScratch`].
 //!
-//! Both row tiers — the overlay matrix and the residual `G_{-i}` rows
-//! that back the best-response oracles — live in one
-//! [`OracleCache`](crate::oracle_cache), so every oracle the session
-//! hands out (a sequential [`GameSession::best_response`] activation,
-//! the sharded [`GameSession::best_responses_round`] fan-out) is served
-//! and invalidated by the same code path. The uncached variants
+//! The overlay matrix lives in one [`OracleCache`](crate::oracle_cache),
+//! and every oracle the session hands out (a sequential
+//! [`GameSession::best_response`] activation, the sharded
+//! [`GameSession::best_responses_round`] fan-out, the lazy
+//! [`GameSession::first_improving_move`] scan) derives its residual
+//! `G_{-i}` rows from those overlay rows by subtree repair, so all of
+//! them are served and invalidated by the same code path. The uncached
+//! variants
 //! ([`GameSession::best_response_uncached`],
 //! [`GameSession::first_improving_move_uncached`]) sweep a fresh
 //! `G_{-i}` oracle per call; they are the reference the cached paths are
@@ -133,6 +135,8 @@ pub struct SessionStats {
     /// Overlay CSR snapshots built.
     pub csr_rebuilds: usize,
     /// Full single-source sweeps (one distance-matrix row from scratch).
+    /// Rows a lazy better-response scan sweeps are counted in
+    /// [`SessionStats::seq_oracle_swept`] instead.
     pub full_sssp: usize,
     /// Seeded decrease-only re-relaxations (cheap incremental repairs).
     pub incremental_relaxations: usize,
@@ -142,8 +146,9 @@ pub struct SessionStats {
     /// Rows that survived an [`GameSession::apply`] untouched or via a
     /// cheap repair.
     pub rows_preserved: usize,
-    /// Best-response oracles built (each costs `n - 1` sweeps, counted
-    /// separately from `full_sssp`).
+    /// Best-response oracles built or lazy better-response scans run
+    /// (an uncached build costs `n - 1` sweeps, counted separately from
+    /// `full_sssp`).
     pub oracle_builds: usize,
     /// Calls to [`GameSession::apply_batch`] that reached the repair pass
     /// (batches that were pure no-ops are not counted).
@@ -160,40 +165,33 @@ pub struct SessionStats {
     pub oracle_parallel_rounds: usize,
     /// Worker shards spawned across those parallel rounds.
     pub oracle_shards: usize,
-    /// Oracle candidate rows of round builds served verbatim — from the
-    /// round-frozen distance snapshot or a retained residual row —
-    /// without a repair or a sweep.
+    /// Oracle candidate rows of round builds served verbatim from the
+    /// round-frozen distance snapshot, without a repair or a sweep.
     pub oracle_rows_reused: usize,
-    /// Oracle candidate rows that paid a full `G_{-i}` Dijkstra sweep
-    /// (no valid snapshot row to repair; repaired rows are counted in
-    /// [`SessionStats::oracle_rows_repaired`]).
+    /// Oracle candidate rows of round builds whose overlay row paid a
+    /// full sweep first. The round engine freezes every row before it
+    /// builds, so this stays 0; repaired rows are counted in
+    /// [`SessionStats::oracle_rows_repaired`].
     pub oracle_rows_swept: usize,
     /// Candidate rows served verbatim by **sequential** cached oracle
-    /// builds ([`GameSession::best_response`],
-    /// [`GameSession::first_improving_move`], `nash_gap`, `is_nash`) —
-    /// clean overlay rows plus residual-row hits. The round engine's
-    /// reuse is counted separately in
+    /// paths ([`GameSession::best_response`],
+    /// [`GameSession::first_improving_move`], `nash_gap`, `is_nash`):
+    /// clean overlay rows no out-link of the responder is tight on. The
+    /// round engine's reuse is counted separately in
     /// [`SessionStats::oracle_rows_reused`].
     pub seq_oracle_hits: usize,
-    /// Residual `G_{-i}` rows dropped by [`GameSession::apply`] /
-    /// [`GameSession::apply_batch`] repair because a removed link (owned
-    /// by another peer) could have been tight on them.
-    pub seq_oracle_invalidated: usize,
-    /// Candidate rows that paid a full `G_{-i}` Dijkstra sweep inside
-    /// sequential cached oracle builds (no residual row and no valid
-    /// overlay row to repair).
+    /// Candidate rows of sequential cached oracle paths whose overlay row
+    /// was invalid and paid a full sweep (kept in the cache) before the
+    /// repair. `best_response` refills every row before it builds, so
+    /// only the lazy [`GameSession::first_improving_move`] scan adds
+    /// here.
     pub seq_oracle_swept: usize,
-    /// Candidate rows of cached oracle builds — sequential and round
-    /// alike — that neither tier served verbatim but that were repaired
-    /// from a valid overlay row by `sp_graph::CsrGraph::dijkstra_without`,
+    /// Candidate rows of cached oracle paths — sequential and round
+    /// alike — that were not clean but were repaired from a valid
+    /// overlay row by `sp_graph::CsrGraph::dijkstra_without`,
     /// recomputing only the shortest-path subtree below the responding
     /// peer's tight out-links instead of paying a full sweep.
     pub oracle_rows_repaired: usize,
-    /// Invalid overlay rows a cached oracle build did **not** refill
-    /// because the residual tier already served them (the lazy-refill
-    /// path; each skip saves one full sweep `ensure_all_rows` would have
-    /// paid).
-    pub seq_refills_skipped: usize,
     /// Snapshots exported via [`GameSession::snapshot`] — the spill half
     /// of an eviction cycle in a session registry.
     pub snapshot_exports: usize,
@@ -218,10 +216,10 @@ pub struct SessionStats {
     /// `first_improving_move`, and `local_response` on instances small
     /// enough that the window covers every peer).
     pub sparse_exact_fallbacks: usize,
-    /// Candidate moves the lazy oracle scan
-    /// ([`GameSession::set_lazy_oracle`]) rejected on a certified lower
-    /// bound alone — each one skips materialising an exact row that the
-    /// eager scan would have swept or converted.
+    /// Candidate moves the lazy better-response scan
+    /// ([`GameSession::first_improving_move`]) rejected on a certified
+    /// lower bound alone — each one skips materialising an exact row
+    /// that a full oracle build would have repaired or converted.
     pub lazy_certified_rejects: usize,
     /// Candidate moves whose lazy lower bound survived the improvement
     /// test and therefore paid exact escalation.
@@ -262,10 +260,8 @@ impl SessionStats {
             oracle_rows_reused,
             oracle_rows_swept,
             seq_oracle_hits,
-            seq_oracle_invalidated,
             seq_oracle_swept,
             oracle_rows_repaired,
-            seq_refills_skipped,
             snapshot_exports,
             snapshot_restores,
             sparse_sketch_rows,
@@ -291,10 +287,8 @@ impl SessionStats {
         self.oracle_rows_reused += oracle_rows_reused;
         self.oracle_rows_swept += oracle_rows_swept;
         self.seq_oracle_hits += seq_oracle_hits;
-        self.seq_oracle_invalidated += seq_oracle_invalidated;
         self.seq_oracle_swept += seq_oracle_swept;
         self.oracle_rows_repaired += oracle_rows_repaired;
-        self.seq_refills_skipped += seq_refills_skipped;
         self.snapshot_exports += snapshot_exports;
         self.snapshot_restores += snapshot_restores;
         self.sparse_sketch_rows += sparse_sketch_rows;
@@ -305,30 +299,6 @@ impl SessionStats {
         self.lazy_certified_rejects += lazy_certified_rejects;
         self.lazy_exact_evals += lazy_exact_evals;
     }
-}
-
-/// A faithful, game-independent capture of a [`GameSession`]'s mutable
-/// state: the profile plus both warm cache tiers, exactly as they stand.
-///
-/// [`GameSession::restore`] rebuilds a session from a snapshot and the
-/// (immutable) [`Game`] such that every subsequent query answers
-/// **bit-identically** to the source session — the contract that lets a
-/// service spill sessions to disk under memory pressure and page them
-/// back in without observable effect. Row vectors are stored in
-/// deterministic order (overlay rows by source, residual rows by
-/// `(excluded, source)`), so equal sessions produce equal snapshots.
-///
-/// The snapshot deliberately omits derived state (the overlay CSR and the
-/// stretch matrix are recomputed lazily from the profile and the distance
-/// rows without any shortest-path sweeps) and the work counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSnapshot {
-    /// The strategy profile at capture time.
-    pub profile: StrategyProfile,
-    /// Valid overlay distance rows as `(source, distances)`, ascending.
-    pub overlay_rows: Vec<(usize, Vec<f64>)>,
-    /// Retained residual rows as `(excluded, source, distances)`, sorted.
-    pub residual_rows: Vec<(usize, usize, Vec<f64>)>,
 }
 
 /// A stateful evaluation handle: a [`Game`], the current
@@ -369,9 +339,8 @@ pub struct GameSession {
     /// sweeps backward on. Built lazily by the first query that needs it
     /// and dropped whenever `csr` is.
     transpose: Option<CsrGraph>,
-    /// The pluggable distance backend. Dense sessions hold the two-tier
-    /// row cache (overlay distance rows with per-row validity plus
-    /// retained residual `G_{-i}` oracle rows); sparse sessions hold
+    /// The pluggable distance backend. Dense sessions hold the overlay
+    /// distance rows with per-row validity; sparse sessions hold
     /// landmark sketches and bounded-sweep state. Both are repaired —
     /// never discarded — by [`GameSession::apply`] / `apply_batch`.
     backend: SessionBackend,
@@ -380,11 +349,6 @@ pub struct GameSession {
     scratch: DijkstraScratch,
     /// Worker-thread override for bulk row refills; `None` = auto.
     parallelism: Option<usize>,
-    /// When set (dense sessions only), [`GameSession::first_improving_move`]
-    /// runs the lazy certified-bound scan instead of the eager cached
-    /// oracle build. Off by default; opt in via
-    /// [`GameSession::set_lazy_oracle`].
-    lazy_oracle: bool,
     stats: SessionStats,
 }
 
@@ -420,7 +384,6 @@ impl GameSession {
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
-            lazy_oracle: false,
             stats: SessionStats::default(),
         })
     }
@@ -473,7 +436,6 @@ impl GameSession {
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
-            lazy_oracle: false,
             stats: SessionStats::default(),
         })
     }
@@ -494,16 +456,6 @@ impl GameSession {
         } else {
             None
         }
-    }
-
-    /// Routes [`GameSession::first_improving_move`] through the lazy
-    /// certified-bound oracle scan (dense sessions only; sparse sessions
-    /// ignore the flag — their fallback path is already exact). The lazy
-    /// scan returns **bit-identical** moves while skipping exact row
-    /// materialisation for candidates rejected on a certified lower
-    /// bound; see [`SessionStats::lazy_certified_rejects`].
-    pub fn set_lazy_oracle(&mut self, on: bool) {
-        self.lazy_oracle = on;
     }
 
     /// The game being evaluated.
@@ -543,39 +495,27 @@ impl GameSession {
     /// per-shard session behind [`GameSession::best_responses_round`].
     ///
     /// The fork **shares** the immutable [`Game`] (one atomic increment,
-    /// no O(n²) distance-matrix copy) and snapshots the mutable caches as
+    /// no O(n²) distance-matrix copy) and copies the mutable caches as
     /// they stand: the overlay CSR and its transpose, the distance matrix
-    /// with its per-row validity, and the profile. Nothing is recomputed.
-    /// The fork gets a fresh [`DijkstraScratch`] (so shards never
-    /// contend) and zeroed [`SessionStats`], and its bulk refills are
-    /// pinned to the calling thread (`Some(1)`) — shards must not nest
-    /// worker pools. Retained
-    /// residual oracle rows are **not** carried into the fork (a shard
-    /// lives for one round and would never read its own stores), so the
-    /// fork is cheap even when the parent's residual cache is full.
+    /// with its per-row validity (or the sparse backend's state), and the
+    /// profile. Nothing is recomputed. The fork gets a fresh
+    /// [`DijkstraScratch`] (so shards never contend) and zeroed
+    /// [`SessionStats`], and its bulk refills are pinned to the calling
+    /// thread (`Some(1)`) — shards must not nest worker pools.
     ///
     /// The fork is an independent session: mutating it (or the parent)
     /// never affects the other.
     #[must_use]
     pub fn fork_readonly(&self) -> GameSession {
-        let backend = match &self.backend {
-            SessionBackend::Dense(b) => {
-                SessionBackend::Dense(DenseBackend::from_cache(b.cache.fork()))
-            }
-            // Sparse state is already O(n); clone it wholesale so the
-            // fork answers sketch queries without resweeping landmarks.
-            SessionBackend::Sparse(b) => SessionBackend::Sparse(b.clone()),
-        };
         GameSession {
             game: Arc::clone(&self.game),
             profile: self.profile.clone(),
             csr: self.csr.clone(),
             transpose: self.transpose.clone(),
-            backend,
+            backend: self.backend.clone(),
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: Some(1),
-            lazy_oracle: self.lazy_oracle,
             stats: SessionStats::default(),
         }
     }
@@ -592,24 +532,10 @@ impl GameSession {
         self.stats = SessionStats::default();
     }
 
-    /// Shrinks (or grows) the byte budget behind the retained-residual
-    /// oracle tier. The default budget (64 MiB) assumes this session is
-    /// the process's main tenant; a multi-session host like the
-    /// `sp-serve` registry calls this with a per-tenant slice so one
-    /// oracle-heavy session cannot monopolise the host's memory — and so
-    /// its spill snapshots stay proportionate. Affects only how many
-    /// rows are *retained* (work), never the value any tier serves
-    /// (bit-identity is cap-independent).
-    pub fn set_residual_budget(&mut self, bytes: usize) {
-        if !self.backend.is_sparse() {
-            self.backend.dense_mut().set_budget(bytes);
-        }
-    }
-
     /// Semantic size of this session's mutable state in bytes: the
     /// profile, the overlay CSR snapshot and its transpose, the cached
-    /// stretch matrix, and
-    /// both tiers of the oracle cache. The (shared, immutable) [`Game`]
+    /// stretch matrix, and the backend's distance state (the dense
+    /// overlay matrix, or the sparse sketches). The (shared, immutable) [`Game`]
     /// is excluded — registries account for it per slot, since sessions
     /// may share one game through [`GameSession::game_arc`].
     ///
@@ -631,101 +557,37 @@ impl GameSession {
         profile + csr + stretch + self.backend.memory_bytes()
     }
 
-    /// Captures the session's mutable state — profile plus both warm
-    /// cache tiers — for spill-to-disk persistence. See
-    /// [`SessionSnapshot`] for the fidelity contract.
+    /// Captures the session's mutable state for spill-to-disk
+    /// persistence: the strategy profile. Everything else a session holds
+    /// is derived from the profile and the (immutable) [`Game`] and is
+    /// rebuilt lazily after [`GameSession::restore`], so a snapshot stays
+    /// `O(links)` and can never carry a stale or tampered cache. Counts
+    /// one [`SessionStats::snapshot_exports`].
     #[must_use]
-    pub fn snapshot(&mut self) -> SessionSnapshot {
+    pub fn snapshot(&mut self) -> StrategyProfile {
         self.stats.snapshot_exports += 1;
-        if self.backend.is_sparse() {
-            // Sparse sessions carry no spillable row tiers: the sketch is
-            // cheap to rebuild (2·L sweeps) and is never part of the
-            // bit-identity contract, so the snapshot is just the profile.
-            return SessionSnapshot {
-                profile: self.profile.clone(),
-                overlay_rows: Vec::new(),
-                residual_rows: Vec::new(),
-            };
-        }
-        SessionSnapshot {
-            profile: self.profile.clone(),
-            overlay_rows: self
-                .backend
-                .dense()
-                .valid_rows()
-                .map(|(u, row)| (u, row.to_vec()))
-                .collect(),
-            residual_rows: self
-                .backend
-                .dense()
-                .residual_rows_sorted()
-                .into_iter()
-                .map(|(i, v, row)| (i, v, row.to_vec()))
-                .collect(),
-        }
+        self.profile.clone()
     }
 
-    /// Rebuilds a session from `game` and a snapshot captured by
-    /// [`GameSession::snapshot`]: the profile and both cache tiers are
-    /// installed verbatim, so every query on the restored session
-    /// answers bit-identically to the source session (property-tested in
+    /// Rebuilds a dense session from `game` and a profile captured by
+    /// [`GameSession::snapshot`]. Caches start cold and refill on demand;
+    /// cached ≡ fresh makes every answer bit-identical to the source
+    /// session's (property-tested in
     /// `crates/serve/tests/proptest_snapshot.rs`). Work counters start
     /// fresh except [`SessionStats::snapshot_restores`], which is `1`.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::ProfileSizeMismatch`] when the profile disagrees
-    ///   with the game on the peer count;
-    /// * [`CoreError::InvalidSnapshot`] for malformed rows (wrong
-    ///   length, out-of-range or duplicate indices, self-residuals).
-    pub fn restore(game: Game, snapshot: SessionSnapshot) -> Result<Self, CoreError> {
-        let mut session = GameSession::new(game, snapshot.profile)?;
-        let n = session.game.n();
-        let bad = |reason: String| CoreError::InvalidSnapshot { reason };
-        let mut last_u: Option<usize> = None;
-        for (u, row) in &snapshot.overlay_rows {
-            if *u >= n {
-                return Err(bad(format!(
-                    "overlay row source {u} out of range for n={n}"
-                )));
-            }
-            if last_u.is_some_and(|p| p >= *u) {
-                return Err(bad("overlay rows not strictly ascending".to_owned()));
-            }
-            last_u = Some(*u);
-            if row.len() != n {
-                return Err(bad(format!(
-                    "overlay row {u} has {} entries, expected {n}",
-                    row.len()
-                )));
-            }
-            session.backend.dense_mut().restore_row(*u, row);
-        }
-        let mut last_key: Option<(usize, usize)> = None;
-        for (i, v, row) in snapshot.residual_rows {
-            if i >= n || v >= n || i == v {
-                return Err(bad(format!(
-                    "residual row key ({i}, {v}) invalid for n={n}"
-                )));
-            }
-            if last_key.is_some_and(|p| p >= (i, v)) {
-                return Err(bad("residual rows not strictly ascending".to_owned()));
-            }
-            last_key = Some((i, v));
-            if row.len() != n {
-                return Err(bad(format!(
-                    "residual row ({i}, {v}) has {} entries, expected {n}",
-                    row.len()
-                )));
-            }
-            session.backend.dense_mut().restore_residual(i, v, row);
-        }
+    /// [`CoreError::ProfileSizeMismatch`] when the profile disagrees with
+    /// the game on the peer count.
+    pub fn restore(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
+        let mut session = GameSession::new(game, profile)?;
         session.stats.snapshot_restores = 1;
         Ok(session)
     }
 
-    /// Rebuilds a **sparse** session from a profile-only snapshot (what
-    /// [`GameSession::snapshot`] produces for sparse sessions). Work
+    /// Rebuilds a **sparse** session from a profile captured by
+    /// [`GameSession::snapshot`] and the session's [`SparseParams`]. Work
     /// counters start fresh except [`SessionStats::snapshot_restores`].
     ///
     /// # Errors
@@ -924,8 +786,7 @@ impl GameSession {
     /// [`GameSession::apply_batch`]: given the net `(from, to, weight)`
     /// edge changes already written to the profile, lets the
     /// [`OracleCache`] drop rows whose shortest paths may have used a
-    /// removed edge (overlay **and** residual tiers) and decrease-relax
-    /// the survivors for the added edges.
+    /// removed edge and decrease-relax the survivors for the added edges.
     fn repair_after_edges(
         &mut self,
         added: &[(usize, usize, f64)],
@@ -961,14 +822,7 @@ impl GameSession {
             return;
         }
 
-        // Residual rows can outlive every overlay row (a removal that is
-        // tight for all sources invalidates the whole overlay tier while
-        // the residual tier repairs in place), so the lazy bail-out must
-        // check both tiers: wiping live residual rows here would re-pay
-        // sweeps the cache already earned.
-        if self.csr.is_none()
-            || (!self.backend.dense().any_valid_row() && !self.backend.dense().has_residual_rows())
-        {
+        if self.csr.is_none() || !self.backend.dense().any_valid_row() {
             // Nothing cached worth repairing; stay lazy.
             self.drop_csr();
             self.backend.invalidate();
@@ -986,7 +840,6 @@ impl GameSession {
         self.stats.rows_invalidated += counts.rows_invalidated;
         self.stats.rows_preserved += counts.rows_preserved;
         self.stats.incremental_relaxations += counts.incremental_relaxations;
-        self.stats.seq_oracle_invalidated += counts.residual_invalidated;
     }
 
     /// Drops the overlay CSR and its transpose together.
@@ -1286,28 +1139,24 @@ impl GameSession {
     }
 
     /// `peer`'s best response against the fixed rest of the current
-    /// profile, served from the persistent oracle cache. A candidate row
-    /// comes from a residual `G_{-i}` row retained by an earlier build
-    /// when there is one. Otherwise the valid overlay row is turned into
-    /// the residual row by `sp_graph::CsrGraph::dijkstra_without`: taken
-    /// verbatim when none of `peer`'s out-links is tight on its shortest
-    /// paths (the same conservative test the removal repair uses, so
-    /// reuse never changes a value), and otherwise repaired by
-    /// recomputing only the shortest-path subtree below the tight
-    /// out-links — no full sweep. Repaired rows are retained for the next
-    /// build. Because [`GameSession::apply`] repairs both tiers per-move,
+    /// profile, served from the persistent oracle cache. Each candidate's
+    /// valid overlay row is turned into its residual `G_{-i}` row by
+    /// `sp_graph::CsrGraph::dijkstra_without`: taken verbatim when none
+    /// of `peer`'s out-links is tight on its shortest paths (the same
+    /// conservative test the removal repair uses, so reuse never changes
+    /// a value), and otherwise repaired by recomputing only the
+    /// shortest-path subtree below the tight out-links — no full sweep.
+    /// Because [`GameSession::apply`] repairs the overlay rows per move,
     /// consecutive activations in sequential dynamics serve most
     /// candidate rows verbatim.
     ///
-    /// Fills the whole distance cache on first use (lazily: rows the
-    /// residual tier serves stay unfilled), plus the overlay CSR's
+    /// Fills every invalid overlay row first, plus the overlay CSR's
     /// transpose the repair seeds from. Bit-identical to
     /// [`GameSession::best_response_uncached`] (property-tested in
     /// `crates/core/tests/proptest_session.rs`, including across
-    /// arbitrary interleaved `apply` sequences); cache tier accounting
-    /// lands in [`SessionStats::seq_oracle_hits`] /
-    /// [`SessionStats::oracle_rows_repaired`] /
-    /// [`SessionStats::seq_oracle_swept`].
+    /// arbitrary interleaved `apply` sequences); the `n - 1` candidate
+    /// rows land in [`SessionStats::seq_oracle_hits`] or
+    /// [`SessionStats::oracle_rows_repaired`].
     ///
     /// # Errors
     ///
@@ -1373,49 +1222,6 @@ impl GameSession {
         Ok(false)
     }
 
-    /// Makes the overlay rows a cached oracle build for `peer` will read
-    /// valid — lazily: an invalid row `u` whose residual twin `(peer, u)`
-    /// is retained stays invalid, because the build serves it from the
-    /// residual tier (exact by the repair invariants) and refilling it
-    /// here would pay a full sweep for a value the build never reads.
-    /// Rows no tier covers are refilled, sharded over worker threads when
-    /// enough queue up — the same policy as
-    /// [`GameSession::ensure_all_rows`].
-    fn ensure_rows_for_oracle(&mut self, peer: PeerId) {
-        let n = self.game.n();
-        let i = peer.index();
-        let mut need: Vec<usize> = Vec::new();
-        let mut skipped = 0usize;
-        for u in 0..n {
-            if self.backend.dense().row_is_valid(u) {
-                continue;
-            }
-            if u != i && self.backend.dense().residual_row(i, u).is_some() {
-                skipped += 1;
-            } else {
-                need.push(u);
-            }
-        }
-        self.stats.seq_refills_skipped += skipped;
-        if need.is_empty() {
-            return;
-        }
-        let workers = self.worker_count().min(need.len());
-        if workers > 1 && (self.parallelism.is_some() || need.len() >= PAR_ROWS_MIN) {
-            self.ensure_csr();
-            let csr = self.csr.as_ref().expect("ensured above");
-            csr.dijkstra_rows_with(self.backend.dense_mut().jobs_for(&need), workers);
-            self.backend.dense_mut().mark_rows_valid(&need);
-            self.stats.full_sssp += need.len();
-            self.stats.parallel_passes += 1;
-            self.stats.parallel_rows += need.len();
-        } else {
-            for u in need {
-                let _ = self.row(u);
-            }
-        }
-    }
-
     /// Builds the cached oracle for `peer` and counts its row accounting
     /// into the requested [`SessionStats`] bucket.
     fn cached_oracle(
@@ -1423,7 +1229,7 @@ impl GameSession {
         peer: PeerId,
         counter: OracleCounter,
     ) -> Result<ResponseOracle, CoreError> {
-        self.ensure_rows_for_oracle(peer);
+        self.ensure_all_rows();
         self.ensure_transpose();
         let overlay = Overlay {
             csr: self.csr.as_ref().expect("ensured above"),
@@ -1440,11 +1246,11 @@ impl GameSession {
         self.stats.oracle_rows_repaired += reuse.rows_repaired;
         match counter {
             OracleCounter::Sequential => {
-                self.stats.seq_oracle_hits += reuse.hits();
+                self.stats.seq_oracle_hits += reuse.rows_reused;
                 self.stats.seq_oracle_swept += reuse.rows_swept;
             }
             OracleCounter::Round => {
-                self.stats.oracle_rows_reused += reuse.hits();
+                self.stats.oracle_rows_reused += reuse.rows_reused;
                 self.stats.oracle_rows_swept += reuse.rows_swept;
             }
         }
@@ -1629,9 +1435,14 @@ impl GameSession {
 
     /// First strictly improving single-link move for `peer` (drop, add,
     /// swap — in that order), or `None`; the "better response" used by
-    /// low-churn dynamics. Served from the persistent oracle cache
-    /// like [`GameSession::best_response`]; bit-identical to
-    /// [`GameSession::first_improving_move_uncached`].
+    /// low-churn dynamics. Served from the persistent oracle cache by a
+    /// lazy scan: candidate moves are first tested against certified
+    /// lower bounds (dirty overlay rows, or metric rows for invalid
+    /// ones), and only candidates whose bound survives pay for exact
+    /// residual rows, derived like [`GameSession::best_response`]'s (an
+    /// invalid overlay row is swept into the cache first). Bit-identical
+    /// to [`GameSession::first_improving_move_uncached`]; rows rejected on
+    /// a bound land in [`SessionStats::lazy_certified_rejects`].
     ///
     /// # Errors
     ///
@@ -1648,35 +1459,27 @@ impl GameSession {
             self.stats.sparse_exact_fallbacks += 1;
             return self.first_improving_move_uncached(peer, tol);
         }
-        if self.lazy_oracle {
-            // Satellite path: certified lower bounds reject hopeless
-            // candidates without materialising their exact rows; the
-            // accepted move (or `None`) is bit-identical to the eager
-            // scan below.
-            self.ensure_transpose();
-            let overlay = Overlay {
-                csr: self.csr.as_ref().expect("ensured above"),
-                transpose: self.transpose.as_ref().expect("ensured above"),
-            };
-            let (mv, scan) = first_improving_move_lazy(
-                &self.game,
-                &self.profile,
-                peer,
-                overlay,
-                self.backend.dense_mut(),
-                &mut self.scratch,
-                tol,
-            )?;
-            self.stats.oracle_builds += 1;
-            self.stats.seq_oracle_hits += scan.reuse.hits();
-            self.stats.seq_oracle_swept += scan.reuse.rows_swept;
-            self.stats.oracle_rows_repaired += scan.reuse.rows_repaired;
-            self.stats.lazy_certified_rejects += scan.certified_rejects;
-            self.stats.lazy_exact_evals += scan.exact_evals;
-            return Ok(mv);
-        }
-        let oracle = self.cached_oracle(peer, OracleCounter::Sequential)?;
-        Ok(oracle.first_improving_move(peer, self.profile.strategy(peer), tol))
+        self.ensure_transpose();
+        let overlay = Overlay {
+            csr: self.csr.as_ref().expect("ensured above"),
+            transpose: self.transpose.as_ref().expect("ensured above"),
+        };
+        let (mv, scan) = first_improving_move_lazy(
+            &self.game,
+            &self.profile,
+            peer,
+            overlay,
+            self.backend.dense_mut(),
+            &mut self.scratch,
+            tol,
+        )?;
+        self.stats.oracle_builds += 1;
+        self.stats.seq_oracle_hits += scan.reuse.rows_reused;
+        self.stats.seq_oracle_swept += scan.reuse.rows_swept;
+        self.stats.oracle_rows_repaired += scan.reuse.rows_repaired;
+        self.stats.lazy_certified_rejects += scan.certified_rejects;
+        self.stats.lazy_exact_evals += scan.exact_evals;
+        Ok(mv)
     }
 
     /// Like [`GameSession::first_improving_move`], but always sweeps a
@@ -2180,50 +1983,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_refill_skips_residual_served_rows_bit_identically() {
-        // Monitoring pattern: the hot peer mutates, then immediately
-        // rebuilds its own oracle. Its edits invalidate overlay rows
-        // that its residual rows (which ignore its links) survive, so
-        // the lazy refill must skip those rows' sweeps — and the lazy
-        // build must stay bit-identical to the fresh-oracle reference.
-        let g = detour_game();
-        let p = StrategyProfile::from_links(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
-        let mut lazy = GameSession::from_refs(&g, &p).unwrap();
-        let mut fresh = GameSession::from_refs(&g, &p).unwrap();
-        let hot = PeerId::new(0);
-        let mut skipped_total = 0usize;
-        for k in 0..6 {
-            let a = lazy.best_response(hot, BestResponseMethod::Exact).unwrap();
-            let b = fresh
-                .best_response_uncached(hot, BestResponseMethod::Exact)
-                .unwrap();
-            assert_eq!(a.links, b.links, "step {k}");
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "step {k}");
-            let t = PeerId::new(1 + (k % 3));
-            let links = if t == hot {
-                a.links.clone()
-            } else if a.links.contains(t) {
-                a.links.without(t)
-            } else {
-                a.links.with(t)
-            };
-            lazy.apply(Move::SetStrategy {
-                peer: hot,
-                links: links.clone(),
-            })
-            .unwrap();
-            fresh.apply(Move::SetStrategy { peer: hot, links }).unwrap();
-            skipped_total = lazy.stats().seq_refills_skipped;
-        }
-        assert!(
-            skipped_total > 0,
-            "the monitoring loop must exercise the lazy refill: {:?}",
-            lazy.stats()
-        );
-        assert_matches_free_functions(&mut lazy);
-    }
-
-    #[test]
     fn memory_bytes_tracks_cache_growth() {
         let g = game(1.0);
         let p = StrategyProfile::from_links(5, &[(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap();
@@ -2237,9 +1996,10 @@ mod tests {
         let stretched = s.memory_bytes();
         assert!(stretched > warm, "the stretch matrix must be accounted");
         let _ = s.best_response(PeerId::new(0), BestResponseMethod::Exact);
-        assert!(
-            s.memory_bytes() >= stretched,
-            "retained residual rows never shrink the accounting"
+        assert_eq!(
+            s.memory_bytes(),
+            stretched + (warm - cold),
+            "an oracle build adds only the overlay transpose, sized like the CSR"
         );
         // Deterministic: same state, same bytes.
         let mut t = GameSession::from_refs(&g, &p).unwrap();
@@ -2248,48 +2008,40 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_profile_and_tiers() {
+    fn snapshot_restore_roundtrips_the_profile() {
         let g = detour_game();
         let p = StrategyProfile::from_links(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let mut s = GameSession::from_refs(&g, &p).unwrap();
         let _ = s.social_cost();
         let _ = s.best_response(PeerId::new(1), BestResponseMethod::Exact);
         let snap = s.snapshot();
-        assert_eq!(
-            snap.overlay_rows.len(),
-            4,
-            "all rows valid after a cost query"
-        );
+        assert_eq!(&snap, s.profile());
+        assert_eq!(s.stats().snapshot_exports, 1);
         let mut restored = GameSession::restore(g.clone(), snap.clone()).unwrap();
         assert_eq!(restored.profile(), s.profile());
-        assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.stats().snapshot_restores, 1);
+        assert_eq!(
+            restored.stats().full_sssp,
+            0,
+            "restore rebuilds rows lazily"
+        );
         assert_eq!(
             restored.social_cost().total().to_bits(),
             s.social_cost().total().to_bits()
         );
-
-        // Malformed snapshots are rejected, not installed.
-        let mut bad = snap.clone();
-        bad.overlay_rows[0].1.pop();
-        assert!(matches!(
-            GameSession::restore(g.clone(), bad),
-            Err(CoreError::InvalidSnapshot { .. })
-        ));
-        let mut bad = snap.clone();
-        bad.residual_rows.push((2, 2, vec![0.0; 4]));
-        assert!(matches!(
-            GameSession::restore(g.clone(), bad),
-            Err(CoreError::InvalidSnapshot { .. })
-        ));
-        let mut dup = snap;
-        if dup.overlay_rows.len() >= 2 {
-            dup.overlay_rows[1].0 = dup.overlay_rows[0].0;
-            assert!(matches!(
-                GameSession::restore(g, dup),
-                Err(CoreError::InvalidSnapshot { .. })
-            ));
+        for i in 0..4 {
+            let peer = PeerId::new(i);
+            let a = restored
+                .best_response(peer, BestResponseMethod::Exact)
+                .unwrap();
+            let b = s.best_response(peer, BestResponseMethod::Exact).unwrap();
+            assert_eq!(a.links, b.links);
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
+        assert!(matches!(
+            GameSession::restore(g, StrategyProfile::empty(3)),
+            Err(CoreError::ProfileSizeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -2533,156 +2285,6 @@ mod tests {
                 "every leaf row routes through the hub and must be repaired: {stats:?}"
             );
         }
-    }
-
-    #[test]
-    fn residual_rows_survive_unrelated_moves() {
-        let g = game(1.2);
-        // A hub at peer 0 forces candidate rows through its out-links,
-        // so the first cached build repairs them into G_{-0} rows.
-        let p = StrategyProfile::from_links(
-            5,
-            &[
-                (0, 1),
-                (0, 2),
-                (0, 3),
-                (0, 4),
-                (1, 0),
-                (2, 0),
-                (3, 0),
-                (4, 0),
-            ],
-        )
-        .unwrap();
-        let mut s = GameSession::from_refs(&g, &p).unwrap();
-        let hub = PeerId::new(0);
-        let first = s.best_response(hub, BestResponseMethod::Exact).unwrap();
-        let repaired_once = s.stats().oracle_rows_repaired;
-        assert!(repaired_once > 0, "hub oracle must repair at least one row");
-        // The hub moving does not change G_{-0}: a second activation must
-        // serve every previously repaired row from the residual tier.
-        s.apply(Move::AddLink {
-            from: hub,
-            to: PeerId::new(2),
-        })
-        .unwrap();
-        s.apply(Move::RemoveLink {
-            from: hub,
-            to: PeerId::new(2),
-        })
-        .unwrap();
-        let second = s.best_response(hub, BestResponseMethod::Exact).unwrap();
-        assert_eq!(first.links, second.links);
-        assert_eq!(
-            s.stats().oracle_rows_repaired,
-            repaired_once,
-            "re-activating the mover itself must not re-repair residual rows: {:?}",
-            s.stats()
-        );
-        // A *removal by another peer* that can carry shortest paths kills
-        // the affected residual rows.
-        s.apply(Move::RemoveLink {
-            from: PeerId::new(3),
-            to: PeerId::new(0),
-        })
-        .unwrap();
-        assert!(
-            s.stats().seq_oracle_invalidated > 0,
-            "tight removals must drop residual rows: {:?}",
-            s.stats()
-        );
-        // And correctness always wins: the cached response still matches
-        // the fresh oracle bit for bit.
-        let a = s
-            .best_response_uncached(hub, BestResponseMethod::Exact)
-            .unwrap();
-        let b = s.best_response(hub, BestResponseMethod::Exact).unwrap();
-        assert_eq!(a.links, b.links);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-    }
-
-    #[test]
-    fn residual_rows_outlive_a_fully_invalidated_overlay() {
-        // Bidirectional chain 0-1-2-3-4 on the line metric. A cached
-        // build for the middle peer 2 repairs residual G_{-2} rows for
-        // every candidate that routes through it (all four: each side
-        // reaches the other only via 2).
-        let g = game(1.0);
-        let chain = StrategyProfile::from_links(
-            5,
-            &[
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (2, 3),
-                (3, 2),
-                (3, 4),
-                (4, 3),
-            ],
-        )
-        .unwrap();
-        let mut s = GameSession::from_refs(&g, &chain).unwrap();
-        let mid = PeerId::new(2);
-        let _ = s.best_response(mid, BestResponseMethod::Exact).unwrap();
-        assert!(
-            s.stats().oracle_rows_repaired > 0,
-            "chain middle must repair"
-        );
-
-        // Cutting 0 <-> 1 is tight for every overlay row (each side of
-        // the cut reaches the other through it, and the endpoint rows use
-        // it directly), so the whole overlay tier invalidates — while the
-        // residual rows for sources that never crossed the cut in G_{-2}
-        // survive the same repair.
-        let before = s.stats();
-        s.apply_batch(&[
-            Move::RemoveLink {
-                from: PeerId::new(1),
-                to: PeerId::new(0),
-            },
-            Move::RemoveLink {
-                from: PeerId::new(0),
-                to: PeerId::new(1),
-            },
-        ])
-        .unwrap();
-        assert_eq!(
-            s.stats().rows_invalidated - before.rows_invalidated,
-            5,
-            "the cut must invalidate every overlay row"
-        );
-
-        // The NEXT apply used to take the lazy bail-out (no valid
-        // overlay rows) and wipe the surviving residual tier with it.
-        s.apply(Move::AddLink {
-            from: PeerId::new(0),
-            to: PeerId::new(2),
-        })
-        .unwrap();
-
-        // Re-activating peer 2: candidates 3 and 4 still route through
-        // it, their residual rows survived both repairs (no removed edge
-        // was tight on them in G_{-2}), and must be served without a
-        // fresh repair.
-        let repaired_before = s.stats().oracle_rows_repaired;
-        let hits_before = s.stats().seq_oracle_hits;
-        let cached = s.best_response(mid, BestResponseMethod::Exact).unwrap();
-        assert!(
-            s.stats().seq_oracle_hits - hits_before >= 2,
-            "residual rows for sources 3 and 4 must survive and serve: {:?}",
-            s.stats()
-        );
-        assert!(
-            s.stats().oracle_rows_repaired - repaired_before <= 2,
-            "only the rows the cut genuinely touched may be re-derived: {:?}",
-            s.stats()
-        );
-        let fresh = s
-            .best_response_uncached(mid, BestResponseMethod::Exact)
-            .unwrap();
-        assert_eq!(fresh.links, cached.links);
-        assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use rand::prelude::*;
 use sp_core::{
-    BestResponseMethod, Game, GameSession, LinkSet, Move, NashTest, PeerId, StrategyProfile,
+    BestResponseMethod, Game, GameSession, LinkSet, Move, NashTest, PeerId, SessionStats,
+    StrategyProfile,
 };
 use sp_metric::generators;
 
@@ -369,16 +370,28 @@ proptest! {
     /// `apply` moves, best-response queries, and better-response queries
     /// answers every oracle query **bit-identically** to a fresh
     /// `G_{-i}` oracle built on the spot — reuse (overlay rows surviving
-    /// repair, residual rows surviving other peers' moves) must never
-    /// change a single bit of any response.
+    /// repair, residual rows derived from them by subtree repair, rows
+    /// the lazy scan rejects on a bound) must never change a single bit
+    /// of any response.
     #[test]
     fn cached_oracles_survive_interleaved_applies(
         (game, profile, script) in arb_session_script()
     ) {
         let mut s = GameSession::from_refs(&game, &profile).unwrap();
-        let check = |s: &mut GameSession, peer: PeerId| -> Result<(), TestCaseError> {
+        let n = game.n();
+        // Candidate rows each cached path resolved: (rows, swept).
+        let rows_of = |st: &SessionStats| {
+            (st.seq_oracle_hits + st.oracle_rows_repaired + st.seq_oracle_swept, st.seq_oracle_swept)
+        };
+        let mut build_rows = (0usize, 0usize);
+        let mut scan_rows = 0usize;
+        let mut check = |s: &mut GameSession, peer: PeerId| -> Result<(), TestCaseError> {
             let fresh = s.best_response_uncached(peer, BestResponseMethod::Exact).unwrap();
+            let before = rows_of(&s.stats());
             let cached = s.best_response(peer, BestResponseMethod::Exact).unwrap();
+            let after = rows_of(&s.stats());
+            build_rows.0 += after.0 - before.0;
+            build_rows.1 += after.1 - before.1;
             prop_assert_eq!(&fresh.links, &cached.links,
                 "links diverged for peer {:?}", peer);
             prop_assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(),
@@ -386,7 +399,11 @@ proptest! {
                 peer, fresh.cost, cached.cost);
             prop_assert_eq!(fresh.current_cost.to_bits(), cached.current_cost.to_bits());
             let fresh_mv = s.first_improving_move_uncached(peer, 1e-9).unwrap();
+            let before = rows_of(&s.stats()).0;
             let cached_mv = s.first_improving_move(peer, 1e-9).unwrap();
+            let resolved = rows_of(&s.stats()).0 - before;
+            prop_assert!(resolved < n, "a lazy scan resolves each candidate row at most once");
+            scan_rows += resolved;
             match (&fresh_mv, &cached_mv) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -411,22 +428,27 @@ proptest! {
             check(&mut s, PeerId::new(to))?;
         }
         // Final full sweep over every peer on the end state.
-        for i in 0..game.n() {
+        for i in 0..n {
             check(&mut s, PeerId::new(i))?;
         }
-        // Accounting: every candidate row of every sequential cached
-        // build was served from a cache tier or repaired from a valid
-        // overlay row. Every build refills the overlay rows no residual
-        // row covers first, so none may pay a full sweep.
+        // Accounting: every `best_response` build refills the overlay
+        // rows first, so each of its n - 1 candidate rows is served
+        // verbatim or repaired and none pays a sweep. The lazy scans are
+        // counted apart: they resolve only the rows their bounds could
+        // not reject.
         let stats = s.stats();
-        let n = game.n();
-        let cached_builds = 2 * (2 * script.len() + n);
+        let cached_builds = 2 * script.len() + n;
         prop_assert_eq!(
-            stats.seq_oracle_hits + stats.oracle_rows_repaired + stats.seq_oracle_swept,
+            build_rows.0,
             cached_builds * (n - 1),
-            "sequential oracle row accounting must balance"
+            "best_response row accounting must balance"
         );
-        prop_assert_eq!(stats.seq_oracle_swept, 0, "no cached build may sweep: {:?}", stats);
+        prop_assert_eq!(build_rows.1, 0, "no best_response build may sweep: {:?}", stats);
+        prop_assert_eq!(
+            rows_of(&stats).0,
+            build_rows.0 + scan_rows,
+            "every sequential row is a build row or a scan row"
+        );
         // Across the whole run the repair branch must have fired: the
         // cases above would pass vacuously if every row were clean.
         let repaired = INTERLEAVED_REPAIRED.fetch_add(stats.oracle_rows_repaired, Ordering::SeqCst)

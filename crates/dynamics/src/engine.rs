@@ -107,8 +107,9 @@ pub struct DynamicsConfig {
     pub detect_cycles: bool,
     /// Serve each activation's response oracle from the session's
     /// persistent oracle cache (`true`, the default): candidate rows are
-    /// reused across moves and only re-swept when an accepted move could
-    /// actually have changed them. `false` forces a fresh `G_{-i}`
+    /// derived from cached overlay rows, which survive moves and are only
+    /// repaired or re-swept when an accepted move could actually have
+    /// changed them. `false` forces a fresh `G_{-i}`
     /// oracle per activation — the pre-cache engine, kept as the
     /// baseline for the `sequential_reuse` bench and the equivalence
     /// property tests (both engines are bit-identical by contract).

@@ -276,49 +276,6 @@ impl CsrGraph {
         self.relax_from_heap(dist, scratch);
     }
 
-    /// Like [`CsrGraph::relax_decrease_into`], but relaxes as if the
-    /// out-edges of `skip` were absent — i.e. against the subgraph
-    /// `G_{-skip}` — without materialising that subgraph.
-    ///
-    /// This is the repair kernel for **residual** distance rows
-    /// `D_{G_{-i}}(v, ·)` (the rows a best-response oracle for peer `i`
-    /// reads): when some *other* peer adds links, the cached residual row
-    /// can be restored by decrease-only relaxation, but the propagation
-    /// must never route through `i`'s out-links, which `G_{-i}` does not
-    /// contain. Seeds landing **on** `skip` are accepted (edges *into*
-    /// `skip` exist in `G_{-skip}`); they just never propagate onward.
-    ///
-    /// With `skip >= node_count()` no node is skipped and the call is
-    /// exactly [`CsrGraph::relax_decrease_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dist.len() != node_count()` or a seed node is out of
-    /// bounds.
-    pub fn relax_decrease_skipping(
-        &self,
-        dist: &mut [f64],
-        seeds: &[(usize, f64)],
-        skip: usize,
-        scratch: &mut DijkstraScratch,
-    ) {
-        let n = self.node_count();
-        assert_eq!(dist.len(), n, "distance buffer has wrong length");
-        scratch.heap.clear();
-        for &(node, new_dist) in seeds {
-            assert!(node < n, "seed {node} out of bounds for {n} nodes");
-            // sp-lint: allow(float-eps, reason = "Dijkstra relaxation: exact strict improvement is the termination criterion; an eps band would cycle")
-            if new_dist < dist[node] {
-                dist[node] = new_dist;
-                scratch.heap.push(Entry {
-                    dist: new_dist,
-                    node,
-                });
-            }
-        }
-        self.relax_from_heap_skipping(dist, scratch, skip);
-    }
-
     /// Turns `dist`, the exact row of `self` from `source`, into the
     /// exact row of `self` **without the out-edges of `skip`** — bit for
     /// bit what a fresh sweep of that subgraph computes — by recomputing
@@ -344,6 +301,10 @@ impl CsrGraph {
     /// Returns the size of the affected set. `0` means no out-edge of
     /// `skip` was tight, and `dist` is left untouched: it already is the
     /// subgraph's row.
+    ///
+    /// This is the only way `sp-core`'s cached best-response oracles
+    /// obtain a residual row `D_{G_{-i}}(v, ·)`: from the cached overlay
+    /// row of `v`, with `skip = i`. No residual row is stored.
     ///
     /// `transpose` must be [`CsrGraph::transpose`] of `self`.
     ///
@@ -604,62 +565,6 @@ mod tests {
         let mut scratch = DijkstraScratch::new();
         csr.relax_decrease_into(&mut dist, &[(2, 99.0)], &mut scratch);
         assert_eq!(dist, before);
-    }
-
-    #[test]
-    fn skipping_relaxation_matches_subgraph_repair() {
-        // G_{-1} (node 1's out-edge 1 -> 3 excluded): 0 -> 1, 2 -> 0,
-        // 2 -> 3 (expensive). Residual row from source 2.
-        let mut sub = DiGraph::new(4);
-        for (u, v, w) in [(0, 1, 1.0), (2, 0, 1.0), (2, 3, 5.0)] {
-            sub.add_edge(u, v, w);
-        }
-        let mut dist = CsrGraph::from_digraph(&sub).dijkstra(2);
-        assert_eq!(dist, vec![1.0, 2.0, 0.0, 5.0]);
-        // Peer 2 adds 2 -> 1 (weight 0.3). The full overlay also holds
-        // node 1's own edge 1 -> 3 (1.0): relaxing through it would
-        // wrongly report d(2, 3) = 1.3, a path G_{-1} does not contain.
-        let mut full = sub.clone();
-        full.add_edge(1, 3, 1.0);
-        full.add_edge(2, 1, 0.3);
-        sub.add_edge(2, 1, 0.3);
-        let full_csr = CsrGraph::from_digraph(&full);
-        let mut scratch = DijkstraScratch::new();
-        full_csr.relax_decrease_skipping(&mut dist, &[(1, 0.3)], 1, &mut scratch);
-        let expected = CsrGraph::from_digraph(&sub).dijkstra(2);
-        assert_eq!(dist, expected, "repair must agree with the subgraph");
-        assert_eq!(dist[1], 0.3);
-        assert_eq!(dist[3], 5.0, "must not route through node 1's out-edge");
-    }
-
-    #[test]
-    fn skipping_relaxation_accepts_seeds_on_the_skipped_node() {
-        // Edges INTO the skipped node exist in the subgraph: a seed
-        // landing on it must update its distance without propagating.
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        let csr = CsrGraph::from_digraph(&g);
-        let mut dist = vec![0.0, 5.0, f64::INFINITY];
-        let mut scratch = DijkstraScratch::new();
-        csr.relax_decrease_skipping(&mut dist, &[(1, 1.0)], 1, &mut scratch);
-        assert_eq!(dist[1], 1.0, "seed on the skipped node is applied");
-        assert!(
-            dist[2].is_infinite(),
-            "the skipped node's out-edges must not relax"
-        );
-    }
-
-    #[test]
-    fn skipping_out_of_range_node_degenerates_to_plain_relaxation() {
-        let g = builders::cycle_graph(5, |_, _| 1.0);
-        let csr = CsrGraph::from_digraph(&g);
-        let mut a = csr.dijkstra(0);
-        let mut b = a.clone();
-        let mut scratch = DijkstraScratch::new();
-        csr.relax_decrease_into(&mut a, &[(3, 0.25)], &mut scratch);
-        csr.relax_decrease_skipping(&mut b, &[(3, 0.25)], usize::MAX, &mut scratch);
-        assert_eq!(a, b);
     }
 
     #[test]

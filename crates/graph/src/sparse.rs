@@ -34,9 +34,10 @@ use std::collections::BinaryHeap;
 /// `d(s, u) + w ≤ d(s, v)` up to a relative `eps` band (the band absorbs
 /// float associativity in path sums; `eps` is the caller's invalidation
 /// epsilon, `1e-9` throughout this workspace). Every cached-row layer —
-/// the dense oracle cache's overlay and residual tiers and the sparse
-/// landmark sketch — routes its invalidation decision through this one
-/// predicate, so the two backends cannot drift apart.
+/// the dense oracle cache's overlay rows and the sparse landmark sketch —
+/// routes its invalidation decision through this one predicate, so the
+/// two backends cannot drift apart. The roots of
+/// [`CsrGraph::dijkstra_without`] are picked by the same test.
 #[inline]
 #[must_use]
 pub fn edge_on_path(d_u: f64, w: f64, d_v: f64, eps: f64) -> bool {

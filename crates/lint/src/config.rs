@@ -119,8 +119,8 @@ impl Config {
             ]),
             dense_alloc_exempt: s(&[
                 // The dense backend itself: the overlay distance matrix
-                // and its residual tier are the quadratic state the
-                // rest of the workspace is banned from re-growing.
+                // is the quadratic state the rest of the workspace is
+                // banned from re-growing.
                 "crates/core/src/oracle_cache.rs",
             ]),
             counter_structs: s(&["SessionStats", "ObsMetricSet"]),

@@ -27,21 +27,13 @@ use crate::wire::{
     SocialCostBody, WireError,
 };
 
-/// Per-session budget for the retained-residual oracle tier under the
-/// service. The core default (64 MiB) assumes one hot session per
-/// process; a registry multiplexing hundreds must hand each tenant a
-/// slice, both to keep the global budget meaningful and to keep spill
-/// snapshots (which persist the residual tier) proportionate.
-pub const SERVICE_RESIDUAL_BUDGET: usize = 512 << 10;
-
 /// Applies the service-wide session tuning: single-threaded refills
 /// (concurrency comes from the worker pool multiplexing sessions, and
-/// nested fan-out would oversubscribe the host) and the per-tenant
-/// residual budget. Used on both freshly created and restored sessions,
-/// and by the reference executor, so tuning can never cause divergence.
+/// nested fan-out would oversubscribe the host). Used on both freshly
+/// created and restored sessions, and by the reference executor, so
+/// tuning can never cause divergence.
 pub fn tune_for_service(session: &mut GameSession) {
     session.set_parallelism(Some(1));
-    session.set_residual_budget(SERVICE_RESIDUAL_BUDGET);
 }
 
 /// Resolves a wire-level dynamics spec against the engine defaults

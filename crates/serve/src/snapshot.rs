@@ -2,8 +2,7 @@
 //! file.
 //!
 //! A snapshot file is self-contained — it carries the game (latency
-//! matrix plus `α`), the profile, and both warm cache tiers — so it
-//! serves two roles:
+//! matrix plus `α`) and the profile — so it serves two roles:
 //!
 //! * **eviction spill**: the registry writes the file, drops the
 //!   in-memory session, and the next request restores it transparently;
@@ -12,11 +11,12 @@
 //!
 //! The fidelity contract is *bit-identity*: every query on the restored
 //! session answers with exactly the bits the source session would have
-//! produced. Finite floats survive the text round trip because the
-//! printer emits shortest-round-trip renderings; infinite overlay
-//! distances (disconnected overlays are legal states) go through
-//! [`sp_json::encode_f64`]. Row order in the file is deterministic, so
-//! equal sessions produce byte-identical files.
+//! produced. Cached distance rows are derived state, so the file does
+//! not carry them: the restored session rebuilds its rows lazily from
+//! the profile, and cached ≡ fresh makes its answers bit-identical.
+//! Finite floats survive the text round trip because the printer emits
+//! shortest-round-trip renderings. Equal sessions produce
+//! byte-identical files.
 //!
 //! Dense format (`"format": "sp-serve/session-snapshot/v1"`):
 //!
@@ -25,18 +25,20 @@
 //!   "format": "sp-serve/session-snapshot/v1",
 //!   "alpha": 2.0,
 //!   "matrix": [[0.0, 1.5], [1.5, 0.0]],
-//!   "profile": [[1], []],
-//!   "overlay_rows": [[0, [0.0, 1.5]]],
-//!   "residual_rows": [[0, 1, [ "inf", 0.0 ]]]
+//!   "profile": [[1], []]
 //! }
 //! ```
 //!
+//! Older v1 files also hold `overlay_rows` and `residual_rows` (cached
+//! distance rows). The reader ignores both keys, so those files still
+//! load, and a stale or tampered row in them can never be served.
+//!
 //! Sparse sessions ([`sp_core::GameSession::new_sparse`]) use the v2
-//! format: no matrix, no row tiers — the landmark sketch is cheap to
-//! rebuild and is deliberately outside the bit-identity contract, so
-//! the file carries only what reconstruction needs (geometry, profile,
-//! tuning parameters). A 10⁵-peer sparse session spills kilobytes of
-//! positions where a dense matrix would spill gigabytes:
+//! format: no matrix — the landmark sketch is cheap to rebuild and is
+//! deliberately outside the bit-identity contract, so the file carries
+//! only what reconstruction needs (geometry, profile, tuning
+//! parameters). A 10⁵-peer sparse session spills kilobytes of positions
+//! where a dense matrix would spill gigabytes:
 //!
 //! ```json
 //! {
@@ -53,7 +55,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use sp_core::{BackendMode, Game, GameSession, SessionSnapshot, SparseParams, StrategyProfile};
+use sp_core::{BackendMode, Game, GameSession, SparseParams, StrategyProfile};
 use sp_graph::DistanceMatrix;
 use sp_json::{decode_f64, encode_f64, Value};
 
@@ -72,9 +74,8 @@ fn profile_value(profile: &StrategyProfile) -> Value {
     )
 }
 
-/// Serialises a session to a value: game + profile + warm cache tiers
-/// for dense sessions (v1), geometry + profile + tuning parameters for
-/// sparse ones (v2).
+/// Serialises a session to a value: game + profile for dense sessions
+/// (v1), geometry + profile + tuning parameters for sparse ones (v2).
 #[must_use]
 pub fn session_to_value(session: &mut GameSession) -> Value {
     if session.backend_mode() == BackendMode::Sparse {
@@ -87,28 +88,12 @@ pub fn session_to_value(session: &mut GameSession) -> Value {
             .map(|i| Value::Array((0..n).map(|j| Value::Number(game.distance(i, j))).collect()))
             .collect(),
     );
-    let snap = session.snapshot();
-    let profile = profile_value(&snap.profile);
-    let row_value = |row: &[f64]| Value::Array(row.iter().map(|&x| encode_f64(x)).collect());
-    let overlay: Value = Value::Array(
-        snap.overlay_rows
-            .iter()
-            .map(|(u, row)| Value::Array(vec![Value::from(*u), row_value(row)]))
-            .collect(),
-    );
-    let residual: Value = Value::Array(
-        snap.residual_rows
-            .iter()
-            .map(|(i, v, row)| Value::Array(vec![Value::from(*i), Value::from(*v), row_value(row)]))
-            .collect(),
-    );
+    let profile = profile_value(&session.snapshot());
     Value::Object(vec![
         ("format".to_owned(), Value::from(FORMAT)),
         ("alpha".to_owned(), Value::Number(game.alpha())),
         ("matrix".to_owned(), matrix),
         ("profile".to_owned(), profile),
-        ("overlay_rows".to_owned(), overlay),
-        ("residual_rows".to_owned(), residual),
     ])
 }
 
@@ -119,7 +104,7 @@ pub fn session_to_value(session: &mut GameSession) -> Value {
 /// matrix so the file stays self-contained.
 fn sparse_session_to_value(session: &mut GameSession) -> Value {
     let game = session.game_arc();
-    let profile = profile_value(&session.snapshot().profile);
+    let profile = profile_value(&session.snapshot());
     let params = session.sparse_params().unwrap_or_default();
     let geometry = match game.line_positions() {
         Some(pos) => (
@@ -162,22 +147,14 @@ fn sparse_session_to_value(session: &mut GameSession) -> Value {
     ])
 }
 
-fn decode_row(v: &Value, what: &str) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .map(|x| decode_f64(x).ok_or_else(|| format!("{what} holds a non-distance entry")))
-        .collect()
-}
-
 /// Rebuilds a session from a value produced by [`session_to_value`],
 /// dispatching on the format tag (v1 dense, v2 sparse).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on a missing/mismatched format tag,
-/// malformed fields, or a snapshot [`sp_core::GameSession::restore`]
-/// rejects as inconsistent.
+/// malformed fields, or a profile [`sp_core::GameSession::restore`]
+/// rejects.
 pub fn session_from_value(v: &Value) -> Result<GameSession, String> {
     match v.get("format").and_then(Value::as_str) {
         Some(f) if f == FORMAT => dense_session_from_value(v),
@@ -239,52 +216,9 @@ fn dense_session_from_value(v: &Value) -> Result<GameSession, String> {
     let game = parse_matrix_game(v, alpha)?;
     let n = game.n();
     let profile = parse_profile(v, n)?;
-
-    let mut overlay_rows: Vec<(usize, Vec<f64>)> = Vec::new();
-    for entry in v
-        .get("overlay_rows")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs an 'overlay_rows' array")?
-    {
-        let [src, row] = entry
-            .as_array()
-            .ok_or("overlay_rows entries must be [source, row] pairs")?
-        else {
-            return Err("overlay_rows entries must be [source, row] pairs".to_owned());
-        };
-        let u = src
-            .as_usize()
-            .ok_or("overlay row source must be an index")?;
-        overlay_rows.push((u, decode_row(row, "overlay row")?));
-    }
-    let mut residual_rows: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-    for entry in v
-        .get("residual_rows")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'residual_rows' array")?
-    {
-        let [excluded, src, row] = entry
-            .as_array()
-            .ok_or("residual_rows entries must be [excluded, source, row] triples")?
-        else {
-            return Err("residual_rows entries must be [excluded, source, row] triples".to_owned());
-        };
-        let i = excluded
-            .as_usize()
-            .ok_or("residual excluded peer must be an index")?;
-        let s = src.as_usize().ok_or("residual source must be an index")?;
-        residual_rows.push((i, s, decode_row(row, "residual row")?));
-    }
-
-    GameSession::restore(
-        game,
-        SessionSnapshot {
-            profile,
-            overlay_rows,
-            residual_rows,
-        },
-    )
-    .map_err(|e| e.to_string())
+    // Older files also carry `overlay_rows` / `residual_rows`; cached
+    // rows are rebuilt from the profile, so those keys are ignored.
+    GameSession::restore(game, profile).map_err(|e| e.to_string())
 }
 
 fn sparse_session_from_value(v: &Value) -> Result<GameSession, String> {
@@ -461,7 +395,10 @@ mod tests {
         save(&path, &mut s).unwrap();
         let mut back = load(&path).unwrap();
         assert_eq!(back.profile(), s.profile());
-        assert_eq!(back.snapshot().overlay_rows, s.snapshot().overlay_rows);
+        assert_eq!(
+            back.social_cost().total().to_bits(),
+            s.social_cost().total().to_bits()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -508,19 +445,72 @@ mod tests {
         assert!(session_from_value(&sp_json::json!({ "alpha": 1.0 })).is_err());
         let mut s = warmed_session();
         let good = session_to_value(&mut s);
-        // Corrupt one overlay row length.
+        // A link to a peer the game does not have.
         let mut bad = good.clone();
         if let Value::Object(fields) = &mut bad {
             for (k, v) in fields.iter_mut() {
-                if k == "overlay_rows" {
-                    if let Value::Array(rows) = v {
-                        if let Some(Value::Array(pair)) = rows.first_mut() {
-                            pair[1] = Value::Array(vec![Value::Number(1.0)]);
-                        }
+                if k == "profile" {
+                    if let Value::Array(strategies) = v {
+                        strategies[0] = Value::Array(vec![Value::from(99usize)]);
                     }
                 }
             }
         }
         assert!(session_from_value(&bad).is_err());
+    }
+
+    /// An older v1 file carries cached distance rows. They are derived
+    /// state: the reader ignores them, so a wrong distance in one can
+    /// never be served — the restored session answers exactly like a
+    /// fresh session on the same game and profile.
+    #[test]
+    fn old_format_rows_are_ignored_not_served() {
+        let mut s = warmed_session();
+        let mut fresh = GameSession::new(s.game().clone(), s.profile().clone()).unwrap();
+        let n = s.n();
+        let rows = s.overlay_distances().clone();
+        let row_value = |u: usize, tamper: bool| {
+            let mut row = rows.row(u).to_vec();
+            if tamper {
+                row[n - 1] *= 0.5;
+            }
+            Value::Array(vec![
+                Value::from(u),
+                Value::Array(row.into_iter().map(encode_f64).collect()),
+            ])
+        };
+        let mut old = session_to_value(&mut s);
+        if let Value::Object(fields) = &mut old {
+            fields.retain(|(k, _)| k != "overlay_rows" && k != "residual_rows");
+            fields.push((
+                "overlay_rows".to_owned(),
+                Value::Array((0..n).map(|u| row_value(u, u == 0)).collect()),
+            ));
+            fields.push(("residual_rows".to_owned(), Value::Array(Vec::new())));
+        }
+        let text = old.to_string_compact();
+        let mut restored = session_from_value(&text.parse().unwrap()).unwrap();
+
+        assert_eq!(
+            restored.social_cost().total().to_bits(),
+            fresh.social_cost().total().to_bits()
+        );
+        assert_eq!(restored.stretch_matrix(), fresh.stretch_matrix());
+        for i in 0..n {
+            let peer = PeerId::new(i);
+            assert_eq!(
+                restored.peer_cost(peer).unwrap().to_bits(),
+                fresh.peer_cost(peer).unwrap().to_bits()
+            );
+            let a = restored
+                .best_response(peer, BestResponseMethod::Exact)
+                .unwrap();
+            let b = fresh
+                .best_response(peer, BestResponseMethod::Exact)
+                .unwrap();
+            assert_eq!(a.links, b.links, "peer {i}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "peer {i}");
+            assert_eq!(a.current_cost.to_bits(), b.current_cost.to_bits());
+        }
     }
 }

@@ -61,8 +61,8 @@ impl WorkloadConfig {
     }
 
     /// The acceptance-sized preset: a mixed 10k-request workload over
-    /// 256 sessions, sized so the default 64 MiB registry budget forces
-    /// evict/restore cycles.
+    /// 256 sessions holding about 54 MB resident, so a 32 MiB registry
+    /// budget forces evict/restore cycles throughout.
     #[must_use]
     pub fn acceptance() -> Self {
         WorkloadConfig {
