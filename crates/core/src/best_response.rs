@@ -21,9 +21,13 @@ pub enum BestResponseMethod {
     /// Exact, by subset enumeration. Limited to 24 candidate neighbours
     /// (i.e. `n <= 25`); used to cross-validate the branch-and-bound.
     ExactEnumeration,
-    /// Greedy marginal-gain heuristic (`O(log)`-approximate).
+    /// Greedy marginal-gain heuristic (`O(log)`-approximate), solved by
+    /// [`sp_facility::solve_greedy`]: a certified lazy greedy that
+    /// re-scores only the candidate links that can still win each step,
+    /// with the same answer, bit for bit, as scoring every candidate.
     Greedy,
-    /// Add/drop/swap local search seeded by greedy (locally optimal).
+    /// Add/drop/swap local search seeded by greedy (locally optimal). The
+    /// search's own iterations still score every move.
     LocalSearch,
 }
 
@@ -137,20 +141,39 @@ fn candidate_row<'b>(
     buf
 }
 
-/// One facility row of the reduction: the assignment costs
-/// `(d(i, v) + D(v, j)) / d(i, j)` over the candidate clients `j`.
-fn assignment_row(
-    game: &Game,
-    i: usize,
-    v: usize,
-    candidates: &[usize],
-    residual: &[f64],
-) -> Vec<f64> {
-    let d_iv = game.distance(i, v);
-    candidates
-        .iter()
-        .map(|&j| (d_iv + residual[j]) / game.distance(i, j))
-        .collect()
+/// The row `d(i, ·)` of the latency matrix, read once per oracle so the
+/// row conversions below index a slice instead of the metric.
+fn latency_row(game: &Game, i: usize) -> Vec<f64> {
+    (0..game.n()).map(|j| game.distance(i, j)).collect()
+}
+
+/// Appends one facility row of the reduction to `out`: the assignment
+/// costs `(d(i, v) + D(v, j)) / d(i, j)` over the clients `j ≠ i` in
+/// ascending order, which is the candidate order. `d_i` is
+/// [`latency_row`]`(game, i)`.
+fn push_assignment_row(out: &mut Vec<f64>, i: usize, v: usize, d_i: &[f64], residual: &[f64]) {
+    let d_iv = d_i[v];
+    for (res, lat) in [
+        (&residual[..i], &d_i[..i]),
+        (&residual[i + 1..], &d_i[i + 1..]),
+    ] {
+        out.extend(res.iter().zip(lat).map(|(&r, &d)| (d_iv + r) / d));
+    }
+}
+
+/// One facility row of the reduction as its own vector (the lazy scan's
+/// per-candidate rows).
+fn assignment_row(i: usize, v: usize, d_i: &[f64], residual: &[f64]) -> Vec<f64> {
+    let mut row = Vec::with_capacity(d_i.len() - 1);
+    push_assignment_row(&mut row, i, v, d_i, residual);
+    row
+}
+
+/// The reduction's UFL instance from its row-major assignment buffer:
+/// every candidate link opens at `α`.
+fn reduction_problem(game: &Game, facilities: usize, assignment: Vec<f64>) -> FacilityProblem {
+    FacilityProblem::from_flat(vec![game.alpha(); facilities], facilities, assignment)
+        .expect("reduction produces non-negative costs by construction")
 }
 
 /// The best-response reduction: candidate links as facilities, other peers
@@ -192,13 +215,13 @@ impl ResponseOracle {
         let g_minus = topology_without_peer(game, profile, peer)?;
         let csr = CsrGraph::from_digraph(&g_minus);
         let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
-        let mut assignment = Vec::with_capacity(candidates.len());
+        let d_i = latency_row(game, i);
+        let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
         for &v in &candidates {
             let buf = csr.dijkstra_row_with(v, scratch);
-            assignment.push(assignment_row(game, i, v, &candidates, buf));
+            push_assignment_row(&mut assignment, i, v, &d_i, buf);
         }
-        let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
-            .expect("reduction produces non-negative costs by construction");
+        let problem = reduction_problem(game, candidates.len(), assignment);
         Ok(ResponseOracle {
             candidates,
             problem,
@@ -237,13 +260,13 @@ impl ResponseOracle {
         let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
         let mut reuse = OracleReuse::default();
         let mut buf = Vec::with_capacity(n);
-        let mut assignment = Vec::with_capacity(candidates.len());
+        let d_i = latency_row(game, i);
+        let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
         for &v in &candidates {
             let row = candidate_row(overlay, cache, i, v, &mut buf, scratch, &mut reuse);
-            assignment.push(assignment_row(game, i, v, &candidates, row));
+            push_assignment_row(&mut assignment, i, v, &d_i, row);
         }
-        let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
-            .expect("reduction produces non-negative costs by construction");
+        let problem = reduction_problem(game, candidates.len(), assignment);
         Ok((
             ResponseOracle {
                 candidates,
@@ -404,6 +427,8 @@ struct LazyRows<'a> {
     peer: PeerId,
     overlay: Overlay<'a>,
     candidates: Vec<usize>,
+    /// [`latency_row`] of `peer`.
+    d_i: Vec<f64>,
     rows: Vec<LazyRow>,
     /// Row buffer for [`candidate_row`].
     buf: Vec<f64>,
@@ -419,13 +444,14 @@ impl<'a> LazyRows<'a> {
             peer,
             overlay,
             candidates,
+            d_i: latency_row(game, i),
             rows,
             buf: Vec::with_capacity(game.n()),
         }
     }
 
     fn assign(&self, v: usize, residual: &[f64]) -> Vec<f64> {
-        assignment_row(self.game, self.peer.index(), v, &self.candidates, residual)
+        assignment_row(self.peer.index(), v, &self.d_i, residual)
     }
 
     /// `true` when no out-link of `peer` is tight on overlay row `v`
@@ -492,7 +518,7 @@ impl<'a> LazyRows<'a> {
             scratch,
             &mut scan.reuse,
         );
-        self.rows[k] = LazyRow::Exact(assignment_row(self.game, i, v, &self.candidates, row));
+        self.rows[k] = LazyRow::Exact(assignment_row(i, v, &self.d_i, row));
     }
 
     /// `FacilityProblem::cost_of` replicated over the lazy rows: open

@@ -25,6 +25,14 @@ pub enum FacilityError {
         /// Number of facilities in the assignment matrix.
         facilities: usize,
     },
+    /// A row-major assignment buffer does not hold `facilities × clients`
+    /// entries.
+    FlatLengthMismatch {
+        /// `facilities × clients`.
+        expected: usize,
+        /// Length of the supplied buffer.
+        actual: usize,
+    },
     /// The instance exceeds the enumeration solver's facility limit.
     TooManyFacilities {
         /// Facility count of the instance.
@@ -52,6 +60,12 @@ impl fmt::Display for FacilityError {
                 write!(
                     f,
                     "{costs} opening costs supplied for {facilities} facilities"
+                )
+            }
+            FacilityError::FlatLengthMismatch { expected, actual } => {
+                write!(
+                    f,
+                    "assignment buffer has {actual} entries, expected {expected}"
                 )
             }
             FacilityError::TooManyFacilities { facilities, limit } => {

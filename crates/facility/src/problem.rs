@@ -9,8 +9,8 @@ use crate::FacilityError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FacilityProblem {
     open_costs: Vec<f64>,
-    /// Facility-major: `assignment[f][c]`.
-    assignment: Vec<Vec<f64>>,
+    /// Row-major, one contiguous buffer: `a(f, c)` is at `f · C + c`.
+    assignment: Vec<f64>,
     clients: usize,
 }
 
@@ -46,6 +46,7 @@ impl FacilityProblem {
             });
         }
         let clients = assignment.first().map_or(0, Vec::len);
+        let mut flat = Vec::with_capacity(assignment.len() * clients);
         for (fi, row) in assignment.iter().enumerate() {
             if row.len() != clients {
                 return Err(FacilityError::RaggedAssignment {
@@ -54,10 +55,36 @@ impl FacilityProblem {
                     facility: fi,
                 });
             }
-            for &a in row {
-                if a.is_nan() || a < 0.0 {
-                    return Err(FacilityError::InvalidCost { value: a });
-                }
+            flat.extend_from_slice(row);
+        }
+        FacilityProblem::from_flat(open_costs, clients, flat)
+    }
+
+    /// Creates an instance from a row-major assignment buffer: facility
+    /// `f`'s row is `assignment[f · clients .. (f + 1) · clients]`, so a
+    /// caller that builds the matrix row by row (the best-response
+    /// reduction) needs no allocation per row.
+    ///
+    /// # Errors
+    ///
+    /// * [`FacilityError::FlatLengthMismatch`] if `assignment.len()` is
+    ///   not `open_costs.len() · clients`;
+    /// * [`FacilityError::InvalidCost`] under the same conditions as
+    ///   [`FacilityProblem::new`].
+    pub fn from_flat(
+        open_costs: Vec<f64>,
+        clients: usize,
+        assignment: Vec<f64>,
+    ) -> Result<Self, FacilityError> {
+        if open_costs.len().checked_mul(clients) != Some(assignment.len()) {
+            return Err(FacilityError::FlatLengthMismatch {
+                expected: open_costs.len().saturating_mul(clients),
+                actual: assignment.len(),
+            });
+        }
+        for &a in &assignment {
+            if a.is_nan() || a < 0.0 {
+                return Err(FacilityError::InvalidCost { value: a });
             }
         }
         for &c in &open_costs {
@@ -116,7 +143,7 @@ impl FacilityProblem {
     /// Panics if `f` or `c` is out of bounds.
     #[must_use]
     pub fn assignment_cost(&self, f: usize, c: usize) -> f64 {
-        self.assignment[f][c]
+        self.assignment_row(f)[c]
     }
 
     /// The assignment-cost row of facility `f`.
@@ -126,7 +153,8 @@ impl FacilityProblem {
     /// Panics if `f` is out of bounds.
     #[must_use]
     pub fn assignment_row(&self, f: usize) -> &[f64] {
-        &self.assignment[f]
+        assert!(f < self.facility_count(), "facility {f} out of bounds");
+        &self.assignment[f * self.clients..(f + 1) * self.clients]
     }
 
     /// Total cost of opening exactly the facilities in `open`.
@@ -151,7 +179,7 @@ impl FacilityProblem {
             let mut best = f64::INFINITY;
             for (f, &is_open) in mask.iter().enumerate() {
                 if is_open {
-                    let a = self.assignment[f][c];
+                    let a = self.assignment[f * self.clients + c];
                     if a < best {
                         best = a;
                     }
@@ -182,8 +210,8 @@ impl FacilityProblem {
     #[must_use]
     pub fn per_client_minima(&self) -> Vec<f64> {
         let mut minima = vec![f64::INFINITY; self.clients];
-        for row in &self.assignment {
-            for (c, &a) in row.iter().enumerate() {
+        for f in 0..self.facility_count() {
+            for (c, &a) in self.assignment_row(f).iter().enumerate() {
                 if a < minima[c] {
                     minima[c] = a;
                 }
@@ -274,6 +302,37 @@ mod tests {
                 facilities: 2
             })
         ));
+    }
+
+    #[test]
+    fn flat_constructor_matches_row_constructor() {
+        let flat = FacilityProblem::from_flat(vec![2.0, 2.0], 2, vec![1.0, 5.0, 5.0, 1.0]);
+        assert_eq!(flat.unwrap(), tiny());
+        assert!(matches!(
+            FacilityProblem::from_flat(vec![2.0, 2.0], 2, vec![1.0, 5.0, 5.0]),
+            Err(FacilityError::FlatLengthMismatch {
+                expected: 4,
+                actual: 3
+            })
+        ));
+        assert!(matches!(
+            FacilityProblem::from_flat(vec![2.0], 1, vec![f64::NAN]),
+            Err(FacilityError::InvalidCost { .. })
+        ));
+        assert!(matches!(
+            FacilityProblem::from_flat(vec![2.0, 2.0], usize::MAX, vec![]),
+            Err(FacilityError::FlatLengthMismatch { .. })
+        ));
+        let empty = FacilityProblem::from_flat(vec![3.0, 4.0], 0, Vec::new()).unwrap();
+        assert_eq!(empty.facility_count(), 2);
+        assert_eq!(empty.assignment_row(1), &[] as &[f64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn assignment_row_rejects_out_of_range_facility_without_clients() {
+        let p = FacilityProblem::new(vec![3.0], vec![vec![]]).unwrap();
+        let _ = p.assignment_row(1);
     }
 
     #[test]

@@ -1,0 +1,207 @@
+//! `solve_greedy` (certified lazy) against the frozen eager greedy in
+//! `support`: the same open set and the same cost bits on every instance
+//! family the lazy bounds must survive — uniform and per-facility
+//! (including free) opening costs, unreachable clients, exact float ties,
+//! sums that overflow, and best-response-shaped instances from a random
+//! overlay.
+
+mod support;
+
+use proptest::prelude::*;
+use sp_facility::{solve_greedy, FacilityProblem};
+use support::reference_greedy;
+
+/// Largest side of a generated instance: big enough for many lazy steps
+/// and the unserved → served transition in the middle of a run.
+const MAX_SIDE: usize = 48;
+
+fn assert_identical(p: &FacilityProblem) -> Result<(), TestCaseError> {
+    let lazy = solve_greedy(p);
+    let eager = reference_greedy(p);
+    prop_assert_eq!(&lazy.open, &eager.open);
+    prop_assert!(
+        lazy.cost.to_bits() == eager.cost.to_bits(),
+        "cost bits differ: lazy {} eager {}",
+        lazy.cost,
+        eager.cost
+    );
+    Ok(())
+}
+
+/// Rows of `nc` entries drawn from `entry`, one per facility.
+fn matrix<S: Strategy + Clone>(
+    entry: S,
+    nf: usize,
+    nc: usize,
+) -> impl Strategy<Value = Vec<Vec<S::Value>>> {
+    proptest::collection::vec(proptest::collection::vec(entry, nc..=nc), nf..=nf)
+}
+
+fn arb_uniform() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE, 0.0f64..40.0).prop_flat_map(|(nf, nc, open_cost)| {
+        matrix(0.0f64..10.0, nf, nc)
+            .prop_map(move |rows| FacilityProblem::with_uniform_open_cost(open_cost, rows).unwrap())
+    })
+}
+
+fn arb_per_facility() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE).prop_flat_map(|(nf, nc)| {
+        (
+            proptest::collection::vec(prop_oneof![Just(0.0f64), 0.0f64..30.0], nf..=nf),
+            matrix(0.0f64..10.0, nf, nc),
+        )
+            .prop_map(|(costs, rows)| FacilityProblem::new(costs, rows).unwrap())
+    })
+}
+
+/// A per-instance gap density, so some instances stay unserved for many
+/// steps and some never get served at all.
+fn arb_gaps() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE, 0.0f64..20.0, 0u32..95).prop_flat_map(
+        |(nf, nc, open_cost, density)| {
+            matrix((0.0f64..10.0, 0u32..100), nf, nc).prop_map(move |rows| {
+                let rows = rows
+                    .into_iter()
+                    .map(|row| {
+                        row.into_iter()
+                            .map(|(v, r)| if r < density { f64::INFINITY } else { v })
+                            .collect()
+                    })
+                    .collect();
+                FacilityProblem::with_uniform_open_cost(open_cost, rows).unwrap()
+            })
+        },
+    )
+}
+
+/// Small integers everywhere: sums are exact, so many candidates tie
+/// bit for bit and the lowest-index rule decides.
+fn arb_integer_grid() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE).prop_flat_map(|(nf, nc)| {
+        (
+            proptest::collection::vec(0u32..=4, nf..=nf),
+            matrix(0u32..=6, nf, nc),
+        )
+            .prop_map(|(costs, rows)| {
+                let costs = costs.into_iter().map(f64::from).collect();
+                let rows = rows
+                    .into_iter()
+                    .map(|row| {
+                        row.into_iter()
+                            .map(|a| if a == 6 { f64::INFINITY } else { f64::from(a) })
+                            .collect()
+                    })
+                    .collect();
+                FacilityProblem::new(costs, rows).unwrap()
+            })
+    })
+}
+
+/// Costs up to near `f64::MAX` mixed with small ones, so the current
+/// score can overflow to `+∞` while a later candidate's stays finite.
+fn arb_overflowing() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE, 0.0f64..1e307).prop_flat_map(|(nf, nc, open_cost)| {
+        matrix((0.0f64..1.0, 0u32..5), nf, nc).prop_map(move |rows| {
+            let rows = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(v, k)| match k {
+                            0 => f64::INFINITY,
+                            1 => v * f64::MAX,
+                            2 => v * 1e306,
+                            _ => v,
+                        })
+                        .collect()
+                })
+                .collect();
+            FacilityProblem::with_uniform_open_cost(open_cost, rows).unwrap()
+        })
+    })
+}
+
+/// All-pairs shortest paths of a dense weight matrix (`∞` = no arc).
+fn floyd_warshall(mut d: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    let n = d.len();
+    for k in 0..n {
+        for u in 0..n {
+            for v in 0..n {
+                let via = d[u][k] + d[k][v];
+                if via < d[u][v] {
+                    d[u][v] = via;
+                }
+            }
+        }
+    }
+    d
+}
+
+/// The best-response reduction for peer 0 on random 2-D points: facility
+/// `v` and client `j` range over the other peers, and
+/// `a(v, j) = (d(0, v) + D(v, j)) / d(0, j)` with `D` the shortest-path
+/// distance of a random sparse digraph on peers `1..n` (so some
+/// `D = ∞`), arcs weighted by Euclidean length.
+fn arb_game_shaped() -> impl Strategy<Value = FacilityProblem> {
+    (2usize..=MAX_SIDE + 1, 0.5f64..40.0, 2u32..40).prop_flat_map(|(n, alpha, density)| {
+        (
+            proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), n..=n),
+            matrix(0u32..100, n, n),
+        )
+            .prop_map(move |(pts, arcs)| {
+                let d = |u: usize, v: usize| {
+                    let (dx, dy) = (pts[u].0 - pts[v].0, pts[u].1 - pts[v].1);
+                    (dx * dx + dy * dy).sqrt()
+                };
+                let weights = (0..n)
+                    .map(|u| {
+                        (0..n)
+                            .map(|v| match () {
+                                () if u == v => 0.0,
+                                () if u != 0 && v != 0 && arcs[u][v] < density => d(u, v),
+                                () => f64::INFINITY,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let dd = floyd_warshall(weights);
+                let rows = (1..n)
+                    .map(|v| (1..n).map(|j| (d(0, v) + dd[v][j]) / d(0, j)).collect())
+                    .collect();
+                FacilityProblem::with_uniform_open_cost(alpha, rows).unwrap()
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn lazy_greedy_matches_reference_uniform(p in arb_uniform()) {
+        assert_identical(&p)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_per_facility_costs(p in arb_per_facility()) {
+        assert_identical(&p)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_with_gaps(p in arb_gaps()) {
+        assert_identical(&p)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_on_exact_ties(p in arb_integer_grid()) {
+        assert_identical(&p)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_when_sums_overflow(p in arb_overflowing()) {
+        assert_identical(&p)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_game_shaped(p in arb_game_shaped()) {
+        assert_identical(&p)?;
+    }
+}
