@@ -27,6 +27,14 @@
 //! full SSSP sweeps over the whole run must drop by at least 2×, with
 //! both engines producing bit-identical runs. Snapshot committed as
 //! `BENCH_sequential_reuse.json`.
+//!
+//! A second case runs **best-response** dynamics (Greedy) on the same
+//! instance. Its cached engine plays each accepted response with
+//! `GameSession::play_best_response`, which installs the oracle's
+//! residual rows as the new overlay rows, so a run sweeps each overlay
+//! row once to fill the cache and then one row per accepted move. The
+//! bench reports those sweeps as `seq_br_sweeps/cached/64` and asserts
+//! they stay within `n` plus the accepted moves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -34,7 +42,7 @@ use sp_core::{BestResponseMethod, Game, GameSession, SessionStats, StrategyProfi
 use sp_dynamics::{DynamicsConfig, DynamicsOutcome, DynamicsRunner, ResponseRule};
 use sp_metric::generators;
 
-/// Warm-up method only: the measured run plays better responses.
+/// The warm-up's method, and the method of the best-response case.
 const METHOD: BestResponseMethod = BestResponseMethod::Greedy;
 const N: usize = 64;
 const MAX_ROUNDS: usize = 12;
@@ -78,8 +86,17 @@ fn run_engine(
     start: &StrategyProfile,
     oracle_reuse: bool,
 ) -> (DynamicsOutcome, SessionStats) {
+    run_rule(game, start, ResponseRule::BetterResponse, oracle_reuse)
+}
+
+fn run_rule(
+    game: &Game,
+    start: &StrategyProfile,
+    rule: ResponseRule,
+    oracle_reuse: bool,
+) -> (DynamicsOutcome, SessionStats) {
     let config = DynamicsConfig {
-        rule: ResponseRule::BetterResponse,
+        rule,
         max_rounds: MAX_ROUNDS,
         oracle_reuse,
         ..DynamicsConfig::default()
@@ -165,8 +182,54 @@ fn bench_sequential_reuse(c: &mut Criterion) {
          got {reduction:.2}x ({fresh_sweeps} vs {cached_sweeps})"
     );
 
+    bench_best_response_dynamics(c, &game, &start);
     bench_monitored_mover(c, &game, &start);
     bench_lazy_oracle(c);
+}
+
+/// Best-response dynamics on the warmed instance. The cached engine
+/// plays every accepted response from its oracle's residual rows, so it
+/// never refills rows a move invalidated: after the first activation
+/// fills the `n` overlay rows, each accepted move sweeps only the
+/// mover's row. The gated counter is the run's full sweeps (cache fills
+/// plus scan sweeps, as above), asserted to be at most `n` plus the
+/// accepted moves.
+fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
+    let rule = ResponseRule::BestResponseWith(METHOD);
+    let mut group = c.benchmark_group("best_response_dynamics");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("cached", N), &N, |b, _| {
+        b.iter(|| run_rule(game, start, rule, true));
+    });
+    group.finish();
+
+    let (fresh_out, _) = run_rule(game, start, rule, false);
+    let (out, stats) = run_rule(game, start, rule, true);
+    assert_eq!(
+        fresh_out.profile, out.profile,
+        "best-response engines diverged"
+    );
+    assert_eq!(fresh_out.termination, out.termination);
+    assert_eq!(fresh_out.steps, out.steps);
+    assert_eq!(fresh_out.moves, out.moves);
+
+    let sweeps = oracle_sweeps(&stats, N, false);
+    println!(
+        "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps \
+         ({} fills + {} scan sweeps), {} rows invalidated",
+        out.steps, out.moves, stats.full_sssp, stats.seq_oracle_swept, stats.rows_invalidated,
+    );
+    c.report_value(
+        &format!("seq_br_sweeps/cached/{N}"),
+        sweeps as f64,
+        "sweeps",
+    );
+    assert!(
+        sweeps <= N + out.moves,
+        "a played best response must sweep only the mover's row: {sweeps} sweeps for \
+         {} moves on {N} peers",
+        out.moves
+    );
 }
 
 /// The monitoring pattern: a loop that mutates one hot peer and

@@ -2,7 +2,7 @@ use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
     FacilityProblem,
 };
-use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch};
+use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::oracle_cache::OracleCache;
 use crate::session::EDGE_ON_PATH_EPS;
@@ -107,30 +107,30 @@ pub(crate) struct Overlay<'a> {
     pub(crate) transpose: &'a CsrGraph,
 }
 
-/// The exact residual row `D_{G_{-i}}(v, ·)` for candidate `v` — the one
-/// row-sourcing policy of every cached oracle path: make the overlay row
-/// `d_G(v, ·)` valid ([`OracleCache::ensure_row`], a full sweep only when
-/// it was invalid), then hand a copy to [`CsrGraph::dijkstra_without`].
-/// When none of `i`'s out-links is tight on it (the conservative
-/// [`EDGE_ON_PATH_EPS`] test) it already is the residual row and is
-/// reused verbatim; otherwise only the subtree below `i`'s tight
-/// out-links is recomputed. `buf` is the caller's row buffer.
-fn candidate_row<'b>(
+/// Writes the exact residual row `D_{G_{-i}}(v, ·)` for candidate `v`
+/// into `out` (length `n`) — the one row-sourcing policy of every cached
+/// oracle path: make the overlay row `d_G(v, ·)` valid
+/// ([`OracleCache::ensure_row`], a full sweep only when it was invalid),
+/// then copy it into `out` and hand that to
+/// [`CsrGraph::dijkstra_without`]. When none of `i`'s out-links is tight
+/// on it (the conservative [`EDGE_ON_PATH_EPS`] test) it already is the
+/// residual row and is reused verbatim; otherwise only the subtree below
+/// `i`'s tight out-links is recomputed.
+fn candidate_row(
     overlay: Overlay<'_>,
     cache: &mut OracleCache,
     i: usize,
     v: usize,
-    buf: &'b mut Vec<f64>,
+    out: &mut [f64],
     scratch: &mut DijkstraScratch,
     reuse: &mut OracleReuse,
-) -> &'b [f64] {
+) {
     let swept = cache.ensure_row(overlay.csr, v, scratch);
-    buf.clear();
-    buf.extend_from_slice(cache.row(v));
+    out.copy_from_slice(cache.row(v));
     let affected =
         overlay
             .csr
-            .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, buf, scratch);
+            .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, out, scratch);
     if swept {
         reuse.rows_swept += 1;
     } else if affected == 0 {
@@ -138,7 +138,6 @@ fn candidate_row<'b>(
     } else {
         reuse.rows_repaired += 1;
     }
-    buf
 }
 
 /// The row `d(i, ·)` of the latency matrix, read once per oracle so the
@@ -241,12 +240,17 @@ impl ResponseOracle {
     /// Every row is exact, so the oracle is bit-identical to
     /// [`ResponseOracle::build_with`]. `GameSession` makes every overlay
     /// row valid before calling this, so no row pays a sweep here.
-    /// Returns the oracle plus the per-row accounting.
+    /// Residual row `v` is written to row `v` of `residual`, the
+    /// caller's `n × n` buffer from [`OracleCache::residual_buffer`]
+    /// (row `i` is left as it was), so a played response can become the
+    /// new overlay matrix without re-deriving them. Returns the oracle
+    /// plus the per-row accounting.
     pub(crate) fn build_from_cache(
         game: &Game,
         peer: PeerId,
         overlay: Overlay<'_>,
         cache: &mut OracleCache,
+        residual: &mut DistanceMatrix,
         scratch: &mut DijkstraScratch,
     ) -> Result<(Self, OracleReuse), CoreError> {
         let n = game.n();
@@ -259,11 +263,11 @@ impl ResponseOracle {
         let i = peer.index();
         let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
         let mut reuse = OracleReuse::default();
-        let mut buf = Vec::with_capacity(n);
         let d_i = latency_row(game, i);
         let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
         for &v in &candidates {
-            let row = candidate_row(overlay, cache, i, v, &mut buf, scratch, &mut reuse);
+            let row = residual.row_mut(v);
+            candidate_row(overlay, cache, i, v, row, scratch, &mut reuse);
             push_assignment_row(&mut assignment, i, v, &d_i, row);
         }
         let problem = reduction_problem(game, candidates.len(), assignment);
@@ -446,7 +450,7 @@ impl<'a> LazyRows<'a> {
             candidates,
             d_i: latency_row(game, i),
             rows,
-            buf: Vec::with_capacity(game.n()),
+            buf: vec![0.0; game.n()],
         }
     }
 
@@ -509,7 +513,7 @@ impl<'a> LazyRows<'a> {
         }
         let i = self.peer.index();
         let v = self.candidates[k];
-        let row = candidate_row(
+        candidate_row(
             self.overlay,
             cache,
             i,
@@ -518,7 +522,7 @@ impl<'a> LazyRows<'a> {
             scratch,
             &mut scan.reuse,
         );
-        self.rows[k] = LazyRow::Exact(assignment_row(i, v, &self.d_i, row));
+        self.rows[k] = LazyRow::Exact(assignment_row(i, v, &self.d_i, &self.buf));
     }
 
     /// `FacilityProblem::cost_of` replicated over the lazy rows: open

@@ -19,6 +19,14 @@
 //! Dubois–Masuzawa–Tixeuil: recompute only the part of the
 //! shortest-path tree a change touched.
 //!
+//! Each oracle build writes its residual rows into a transient `n × n`
+//! buffer ([`OracleCache::residual_buffer`]). When the session plays the
+//! response, [`OracleCache::install_played`] turns that buffer into the
+//! new matrix: the new overlay is `G_{-i}` plus `i`'s new links, so each
+//! residual row becomes exact by the same decrease-only folding of added
+//! links the repair below uses, with no removal test, and only row `i`
+//! is swept. Otherwise the buffer is dropped with the oracle.
+//!
 //! # Invalidation invariants
 //!
 //! After every committed edge diff `(added, removed)` the cache
@@ -41,8 +49,9 @@ use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::session::EDGE_ON_PATH_EPS;
 
-/// What one [`OracleCache::repair_after_edges`] pass did, for the
-/// session's work counters.
+/// What one [`OracleCache::repair_after_edges`] or
+/// [`OracleCache::install_played`] pass did, for the session's work
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RepairCounts {
     /// Rows dropped (a removed link may have been tight).
@@ -178,18 +187,79 @@ impl OracleCache {
             }
 
             // Added links only ever shorten distances: repair in place.
-            seeds.clear();
-            seeds.extend(added.iter().filter_map(|&(i, j, w)| {
-                let d_ui = row[i];
-                // sp-lint: allow(float-eps, reason = "strict-decrease seeding: exact improvement is the Dijkstra fixpoint criterion; an eps band would re-seed settled rows forever")
-                (d_ui.is_finite() && d_ui + w < row[j]).then_some((j, d_ui + w))
-            }));
-            if !seeds.is_empty() {
-                csr.relax_decrease_into(self.dist.row_mut(u), &seeds, scratch);
+            if relax_added(csr, self.dist.row_mut(u), added, &mut seeds, scratch) {
                 counts.incremental_relaxations += 1;
             }
             counts.rows_preserved += 1;
         }
         counts
     }
+
+    /// An `n × n` buffer for one oracle build's residual rows
+    /// `D_{G_{-i}}(v, ·)` (see `ResponseOracle::build_from_cache`). It
+    /// is transient: the caller drops it with the oracle, or hands it
+    /// back through [`OracleCache::install_played`].
+    pub(crate) fn residual_buffer(&self) -> DistanceMatrix {
+        DistanceMatrix::new_filled(self.row_valid.len(), f64::INFINITY)
+    }
+
+    /// Commits a played best response of peer `i` without a removal
+    /// repair. `residual` holds the exact residual row `D_{G_{-i}}(v, ·)`
+    /// of every `v ≠ i` (the mover's oracle build), and `csr` is the
+    /// overlay after the move, `G_{-i}` plus `links` — every new
+    /// `(i, t, d(i, t))` link of `i`. Each residual row becomes its new
+    /// overlay row by the same decrease-only folding
+    /// [`OracleCache::repair_after_edges`] uses for added links, row `i`
+    /// is swept, and the buffer replaces the matrix with every row
+    /// valid. Returns the accounting of the `n − 1` folded rows; the
+    /// caller counts the sweep of row `i`.
+    pub(crate) fn install_played(
+        &mut self,
+        csr: &CsrGraph,
+        mut residual: DistanceMatrix,
+        i: usize,
+        links: &[(usize, usize, f64)],
+        scratch: &mut DijkstraScratch,
+    ) -> RepairCounts {
+        let mut counts = RepairCounts::default();
+        let mut seeds: Vec<(usize, f64)> = Vec::with_capacity(links.len());
+        for (v, row) in residual.rows_mut().enumerate() {
+            if v == i {
+                csr.dijkstra_into_with(i, row, scratch);
+                continue;
+            }
+            if relax_added(csr, row, links, &mut seeds, scratch) {
+                counts.incremental_relaxations += 1;
+            }
+            counts.rows_preserved += 1;
+        }
+        self.dist = residual;
+        self.mark_all_valid();
+        counts
+    }
+}
+
+/// Folds the added links `(from, to, weight)` into `row`, an exact row
+/// of the overlay without them, by seeded decrease-only relaxation on
+/// `csr`, the overlay with them: a link seeds its target when it
+/// strictly shortens the row. Returns `true` when a relaxation ran.
+/// `seeds` is the caller's reusable seed buffer.
+fn relax_added(
+    csr: &CsrGraph,
+    row: &mut [f64],
+    added: &[(usize, usize, f64)],
+    seeds: &mut Vec<(usize, f64)>,
+    scratch: &mut DijkstraScratch,
+) -> bool {
+    seeds.clear();
+    seeds.extend(added.iter().filter_map(|&(i, j, w)| {
+        let d_ui = row[i];
+        // sp-lint: allow(float-eps, reason = "strict-decrease seeding: exact improvement is the Dijkstra fixpoint criterion; an eps band would re-seed settled rows forever")
+        (d_ui.is_finite() && d_ui + w < row[j]).then_some((j, d_ui + w))
+    }));
+    if seeds.is_empty() {
+        return false;
+    }
+    csr.relax_decrease_into(row, seeds, scratch);
+    true
 }

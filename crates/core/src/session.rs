@@ -26,6 +26,15 @@
 //! * rows that cannot be repaired cheaply are merely marked invalid and
 //!   recomputed the next time something reads them.
 //!
+//! Rows are updated in three ways: `apply`'s invalidate-and-relax
+//! repair above; cold fills, one sweep per invalid row on the next read;
+//! and a played best response ([`GameSession::play_best_response`]),
+//! which has no removal repair at all. Its oracle build has just derived
+//! the mover's residual rows `D_{G_{-i}}(v, ·)` exactly, and the new
+//! overlay is `G_{-i}` plus the mover's new links, so each new row is its
+//! residual row plus a decrease-only relaxation seeded at those links;
+//! only the mover's own row is swept, and every row stays valid.
+//!
 //! Multi-move churn events (a simultaneous round, a peer departure) go
 //! through [`GameSession::apply_batch`], which folds any number of
 //! [`Move`]s into **one** profile mutation, **one** CSR rebuild, and a
@@ -134,17 +143,22 @@ pub enum Move {
 pub struct SessionStats {
     /// Overlay CSR snapshots built.
     pub csr_rebuilds: usize,
-    /// Full single-source sweeps (one distance-matrix row from scratch).
-    /// Rows a lazy better-response scan sweeps are counted in
+    /// Full single-source sweeps (one distance-matrix row from scratch):
+    /// cold fills, refills of invalidated rows, and the mover's own row
+    /// when [`GameSession::play_best_response`] plays a move (its other
+    /// rows come from the oracle's residual rows). Rows a lazy
+    /// better-response scan sweeps are counted in
     /// [`SessionStats::seq_oracle_swept`] instead.
     pub full_sssp: usize,
     /// Seeded decrease-only re-relaxations (cheap incremental repairs).
     pub incremental_relaxations: usize,
     /// Rows dropped by [`GameSession::apply`] because a removed link may
-    /// have carried a shortest path.
+    /// have carried a shortest path. A move played by
+    /// [`GameSession::play_best_response`] drops none.
     pub rows_invalidated: usize,
     /// Rows that survived an [`GameSession::apply`] untouched or via a
-    /// cheap repair.
+    /// cheap repair, plus the `n - 1` rows a played move builds from its
+    /// oracle's residual rows.
     pub rows_preserved: usize,
     /// Best-response oracles built or lazy better-response scans run
     /// (an uncached build costs `n - 1` sweeps, counted separately from
@@ -1223,23 +1237,28 @@ impl GameSession {
     }
 
     /// Builds the cached oracle for `peer` and counts its row accounting
-    /// into the requested [`SessionStats`] bucket.
+    /// into the requested [`SessionStats`] bucket. Also returns the
+    /// oracle's residual rows `D_{G_{-i}}(v, ·)` (row `i` unset), which
+    /// [`GameSession::play_best_response`] installs when it commits.
     fn cached_oracle(
         &mut self,
         peer: PeerId,
         counter: OracleCounter,
-    ) -> Result<ResponseOracle, CoreError> {
+    ) -> Result<(ResponseOracle, DistanceMatrix), CoreError> {
         self.ensure_all_rows();
         self.ensure_transpose();
         let overlay = Overlay {
             csr: self.csr.as_ref().expect("ensured above"),
             transpose: self.transpose.as_ref().expect("ensured above"),
         };
+        let cache = self.backend.dense_mut();
+        let mut residual = cache.residual_buffer();
         let (oracle, reuse): (ResponseOracle, OracleReuse) = ResponseOracle::build_from_cache(
             &self.game,
             peer,
             overlay,
-            self.backend.dense_mut(),
+            cache,
+            &mut residual,
             &mut self.scratch,
         )?;
         self.stats.oracle_builds += 1;
@@ -1254,7 +1273,7 @@ impl GameSession {
                 self.stats.oracle_rows_swept += reuse.rows_swept;
             }
         }
-        Ok(oracle)
+        Ok((oracle, residual))
     }
 
     /// Shared body of the cached response paths.
@@ -1264,9 +1283,20 @@ impl GameSession {
         method: BestResponseMethod,
         counter: OracleCounter,
     ) -> Result<BestResponse, CoreError> {
+        Ok(self.response_and_rows(peer, method, counter)?.0)
+    }
+
+    /// The cached response, plus the oracle's residual rows when a dense
+    /// cached oracle was built (`None` for `n <= 1` and sparse sessions).
+    fn response_and_rows(
+        &mut self,
+        peer: PeerId,
+        method: BestResponseMethod,
+        counter: OracleCounter,
+    ) -> Result<(BestResponse, Option<DistanceMatrix>), CoreError> {
         let current_cost = self.peer_cost(peer)?;
         if self.game.n() <= 1 {
-            return Ok(Self::trivial_response(peer, current_cost));
+            return Ok((Self::trivial_response(peer, current_cost), None));
         }
         if self.backend.is_sparse() {
             // Certified queries on a sparse session pay an exact fresh
@@ -1276,10 +1306,70 @@ impl GameSession {
             let oracle =
                 ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
             self.stats.oracle_builds += 1;
-            return self.finish_response(peer, method, &oracle, current_cost);
+            let br = self.finish_response(peer, method, &oracle, current_cost)?;
+            return Ok((br, None));
         }
-        let oracle = self.cached_oracle(peer, counter)?;
-        self.finish_response(peer, method, &oracle, current_cost)
+        let (oracle, residual) = self.cached_oracle(peer, counter)?;
+        let br = self.finish_response(peer, method, &oracle, current_cost)?;
+        Ok((br, Some(residual)))
+    }
+
+    /// Computes `peer`'s best response exactly like
+    /// [`GameSession::best_response`] and, when it improves by more than
+    /// `tol` ([`BestResponse::improves`]) and changes the peer's links,
+    /// plays it. Returns the played response and the links the peer held
+    /// before, or `None` when nothing was played (the profile and the
+    /// cache are then untouched). The result, the profile and every
+    /// later answer are identical to a [`GameSession::best_response`]
+    /// followed by an [`GameSession::apply`] of the response.
+    ///
+    /// What differs is the commit. The oracle build has just derived
+    /// every residual row `D_{G_{-i}}(v, ·)`, and the new overlay is
+    /// `G_{-i}` plus the new links `i → t`, so each new row `v ≠ i` is
+    /// its residual row folded with the seeds `(t, D(v, i) + d(i, t))`
+    /// by decrease-only relaxation. The move costs one CSR rebuild, one
+    /// sweep of row `i`, no removal repair, and leaves every row valid:
+    /// the next query refills nothing. Sparse sessions and games with
+    /// fewer than two peers take the `best_response` + `apply` route.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GameSession::best_response`].
+    pub fn play_best_response(
+        &mut self,
+        peer: PeerId,
+        method: BestResponseMethod,
+        tol: f64,
+    ) -> Result<Option<(BestResponse, LinkSet)>, CoreError> {
+        let (br, residual) = self.response_and_rows(peer, method, OracleCounter::Sequential)?;
+        if !br.improves(tol) || &br.links == self.profile.strategy(peer) {
+            return Ok(None);
+        }
+        let Some(residual) = residual else {
+            let old = self.apply(Move::SetStrategy {
+                peer,
+                links: br.links.clone(),
+            })?;
+            return Ok(Some((br, old)));
+        };
+        let i = peer.index();
+        let mut links = Vec::new();
+        self.edge_diff(i, &LinkSet::new(), &br.links, &mut links, &mut Vec::new());
+        let old = self
+            .profile
+            .set_strategy(peer, br.links.clone())
+            .expect("response links are valid by construction");
+        self.stretch = None;
+        self.rebuild_csr();
+        let csr = self.csr.as_ref().expect("just rebuilt");
+        let counts =
+            self.backend
+                .dense_mut()
+                .install_played(csr, residual, i, &links, &mut self.scratch);
+        self.stats.full_sssp += 1;
+        self.stats.rows_preserved += counts.rows_preserved;
+        self.stats.incremental_relaxations += counts.incremental_relaxations;
+        Ok(Some((br, old)))
     }
 
     /// Shared tail of the oracle-backed response paths: solve the UFL
@@ -2325,6 +2415,58 @@ mod tests {
             .best_responses_round(&[], BestResponseMethod::Exact)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn played_move_sweeps_only_the_movers_row() {
+        // Peer 0 links only to the far end of a chain, so its best
+        // response rewires it to a neighbour.
+        let g = game(1.0);
+        let links = [
+            (0, 4),
+            (1, 0),
+            (1, 2),
+            (2, 1),
+            (2, 3),
+            (3, 2),
+            (3, 4),
+            (4, 3),
+        ];
+        let p = StrategyProfile::from_links(5, &links).unwrap();
+        let mut s = GameSession::from_refs(&g, &p).unwrap();
+        let _ = s.social_cost();
+        let peer = PeerId::new(0);
+
+        let before = s.stats();
+        let (br, old) = s
+            .play_best_response(peer, BestResponseMethod::Exact, 1e-9)
+            .unwrap()
+            .expect("peer 0 gains by rewiring");
+        assert_eq!(old, [4usize].into_iter().collect::<LinkSet>());
+        assert_eq!(s.profile().strategy(peer), &br.links);
+        let after = s.stats();
+        assert_eq!(after.full_sssp, before.full_sssp + 1, "row 0 only");
+        assert_eq!(after.csr_rebuilds, before.csr_rebuilds + 1);
+        assert_eq!(after.rows_invalidated, before.rows_invalidated);
+        assert_eq!(after.rows_preserved, before.rows_preserved + 4);
+
+        // Every row is valid and exact: a cost query sweeps nothing.
+        let sc = s.social_cost();
+        assert_eq!(s.stats().full_sssp, after.full_sssp);
+        let cold = social_cost(&g, s.profile()).unwrap();
+        assert_eq!(sc.total().to_bits(), cold.total().to_bits());
+
+        // An exact response no longer improves: nothing is played.
+        let played = s.profile().clone();
+        let before = s.stats();
+        assert!(s
+            .play_best_response(peer, BestResponseMethod::Exact, 1e-9)
+            .unwrap()
+            .is_none());
+        assert_eq!(s.profile(), &played);
+        let after = s.stats();
+        assert_eq!(after.full_sssp, before.full_sssp);
+        assert_eq!(after.csr_rebuilds, before.csr_rebuilds);
     }
 
     #[test]

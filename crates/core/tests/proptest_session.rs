@@ -15,7 +15,8 @@ use sp_core::{
     BestResponseMethod, Game, GameSession, LinkSet, Move, NashTest, PeerId, SessionStats,
     StrategyProfile,
 };
-use sp_metric::generators;
+use sp_graph::DistanceMatrix;
+use sp_metric::{generators, LineSpace};
 
 /// CI's determinism matrix sets `SP_TEST_PARALLELISM` to pin every
 /// shard/worker-count parameter these tests would otherwise draw, so the
@@ -455,6 +456,166 @@ proptest! {
             + stats.oracle_rows_repaired;
         if INTERLEAVED_RUN.fetch_add(1, Ordering::SeqCst) + 1 == INTERLEAVED_CASES as usize {
             prop_assert!(repaired > 0, "no case exercised the oracle row repair");
+        }
+    }
+}
+
+/// A game — random points, or unit-spaced line positions whose equal
+/// gaps tie shortest paths and stretches — with 1 to 7 peers, a start
+/// profile (empty for one flag value), whether the session is sparse,
+/// and a script of `(kind, from, to)` steps: kinds 0–2 apply
+/// [`script_move`], kinds 3–5 play `from`'s best response.
+#[allow(clippy::type_complexity)]
+fn arb_play_script() -> impl Strategy<Value = (Game, StrategyProfile, bool, Vec<(u8, usize, usize)>)>
+{
+    (1usize..=7, 0u64..10_000, 0.1f64..8.0, 0u8..8).prop_flat_map(|(n, seed, alpha, flags)| {
+        let max_links = (n * (n - 1)).min(16);
+        (
+            proptest::collection::vec((0..n, 0..n), 0..=max_links),
+            proptest::collection::vec((0u8..6, 0..n, 0..n), 1..12),
+        )
+            .prop_map(move |(pairs, script)| {
+                let (line, empty, sparse) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                let game = if line {
+                    let positions = (0..n).map(|k| k as f64).collect();
+                    Game::from_space(&LineSpace::new(positions).unwrap(), alpha).unwrap()
+                } else {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    Game::from_space(&generators::uniform_square(n, 10.0, &mut rng), alpha).unwrap()
+                };
+                let links: Vec<(usize, usize)> = if empty {
+                    Vec::new()
+                } else {
+                    pairs.into_iter().filter(|&(u, v)| u != v).collect()
+                };
+                let profile = StrategyProfile::from_links(n, &links).unwrap();
+                (game, profile, sparse, script)
+            })
+    })
+}
+
+/// Asserts `a` and `b` agree bit for bit on every entry.
+fn same_bits(a: &DistanceMatrix, b: &DistanceMatrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for i in 0..a.len() {
+        for j in 0..a.len() {
+            prop_assert_eq!(
+                a[(i, j)].to_bits(),
+                b[(i, j)].to_bits(),
+                "row {} entry {} differs: {} vs {}",
+                i,
+                j,
+                a[(i, j)],
+                b[(i, j)]
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Cases of [`played_response_equals_best_response_then_apply`]; the
+/// coverage check runs once the last of them has passed.
+const PLAY_CASES: u32 = 96;
+/// Cases of that test run so far, and its plays that moved a peer and
+/// that moved nothing.
+static PLAY_RUN: AtomicUsize = AtomicUsize::new(0);
+static PLAYS_MOVED: AtomicUsize = AtomicUsize::new(0);
+static PLAYS_IDLE: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(PLAY_CASES))]
+
+    /// `play_best_response` is `best_response` + `apply`, and leaves
+    /// exact rows. A session that plays is run beside a twin that takes
+    /// the response and applies it, over scripts interleaving `apply`
+    /// moves with plays (exact, heuristic, and a tolerance so large
+    /// that only a disconnected peer moves). Each play returns what the
+    /// twin computed and the links it replaced; the profiles stay equal;
+    /// after every step each overlay row matches a fresh sweep bit for
+    /// bit, and after a dense play the rows are read without a sweep.
+    /// A play that moves nothing leaves the profile and the CSR as they
+    /// were.
+    #[test]
+    fn played_response_equals_best_response_then_apply(
+        (game, profile, sparse, script) in arb_play_script()
+    ) {
+        let session = |p: &StrategyProfile| if sparse {
+            GameSession::new_sparse(game.clone(), p.clone()).unwrap()
+        } else {
+            GameSession::new(game.clone(), p.clone()).unwrap()
+        };
+        let mut s = session(&profile);
+        let mut twin = session(&profile);
+        // Warm: a play then finds every dense row valid, so its sweeps
+        // are its own.
+        let _ = s.overlay_distances();
+        let _ = twin.overlay_distances();
+        for &(kind, from, to) in &script {
+            if kind < 3 {
+                play(&mut s, kind, from, to);
+                play(&mut twin, kind, from, to);
+            } else {
+                let peer = PeerId::new(from);
+                let (method, tol) = match kind {
+                    3 => (BestResponseMethod::Exact, 1e-9),
+                    4 => (BestResponseMethod::Greedy, 1e-9),
+                    _ => (BestResponseMethod::Exact, 1e6),
+                };
+                let before_profile = s.profile().clone();
+                let before = s.stats();
+                let played = s.play_best_response(peer, method, tol).unwrap();
+
+                let br = twin.best_response(peer, method).unwrap();
+                let reference = if br.improves(tol) && &br.links != twin.profile().strategy(peer) {
+                    let old = twin
+                        .apply(Move::SetStrategy { peer, links: br.links.clone() })
+                        .unwrap();
+                    Some((br, old))
+                } else {
+                    None
+                };
+                prop_assert_eq!(&played, &reference);
+                if let (Some((a, _)), Some((b, _))) = (&played, &reference) {
+                    prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+                    prop_assert_eq!(a.current_cost.to_bits(), b.current_cost.to_bits());
+                }
+                let tally = if played.is_some() { &PLAYS_MOVED } else { &PLAYS_IDLE };
+                tally.fetch_add(1, Ordering::SeqCst);
+                let after = s.stats();
+                match &played {
+                    None => {
+                        prop_assert_eq!(s.profile(), &before_profile);
+                        prop_assert_eq!(after.csr_rebuilds, before.csr_rebuilds);
+                        if !sparse {
+                            prop_assert_eq!(after.full_sssp, before.full_sssp);
+                        }
+                    }
+                    Some(_) if !sparse && game.n() > 1 => {
+                        prop_assert_eq!(after.rows_invalidated, before.rows_invalidated);
+                        prop_assert_eq!(after.full_sssp, before.full_sssp + 1);
+                        let rows = s.overlay_distances().clone();
+                        prop_assert_eq!(s.stats().full_sssp, after.full_sssp,
+                            "a played move leaves every row valid");
+                        let fresh = session(s.profile()).overlay_distances().clone();
+                        same_bits(&rows, &fresh)?;
+                    }
+                    Some(_) => {}
+                }
+            }
+            prop_assert_eq!(s.profile(), twin.profile());
+            // Every row, after every step, against a cold session; this
+            // also leaves the CSR built and every dense row valid, so
+            // the next play starts from a warm cache.
+            let rows = s.overlay_distances().clone();
+            let fresh = session(s.profile()).overlay_distances().clone();
+            same_bits(&rows, &fresh)?;
+            let _ = twin.overlay_distances();
+        }
+        // Across the whole run both outcomes must have occurred: the
+        // checks above would pass vacuously if no play ever moved.
+        if PLAY_RUN.fetch_add(1, Ordering::SeqCst) + 1 == PLAY_CASES as usize {
+            prop_assert!(PLAYS_MOVED.load(Ordering::SeqCst) > 0, "no play moved a peer");
+            prop_assert!(PLAYS_IDLE.load(Ordering::SeqCst) > 0, "every play moved a peer");
         }
     }
 }

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use sp_core::{BestResponseMethod, Game, GameSession, Move, PeerId, StrategyProfile};
+use sp_core::{BestResponseMethod, Game, GameSession, LinkSet, Move, PeerId, StrategyProfile};
 
 use crate::trace::{MoveRecord, Trace};
 use crate::Schedule;
@@ -107,11 +107,15 @@ pub struct DynamicsConfig {
     pub detect_cycles: bool,
     /// Serve each activation's response oracle from the session's
     /// persistent oracle cache (`true`, the default): candidate rows are
-    /// derived from cached overlay rows, which survive moves and are only
-    /// repaired or re-swept when an accepted move could actually have
-    /// changed them. `false` forces a fresh `G_{-i}`
-    /// oracle per activation — the pre-cache engine, kept as the
-    /// baseline for the `sequential_reuse` bench and the equivalence
+    /// derived from cached overlay rows. Under the best-response rules an
+    /// accepted response is played with
+    /// [`GameSession::play_best_response`], whose oracle's residual rows
+    /// become the new overlay rows (one sweep per move, for the mover's
+    /// row); better responses are applied with [`GameSession::apply`],
+    /// which repairs the rows and re-sweeps those a removed link may have
+    /// been tight on. `false` forces a fresh `G_{-i}` oracle per
+    /// activation and an `apply` per move — the pre-cache engine, kept as
+    /// the baseline for the `sequential_reuse` bench and the equivalence
     /// property tests (both engines are bit-identical by contract).
     pub oracle_reuse: bool,
 }
@@ -212,12 +216,13 @@ impl<'g> DynamicsRunner<'g> {
     /// or the round limit.
     ///
     /// Internally drives a [`GameSession`] so each activation reuses the
-    /// cached overlay distances and accepted moves repair the cache
+    /// cached overlay distances and accepted moves update the cache
     /// incrementally instead of forcing rebuilds. With
     /// [`DynamicsConfig::oracle_reuse`] (the default) the best/better
     /// response oracles themselves are served from the session's
     /// persistent oracle cache, so consecutive activations stop paying
-    /// `n - 1` fresh sweeps each.
+    /// `n - 1` fresh sweeps each, and accepted best responses are played
+    /// from their oracle's rows ([`GameSession::play_best_response`]).
     ///
     /// # Panics
     ///
@@ -341,22 +346,32 @@ impl<'g> DynamicsRunner<'g> {
     ) -> bool {
         let tol = self.config.tolerance;
         let reuse = self.config.oracle_reuse;
-        let (new_links, old_cost, new_cost) = match self.config.rule {
+        let (old_links, new_links, old_cost, new_cost) = match self.config.rule {
             ResponseRule::BestResponse | ResponseRule::BestResponseWith(_) => {
                 let method = match self.config.rule {
                     ResponseRule::BestResponseWith(m) => m,
                     _ => BestResponseMethod::Exact,
                 };
-                let br = if reuse {
-                    session.best_response(peer, method)
+                if reuse {
+                    match session
+                        .play_best_response(peer, method, tol)
+                        .expect("validated inputs cannot fail")
+                    {
+                        None => return false,
+                        Some((br, old)) => (old, br.links, br.current_cost, br.cost),
+                    }
                 } else {
-                    session.best_response_uncached(peer, method)
+                    let br = session
+                        .best_response_uncached(peer, method)
+                        .expect("validated inputs cannot fail");
+                    if !br.improves(tol) {
+                        return false;
+                    }
+                    match apply_changed(session, peer, &br.links) {
+                        None => return false,
+                        Some(old) => (old, br.links, br.current_cost, br.cost),
+                    }
                 }
-                .expect("validated inputs cannot fail");
-                if !br.improves(tol) {
-                    return false;
-                }
-                (br.links, br.current_cost, br.cost)
             }
             ResponseRule::BetterResponse => {
                 let mv = if reuse {
@@ -365,21 +380,13 @@ impl<'g> DynamicsRunner<'g> {
                     session.first_improving_move_uncached(peer, tol)
                 }
                 .expect("validated inputs cannot fail");
-                match mv {
+                let Some(mv) = mv else { return false };
+                match apply_changed(session, peer, &mv.links) {
                     None => return false,
-                    Some(mv) => (mv.links, mv.current_cost, mv.cost),
+                    Some(old) => (old, mv.links, mv.current_cost, mv.cost),
                 }
             }
         };
-        if &new_links == session.profile().strategy(peer) {
-            return false;
-        }
-        let old_links = session
-            .apply(Move::SetStrategy {
-                peer,
-                links: new_links.clone(),
-            })
-            .expect("response links are valid by construction");
         if let Some(t) = trace {
             t.push(MoveRecord {
                 step,
@@ -392,6 +399,21 @@ impl<'g> DynamicsRunner<'g> {
         }
         true
     }
+}
+
+/// Applies `links` as `peer`'s strategy and returns the links it held,
+/// or `None` without touching the session when they are unchanged.
+fn apply_changed(session: &mut GameSession, peer: PeerId, links: &LinkSet) -> Option<LinkSet> {
+    if links == session.profile().strategy(peer) {
+        return None;
+    }
+    let old = session
+        .apply(Move::SetStrategy {
+            peer,
+            links: links.clone(),
+        })
+        .expect("response links are valid by construction");
+    Some(old)
 }
 
 /// Drives `config` on a caller-owned session starting from its current

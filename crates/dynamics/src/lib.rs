@@ -22,12 +22,13 @@
 //! The sequential engine drives one `GameSession` per run and repairs its
 //! caches move by move; with [`DynamicsConfig::oracle_reuse`] (the
 //! default) each activation's best/better-response oracle is also served
-//! from the session's persistent oracle cache — candidate rows survive
-//! accepted moves via the same tightness-test repair the distance cache
-//! uses, so consecutive activations stop paying `n - 1` fresh sweeps
-//! each (`oracle_reuse: false` restores the fresh-oracle engine, kept as
-//! the bench baseline; both are bit-identical by property-tested
-//! contract). [`simultaneous::run_simultaneous`] and the churn simulator
+//! from the session's persistent oracle cache — candidate rows come from
+//! the cached overlay rows, so consecutive activations stop paying
+//! `n - 1` fresh sweeps each — and an accepted best response is played
+//! with `GameSession::play_best_response`, which installs the oracle's
+//! residual rows as the new overlay rows instead of repairing the cache
+//! (`oracle_reuse: false` restores the fresh-oracle engine, kept as the
+//! bench baseline; both are bit-identical by property-tested contract). [`simultaneous::run_simultaneous`] and the churn simulator
 //! instead commit each round's (respectively each churn event's)
 //! accepted updates through `GameSession::apply_batch`, paying a single
 //! overlay rebuild and repair pass per round however many peers

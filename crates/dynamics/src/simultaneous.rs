@@ -18,7 +18,9 @@
 //!
 //! * the **sequential** engine — one [`GameSession::best_response`] per
 //!   peer on the calling thread (served from the session's persistent
-//!   oracle cache, which the round's batched commit repairs in place);
+//!   oracle cache; the round's batched commit folds the added links into
+//!   the cached rows and invalidates the rows a removed link may have
+//!   been tight on, which the next round's sharded refill sweeps again);
 //! * the **sharded** engine — one
 //!   [`GameSession::best_responses_round`] call per round, which
 //!   snapshots the round-start state, fans the oracles out over
