@@ -9,9 +9,10 @@
 //! per round. The sharded engine freezes the round-start distance
 //! snapshot once (64 sweeps), serves every candidate row whose shortest
 //! paths avoid the responding peer's out-links straight from that
-//! snapshot, repairs the others from their snapshot rows with
-//! `sp_graph::CsrGraph::dijkstra_without` (recomputing only the subtree
-//! below the responder's tight out-links), and fans the oracles out over
+//! snapshot, holds the others as certified lower bounds, repairs from
+//! their snapshot rows with `sp_graph::CsrGraph::dijkstra_without`
+//! (recomputing only the subtree below the responder's tight out-links)
+//! just the rows the greedy escalates, and fans the oracles out over
 //! `fork_readonly` worker shards.
 //!
 //! Wall-clock is machine-dependent (CI runners differ in core count), so

@@ -30,11 +30,16 @@
 //!
 //! A second case runs **best-response** dynamics (Greedy) on the same
 //! instance. Its cached engine plays each accepted response with
-//! `GameSession::play_best_response`, which installs the oracle's
-//! residual rows as the new overlay rows, so a run sweeps each overlay
-//! row once to fill the cache and then one row per accepted move. The
-//! bench reports those sweeps as `seq_br_sweeps/cached/64` and asserts
-//! they stay within `n` plus the accepted moves.
+//! `GameSession::play_best_response`, which commits the move in place
+//! with every row valid, so a run sweeps each overlay row once to fill
+//! the cache and then one row per accepted move. The bench reports those
+//! sweeps as `seq_br_sweeps/cached/64` and asserts they stay within `n`
+//! plus the accepted moves. Its greedy oracles hold dirty candidate rows
+//! as certified lower bounds and derive a residual row only when the
+//! greedy escalates it or the played move breaks it; the residual rows
+//! derived over the run are reported as `seq_br_rows_repaired/cached/64`
+//! (unit `rows`) and asserted below the 6,474 rows of the oracles that
+//! derived every dirty row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -187,13 +192,18 @@ fn bench_sequential_reuse(c: &mut Criterion) {
     bench_lazy_oracle(c);
 }
 
+/// Residual rows the best-response case derived when every cached
+/// oracle derived every dirty candidate row before solving.
+const EAGER_BR_ROWS_REPAIRED: usize = 6_474;
+
 /// Best-response dynamics on the warmed instance. The cached engine
-/// plays every accepted response from its oracle's residual rows, so it
-/// never refills rows a move invalidated: after the first activation
-/// fills the `n` overlay rows, each accepted move sweeps only the
-/// mover's row. The gated counter is the run's full sweeps (cache fills
-/// plus scan sweeps, as above), asserted to be at most `n` plus the
-/// accepted moves.
+/// commits every accepted response in place, so it never refills rows a
+/// move invalidated: after the first activation fills the `n` overlay
+/// rows, each accepted move sweeps only the mover's row. The gated
+/// counters are the run's full sweeps (cache fills plus scan sweeps, as
+/// above), asserted to be at most `n` plus the accepted moves, and the
+/// residual rows its oracles and commits derived, asserted below
+/// [`EAGER_BR_ROWS_REPAIRED`].
 fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
     let rule = ResponseRule::BestResponseWith(METHOD);
     let mut group = c.benchmark_group("best_response_dynamics");
@@ -214,15 +224,32 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
     assert_eq!(fresh_out.moves, out.moves);
 
     let sweeps = oracle_sweeps(&stats, N, false);
+    let repaired = stats.oracle_rows_repaired;
     println!(
         "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps \
-         ({} fills + {} scan sweeps), {} rows invalidated",
-        out.steps, out.moves, stats.full_sssp, stats.seq_oracle_swept, stats.rows_invalidated,
+         ({} fills + {} scan sweeps), {} rows invalidated, {repaired} residual rows derived, \
+         {} candidate rows held as bounds",
+        out.steps,
+        out.moves,
+        stats.full_sssp,
+        stats.seq_oracle_swept,
+        stats.rows_invalidated,
+        stats.oracle_rows_bounded,
     );
     c.report_value(
         &format!("seq_br_sweeps/cached/{N}"),
         sweeps as f64,
         "sweeps",
+    );
+    c.report_value(
+        &format!("seq_br_rows_repaired/cached/{N}"),
+        repaired as f64,
+        "rows",
+    );
+    assert!(
+        repaired < EAGER_BR_ROWS_REPAIRED,
+        "greedy oracles must derive fewer residual rows than oracles that derive every \
+         dirty row: {repaired} vs {EAGER_BR_ROWS_REPAIRED}"
     );
     assert!(
         sweeps <= N + out.moves,

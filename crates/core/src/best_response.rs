@@ -1,8 +1,32 @@
+//! Best responses: the reduction of a peer's best response to
+//! uncapacitated facility location, and the oracles that build it.
+//!
+//! For peer `i`, every other peer `v` is a candidate link (a facility
+//! opening at `α`) and every other peer `j` a client, assigned at
+//! `(d(i, v) + D(v, j)) / d(i, j)` with `D = D_{G_{-i}}` the residual
+//! distances of the overlay without `i`'s out-links. [`ResponseOracle`]
+//! sweeps `G_{-i}` once per candidate; it is the reference and the path
+//! of one-shot calls and sparse sessions.
+//!
+//! Cached oracles read a [`CandidateRows`] store instead, built on the
+//! session's overlay rows `d_G(v, ·)`, which are certified lower bounds
+//! on the residual rows (removing links only lengthens paths). A row no
+//! out-link of `i` is tight on is exact as it stands; any other is held
+//! as a lower bound until a caller needs it exact, and only then is its
+//! residual row derived by [`CsrGraph::dijkstra_without`]. The greedy
+//! asks for exactly the rows whose bound score can still win (see
+//! [`sp_facility::solve_greedy`]); the other methods ask for every row;
+//! the better-response scan asks for the rows its moves cannot reject
+//! on a bound. Every exact row is bit-identical to a fresh sweep's, so
+//! every cached answer is bit-identical to [`ResponseOracle`]'s. The
+//! residual rows a store derived go with a played move to
+//! `OracleCache::commit_played`.
+
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
-    FacilityProblem,
+    FacilityProblem, FacilitySolution, RowSource,
 };
-use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix};
+use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch};
 
 use crate::oracle_cache::OracleCache;
 use crate::session::EDGE_ON_PATH_EPS;
@@ -24,7 +48,10 @@ pub enum BestResponseMethod {
     /// Greedy marginal-gain heuristic (`O(log)`-approximate), solved by
     /// [`sp_facility::solve_greedy`]: a certified lazy greedy that
     /// re-scores only the candidate links that can still win each step,
-    /// with the same answer, bit for bit, as scoring every candidate.
+    /// with the same answer, bit for bit, as scoring every candidate. A
+    /// cached oracle hands it dirty candidate rows as certified lower
+    /// bounds and derives a residual row only for a candidate whose bound
+    /// score can still win.
     Greedy,
     /// Add/drop/swap local search seeded by greedy (locally optimal). The
     /// search's own iterations still score every move.
@@ -85,18 +112,22 @@ impl BestResponse {
     }
 }
 
-/// How a cached oracle path sourced its candidate rows: overlay rows
-/// reused verbatim or repaired by [`CsrGraph::dijkstra_without`], or
-/// rows whose overlay row first had to be swept.
+/// How a cached oracle path sourced its candidate rows. Every row an
+/// oracle resolves lands in exactly one bucket, so a best-response
+/// oracle (which resolves all `n − 1`) adds up to `n − 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct OracleReuse {
-    /// Candidate rows served verbatim from a valid overlay row.
+    /// Candidate rows served exactly from a clean overlay row, with no
+    /// repair.
     pub(crate) rows_reused: usize,
     /// Candidate rows repaired from a valid but dirty overlay row.
     pub(crate) rows_repaired: usize,
     /// Candidate rows whose overlay row was invalid and paid a full
     /// sweep (kept in the cache) before the repair.
     pub(crate) rows_swept: usize,
+    /// Candidate rows served only as certified lower bounds: never
+    /// escalated, so never repaired or swept.
+    pub(crate) rows_bounded: usize,
 }
 
 /// The overlay CSR and its transpose — the graphs the cached oracle
@@ -146,26 +177,51 @@ fn latency_row(game: &Game, i: usize) -> Vec<f64> {
     (0..game.n()).map(|j| game.distance(i, j)).collect()
 }
 
-/// Appends one facility row of the reduction to `out`: the assignment
-/// costs `(d(i, v) + D(v, j)) / d(i, j)` over the clients `j ≠ i` in
-/// ascending order, which is the candidate order. `d_i` is
-/// [`latency_row`]`(game, i)`.
-fn push_assignment_row(out: &mut Vec<f64>, i: usize, v: usize, d_i: &[f64], residual: &[f64]) {
+/// Writes one facility row of the reduction into `out` (length `n − 1`):
+/// the assignment costs `(d(i, v) + D(v, j)) / d(i, j)` over the clients
+/// `j ≠ i` in ascending order, which is the candidate order. `d_i` is
+/// [`latency_row`]`(game, i)`; `dist` is `D(v, ·)`, the residual row or
+/// a lower bound on it.
+fn write_assignment_row(out: &mut [f64], i: usize, v: usize, d_i: &[f64], dist: &[f64]) {
     let d_iv = d_i[v];
-    for (res, lat) in [
-        (&residual[..i], &d_i[..i]),
-        (&residual[i + 1..], &d_i[i + 1..]),
+    let (below, above) = out.split_at_mut(i);
+    for (out, res, lat) in [
+        (below, &dist[..i], &d_i[..i]),
+        (above, &dist[i + 1..], &d_i[i + 1..]),
     ] {
-        out.extend(res.iter().zip(lat).map(|(&r, &d)| (d_iv + r) / d));
+        for ((o, &r), &d) in out.iter_mut().zip(res).zip(lat) {
+            *o = (d_iv + r) / d;
+        }
     }
 }
 
-/// One facility row of the reduction as its own vector (the lazy scan's
-/// per-candidate rows).
-fn assignment_row(i: usize, v: usize, d_i: &[f64], residual: &[f64]) -> Vec<f64> {
-    let mut row = Vec::with_capacity(d_i.len() - 1);
-    push_assignment_row(&mut row, i, v, d_i, residual);
-    row
+/// The candidates of peer `i`'s oracle: every other peer, ascending;
+/// facility `k` is `candidates[k]`.
+fn candidates_of(n: usize, i: usize) -> Vec<usize> {
+    (0..n).filter(|&v| v != i).collect()
+}
+
+/// Solves a reduction instance with `method`.
+fn solve_problem(
+    problem: &FacilityProblem,
+    method: BestResponseMethod,
+) -> Result<FacilitySolution, CoreError> {
+    Ok(match method {
+        BestResponseMethod::Exact => solve_branch_and_bound(problem),
+        BestResponseMethod::ExactEnumeration => {
+            solve_enumeration(problem).map_err(|e| match e {
+                FacilityError::TooManyFacilities { facilities, limit } => {
+                    CoreError::InstanceTooLarge {
+                        n: facilities + 1,
+                        limit: limit + 1,
+                    }
+                }
+                other => panic!("unexpected facility error: {other}"),
+            })?
+        }
+        BestResponseMethod::Greedy => solve_greedy(problem),
+        BestResponseMethod::LocalSearch => solve_local_search(problem, None),
+    })
 }
 
 /// The reduction's UFL instance from its row-major assignment buffer:
@@ -175,9 +231,10 @@ fn reduction_problem(game: &Game, facilities: usize, assignment: Vec<f64>) -> Fa
         .expect("reduction produces non-negative costs by construction")
 }
 
-/// The best-response reduction: candidate links as facilities, other peers
-/// as clients. Built once per (profile, peer) and reusable for evaluating
-/// arbitrary candidate strategies cheaply.
+/// The best-response reduction over a fresh `G_{-i}` sweep: candidate
+/// links as facilities, other peers as clients. Built once per
+/// (profile, peer) and reusable for evaluating arbitrary candidate
+/// strategies cheaply. The cached paths use [`CandidateRows`] instead.
 pub(crate) struct ResponseOracle {
     /// Candidate link targets, in ascending peer order; facility `k`
     /// corresponds to `candidates[k]`.
@@ -213,71 +270,21 @@ impl ResponseOracle {
         let i = peer.index();
         let g_minus = topology_without_peer(game, profile, peer)?;
         let csr = CsrGraph::from_digraph(&g_minus);
-        let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
+        let candidates = candidates_of(n, i);
         let d_i = latency_row(game, i);
+        let m = candidates.len();
         let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
         for &v in &candidates {
             let buf = csr.dijkstra_row_with(v, scratch);
-            push_assignment_row(&mut assignment, i, v, &d_i, buf);
+            let start = assignment.len();
+            assignment.resize(start + m, 0.0);
+            write_assignment_row(&mut assignment[start..], i, v, &d_i, buf);
         }
-        let problem = reduction_problem(game, candidates.len(), assignment);
+        let problem = reduction_problem(game, m, assignment);
         Ok(ResponseOracle {
             candidates,
             problem,
         })
-    }
-
-    /// Like [`ResponseOracle::build_with`], but derives every candidate
-    /// row from the persistent [`OracleCache`] through
-    /// [`candidate_row`] instead of sweeping `G_{-i}` from every
-    /// candidate: the valid overlay row `d_G(v, ·)` is turned into the
-    /// residual row `D_{G_{-i}}(v, ·)` by [`CsrGraph::dijkstra_without`]
-    /// on `overlay` — verbatim when no out-link of `i` is tight on it
-    /// (the same conservative [`EDGE_ON_PATH_EPS`] test the cache's
-    /// removal repair uses), otherwise by recomputing only the
-    /// shortest-path subtree below `i`'s tight out-links.
-    ///
-    /// Every row is exact, so the oracle is bit-identical to
-    /// [`ResponseOracle::build_with`]. `GameSession` makes every overlay
-    /// row valid before calling this, so no row pays a sweep here.
-    /// Residual row `v` is written to row `v` of `residual`, the
-    /// caller's `n × n` buffer from [`OracleCache::residual_buffer`]
-    /// (row `i` is left as it was), so a played response can become the
-    /// new overlay matrix without re-deriving them. Returns the oracle
-    /// plus the per-row accounting.
-    pub(crate) fn build_from_cache(
-        game: &Game,
-        peer: PeerId,
-        overlay: Overlay<'_>,
-        cache: &mut OracleCache,
-        residual: &mut DistanceMatrix,
-        scratch: &mut DijkstraScratch,
-    ) -> Result<(Self, OracleReuse), CoreError> {
-        let n = game.n();
-        if peer.index() >= n {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: peer.index(),
-                n,
-            });
-        }
-        let i = peer.index();
-        let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
-        let mut reuse = OracleReuse::default();
-        let d_i = latency_row(game, i);
-        let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
-        for &v in &candidates {
-            let row = residual.row_mut(v);
-            candidate_row(overlay, cache, i, v, row, scratch, &mut reuse);
-            push_assignment_row(&mut assignment, i, v, &d_i, row);
-        }
-        let problem = reduction_problem(game, candidates.len(), assignment);
-        Ok((
-            ResponseOracle {
-                candidates,
-                problem,
-            },
-            reuse,
-        ))
     }
 
     /// First strictly improving single-link change (drop, add, swap — in
@@ -360,22 +367,7 @@ impl ResponseOracle {
     }
 
     pub(crate) fn solve(&self, method: BestResponseMethod) -> Result<(LinkSet, f64), CoreError> {
-        let sol = match method {
-            BestResponseMethod::Exact => solve_branch_and_bound(&self.problem),
-            BestResponseMethod::ExactEnumeration => {
-                solve_enumeration(&self.problem).map_err(|e| match e {
-                    FacilityError::TooManyFacilities { facilities, limit } => {
-                        CoreError::InstanceTooLarge {
-                            n: facilities + 1,
-                            limit: limit + 1,
-                        }
-                    }
-                    other => panic!("unexpected facility error: {other}"),
-                })?
-            }
-            BestResponseMethod::Greedy => solve_greedy(&self.problem),
-            BestResponseMethod::LocalSearch => solve_local_search(&self.problem, None),
-        };
+        let sol = solve_problem(&self.problem, method)?;
         let links: LinkSet = sol.open.iter().map(|&f| self.candidates[f]).collect();
         Ok((links, sol.cost))
     }
@@ -385,164 +377,261 @@ impl ResponseOracle {
     }
 }
 
-/// Accounting for one [`first_improving_move_lazy`] scan: the exact-row
-/// sourcing it shares with [`ResponseOracle::build_from_cache`], plus
-/// the bound outcomes unique to the lazy path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LazyScan {
-    /// Exact-row accounting (overlay reuse / repairs / sweeps).
-    pub(crate) reuse: OracleReuse,
-    /// Candidate moves rejected on a certified lower bound alone — no
-    /// exact row for the new link target was ever materialised.
-    pub(crate) certified_rejects: usize,
-    /// Candidate moves whose lower bound passed the improvement test and
-    /// therefore paid exact escalation.
-    pub(crate) exact_evals: usize,
-}
-
-/// A candidate row in the lazy scan, already assignment-converted
-/// (`(d_iv + D(v, j)) / d_met(i, j)` over client positions).
-enum LazyRow {
-    /// Not yet touched by any evaluation.
+/// How a [`CandidateRows`] store holds a candidate's assignment row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Not converted yet.
     Unresolved,
-    /// A certified **lower bound** on the exact assignment row: either a
-    /// valid-but-dirty overlay row (`d_G(v, ·) ≤ D_{G_{-i}}(v, ·)` since
-    /// removing `i`'s links only lengthens paths) or the metric row
-    /// (`d_met(v, ·) ≤ D_{G_{-i}}(v, ·)` by the triangle inequality).
-    Lower(Vec<f64>),
-    /// The exact residual assignment row, from the same
-    /// [`candidate_row`] policy as [`ResponseOracle::build_from_cache`].
-    Exact(Vec<f64>),
+    /// A certified elementwise **lower bound** on the exact row: a valid
+    /// but dirty overlay row (`d_G(v, ·) ≤ D_{G_{-i}}(v, ·)`, since
+    /// removing `i`'s links only lengthens paths) or, for an invalid
+    /// overlay row, the metric row (`d(v, ·) ≤ D_{G_{-i}}(v, ·)` by the
+    /// triangle inequality).
+    Lower,
+    /// The exact row: a clean overlay row, or a residual row derived by
+    /// [`candidate_row`].
+    Exact,
 }
 
-/// Lazily resolved candidate rows for one `(profile, peer)` scan.
-///
-/// Unlike [`ResponseOracle::build_from_cache`], which materialises every
-/// candidate row up front (and therefore repairs every row a move by a
-/// hub peer dirtied), this store resolves rows to the *weakest
-/// sufficient form*: certified lower bounds serve rejection, and only
-/// candidates whose bound survives the improvement test pay for exact
-/// rows. Every exact row comes from the same [`candidate_row`] policy as
-/// the full build and is bit-identical to a fresh `G_{-i}` sweep, so any
-/// move this scan **accepts** is bit-identical (same links, same cost)
-/// to the fresh oracle's acceptance.
-struct LazyRows<'a> {
-    game: &'a Game,
-    peer: PeerId,
-    overlay: Overlay<'a>,
-    candidates: Vec<usize>,
-    /// [`latency_row`] of `peer`.
-    d_i: Vec<f64>,
-    rows: Vec<LazyRow>,
-    /// Row buffer for [`candidate_row`].
-    buf: Vec<f64>,
+/// The residual rows `D_{G_{-i}}(v, ·)` one cached oracle derived, by
+/// candidate peer `v` — what a played move reuses instead of deriving
+/// them again (see `OracleCache::commit_played`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Residuals {
+    /// `slot[v]` indexes `rows` in rows of `n`; `usize::MAX` = none.
+    slot: Vec<usize>,
+    rows: Vec<f64>,
 }
 
-impl<'a> LazyRows<'a> {
-    fn new(game: &'a Game, peer: PeerId, overlay: Overlay<'a>) -> Self {
-        let i = peer.index();
-        let candidates: Vec<usize> = (0..game.n()).filter(|&v| v != i).collect();
-        let rows = (0..candidates.len()).map(|_| LazyRow::Unresolved).collect();
-        LazyRows {
-            game,
-            peer,
-            overlay,
-            candidates,
-            d_i: latency_row(game, i),
-            rows,
-            buf: vec![0.0; game.n()],
+impl Residuals {
+    fn new(n: usize) -> Self {
+        Residuals {
+            slot: vec![usize::MAX; n],
+            rows: Vec::new(),
         }
     }
 
-    fn assign(&self, v: usize, residual: &[f64]) -> Vec<f64> {
-        assignment_row(self.peer.index(), v, &self.d_i, residual)
+    /// A fresh `n`-entry row for peer `v` (which must have none yet).
+    fn push_row(&mut self, v: usize) -> &mut [f64] {
+        let n = self.slot.len();
+        let start = self.rows.len();
+        self.slot[v] = start / n;
+        self.rows.resize(start + n, 0.0);
+        &mut self.rows[start..]
     }
 
-    /// `true` when no out-link of `peer` is tight on overlay row `v`
+    /// Peer `v`'s residual row, if the oracle derived it.
+    pub(crate) fn row(&self, v: usize) -> Option<&[f64]> {
+        let n = self.slot.len();
+        let s = *self.slot.get(v)?;
+        (s != usize::MAX).then(|| &self.rows[s * n..(s + 1) * n])
+    }
+}
+
+/// The candidate rows of one cached `(profile, peer)` oracle, each an
+/// assignment row of the reduction held in the weakest form asked of it
+/// (see [`Held`]) — the one row store of every cached oracle path.
+///
+/// * A **clean** overlay row — none of `i`'s out-links is tight on it
+///   (the conservative [`EDGE_ON_PATH_EPS`] test) — already is the
+///   residual row: it is converted once and held exact, with no copy of
+///   the distance row.
+/// * A **dirty** overlay row is converted and held as a lower bound.
+/// * Escalating a row ([`RowSource::escalate`]) derives the exact
+///   residual row of a dirty (or invalid) one through [`candidate_row`],
+///   keeps it in [`Residuals`], and converts it.
+///
+/// The greedy reads the store as a [`RowSource`] and escalates only the
+/// rows whose bound score can still win; the other methods, and the
+/// exact evaluations of the better-response scan, escalate what they
+/// read first. An exact row is bit-identical to a fresh `G_{-i}` sweep's,
+/// so every answer is bit-identical to [`ResponseOracle`]'s.
+pub(crate) struct CandidateRows<'a> {
+    game: &'a Game,
+    i: usize,
+    overlay: Overlay<'a>,
+    cache: &'a mut OracleCache,
+    scratch: &'a mut DijkstraScratch,
+    candidates: Vec<usize>,
+    /// [`latency_row`] of `i`.
+    d_i: Vec<f64>,
+    /// Row-major assignment rows, `(n − 1) × (n − 1)`.
+    assignment: Vec<f64>,
+    held: Vec<Held>,
+    residuals: Residuals,
+    reuse: OracleReuse,
+}
+
+/// What a [`CandidateRows`] store was used for once it is spent.
+pub(crate) struct RowsUsed {
+    /// The per-row accounting, rows held only as bounds included.
+    pub(crate) reuse: OracleReuse,
+    /// The residual rows it derived.
+    pub(crate) residuals: Residuals,
+}
+
+impl<'a> CandidateRows<'a> {
+    /// An all-unresolved store for `peer` (in bounds, on a game with at
+    /// least two peers).
+    pub(crate) fn new(
+        game: &'a Game,
+        peer: PeerId,
+        overlay: Overlay<'a>,
+        cache: &'a mut OracleCache,
+        scratch: &'a mut DijkstraScratch,
+    ) -> Self {
+        let n = game.n();
+        let i = peer.index();
+        debug_assert!(i < n, "peer {i} out of bounds for {n} peers");
+        let m = n - 1;
+        let assignment = cache.candidate_buffer();
+        CandidateRows {
+            game,
+            i,
+            overlay,
+            cache,
+            scratch,
+            candidates: candidates_of(n, i),
+            d_i: latency_row(game, i),
+            assignment,
+            held: vec![Held::Unresolved; m],
+            residuals: Residuals::new(n),
+            reuse: OracleReuse::default(),
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// `true` when none of `i`'s out-links is tight on overlay row `v`
     /// (caller guarantees validity) — the row then already is the
     /// residual row.
-    fn overlay_clean(&self, cache: &OracleCache, v: usize) -> bool {
-        let i = self.peer.index();
-        let cached = cache.row(v);
+    fn clean(&self, v: usize) -> bool {
+        let cached = self.cache.row(v);
+        let i = self.i;
         let (ts, ws) = self.overlay.csr.out_neighbors(i);
         ts.iter()
             .zip(ws)
             .all(|(&t, &w)| !edge_on_path(cached[i], w, cached[t], EDGE_ON_PATH_EPS))
     }
 
-    /// Ensures `rows[k]` holds at least a certified lower bound. A clean
-    /// overlay row is exact for free (the same `O(n)` conversion);
-    /// otherwise a valid-but-dirty overlay row, and failing that the
-    /// metric row, serve as the bound — neither pays a repair or a sweep.
-    fn ensure_bound(&mut self, k: usize, cache: &OracleCache, scan: &mut LazyScan) {
-        if !matches!(self.rows[k], LazyRow::Unresolved) {
+    /// Holds row `k` at least as a lower bound: exact for free when its
+    /// overlay row is clean, otherwise the dirty overlay row or, for an
+    /// invalid one, the metric row. Neither pays a repair or a sweep.
+    fn resolve(&mut self, k: usize) {
+        if self.held[k] != Held::Unresolved {
             return;
         }
-        let v = self.candidates[k];
-        let valid = cache.row_is_valid(v);
-        if valid && self.overlay_clean(cache, v) {
-            scan.reuse.rows_reused += 1;
-            self.rows[k] = LazyRow::Exact(self.assign(v, cache.row(v)));
-            return;
-        }
-        let lower = if valid {
-            // Valid but dirty: a lower bound on the residual row.
-            self.assign(v, cache.row(v))
+        let (i, v) = (self.i, self.candidates[k]);
+        let m = self.width();
+        let out = &mut self.assignment[k * m..(k + 1) * m];
+        if self.cache.row_is_valid(v) {
+            write_assignment_row(out, i, v, &self.d_i, self.cache.row(v));
+            self.held[k] = if self.clean(v) {
+                self.reuse.rows_reused += 1;
+                Held::Exact
+            } else {
+                Held::Lower
+            };
         } else {
-            // Metric lower bound: `D_{G_{-i}}(v, j) ≥ d_met(v, j)`.
             let metric: Vec<f64> = (0..self.game.n())
                 .map(|j| self.game.distance(v, j))
                 .collect();
-            self.assign(v, &metric)
-        };
-        self.rows[k] = LazyRow::Lower(lower);
+            write_assignment_row(out, i, v, &self.d_i, &metric);
+            self.held[k] = Held::Lower;
+        }
     }
 
-    /// Ensures `rows[k]` is exact, through the same [`candidate_row`]
-    /// policy as the full build (sweeping the overlay row only when it is
-    /// invalid, then repairing it).
-    fn ensure_exact(
-        &mut self,
-        k: usize,
-        cache: &mut OracleCache,
-        scratch: &mut DijkstraScratch,
-        scan: &mut LazyScan,
-    ) {
-        if matches!(self.rows[k], LazyRow::Exact(_)) {
+    /// Holds every row at least as a lower bound.
+    pub(crate) fn resolve_all(&mut self) {
+        for k in 0..self.width() {
+            self.resolve(k);
+        }
+    }
+
+    /// Holds row `k` exactly, deriving its residual row through
+    /// [`candidate_row`] unless it is already exact.
+    fn make_exact(&mut self, k: usize) {
+        if self.held[k] == Held::Exact {
             return;
         }
-        let i = self.peer.index();
-        let v = self.candidates[k];
+        let (i, v) = (self.i, self.candidates[k]);
+        let residual = self.residuals.push_row(v);
         candidate_row(
             self.overlay,
-            cache,
+            self.cache,
             i,
             v,
-            &mut self.buf,
-            scratch,
-            &mut scan.reuse,
+            residual,
+            self.scratch,
+            &mut self.reuse,
         );
-        self.rows[k] = LazyRow::Exact(assignment_row(i, v, &self.d_i, &self.buf));
+        let m = self.candidates.len();
+        let out = &mut self.assignment[k * m..(k + 1) * m];
+        write_assignment_row(
+            out,
+            i,
+            v,
+            &self.d_i,
+            self.residuals.row(v).expect("just derived"),
+        );
+        self.held[k] = Held::Exact;
     }
 
-    /// `FacilityProblem::cost_of` replicated over the lazy rows: open
+    /// Solves the reduction with `method` and spends the store. The
+    /// greedy reads it as a [`RowSource`]; every other method first holds
+    /// every row exactly and solves the plain instance, so its instance
+    /// is the fresh oracle's. Returns the links and cost with the store's
+    /// accounting.
+    pub(crate) fn solve(
+        mut self,
+        method: BestResponseMethod,
+    ) -> Result<((LinkSet, f64), RowsUsed), CoreError> {
+        self.resolve_all();
+        let sol = if method == BestResponseMethod::Greedy {
+            solve_greedy(&mut self)
+        } else {
+            for k in 0..self.width() {
+                self.make_exact(k);
+            }
+            let m = self.width();
+            let assignment = std::mem::take(&mut self.assignment);
+            solve_problem(&reduction_problem(self.game, m, assignment), method)?
+        };
+        let links: LinkSet = sol.open.iter().map(|&f| self.candidates[f]).collect();
+        Ok(((links, sol.cost), self.finish()))
+    }
+
+    /// The accounting and residual rows, with every row still held as a
+    /// bound counted in [`OracleReuse::rows_bounded`].
+    fn finish(self) -> RowsUsed {
+        let mut reuse = self.reuse;
+        reuse.rows_bounded = self.held.iter().filter(|&&h| h == Held::Lower).count();
+        RowsUsed {
+            reuse,
+            residuals: self.residuals,
+        }
+    }
+
+    /// `FacilityProblem::cost_of` replicated over the held rows: open
     /// costs accumulate per facility, then one ascending client pass
-    /// taking the per-client min over open rows. With all-exact rows the
-    /// result is bit-identical to [`ResponseOracle::eval`].
+    /// taking the per-client min over open rows. With every open row
+    /// exact the result is bit-identical to [`ResponseOracle::eval`]; with
+    /// lower-bound rows it is a lower bound, since per-entry `lower ≤
+    /// exact` makes every per-client min and hence the total no larger.
     fn cost_with(&self, open: &[usize]) -> f64 {
         let alpha = self.game.alpha();
+        let m = self.width();
         let mut total = 0.0;
         for _ in open {
             total += alpha;
         }
-        for c in 0..self.candidates.len() {
+        for c in 0..m {
             let mut best = f64::INFINITY;
             for &k in open {
-                let row = match &self.rows[k] {
-                    LazyRow::Lower(r) | LazyRow::Exact(r) => r,
-                    LazyRow::Unresolved => unreachable!("open rows are resolved before eval"),
-                };
-                let a = row[c];
+                debug_assert!(self.held[k] != Held::Unresolved, "open rows are resolved");
+                let a = self.assignment[k * m + c];
                 if a < best {
                     best = a;
                 }
@@ -553,26 +642,17 @@ impl<'a> LazyRows<'a> {
     }
 
     /// Exact cost of opening `open` (facility positions).
-    fn eval_exact(
-        &mut self,
-        open: &[usize],
-        cache: &mut OracleCache,
-        scratch: &mut DijkstraScratch,
-        scan: &mut LazyScan,
-    ) -> f64 {
+    fn eval_exact(&mut self, open: &[usize]) -> f64 {
         for &k in open {
-            self.ensure_exact(k, cache, scratch, scan);
+            self.make_exact(k);
         }
         self.cost_with(open)
     }
 
-    /// Certified lower bound on the cost of opening `open`: per-entry
-    /// `lower ≤ exact` makes every per-client min and hence the total a
-    /// lower bound, so a bound that fails the improvement test certifies
-    /// the exact cost fails it too.
-    fn eval_lower(&mut self, open: &[usize], cache: &OracleCache, scan: &mut LazyScan) -> f64 {
+    /// Certified lower bound on the cost of opening `open`.
+    fn eval_lower(&mut self, open: &[usize]) -> f64 {
         for &k in open {
-            self.ensure_bound(k, cache, scan);
+            self.resolve(k);
         }
         self.cost_with(open)
     }
@@ -589,20 +669,61 @@ impl<'a> LazyRows<'a> {
     }
 }
 
+impl RowSource for CandidateRows<'_> {
+    fn facility_count(&self) -> usize {
+        self.width()
+    }
+
+    fn client_count(&self) -> usize {
+        self.width()
+    }
+
+    fn open_cost(&self, _f: usize) -> f64 {
+        self.game.alpha()
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        let m = self.width();
+        &self.assignment[f * m..(f + 1) * m]
+    }
+
+    fn is_exact(&self, f: usize) -> bool {
+        self.held[f] == Held::Exact
+    }
+
+    fn escalate(&mut self, f: usize) {
+        self.make_exact(f);
+    }
+}
+
+/// Accounting for one [`first_improving_move_lazy`] scan: the row
+/// accounting of its [`CandidateRows`] store, plus the bound outcomes
+/// unique to the scan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LazyScan {
+    /// Row accounting (reused / repaired / swept / held as bounds) of
+    /// the rows the scan resolved.
+    pub(crate) reuse: OracleReuse,
+    /// Candidate moves rejected on a certified lower bound alone — no
+    /// exact row for the new link target was ever materialised.
+    pub(crate) certified_rejects: usize,
+    /// Candidate moves whose lower bound passed the improvement test and
+    /// therefore paid exact escalation.
+    pub(crate) exact_evals: usize,
+}
+
 /// The cached better-response scan: [`first_improving_move`] semantics
-/// with per-candidate row resolution, behind
+/// over a [`CandidateRows`] store, behind
 /// `GameSession::first_improving_move`.
 ///
-/// Building a full oracle ([`ResponseOracle::build_from_cache`]) would
-/// materialise **every** candidate row before evaluating a single move,
-/// so one hub move that dirties most overlay rows would force ~`n` row
-/// repairs on the next scan even though (at high `α`) almost every
-/// candidate move is hopeless. This scan rejects candidate adds/swaps on
-/// **certified lower bounds** — dirty overlay rows and metric rows, both
-/// provably `≤` the exact residual rows — and escalates to exact rows
-/// only for candidates whose bound survives the improvement test. Drops
-/// evaluate exact directly (their rows are the current links', needed
-/// anyway).
+/// Resolving every candidate row up front would convert (and, for a
+/// best response, repair) rows that, at high `α`, almost no candidate
+/// move needs. This scan resolves rows as moves reach them, rejects
+/// candidate adds/swaps on **certified lower bounds** — dirty overlay
+/// rows and metric rows, both provably `≤` the exact residual rows — and
+/// escalates to exact rows only for candidates whose bound survives the
+/// improvement test. Drops evaluate exact directly (their rows are the
+/// current links', needed anyway).
 ///
 /// Guarantee: the scan visits moves in the identical drop/add/swap order
 /// with the identical improvement predicate as
@@ -612,26 +733,27 @@ impl<'a> LazyRows<'a> {
 /// `None`) is **bit-identical** to the scan over a fresh `G_{-i}`
 /// oracle.
 pub(crate) fn first_improving_move_lazy(
-    game: &Game,
     profile: &StrategyProfile,
     peer: PeerId,
-    overlay: Overlay<'_>,
-    cache: &mut OracleCache,
-    scratch: &mut DijkstraScratch,
+    mut rows: CandidateRows<'_>,
     tol: f64,
-) -> Result<(Option<BestResponse>, LazyScan), CoreError> {
-    let n = game.n();
-    if peer.index() >= n {
-        return Err(CoreError::PeerOutOfBounds {
-            peer: peer.index(),
-            n,
-        });
-    }
+) -> (Option<BestResponse>, LazyScan) {
     let mut scan = LazyScan::default();
-    let mut rows = LazyRows::new(game, peer, overlay);
+    let mv = scan_moves(profile, peer, &mut rows, tol, &mut scan);
+    scan.reuse = rows.finish().reuse;
+    (mv, scan)
+}
+
+fn scan_moves(
+    profile: &StrategyProfile,
+    peer: PeerId,
+    rows: &mut CandidateRows<'_>,
+    tol: f64,
+    scan: &mut LazyScan,
+) -> Option<BestResponse> {
     let current = profile.strategy(peer);
     let current_open = rows.positions(current);
-    let current_cost = rows.eval_exact(&current_open, cache, scratch, &mut scan);
+    let current_cost = rows.eval_exact(&current_open);
     let improves = |cost: f64| -> bool {
         if cost.is_infinite() {
             return false;
@@ -653,53 +775,38 @@ pub(crate) fn first_improving_move_lazy(
     for j in current.iter() {
         let cand = current.without(j);
         let open = rows.positions(&cand);
-        let c = rows.eval_exact(&open, cache, scratch, &mut scan);
+        let c = rows.eval_exact(&open);
         if improves(c) {
-            return Ok((Some(wrap(cand, c)), scan));
+            return Some(wrap(cand, c));
         }
     }
-    // Adds: bound first, escalate only on a surviving bound.
+    // Adds, then swaps: bound first, escalate only on a surviving bound.
     let candidates = rows.candidates.clone();
-    for &v in &candidates {
+    let adds = candidates.iter().map(|&v| (None, v));
+    let swaps = current
+        .iter()
+        .flat_map(|j| candidates.iter().map(move |&v| (Some(j), v)));
+    for (dropped, v) in adds.chain(swaps) {
         let vp = PeerId::new(v);
         if current.contains(vp) {
             continue;
         }
-        let cand = current.with(vp);
+        let cand = match dropped {
+            Some(j) => current.without(j).with(vp),
+            None => current.with(vp),
+        };
         let open = rows.positions(&cand);
-        let lb = rows.eval_lower(&open, cache, &mut scan);
-        if !improves(lb) {
+        if !improves(rows.eval_lower(&open)) {
             scan.certified_rejects += 1;
             continue;
         }
         scan.exact_evals += 1;
-        let c = rows.eval_exact(&open, cache, scratch, &mut scan);
+        let c = rows.eval_exact(&open);
         if improves(c) {
-            return Ok((Some(wrap(cand, c)), scan));
+            return Some(wrap(cand, c));
         }
     }
-    // Swaps.
-    for j in current.iter() {
-        for &v in &candidates {
-            let vp = PeerId::new(v);
-            if current.contains(vp) {
-                continue;
-            }
-            let cand = current.without(j).with(vp);
-            let open = rows.positions(&cand);
-            let lb = rows.eval_lower(&open, cache, &mut scan);
-            if !improves(lb) {
-                scan.certified_rejects += 1;
-                continue;
-            }
-            scan.exact_evals += 1;
-            let c = rows.eval_exact(&open, cache, scratch, &mut scan);
-            if improves(c) {
-                return Ok((Some(wrap(cand, c)), scan));
-            }
-        }
-    }
-    Ok((None, scan))
+    None
 }
 
 /// Computes `peer`'s best response to `profile` (all other strategies

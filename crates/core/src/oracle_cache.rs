@@ -8,24 +8,26 @@
 //! simultaneous round engine).
 //!
 //! A best-response oracle for peer `i` needs residual rows
-//! `D_{G_{-i}}(v, ·)`. It makes overlay row `v` valid and hands it to
-//! [`sp_graph::CsrGraph::dijkstra_without`], which leaves it untouched
-//! when none of `i`'s out-links is tight on it (the row is reused
-//! verbatim) and otherwise recomputes only the shortest-path subtree
-//! below `i`'s tight out-links, seeded through the overlay CSR's
-//! transpose. Residual rows are not stored: deriving one costs a subtree
-//! repair, which is cheaper than keeping a second tier exact across
-//! moves. This is the confinement idea of the min+1 protocol of
-//! Dubois–Masuzawa–Tixeuil: recompute only the part of the
-//! shortest-path tree a change touched.
+//! `D_{G_{-i}}(v, ·)`. The valid overlay row `v` is a certified lower
+//! bound on it, and is the residual row itself when none of `i`'s
+//! out-links is tight on it (a clean row). A dirty row is served as a
+//! bound until the oracle needs it exact; then it is copied and handed
+//! to [`sp_graph::CsrGraph::dijkstra_without`], which recomputes only the
+//! shortest-path subtree below `i`'s tight out-links, seeded through the
+//! overlay CSR's transpose (see `crate::best_response::CandidateRows`).
+//! Residual rows are not stored past the oracle: deriving one costs a
+//! subtree repair, which is cheaper than keeping a second tier exact
+//! across moves. This is the confinement idea of the min+1 protocol of
+//! Dubois–Masuzawa–Tixeuil: recompute only the part of the shortest-path
+//! tree a change touched, and only where the decision reads it.
 //!
-//! Each oracle build writes its residual rows into a transient `n × n`
-//! buffer ([`OracleCache::residual_buffer`]). When the session plays the
-//! response, [`OracleCache::install_played`] turns that buffer into the
-//! new matrix: the new overlay is `G_{-i}` plus `i`'s new links, so each
-//! residual row becomes exact by the same decrease-only folding of added
-//! links the repair below uses, with no removal test, and only row `i`
-//! is swept. Otherwise the buffer is dropped with the oracle.
+//! When the session plays the response, [`OracleCache::commit_played`]
+//! updates the matrix in place, one row at a time. A row that none of
+//! the move's removed links is tight on keeps its overlay row and folds
+//! in the added links, as the repair below does. A row a removed link is
+//! tight on is broken: it becomes its residual row — the oracle's, or one
+//! derived now from the old row — with all of `i`'s new links folded in.
+//! Row `i` is swept. Every row stays valid.
 //!
 //! # Invalidation invariants
 //!
@@ -47,10 +49,11 @@
 
 use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix};
 
+use crate::best_response::{Overlay, Residuals};
 use crate::session::EDGE_ON_PATH_EPS;
 
 /// What one [`OracleCache::repair_after_edges`] or
-/// [`OracleCache::install_played`] pass did, for the session's work
+/// [`OracleCache::commit_played`] pass did, for the session's work
 /// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RepairCounts {
@@ -60,6 +63,9 @@ pub(crate) struct RepairCounts {
     pub rows_preserved: usize,
     /// Seeded decrease-only relaxations run on surviving rows.
     pub incremental_relaxations: usize,
+    /// Residual rows a played move derived because its oracle had held
+    /// them only as bounds.
+    pub rows_derived: usize,
 }
 
 /// The overlay distance matrix with per-row validity. See the module
@@ -118,6 +124,15 @@ impl OracleCache {
     /// The full matrix (caller guarantees all rows valid).
     pub(crate) fn matrix(&self) -> &DistanceMatrix {
         &self.dist
+    }
+
+    /// A zeroed `(n − 1) × (n − 1)` buffer for one cached oracle's
+    /// assignment rows (see `crate::best_response::CandidateRows`): the
+    /// reduction's instance is as quadratic as the matrix it is read
+    /// from, and is dropped with the oracle.
+    pub(crate) fn candidate_buffer(&self) -> Vec<f64> {
+        let m = self.row_valid.len().saturating_sub(1);
+        vec![0.0; m * m]
     }
 
     /// Sweeps row `u` if invalid; returns `true` when a sweep actually
@@ -195,46 +210,78 @@ impl OracleCache {
         counts
     }
 
-    /// An `n × n` buffer for one oracle build's residual rows
-    /// `D_{G_{-i}}(v, ·)` (see `ResponseOracle::build_from_cache`). It
-    /// is transient: the caller drops it with the oracle, or hands it
-    /// back through [`OracleCache::install_played`].
-    pub(crate) fn residual_buffer(&self) -> DistanceMatrix {
-        DistanceMatrix::new_filled(self.row_valid.len(), f64::INFINITY)
-    }
-
-    /// Commits a played best response of peer `i` without a removal
-    /// repair. `residual` holds the exact residual row `D_{G_{-i}}(v, ·)`
-    /// of every `v ≠ i` (the mover's oracle build), and `csr` is the
-    /// overlay after the move, `G_{-i}` plus `links` — every new
-    /// `(i, t, d(i, t))` link of `i`. Each residual row becomes its new
-    /// overlay row by the same decrease-only folding
-    /// [`OracleCache::repair_after_edges`] uses for added links, row `i`
-    /// is swept, and the buffer replaces the matrix with every row
-    /// valid. Returns the accounting of the `n − 1` folded rows; the
-    /// caller counts the sweep of row `i`.
-    pub(crate) fn install_played(
+    /// Commits a played best response of peer `i` in place, one row at
+    /// a time, with every row valid before and after. `old` is the
+    /// overlay before the move, `csr` the overlay after it, `links`
+    /// every new `(i, t, d(i, t))` link of `i`, and `residuals` the
+    /// residual rows `D_{G_{-i}}(v, ·)` the mover's oracle derived.
+    ///
+    /// * A row none of the move's removed links is tight on keeps its
+    ///   overlay row and folds in only the added links — the
+    ///   [`OracleCache::repair_after_edges`] path, with nothing dropped.
+    /// * A **broken** row, one a removed link is tight on, becomes its
+    ///   residual row with all of `i`'s new links folded in: the
+    ///   oracle's row when it derived one, otherwise one derived now from
+    ///   the old row against `old` (counted in
+    ///   [`RepairCounts::rows_derived`]).
+    /// * Row `i` is swept; the caller counts the sweep.
+    pub(crate) fn commit_played(
         &mut self,
+        old: Overlay<'_>,
         csr: &CsrGraph,
-        mut residual: DistanceMatrix,
         i: usize,
         links: &[(usize, usize, f64)],
+        residuals: &Residuals,
         scratch: &mut DijkstraScratch,
     ) -> RepairCounts {
+        let (old_ts, old_ws) = old.csr.out_neighbors(i);
+        let kept = |t: usize| links.iter().any(|&(_, l, _)| l == t);
+        let removed: Vec<(usize, usize, f64)> = old_ts
+            .iter()
+            .zip(old_ws)
+            .filter(|&(&t, _)| !kept(t))
+            .map(|(&t, &w)| (i, t, w))
+            .collect();
+        let added: Vec<(usize, usize, f64)> = links
+            .iter()
+            .filter(|&&(_, t, _)| !old_ts.contains(&t))
+            .copied()
+            .collect();
         let mut counts = RepairCounts::default();
         let mut seeds: Vec<(usize, f64)> = Vec::with_capacity(links.len());
-        for (v, row) in residual.rows_mut().enumerate() {
+        for (v, row) in self.dist.rows_mut().enumerate() {
+            debug_assert!(self.row_valid[v], "a played move needs every row valid");
             if v == i {
                 csr.dijkstra_into_with(i, row, scratch);
                 continue;
             }
-            if relax_added(csr, row, links, &mut seeds, scratch) {
+            let broken = removed
+                .iter()
+                .any(|&(_, t, w)| edge_on_path(row[i], w, row[t], EDGE_ON_PATH_EPS));
+            let fold = if broken {
+                match residuals.row(v) {
+                    Some(residual) => row.copy_from_slice(residual),
+                    None => {
+                        old.csr.dijkstra_without(
+                            old.transpose,
+                            v,
+                            i,
+                            EDGE_ON_PATH_EPS,
+                            row,
+                            scratch,
+                        );
+                        counts.rows_derived += 1;
+                    }
+                }
+                links
+            } else {
+                &added
+            };
+            if relax_added(csr, row, fold, &mut seeds, scratch) {
                 counts.incremental_relaxations += 1;
             }
             counts.rows_preserved += 1;
         }
-        self.dist = residual;
-        self.mark_all_valid();
         counts
     }
 }

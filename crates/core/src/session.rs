@@ -29,11 +29,11 @@
 //! Rows are updated in three ways: `apply`'s invalidate-and-relax
 //! repair above; cold fills, one sweep per invalid row on the next read;
 //! and a played best response ([`GameSession::play_best_response`]),
-//! which has no removal repair at all. Its oracle build has just derived
-//! the mover's residual rows `D_{G_{-i}}(v, ·)` exactly, and the new
-//! overlay is `G_{-i}` plus the mover's new links, so each new row is its
-//! residual row plus a decrease-only relaxation seeded at those links;
-//! only the mover's own row is swept, and every row stays valid.
+//! which drops nothing. It commits in place: a row no removed link was
+//! tight on folds in the added links, a broken row becomes its residual
+//! row `D_{G_{-i}}(v, ·)` — the one the oracle derived, or one derived
+//! now — with the mover's new links folded in, and only the mover's own
+//! row is swept. Every row stays valid.
 //!
 //! Multi-move churn events (a simultaneous round, a peer departure) go
 //! through [`GameSession::apply_batch`], which folds any number of
@@ -49,10 +49,14 @@
 //! The overlay matrix lives in one [`OracleCache`](crate::oracle_cache),
 //! and every oracle the session hands out (a sequential
 //! [`GameSession::best_response`] activation, the sharded
-//! [`GameSession::best_responses_round`] fan-out, the lazy
-//! [`GameSession::first_improving_move`] scan) derives its residual
-//! `G_{-i}` rows from those overlay rows by subtree repair, so all of
-//! them are served and invalidated by the same code path. The uncached
+//! [`GameSession::best_responses_round`] fan-out that `nash_gap` and
+//! `is_nash` also run on, the lazy [`GameSession::first_improving_move`]
+//! scan) reads its candidate rows from one lazy row store over those
+//! overlay rows: a clean row is exact as it stands, a dirty row is held
+//! as a certified lower bound, and a residual `G_{-i}` row is derived by
+//! subtree repair only when the solver needs that row exact — for the
+//! greedy, only when the row's bound score can still win. All of them
+//! are served and invalidated by the same code path. The uncached
 //! variants
 //! ([`GameSession::best_response_uncached`],
 //! [`GameSession::first_improving_move_uncached`]) sweep a fresh
@@ -81,7 +85,9 @@ use std::sync::Arc;
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, DenseBackend, SessionBackend};
-use crate::best_response::{first_improving_move_lazy, OracleReuse, Overlay, ResponseOracle};
+use crate::best_response::{
+    first_improving_move_lazy, CandidateRows, OracleReuse, Overlay, Residuals, ResponseOracle,
+};
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -146,7 +152,7 @@ pub struct SessionStats {
     /// Full single-source sweeps (one distance-matrix row from scratch):
     /// cold fills, refills of invalidated rows, and the mover's own row
     /// when [`GameSession::play_best_response`] plays a move (its other
-    /// rows come from the oracle's residual rows). Rows a lazy
+    /// rows are committed in place). Rows a lazy
     /// better-response scan sweeps are counted in
     /// [`SessionStats::seq_oracle_swept`] instead.
     pub full_sssp: usize,
@@ -157,8 +163,8 @@ pub struct SessionStats {
     /// [`GameSession::play_best_response`] drops none.
     pub rows_invalidated: usize,
     /// Rows that survived an [`GameSession::apply`] untouched or via a
-    /// cheap repair, plus the `n - 1` rows a played move builds from its
-    /// oracle's residual rows.
+    /// cheap repair, plus the `n - 1` rows a played move commits in
+    /// place.
     pub rows_preserved: usize,
     /// Best-response oracles built or lazy better-response scans run
     /// (an uncached build costs `n - 1` sweeps, counted separately from
@@ -204,8 +210,20 @@ pub struct SessionStats {
     /// alike — that were not clean but were repaired from a valid
     /// overlay row by `sp_graph::CsrGraph::dijkstra_without`,
     /// recomputing only the shortest-path subtree below the responding
-    /// peer's tight out-links instead of paying a full sweep.
+    /// peer's tight out-links instead of paying a full sweep. Also
+    /// counts the residual rows a [`GameSession::play_best_response`]
+    /// commit derives for rows the move broke that its oracle held only
+    /// as bounds, so this is every residual row derived.
     pub oracle_rows_repaired: usize,
+    /// Candidate rows of cached oracle paths — sequential and round
+    /// alike — served only as certified lower bounds (dirty overlay rows,
+    /// or metric rows for invalid ones) and never made exact: the greedy
+    /// proved from the bound that the row's facility could not win, or
+    /// the better-response scan rejected every move on it. A
+    /// best-response oracle's `n − 1` candidate rows add up across
+    /// reused (`seq_oracle_hits` or `oracle_rows_reused`), repaired,
+    /// swept and bounded.
+    pub oracle_rows_bounded: usize,
     /// Snapshots exported via [`GameSession::snapshot`] — the spill half
     /// of an eviction cycle in a session registry.
     pub snapshot_exports: usize,
@@ -276,6 +294,7 @@ impl SessionStats {
             seq_oracle_hits,
             seq_oracle_swept,
             oracle_rows_repaired,
+            oracle_rows_bounded,
             snapshot_exports,
             snapshot_restores,
             sparse_sketch_rows,
@@ -303,6 +322,7 @@ impl SessionStats {
         self.seq_oracle_hits += seq_oracle_hits;
         self.seq_oracle_swept += seq_oracle_swept;
         self.oracle_rows_repaired += oracle_rows_repaired;
+        self.oracle_rows_bounded += oracle_rows_bounded;
         self.snapshot_exports += snapshot_exports;
         self.snapshot_restores += snapshot_restores;
         self.sparse_sketch_rows += sparse_sketch_rows;
@@ -1154,23 +1174,26 @@ impl GameSession {
 
     /// `peer`'s best response against the fixed rest of the current
     /// profile, served from the persistent oracle cache. Each candidate's
-    /// valid overlay row is turned into its residual `G_{-i}` row by
-    /// `sp_graph::CsrGraph::dijkstra_without`: taken verbatim when none
-    /// of `peer`'s out-links is tight on its shortest paths (the same
-    /// conservative test the removal repair uses, so reuse never changes
-    /// a value), and otherwise repaired by recomputing only the
+    /// valid overlay row is a certified lower bound on its residual
+    /// `G_{-i}` row, and is that row when none of `peer`'s out-links is
+    /// tight on its shortest paths (the same conservative test the
+    /// removal repair uses). The greedy reads the dirty rows as bounds
+    /// and escalates a row only when its bound score can still win; the
+    /// other methods make every row exact. An exact row comes from
+    /// `sp_graph::CsrGraph::dijkstra_without`, which recomputes only the
     /// shortest-path subtree below the tight out-links — no full sweep.
     /// Because [`GameSession::apply`] repairs the overlay rows per move,
     /// consecutive activations in sequential dynamics serve most
-    /// candidate rows verbatim.
+    /// candidate rows without a repair.
     ///
     /// Fills every invalid overlay row first, plus the overlay CSR's
     /// transpose the repair seeds from. Bit-identical to
     /// [`GameSession::best_response_uncached`] (property-tested in
     /// `crates/core/tests/proptest_session.rs`, including across
     /// arbitrary interleaved `apply` sequences); the `n - 1` candidate
-    /// rows land in [`SessionStats::seq_oracle_hits`] or
-    /// [`SessionStats::oracle_rows_repaired`].
+    /// rows land in [`SessionStats::seq_oracle_hits`],
+    /// [`SessionStats::oracle_rows_repaired`] or
+    /// [`SessionStats::oracle_rows_bounded`].
     ///
     /// # Errors
     ///
@@ -1204,7 +1227,7 @@ impl GameSession {
         let oracle =
             ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
         self.stats.oracle_builds += 1;
-        self.finish_response(peer, method, &oracle, current_cost)
+        Ok(self.finish_response(peer, method, oracle.solve(method)?, current_cost))
     }
 
     /// The response on a game too small to have candidates (`n <= 1`):
@@ -1224,45 +1247,51 @@ impl GameSession {
     /// for any single-link move to exist (`n <= 1`) — the shared guard
     /// of the better-response paths.
     fn too_small_for_moves(&self, peer: PeerId) -> Result<bool, CoreError> {
-        if self.game.n() <= 1 {
-            if peer.index() >= self.game.n() {
-                return Err(CoreError::PeerOutOfBounds {
-                    peer: peer.index(),
-                    n: self.game.n(),
-                });
-            }
-            return Ok(true);
+        let n = self.game.n();
+        if peer.index() >= n {
+            return Err(CoreError::PeerOutOfBounds {
+                peer: peer.index(),
+                n,
+            });
         }
-        Ok(false)
+        Ok(n <= 1)
     }
 
-    /// Builds the cached oracle for `peer` and counts its row accounting
-    /// into the requested [`SessionStats`] bucket. Also returns the
-    /// oracle's residual rows `D_{G_{-i}}(v, ·)` (row `i` unset), which
-    /// [`GameSession::play_best_response`] installs when it commits.
-    fn cached_oracle(
+    /// Solves `peer`'s cached oracle with `method` over a
+    /// [`CandidateRows`] store and counts its row accounting into the
+    /// requested [`SessionStats`] bucket. Also returns the residual rows
+    /// `D_{G_{-i}}(v, ·)` the store derived, which
+    /// [`GameSession::play_best_response`] reuses when it commits.
+    fn cached_solve(
         &mut self,
         peer: PeerId,
+        method: BestResponseMethod,
         counter: OracleCounter,
-    ) -> Result<(ResponseOracle, DistanceMatrix), CoreError> {
+    ) -> Result<((LinkSet, f64), Residuals), CoreError> {
         self.ensure_all_rows();
         self.ensure_transpose();
         let overlay = Overlay {
             csr: self.csr.as_ref().expect("ensured above"),
             transpose: self.transpose.as_ref().expect("ensured above"),
         };
-        let cache = self.backend.dense_mut();
-        let mut residual = cache.residual_buffer();
-        let (oracle, reuse): (ResponseOracle, OracleReuse) = ResponseOracle::build_from_cache(
+        let rows = CandidateRows::new(
             &self.game,
             peer,
             overlay,
-            cache,
-            &mut residual,
+            self.backend.dense_mut(),
             &mut self.scratch,
-        )?;
+        );
+        let (solved, used) = rows.solve(method)?;
         self.stats.oracle_builds += 1;
+        self.count_rows(used.reuse, counter);
+        Ok((solved, used.residuals))
+    }
+
+    /// Counts one cached oracle's row accounting into the requested
+    /// [`SessionStats`] bucket.
+    fn count_rows(&mut self, reuse: OracleReuse, counter: OracleCounter) {
         self.stats.oracle_rows_repaired += reuse.rows_repaired;
+        self.stats.oracle_rows_bounded += reuse.rows_bounded;
         match counter {
             OracleCounter::Sequential => {
                 self.stats.seq_oracle_hits += reuse.rows_reused;
@@ -1273,7 +1302,6 @@ impl GameSession {
                 self.stats.oracle_rows_swept += reuse.rows_swept;
             }
         }
-        Ok((oracle, residual))
     }
 
     /// Shared body of the cached response paths.
@@ -1286,14 +1314,15 @@ impl GameSession {
         Ok(self.response_and_rows(peer, method, counter)?.0)
     }
 
-    /// The cached response, plus the oracle's residual rows when a dense
-    /// cached oracle was built (`None` for `n <= 1` and sparse sessions).
+    /// The cached response, plus the residual rows its oracle derived
+    /// when a dense cached oracle was solved (`None` for `n <= 1` and
+    /// sparse sessions).
     fn response_and_rows(
         &mut self,
         peer: PeerId,
         method: BestResponseMethod,
         counter: OracleCounter,
-    ) -> Result<(BestResponse, Option<DistanceMatrix>), CoreError> {
+    ) -> Result<(BestResponse, Option<Residuals>), CoreError> {
         let current_cost = self.peer_cost(peer)?;
         if self.game.n() <= 1 {
             return Ok((Self::trivial_response(peer, current_cost), None));
@@ -1306,12 +1335,12 @@ impl GameSession {
             let oracle =
                 ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
             self.stats.oracle_builds += 1;
-            let br = self.finish_response(peer, method, &oracle, current_cost)?;
+            let br = self.finish_response(peer, method, oracle.solve(method)?, current_cost);
             return Ok((br, None));
         }
-        let (oracle, residual) = self.cached_oracle(peer, counter)?;
-        let br = self.finish_response(peer, method, &oracle, current_cost)?;
-        Ok((br, Some(residual)))
+        let (solved, residuals) = self.cached_solve(peer, method, counter)?;
+        let br = self.finish_response(peer, method, solved, current_cost);
+        Ok((br, Some(residuals)))
     }
 
     /// Computes `peer`'s best response exactly like
@@ -1323,14 +1352,20 @@ impl GameSession {
     /// later answer are identical to a [`GameSession::best_response`]
     /// followed by an [`GameSession::apply`] of the response.
     ///
-    /// What differs is the commit. The oracle build has just derived
-    /// every residual row `D_{G_{-i}}(v, ·)`, and the new overlay is
-    /// `G_{-i}` plus the new links `i → t`, so each new row `v ≠ i` is
-    /// its residual row folded with the seeds `(t, D(v, i) + d(i, t))`
-    /// by decrease-only relaxation. The move costs one CSR rebuild, one
-    /// sweep of row `i`, no removal repair, and leaves every row valid:
-    /// the next query refills nothing. Sparse sessions and games with
-    /// fewer than two peers take the `best_response` + `apply` route.
+    /// What differs is the commit, made in place with every row valid
+    /// before and after. The new overlay is `G_{-i}` plus the new links
+    /// `i → t`. A row none of the removed links is tight on keeps its
+    /// overlay row and folds in the added links by decrease-only
+    /// relaxation, as `apply` does. A row a removed link is tight on is
+    /// broken: it becomes its residual row `D_{G_{-i}}(v, ·)` — the one
+    /// the oracle derived, or, when the greedy held the row as a bound,
+    /// one derived now from the old row — folded with the seeds `(t,
+    /// D(v, i) + d(i, t))`. The move costs one CSR rebuild, one sweep of
+    /// row `i`, no invalidation, and the next query refills nothing.
+    /// Rows derived at the commit count in
+    /// [`SessionStats::oracle_rows_repaired`]. Sparse sessions and games
+    /// with fewer than two peers take the `best_response` + `apply`
+    /// route.
     ///
     /// # Errors
     ///
@@ -1341,11 +1376,11 @@ impl GameSession {
         method: BestResponseMethod,
         tol: f64,
     ) -> Result<Option<(BestResponse, LinkSet)>, CoreError> {
-        let (br, residual) = self.response_and_rows(peer, method, OracleCounter::Sequential)?;
+        let (br, residuals) = self.response_and_rows(peer, method, OracleCounter::Sequential)?;
         if !br.improves(tol) || &br.links == self.profile.strategy(peer) {
             return Ok(None);
         }
-        let Some(residual) = residual else {
+        let Some(residuals) = residuals else {
             let old = self.apply(Move::SetStrategy {
                 peer,
                 links: br.links.clone(),
@@ -1360,15 +1395,29 @@ impl GameSession {
             .set_strategy(peer, br.links.clone())
             .expect("response links are valid by construction");
         self.stretch = None;
+        let old_csr = self.csr.take().expect("the oracle ensured the CSR");
+        let old_transpose = self
+            .transpose
+            .take()
+            .expect("the oracle ensured the transpose");
         self.rebuild_csr();
         let csr = self.csr.as_ref().expect("just rebuilt");
-        let counts =
-            self.backend
-                .dense_mut()
-                .install_played(csr, residual, i, &links, &mut self.scratch);
+        let old_overlay = Overlay {
+            csr: &old_csr,
+            transpose: &old_transpose,
+        };
+        let counts = self.backend.dense_mut().commit_played(
+            old_overlay,
+            csr,
+            i,
+            &links,
+            &residuals,
+            &mut self.scratch,
+        );
         self.stats.full_sssp += 1;
         self.stats.rows_preserved += counts.rows_preserved;
         self.stats.incremental_relaxations += counts.incremental_relaxations;
+        self.stats.oracle_rows_repaired += counts.rows_derived;
         Ok(Some((br, old)))
     }
 
@@ -1376,32 +1425,31 @@ impl GameSession {
     /// instance and fall back to the current strategy when a heuristic
     /// comes out worse.
     fn finish_response(
-        &mut self,
+        &self,
         peer: PeerId,
         method: BestResponseMethod,
-        oracle: &ResponseOracle,
+        (links, cost): (LinkSet, f64),
         current_cost: f64,
-    ) -> Result<BestResponse, CoreError> {
-        let (links, cost) = oracle.solve(method)?;
+    ) -> BestResponse {
         // sp-lint: allow(float-eps, reason = "conservative accept: a heuristic tie or epsilon-worse solution keeps the current strategy, which is always valid")
         if cost > current_cost {
             // Heuristics may come out worse; keeping the current strategy
             // is then the better (valid) response.
-            return Ok(BestResponse {
+            return BestResponse {
                 peer,
                 links: self.profile.strategy(peer).clone(),
                 cost: current_cost,
                 current_cost,
                 exact: method.is_exact(),
-            });
+            };
         }
-        Ok(BestResponse {
+        BestResponse {
             peer,
             links,
             cost,
             current_cost,
             exact: method.is_exact(),
-        })
+        }
     }
 
     /// Best responses of every peer in `peers` against the **frozen**
@@ -1442,6 +1490,20 @@ impl GameSession {
         peers: &[PeerId],
         method: BestResponseMethod,
     ) -> Result<Vec<BestResponse>, CoreError> {
+        self.responses_against_frozen(peers, method, OracleCounter::Round)
+    }
+
+    /// The body of [`GameSession::best_responses_round`], counting its
+    /// oracles' rows into `counter`'s bucket — the one fan-out for "every
+    /// peer against a frozen profile", shared by the round engine and by
+    /// [`GameSession::nash_gap`] and [`GameSession::is_nash`] (which keep
+    /// their sequential counters).
+    fn responses_against_frozen(
+        &mut self,
+        peers: &[PeerId],
+        method: BestResponseMethod,
+        counter: OracleCounter,
+    ) -> Result<Vec<BestResponse>, CoreError> {
         let n = self.game.n();
         for &p in peers {
             if p.index() >= n {
@@ -1456,7 +1518,7 @@ impl GameSession {
             // exact fallback path — no frozen matrix to fan out over.
             return peers
                 .iter()
-                .map(|&p| self.best_response(p, method))
+                .map(|&p| self.best_response_counted(p, method, counter))
                 .collect();
         }
         // Freeze the round-start snapshot every oracle will read, with
@@ -1473,7 +1535,7 @@ impl GameSession {
         if shards <= 1 {
             return peers
                 .iter()
-                .map(|&p| self.best_response_counted(p, method, OracleCounter::Round))
+                .map(|&p| self.best_response_counted(p, method, counter))
                 .collect();
         }
 
@@ -1494,7 +1556,7 @@ impl GameSession {
                 .map(|(mine, shard)| {
                     scope.spawn(move || {
                         mine.iter()
-                            .map(|&p| shard.best_response_counted(p, method, OracleCounter::Round))
+                            .map(|&p| shard.best_response_counted(p, method, counter))
                             .collect::<Result<Vec<_>, _>>()
                     })
                 })
@@ -1554,19 +1616,16 @@ impl GameSession {
             csr: self.csr.as_ref().expect("ensured above"),
             transpose: self.transpose.as_ref().expect("ensured above"),
         };
-        let (mv, scan) = first_improving_move_lazy(
+        let rows = CandidateRows::new(
             &self.game,
-            &self.profile,
             peer,
             overlay,
             self.backend.dense_mut(),
             &mut self.scratch,
-            tol,
-        )?;
+        );
+        let (mv, scan) = first_improving_move_lazy(&self.profile, peer, rows, tol);
         self.stats.oracle_builds += 1;
-        self.stats.seq_oracle_hits += scan.reuse.rows_reused;
-        self.stats.seq_oracle_swept += scan.reuse.rows_swept;
-        self.stats.oracle_rows_repaired += scan.reuse.rows_repaired;
+        self.count_rows(scan.reuse, OracleCounter::Sequential);
         self.stats.lazy_certified_rejects += scan.certified_rejects;
         self.stats.lazy_exact_evals += scan.exact_evals;
         Ok(mv)
@@ -1697,18 +1756,30 @@ impl GameSession {
         Ok(result)
     }
 
+    /// Every peer's best response against the current profile, through
+    /// the [`GameSession::best_responses_round`] fan-out (sharded under
+    /// the [`GameSession::set_parallelism`] knob, bit-identical at every
+    /// shard count) with the rows counted as sequential activations.
+    fn all_responses(
+        &mut self,
+        method: BestResponseMethod,
+    ) -> Result<Vec<BestResponse>, CoreError> {
+        let peers: Vec<PeerId> = (0..self.game.n()).map(PeerId::new).collect();
+        self.responses_against_frozen(&peers, method, OracleCounter::Sequential)
+    }
+
     /// The largest improvement any single peer can gain by deviating
     /// (0.0 at equilibrium, `∞` if someone can restore connectivity).
-    /// Oracles come from the persistent cache, so monitoring loops that
-    /// call this between moves pay only for what changed.
+    /// Every peer's oracle comes from the persistent cache through the
+    /// [`GameSession::best_responses_round`] fan-out, so monitoring
+    /// loops that call this between moves pay only for what changed.
     ///
     /// # Errors
     ///
     /// Same conditions as [`GameSession::best_response`].
     pub fn nash_gap(&mut self, method: BestResponseMethod) -> Result<f64, CoreError> {
         let mut gap = 0.0f64;
-        for i in 0..self.game.n() {
-            let br = self.best_response(PeerId::new(i), method)?;
+        for br in self.all_responses(method)? {
             let imp = br.improvement();
             // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
             if imp > gap {
@@ -1718,7 +1789,9 @@ impl GameSession {
         Ok(gap)
     }
 
-    /// Checks whether the current profile is a (pure) Nash equilibrium.
+    /// Checks whether the current profile is a (pure) Nash equilibrium,
+    /// evaluating every peer through the
+    /// [`GameSession::best_responses_round`] fan-out.
     ///
     /// # Errors
     ///
@@ -1726,12 +1799,10 @@ impl GameSession {
     pub fn is_nash(&mut self, test: &NashTest) -> Result<NashReport, CoreError> {
         let peer_costs = self.all_peer_costs();
         let mut best: Option<Deviation> = None;
-        for i in 0..self.game.n() {
-            let peer = PeerId::new(i);
-            let br = self.best_response(peer, test.method)?;
+        for br in self.all_responses(test.method)? {
             if br.improves(test.tolerance) {
                 let dev = Deviation {
-                    peer,
+                    peer: br.peer,
                     links: br.links,
                     old_cost: br.current_cost,
                     new_cost: br.cost,
@@ -2375,6 +2446,68 @@ mod tests {
                 "every leaf row routes through the hub and must be repaired: {stats:?}"
             );
         }
+    }
+
+    #[test]
+    fn greedy_hub_response_repairs_fewer_rows_than_are_dirty() {
+        // A hub at the centre of 19 peers on a golden-angle spiral. The
+        // hub links to every peer and every peer to the hub, so most
+        // shortest paths run through the hub's out-links and most of its
+        // oracle's candidate rows are dirty. Each peer also links both
+        // ways to its angular neighbours, keeping the overlay without the
+        // hub connected, so the hub's greedy response needs only a few
+        // links and can decide the far candidates on their bounds.
+        let n = 20;
+        let at = |k: usize| {
+            if k == 0 {
+                return (0.0, 0.0);
+            }
+            let angle = 2.399_963 * k as f64;
+            let radius = 10.0 + 40.0 * (0.618_034 * k as f64).fract();
+            (radius * angle.cos(), radius * angle.sin())
+        };
+        let m = DistanceMatrix::from_fn(n, |u, v| {
+            let ((x1, y1), (x2, y2)) = (at(u), at(v));
+            ((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt()
+        });
+        let g = Game::new(m, 4.0).unwrap();
+        let mut by_angle: Vec<usize> = (1..n).collect();
+        by_angle.sort_by(|&u, &v| {
+            let angle = |k: usize| at(k).1.atan2(at(k).0);
+            angle(u).total_cmp(&angle(v))
+        });
+        let mut links: Vec<(usize, usize)> = (1..n).flat_map(|v| [(0, v), (v, 0)]).collect();
+        for (k, &v) in by_angle.iter().enumerate() {
+            let next = by_angle[(k + 1) % by_angle.len()];
+            links.extend([(v, next), (next, v)]);
+        }
+        let p = StrategyProfile::from_links(n, &links).unwrap();
+        let hub = PeerId::new(0);
+        let rows = |method: BestResponseMethod| {
+            let mut s = GameSession::from_refs(&g, &p).unwrap();
+            let fresh = s.best_response_uncached(hub, method).unwrap();
+            let cached = s.best_response(hub, method).unwrap();
+            assert_eq!(fresh.links, cached.links, "{method:?}");
+            assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(), "{method:?}");
+            s.stats()
+        };
+        // The exact method makes every dirty row exact, so its repairs
+        // count the dirty rows.
+        let exact = rows(BestResponseMethod::Exact);
+        let dirty = exact.oracle_rows_repaired;
+        assert!(dirty > n / 2, "most rows route through the hub: {exact:?}");
+        assert_eq!(exact.oracle_rows_bounded, 0);
+        let greedy = rows(BestResponseMethod::Greedy);
+        assert!(
+            greedy.oracle_rows_repaired < dirty,
+            "the greedy must repair fewer rows than are dirty: {greedy:?}"
+        );
+        assert_eq!(
+            greedy.oracle_rows_repaired + greedy.oracle_rows_bounded,
+            dirty,
+            "the dirty rows it did not repair are held as bounds"
+        );
+        assert_eq!(greedy.seq_oracle_hits, exact.seq_oracle_hits);
     }
 
     #[test]

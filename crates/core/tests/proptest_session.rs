@@ -619,3 +619,233 @@ proptest! {
         }
     }
 }
+
+/// Every best-response method, as the scripts below cycle through them.
+const METHODS: [BestResponseMethod; 4] = [
+    BestResponseMethod::Exact,
+    BestResponseMethod::ExactEnumeration,
+    BestResponseMethod::Greedy,
+    BestResponseMethod::LocalSearch,
+];
+
+/// Candidate rows a cached oracle resolved, over every bucket a row can
+/// land in.
+fn resolved_rows(st: &SessionStats) -> usize {
+    st.seq_oracle_hits
+        + st.oracle_rows_reused
+        + st.oracle_rows_repaired
+        + st.seq_oracle_swept
+        + st.oracle_rows_swept
+        + st.oracle_rows_bounded
+}
+
+/// Cases of [`lazy_oracles_equal_uncached_for_every_method`]; the
+/// coverage check runs once the last of them has passed.
+const LAZY_CASES: u32 = 64;
+/// Cases of that test run so far, and the greedy candidate rows they
+/// held only as bounds.
+static LAZY_RUN: AtomicUsize = AtomicUsize::new(0);
+static LAZY_BOUNDED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(LAZY_CASES))]
+
+    /// Cached oracles hold dirty rows as lower bounds and derive a
+    /// residual row only when a method needs it exact. Across scripts
+    /// interleaving `apply` moves with plays of every method, each
+    /// method's cached `best_response` equals `best_response_uncached`
+    /// bit for bit, each play returns what the uncached response
+    /// predicted, and every cached oracle accounts for exactly its
+    /// `n − 1` candidate rows: reused, repaired, swept or bounded. Only
+    /// the greedy holds rows as bounds.
+    #[test]
+    fn lazy_oracles_equal_uncached_for_every_method(
+        (game, profile, sparse, script) in arb_play_script()
+    ) {
+        let n = game.n();
+        let mut s = if sparse {
+            GameSession::new_sparse(game.clone(), profile.clone()).unwrap()
+        } else {
+            GameSession::new(game.clone(), profile.clone()).unwrap()
+        };
+        let mut bounded = 0;
+        for (step, &(kind, from, to)) in script.iter().enumerate() {
+            let peer = PeerId::new(from);
+            for method in METHODS {
+                let fresh = s.best_response_uncached(peer, method).unwrap();
+                let before = s.stats();
+                let cached = s.best_response(peer, method).unwrap();
+                let after = s.stats();
+                prop_assert_eq!(&fresh.links, &cached.links, "{:?} peer {:?}", method, peer);
+                prop_assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(),
+                    "{:?} peer {:?}: {} vs {}", method, peer, fresh.cost, cached.cost);
+                prop_assert_eq!(fresh.current_cost.to_bits(), cached.current_cost.to_bits());
+                if !sparse && n > 1 {
+                    prop_assert_eq!(resolved_rows(&after) - resolved_rows(&before), n - 1,
+                        "{:?}: row accounting of one oracle", method);
+                    let held = after.oracle_rows_bounded - before.oracle_rows_bounded;
+                    if method != BestResponseMethod::Greedy {
+                        prop_assert_eq!(held, 0, "{:?} solves exact rows only", method);
+                    }
+                    bounded += held;
+                }
+            }
+            if kind < 3 {
+                play(&mut s, kind, from, to);
+            } else {
+                let method = METHODS[(step + to) % METHODS.len()];
+                let fresh = s.best_response_uncached(peer, method).unwrap();
+                let played = s.play_best_response(peer, method, 1e-9).unwrap();
+                if let Some((br, _)) = &played {
+                    prop_assert_eq!(&br.links, &fresh.links);
+                    prop_assert_eq!(br.cost.to_bits(), fresh.cost.to_bits());
+                } else {
+                    prop_assert!(
+                        !fresh.improves(1e-9) || &fresh.links == s.profile().strategy(peer)
+                    );
+                }
+            }
+        }
+        // Every row stays exact through the plays' in-place commits.
+        let mut cold = GameSession::new(game.clone(), s.profile().clone()).unwrap();
+        same_bits(&s.overlay_distances().clone(), cold.overlay_distances())?;
+        // The bound branch must have fired somewhere: the checks above
+        // would pass vacuously if the greedy escalated every dirty row.
+        let total = LAZY_BOUNDED.fetch_add(bounded, Ordering::SeqCst) + bounded;
+        if LAZY_RUN.fetch_add(1, Ordering::SeqCst) + 1 == LAZY_CASES as usize {
+            prop_assert!(total > 0, "no greedy oracle held a row as a bound");
+        }
+    }
+
+    /// `nash_gap` and `is_nash` run every peer through the
+    /// `best_responses_round` fan-out. Their answers are bit-identical
+    /// at one worker, three workers and automatic parallelism, equal the
+    /// largest uncached improvement, and their rows stay in the
+    /// sequential counters.
+    #[test]
+    fn nash_queries_are_identical_at_every_parallelism(
+        (game, profile, script) in arb_session_script(),
+        method in 0usize..4
+    ) {
+        let method = METHODS[method];
+        let n = game.n();
+        let mut warm = GameSession::from_refs(&game, &profile).unwrap();
+        for &(kind, from, to) in &script {
+            let _ = warm.social_cost();
+            play(&mut warm, kind, from, to);
+        }
+        let mut reference = GameSession::from_refs(&game, warm.profile()).unwrap();
+        let mut want_gap = 0.0f64;
+        for i in 0..n {
+            let br = reference.best_response_uncached(PeerId::new(i), method).unwrap();
+            want_gap = want_gap.max(br.improvement());
+        }
+        let test = NashTest { method, ..NashTest::exact() };
+        let mut answers = Vec::new();
+        for workers in [Some(1), Some(3), None] {
+            let mut s = warm.clone();
+            s.set_parallelism(workers);
+            s.reset_stats();
+            let gap = s.nash_gap(method).unwrap();
+            let report = s.is_nash(&test).unwrap();
+            prop_assert_eq!(gap.to_bits(), want_gap.to_bits(), "{:?}: gap", workers);
+            let st = s.stats();
+            prop_assert_eq!(st.oracle_builds, 2 * n);
+            prop_assert_eq!(
+                st.seq_oracle_hits + st.oracle_rows_repaired + st.seq_oracle_swept
+                    + st.oracle_rows_bounded,
+                2 * n * (n - 1),
+                "{:?}: sequential row accounting", workers
+            );
+            prop_assert_eq!(st.oracle_rows_reused + st.oracle_rows_swept, 0,
+                "{:?}: the round counters stay untouched", workers);
+            let deviation = report.best_deviation.map(|d| {
+                (d.peer, d.links, d.old_cost.to_bits(), d.new_cost.to_bits())
+            });
+            let costs: Vec<u64> = report.peer_costs.iter().map(|c| c.to_bits()).collect();
+            answers.push((deviation, costs));
+        }
+        prop_assert_eq!(&answers[0], &answers[1]);
+        prop_assert_eq!(&answers[0], &answers[2]);
+    }
+}
+
+/// A game of 8 to 20 random points with 1 to 3 random out-links per
+/// peer, and an activation order of two round-robin passes.
+fn arb_greedy_dynamics() -> impl Strategy<Value = (Game, StrategyProfile, Vec<usize>)> {
+    (8usize..=20, 0u64..10_000, 0.5f64..4.0).prop_map(|(n, seed, alpha)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let game =
+            Game::from_space(&generators::uniform_square(n, 100.0, &mut rng), alpha).unwrap();
+        let links: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| {
+                let k = rng.random_range(1..=3);
+                (0..k)
+                    .map(|_| (u, rng.random_range(0..n)))
+                    .collect::<Vec<_>>()
+            })
+            .filter(|&(u, v)| u != v)
+            .collect();
+        let profile = StrategyProfile::from_links(n, &links).unwrap();
+        let order = (0..2 * n).map(|k| k % n).collect();
+        (game, profile, order)
+    })
+}
+
+/// Cases of [`greedy_plays_derive_broken_rows_at_commit`]; the coverage
+/// check runs once the last of them has passed.
+const COMMIT_CASES: u32 = 32;
+/// Cases of that test run so far, and the rows their commits derived.
+static COMMIT_RUN: AtomicUsize = AtomicUsize::new(0);
+static COMMIT_DERIVED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(COMMIT_CASES))]
+
+    /// Greedy best-response dynamics on instances large enough that the
+    /// greedy holds most dirty rows as bounds, so a played move breaks
+    /// rows its oracle never derived and the commit derives them from
+    /// the old rows. A twin takes each response and applies it; the
+    /// plays must match, and after each one every overlay row must equal
+    /// a fresh sweep bit for bit.
+    #[test]
+    fn greedy_plays_derive_broken_rows_at_commit(
+        (game, profile, order) in arb_greedy_dynamics()
+    ) {
+        let method = BestResponseMethod::Greedy;
+        let mut s = GameSession::new(game.clone(), profile.clone()).unwrap();
+        let mut twin = GameSession::new(game.clone(), profile).unwrap();
+        let _ = s.overlay_distances();
+        let _ = twin.overlay_distances();
+        let mut derived = 0;
+        for peer in order.into_iter().map(PeerId::new) {
+            let (before, twin_before) = (s.stats(), twin.stats());
+            let played = s.play_best_response(peer, method, 1e-9).unwrap();
+            let br = twin.best_response(peer, method).unwrap();
+            // The twin's oracle reads bit-identical rows, so it derives
+            // what the played oracle did; the rest the commit derived.
+            derived += (s.stats().oracle_rows_repaired - before.oracle_rows_repaired)
+                - (twin.stats().oracle_rows_repaired - twin_before.oracle_rows_repaired);
+            let reference = if br.improves(1e-9) && &br.links != twin.profile().strategy(peer) {
+                let old = twin
+                    .apply(Move::SetStrategy { peer, links: br.links.clone() })
+                    .unwrap();
+                Some((br, old))
+            } else {
+                None
+            };
+            prop_assert_eq!(&played, &reference);
+            let rows = s.overlay_distances().clone();
+            let fresh = GameSession::new(game.clone(), s.profile().clone())
+                .unwrap()
+                .overlay_distances()
+                .clone();
+            same_bits(&rows, &fresh)?;
+            let _ = twin.overlay_distances();
+        }
+        let total = COMMIT_DERIVED.fetch_add(derived, Ordering::SeqCst) + derived;
+        if COMMIT_RUN.fetch_add(1, Ordering::SeqCst) + 1 == COMMIT_CASES as usize {
+            prop_assert!(total > 0, "no commit derived a broken row");
+        }
+    }
+}

@@ -109,8 +109,8 @@ pub struct DynamicsConfig {
     /// persistent oracle cache (`true`, the default): candidate rows are
     /// derived from cached overlay rows. Under the best-response rules an
     /// accepted response is played with
-    /// [`GameSession::play_best_response`], whose oracle's residual rows
-    /// become the new overlay rows (one sweep per move, for the mover's
+    /// [`GameSession::play_best_response`], which commits the move to
+    /// the overlay rows in place (one sweep per move, for the mover's
     /// row); better responses are applied with [`GameSession::apply`],
     /// which repairs the rows and re-sweeps those a removed link may have
     /// been tight on. `false` forces a fresh `G_{-i}` oracle per
@@ -222,7 +222,7 @@ impl<'g> DynamicsRunner<'g> {
     /// response oracles themselves are served from the session's
     /// persistent oracle cache, so consecutive activations stop paying
     /// `n - 1` fresh sweeps each, and accepted best responses are played
-    /// from their oracle's rows ([`GameSession::play_best_response`]).
+    /// in place ([`GameSession::play_best_response`]).
     ///
     /// # Panics
     ///

@@ -25,9 +25,8 @@
 //! from the session's persistent oracle cache — candidate rows come from
 //! the cached overlay rows, so consecutive activations stop paying
 //! `n - 1` fresh sweeps each — and an accepted best response is played
-//! with `GameSession::play_best_response`, which installs the oracle's
-//! residual rows as the new overlay rows instead of repairing the cache
-//! (`oracle_reuse: false` restores the fresh-oracle engine, kept as the
+//! with `GameSession::play_best_response`, which commits the move to the
+//! overlay rows in place, dropping none (`oracle_reuse: false` restores the fresh-oracle engine, kept as the
 //! bench baseline; both are bit-identical by property-tested contract). [`simultaneous::run_simultaneous`] and the churn simulator
 //! instead commit each round's (respectively each churn event's)
 //! accepted updates through `GameSession::apply_batch`, paying a single

@@ -79,6 +79,86 @@ fn open_cost_sum(p: &FacilityProblem, open: &[usize]) -> f64 {
     open.iter().map(|&f| p.open_cost(f)).sum()
 }
 
+/// The facility rows [`solve_greedy`] reads: for every facility an
+/// assignment-cost row that is either **exact** or a certified
+/// elementwise **lower bound** on the exact row (`row(f)[c] ≤ a(f, c)`
+/// for every client, `+∞` only where the exact entry is `+∞`). A lower
+/// bound is turned into the exact row on demand by
+/// [`RowSource::escalate`].
+///
+/// A [`FacilityProblem`] (by reference) is the all-exact source, so
+/// `solve_greedy(&problem)` is the plain greedy. A caller whose exact
+/// rows are expensive — the best-response reduction derives each from a
+/// shortest-path repair — can serve cheap bounds instead and pay for an
+/// exact row only when the greedy asks for it.
+pub trait RowSource {
+    /// Number of facilities.
+    fn facility_count(&self) -> usize;
+    /// Number of clients; every row has this length.
+    fn client_count(&self) -> usize;
+    /// Opening cost of facility `f` (finite, non-negative).
+    fn open_cost(&self, f: usize) -> f64;
+    /// Facility `f`'s row as currently held: exact, or a lower bound.
+    fn row(&self, f: usize) -> &[f64];
+    /// Whether [`RowSource::row`]`(f)` is the exact row.
+    fn is_exact(&self, f: usize) -> bool;
+    /// Replaces row `f` with the exact row. Called only while
+    /// `is_exact(f)` is `false`; afterwards it must be `true`.
+    fn escalate(&mut self, f: usize);
+}
+
+impl RowSource for &FacilityProblem {
+    fn facility_count(&self) -> usize {
+        FacilityProblem::facility_count(self)
+    }
+
+    fn client_count(&self) -> usize {
+        FacilityProblem::client_count(self)
+    }
+
+    fn open_cost(&self, f: usize) -> f64 {
+        FacilityProblem::open_cost(self, f)
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        self.assignment_row(f)
+    }
+
+    fn is_exact(&self, _f: usize) -> bool {
+        true
+    }
+
+    fn escalate(&mut self, _f: usize) {
+        unreachable!("every row of a FacilityProblem is exact")
+    }
+}
+
+impl<R: RowSource + ?Sized> RowSource for &mut R {
+    fn facility_count(&self) -> usize {
+        (**self).facility_count()
+    }
+
+    fn client_count(&self) -> usize {
+        (**self).client_count()
+    }
+
+    fn open_cost(&self, f: usize) -> f64 {
+        (**self).open_cost(f)
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        (**self).row(f)
+    }
+
+    fn is_exact(&self, f: usize) -> bool {
+        (**self).is_exact(f)
+    }
+
+    fn escalate(&mut self, f: usize) {
+        (**self).escalate(f);
+    }
+}
+
 /// Relative float slack of [`solve_greedy`]'s bound tests: a bound
 /// rejects a candidate only if it exceeds the threshold by more than this
 /// fraction of the magnitudes involved (or `4 · (F + C) · ε`, if larger).
@@ -135,6 +215,23 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 /// if it is strictly better than the current open set, the lowest index
 /// winning exact ties.
 ///
+/// # Row sources
+///
+/// The greedy reads its rows from a [`RowSource`]: a
+/// [`FacilityProblem`] (all rows exact), or a source that serves some
+/// rows as certified elementwise lower bounds and derives the exact row
+/// only when [`RowSource::escalate`] asks for it. A lower-bound row's
+/// score, summed in the exact score's order, is a lexicographic lower
+/// bound on the exact score: every exact finite entry is finite in the
+/// bound too, so the bound counts no more unserved clients, and when the
+/// counts agree the same clients are summed term by term, each term no
+/// larger — and float rounding is monotone, so the float sum is no larger
+/// either. A row is therefore escalated only when its bound score can
+/// still beat the current open set and beat or tie (at a lower index)
+/// the best exact score in hand; otherwise its exact score could not
+/// win. A row is opened only on an exact score, so the opened rows, the
+/// open set and the cost never depend on a bound.
+///
 /// # Certified lazy evaluation
 ///
 /// A step re-scores only the facilities whose score can still win, in
@@ -149,6 +246,9 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 ///   A client turning served adds a term, so at that moment every bound
 ///   grows by that term, `best_v[c] − min(best_v[c], a(f, c))`.
 ///
+/// Both are taken from the row as held, so a lower-bound row only
+/// overstates them: they stay upper bounds on the exact row's.
+///
 /// With `cur` the current score, `(unserved − cover[f], cur + open(f) −
 /// gain[f])` is a lexicographic lower bound on `f`'s score: the clients
 /// `f` newly serves only add cost. A step scores the candidate with the
@@ -157,14 +257,21 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 /// scoring refreshes the candidate's bounds. Once every client is
 /// served, the scoring loop is branch-free.
 ///
+/// The first step has no bounds to go on: it scores every row as held,
+/// takes the exact rows first, then visits the lower-bound rows in
+/// ascending (score, index) order, so the most promising ones are
+/// escalated first and the exact scores in hand reject most of the rest
+/// on their bound scores.
+///
 /// **Contract:** the facility opened at every step, hence the returned
 /// open set and the bits of `cost`, are identical to the eager greedy
-/// that scores every closed facility at every step. The exact score keeps
-/// that greedy's summation order — the open set's opening costs plus
-/// `open(f)`, then `min(best_v[c], a(f, c))` over ascending `c` — and the
-/// eager pick, the lowest index among the minimal scores, is always
-/// scored: a candidate is skipped only when its bound proves its score
-/// is worse than one already in hand.
+/// that scores every closed facility's exact row at every step. The
+/// exact score keeps that greedy's summation order — the open set's
+/// opening costs plus `open(f)`, then `min(best_v[c], a(f, c))` over
+/// ascending `c` — and the eager pick, the lowest index among the
+/// minimal scores, is always scored exactly: a candidate is skipped only
+/// when a bound proves its score is worse than one already in hand, or
+/// ties it at a higher index.
 ///
 /// **Why the slack is sound:** bounds and scores are float sums of at
 /// most `F + C + 2` non-negative terms, each within `(F + C + 2) · ε` of
@@ -176,11 +283,12 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 /// the slack. A sum that overflows to `+∞` makes the slack infinite (or
 /// the bound `−∞`/NaN), so nothing is skipped on it.
 ///
-/// Runs in `O(F · C)` for the first step (every facility is scored), then
-/// `O(F + R · C)` per step for `R` re-scored facilities, plus `O(F)` per
-/// client that turns served; the worst case is the eager `O(F² · C)`. On
-/// best-response instances from the 112-peer `dynamics` benchmark a solve
-/// takes ~20 steps and ~360 exact scores, against ~2040 eager ones.
+/// Runs in `O(F · C + F log F)` for the first step (every facility is
+/// scored), then `O(F + R · C)` per step for `R` re-scored facilities,
+/// plus `O(F)` per client that turns served; the worst case is the eager
+/// `O(F² · C)`. On best-response instances from the 112-peer `dynamics`
+/// benchmark a solve takes ~20 steps and ~360 exact scores, against
+/// ~2040 eager ones.
 ///
 /// Gives the standard `O(log C)`-approximation for UFL; exactness is *not*
 /// guaranteed — use the exact solvers when the result feeds a
@@ -199,9 +307,9 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 /// assert_eq!(s.open, vec![0, 1]);
 /// ```
 #[must_use]
-pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
-    let nf = p.facility_count();
-    let nc = p.client_count();
+pub fn solve_greedy<R: RowSource>(mut src: R) -> FacilitySolution {
+    let nf = src.facility_count();
+    let nc = src.client_count();
     if nc == 0 {
         return FacilitySolution {
             open: Vec::new(),
@@ -221,39 +329,85 @@ pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
     };
     let mut bound = vec![cur; nf];
     let mut newly: Vec<(usize, f64)> = Vec::with_capacity(nc);
+    let mut order: Vec<usize> = Vec::with_capacity(nf);
 
     loop {
-        let oc_sum = open_cost_sum(p, &open);
-        let mut first: Option<usize> = None;
-        for f in (0..nf).filter(|&f| !is_open[f]) {
-            bound[f] = Score {
-                unserved: cur.unserved.saturating_sub(cover[f]),
-                finite_cost: cur.finite_cost + p.open_cost(f) - gain[f],
-            };
-            if first.is_none_or(|g| bound[f].better_than(bound[g])) {
-                first = Some(f);
+        let oc_sum: f64 = open.iter().map(|&f| src.open_cost(f)).sum();
+        let all_served = cur.unserved == 0;
+        let first_step = open.is_empty();
+        order.clear();
+        if first_step {
+            // No bounds yet and every row is scored anyway: the bound is
+            // the score of the row as held. Exact rows go first, in index
+            // order, then the lower bounds from the lowest score, ties by
+            // index, so the first escalations set a tight threshold.
+            for f in 0..nf {
+                let oc = oc_sum + src.open_cost(f);
+                (bound[f], cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
             }
+            order.extend((0..nf).filter(|&f| src.is_exact(f)));
+            let exact = order.len();
+            order.extend((0..nf).filter(|&f| !src.is_exact(f)));
+            order[exact..].sort_unstable_by(|&f, &g| {
+                let (a, b) = (bound[f], bound[g]);
+                a.unserved
+                    .cmp(&b.unserved)
+                    .then(a.finite_cost.total_cmp(&b.finite_cost))
+                    .then(f.cmp(&g))
+            });
+        } else {
+            let mut first: Option<usize> = None;
+            for f in (0..nf).filter(|&f| !is_open[f]) {
+                bound[f] = Score {
+                    unserved: cur.unserved.saturating_sub(cover[f]),
+                    finite_cost: cur.finite_cost + src.open_cost(f) - gain[f],
+                };
+                if first.is_none_or(|g| bound[f].better_than(bound[g])) {
+                    first = Some(f);
+                }
+            }
+            let Some(first) = first else { break };
+            // The most promising candidate first, so the threshold is
+            // tight before the others are tested against it.
+            order.push(first);
+            order.extend((0..nf).filter(|&f| f != first && !is_open[f]));
         }
-        let Some(first) = first else { break };
-        // The most promising candidate first, so the threshold is tight
-        // before the others are tested against it.
-        let rest = (0..nf).filter(|&f| f != first && !is_open[f]);
+        // Whether `f` scoring `s` would replace `pick` as the step's
+        // choice: strictly better than the open set, and better than the
+        // pick or tied with it at a lower index.
+        let wins = |f: usize, s: Score, pick: Option<(usize, Score)>| {
+            s.better_than(cur)
+                && pick.is_none_or(|(pf, ps)| s.better_than(ps) || (s == ps && f < pf))
+        };
         let mut pick: Option<(usize, Score)> = None;
-        for f in std::iter::once(first).chain(rest) {
-            let thr = pick.map_or(cur, |(_, s)| s);
-            let b = bound[f];
-            let scale = cur.finite_cost.abs() + p.open_cost(f) + gain[f] + thr.finite_cost.abs();
-            // sp-lint: allow(float-eps, reason = "certified bound test: `slack` is the tolerance, far above the rounding error of the sums on both sides")
-            let hopeless = b.finite_cost > thr.finite_cost + slack * scale;
-            if b.unserved > thr.unserved || (b.unserved == thr.unserved && hopeless) {
-                continue;
+        for &f in &order {
+            let oc = oc_sum + src.open_cost(f);
+            let mut s = if first_step {
+                bound[f]
+            } else {
+                let thr = pick.map_or(cur, |(_, s)| s);
+                let b = bound[f];
+                let scale =
+                    cur.finite_cost.abs() + src.open_cost(f) + gain[f] + thr.finite_cost.abs();
+                // sp-lint: allow(float-eps, reason = "certified bound test: `slack` is the tolerance, far above the rounding error of the sums on both sides")
+                let hopeless = b.finite_cost > thr.finite_cost + slack * scale;
+                if b.unserved > thr.unserved || (b.unserved == thr.unserved && hopeless) {
+                    continue;
+                }
+                let s;
+                (s, cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
+                s
+            };
+            // A lower-bound row is escalated only when its score can still
+            // win; the exact score is then never below it.
+            if !src.is_exact(f) {
+                if !wins(f, s, pick) {
+                    continue;
+                }
+                src.escalate(f);
+                (s, cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
             }
-            let oc = oc_sum + p.open_cost(f);
-            let (s, cov, g) = exact_score(p.assignment_row(f), &best_v, oc, cur.unserved == 0);
-            cover[f] = cov;
-            gain[f] = g;
-            let wins = pick.is_none_or(|(pf, ps)| s.better_than(ps) || (s == ps && f < pf));
-            if s.better_than(cur) && wins {
+            if wins(f, s, pick) {
                 pick = Some((f, s));
             }
         }
@@ -261,7 +415,7 @@ pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
         is_open[f] = true;
         open.push(f);
         newly.clear();
-        for (c, &a) in p.assignment_row(f).iter().enumerate() {
+        for (c, &a) in src.row(f).iter().enumerate() {
             if best_v[c].is_infinite() && a.is_finite() {
                 newly.push((c, a));
             }
@@ -269,10 +423,10 @@ pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
         }
         // Clients that just turned served: every closed facility that can
         // serve one leaves the unserved count and gains on it exactly the
-        // term its next exact score will count.
+        // term its next score of the row as held will count.
         if !newly.is_empty() {
             for g in (0..nf).filter(|&g| !is_open[g]) {
-                let row = p.assignment_row(g);
+                let row = src.row(g);
                 let (mut lost, mut extra) = (0usize, 0.0);
                 for &(c, b) in &newly {
                     let a = row[c];

@@ -17,7 +17,8 @@
 //! * [`solve_branch_and_bound`] — exact, prunes with an admissible lower
 //!   bound; handles considerably larger instances.
 //! * [`solve_greedy`] — classic marginal-gain greedy (logarithmic
-//!   approximation).
+//!   approximation), over any [`RowSource`]: rows may be served as
+//!   certified lower bounds and made exact only when they can win.
 //! * [`solve_local_search`] — add/drop/swap local search seeded by greedy
 //!   (constant-factor approximation for metric instances).
 //!
@@ -55,5 +56,5 @@ mod problem;
 pub use bb::solve_branch_and_bound;
 pub use enumeration::{solve_enumeration, ENUMERATION_FACILITY_LIMIT};
 pub use error::FacilityError;
-pub use heuristics::{solve_greedy, solve_local_search};
+pub use heuristics::{solve_greedy, solve_local_search, RowSource};
 pub use problem::{FacilityProblem, FacilitySolution};

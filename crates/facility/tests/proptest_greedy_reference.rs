@@ -3,12 +3,14 @@
 //! family the lazy bounds must survive — uniform and per-facility
 //! (including free) opening costs, unreachable clients, exact float ties,
 //! sums that overflow, and best-response-shaped instances from a random
-//! overlay.
+//! overlay. Each family is also solved over row sources that serve
+//! some rows as certified lower bounds (equal to the exact rows, random,
+//! finite over `+∞`, integer ties, all zero) and escalate them on demand.
 
 mod support;
 
 use proptest::prelude::*;
-use sp_facility::{solve_greedy, FacilityProblem};
+use sp_facility::{solve_greedy, FacilityProblem, RowSource};
 use support::reference_greedy;
 
 /// Largest side of a generated instance: big enough for many lazy steps
@@ -25,6 +27,147 @@ fn assert_identical(p: &FacilityProblem) -> Result<(), TestCaseError> {
         lazy.cost,
         eager.cost
     );
+    Ok(())
+}
+
+/// How a [`Bounded`] source derives a row's lower bound from the exact
+/// row.
+#[derive(Debug, Clone, Copy)]
+enum BoundKind {
+    /// The exact row itself, but held as a bound.
+    Equal,
+    /// A random fraction of each finite entry; `+∞` entries stay `+∞`
+    /// or turn finite at random.
+    Random,
+    /// Every `+∞` entry held as a finite value.
+    FiniteOverInfinite,
+    /// Exact minus a small integer (floored at 0): on integer grids the
+    /// bound scores tie the exact scores of other rows bit for bit.
+    IntegerGap,
+    /// All zero.
+    Zero,
+}
+
+/// A splitmix64 step: the per-entry randomness of a bound, from one
+/// proptest-drawn seed.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform fraction in `[0, 1]`.
+fn unit(r: u64) -> f64 {
+    (r >> 11) as f64 / ((1u64 << 53) - 1) as f64
+}
+
+fn lower_bound(kind: BoundKind, a: f64, r: u64) -> f64 {
+    match kind {
+        BoundKind::Equal => a,
+        BoundKind::Random if a.is_finite() => a * unit(r),
+        BoundKind::Random if r.is_multiple_of(2) => a,
+        BoundKind::Random | BoundKind::FiniteOverInfinite if a.is_infinite() => 10.0 * unit(r),
+        BoundKind::Random | BoundKind::FiniteOverInfinite => a * unit(r),
+        BoundKind::IntegerGap if a.is_finite() => (a - (r % 3) as f64).max(0.0),
+        BoundKind::IntegerGap => (r % 7) as f64,
+        BoundKind::Zero => 0.0,
+    }
+}
+
+/// A row source over `exact` that holds about two rows in three as
+/// lower bounds and panics if the greedy escalates a row it already
+/// holds exactly.
+struct Bounded<'a> {
+    exact: &'a FacilityProblem,
+    rows: Vec<Vec<f64>>,
+    is_exact: Vec<bool>,
+}
+
+impl<'a> Bounded<'a> {
+    fn new(exact: &'a FacilityProblem, kind: BoundKind, seed: u64) -> Self {
+        let nf = exact.facility_count();
+        let is_exact: Vec<bool> = (0..nf)
+            .map(|f| mix(seed ^ f as u64).is_multiple_of(3))
+            .collect();
+        let rows = (0..nf)
+            .map(|f| {
+                let row = exact.assignment_row(f);
+                if is_exact[f] {
+                    return row.to_vec();
+                }
+                row.iter()
+                    .enumerate()
+                    .map(|(c, &a)| lower_bound(kind, a, mix(seed ^ ((f * 4096 + c) as u64) << 8)))
+                    .collect()
+            })
+            .collect();
+        Bounded {
+            exact,
+            rows,
+            is_exact,
+        }
+    }
+}
+
+impl RowSource for Bounded<'_> {
+    fn facility_count(&self) -> usize {
+        self.exact.facility_count()
+    }
+
+    fn client_count(&self) -> usize {
+        self.exact.client_count()
+    }
+
+    fn open_cost(&self, f: usize) -> f64 {
+        self.exact.open_cost(f)
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        &self.rows[f]
+    }
+
+    fn is_exact(&self, f: usize) -> bool {
+        self.is_exact[f]
+    }
+
+    fn escalate(&mut self, f: usize) {
+        assert!(!self.is_exact[f], "facility {f} escalated while exact");
+        self.rows[f] = self.exact.assignment_row(f).to_vec();
+        self.is_exact[f] = true;
+    }
+}
+
+/// [`assert_identical`], and the same answer over every bound kind.
+fn assert_identical_bounded(p: &FacilityProblem, seed: u64) -> Result<(), TestCaseError> {
+    assert_identical(p)?;
+    let eager = reference_greedy(p);
+    for kind in [
+        BoundKind::Equal,
+        BoundKind::Random,
+        BoundKind::FiniteOverInfinite,
+        BoundKind::IntegerGap,
+        BoundKind::Zero,
+    ] {
+        let mut src = Bounded::new(p, kind, seed);
+        let lazy = solve_greedy(&mut src);
+        prop_assert_eq!(&lazy.open, &eager.open, "{:?}", kind);
+        prop_assert!(
+            lazy.cost.to_bits() == eager.cost.to_bits(),
+            "{:?}: cost bits differ: lazy {} eager {}",
+            kind,
+            lazy.cost,
+            eager.cost
+        );
+        for &f in &lazy.open {
+            prop_assert!(
+                src.is_exact[f],
+                "{:?}: facility {} opened on a bound",
+                kind,
+                f
+            );
+        }
+    }
     Ok(())
 }
 
@@ -176,32 +319,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn lazy_greedy_matches_reference_uniform(p in arb_uniform()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_uniform(p in arb_uniform(), seed in 0u64..=u64::MAX) {
+        assert_identical_bounded(&p, seed)?;
     }
 
     #[test]
-    fn lazy_greedy_matches_reference_per_facility_costs(p in arb_per_facility()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_per_facility_costs(
+        p in arb_per_facility(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        assert_identical_bounded(&p, seed)?;
     }
 
     #[test]
-    fn lazy_greedy_matches_reference_with_gaps(p in arb_gaps()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_with_gaps(p in arb_gaps(), seed in 0u64..=u64::MAX) {
+        assert_identical_bounded(&p, seed)?;
     }
 
     #[test]
-    fn lazy_greedy_matches_reference_on_exact_ties(p in arb_integer_grid()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_on_exact_ties(
+        p in arb_integer_grid(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        assert_identical_bounded(&p, seed)?;
     }
 
     #[test]
-    fn lazy_greedy_matches_reference_when_sums_overflow(p in arb_overflowing()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_when_sums_overflow(
+        p in arb_overflowing(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        assert_identical_bounded(&p, seed)?;
     }
 
     #[test]
-    fn lazy_greedy_matches_reference_game_shaped(p in arb_game_shaped()) {
-        assert_identical(&p)?;
+    fn lazy_greedy_matches_reference_game_shaped(p in arb_game_shaped(), seed in 0u64..=u64::MAX) {
+        assert_identical_bounded(&p, seed)?;
     }
 }
