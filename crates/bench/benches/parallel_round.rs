@@ -103,7 +103,7 @@ fn oracle_sweeps(stats: &SessionStats, n: usize, fresh_oracles: bool) -> usize {
     let oracle = if fresh_oracles {
         stats.oracle_builds * (n - 1)
     } else {
-        stats.oracle_rows_swept
+        stats.seq_oracle_swept
     };
     stats.full_sssp + oracle
 }
@@ -146,13 +146,13 @@ fn bench_parallel_round(c: &mut Criterion) {
     let seq_sweeps = oracle_sweeps(&seq_stats, N, true);
     let par_sweeps = oracle_sweeps(&par_stats, N, false);
     let reduction = seq_sweeps as f64 / par_sweeps.max(1) as f64;
-    let reused_fraction = par_stats.oracle_rows_reused as f64 / (N * (N - 1)) as f64;
+    let reused_fraction = par_stats.seq_oracle_hits as f64 / (N * (N - 1)) as f64;
     println!(
         "n={N}: oracle SSSP sweeps {seq_sweeps} (sequential) vs {par_sweeps} \
          (sharded×{SHARDS}: {} cache fills + {} fallback sweeps, {:.1}% of candidate \
          rows reused, {} repaired) — {reduction:.1}x less work",
         par_stats.full_sssp,
-        par_stats.oracle_rows_swept,
+        par_stats.seq_oracle_swept,
         reused_fraction * 100.0,
         par_stats.oracle_rows_repaired,
     );

@@ -7,14 +7,13 @@
 //! (`DynamicsConfig { oracle_reuse: false }`) sweeps a fresh `G_{-i}`
 //! oracle per activation — `n - 1` Dijkstra sweeps each, every
 //! activation. The cached engine runs `GameSession::first_improving_move`,
-//! a lazy scan over the session's persistent overlay rows: overlay rows
-//! survive `apply` via the tightness-test repair, candidate moves are
-//! first rejected on certified lower bounds (dirty overlay rows, metric
-//! rows), and only the survivors pay for exact residual rows. An exact
-//! row comes from its overlay row through
+//! a lazy scan over the session's persistent overlay rows: every overlay
+//! row survives `apply`, which repairs the rows a removed link was tight
+//! on in place, candidate moves are first rejected on certified lower
+//! bounds (dirty overlay rows), and only the survivors pay for exact
+//! residual rows. An exact row comes from its overlay row through
 //! `sp_graph::CsrGraph::dijkstra_without`, which recomputes only the
-//! shortest-path subtree below the responder's tight out-links; an
-//! invalid overlay row is swept into the cache first.
+//! shortest-path subtree below the responder's tight out-links.
 //!
 //! A "sweep" here is a full single-source Dijkstra: the cached engine's
 //! overlay refills (`full_sssp`) plus the overlay rows its scans had to
@@ -29,14 +28,13 @@
 //! `BENCH_sequential_reuse.json`.
 //!
 //! A second case runs **best-response** dynamics (Greedy) on the same
-//! instance. Its cached engine plays each accepted response with
-//! `GameSession::play_best_response`, which commits the move in place
-//! with every row valid, so a run sweeps each overlay row once to fill
-//! the cache and then one row per accepted move. The bench reports those
-//! sweeps as `seq_br_sweeps/cached/64` and asserts they stay within `n`
-//! plus the accepted moves. Its greedy oracles hold dirty candidate rows
-//! as certified lower bounds and derive a residual row only when the
-//! greedy escalates it or the played move breaks it; the residual rows
+//! instance. Its cached engine commits each accepted response with
+//! `GameSession::apply`, which repairs every row a removed link was
+//! tight on in place, so a run sweeps each overlay row once to fill the
+//! cache and never again. The bench reports those sweeps as
+//! `seq_br_sweeps/cached/64` and asserts they stay within `n`. Its greedy
+//! oracles hold dirty candidate rows as certified lower bounds and derive
+//! a residual row only when the greedy escalates it; the residual rows
 //! derived over the run are reported as `seq_br_rows_repaired/cached/64`
 //! (unit `rows`) and asserted below the 6,474 rows of the oracles that
 //! derived every dirty row.
@@ -196,13 +194,12 @@ fn bench_sequential_reuse(c: &mut Criterion) {
 /// oracle derived every dirty candidate row before solving.
 const EAGER_BR_ROWS_REPAIRED: usize = 6_474;
 
-/// Best-response dynamics on the warmed instance. The cached engine
-/// commits every accepted response in place, so it never refills rows a
-/// move invalidated: after the first activation fills the `n` overlay
-/// rows, each accepted move sweeps only the mover's row. The gated
-/// counters are the run's full sweeps (cache fills plus scan sweeps, as
-/// above), asserted to be at most `n` plus the accepted moves, and the
-/// residual rows its oracles and commits derived, asserted below
+/// Best-response dynamics on the warmed instance. The cached engine's
+/// `apply` repairs every row an accepted move breaks in place, so after
+/// the first activation fills the `n` overlay rows no row is swept
+/// again. The gated counters are the run's full sweeps (cache fills
+/// plus scan sweeps, as above), asserted to be at most `n`, and the
+/// residual rows its oracles derived, asserted below
 /// [`EAGER_BR_ROWS_REPAIRED`].
 fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
     let rule = ResponseRule::BestResponseWith(METHOD);
@@ -252,9 +249,9 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
          dirty row: {repaired} vs {EAGER_BR_ROWS_REPAIRED}"
     );
     assert!(
-        sweeps <= N + out.moves,
-        "a played best response must sweep only the mover's row: {sweeps} sweeps for \
-         {} moves on {N} peers",
+        sweeps <= N,
+        "an applied best response must sweep no row: {sweeps} sweeps for {} moves on \
+         {N} peers",
         out.moves
     );
 }
@@ -262,10 +259,10 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
 /// The monitoring pattern: a loop that mutates one hot peer and
 /// immediately rebuilds that peer's oracle — the `sp-serve` pattern of
 /// an `apply` followed by a same-peer `best_response`. The mover's own
-/// edits invalidate the overlay rows tight on its out-links, and every
-/// `best_response` refills all invalid rows before it builds, so this
-/// loop pays more sweeps than round-robin dynamics does. The gated
-/// counter is the total monitor sweeps (must not regress).
+/// edits break the overlay rows tight on its removed out-links, and
+/// `apply` repairs them in place, so the loop sweeps each row once, to
+/// fill the cache. The gated counter is the total monitor sweeps (must
+/// not regress).
 fn bench_monitored_mover(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
     const MONITOR_STEPS: usize = 24;
     let run = |session: &mut GameSession| {
@@ -273,7 +270,7 @@ fn bench_monitored_mover(c: &mut Criterion, game: &Game, start: &StrategyProfile
             let peer = sp_core::PeerId::new(7);
             let br = session.best_response(peer, METHOD).expect("in bounds");
             // Perturb the hot peer's links deterministically so every
-            // step invalidates rows tight on its out-links.
+            // step breaks rows tight on its out-links.
             let t = sp_core::PeerId::new((11 + 5 * k) % N);
             let links = if t == peer {
                 br.links

@@ -1,23 +1,23 @@
-//! Pluggable distance backends behind [`GameSession`].
+//! The two distance backends behind [`GameSession`].
 //!
 //! Every cost in the locality game is stretch-based, so the session's
 //! real job is answering overlay-distance queries and keeping those
-//! answers valid while the profile mutates. This module splits that job
-//! into a trait with two implementations:
+//! answers valid while the profile mutates. A session holds one of two
+//! backends, dispatched statically by a closed enum:
 //!
-//! * [`DenseBackend`] — the exact `OracleCache`: the overlay distance
-//!   matrix with per-row validity, from which best-response oracles
-//!   derive their residual rows by subtree repair. **The default.**
+//! * **dense** — the exact `OracleCache`: the overlay distance matrix
+//!   with per-row validity, from which best-response oracles derive
+//!   their residual rows by subtree repair. **The default.**
 //! * [`SparseBackend`] — landmark distance
 //!   sketches with certified upper/lower bounds, exact bounded-radius
 //!   sweeps for near rows, and metric-window candidate pruning.
 //!   `O(n · (landmarks + degree + window))` memory; never materialises
 //!   an `n × n` matrix unless an explicit escape hatch is called.
 //!
-//! Both implementations repair their cached rows through the **same**
-//! invalidation discipline — the [`sp_graph::edge_on_path`] tightness
-//! predicate decides row survival after a removal, and additions fold in
-//! by decrease-only relaxation — so the backends cannot drift apart.
+//! Both backends repair their cached rows through the **same**
+//! discipline — the [`sp_graph::edge_on_path`] tightness predicate
+//! decides which rows a removal touches, and additions fold in by
+//! decrease-only relaxation — so the backends cannot drift apart.
 //!
 //! # Choosing a mode
 //!
@@ -63,88 +63,36 @@ impl BackendMode {
     }
 }
 
-/// The contract a distance backend owes [`GameSession`](crate::GameSession).
-///
-/// A backend owns whatever cached distance state it needs and keeps two
-/// promises:
-///
-/// 1. **Exactness where claimed** — any row or bound it serves is either
-///    exact for the current overlay or explicitly a certified bound
-///    (never a silent approximation);
-/// 2. **Repair over rebuild** — after a committed edge diff the backend
-///    restores its invariants incrementally via the shared
-///    [`sp_graph::edge_on_path`] discipline rather than discarding
-///    state wholesale.
-///
-/// The session routes queries per [`BackendMode`]; this trait carries
-/// the mode-independent surface (identification, accounting, bulk
-/// invalidation).
-pub trait DistanceBackend {
-    /// Which mode this backend implements.
-    fn mode(&self) -> BackendMode;
-    /// Semantic bytes of cached distance state (deterministic across
-    /// machines; the `sp-serve` registry budgets sessions with it).
-    fn memory_bytes(&self) -> usize;
-    /// Drops every cached row/sketch (profile replaced wholesale).
-    fn invalidate(&mut self);
-}
-
-/// The exact dense backend: a thin named wrapper around the
-/// `OracleCache` so the cache itself stays private to the crate.
-#[derive(Debug, Clone)]
-pub struct DenseBackend {
-    pub(crate) cache: OracleCache,
-}
-
-impl DenseBackend {
-    pub(crate) fn new(n: usize) -> Self {
-        DenseBackend {
-            cache: OracleCache::new(n),
-        }
-    }
-}
-
-impl DistanceBackend for DenseBackend {
-    fn mode(&self) -> BackendMode {
-        BackendMode::Dense
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cache.memory_bytes()
-    }
-
-    fn invalidate(&mut self) {
-        self.cache.invalidate_all();
-    }
-}
-
 /// The backend a session actually holds: a closed enum (not a trait
 /// object) so the dense hot path keeps static dispatch and the borrow
 /// checker can reason field-granularly.
 #[derive(Debug, Clone)]
 pub(crate) enum SessionBackend {
-    Dense(DenseBackend),
+    Dense(OracleCache),
     Sparse(Box<SparseBackend>),
 }
 
 impl SessionBackend {
     pub(crate) fn mode(&self) -> BackendMode {
         match self {
-            SessionBackend::Dense(b) => b.mode(),
-            SessionBackend::Sparse(b) => b.mode(),
+            SessionBackend::Dense(_) => BackendMode::Dense,
+            SessionBackend::Sparse(_) => BackendMode::Sparse,
         }
     }
 
+    /// Semantic bytes of cached distance state (deterministic across
+    /// machines; the `sp-serve` registry budgets sessions with it).
     pub(crate) fn memory_bytes(&self) -> usize {
         match self {
-            SessionBackend::Dense(b) => b.memory_bytes(),
+            SessionBackend::Dense(c) => c.memory_bytes(),
             SessionBackend::Sparse(b) => b.memory_bytes(),
         }
     }
 
+    /// Drops every cached row or sketch (profile replaced wholesale).
     pub(crate) fn invalidate(&mut self) {
         match self {
-            SessionBackend::Dense(b) => b.invalidate(),
+            SessionBackend::Dense(c) => c.invalidate_all(),
             SessionBackend::Sparse(b) => b.invalidate(),
         }
     }
@@ -157,7 +105,7 @@ impl SessionBackend {
     /// here after mode routing has already happened.
     pub(crate) fn dense(&self) -> &OracleCache {
         match self {
-            SessionBackend::Dense(b) => &b.cache,
+            SessionBackend::Dense(c) => c,
             SessionBackend::Sparse(_) => {
                 unreachable!("dense cache requested from a sparse session (routing bug)")
             }
@@ -167,7 +115,7 @@ impl SessionBackend {
     /// Mutable twin of [`SessionBackend::dense`].
     pub(crate) fn dense_mut(&mut self) -> &mut OracleCache {
         match self {
-            SessionBackend::Dense(b) => &mut b.cache,
+            SessionBackend::Dense(c) => c,
             SessionBackend::Sparse(_) => {
                 unreachable!("dense cache requested from a sparse session (routing bug)")
             }
@@ -200,7 +148,7 @@ impl SessionBackend {
     /// `u` since the last mutation).
     pub(crate) fn stored_row(&self, u: usize) -> &[f64] {
         match self {
-            SessionBackend::Dense(b) => b.cache.row(u),
+            SessionBackend::Dense(c) => c.row(u),
             SessionBackend::Sparse(b) => b.row_ref(u),
         }
     }

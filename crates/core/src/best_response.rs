@@ -18,15 +18,13 @@
 //! [`sp_facility::solve_greedy`]); the other methods ask for every row;
 //! the better-response scan asks for the rows its moves cannot reject
 //! on a bound. Every exact row is bit-identical to a fresh sweep's, so
-//! every cached answer is bit-identical to [`ResponseOracle`]'s. The
-//! residual rows a store derived go with a played move to
-//! `OracleCache::commit_played`.
+//! every cached answer is bit-identical to [`ResponseOracle`]'s.
 
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
     FacilityProblem, FacilitySolution, RowSource,
 };
-use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch};
+use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, Removal};
 
 use crate::oracle_cache::OracleCache;
 use crate::session::EDGE_ON_PATH_EPS;
@@ -158,10 +156,14 @@ fn candidate_row(
 ) {
     let swept = cache.ensure_row(overlay.csr, v, scratch);
     out.copy_from_slice(cache.row(v));
-    let affected =
-        overlay
-            .csr
-            .dijkstra_without(overlay.transpose, v, i, EDGE_ON_PATH_EPS, out, scratch);
+    let affected = overlay.csr.dijkstra_without(
+        overlay.transpose,
+        v,
+        Removal::OutEdgesOf(i),
+        EDGE_ON_PATH_EPS,
+        out,
+        scratch,
+    );
     if swept {
         reuse.rows_swept += 1;
     } else if affected == 0 {
@@ -393,41 +395,6 @@ enum Held {
     Exact,
 }
 
-/// The residual rows `D_{G_{-i}}(v, ·)` one cached oracle derived, by
-/// candidate peer `v` — what a played move reuses instead of deriving
-/// them again (see `OracleCache::commit_played`).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Residuals {
-    /// `slot[v]` indexes `rows` in rows of `n`; `usize::MAX` = none.
-    slot: Vec<usize>,
-    rows: Vec<f64>,
-}
-
-impl Residuals {
-    fn new(n: usize) -> Self {
-        Residuals {
-            slot: vec![usize::MAX; n],
-            rows: Vec::new(),
-        }
-    }
-
-    /// A fresh `n`-entry row for peer `v` (which must have none yet).
-    fn push_row(&mut self, v: usize) -> &mut [f64] {
-        let n = self.slot.len();
-        let start = self.rows.len();
-        self.slot[v] = start / n;
-        self.rows.resize(start + n, 0.0);
-        &mut self.rows[start..]
-    }
-
-    /// Peer `v`'s residual row, if the oracle derived it.
-    pub(crate) fn row(&self, v: usize) -> Option<&[f64]> {
-        let n = self.slot.len();
-        let s = *self.slot.get(v)?;
-        (s != usize::MAX).then(|| &self.rows[s * n..(s + 1) * n])
-    }
-}
-
 /// The candidate rows of one cached `(profile, peer)` oracle, each an
 /// assignment row of the reduction held in the weakest form asked of it
 /// (see [`Held`]) — the one row store of every cached oracle path.
@@ -438,8 +405,8 @@ impl Residuals {
 ///   the distance row.
 /// * A **dirty** overlay row is converted and held as a lower bound.
 /// * Escalating a row ([`RowSource::escalate`]) derives the exact
-///   residual row of a dirty (or invalid) one through [`candidate_row`],
-///   keeps it in [`Residuals`], and converts it.
+///   residual row of a dirty (or invalid) one through [`candidate_row`]
+///   into one reusable row buffer, and converts it.
 ///
 /// The greedy reads the store as a [`RowSource`] and escalates only the
 /// rows whose bound score can still win; the other methods, and the
@@ -458,16 +425,9 @@ pub(crate) struct CandidateRows<'a> {
     /// Row-major assignment rows, `(n − 1) × (n − 1)`.
     assignment: Vec<f64>,
     held: Vec<Held>,
-    residuals: Residuals,
+    /// The residual row [`CandidateRows::make_exact`] derives into.
+    residual: Vec<f64>,
     reuse: OracleReuse,
-}
-
-/// What a [`CandidateRows`] store was used for once it is spent.
-pub(crate) struct RowsUsed {
-    /// The per-row accounting, rows held only as bounds included.
-    pub(crate) reuse: OracleReuse,
-    /// The residual rows it derived.
-    pub(crate) residuals: Residuals,
 }
 
 impl<'a> CandidateRows<'a> {
@@ -495,7 +455,7 @@ impl<'a> CandidateRows<'a> {
             d_i: latency_row(game, i),
             assignment,
             held: vec![Held::Unresolved; m],
-            residuals: Residuals::new(n),
+            residual: vec![0.0; n],
             reuse: OracleReuse::default(),
         }
     }
@@ -557,25 +517,18 @@ impl<'a> CandidateRows<'a> {
             return;
         }
         let (i, v) = (self.i, self.candidates[k]);
-        let residual = self.residuals.push_row(v);
         candidate_row(
             self.overlay,
             self.cache,
             i,
             v,
-            residual,
+            &mut self.residual,
             self.scratch,
             &mut self.reuse,
         );
         let m = self.candidates.len();
         let out = &mut self.assignment[k * m..(k + 1) * m];
-        write_assignment_row(
-            out,
-            i,
-            v,
-            &self.d_i,
-            self.residuals.row(v).expect("just derived"),
-        );
+        write_assignment_row(out, i, v, &self.d_i, &self.residual);
         self.held[k] = Held::Exact;
     }
 
@@ -587,7 +540,7 @@ impl<'a> CandidateRows<'a> {
     pub(crate) fn solve(
         mut self,
         method: BestResponseMethod,
-    ) -> Result<((LinkSet, f64), RowsUsed), CoreError> {
+    ) -> Result<((LinkSet, f64), OracleReuse), CoreError> {
         self.resolve_all();
         let sol = if method == BestResponseMethod::Greedy {
             solve_greedy(&mut self)
@@ -603,15 +556,12 @@ impl<'a> CandidateRows<'a> {
         Ok(((links, sol.cost), self.finish()))
     }
 
-    /// The accounting and residual rows, with every row still held as a
-    /// bound counted in [`OracleReuse::rows_bounded`].
-    fn finish(self) -> RowsUsed {
+    /// The accounting, with every row still held as a bound counted in
+    /// [`OracleReuse::rows_bounded`].
+    fn finish(self) -> OracleReuse {
         let mut reuse = self.reuse;
         reuse.rows_bounded = self.held.iter().filter(|&&h| h == Held::Lower).count();
-        RowsUsed {
-            reuse,
-            residuals: self.residuals,
-        }
+        reuse
     }
 
     /// `FacilityProblem::cost_of` replicated over the held rows: open
@@ -740,7 +690,7 @@ pub(crate) fn first_improving_move_lazy(
 ) -> (Option<BestResponse>, LazyScan) {
     let mut scan = LazyScan::default();
     let mv = scan_moves(profile, peer, &mut rows, tol, &mut scan);
-    scan.reuse = rows.finish().reuse;
+    scan.reuse = rows.finish();
     (mv, scan)
 }
 

@@ -38,14 +38,12 @@
 //!   approximately via greedy/local-search;
 //! * [`is_nash`] / [`nash_gap`] — (exact) Nash-equilibrium verification;
 //! * [`poa`] — bounds used for Price-of-Anarchy bracketing;
-//! * [`backend`] — **pluggable evaluation backends**: the exact dense
-//!   [`OracleCache`]-backed default, and the [`SparseBackend`] landmark
+//! * [`backend`] — **the two evaluation backends**: the exact dense
+//!   `OracleCache`-backed default, and the [`SparseBackend`] landmark
 //!   mode ([`GameSession::new_sparse`]) that answers large-`n`
 //!   better-response dynamics in `O(n · (landmarks + window))` memory
 //!   without ever materialising the `O(n²)` distance matrix (see the
 //!   module docs for the mode-selection guidance).
-//!
-//! [`OracleCache`]: crate::backend::DenseBackend
 //!
 //! The free functions are retained as thin, source-compatible wrappers —
 //! each builds a throwaway [`GameSession`] — so one-shot callers keep the
@@ -109,7 +107,7 @@ mod sparse;
 mod strategy;
 mod topology;
 
-pub use backend::{BackendMode, DenseBackend, DistanceBackend};
+pub use backend::BackendMode;
 pub use best_response::{best_response, first_improving_move, BestResponse, BestResponseMethod};
 pub use cost::{all_peer_costs, peer_cost, social_cost, SocialCost};
 pub use error::CoreError;

@@ -5,7 +5,8 @@
 //! with per-row validity, repaired incrementally when the profile
 //! mutates. It is the single invalidation code path for every oracle the
 //! session hands out (sequential activations *and* the sharded
-//! simultaneous round engine).
+//! simultaneous round engine), and the one home of the session's
+//! quadratic state.
 //!
 //! A best-response oracle for peer `i` needs residual rows
 //! `D_{G_{-i}}(v, ·)`. The valid overlay row `v` is a certified lower
@@ -15,61 +16,59 @@
 //! to [`sp_graph::CsrGraph::dijkstra_without`], which recomputes only the
 //! shortest-path subtree below `i`'s tight out-links, seeded through the
 //! overlay CSR's transpose (see `crate::best_response::CandidateRows`).
-//! Residual rows are not stored past the oracle: deriving one costs a
-//! subtree repair, which is cheaper than keeping a second tier exact
-//! across moves. This is the confinement idea of the min+1 protocol of
-//! Dubois–Masuzawa–Tixeuil: recompute only the part of the shortest-path
-//! tree a change touched, and only where the decision reads it.
+//! Residual rows are not stored past the oracle. This is the confinement
+//! idea of the min+1 protocol of Dubois–Masuzawa–Tixeuil: recompute only
+//! the part of the shortest-path tree a change touched, and only where
+//! the decision reads it.
 //!
-//! When the session plays the response, [`OracleCache::commit_played`]
-//! updates the matrix in place, one row at a time. A row that none of
-//! the move's removed links is tight on keeps its overlay row and folds
-//! in the added links, as the repair below does. A row a removed link is
-//! tight on is broken: it becomes its residual row — the oracle's, or one
-//! derived now from the old row — with all of `i`'s new links folded in.
-//! Row `i` is swept. Every row stays valid.
+//! The same kernel repairs the overlay rows themselves when a committed
+//! diff removes links that all leave one peer — every `apply`, the moves
+//! of sequential dynamics included, and every batch with one mover. A
+//! row a removed link is tight on has only the subtrees below those
+//! links recomputed, on the new CSR; the added links are then folded
+//! in. Diffs whose removed links leave several peers (simultaneous
+//! rounds, churn) drop the rows instead, and the session refills them in
+//! one sharded pass.
 //!
-//! # Invalidation invariants
+//! # Repair invariants
 //!
 //! After every committed edge diff `(added, removed)` the cache
 //! restores this contract before any row is served again:
 //!
-//! * a row `u` survives untouched iff **no** removed link could be tight
-//!   on one of `u`'s shortest paths (`d_u(i) + w > d_u(j)` beyond
-//!   [`EDGE_ON_PATH_EPS`] slack — ties conservatively invalidate);
-//!   added links are folded in by seeded decrease-only relaxation
-//!   ([`sp_graph::CsrGraph::relax_decrease_into`]);
-//! * every surviving row is **bit-identical** to a fresh sweep of the
-//!   overlay (enforced by `crates/core/tests/proptest_session.rs` and
-//!   `crates/graph/tests/proptest_incremental.rs`): both a fresh
-//!   Dijkstra and decrease-only relaxation compute the minimum over
-//!   source-to-target path sums, so equal inputs give equal bits.
+//! * a row survives untouched by the removals iff **no** removed link
+//!   could be tight on one of its shortest paths (`d_u(i) + w > d_u(j)`
+//!   beyond [`EDGE_ON_PATH_EPS`] slack — ties count as tight); a row a
+//!   removed link is tight on is repaired in place when the removals
+//!   leave one peer, and dropped otherwise;
+//! * added links are folded into every kept row by seeded decrease-only
+//!   relaxation ([`sp_graph::CsrGraph::relax_decrease_into`]);
+//! * every kept row is **bit-identical** to a fresh sweep of the overlay
+//!   (enforced by `crates/core/tests/proptest_session.rs` and
+//!   `crates/graph/tests/proptest_incremental.rs`): a fresh Dijkstra,
+//!   the subtree repair and decrease-only relaxation all compute the
+//!   minimum over source-to-target path sums, so equal inputs give equal
+//!   bits.
 //!
 //! [`GameSession`]: crate::GameSession
 
-use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix};
+use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, DistanceMatrix, Removal};
 
-use crate::best_response::{Overlay, Residuals};
 use crate::session::EDGE_ON_PATH_EPS;
 
-/// What one [`OracleCache::repair_after_edges`] or
-/// [`OracleCache::commit_played`] pass did, for the session's work
-/// counters.
+/// What one [`OracleCache::repair_after_edges`] pass did, for the
+/// session's work counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RepairCounts {
     /// Rows dropped (a removed link may have been tight).
     pub rows_invalidated: usize,
     /// Rows kept (untouched or repaired in place).
     pub rows_preserved: usize,
-    /// Seeded decrease-only relaxations run on surviving rows.
+    /// Seeded decrease-only relaxations run on kept rows.
     pub incremental_relaxations: usize,
-    /// Residual rows a played move derived because its oracle had held
-    /// them only as bounds.
-    pub rows_derived: usize,
 }
 
 /// The overlay distance matrix with per-row validity. See the module
-/// docs for the invalidation invariants.
+/// docs for the repair invariants.
 #[derive(Debug, Clone)]
 pub(crate) struct OracleCache {
     /// Overlay distances; row `u` is meaningful iff `row_valid[u]`.
@@ -170,114 +169,50 @@ impl OracleCache {
 
     /// The repair pass, run against the **new** overlay CSR after the
     /// profile diff `(added, removed)` — each entry a `(from, to,
-    /// weight)` edge — has been committed. See the module docs for the
-    /// exact invariants restored.
+    /// weight)` edge — has been committed. With `transpose`, the new
+    /// CSR's transpose, a row a removed link is tight on is repaired in
+    /// place; without it the row is dropped. The caller passes it when
+    /// every removed link leaves the same peer. See the module docs for
+    /// the exact invariants restored.
     pub(crate) fn repair_after_edges(
         &mut self,
         csr: &CsrGraph,
+        transpose: Option<&CsrGraph>,
         added: &[(usize, usize, f64)],
         removed: &[(usize, usize, f64)],
         scratch: &mut DijkstraScratch,
     ) -> RepairCounts {
         let mut counts = RepairCounts::default();
-        let n = self.row_valid.len();
         let mut seeds: Vec<(usize, f64)> = Vec::with_capacity(added.len());
 
-        for u in 0..n {
+        for (u, row) in self.dist.rows_mut().enumerate() {
             if !self.row_valid[u] {
                 continue;
             }
-            let row = self.dist.row(u);
-
             // A removed link (i, j) can only affect u's distances when u
             // reaches i and the link was tight on some shortest path —
-            // the one tightness predicate every backend shares.
-            let broken = removed
+            // the one tightness predicate every backend shares. The
+            // kernel recomputes just the subtrees below such links.
+            if let Some(transpose) = transpose {
+                csr.dijkstra_without(
+                    transpose,
+                    u,
+                    Removal::Edges(removed),
+                    EDGE_ON_PATH_EPS,
+                    row,
+                    scratch,
+                );
+            } else if removed
                 .iter()
-                .any(|&(i, j, w)| edge_on_path(row[i], w, row[j], EDGE_ON_PATH_EPS));
-            if broken {
+                .any(|&(i, j, w)| edge_on_path(row[i], w, row[j], EDGE_ON_PATH_EPS))
+            {
                 self.row_valid[u] = false;
                 counts.rows_invalidated += 1;
                 continue;
             }
 
             // Added links only ever shorten distances: repair in place.
-            if relax_added(csr, self.dist.row_mut(u), added, &mut seeds, scratch) {
-                counts.incremental_relaxations += 1;
-            }
-            counts.rows_preserved += 1;
-        }
-        counts
-    }
-
-    /// Commits a played best response of peer `i` in place, one row at
-    /// a time, with every row valid before and after. `old` is the
-    /// overlay before the move, `csr` the overlay after it, `links`
-    /// every new `(i, t, d(i, t))` link of `i`, and `residuals` the
-    /// residual rows `D_{G_{-i}}(v, ·)` the mover's oracle derived.
-    ///
-    /// * A row none of the move's removed links is tight on keeps its
-    ///   overlay row and folds in only the added links — the
-    ///   [`OracleCache::repair_after_edges`] path, with nothing dropped.
-    /// * A **broken** row, one a removed link is tight on, becomes its
-    ///   residual row with all of `i`'s new links folded in: the
-    ///   oracle's row when it derived one, otherwise one derived now from
-    ///   the old row against `old` (counted in
-    ///   [`RepairCounts::rows_derived`]).
-    /// * Row `i` is swept; the caller counts the sweep.
-    pub(crate) fn commit_played(
-        &mut self,
-        old: Overlay<'_>,
-        csr: &CsrGraph,
-        i: usize,
-        links: &[(usize, usize, f64)],
-        residuals: &Residuals,
-        scratch: &mut DijkstraScratch,
-    ) -> RepairCounts {
-        let (old_ts, old_ws) = old.csr.out_neighbors(i);
-        let kept = |t: usize| links.iter().any(|&(_, l, _)| l == t);
-        let removed: Vec<(usize, usize, f64)> = old_ts
-            .iter()
-            .zip(old_ws)
-            .filter(|&(&t, _)| !kept(t))
-            .map(|(&t, &w)| (i, t, w))
-            .collect();
-        let added: Vec<(usize, usize, f64)> = links
-            .iter()
-            .filter(|&&(_, t, _)| !old_ts.contains(&t))
-            .copied()
-            .collect();
-        let mut counts = RepairCounts::default();
-        let mut seeds: Vec<(usize, f64)> = Vec::with_capacity(links.len());
-        for (v, row) in self.dist.rows_mut().enumerate() {
-            debug_assert!(self.row_valid[v], "a played move needs every row valid");
-            if v == i {
-                csr.dijkstra_into_with(i, row, scratch);
-                continue;
-            }
-            let broken = removed
-                .iter()
-                .any(|&(_, t, w)| edge_on_path(row[i], w, row[t], EDGE_ON_PATH_EPS));
-            let fold = if broken {
-                match residuals.row(v) {
-                    Some(residual) => row.copy_from_slice(residual),
-                    None => {
-                        old.csr.dijkstra_without(
-                            old.transpose,
-                            v,
-                            i,
-                            EDGE_ON_PATH_EPS,
-                            row,
-                            scratch,
-                        );
-                        counts.rows_derived += 1;
-                    }
-                }
-                links
-            } else {
-                &added
-            };
-            if relax_added(csr, row, fold, &mut seeds, scratch) {
+            if relax_added(csr, row, added, &mut seeds, scratch) {
                 counts.incremental_relaxations += 1;
             }
             counts.rows_preserved += 1;

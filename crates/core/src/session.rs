@@ -19,32 +19,31 @@
 //! * a row `u` survives a **removed** link `(i, j)` untouched when no
 //!   shortest path from `u` used that link (checked in `O(1)` per row
 //!   per removed link via `d_u(i) + w(i,j) > d_u(j)`);
+//! * a row a removed link is tight on is **repaired in place** by
+//!   [`sp_graph::CsrGraph::dijkstra_without`], which recomputes only the
+//!   shortest-path subtrees below the removed tight links, seeded
+//!   through the overlay CSR's transpose;
 //! * an **added** link `(i, j)` triggers a decrease-only re-relaxation
 //!   seeded at `j` ([`sp_graph::CsrGraph::relax_decrease_into`]) — work
 //!   proportional to the region whose distances actually improve, not a
-//!   full APSP;
-//! * rows that cannot be repaired cheaply are merely marked invalid and
-//!   recomputed the next time something reads them.
+//!   full APSP.
 //!
-//! Rows are updated in three ways: `apply`'s invalidate-and-relax
-//! repair above; cold fills, one sweep per invalid row on the next read;
-//! and a played best response ([`GameSession::play_best_response`]),
-//! which drops nothing. It commits in place: a row no removed link was
-//! tight on folds in the added links, a broken row becomes its residual
-//! row `D_{G_{-i}}(v, ·)` — the one the oracle derived, or one derived
-//! now — with the mover's new links folded in, and only the mover's own
-//! row is swept. Every row stays valid.
+//! A move leaves every valid row valid, so a best response followed by
+//! an `apply` of it — one step of sequential dynamics — refills nothing.
 //!
 //! Multi-move churn events (a simultaneous round, a peer departure) go
 //! through [`GameSession::apply_batch`], which folds any number of
 //! [`Move`]s into **one** profile mutation, **one** CSR rebuild, and a
-//! **single** repair pass: one removed-edge tightness scan over the
-//! valid rows against the union of all removed links, and one seeded
-//! decrease-only relaxation per surviving row covering all added links.
-//! Bulk row refills (a cold [`GameSession::social_cost`], the rows
-//! dropped by a batch) are sharded over `std::thread::available_parallelism`
-//! scoped worker threads ([`sp_graph::CsrGraph::dijkstra_rows_with`]),
-//! each with its own [`DijkstraScratch`].
+//! **single** repair pass against the net edge diff. A batch whose
+//! removed links all leave one peer is repaired like an `apply`. When
+//! removed links leave several peers, the pass instead drops every row
+//! one of them is tight on, and one seeded decrease-only relaxation per
+//! surviving row covers all added links. Bulk row refills (a cold
+//! [`GameSession::social_cost`], the rows dropped by such a batch) are
+//! sharded over `std::thread::available_parallelism` scoped worker
+//! threads ([`sp_graph::CsrGraph::dijkstra_rows_with`]), each with its
+//! own [`DijkstraScratch`]; on simultaneous-round batches that refill is
+//! faster than repairing the many broken rows one by one.
 //!
 //! The overlay matrix lives in one [`OracleCache`](crate::oracle_cache),
 //! and every oracle the session hands out (a sequential
@@ -84,12 +83,13 @@ use std::sync::Arc;
 
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
 
-use crate::backend::{BackendMode, DenseBackend, SessionBackend};
+use crate::backend::{BackendMode, SessionBackend};
 use crate::best_response::{
-    first_improving_move_lazy, CandidateRows, OracleReuse, Overlay, Residuals, ResponseOracle,
+    first_improving_move_lazy, CandidateRows, OracleReuse, Overlay, ResponseOracle,
 };
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
+use crate::oracle_cache::OracleCache;
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
 use crate::{
     BestResponse, BestResponseMethod, CoreError, Game, LinkSet, PeerId, SocialCost, StrategyProfile,
@@ -150,21 +150,20 @@ pub struct SessionStats {
     /// Overlay CSR snapshots built.
     pub csr_rebuilds: usize,
     /// Full single-source sweeps (one distance-matrix row from scratch):
-    /// cold fills, refills of invalidated rows, and the mover's own row
-    /// when [`GameSession::play_best_response`] plays a move (its other
-    /// rows are committed in place). Rows a lazy
-    /// better-response scan sweeps are counted in
+    /// cold fills and refills of dropped rows. A move that removes links
+    /// of one peer repairs its broken rows in place and sweeps none. Rows
+    /// a lazy better-response scan sweeps are counted in
     /// [`SessionStats::seq_oracle_swept`] instead.
     pub full_sssp: usize,
     /// Seeded decrease-only re-relaxations (cheap incremental repairs).
     pub incremental_relaxations: usize,
-    /// Rows dropped by [`GameSession::apply`] because a removed link may
-    /// have carried a shortest path. A move played by
-    /// [`GameSession::play_best_response`] drops none.
+    /// Rows dropped by a repair pass because a removed link may have
+    /// carried a shortest path: only by an [`GameSession::apply_batch`]
+    /// whose removed links leave several peers. Every other move repairs
+    /// such rows in place.
     pub rows_invalidated: usize,
-    /// Rows that survived an [`GameSession::apply`] untouched or via a
-    /// cheap repair, plus the `n - 1` rows a played move commits in
-    /// place.
+    /// Rows that survived a repair pass, untouched, decrease-relaxed or
+    /// repaired in place below a removed link.
     pub rows_preserved: usize,
     /// Best-response oracles built or lazy better-response scans run
     /// (an uncached build costs `n - 1` sweeps, counted separately from
@@ -185,44 +184,31 @@ pub struct SessionStats {
     pub oracle_parallel_rounds: usize,
     /// Worker shards spawned across those parallel rounds.
     pub oracle_shards: usize,
-    /// Oracle candidate rows of round builds served verbatim from the
-    /// round-frozen distance snapshot, without a repair or a sweep.
-    pub oracle_rows_reused: usize,
-    /// Oracle candidate rows of round builds whose overlay row paid a
-    /// full sweep first. The round engine freezes every row before it
-    /// builds, so this stays 0; repaired rows are counted in
-    /// [`SessionStats::oracle_rows_repaired`].
-    pub oracle_rows_swept: usize,
-    /// Candidate rows served verbatim by **sequential** cached oracle
-    /// paths ([`GameSession::best_response`],
+    /// Candidate rows served verbatim by cached oracle paths
+    /// ([`GameSession::best_response`], [`GameSession::best_responses_round`],
     /// [`GameSession::first_improving_move`], `nash_gap`, `is_nash`):
-    /// clean overlay rows no out-link of the responder is tight on. The
-    /// round engine's reuse is counted separately in
-    /// [`SessionStats::oracle_rows_reused`].
+    /// clean overlay rows no out-link of the responder is tight on.
     pub seq_oracle_hits: usize,
-    /// Candidate rows of sequential cached oracle paths whose overlay row
-    /// was invalid and paid a full sweep (kept in the cache) before the
-    /// repair. `best_response` refills every row before it builds, so
-    /// only the lazy [`GameSession::first_improving_move`] scan adds
+    /// Candidate rows of cached oracle paths whose overlay row was
+    /// invalid and paid a full sweep (kept in the cache) before the
+    /// repair. Best-response oracles refill every row before they build,
+    /// so only the lazy [`GameSession::first_improving_move`] scan adds
     /// here.
     pub seq_oracle_swept: usize,
-    /// Candidate rows of cached oracle paths — sequential and round
-    /// alike — that were not clean but were repaired from a valid
-    /// overlay row by `sp_graph::CsrGraph::dijkstra_without`,
-    /// recomputing only the shortest-path subtree below the responding
-    /// peer's tight out-links instead of paying a full sweep. Also
-    /// counts the residual rows a [`GameSession::play_best_response`]
-    /// commit derives for rows the move broke that its oracle held only
-    /// as bounds, so this is every residual row derived.
+    /// Candidate rows of cached oracle paths that were not clean but were
+    /// derived from a valid overlay row by
+    /// `sp_graph::CsrGraph::dijkstra_without`, recomputing only the
+    /// shortest-path subtree below the responding peer's tight out-links
+    /// instead of paying a full sweep. Overlay rows a move repairs are
+    /// counted in [`SessionStats::rows_preserved`], not here.
     pub oracle_rows_repaired: usize,
-    /// Candidate rows of cached oracle paths — sequential and round
-    /// alike — served only as certified lower bounds (dirty overlay rows,
-    /// or metric rows for invalid ones) and never made exact: the greedy
-    /// proved from the bound that the row's facility could not win, or
-    /// the better-response scan rejected every move on it. A
-    /// best-response oracle's `n − 1` candidate rows add up across
-    /// reused (`seq_oracle_hits` or `oracle_rows_reused`), repaired,
-    /// swept and bounded.
+    /// Candidate rows of cached oracle paths served only as certified
+    /// lower bounds (dirty overlay rows, or metric rows for invalid ones)
+    /// and never made exact: the greedy proved from the bound that the
+    /// row's facility could not win, or the better-response scan rejected
+    /// every move on it. A best-response oracle's `n − 1` candidate rows
+    /// add up across reused (`seq_oracle_hits`), repaired, swept and
+    /// bounded.
     pub oracle_rows_bounded: usize,
     /// Snapshots exported via [`GameSession::snapshot`] — the spill half
     /// of an eviction cycle in a session registry.
@@ -289,8 +275,6 @@ impl SessionStats {
             parallel_rows,
             oracle_parallel_rounds,
             oracle_shards,
-            oracle_rows_reused,
-            oracle_rows_swept,
             seq_oracle_hits,
             seq_oracle_swept,
             oracle_rows_repaired,
@@ -317,8 +301,6 @@ impl SessionStats {
         self.parallel_rows += parallel_rows;
         self.oracle_parallel_rounds += oracle_parallel_rounds;
         self.oracle_shards += oracle_shards;
-        self.oracle_rows_reused += oracle_rows_reused;
-        self.oracle_rows_swept += oracle_rows_swept;
         self.seq_oracle_hits += seq_oracle_hits;
         self.seq_oracle_swept += seq_oracle_swept;
         self.oracle_rows_repaired += oracle_rows_repaired;
@@ -386,14 +368,6 @@ pub struct GameSession {
     stats: SessionStats,
 }
 
-/// Which [`SessionStats`] bucket a cached oracle build counts into:
-/// sequential activations vs the simultaneous-round fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OracleCounter {
-    Sequential,
-    Round,
-}
-
 impl GameSession {
     /// Creates a session owning `game` and `profile`.
     ///
@@ -414,7 +388,7 @@ impl GameSession {
             profile,
             csr: None,
             transpose: None,
-            backend: SessionBackend::Dense(DenseBackend::new(n)),
+            backend: SessionBackend::Dense(OracleCache::new(n)),
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
@@ -819,8 +793,10 @@ impl GameSession {
     /// The shared repair pass behind [`GameSession::apply`] and
     /// [`GameSession::apply_batch`]: given the net `(from, to, weight)`
     /// edge changes already written to the profile, lets the
-    /// [`OracleCache`] drop rows whose shortest paths may have used a
-    /// removed edge and decrease-relax the survivors for the added edges.
+    /// [`OracleCache`] repair the rows whose shortest paths may have used
+    /// a removed edge — in place when every removed edge leaves one peer,
+    /// by dropping them otherwise — and decrease-relax every kept row for
+    /// the added edges.
     fn repair_after_edges(
         &mut self,
         added: &[(usize, usize, f64)],
@@ -864,13 +840,21 @@ impl GameSession {
         }
 
         // The edge set changed: refresh the CSR snapshot (O(m), cheap
-        // next to the sweeps it lets us keep).
+        // next to the sweeps it lets us keep), and its transpose when the
+        // removed edges leave one peer, so broken rows are repaired.
         self.rebuild_csr();
+        let one_mover = removed.windows(2).all(|pair| pair[0].0 == pair[1].0);
+        if !removed.is_empty() && one_mover {
+            self.ensure_transpose();
+        }
         let csr = self.csr.as_ref().expect("just rebuilt");
-        let counts =
-            self.backend
-                .dense_mut()
-                .repair_after_edges(csr, added, removed, &mut self.scratch);
+        let counts = self.backend.dense_mut().repair_after_edges(
+            csr,
+            self.transpose.as_ref(),
+            added,
+            removed,
+            &mut self.scratch,
+        );
         self.stats.rows_invalidated += counts.rows_invalidated;
         self.stats.rows_preserved += counts.rows_preserved;
         self.stats.incremental_relaxations += counts.incremental_relaxations;
@@ -1203,7 +1187,23 @@ impl GameSession {
         peer: PeerId,
         method: BestResponseMethod,
     ) -> Result<BestResponse, CoreError> {
-        self.best_response_counted(peer, method, OracleCounter::Sequential)
+        let current_cost = self.peer_cost(peer)?;
+        if self.game.n() <= 1 {
+            return Ok(Self::trivial_response(peer, current_cost));
+        }
+        let solved = if self.backend.is_sparse() {
+            // Certified queries on a sparse session pay an exact fresh
+            // `G_{-i}` oracle — `O(n)` memory, never an n×n matrix — so
+            // the verdict carries the same guarantees as dense mode.
+            self.stats.sparse_exact_fallbacks += 1;
+            let oracle =
+                ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
+            self.stats.oracle_builds += 1;
+            oracle.solve(method)?
+        } else {
+            self.cached_solve(peer, method)?
+        };
+        Ok(self.finish_response(peer, method, solved, current_cost))
     }
 
     /// Like [`GameSession::best_response`], but always builds a fresh
@@ -1258,16 +1258,12 @@ impl GameSession {
     }
 
     /// Solves `peer`'s cached oracle with `method` over a
-    /// [`CandidateRows`] store and counts its row accounting into the
-    /// requested [`SessionStats`] bucket. Also returns the residual rows
-    /// `D_{G_{-i}}(v, ·)` the store derived, which
-    /// [`GameSession::play_best_response`] reuses when it commits.
+    /// [`CandidateRows`] store and counts its row accounting.
     fn cached_solve(
         &mut self,
         peer: PeerId,
         method: BestResponseMethod,
-        counter: OracleCounter,
-    ) -> Result<((LinkSet, f64), Residuals), CoreError> {
+    ) -> Result<(LinkSet, f64), CoreError> {
         self.ensure_all_rows();
         self.ensure_transpose();
         let overlay = Overlay {
@@ -1281,144 +1277,18 @@ impl GameSession {
             self.backend.dense_mut(),
             &mut self.scratch,
         );
-        let (solved, used) = rows.solve(method)?;
+        let (solved, reuse) = rows.solve(method)?;
         self.stats.oracle_builds += 1;
-        self.count_rows(used.reuse, counter);
-        Ok((solved, used.residuals))
+        self.count_rows(reuse);
+        Ok(solved)
     }
 
-    /// Counts one cached oracle's row accounting into the requested
-    /// [`SessionStats`] bucket.
-    fn count_rows(&mut self, reuse: OracleReuse, counter: OracleCounter) {
+    /// Counts one cached oracle's row accounting.
+    fn count_rows(&mut self, reuse: OracleReuse) {
+        self.stats.seq_oracle_hits += reuse.rows_reused;
+        self.stats.seq_oracle_swept += reuse.rows_swept;
         self.stats.oracle_rows_repaired += reuse.rows_repaired;
         self.stats.oracle_rows_bounded += reuse.rows_bounded;
-        match counter {
-            OracleCounter::Sequential => {
-                self.stats.seq_oracle_hits += reuse.rows_reused;
-                self.stats.seq_oracle_swept += reuse.rows_swept;
-            }
-            OracleCounter::Round => {
-                self.stats.oracle_rows_reused += reuse.rows_reused;
-                self.stats.oracle_rows_swept += reuse.rows_swept;
-            }
-        }
-    }
-
-    /// Shared body of the cached response paths.
-    fn best_response_counted(
-        &mut self,
-        peer: PeerId,
-        method: BestResponseMethod,
-        counter: OracleCounter,
-    ) -> Result<BestResponse, CoreError> {
-        Ok(self.response_and_rows(peer, method, counter)?.0)
-    }
-
-    /// The cached response, plus the residual rows its oracle derived
-    /// when a dense cached oracle was solved (`None` for `n <= 1` and
-    /// sparse sessions).
-    fn response_and_rows(
-        &mut self,
-        peer: PeerId,
-        method: BestResponseMethod,
-        counter: OracleCounter,
-    ) -> Result<(BestResponse, Option<Residuals>), CoreError> {
-        let current_cost = self.peer_cost(peer)?;
-        if self.game.n() <= 1 {
-            return Ok((Self::trivial_response(peer, current_cost), None));
-        }
-        if self.backend.is_sparse() {
-            // Certified queries on a sparse session pay an exact fresh
-            // `G_{-i}` oracle — `O(n)` memory, never an n×n matrix — so
-            // the verdict carries the same guarantees as dense mode.
-            self.stats.sparse_exact_fallbacks += 1;
-            let oracle =
-                ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
-            self.stats.oracle_builds += 1;
-            let br = self.finish_response(peer, method, oracle.solve(method)?, current_cost);
-            return Ok((br, None));
-        }
-        let (solved, residuals) = self.cached_solve(peer, method, counter)?;
-        let br = self.finish_response(peer, method, solved, current_cost);
-        Ok((br, Some(residuals)))
-    }
-
-    /// Computes `peer`'s best response exactly like
-    /// [`GameSession::best_response`] and, when it improves by more than
-    /// `tol` ([`BestResponse::improves`]) and changes the peer's links,
-    /// plays it. Returns the played response and the links the peer held
-    /// before, or `None` when nothing was played (the profile and the
-    /// cache are then untouched). The result, the profile and every
-    /// later answer are identical to a [`GameSession::best_response`]
-    /// followed by an [`GameSession::apply`] of the response.
-    ///
-    /// What differs is the commit, made in place with every row valid
-    /// before and after. The new overlay is `G_{-i}` plus the new links
-    /// `i → t`. A row none of the removed links is tight on keeps its
-    /// overlay row and folds in the added links by decrease-only
-    /// relaxation, as `apply` does. A row a removed link is tight on is
-    /// broken: it becomes its residual row `D_{G_{-i}}(v, ·)` — the one
-    /// the oracle derived, or, when the greedy held the row as a bound,
-    /// one derived now from the old row — folded with the seeds `(t,
-    /// D(v, i) + d(i, t))`. The move costs one CSR rebuild, one sweep of
-    /// row `i`, no invalidation, and the next query refills nothing.
-    /// Rows derived at the commit count in
-    /// [`SessionStats::oracle_rows_repaired`]. Sparse sessions and games
-    /// with fewer than two peers take the `best_response` + `apply`
-    /// route.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GameSession::best_response`].
-    pub fn play_best_response(
-        &mut self,
-        peer: PeerId,
-        method: BestResponseMethod,
-        tol: f64,
-    ) -> Result<Option<(BestResponse, LinkSet)>, CoreError> {
-        let (br, residuals) = self.response_and_rows(peer, method, OracleCounter::Sequential)?;
-        if !br.improves(tol) || &br.links == self.profile.strategy(peer) {
-            return Ok(None);
-        }
-        let Some(residuals) = residuals else {
-            let old = self.apply(Move::SetStrategy {
-                peer,
-                links: br.links.clone(),
-            })?;
-            return Ok(Some((br, old)));
-        };
-        let i = peer.index();
-        let mut links = Vec::new();
-        self.edge_diff(i, &LinkSet::new(), &br.links, &mut links, &mut Vec::new());
-        let old = self
-            .profile
-            .set_strategy(peer, br.links.clone())
-            .expect("response links are valid by construction");
-        self.stretch = None;
-        let old_csr = self.csr.take().expect("the oracle ensured the CSR");
-        let old_transpose = self
-            .transpose
-            .take()
-            .expect("the oracle ensured the transpose");
-        self.rebuild_csr();
-        let csr = self.csr.as_ref().expect("just rebuilt");
-        let old_overlay = Overlay {
-            csr: &old_csr,
-            transpose: &old_transpose,
-        };
-        let counts = self.backend.dense_mut().commit_played(
-            old_overlay,
-            csr,
-            i,
-            &links,
-            &residuals,
-            &mut self.scratch,
-        );
-        self.stats.full_sssp += 1;
-        self.stats.rows_preserved += counts.rows_preserved;
-        self.stats.incremental_relaxations += counts.incremental_relaxations;
-        self.stats.oracle_rows_repaired += counts.rows_derived;
-        Ok(Some((br, old)))
     }
 
     /// Shared tail of the oracle-backed response paths: solve the UFL
@@ -1458,8 +1328,8 @@ impl GameSession {
     ///
     /// The session first makes every distance row valid (that snapshot is
     /// the round-start state all oracles read), then computes one cached
-    /// oracle (the [`GameSession::best_response`] code path, counted into
-    /// the round counters) per activated peer. When the
+    /// oracle (the [`GameSession::best_response`] code path) per
+    /// activated peer. When the
     /// [`GameSession::set_parallelism`] knob resolves to more than one
     /// worker — and, under automatic parallelism, at least
     /// `PAR_ORACLES_MIN` peers are activated — activation position `p`
@@ -1478,7 +1348,10 @@ impl GameSession {
     /// `(position, shard count)` that the merge inverts exactly. Shard
     /// oracle/reuse counters are folded into this session's
     /// [`SessionStats`]; `oracle_parallel_rounds`/`oracle_shards` record
-    /// the fan-out itself.
+    /// the fan-out itself. One shard runs on the calling thread. This is
+    /// the one fan-out for "every peer against a frozen profile": the
+    /// simultaneous round engine, [`GameSession::nash_gap`] and
+    /// [`GameSession::is_nash`] all run on it.
     ///
     /// # Errors
     ///
@@ -1489,20 +1362,6 @@ impl GameSession {
         &mut self,
         peers: &[PeerId],
         method: BestResponseMethod,
-    ) -> Result<Vec<BestResponse>, CoreError> {
-        self.responses_against_frozen(peers, method, OracleCounter::Round)
-    }
-
-    /// The body of [`GameSession::best_responses_round`], counting its
-    /// oracles' rows into `counter`'s bucket — the one fan-out for "every
-    /// peer against a frozen profile", shared by the round engine and by
-    /// [`GameSession::nash_gap`] and [`GameSession::is_nash`] (which keep
-    /// their sequential counters).
-    fn responses_against_frozen(
-        &mut self,
-        peers: &[PeerId],
-        method: BestResponseMethod,
-        counter: OracleCounter,
     ) -> Result<Vec<BestResponse>, CoreError> {
         let n = self.game.n();
         for &p in peers {
@@ -1518,7 +1377,7 @@ impl GameSession {
             // exact fallback path — no frozen matrix to fan out over.
             return peers
                 .iter()
-                .map(|&p| self.best_response_counted(p, method, counter))
+                .map(|&p| self.best_response(p, method))
                 .collect();
         }
         // Freeze the round-start snapshot every oracle will read, with
@@ -1535,7 +1394,7 @@ impl GameSession {
         if shards <= 1 {
             return peers
                 .iter()
-                .map(|&p| self.best_response_counted(p, method, counter))
+                .map(|&p| self.best_response(p, method))
                 .collect();
         }
 
@@ -1556,7 +1415,7 @@ impl GameSession {
                 .map(|(mine, shard)| {
                     scope.spawn(move || {
                         mine.iter()
-                            .map(|&p| shard.best_response_counted(p, method, counter))
+                            .map(|&p| shard.best_response(p, method))
                             .collect::<Result<Vec<_>, _>>()
                     })
                 })
@@ -1625,7 +1484,7 @@ impl GameSession {
         );
         let (mv, scan) = first_improving_move_lazy(&self.profile, peer, rows, tol);
         self.stats.oracle_builds += 1;
-        self.count_rows(scan.reuse, OracleCounter::Sequential);
+        self.count_rows(scan.reuse);
         self.stats.lazy_certified_rejects += scan.certified_rejects;
         self.stats.lazy_exact_evals += scan.exact_evals;
         Ok(mv)
@@ -1759,13 +1618,13 @@ impl GameSession {
     /// Every peer's best response against the current profile, through
     /// the [`GameSession::best_responses_round`] fan-out (sharded under
     /// the [`GameSession::set_parallelism`] knob, bit-identical at every
-    /// shard count) with the rows counted as sequential activations.
+    /// shard count).
     fn all_responses(
         &mut self,
         method: BestResponseMethod,
     ) -> Result<Vec<BestResponse>, CoreError> {
         let peers: Vec<PeerId> = (0..self.game.n()).map(PeerId::new).collect();
-        self.responses_against_frozen(&peers, method, OracleCounter::Sequential)
+        self.best_responses_round(&peers, method)
     }
 
     /// The largest improvement any single peer can gain by deviating
@@ -2551,9 +2410,10 @@ mod tests {
     }
 
     #[test]
-    fn played_move_sweeps_only_the_movers_row() {
+    fn apply_removing_a_tight_link_repairs_rows_in_place() {
         // Peer 0 links only to the far end of a chain, so its best
-        // response rewires it to a neighbour.
+        // response rewires it to a neighbour and drops the link 0 -> 4
+        // that every path out of 0 runs through.
         let g = game(1.0);
         let links = [
             (0, 4),
@@ -2569,37 +2429,32 @@ mod tests {
         let mut s = GameSession::from_refs(&g, &p).unwrap();
         let _ = s.social_cost();
         let peer = PeerId::new(0);
+        let br = s.best_response(peer, BestResponseMethod::Exact).unwrap();
+        assert!(br.improves(1e-9) && !br.links.contains(PeerId::new(4)));
 
         let before = s.stats();
-        let (br, old) = s
-            .play_best_response(peer, BestResponseMethod::Exact, 1e-9)
-            .unwrap()
-            .expect("peer 0 gains by rewiring");
+        let old = s
+            .apply(Move::SetStrategy {
+                peer,
+                links: br.links.clone(),
+            })
+            .unwrap();
         assert_eq!(old, [4usize].into_iter().collect::<LinkSet>());
-        assert_eq!(s.profile().strategy(peer), &br.links);
         let after = s.stats();
-        assert_eq!(after.full_sssp, before.full_sssp + 1, "row 0 only");
         assert_eq!(after.csr_rebuilds, before.csr_rebuilds + 1);
         assert_eq!(after.rows_invalidated, before.rows_invalidated);
-        assert_eq!(after.rows_preserved, before.rows_preserved + 4);
+        assert_eq!(after.rows_preserved, before.rows_preserved + 5);
 
-        // Every row is valid and exact: a cost query sweeps nothing.
-        let sc = s.social_cost();
-        assert_eq!(s.stats().full_sssp, after.full_sssp);
-        let cold = social_cost(&g, s.profile()).unwrap();
-        assert_eq!(sc.total().to_bits(), cold.total().to_bits());
-
-        // An exact response no longer improves: nothing is played.
-        let played = s.profile().clone();
-        let before = s.stats();
-        assert!(s
-            .play_best_response(peer, BestResponseMethod::Exact, 1e-9)
-            .unwrap()
-            .is_none());
-        assert_eq!(s.profile(), &played);
-        let after = s.stats();
-        assert_eq!(after.full_sssp, before.full_sssp);
-        assert_eq!(after.csr_rebuilds, before.csr_rebuilds);
+        // Every row stayed valid and exact: reading them sweeps nothing.
+        let rows = s.overlay_distances().clone();
+        assert_eq!(s.stats().full_sssp, before.full_sssp);
+        let mut cold = GameSession::from_refs(&g, s.profile()).unwrap();
+        assert_eq!(&rows, cold.overlay_distances());
+        // The next activation refills nothing either.
+        let _ = s
+            .best_response(PeerId::new(1), BestResponseMethod::Exact)
+            .unwrap();
+        assert_eq!(s.stats().full_sssp, before.full_sssp);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use sp_graph::{
     LandmarkSketch, SketchRepair,
 };
 
-use crate::backend::{BackendMode, DistanceBackend};
 use crate::session::EDGE_ON_PATH_EPS;
 use crate::{BestResponse, Game, PeerId, StrategyProfile};
 
@@ -407,14 +406,10 @@ impl SparseBackend {
         }
         cost
     }
-}
 
-impl DistanceBackend for SparseBackend {
-    fn mode(&self) -> BackendMode {
-        BackendMode::Sparse
-    }
-
-    fn memory_bytes(&self) -> usize {
+    /// Semantic bytes of cached distance state (deterministic across
+    /// machines; the `sp-serve` registry budgets sessions with it).
+    pub(crate) fn memory_bytes(&self) -> usize {
         let f64s = std::mem::size_of::<f64>();
         let mut bytes = self.landmarks.len() * std::mem::size_of::<usize>()
             + self.near.len() * std::mem::size_of::<u32>()
@@ -428,7 +423,8 @@ impl DistanceBackend for SparseBackend {
         bytes
     }
 
-    fn invalidate(&mut self) {
+    /// Drops every cached sketch and row (profile replaced wholesale).
+    pub(crate) fn invalidate(&mut self) {
         self.sketch = None;
         self.row_src = None;
         self.escape = None;

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use rand::prelude::*;
 use sp_core::{
-    BestResponseMethod, Game, GameSession, LinkSet, Move, NashTest, PeerId, SessionStats,
-    StrategyProfile,
+    BestResponse, BestResponseMethod, Game, GameSession, LinkSet, Move, NashTest, PeerId,
+    SessionStats, StrategyProfile,
 };
 use sp_graph::DistanceMatrix;
 use sp_metric::{generators, LineSpace};
@@ -348,7 +348,7 @@ proptest! {
         let stats = cached.stats();
         let n = game.n();
         prop_assert_eq!(
-            stats.oracle_rows_reused + stats.oracle_rows_repaired + stats.oracle_rows_swept,
+            stats.seq_oracle_hits + stats.oracle_rows_repaired + stats.seq_oracle_swept,
             n * (n - 1),
             "every candidate row is reused, repaired, or swept"
         );
@@ -522,19 +522,40 @@ static PLAY_RUN: AtomicUsize = AtomicUsize::new(0);
 static PLAYS_MOVED: AtomicUsize = AtomicUsize::new(0);
 static PLAYS_IDLE: AtomicUsize = AtomicUsize::new(0);
 
+/// Plays the response `br` the way the dynamics engine does: an `apply`
+/// of it when it improves by more than `tol` and changes the links.
+/// Returns the response and the links it replaced, or `None` when
+/// nothing moved.
+fn play_response(
+    s: &mut GameSession,
+    br: BestResponse,
+    tol: f64,
+) -> Option<(BestResponse, LinkSet)> {
+    if !br.improves(tol) || &br.links == s.profile().strategy(br.peer) {
+        return None;
+    }
+    let old = s
+        .apply(Move::SetStrategy {
+            peer: br.peer,
+            links: br.links.clone(),
+        })
+        .unwrap();
+    Some((br, old))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(PLAY_CASES))]
 
-    /// `play_best_response` is `best_response` + `apply`, and leaves
-    /// exact rows. A session that plays is run beside a twin that takes
-    /// the response and applies it, over scripts interleaving `apply`
-    /// moves with plays (exact, heuristic, and a tolerance so large
-    /// that only a disconnected peer moves). Each play returns what the
-    /// twin computed and the links it replaced; the profiles stay equal;
-    /// after every step each overlay row matches a fresh sweep bit for
-    /// bit, and after a dense play the rows are read without a sweep.
-    /// A play that moves nothing leaves the profile and the CSR as they
-    /// were.
+    /// A played best response — `best_response` then `apply` — leaves
+    /// exact rows without refilling any. A session that plays its cached
+    /// responses is run beside a twin that plays uncached ones, over
+    /// scripts interleaving `apply` moves with plays (exact, heuristic,
+    /// and a tolerance so large that only a disconnected peer moves).
+    /// Both play the same response and replace the same links; the
+    /// profiles stay equal; after every step each overlay row matches a
+    /// fresh sweep bit for bit, and after a dense play the rows are read
+    /// without a sweep. A play that moves nothing leaves the profile and
+    /// the CSR as they were.
     #[test]
     fn played_response_equals_best_response_then_apply(
         (game, profile, sparse, script) in arb_play_script()
@@ -549,7 +570,6 @@ proptest! {
         // Warm: a play then finds every dense row valid, so its sweeps
         // are its own.
         let _ = s.overlay_distances();
-        let _ = twin.overlay_distances();
         for &(kind, from, to) in &script {
             if kind < 3 {
                 play(&mut s, kind, from, to);
@@ -563,17 +583,11 @@ proptest! {
                 };
                 let before_profile = s.profile().clone();
                 let before = s.stats();
-                let played = s.play_best_response(peer, method, tol).unwrap();
+                let br = s.best_response(peer, method).unwrap();
+                let played = play_response(&mut s, br, tol);
 
-                let br = twin.best_response(peer, method).unwrap();
-                let reference = if br.improves(tol) && &br.links != twin.profile().strategy(peer) {
-                    let old = twin
-                        .apply(Move::SetStrategy { peer, links: br.links.clone() })
-                        .unwrap();
-                    Some((br, old))
-                } else {
-                    None
-                };
+                let br = twin.best_response_uncached(peer, method).unwrap();
+                let reference = play_response(&mut twin, br, tol);
                 prop_assert_eq!(&played, &reference);
                 if let (Some((a, _)), Some((b, _))) = (&played, &reference) {
                     prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
@@ -592,7 +606,7 @@ proptest! {
                     }
                     Some(_) if !sparse && game.n() > 1 => {
                         prop_assert_eq!(after.rows_invalidated, before.rows_invalidated);
-                        prop_assert_eq!(after.full_sssp, before.full_sssp + 1);
+                        prop_assert_eq!(after.full_sssp, before.full_sssp);
                         let rows = s.overlay_distances().clone();
                         prop_assert_eq!(s.stats().full_sssp, after.full_sssp,
                             "a played move leaves every row valid");
@@ -609,7 +623,6 @@ proptest! {
             let rows = s.overlay_distances().clone();
             let fresh = session(s.profile()).overlay_distances().clone();
             same_bits(&rows, &fresh)?;
-            let _ = twin.overlay_distances();
         }
         // Across the whole run both outcomes must have occurred: the
         // checks above would pass vacuously if no play ever moved.
@@ -631,12 +644,7 @@ const METHODS: [BestResponseMethod; 4] = [
 /// Candidate rows a cached oracle resolved, over every bucket a row can
 /// land in.
 fn resolved_rows(st: &SessionStats) -> usize {
-    st.seq_oracle_hits
-        + st.oracle_rows_reused
-        + st.oracle_rows_repaired
-        + st.seq_oracle_swept
-        + st.oracle_rows_swept
-        + st.oracle_rows_bounded
+    st.seq_oracle_hits + st.oracle_rows_repaired + st.seq_oracle_swept + st.oracle_rows_bounded
 }
 
 /// Cases of [`lazy_oracles_equal_uncached_for_every_method`]; the
@@ -695,7 +703,8 @@ proptest! {
             } else {
                 let method = METHODS[(step + to) % METHODS.len()];
                 let fresh = s.best_response_uncached(peer, method).unwrap();
-                let played = s.play_best_response(peer, method, 1e-9).unwrap();
+                let br = s.best_response(peer, method).unwrap();
+                let played = play_response(&mut s, br, 1e-9);
                 if let Some((br, _)) = &played {
                     prop_assert_eq!(&br.links, &fresh.links);
                     prop_assert_eq!(br.cost.to_bits(), fresh.cost.to_bits());
@@ -706,7 +715,7 @@ proptest! {
                 }
             }
         }
-        // Every row stays exact through the plays' in-place commits.
+        // Every row stays exact through the plays' in-place repairs.
         let mut cold = GameSession::new(game.clone(), s.profile().clone()).unwrap();
         same_bits(&s.overlay_distances().clone(), cold.overlay_distances())?;
         // The bound branch must have fired somewhere: the checks above
@@ -720,8 +729,8 @@ proptest! {
     /// `nash_gap` and `is_nash` run every peer through the
     /// `best_responses_round` fan-out. Their answers are bit-identical
     /// at one worker, three workers and automatic parallelism, equal the
-    /// largest uncached improvement, and their rows stay in the
-    /// sequential counters.
+    /// largest uncached improvement, and every oracle accounts for its
+    /// `n − 1` candidate rows whatever the shard count.
     #[test]
     fn nash_queries_are_identical_at_every_parallelism(
         (game, profile, script) in arb_session_script(),
@@ -755,10 +764,8 @@ proptest! {
                 st.seq_oracle_hits + st.oracle_rows_repaired + st.seq_oracle_swept
                     + st.oracle_rows_bounded,
                 2 * n * (n - 1),
-                "{:?}: sequential row accounting", workers
+                "{:?}: row accounting", workers
             );
-            prop_assert_eq!(st.oracle_rows_reused + st.oracle_rows_swept, 0,
-                "{:?}: the round counters stay untouched", workers);
             let deviation = report.best_deviation.map(|d| {
                 (d.peer, d.links, d.old_cost.to_bits(), d.new_cost.to_bits())
             });
@@ -795,19 +802,20 @@ fn arb_greedy_dynamics() -> impl Strategy<Value = (Game, StrategyProfile, Vec<us
 /// Cases of [`greedy_plays_derive_broken_rows_at_commit`]; the coverage
 /// check runs once the last of them has passed.
 const COMMIT_CASES: u32 = 32;
-/// Cases of that test run so far, and the rows their commits derived.
+/// Cases of that test run so far, and the rows their plays repaired in
+/// place below a removed link.
 static COMMIT_RUN: AtomicUsize = AtomicUsize::new(0);
-static COMMIT_DERIVED: AtomicUsize = AtomicUsize::new(0);
+static COMMIT_REPAIRED: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(COMMIT_CASES))]
 
-    /// Greedy best-response dynamics on instances large enough that the
-    /// greedy holds most dirty rows as bounds, so a played move breaks
-    /// rows its oracle never derived and the commit derives them from
-    /// the old rows. A twin takes each response and applies it; the
-    /// plays must match, and after each one every overlay row must equal
-    /// a fresh sweep bit for bit.
+    /// Greedy best-response dynamics on instances large enough that a
+    /// played move breaks rows the greedy oracle held only as bounds:
+    /// each play's `apply` removes links those rows are tight on, and
+    /// repairs them in place. A twin plays uncached responses; the plays
+    /// must match, no play may drop or sweep a row, and after each one
+    /// every overlay row must equal a fresh sweep bit for bit.
     #[test]
     fn greedy_plays_derive_broken_rows_at_commit(
         (game, profile, order) in arb_greedy_dynamics()
@@ -815,37 +823,34 @@ proptest! {
         let method = BestResponseMethod::Greedy;
         let mut s = GameSession::new(game.clone(), profile.clone()).unwrap();
         let mut twin = GameSession::new(game.clone(), profile).unwrap();
-        let _ = s.overlay_distances();
-        let _ = twin.overlay_distances();
-        let mut derived = 0;
+        let mut rows = s.overlay_distances().clone();
+        let mut repaired = 0;
         for peer in order.into_iter().map(PeerId::new) {
-            let (before, twin_before) = (s.stats(), twin.stats());
-            let played = s.play_best_response(peer, method, 1e-9).unwrap();
-            let br = twin.best_response(peer, method).unwrap();
-            // The twin's oracle reads bit-identical rows, so it derives
-            // what the played oracle did; the rest the commit derived.
-            derived += (s.stats().oracle_rows_repaired - before.oracle_rows_repaired)
-                - (twin.stats().oracle_rows_repaired - twin_before.oracle_rows_repaired);
-            let reference = if br.improves(1e-9) && &br.links != twin.profile().strategy(peer) {
-                let old = twin
-                    .apply(Move::SetStrategy { peer, links: br.links.clone() })
-                    .unwrap();
-                Some((br, old))
-            } else {
-                None
-            };
+            let before = s.stats();
+            let br = s.best_response(peer, method).unwrap();
+            let played = play_response(&mut s, br, 1e-9);
+            let br = twin.best_response_uncached(peer, method).unwrap();
+            let reference = play_response(&mut twin, br, 1e-9);
             prop_assert_eq!(&played, &reference);
-            let rows = s.overlay_distances().clone();
+            let after = s.stats();
+            prop_assert_eq!(after.full_sssp, before.full_sssp, "a play sweeps no row");
+            prop_assert_eq!(after.rows_invalidated, before.rows_invalidated);
+            let next = s.overlay_distances().clone();
+            prop_assert_eq!(s.stats().full_sssp, after.full_sssp);
             let fresh = GameSession::new(game.clone(), s.profile().clone())
                 .unwrap()
                 .overlay_distances()
                 .clone();
-            same_bits(&rows, &fresh)?;
-            let _ = twin.overlay_distances();
+            same_bits(&next, &fresh)?;
+            // Only the removal repair lengthens a distance.
+            repaired += (0..game.n())
+                .filter(|&u| next.row(u).iter().zip(rows.row(u)).any(|(a, b)| a > b))
+                .count();
+            rows = next;
         }
-        let total = COMMIT_DERIVED.fetch_add(derived, Ordering::SeqCst) + derived;
+        let total = COMMIT_REPAIRED.fetch_add(repaired, Ordering::SeqCst) + repaired;
         if COMMIT_RUN.fetch_add(1, Ordering::SeqCst) + 1 == COMMIT_CASES as usize {
-            prop_assert!(total > 0, "no commit derived a broken row");
+            prop_assert!(total > 0, "no play repaired a broken row");
         }
     }
 }

@@ -107,16 +107,13 @@ pub struct DynamicsConfig {
     pub detect_cycles: bool,
     /// Serve each activation's response oracle from the session's
     /// persistent oracle cache (`true`, the default): candidate rows are
-    /// derived from cached overlay rows. Under the best-response rules an
-    /// accepted response is played with
-    /// [`GameSession::play_best_response`], which commits the move to
-    /// the overlay rows in place (one sweep per move, for the mover's
-    /// row); better responses are applied with [`GameSession::apply`],
-    /// which repairs the rows and re-sweeps those a removed link may have
-    /// been tight on. `false` forces a fresh `G_{-i}` oracle per
-    /// activation and an `apply` per move — the pre-cache engine, kept as
-    /// the baseline for the `sequential_reuse` bench and the equivalence
-    /// property tests (both engines are bit-identical by contract).
+    /// derived from cached overlay rows. `false` forces a fresh `G_{-i}`
+    /// oracle per activation — the pre-cache engine, kept as the baseline
+    /// for the `sequential_reuse` bench and the equivalence property
+    /// tests (both engines are bit-identical by contract). Either way an
+    /// accepted move is committed with [`GameSession::apply`], which
+    /// repairs the overlay rows its removed links were tight on in place,
+    /// so no row needs a sweep afterwards.
     pub oracle_reuse: bool,
 }
 
@@ -221,8 +218,7 @@ impl<'g> DynamicsRunner<'g> {
     /// [`DynamicsConfig::oracle_reuse`] (the default) the best/better
     /// response oracles themselves are served from the session's
     /// persistent oracle cache, so consecutive activations stop paying
-    /// `n - 1` fresh sweeps each, and accepted best responses are played
-    /// in place ([`GameSession::play_best_response`]).
+    /// `n - 1` fresh sweeps each.
     ///
     /// # Panics
     ///
@@ -346,55 +342,39 @@ impl<'g> DynamicsRunner<'g> {
     ) -> bool {
         let tol = self.config.tolerance;
         let reuse = self.config.oracle_reuse;
-        let (old_links, new_links, old_cost, new_cost) = match self.config.rule {
+        let response = match self.config.rule {
             ResponseRule::BestResponse | ResponseRule::BestResponseWith(_) => {
                 let method = match self.config.rule {
                     ResponseRule::BestResponseWith(m) => m,
                     _ => BestResponseMethod::Exact,
                 };
-                if reuse {
-                    match session
-                        .play_best_response(peer, method, tol)
-                        .expect("validated inputs cannot fail")
-                    {
-                        None => return false,
-                        Some((br, old)) => (old, br.links, br.current_cost, br.cost),
-                    }
+                let br = if reuse {
+                    session.best_response(peer, method)
                 } else {
-                    let br = session
-                        .best_response_uncached(peer, method)
-                        .expect("validated inputs cannot fail");
-                    if !br.improves(tol) {
-                        return false;
-                    }
-                    match apply_changed(session, peer, &br.links) {
-                        None => return false,
-                        Some(old) => (old, br.links, br.current_cost, br.cost),
-                    }
-                }
-            }
-            ResponseRule::BetterResponse => {
-                let mv = if reuse {
-                    session.first_improving_move(peer, tol)
-                } else {
-                    session.first_improving_move_uncached(peer, tol)
+                    session.best_response_uncached(peer, method)
                 }
                 .expect("validated inputs cannot fail");
-                let Some(mv) = mv else { return false };
-                match apply_changed(session, peer, &mv.links) {
-                    None => return false,
-                    Some(old) => (old, mv.links, mv.current_cost, mv.cost),
-                }
+                br.improves(tol).then_some(br)
             }
+            ResponseRule::BetterResponse => if reuse {
+                session.first_improving_move(peer, tol)
+            } else {
+                session.first_improving_move_uncached(peer, tol)
+            }
+            .expect("validated inputs cannot fail"),
+        };
+        let Some(mv) = response else { return false };
+        let Some(old_links) = apply_changed(session, peer, &mv.links) else {
+            return false;
         };
         if let Some(t) = trace {
             t.push(MoveRecord {
                 step,
                 peer,
                 old_links,
-                new_links,
-                old_cost,
-                new_cost,
+                new_links: mv.links,
+                old_cost: mv.current_cost,
+                new_cost: mv.cost,
             });
         }
         true

@@ -24,31 +24,33 @@
 //! default) each activation's best/better-response oracle is also served
 //! from the session's persistent oracle cache — candidate rows come from
 //! the cached overlay rows, so consecutive activations stop paying
-//! `n - 1` fresh sweeps each — and an accepted best response is played
-//! with `GameSession::play_best_response`, which commits the move to the
-//! overlay rows in place, dropping none (`oracle_reuse: false` restores the fresh-oracle engine, kept as the
-//! bench baseline; both are bit-identical by property-tested contract). [`simultaneous::run_simultaneous`] and the churn simulator
-//! instead commit each round's (respectively each churn event's)
-//! accepted updates through `GameSession::apply_batch`, paying a single
-//! overlay rebuild and repair pass per round however many peers
-//! switched. Cycle detection in the sequential engine keys its
-//! seen-state map on 64-bit profile fingerprints and confirms hits
-//! against a compact canonical encoding, so the per-step cost stays
-//! O(links) with no false cycle reports.
+//! `n - 1` fresh sweeps each. Every accepted move commits through
+//! `GameSession::apply`, which repairs the rows its removed links were
+//! tight on in place, so no row is swept again (`oracle_reuse: false`
+//! restores the fresh-oracle engine, kept as the bench baseline; both
+//! are bit-identical by property-tested contract).
+//! [`simultaneous::run_simultaneous`] and the churn simulator instead
+//! commit each round's (respectively each churn event's) accepted
+//! updates through `GameSession::apply_batch`, paying a single overlay
+//! rebuild and repair pass per round however many peers switched.
+//! Cycle detection in the sequential engine keys its seen-state map on
+//! 64-bit profile fingerprints and confirms hits against a compact
+//! canonical encoding, so the per-step cost stays O(links) with no false
+//! cycle reports.
 //!
 //! A simultaneous round computes k independent best-response oracles
 //! against the frozen round-start profile, so
-//! [`simultaneous::run_simultaneous`] ships two interchangeable engines:
-//! the **sequential** per-peer loop, and a **sharded** engine
-//! (`GameSession::best_responses_round`) that snapshots the round-start
+//! [`simultaneous::run_simultaneous`] runs them through
+//! `GameSession::best_responses_round`, which snapshots the round-start
 //! state once, fans the oracles out over `fork_readonly` worker shards
-//! with per-thread Dijkstra scratch, and merges the accepted moves in
-//! stable peer order into one `apply_batch`. The
+//! with per-thread Dijkstra scratch (or runs them on the calling thread
+//! at one shard), and merges the accepted moves in stable peer order
+//! into one `apply_batch`. The
 //! [`simultaneous::SimultaneousConfig::parallelism`] knob (also fed to
-//! `GameSession::set_parallelism`) picks the engine. **Determinism
-//! contract:** both engines produce bit-identical runs — accepted-move
-//! sets, traces, termination, and round counts — for any shard count,
-//! enforced by `tests/proptest_parallel_round.rs`. The churn simulator's
+//! `GameSession::set_parallelism`) sets the shard count. **Determinism
+//! contract:** runs are bit-identical — accepted-move sets, traces,
+//! termination, and round counts — for any shard count, enforced by
+//! `tests/proptest_parallel_round.rs`. The churn simulator's
 //! [`churn::ChurnSimulator::settle_rounds`] re-stabilises through the
 //! same round engine.
 //!

@@ -10,46 +10,34 @@
 //! A fixed point of the simultaneous map is exactly a Nash equilibrium
 //! (with exact responses).
 //!
-//! # Sequential and sharded round engines
+//! # One round engine, sharded or not
 //!
 //! Because every response in a round is computed against the same frozen
 //! round-start profile, the k oracle computations are embarrassingly
-//! parallel. [`run_simultaneous`] therefore has two engines:
+//! parallel. [`run_simultaneous`] makes one
+//! [`GameSession::best_responses_round`] call per round, which snapshots
+//! the round-start state, serves every oracle from the session's
+//! persistent oracle cache, fans the oracles out over `fork_readonly`
+//! worker shards (activation position `p` on shard `p mod k`, a
+//! deterministic round-robin interleave), and scatters the responses back
+//! into peer order. At one shard it runs on the calling thread. The
+//! round's accepted moves commit as one `apply_batch`; when its removed
+//! links leave several peers, it drops the rows they were tight on, and
+//! the next round's sharded refill sweeps them again.
 //!
-//! * the **sequential** engine — one [`GameSession::best_response`] per
-//!   peer on the calling thread (served from the session's persistent
-//!   oracle cache; the round's batched commit folds the added links into
-//!   the cached rows and invalidates the rows a removed link may have
-//!   been tight on, which the next round's sharded refill sweeps again);
-//! * the **sharded** engine — one
-//!   [`GameSession::best_responses_round`] call per round, which
-//!   snapshots the round-start state, fans the oracles out over
-//!   `fork_readonly` worker shards (activation position `p` on shard
-//!   `p mod k`, a deterministic round-robin interleave), and scatters
-//!   the responses back into peer order.
-//!
-//! [`SimultaneousConfig::parallelism`] picks the engine: `Some(1)` forces
-//! sequential, `Some(k > 1)` forces `k` shards, and `None` (default)
-//! auto-shards when the machine has more than one worker and the round
-//! activates at least [`PAR_ROUND_MIN_PEERS`] peers. **Determinism
-//! contract:** both engines produce bit-identical rounds — accepted-move
-//! sets, traces, termination, and round counts — whatever the shard
-//! count; `crates/dynamics/tests/proptest_parallel_round.rs` enforces it.
+//! [`SimultaneousConfig::parallelism`] sets the shard count: `Some(1)`
+//! forces one, `Some(k > 1)` forces `k`, and `None` (default) shards on
+//! multi-worker machines once a round activates enough peers (the
+//! session's own threshold). **Determinism contract:** rounds are
+//! bit-identical — accepted-move sets, traces, termination, and round
+//! counts — whatever the shard count;
+//! `crates/dynamics/tests/proptest_parallel_round.rs` enforces it.
 
-use sp_core::{
-    BestResponse, BestResponseMethod, Game, GameSession, Move, PeerId, SessionStats,
-    StrategyProfile,
-};
+use sp_core::{BestResponseMethod, Game, GameSession, Move, PeerId, SessionStats, StrategyProfile};
 
 use crate::engine::CycleDetector;
 use crate::trace::{MoveRecord, Trace};
 use crate::Termination;
-
-/// Peer count below which automatic parallelism
-/// ([`SimultaneousConfig::parallelism`]` = None`) keeps the sequential
-/// engine: a round on a small instance finishes before worker threads
-/// would spin up.
-pub const PAR_ROUND_MIN_PEERS: usize = 16;
 
 /// Configuration for [`run_simultaneous`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,13 +49,12 @@ pub struct SimultaneousConfig {
     /// Relative improvement threshold below which a peer keeps its
     /// strategy.
     pub tolerance: f64,
-    /// Round-engine selector, routed through
+    /// Oracle shard count, routed through
     /// [`GameSession::set_parallelism`] (so `Some(0)` clamps to
-    /// `Some(1)`): `Some(1)` forces the sequential engine, `Some(k > 1)`
-    /// forces `k` oracle shards, `None` (default) auto-shards on
-    /// multi-worker machines when at least [`PAR_ROUND_MIN_PEERS`] peers
-    /// are activated. The engines are bit-identical; this knob only
-    /// trades wall-clock for threads.
+    /// `Some(1)`): `Some(1)` runs every oracle on the calling thread,
+    /// `Some(k > 1)` forces `k` oracle shards, `None` (default)
+    /// auto-shards on multi-worker machines. Rounds are bit-identical at
+    /// every shard count; this knob only trades wall-clock for threads.
     pub parallelism: Option<usize>,
     /// Record every accepted strategy switch into
     /// [`SimultaneousOutcome::trace`] (the `step` field carries the round
@@ -140,10 +127,6 @@ pub fn run_simultaneous(
     let mut session = GameSession::new(game.clone(), start).expect("profile size checked above");
     // One knob drives both the bulk row refills and the oracle fan-out.
     session.set_parallelism(config.parallelism);
-    let sharded = match config.parallelism {
-        Some(w) => w > 1,
-        None => session.resolved_parallelism() > 1 && n >= PAR_ROUND_MIN_PEERS,
-    };
     let peers: Vec<PeerId> = (0..n).map(PeerId::new).collect();
     let mut trace = config.record_trace.then(Trace::new);
     // Start-of-round states with the accepted-update total at that
@@ -177,24 +160,11 @@ pub fn run_simultaneous(
         }
 
         // All responses are computed against the *current* profile, then
-        // applied at once (session queries never mutate the profile).
-        // The sharded engine fans the k oracles out over worker threads;
-        // the sequential engine is the PR-2 per-peer loop. Both produce
-        // bit-identical responses in peer order.
-        let responses: Vec<BestResponse> = if sharded {
-            session
-                .best_responses_round(&peers, config.method)
-                .expect("validated inputs cannot fail")
-        } else {
-            peers
-                .iter()
-                .map(|&peer| {
-                    session
-                        .best_response(peer, config.method)
-                        .expect("validated inputs cannot fail")
-                })
-                .collect()
-        };
+        // applied at once (session queries never mutate the profile), in
+        // peer order whatever the shard count.
+        let responses = session
+            .best_responses_round(&peers, config.method)
+            .expect("validated inputs cannot fail");
         let mut updates: Vec<Move> = Vec::new();
         for br in responses {
             if br.improves(config.tolerance) && &br.links != session.profile().strategy(br.peer) {

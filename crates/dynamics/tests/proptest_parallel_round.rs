@@ -1,14 +1,15 @@
-//! The sharded simultaneous-round engine must be **bit-identical** to
-//! the sequential one.
+//! A sharded simultaneous round must be **bit-identical** to a round on
+//! one shard.
 //!
-//! `run_simultaneous` has two engines (see `simultaneous`): the
-//! sequential per-peer loop, and the sharded engine that snapshots the
-//! round-start state, reuses its distance rows inside every oracle, and
-//! fans the oracles out over `fork_readonly` worker shards with a
-//! round-robin peer→shard interleave. The determinism contract says the
-//! engine choice is unobservable: identical accepted-move sets (traces),
-//! identical termination, identical round and move counts — for any
-//! shard count, including 1 and more shards than peers.
+//! `run_simultaneous` runs every round through
+//! `GameSession::best_responses_round` (see `simultaneous`), which
+//! snapshots the round-start state, reuses its distance rows inside every
+//! oracle, and fans the oracles out over `fork_readonly` worker shards
+//! with a round-robin peer→shard interleave — or, at one shard, runs them
+//! on the calling thread. The determinism contract says the shard count
+//! is unobservable: identical accepted-move sets (traces), identical
+//! termination, identical round and move counts — for any shard count,
+//! including 1 and more shards than peers.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -84,7 +85,7 @@ proptest! {
 
     #[test]
     fn sharded_rounds_are_bit_identical_to_sequential((game, start) in arb_instance()) {
-        // Sequential reference: the per-peer loop on the calling thread.
+        // One-shard reference: every oracle on the calling thread.
         let sequential = run_with(&game, &start, Some(1), BestResponseMethod::Exact);
         for shards in shard_counts() {
             let sharded = run_with(&game, &start, Some(shards), BestResponseMethod::Exact);

@@ -68,6 +68,17 @@ pub struct DijkstraScratch {
     affected: Vec<usize>,
 }
 
+/// The edges [`CsrGraph::dijkstra_without`] takes out of a row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Removal<'a> {
+    /// Every out-edge of this node, which the graph and its transpose
+    /// still hold.
+    OutEdgesOf(usize),
+    /// These `(from, to, weight)` edges, which the graph no longer
+    /// holds.
+    Edges(&'a [(usize, usize, f64)]),
+}
+
 impl DijkstraScratch {
     /// Creates an empty scratch; buffers grow on first use.
     #[must_use]
@@ -276,47 +287,63 @@ impl CsrGraph {
         self.relax_from_heap(dist, scratch);
     }
 
-    /// Turns `dist`, the exact row of `self` from `source`, into the
-    /// exact row of `self` **without the out-edges of `skip`** — bit for
-    /// bit what a fresh sweep of that subgraph computes — by recomputing
-    /// only the part of the shortest-path tree those edges could carry:
+    /// Removes the edges `removal` names from `dist`, an exact row from
+    /// `source`, by recomputing only the part of the shortest-path tree
+    /// those edges could carry:
     ///
-    /// 1. *Roots:* the targets of `skip`'s out-edges that are tight on
+    /// 1. *Roots:* the targets of the removed edges that are tight on
     ///    `dist` under [`edge_on_path`] with tolerance `eps`.
     /// 2. *Affected set:* everything reachable from the roots over tight
-    ///    edges, `source` excluded (its distance is 0 in every
+    ///    edges of `self`, `source` excluded (its distance is 0 in every
     ///    subgraph). Those distances are reset to `∞`.
     /// 3. *Seeding:* each affected node takes its best in-edge from an
-    ///    unaffected node other than `skip`, read from `transpose`.
-    /// 4. *Settling:* Dijkstra from those seeds, never expanding `skip`.
+    ///    unaffected node, read from `transpose`.
+    /// 4. *Settling:* Dijkstra from those seeds.
     ///
-    /// An unaffected node has a tight predecessor that is itself
-    /// unaffected and not `skip`, so it keeps a shortest path that avoids
-    /// `skip`'s out-edges and its distance cannot change. The affected
-    /// distances are re-derived from the same `d(u) + w` sums a fresh
-    /// sweep forms, so the result is bit-identical. Any `eps >= 0` is
-    /// exact; a larger one only widens the affected set. Work is
-    /// proportional to the affected set and its edges, not to the graph.
+    /// The two [`Removal`]s are the two ways a row loses edges:
     ///
-    /// Returns the size of the affected set. `0` means no out-edge of
-    /// `skip` was tight, and `dist` is left untouched: it already is the
-    /// subgraph's row.
+    /// * [`Removal::OutEdgesOf`]`(skip)`: `dist` is the exact row of
+    ///   `self`, and the result is the exact row of `self` without
+    ///   `skip`'s out-edges. `self` and `transpose` still hold those
+    ///   edges, so seeding ignores in-edges from `skip` and settling
+    ///   never expands it. This is how `sp-core`'s cached best-response
+    ///   oracles derive a residual row `D_{G_{-i}}(v, ·)` from the
+    ///   overlay row of `v`, with `skip = i`.
+    /// * [`Removal::Edges`]`(removed)`: `dist` is the exact row of a
+    ///   graph `G` that holds the `removed` edges, and `self` is `G`
+    ///   without them, plus any `added` edges. The result is the exact
+    ///   row of `self` once the added edges are folded in by
+    ///   [`CsrGraph::relax_decrease_into`], seeded at each added `(u, v,
+    ///   w)` with `dist[u] + w < dist[v]`. With nothing added, the result
+    ///   already is the exact row of `self`. This is how the `sp-core`
+    ///   session repairs an overlay row after a peer drops links.
     ///
-    /// This is the only way `sp-core`'s cached best-response oracles
-    /// obtain a residual row `D_{G_{-i}}(v, ·)`: from the cached overlay
-    /// row of `v`, with `skip = i`. No residual row is stored.
+    /// An unaffected node keeps a shortest path of `G` that avoids every
+    /// removed edge: it has a tight predecessor that is itself
+    /// unaffected, over an edge that was not removed. So its distance
+    /// cannot grow. The affected distances are re-derived from the same
+    /// `d(u) + w` sums a fresh sweep forms, and settling relaxes every
+    /// edge out of a node whose distance changed, so after the decrease
+    /// fold every edge of `self` is relaxed and the row is bit-identical
+    /// to a fresh sweep. Any `eps >= 0` is exact; a larger one only
+    /// widens the affected set. Work is proportional to the affected set
+    /// and its edges, not to the graph.
+    ///
+    /// Returns the size of the affected set. `0` means no removed edge
+    /// was tight, and `dist` is left untouched.
     ///
     /// `transpose` must be [`CsrGraph::transpose`] of `self`.
     ///
     /// # Panics
     ///
-    /// Panics if `dist.len() != node_count()`, if `source` or `skip` is
-    /// out of bounds, or if `transpose` has a different node count.
+    /// Panics if `dist.len() != node_count()`, if `source`, `skip` or an
+    /// endpoint of a removed edge is out of bounds, or if `transpose` has
+    /// a different node count.
     pub fn dijkstra_without(
         &self,
         transpose: &CsrGraph,
         source: usize,
-        skip: usize,
+        removal: Removal<'_>,
         eps: f64,
         dist: &mut [f64],
         scratch: &mut DijkstraScratch,
@@ -325,14 +352,26 @@ impl CsrGraph {
         assert_eq!(dist.len(), n, "distance buffer has wrong length");
         assert_eq!(transpose.node_count(), n, "transpose has wrong node count");
         assert!(source < n, "source {source} out of bounds for {n} nodes");
-        assert!(skip < n, "skip {skip} out of bounds for {n} nodes");
         scratch.marked.resize(n, false);
         scratch.affected.clear();
 
         // Steps 1–2: the roots, then their closure over tight edges. The
-        // affected list is its own worklist; `skip`'s out-edges only lead
-        // back to roots, so `skip` is not expanded a second time.
-        self.mark_tight_targets(skip, source, eps, dist, scratch);
+        // affected list is its own worklist. `skip`'s out-edges are the
+        // removed ones, whose targets are roots already, so it is not
+        // expanded a second time; `usize::MAX` is never a node.
+        let skip = match removal {
+            Removal::OutEdgesOf(skip) => {
+                assert!(skip < n, "skip {skip} out of bounds for {n} nodes");
+                self.mark_tight_targets(skip, source, eps, dist, scratch);
+                skip
+            }
+            Removal::Edges(removed) => {
+                for &(u, v, w) in removed {
+                    mark_if_tight(u, w, v, source, eps, dist, scratch);
+                }
+                usize::MAX
+            }
+        };
         let mut next = 0;
         while let Some(&u) = scratch.affected.get(next) {
             next += 1;
@@ -414,9 +453,8 @@ impl CsrGraph {
         });
     }
 
-    /// Adds every unmarked out-neighbour of `u` other than `source` whose
-    /// edge is tight on `dist` to the affected set of
-    /// [`CsrGraph::dijkstra_without`].
+    /// Adds every out-neighbour of `u` whose edge is tight on `dist` to
+    /// the affected set of [`CsrGraph::dijkstra_without`].
     fn mark_tight_targets(
         &self,
         u: usize,
@@ -425,13 +463,9 @@ impl CsrGraph {
         dist: &[f64],
         scratch: &mut DijkstraScratch,
     ) {
-        let d_u = dist[u];
         let (ts, ws) = self.out_neighbors(u);
         for (&v, &w) in ts.iter().zip(ws) {
-            if v != source && !scratch.marked[v] && edge_on_path(d_u, w, dist[v], eps) {
-                scratch.marked[v] = true;
-                scratch.affected.push(v);
-            }
+            mark_if_tight(u, w, v, source, eps, dist, scratch);
         }
     }
 
@@ -465,6 +499,24 @@ impl CsrGraph {
                 }
             }
         }
+    }
+}
+
+/// Adds `v` to the affected set of [`CsrGraph::dijkstra_without`] when
+/// it is not `source`, not yet marked, and the edge `(u, v)` of weight
+/// `w` is tight on `dist`.
+fn mark_if_tight(
+    u: usize,
+    w: f64,
+    v: usize,
+    source: usize,
+    eps: f64,
+    dist: &[f64],
+    scratch: &mut DijkstraScratch,
+) {
+    if v != source && !scratch.marked[v] && edge_on_path(dist[u], w, dist[v], eps) {
+        scratch.marked[v] = true;
+        scratch.affected.push(v);
     }
 }
 

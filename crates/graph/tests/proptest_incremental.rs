@@ -1,12 +1,15 @@
 //! Property tests for the incremental shortest-path machinery backing
 //! `GameSession`'s cache repair: decrease-only re-relaxation must agree
 //! with a from-scratch Dijkstra after arbitrary edge additions, removing
-//! one node's out-edges from an exact row must agree with a sweep of the
-//! materialised subgraph, and the sharded multi-row sweep must agree with
-//! sequential sweeps exactly.
+//! one node's out-edges — or any set of edges, followed by the decrease
+//! fold of edges added at the same time — from an exact row must agree
+//! with a sweep of the materialised new graph, and the sharded multi-row
+//! sweep must agree with sequential sweeps exactly.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
+use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix, Removal};
 
 /// A random digraph as `(n, edges)`; parallel edges are allowed (Dijkstra
 /// simply relaxes both).
@@ -61,7 +64,14 @@ fn check_without(
     for source in 0..n {
         let mut dist = csr.dijkstra(source);
         let before = dist.clone();
-        let affected = csr.dijkstra_without(&transpose, source, skip, eps, &mut dist, scratch);
+        let affected = csr.dijkstra_without(
+            &transpose,
+            source,
+            Removal::OutEdgesOf(skip),
+            eps,
+            &mut dist,
+            scratch,
+        );
         let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
         prop_assert_eq!(
             bits(&dist),
@@ -80,6 +90,68 @@ fn check_without(
     Ok(())
 }
 
+/// Checks the [`Removal::Edges`] repair, run on the new graph and its
+/// transpose and followed by the decrease fold of `added`, against a
+/// fresh sweep of the new graph `edges − removed + added`, bit for bit,
+/// for every source. `removed` holds indices into `edges` (a parallel
+/// edge survives the removal of its twin); one scratch serves every
+/// call. Returns the total affected-set size, so callers can check the
+/// repair branch fired.
+fn check_removal(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    removed: &[usize],
+    added: &[(usize, usize, f64)],
+    eps: f64,
+    scratch: &mut DijkstraScratch,
+) -> Result<usize, TestCaseError> {
+    let old = CsrGraph::from_digraph(&build(n, edges));
+    let gone: Vec<(usize, usize, f64)> = removed.iter().map(|&k| edges[k]).collect();
+    let mut kept: Vec<(usize, usize, f64)> = edges
+        .iter()
+        .enumerate()
+        .filter(|(k, _)| !removed.contains(k))
+        .map(|(_, &e)| e)
+        .collect();
+    kept.extend_from_slice(added);
+    let new = CsrGraph::from_digraph(&build(n, &kept));
+    let transpose = new.transpose();
+    let mut total = 0;
+    for source in 0..n {
+        let mut dist = old.dijkstra(source);
+        total += new.dijkstra_without(
+            &transpose,
+            source,
+            Removal::Edges(&gone),
+            eps,
+            &mut dist,
+            scratch,
+        );
+        // Seed exactly like the session repair does: only additions that
+        // improve on the repaired row.
+        let seeds: Vec<(usize, f64)> = added
+            .iter()
+            .filter(|&&(u, v, w)| dist[u].is_finite() && dist[u] + w < dist[v])
+            .map(|&(u, v, w)| (v, dist[u] + w))
+            .collect();
+        new.relax_decrease_into(&mut dist, &seeds, scratch);
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
+        let fresh = new.dijkstra(source);
+        prop_assert_eq!(
+            bits(&dist),
+            bits(&fresh),
+            "source {} removed {:?} added {:?} eps {}: {:?} vs {:?}",
+            source,
+            gone,
+            added,
+            eps,
+            dist,
+            fresh
+        );
+    }
+    Ok(total)
+}
+
 fn build(n: usize, edges: &[(usize, usize, f64)]) -> DiGraph {
     let mut g = DiGraph::new(n);
     for &(u, v, w) in edges {
@@ -88,8 +160,17 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> DiGraph {
     g
 }
 
+/// Cases per property below; the coverage check of
+/// [`removing_one_nodes_edges_then_folding_additions_matches_fresh_sweep`]
+/// runs once the last of its cases has passed.
+const CASES: u32 = 96;
+/// Cases of that test run so far, and the affected nodes its repairs
+/// recomputed.
+static REMOVAL_RUN: AtomicUsize = AtomicUsize::new(0);
+static REMOVAL_AFFECTED: AtomicUsize = AtomicUsize::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Seeded decrease-only relaxation after edge additions restores
     /// exactly the distances a fresh Dijkstra computes on the new graph.
@@ -168,6 +249,63 @@ proptest! {
         for other in (0..n).filter(|&k| k != skip) {
             check_without(n, &edges, other, eps, &mut scratch)?;
         }
+    }
+
+    /// Dropping several out-edges of one node — the diff of one peer's
+    /// move — from an exact row, on the new graph with the node's added
+    /// edges already in it, then folding those in, matches a fresh sweep
+    /// of the new graph bit for bit: with tied integer or real weights,
+    /// unreachable nodes, the node as the source, and every out-edge
+    /// dropped (`all`).
+    #[test]
+    fn removing_one_nodes_edges_then_folding_additions_matches_fresh_sweep(
+        (n, edges) in arb_tied_graph(),
+        from_raw in 0usize..12,
+        mask in proptest::collection::vec(proptest::bool::ANY, 40),
+        extra in proptest::collection::vec((0usize..12, 1u8..4, 0.1f64..10.0, proptest::bool::ANY), 0..4),
+        all in proptest::bool::ANY,
+        loose in proptest::bool::ANY
+    ) {
+        let from = from_raw % n;
+        let removed: Vec<usize> = (0..edges.len())
+            .filter(|&k| edges[k].0 == from && (all || mask[k]))
+            .collect();
+        let added: Vec<(usize, usize, f64)> = extra
+            .into_iter()
+            .map(|(v, k, w, tie)| (from, v % n, if tie { f64::from(k) } else { w }))
+            .filter(|&(u, v, _)| u != v)
+            .collect();
+        let eps = if loose { 1e-9 } else { 0.0 };
+        let mut scratch = DijkstraScratch::new();
+        let affected = check_removal(n, &edges, &removed, &added, eps, &mut scratch)?;
+        REMOVAL_AFFECTED.fetch_add(affected, Ordering::SeqCst);
+        if REMOVAL_RUN.fetch_add(1, Ordering::SeqCst) + 1 == CASES as usize {
+            prop_assert!(
+                REMOVAL_AFFECTED.load(Ordering::SeqCst) > 0,
+                "no case removed a tight edge"
+            );
+        }
+    }
+
+    /// The same check for removals and additions anywhere in the graph:
+    /// the kernel is exact for any removed set the new graph no longer
+    /// holds, not only for one node's edges.
+    #[test]
+    fn removing_any_edges_then_folding_additions_matches_fresh_sweep(
+        (n, edges) in arb_tied_graph(),
+        mask in proptest::collection::vec(proptest::bool::ANY, 40),
+        extra in proptest::collection::vec((0usize..12, 0usize..12, 1u8..4), 0..6),
+        loose in proptest::bool::ANY
+    ) {
+        let removed: Vec<usize> = (0..edges.len()).filter(|&k| mask[k]).collect();
+        let added: Vec<(usize, usize, f64)> = extra
+            .into_iter()
+            .map(|(u, v, k)| (u % n, v % n, f64::from(k)))
+            .filter(|&(u, v, _)| u != v)
+            .collect();
+        let eps = if loose { 1e-9 } else { 0.0 };
+        let mut scratch = DijkstraScratch::new();
+        check_removal(n, &edges, &removed, &added, eps, &mut scratch)?;
     }
 
     /// `skip` is the only bridge from one half of the graph to the

@@ -105,8 +105,9 @@ impl Lint for DenseAlloc {
                     t.line,
                     format!(
                         "`DistanceMatrix::{}` allocates the full n*n table outside the dense \
-                         backend; keep quadratic state behind DenseBackend or waive with the \
-                         reason this site can never sit on the sparse scale path",
+                         backend; keep quadratic state in OracleCache \
+                         (crates/core/src/oracle_cache.rs) or waive with the reason this site \
+                         can never sit on the sparse scale path",
                         file.tokens[code[c + 2]].text
                     ),
                 );
@@ -134,8 +135,8 @@ impl Lint for DenseAlloc {
                     t.line,
                     format!(
                         "buffer sized `{len} * {len}` outside the dense backend; keep quadratic \
-                         state behind DenseBackend or waive with the reason this site can never \
-                         sit on the sparse scale path"
+                         state in OracleCache (crates/core/src/oracle_cache.rs) or waive with the \
+                         reason this site can never sit on the sparse scale path"
                     ),
                 );
             }
