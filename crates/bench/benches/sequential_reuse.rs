@@ -37,7 +37,11 @@
 //! a residual row only when the greedy escalates it; the residual rows
 //! derived over the run are reported as `seq_br_rows_repaired/cached/64`
 //! (unit `rows`) and asserted below the 6,474 rows of the oracles that
-//! derived every dirty row.
+//! derived every dirty row. Each `apply` folds the mover's new links
+//! into a row before the removal kernel takes its dropped links out;
+//! the nodes that kernel resets over the run are reported as
+//! `seq_apply_nodes_reset/64` (unit `visits`) and asserted below the
+//! count of the remove-first order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -194,13 +198,20 @@ fn bench_sequential_reuse(c: &mut Criterion) {
 /// oracle derived every dirty candidate row before solving.
 const EAGER_BR_ROWS_REPAIRED: usize = 6_474;
 
+/// Nodes the removal kernel reset in the best-response case's `apply`
+/// repairs when each row had the removed links taken out before the
+/// added ones were folded in.
+const REMOVE_FIRST_NODES_RESET: usize = 897;
+
 /// Best-response dynamics on the warmed instance. The cached engine's
 /// `apply` repairs every row an accepted move breaks in place, so after
 /// the first activation fills the `n` overlay rows no row is swept
 /// again. The gated counters are the run's full sweeps (cache fills
-/// plus scan sweeps, as above), asserted to be at most `n`, and the
+/// plus scan sweeps, as above), asserted to be at most `n`, the
 /// residual rows its oracles derived, asserted below
-/// [`EAGER_BR_ROWS_REPAIRED`].
+/// [`EAGER_BR_ROWS_REPAIRED`], and the nodes `apply`'s removal kernel
+/// reset, asserted below [`REMOVE_FIRST_NODES_RESET`]: each move folds
+/// its new links in first, so only distances that grew are reset.
 fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &StrategyProfile) {
     let rule = ResponseRule::BestResponseWith(METHOD);
     let mut group = c.benchmark_group("best_response_dynamics");
@@ -225,13 +236,14 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
     println!(
         "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps \
          ({} fills + {} scan sweeps), {} rows invalidated, {repaired} residual rows derived, \
-         {} candidate rows held as bounds",
+         {} candidate rows held as bounds, {} nodes reset by move repairs",
         out.steps,
         out.moves,
         stats.full_sssp,
         stats.seq_oracle_swept,
         stats.rows_invalidated,
         stats.oracle_rows_bounded,
+        stats.repair_nodes_reset,
     );
     c.report_value(
         &format!("seq_br_sweeps/cached/{N}"),
@@ -242,6 +254,17 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
         &format!("seq_br_rows_repaired/cached/{N}"),
         repaired as f64,
         "rows",
+    );
+    let reset = stats.repair_nodes_reset;
+    c.report_value(
+        &format!("seq_apply_nodes_reset/{N}"),
+        reset as f64,
+        "visits",
+    );
+    assert!(
+        reset < REMOVE_FIRST_NODES_RESET,
+        "folding a move's new links in first must reset fewer nodes than removing first: \
+         {reset} vs {REMOVE_FIRST_NODES_RESET}"
     );
     assert!(
         repaired < EAGER_BR_ROWS_REPAIRED,

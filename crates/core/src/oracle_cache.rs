@@ -22,32 +22,52 @@
 //! the decision reads it.
 //!
 //! The same kernel repairs the overlay rows themselves when a committed
-//! diff removes links that all leave one peer — every `apply`, the moves
-//! of sequential dynamics included, and every batch with one mover. A
-//! row a removed link is tight on has only the subtrees below those
-//! links recomputed, on the new CSR; the added links are then folded
-//! in. Diffs whose removed links leave several peers (simultaneous
-//! rounds, churn) drop the rows instead, and the session refills them in
-//! one sharded pass.
+//! diff leaves one peer `i`: every added and every removed link is an
+//! out-link of `i`. That is every `apply`, the moves of sequential
+//! dynamics included, and every batch whose net diff has one mover.
+//! Each valid row first folds the added links in, on the new CSR, and
+//! then has the removed links taken out by
+//! [`sp_graph::CsrGraph::dijkstra_without`] with
+//! [`sp_graph::Removal::Edges`]. Folding first leaves the kernel only
+//! the distances that really grew: a node the added links take over is
+//! no longer tight below a removed link, so it is never reset. Every
+//! other diff (removals or additions from two or more peers:
+//! simultaneous rounds, churn, mixed batches) drops the rows a removed
+//! link is tight on, and the session refills them in one sharded pass.
+//!
+//! The fold is exact for `old ∪ added` although the new CSR already
+//! lacks the removed links. Adding `i`'s out-links cannot shorten a
+//! path *to* `i`, so `d(i)` never decreases and `i` is never expanded;
+//! `i`'s out-edges are the only ones the new CSR is missing, and every
+//! other decreased node relaxes exactly its `old ∪ added` out-edges. The
+//! folded row is thus the exact row of a graph that holds the removed
+//! links, and the new CSR is that graph without them: the kernel's
+//! precondition. With additions from a second peer, `d(i)` could drop
+//! and `i` would be expanded without its removed links, which is why
+//! such diffs are not folded first.
 //!
 //! # Repair invariants
 //!
 //! After every committed edge diff `(added, removed)` the cache
 //! restores this contract before any row is served again:
 //!
-//! * a row survives untouched by the removals iff **no** removed link
-//!   could be tight on one of its shortest paths (`d_u(i) + w > d_u(j)`
-//!   beyond [`EDGE_ON_PATH_EPS`] slack — ties count as tight); a row a
-//!   removed link is tight on is repaired in place when the removals
-//!   leave one peer, and dropped otherwise;
-//! * added links are folded into every kept row by seeded decrease-only
-//!   relaxation ([`sp_graph::CsrGraph::relax_decrease_into`]);
-//! * every kept row is **bit-identical** to a fresh sweep of the overlay
-//!   (enforced by `crates/core/tests/proptest_session.rs` and
-//!   `crates/graph/tests/proptest_incremental.rs`): a fresh Dijkstra,
-//!   the subtree repair and decrease-only relaxation all compute the
-//!   minimum over source-to-target path sums, so equal inputs give equal
-//!   bits.
+//! * a one-peer diff keeps every valid row: the added links are folded
+//!   in by seeded decrease-only relaxation
+//!   ([`sp_graph::CsrGraph::relax_decrease_into`]), then the subtrees
+//!   below the removed links still tight on the folded row are
+//!   recomputed;
+//! * any other diff keeps a row iff **no** removed link could be tight
+//!   on one of its shortest paths (`d_u(i) + w > d_u(j)` beyond
+//!   [`EDGE_ON_PATH_EPS`] slack — ties count as tight), and folds the
+//!   added links into every kept row;
+//! * every kept row is **bit-identical** to a fresh sweep of the new
+//!   overlay: a fresh Dijkstra, the subtree repair and decrease-only
+//!   relaxation all compute the minimum over source-to-target path
+//!   sums, so equal inputs give equal bits. Debug builds assert it at
+//!   the end of every repair pass;
+//!   `crates/core/tests/proptest_session.rs` and
+//!   `crates/graph/tests/proptest_incremental.rs` check it in release
+//!   builds too.
 //!
 //! [`GameSession`]: crate::GameSession
 
@@ -65,6 +85,8 @@ pub(crate) struct RepairCounts {
     pub rows_preserved: usize,
     /// Seeded decrease-only relaxations run on kept rows.
     pub incremental_relaxations: usize,
+    /// Nodes the removal kernel reset across the in-place repairs.
+    pub nodes_reset: usize,
 }
 
 /// The overlay distance matrix with per-row validity. See the module
@@ -169,11 +191,13 @@ impl OracleCache {
 
     /// The repair pass, run against the **new** overlay CSR after the
     /// profile diff `(added, removed)` — each entry a `(from, to,
-    /// weight)` edge — has been committed. With `transpose`, the new
-    /// CSR's transpose, a row a removed link is tight on is repaired in
-    /// place; without it the row is dropped. The caller passes it when
-    /// every removed link leaves the same peer. See the module docs for
-    /// the exact invariants restored.
+    /// weight)` edge — has been committed. `transpose`, the new CSR's
+    /// transpose, is passed exactly when [`repairs_in_place`] holds:
+    /// every row then folds the added links in and has the removed ones
+    /// taken out by [`CsrGraph::dijkstra_without`], in that order.
+    /// Otherwise a row a removed link is tight on is dropped and the
+    /// others fold the added links in. See the module docs for the exact
+    /// invariants restored.
     pub(crate) fn repair_after_edges(
         &mut self,
         csr: &CsrGraph,
@@ -182,6 +206,11 @@ impl OracleCache {
         removed: &[(usize, usize, f64)],
         scratch: &mut DijkstraScratch,
     ) -> RepairCounts {
+        debug_assert_eq!(
+            transpose.is_some(),
+            repairs_in_place(added, removed),
+            "a transpose is passed exactly for one-peer diffs with removals"
+        );
         let mut counts = RepairCounts::default();
         let mut seeds: Vec<(usize, f64)> = Vec::with_capacity(added.len());
 
@@ -189,12 +218,27 @@ impl OracleCache {
             if !self.row_valid[u] {
                 continue;
             }
-            // A removed link (i, j) can only affect u's distances when u
-            // reaches i and the link was tight on some shortest path —
-            // the one tightness predicate every backend shares. The
-            // kernel recomputes just the subtrees below such links.
+            // Without a transpose, a row a removed link (i, j) could be
+            // tight on is dropped: u reaches i and the link may carry a
+            // shortest path — the one tightness predicate every backend
+            // shares.
+            if transpose.is_none()
+                && removed
+                    .iter()
+                    .any(|&(i, j, w)| edge_on_path(row[i], w, row[j], EDGE_ON_PATH_EPS))
+            {
+                self.row_valid[u] = false;
+                counts.rows_invalidated += 1;
+                continue;
+            }
+            // Added links only ever shorten distances.
+            if relax_added(csr, row, added, &mut seeds, scratch) {
+                counts.incremental_relaxations += 1;
+            }
+            // One peer's diff: with its links folded in, the kernel
+            // resets only what the added links did not take over.
             if let Some(transpose) = transpose {
-                csr.dijkstra_without(
+                counts.nodes_reset += csr.dijkstra_without(
                     transpose,
                     u,
                     Removal::Edges(removed),
@@ -202,30 +246,45 @@ impl OracleCache {
                     row,
                     scratch,
                 );
-            } else if removed
-                .iter()
-                .any(|&(i, j, w)| edge_on_path(row[i], w, row[j], EDGE_ON_PATH_EPS))
-            {
-                self.row_valid[u] = false;
-                counts.rows_invalidated += 1;
-                continue;
-            }
-
-            // Added links only ever shorten distances: repair in place.
-            if relax_added(csr, row, added, &mut seeds, scratch) {
-                counts.incremental_relaxations += 1;
             }
             counts.rows_preserved += 1;
+        }
+
+        #[cfg(debug_assertions)]
+        for u in (0..self.row_valid.len()).filter(|&u| self.row_valid[u]) {
+            let fresh = csr.dijkstra(u);
+            assert!(
+                self.dist
+                    .row(u)
+                    .iter()
+                    .zip(&fresh)
+                    .all(|(kept, fresh)| kept.to_bits() == fresh.to_bits()),
+                "kept overlay row {u} differs from a fresh sweep of the new overlay"
+            );
         }
         counts
     }
 }
 
+/// Whether [`OracleCache::repair_after_edges`] repairs the diff `(added,
+/// removed)` in place: it removes links, and every added and removed
+/// link leaves the same peer.
+pub(crate) fn repairs_in_place(
+    added: &[(usize, usize, f64)],
+    removed: &[(usize, usize, f64)],
+) -> bool {
+    removed
+        .first()
+        .is_some_and(|&(i, _, _)| added.iter().chain(removed).all(|e| e.0 == i))
+}
+
 /// Folds the added links `(from, to, weight)` into `row`, an exact row
 /// of the overlay without them, by seeded decrease-only relaxation on
 /// `csr`, the overlay with them: a link seeds its target when it
-/// strictly shortens the row. Returns `true` when a relaxation ran.
-/// `seeds` is the caller's reusable seed buffer.
+/// strictly shortens the row. On a one-peer diff `csr` also lacks the
+/// removed links, and the result is the exact row of the old overlay
+/// plus the added links (see the module docs). Returns `true` when a
+/// relaxation ran. `seeds` is the caller's reusable seed buffer.
 fn relax_added(
     csr: &CsrGraph,
     row: &mut [f64],

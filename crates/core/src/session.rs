@@ -16,17 +16,17 @@
 //! [`GameSession::apply`] mutates the profile through [`Move`]s and
 //! repairs the cache incrementally instead of discarding it:
 //!
-//! * a row `u` survives a **removed** link `(i, j)` untouched when no
-//!   shortest path from `u` used that link (checked in `O(1)` per row
-//!   per removed link via `d_u(i) + w(i,j) > d_u(j)`);
-//! * a row a removed link is tight on is **repaired in place** by
-//!   [`sp_graph::CsrGraph::dijkstra_without`], which recomputes only the
-//!   shortest-path subtrees below the removed tight links, seeded
-//!   through the overlay CSR's transpose;
 //! * an **added** link `(i, j)` triggers a decrease-only re-relaxation
 //!   seeded at `j` ([`sp_graph::CsrGraph::relax_decrease_into`]) — work
 //!   proportional to the region whose distances actually improve, not a
-//!   full APSP.
+//!   full APSP. A move folds its added links into every row first;
+//! * a row `u` then keeps every node no **removed** link `(i, j)` is
+//!   tight on (`d_u(i) + w(i,j) > d_u(j)`, `O(1)` per row per removed
+//!   link), and the nodes below tight removed links are **repaired in
+//!   place** by [`sp_graph::CsrGraph::dijkstra_without`], which
+//!   recomputes only those shortest-path subtrees, seeded through the
+//!   overlay CSR's transpose. Folding first means a node the move's new
+//!   links take over is never reset.
 //!
 //! A move leaves every valid row valid, so a best response followed by
 //! an `apply` of it — one step of sequential dynamics — refills nothing.
@@ -34,11 +34,11 @@
 //! Multi-move churn events (a simultaneous round, a peer departure) go
 //! through [`GameSession::apply_batch`], which folds any number of
 //! [`Move`]s into **one** profile mutation, **one** CSR rebuild, and a
-//! **single** repair pass against the net edge diff. A batch whose
-//! removed links all leave one peer is repaired like an `apply`. When
-//! removed links leave several peers, the pass instead drops every row
-//! one of them is tight on, and one seeded decrease-only relaxation per
-//! surviving row covers all added links. Bulk row refills (a cold
+//! **single** repair pass against the net edge diff. A batch whose net
+//! added and removed links all leave one peer is repaired like an
+//! `apply`. Any other batch instead drops every row a removed link is
+//! tight on, and one seeded decrease-only relaxation per surviving row
+//! covers all added links. Bulk row refills (a cold
 //! [`GameSession::social_cost`], the rows dropped by such a batch) are
 //! sharded over `std::thread::available_parallelism` scoped worker
 //! threads ([`sp_graph::CsrGraph::dijkstra_rows_with`]), each with its
@@ -81,7 +81,7 @@
 
 use std::sync::Arc;
 
-use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
+use sp_graph::{CsrGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, SessionBackend};
 use crate::best_response::{
@@ -89,7 +89,7 @@ use crate::best_response::{
 };
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
-use crate::oracle_cache::OracleCache;
+use crate::oracle_cache::{repairs_in_place, OracleCache};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
 use crate::{
     BestResponse, BestResponseMethod, CoreError, Game, LinkSet, PeerId, SocialCost, StrategyProfile,
@@ -155,11 +155,15 @@ pub struct SessionStats {
     /// a lazy better-response scan sweeps are counted in
     /// [`SessionStats::seq_oracle_swept`] instead.
     pub full_sssp: usize,
-    /// Seeded decrease-only re-relaxations (cheap incremental repairs).
+    /// Seeded decrease-only re-relaxations (cheap incremental repairs):
+    /// kept rows an added link shortens. A one-peer diff folds its added
+    /// links into every valid row before its removals are repaired, so
+    /// each such row that an added link improves counts here, whether or
+    /// not a removed link was tight on it.
     pub incremental_relaxations: usize,
     /// Rows dropped by a repair pass because a removed link may have
     /// carried a shortest path: only by an [`GameSession::apply_batch`]
-    /// whose removed links leave several peers. Every other move repairs
+    /// whose changed links leave several peers. Every other move repairs
     /// such rows in place.
     pub rows_invalidated: usize,
     /// Rows that survived a repair pass, untouched, decrease-relaxed or
@@ -242,6 +246,12 @@ pub struct SessionStats {
     /// Candidate moves whose lazy lower bound survived the improvement
     /// test and therefore paid exact escalation.
     pub lazy_exact_evals: usize,
+    /// Nodes whose overlay distance the removal kernel
+    /// (`sp_graph::CsrGraph::dijkstra_without`) reset and re-derived
+    /// while repairing rows in place after a one-peer diff. The mover's
+    /// added links are folded in first, so a node they take over is
+    /// never reset; only distances that really grew are.
+    pub repair_nodes_reset: usize,
 }
 
 impl SessionStats {
@@ -288,6 +298,7 @@ impl SessionStats {
             sparse_exact_fallbacks,
             lazy_certified_rejects,
             lazy_exact_evals,
+            repair_nodes_reset,
         } = *other;
         self.csr_rebuilds += csr_rebuilds;
         self.full_sssp += full_sssp;
@@ -314,6 +325,7 @@ impl SessionStats {
         self.sparse_exact_fallbacks += sparse_exact_fallbacks;
         self.lazy_certified_rejects += lazy_certified_rejects;
         self.lazy_exact_evals += lazy_exact_evals;
+        self.repair_nodes_reset += repair_nodes_reset;
     }
 }
 
@@ -639,6 +651,11 @@ impl GameSession {
     /// Applies a unilateral move, repairing the distance cache
     /// incrementally, and returns the links the peer held before.
     ///
+    /// Every valid overlay row stays valid: the move's added links are
+    /// folded into each row, then the subtrees below its removed links
+    /// that are still tight are recomputed in place (see
+    /// [`SessionStats::repair_nodes_reset`]).
+    ///
     /// # Errors
     ///
     /// * [`CoreError::PeerOutOfBounds`] for out-of-range peers (either
@@ -676,6 +693,13 @@ impl GameSession {
     /// rebuilt once and the distance rows are repaired in a single pass
     /// against the *net* edge change, so moves that cancel out inside
     /// the batch cost nothing.
+    ///
+    /// When the net added and removed links all leave one peer —
+    /// several moves by the same peer, say — the rows are repaired in
+    /// place exactly as by [`GameSession::apply`]. Otherwise (links of
+    /// two or more peers change, even if only one of them removes) the
+    /// rows a removed link is tight on are dropped, to be refilled by
+    /// one sharded pass when next read.
     ///
     /// Returns, for each move in order, the links its peer held
     /// immediately before that move — exactly what a sequence of
@@ -793,10 +817,10 @@ impl GameSession {
     /// The shared repair pass behind [`GameSession::apply`] and
     /// [`GameSession::apply_batch`]: given the net `(from, to, weight)`
     /// edge changes already written to the profile, lets the
-    /// [`OracleCache`] repair the rows whose shortest paths may have used
-    /// a removed edge — in place when every removed edge leaves one peer,
-    /// by dropping them otherwise — and decrease-relax every kept row for
-    /// the added edges.
+    /// [`OracleCache`] decrease-relax the kept rows for the added edges
+    /// and repair the rows whose shortest paths may have used a removed
+    /// edge — folding first and repairing in place when every changed
+    /// edge leaves one peer, dropping them otherwise.
     fn repair_after_edges(
         &mut self,
         added: &[(usize, usize, f64)],
@@ -841,10 +865,9 @@ impl GameSession {
 
         // The edge set changed: refresh the CSR snapshot (O(m), cheap
         // next to the sweeps it lets us keep), and its transpose when the
-        // removed edges leave one peer, so broken rows are repaired.
+        // diff leaves one peer, so broken rows are repaired in place.
         self.rebuild_csr();
-        let one_mover = removed.windows(2).all(|pair| pair[0].0 == pair[1].0);
-        if !removed.is_empty() && one_mover {
+        if repairs_in_place(added, removed) {
             self.ensure_transpose();
         }
         let csr = self.csr.as_ref().expect("just rebuilt");
@@ -858,6 +881,7 @@ impl GameSession {
         self.stats.rows_invalidated += counts.rows_invalidated;
         self.stats.rows_preserved += counts.rows_preserved;
         self.stats.incremental_relaxations += counts.incremental_relaxations;
+        self.stats.repair_nodes_reset += counts.nodes_reset;
     }
 
     /// Drops the overlay CSR and its transpose together.
@@ -866,18 +890,16 @@ impl GameSession {
         self.transpose = None;
     }
 
+    /// Builds the overlay CSR straight from the profile: each peer's
+    /// links in [`LinkSet`] order, weighted by the game's distances.
     fn rebuild_csr(&mut self) {
-        let mut g = DiGraph::new(self.game.n());
-        for (i, s) in self.profile.iter() {
-            for j in s.iter() {
-                g.add_edge(
-                    i.index(),
-                    j.index(),
-                    self.game.distance(i.index(), j.index()),
-                );
-            }
-        }
-        self.csr = Some(CsrGraph::from_digraph(&g));
+        let game = &self.game;
+        let lists = self.profile.iter().map(|(i, links)| {
+            links
+                .iter()
+                .map(move |j| (j.index(), game.distance(i.index(), j.index())))
+        });
+        self.csr = Some(CsrGraph::from_out_edges(lists, self.profile.link_count()));
         self.transpose = None;
         self.stats.csr_rebuilds += 1;
     }
@@ -1689,6 +1711,7 @@ mod tests {
     use crate::{
         all_peer_costs, best_response, is_nash, max_stretch, nash_gap, social_cost, stretch_matrix,
     };
+    use sp_graph::Removal;
     use sp_metric::LineSpace;
 
     fn game(alpha: f64) -> Game {
@@ -2455,6 +2478,64 @@ mod tests {
             .best_response(PeerId::new(1), BestResponseMethod::Exact)
             .unwrap();
         assert_eq!(s.stats().full_sssp, before.full_sssp);
+    }
+
+    #[test]
+    fn swapping_a_tight_link_for_a_nearby_one_resets_only_what_grew() {
+        // Peer 0 reaches the chain 1 - 2 - 3 - 4 only through its link
+        // to the far end 4 (7.5), so that link carries all of row 0.
+        // Swapping it for the link to peer 1 (1.0) takes over 1, 2 and
+        // 3; only 4 gets longer (it ties at 7.5 through the chain).
+        let g = game(1.0);
+        let links = [
+            (0, 4),
+            (1, 0),
+            (1, 2),
+            (2, 1),
+            (2, 3),
+            (3, 2),
+            (3, 4),
+            (4, 3),
+        ];
+        let p = StrategyProfile::from_links(5, &links).unwrap();
+        let mut s = GameSession::from_refs(&g, &p).unwrap();
+        let old_rows = s.overlay_distances().clone();
+
+        let before = s.stats();
+        s.apply(Move::SetStrategy {
+            peer: PeerId::new(0),
+            links: [1usize].into_iter().collect(),
+        })
+        .unwrap();
+        let after = s.stats();
+        assert_eq!(after.rows_invalidated, before.rows_invalidated);
+        assert_eq!(after.rows_preserved, before.rows_preserved + 5);
+        let reset = after.repair_nodes_reset - before.repair_nodes_reset;
+
+        // What the dropped link carried: the nodes the removal resets
+        // in the old rows, before the new link is folded in.
+        let csr = s.csr.as_ref().unwrap();
+        let transpose = s.transpose.as_ref().unwrap();
+        let mut scratch = DijkstraScratch::new();
+        let carried: usize = (0..5)
+            .map(|u| {
+                let mut row = old_rows.row(u).to_vec();
+                csr.dijkstra_without(
+                    transpose,
+                    u,
+                    Removal::Edges(&[(0, 4, 7.5)]),
+                    EDGE_ON_PATH_EPS,
+                    &mut row,
+                    &mut scratch,
+                )
+            })
+            .sum();
+        assert_eq!((reset, carried), (1, 4));
+
+        let rows = s.overlay_distances().clone();
+        assert_eq!(s.stats().full_sssp, before.full_sssp);
+        let mut cold = GameSession::from_refs(&g, s.profile()).unwrap();
+        assert_eq!(&rows, cold.overlay_distances());
     }
 
     #[test]

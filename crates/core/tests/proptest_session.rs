@@ -854,3 +854,158 @@ proptest! {
         }
     }
 }
+
+/// A game of 3 to 8 peers (random points, or unit-spaced line positions
+/// whose ties make many links tight), a start profile, and a script of
+/// batches `(family, p, q, picks)`, each pick a `(kind, a, b)` triple.
+#[allow(clippy::type_complexity)]
+fn arb_batch_script() -> impl Strategy<
+    Value = (
+        Game,
+        StrategyProfile,
+        Vec<(u8, usize, usize, Vec<(u8, usize, usize)>)>,
+    ),
+> {
+    (3usize..=8, 0u64..10_000, 0.1f64..8.0, proptest::bool::ANY).prop_flat_map(
+        |(n, seed, alpha, line)| {
+            let max_links = (n * (n - 1)).min(20);
+            let picks = proptest::collection::vec((0u8..3, 0..n, 0..n), 1..5);
+            (
+                proptest::collection::vec((0..n, 0..n), 0..=max_links),
+                proptest::collection::vec((0u8..3, 0..n, 0..n, picks), 1..8),
+            )
+                .prop_map(move |(pairs, batches)| {
+                    let game = if line {
+                        let positions = (0..n).map(|k| k as f64).collect();
+                        Game::from_space(&LineSpace::new(positions).unwrap(), alpha).unwrap()
+                    } else {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        Game::from_space(&generators::uniform_square(n, 10.0, &mut rng), alpha)
+                            .unwrap()
+                    };
+                    let links: Vec<(usize, usize)> =
+                        pairs.into_iter().filter(|&(u, v)| u != v).collect();
+                    (
+                        game,
+                        StrategyProfile::from_links(n, &links).unwrap(),
+                        batches,
+                    )
+                })
+        },
+    )
+}
+
+/// Decodes one batch of [`arb_batch_script`] against the current
+/// profile. Family 0 mixes [`script_move`]s of any peers. Family 1 has
+/// peer `p` only remove links it holds and another peer `q` only add
+/// links. Family 2 is several moves by `p` alone.
+fn batch_moves(
+    profile: &StrategyProfile,
+    family: u8,
+    p: usize,
+    q: usize,
+    picks: &[(u8, usize, usize)],
+) -> Vec<Move> {
+    let n = profile.n();
+    match family {
+        0 => picks
+            .iter()
+            .filter_map(|&(kind, a, b)| script_move(n, kind, a, b))
+            .collect(),
+        1 => {
+            let q = if q == p { (p + 1) % n } else { q };
+            let held: Vec<PeerId> = profile.strategy(PeerId::new(p)).iter().collect();
+            picks
+                .iter()
+                .filter_map(|&(kind, a, b)| match kind {
+                    0 if !held.is_empty() => Some(Move::RemoveLink {
+                        from: PeerId::new(p),
+                        to: held[a % held.len()],
+                    }),
+                    _ if b != q => Some(Move::AddLink {
+                        from: PeerId::new(q),
+                        to: PeerId::new(b),
+                    }),
+                    _ => None,
+                })
+                .collect()
+        }
+        _ => picks
+            .iter()
+            .filter_map(|&(kind, _, b)| script_move(n, kind, p, b))
+            .collect(),
+    }
+}
+
+/// Cases of [`batches_repair_or_drop_rows_bit_identically`]; the
+/// coverage checks run once the last of them has passed.
+const BATCH_CASES: u32 = 96;
+/// Cases of that test run so far, the rows family-1 batches dropped, and
+/// the nodes family-2 batches reset in place.
+static BATCH_RUN: AtomicUsize = AtomicUsize::new(0);
+static BATCH_DROPPED: AtomicUsize = AtomicUsize::new(0);
+static BATCH_RESET: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(BATCH_CASES))]
+
+    /// Every `apply_batch` leaves rows bit-identical to a fresh session,
+    /// checked after every batch. A batch in which one peer removes
+    /// links while another only adds changes two peers' links, so it
+    /// drops the rows a removed link is tight on and repairs none in
+    /// place. Several moves by one peer are one peer's diff, repaired in
+    /// place: no row is dropped.
+    #[test]
+    fn batches_repair_or_drop_rows_bit_identically(
+        (game, profile, batches) in arb_batch_script()
+    ) {
+        let mut s = GameSession::new(game.clone(), profile).unwrap();
+        s.set_parallelism(forced_parallelism());
+        let _ = s.overlay_distances();
+        let (mut dropped, mut reset) = (0, 0);
+        for (family, p, q, picks) in &batches {
+            let moves = batch_moves(s.profile(), *family, *p, *q, picks);
+            let before_profile = s.profile().clone();
+            let before = s.stats();
+            s.apply_batch(&moves).unwrap();
+            let after = s.stats();
+            let changed: Vec<usize> = (0..game.n())
+                .filter(|&k| {
+                    let k = PeerId::new(k);
+                    s.profile().strategy(k) != before_profile.strategy(k)
+                })
+                .collect();
+            match family {
+                1 if changed.len() == 2 => {
+                    prop_assert_eq!(after.repair_nodes_reset, before.repair_nodes_reset);
+                    dropped += after.rows_invalidated - before.rows_invalidated;
+                }
+                2 => {
+                    prop_assert!(changed.len() <= 1);
+                    prop_assert_eq!(after.rows_invalidated, before.rows_invalidated);
+                    prop_assert_eq!(after.full_sssp, before.full_sssp);
+                    reset += after.repair_nodes_reset - before.repair_nodes_reset;
+                }
+                _ => {}
+            }
+            let rows = s.overlay_distances().clone();
+            let fresh = GameSession::new(game.clone(), s.profile().clone())
+                .unwrap()
+                .overlay_distances()
+                .clone();
+            same_bits(&rows, &fresh)?;
+        }
+        BATCH_DROPPED.fetch_add(dropped, Ordering::SeqCst);
+        BATCH_RESET.fetch_add(reset, Ordering::SeqCst);
+        if BATCH_RUN.fetch_add(1, Ordering::SeqCst) + 1 == BATCH_CASES as usize {
+            prop_assert!(
+                BATCH_DROPPED.load(Ordering::SeqCst) > 0,
+                "no batch of a remover and an adder dropped a row"
+            );
+            prop_assert!(
+                BATCH_RESET.load(Ordering::SeqCst) > 0,
+                "no batch of one peer's moves reset a node"
+            );
+        }
+    }
+}

@@ -91,18 +91,49 @@ impl CsrGraph {
     /// Builds the CSR snapshot of `g`.
     #[must_use]
     pub fn from_digraph(g: &DiGraph) -> Self {
-        let n = g.node_count();
-        let m = g.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(m);
-        let mut weights = Vec::with_capacity(m);
-        offsets.push(0);
-        for u in 0..n {
-            for e in g.out_edges(u) {
-                targets.push(e.to);
-                weights.push(e.weight);
+        let lists = (0..g.node_count()).map(|u| g.out_edges(u).iter().map(|e| (e.to, e.weight)));
+        CsrGraph::from_out_edges(lists, g.edge_count())
+    }
+
+    /// Builds a CSR snapshot straight from per-node out-edge lists: list
+    /// `u` holds node `u`'s `(target, weight)` edges, in order, and the
+    /// node count is the number of lists. `edge_count` sizes the edge
+    /// arrays up front. [`CsrGraph::from_digraph`] is this constructor
+    /// over a [`DiGraph`]'s adjacency lists; callers that hold their
+    /// edges elsewhere skip building the [`DiGraph`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sp_graph::CsrGraph;
+    ///
+    /// let lists = [vec![(1, 1.0)], vec![(2, 2.0)], vec![]];
+    /// let csr = CsrGraph::from_out_edges(lists, 2);
+    /// assert_eq!(csr.dijkstra(0)[2], 3.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is not one of the nodes.
+    #[must_use]
+    pub fn from_out_edges<L, E>(lists: L, edge_count: usize) -> Self
+    where
+        L: IntoIterator<Item = E>,
+        E: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut offsets = vec![0];
+        let mut targets = Vec::with_capacity(edge_count);
+        let mut weights = Vec::with_capacity(edge_count);
+        for list in lists {
+            for (to, weight) in list {
+                targets.push(to);
+                weights.push(weight);
             }
             offsets.push(targets.len());
+        }
+        let n = offsets.len() - 1;
+        if let Some(&to) = targets.iter().find(|&&to| to >= n) {
+            panic!("edge target {to} out of bounds for {n} nodes");
         }
         CsrGraph {
             offsets,
@@ -315,8 +346,14 @@ impl CsrGraph {
     ///   row of `self` once the added edges are folded in by
     ///   [`CsrGraph::relax_decrease_into`], seeded at each added `(u, v,
     ///   w)` with `dist[u] + w < dist[v]`. With nothing added, the result
-    ///   already is the exact row of `self`. This is how the `sp-core`
-    ///   session repairs an overlay row after a peer drops links.
+    ///   already is the exact row of `self`. The `sp-core` session meets
+    ///   this with nothing added: when every added and removed link
+    ///   leaves one peer `i`, it first folds the added links into the
+    ///   old row on the new graph, which is exact for `old ∪ added`
+    ///   because `i`'s distance cannot drop and `i`, the only node the
+    ///   new graph lacks edges of, is never expanded. That folded row is
+    ///   the row of a `G` holding the removed edges, with `self = G −
+    ///   removed`, and the removal then resets only what truly grew.
     ///
     /// An unaffected node keeps a shortest path of `G` that avoids every
     /// removed edge: it has a tight predecessor that is itself

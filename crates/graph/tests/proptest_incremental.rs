@@ -3,8 +3,10 @@
 //! with a from-scratch Dijkstra after arbitrary edge additions, removing
 //! one node's out-edges — or any set of edges, followed by the decrease
 //! fold of edges added at the same time — from an exact row must agree
-//! with a sweep of the materialised new graph, and the sharded multi-row
-//! sweep must agree with sequential sweeps exactly.
+//! with a sweep of the materialised new graph, so must one node's
+//! additions folded in before its removed edges are taken out (the
+//! session's order), and the sharded multi-row sweep must agree with
+//! sequential sweeps exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -91,17 +93,23 @@ fn check_without(
 }
 
 /// Checks the [`Removal::Edges`] repair, run on the new graph and its
-/// transpose and followed by the decrease fold of `added`, against a
+/// transpose, together with the decrease fold of `added`, against a
 /// fresh sweep of the new graph `edges − removed + added`, bit for bit,
-/// for every source. `removed` holds indices into `edges` (a parallel
-/// edge survives the removal of its twin); one scratch serves every
-/// call. Returns the total affected-set size, so callers can check the
-/// repair branch fired.
+/// for every source. The fold is seeded like the session's, at each
+/// added `(u, v, w)` with `d(u) + w < d(v)`. With `fold_first` it runs on
+/// the exact old row before the removal (the session's order for one
+/// peer's diff, valid when every added and removed edge leaves one
+/// node); otherwise on the repaired row after it. `removed` holds
+/// indices into `edges` (a parallel edge survives the removal of its
+/// twin); one scratch serves every call. Returns the total number of
+/// nodes the removal reset, so callers can check the repair branch
+/// fired.
 fn check_removal(
     n: usize,
     edges: &[(usize, usize, f64)],
     removed: &[usize],
     added: &[(usize, usize, f64)],
+    fold_first: bool,
     eps: f64,
     scratch: &mut DijkstraScratch,
 ) -> Result<usize, TestCaseError> {
@@ -116,9 +124,20 @@ fn check_removal(
     kept.extend_from_slice(added);
     let new = CsrGraph::from_digraph(&build(n, &kept));
     let transpose = new.transpose();
+    let fold = |dist: &mut Vec<f64>, scratch: &mut DijkstraScratch| {
+        let seeds: Vec<(usize, f64)> = added
+            .iter()
+            .filter(|&&(u, v, w)| dist[u].is_finite() && dist[u] + w < dist[v])
+            .map(|&(u, v, w)| (v, dist[u] + w))
+            .collect();
+        new.relax_decrease_into(dist, &seeds, scratch);
+    };
     let mut total = 0;
     for source in 0..n {
         let mut dist = old.dijkstra(source);
+        if fold_first {
+            fold(&mut dist, scratch);
+        }
         total += new.dijkstra_without(
             &transpose,
             source,
@@ -127,23 +146,19 @@ fn check_removal(
             &mut dist,
             scratch,
         );
-        // Seed exactly like the session repair does: only additions that
-        // improve on the repaired row.
-        let seeds: Vec<(usize, f64)> = added
-            .iter()
-            .filter(|&&(u, v, w)| dist[u].is_finite() && dist[u] + w < dist[v])
-            .map(|&(u, v, w)| (v, dist[u] + w))
-            .collect();
-        new.relax_decrease_into(&mut dist, &seeds, scratch);
+        if !fold_first {
+            fold(&mut dist, scratch);
+        }
         let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
         let fresh = new.dijkstra(source);
         prop_assert_eq!(
             bits(&dist),
             bits(&fresh),
-            "source {} removed {:?} added {:?} eps {}: {:?} vs {:?}",
+            "source {} removed {:?} added {:?} fold first {} eps {}: {:?} vs {:?}",
             source,
             gone,
             added,
+            fold_first,
             eps,
             dist,
             fresh
@@ -160,14 +175,15 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> DiGraph {
     g
 }
 
-/// Cases per property below; the coverage check of
-/// [`removing_one_nodes_edges_then_folding_additions_matches_fresh_sweep`]
-/// runs once the last of its cases has passed.
+/// Cases per property below; the coverage checks of
+/// [`folding_one_nodes_additions_then_removing_its_edges_matches_fresh_sweep`]
+/// run once the last of its cases has passed.
 const CASES: u32 = 96;
-/// Cases of that test run so far, and the affected nodes its repairs
-/// recomputed.
-static REMOVAL_RUN: AtomicUsize = AtomicUsize::new(0);
-static REMOVAL_AFFECTED: AtomicUsize = AtomicUsize::new(0);
+/// Cases of that test run so far, the nodes its fold-first repairs
+/// reset, and the cases in which they reset fewer than removing first.
+static FOLD_FIRST_RUN: AtomicUsize = AtomicUsize::new(0);
+static FOLD_FIRST_RESET: AtomicUsize = AtomicUsize::new(0);
+static FOLD_FIRST_FEWER: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -251,14 +267,17 @@ proptest! {
         }
     }
 
-    /// Dropping several out-edges of one node — the diff of one peer's
-    /// move — from an exact row, on the new graph with the node's added
-    /// edges already in it, then folding those in, matches a fresh sweep
-    /// of the new graph bit for bit: with tied integer or real weights,
-    /// unreachable nodes, the node as the source, and every out-edge
-    /// dropped (`all`).
+    /// The diff of one peer's move — several out-edges of one node
+    /// dropped, others added — repaired as the session does it: the
+    /// additions folded into the exact old row on the new graph first,
+    /// then the removed edges taken out. Matches a fresh sweep of the new
+    /// graph bit for bit, with tied integer or real weights, unreachable
+    /// nodes, the node as the source, and every out-edge dropped
+    /// (`all`). The same diff repaired remove-first is checked too, and
+    /// across the run folding first must reset strictly fewer nodes in
+    /// some case.
     #[test]
-    fn removing_one_nodes_edges_then_folding_additions_matches_fresh_sweep(
+    fn folding_one_nodes_additions_then_removing_its_edges_matches_fresh_sweep(
         (n, edges) in arb_tied_graph(),
         from_raw in 0usize..12,
         mask in proptest::collection::vec(proptest::bool::ANY, 40),
@@ -277,12 +296,20 @@ proptest! {
             .collect();
         let eps = if loose { 1e-9 } else { 0.0 };
         let mut scratch = DijkstraScratch::new();
-        let affected = check_removal(n, &edges, &removed, &added, eps, &mut scratch)?;
-        REMOVAL_AFFECTED.fetch_add(affected, Ordering::SeqCst);
-        if REMOVAL_RUN.fetch_add(1, Ordering::SeqCst) + 1 == CASES as usize {
+        let folded = check_removal(n, &edges, &removed, &added, true, eps, &mut scratch)?;
+        let unfolded = check_removal(n, &edges, &removed, &added, false, eps, &mut scratch)?;
+        FOLD_FIRST_RESET.fetch_add(folded, Ordering::SeqCst);
+        if folded < unfolded {
+            FOLD_FIRST_FEWER.fetch_add(1, Ordering::SeqCst);
+        }
+        if FOLD_FIRST_RUN.fetch_add(1, Ordering::SeqCst) + 1 == CASES as usize {
             prop_assert!(
-                REMOVAL_AFFECTED.load(Ordering::SeqCst) > 0,
-                "no case removed a tight edge"
+                FOLD_FIRST_RESET.load(Ordering::SeqCst) > 0,
+                "no case reset a node after folding"
+            );
+            prop_assert!(
+                FOLD_FIRST_FEWER.load(Ordering::SeqCst) > 0,
+                "folding first never reset fewer nodes than removing first"
             );
         }
     }
@@ -305,7 +332,7 @@ proptest! {
             .collect();
         let eps = if loose { 1e-9 } else { 0.0 };
         let mut scratch = DijkstraScratch::new();
-        check_removal(n, &edges, &removed, &added, eps, &mut scratch)?;
+        check_removal(n, &edges, &removed, &added, false, eps, &mut scratch)?;
     }
 
     /// `skip` is the only bridge from one half of the graph to the
