@@ -9,9 +9,10 @@
 //! repair pass against the union of changed links.
 //!
 //! Besides the wall-clock comparison (snapshot committed as
-//! `BENCH_batched_apply.json`), the bench prints and asserts the exact
-//! counter ratios: ≥ 2× fewer CSR rebuilds and strictly fewer
-//! repair-scan row visits for the batch.
+//! `BENCH_batched_apply.json`), the bench records the exact counters —
+//! `csr_rebuilds/<path>/<n>` and `repair_visits/<path>/<n>` for both
+//! paths — and asserts their ratios: ≥ 2× fewer CSR rebuilds and
+//! strictly fewer repair-scan row visits for the batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -128,6 +129,21 @@ fn bench_batched_round(c: &mut Criterion) {
             per_move.full_sssp,
             batched.full_sssp,
         );
+        for (path, stats, visits) in [
+            ("per_move", per_move, visits_per_move),
+            ("batched", batched, visits_batched),
+        ] {
+            c.report_value(
+                &format!("csr_rebuilds/{path}/{n}"),
+                stats.csr_rebuilds as f64,
+                "rebuilds",
+            );
+            c.report_value(
+                &format!("repair_visits/{path}/{n}"),
+                visits as f64,
+                "visits",
+            );
+        }
         assert!(
             rebuild_ratio >= 2.0,
             "batch must save at least 2x the CSR rebuilds, got {rebuild_ratio:.2}x"

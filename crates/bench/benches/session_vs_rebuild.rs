@@ -11,9 +11,10 @@
 //!
 //! Besides the wall-clock comparison (written to
 //! `BENCH_session_vs_rebuild.json`),
-//! the bench prints the exact number of full single-source sweeps each
-//! path performed, so the "≥ 2× fewer full APSP recomputations" claim is
-//! directly visible.
+//! the bench records the exact number of full single-source sweeps each
+//! path performed as `full_sweeps/{session,rebuild}/<n>` counters, so
+//! the "≥ 2× fewer full APSP recomputations" claim is directly visible
+//! and gated against the committed snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -121,6 +122,13 @@ fn bench_round(c: &mut Criterion) {
             rebuild_stats.seq_oracle_swept,
             session_stats.oracle_builds,
         );
+        for (path, stats) in [("session", session_stats), ("rebuild", rebuild_stats)] {
+            c.report_value(
+                &format!("full_sweeps/{path}/{n}"),
+                stats.full_sssp as f64,
+                "sweeps",
+            );
+        }
         assert!(
             ratio >= 2.0,
             "session must save at least 2x the full sweeps, got {ratio:.2}x"

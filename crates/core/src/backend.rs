@@ -12,7 +12,7 @@
 //!   sketches with certified upper/lower bounds, exact bounded-radius
 //!   sweeps for near rows, and metric-window candidate pruning.
 //!   `O(n · (landmarks + degree + window))` memory; never materialises
-//!   an `n × n` matrix unless an explicit escape hatch is called.
+//!   an `n × n` matrix unless the escape hatch is called.
 //!
 //! Both backends repair their cached rows through the **same**
 //! discipline — the [`sp_graph::edge_on_path`] tightness predicate
@@ -30,10 +30,13 @@
 //! evaluation, sketch estimates for far demand), while `is_nash` /
 //! `nash_gap` / `best_response` remain **certified** — they fall back to
 //! exact per-peer `G_{-i}` sweeps (`O(n)` memory at a time), so sparse
-//! verdicts are never heuristic. Queries that inherently need the full
-//! matrix (`overlay_distances`, `stretch_matrix`) materialise a
-//! documented transient escape hatch and are meant for small-instance
-//! debugging only.
+//! verdicts are never heuristic. The cost readouts (`social_cost`,
+//! `all_peer_costs`, `max_stretch`) sweep one transient row per peer —
+//! `n` sweeps, `O(n)` memory. `overlay_distances`, which inherently
+//! returns the full matrix, materialises the one documented transient
+//! escape hatch, meant for small-instance debugging only; the owned
+//! matrix `stretch_matrix` returns is `n²` too, but the session keeps
+//! no copy of it.
 //!
 //! [`GameSession`]: crate::GameSession
 //! [`GameSession::new`]: crate::GameSession::new

@@ -20,6 +20,8 @@
 //! on a bound. Every exact row is bit-identical to a fresh sweep's, so
 //! every cached answer is bit-identical to [`ResponseOracle`]'s.
 
+use std::borrow::Cow;
+
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
     FacilityProblem, FacilitySolution, RowSource,
@@ -173,16 +175,10 @@ fn candidate_row(
     }
 }
 
-/// The row `d(i, ·)` of the latency matrix, read once per oracle so the
-/// row conversions below index a slice instead of the metric.
-fn latency_row(game: &Game, i: usize) -> Vec<f64> {
-    (0..game.n()).map(|j| game.distance(i, j)).collect()
-}
-
 /// Writes one facility row of the reduction into `out` (length `n − 1`):
 /// the assignment costs `(d(i, v) + D(v, j)) / d(i, j)` over the clients
 /// `j ≠ i` in ascending order, which is the candidate order. `d_i` is
-/// [`latency_row`]`(game, i)`; `dist` is `D(v, ·)`, the residual row or
+/// [`Game::latency_row`]`(i)`; `dist` is `D(v, ·)`, the residual row or
 /// a lower bound on it.
 fn write_assignment_row(out: &mut [f64], i: usize, v: usize, d_i: &[f64], dist: &[f64]) {
     let d_iv = d_i[v];
@@ -273,7 +269,7 @@ impl ResponseOracle {
         let g_minus = topology_without_peer(game, profile, peer)?;
         let csr = CsrGraph::from_digraph(&g_minus);
         let candidates = candidates_of(n, i);
-        let d_i = latency_row(game, i);
+        let d_i = game.latency_row(i);
         let m = candidates.len();
         let mut assignment = Vec::with_capacity(candidates.len() * candidates.len());
         for &v in &candidates {
@@ -420,8 +416,8 @@ pub(crate) struct CandidateRows<'a> {
     cache: &'a mut OracleCache,
     scratch: &'a mut DijkstraScratch,
     candidates: Vec<usize>,
-    /// [`latency_row`] of `i`.
-    d_i: Vec<f64>,
+    /// [`Game::latency_row`] of `i`, borrowed from a dense game.
+    d_i: Cow<'a, [f64]>,
     /// Row-major assignment rows, `(n − 1) × (n − 1)`.
     assignment: Vec<f64>,
     held: Vec<Held>,
@@ -452,7 +448,7 @@ impl<'a> CandidateRows<'a> {
             cache,
             scratch,
             candidates: candidates_of(n, i),
-            d_i: latency_row(game, i),
+            d_i: game.latency_row(i),
             assignment,
             held: vec![Held::Unresolved; m],
             residual: vec![0.0; n],
@@ -495,10 +491,7 @@ impl<'a> CandidateRows<'a> {
                 Held::Lower
             };
         } else {
-            let metric: Vec<f64> = (0..self.game.n())
-                .map(|j| self.game.distance(v, j))
-                .collect();
-            write_assignment_row(out, i, v, &self.d_i, &metric);
+            write_assignment_row(out, i, v, &self.d_i, &self.game.latency_row(v));
             self.held[k] = Held::Lower;
         }
     }

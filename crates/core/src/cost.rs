@@ -66,30 +66,25 @@ pub fn peer_cost(game: &Game, profile: &StrategyProfile, peer: PeerId) -> Result
     let csr = CsrGraph::from_digraph(&overlay);
     let mut scratch = DijkstraScratch::new();
     let row = csr.dijkstra_row_with(peer.index(), &mut scratch);
-    Ok(peer_cost_from_distances(game, profile, peer, row))
+    let stretch = peer_stretch(peer.index(), row, &game.latency_row(peer.index()));
+    Ok(game.alpha() * profile.strategy(peer).len() as f64 + stretch)
 }
 
-/// Individual cost given precomputed overlay distances from `peer`
-/// (row `peer` of the overlay APSP). Used by hot loops that amortise the
-/// Dijkstra sweeps.
-pub(crate) fn peer_cost_from_distances(
-    game: &Game,
-    profile: &StrategyProfile,
-    peer: PeerId,
-    overlay_from_peer: &[f64],
-) -> f64 {
-    let i = peer.index();
+/// `Σ_{j≠i} stretch(i, j)` from peer `i`'s overlay row `d_G(i, ·)` and
+/// latency row `d(i, ·)`, summed in ascending `j`; `∞` as soon as the
+/// sum is. Used by hot loops that amortise the Dijkstra sweeps.
+pub(crate) fn peer_stretch(i: usize, overlay_row: &[f64], latency_row: &[f64]) -> f64 {
     let mut stretch_sum = 0.0f64;
-    for j in 0..game.n() {
+    for (j, (&d_g, &d)) in overlay_row.iter().zip(latency_row).enumerate() {
         if j == i {
             continue;
         }
-        stretch_sum += overlay_from_peer[j] / game.distance(i, j);
+        stretch_sum += d_g / d;
         if stretch_sum.is_infinite() {
             return f64::INFINITY;
         }
     }
-    game.alpha() * profile.strategy(peer).len() as f64 + stretch_sum
+    stretch_sum
 }
 
 /// Individual costs of all peers (one Dijkstra per peer over a shared CSR

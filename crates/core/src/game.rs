@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use sp_graph::DistanceMatrix;
 use sp_metric::{MetricError, MetricSpace};
 
@@ -185,6 +187,26 @@ impl Game {
         }
     }
 
+    /// The latency row `d(i, ·)`, with `row[j]` bit-equal to
+    /// [`Game::distance`]`(i, j)`: borrowed from the matrix of a dense
+    /// game, filled into a fresh buffer for an implicit metric. Row
+    /// readers (cost readouts, best-response oracles) index this slice
+    /// instead of querying the metric entry by entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[must_use]
+    pub fn latency_row(&self, i: usize) -> Cow<'_, [f64]> {
+        match &self.metric {
+            MetricStore::Dense(dist) => Cow::Borrowed(dist.row(i)),
+            MetricStore::Line(positions) => {
+                let x = positions[i];
+                Cow::Owned(positions.iter().map(|&y| (x - y).abs()).collect())
+            }
+        }
+    }
+
     /// The full latency matrix.
     ///
     /// # Panics
@@ -335,11 +357,17 @@ mod tests {
         assert!(implicit.dense_matrix().is_none());
         assert_eq!(implicit.line_positions().unwrap(), coords.as_slice());
         for i in 0..4 {
+            assert!(matches!(dense.latency_row(i), Cow::Borrowed(_)));
             for j in 0..4 {
                 assert_eq!(
                     implicit.distance(i, j).to_bits(),
                     dense.distance(i, j).to_bits(),
                     "({i}, {j})"
+                );
+                assert_eq!(
+                    implicit.latency_row(i)[j].to_bits(),
+                    dense.latency_row(i)[j].to_bits(),
+                    "row ({i}, {j})"
                 );
             }
         }

@@ -19,9 +19,9 @@
 //!   parameter `α`;
 //! * [`StrategyProfile`] / [`LinkSet`] / [`PeerId`] — strategy bookkeeping;
 //! * [`GameSession`] — **the evaluation engine**: a stateful handle
-//!   owning a game and its evolving profile, keeping the overlay CSR,
-//!   distance matrix, and stretch matrix cached across queries, and
-//!   repairing them incrementally when [`GameSession::apply`] mutates a
+//!   owning a game and its evolving profile, keeping the overlay CSR
+//!   and distance matrix cached across queries (cost readouts reduce
+//!   straight over the distance rows), and repairing them incrementally when [`GameSession::apply`] mutates a
 //!   peer's links. Best-response oracles derive their residual `G_{-i}`
 //!   rows from the same persistent overlay rows by subtree repair (see
 //!   the `session` module docs for the invalidation invariants), so hot

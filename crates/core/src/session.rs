@@ -5,13 +5,17 @@
 //! rerun shortest paths on every call, which is wasteful in hot loops
 //! like best-response dynamics where successive queries differ by a
 //! single peer's out-links. A [`GameSession`] owns the game and the
-//! current profile and keeps three derived structures resident:
+//! current profile and keeps two derived structures resident:
 //!
 //! * the overlay CSR snapshot (and, once an oracle or a sparse sketch
 //!   needs it, its transpose);
 //! * the overlay distance matrix, with **per-row validity** — rows are
-//!   (re)computed lazily, one Dijkstra sweep at a time;
-//! * the stretch matrix, derived from the distances on demand.
+//!   (re)computed lazily, one Dijkstra sweep at a time.
+//!
+//! The cost readouts ([`GameSession::social_cost`],
+//! [`GameSession::all_peer_costs`], [`GameSession::max_stretch`]) are
+//! reductions over those rows: one pass, each overlay row read next to
+//! its latency row [`Game::latency_row`], with no derived copy kept.
 //!
 //! [`GameSession::apply`] mutates the profile through [`Move`]s and
 //! repairs the cache incrementally instead of discarding it:
@@ -79,6 +83,7 @@
 //! `G_{-i}` sweeps — `O(n)` memory at a time — counted in
 //! [`SessionStats::sparse_exact_fallbacks`].
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use sp_graph::{CsrGraph, DijkstraScratch, DistanceMatrix};
@@ -87,7 +92,7 @@ use crate::backend::{BackendMode, SessionBackend};
 use crate::best_response::{
     first_improving_move_lazy, CandidateRows, OracleReuse, Overlay, ResponseOracle,
 };
-use crate::cost::peer_cost_from_distances;
+use crate::cost::peer_stretch;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::oracle_cache::{repairs_in_place, OracleCache};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -372,8 +377,6 @@ pub struct GameSession {
     /// landmark sketches and bounded-sweep state. Both are repaired —
     /// never discarded — by [`GameSession::apply`] / `apply_batch`.
     backend: SessionBackend,
-    /// Cached stretch matrix; cleared by every profile mutation.
-    stretch: Option<DistanceMatrix>,
     scratch: DijkstraScratch,
     /// Worker-thread override for bulk row refills; `None` = auto.
     parallelism: Option<usize>,
@@ -401,7 +404,6 @@ impl GameSession {
             csr: None,
             transpose: None,
             backend: SessionBackend::Dense(OracleCache::new(n)),
-            stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
             stats: SessionStats::default(),
@@ -453,7 +455,6 @@ impl GameSession {
             csr: None,
             transpose: None,
             backend,
-            stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
             stats: SessionStats::default(),
@@ -533,7 +534,6 @@ impl GameSession {
             csr: self.csr.clone(),
             transpose: self.transpose.clone(),
             backend: self.backend.clone(),
-            stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: Some(1),
             stats: SessionStats::default(),
@@ -553,9 +553,10 @@ impl GameSession {
     }
 
     /// Semantic size of this session's mutable state in bytes: the
-    /// profile, the overlay CSR snapshot and its transpose, the cached
-    /// stretch matrix, and the backend's distance state (the dense
-    /// overlay matrix, or the sparse sketches). The (shared, immutable) [`Game`]
+    /// profile, the overlay CSR snapshot and its transpose, and the
+    /// backend's distance state (the dense overlay matrix, or the sparse
+    /// sketches and transient row). Cost readouts keep nothing beyond
+    /// those rows, so they never grow it. The (shared, immutable) [`Game`]
     /// is excluded — registries account for it per slot, since sessions
     /// may share one game through [`GameSession::game_arc`].
     ///
@@ -573,8 +574,7 @@ impl GameSession {
         let csr_bytes = |c: &CsrGraph| (n + 1) * usize_b + c.edge_count() * (usize_b + f64_b);
         let csr =
             self.csr.as_ref().map_or(0, csr_bytes) + self.transpose.as_ref().map_or(0, csr_bytes);
-        let stretch = self.stretch.as_ref().map_or(0, |_| n * n * f64_b);
-        profile + csr + stretch + self.backend.memory_bytes()
+        profile + csr + self.backend.memory_bytes()
     }
 
     /// Captures the session's mutable state for spill-to-disk
@@ -645,7 +645,6 @@ impl GameSession {
     fn invalidate_all(&mut self) {
         self.drop_csr();
         self.backend.invalidate();
-        self.stretch = None;
     }
 
     /// Applies a unilateral move, repairing the distance cache
@@ -826,8 +825,6 @@ impl GameSession {
         added: &[(usize, usize, f64)],
         removed: &[(usize, usize, f64)],
     ) {
-        self.stretch = None;
-
         if self.backend.is_sparse() {
             // Same lazy bail-out shape as the dense tier: with nothing
             // cached, dropping the CSR is strictly cheaper than
@@ -1022,82 +1019,71 @@ impl GameSession {
             });
         }
         let _ = self.row(peer.index());
-        let row = self.backend.stored_row(peer.index());
-        Ok(peer_cost_from_distances(
-            &self.game,
-            &self.profile,
-            peer,
-            row,
-        ))
+        let stretch = peer_stretch(
+            peer.index(),
+            self.backend.stored_row(peer.index()),
+            &self.game.latency_row(peer.index()),
+        );
+        Ok(self.game.alpha() * self.profile.strategy(peer).len() as f64 + stretch)
     }
 
-    /// Individual costs of every peer. Dense sessions fill the whole
-    /// distance cache; sparse sessions stream one transient row per peer
-    /// (`O(n)` memory, `n` sweeps).
+    /// Streams every peer's exact overlay row `d_G(u, ·)`, with its
+    /// latency row `d(u, ·)`, to `visit` in peer order until `visit`
+    /// breaks — the one body behind the cost readouts. Dense sessions
+    /// refill their invalid rows once (sharded, as for any bulk refill)
+    /// and read the cached rows; sparse sessions sweep one transient row
+    /// per peer, so a readout holds `O(n)` memory there.
+    fn stream_rows(&mut self, mut visit: impl FnMut(usize, &[f64], &[f64]) -> ControlFlow<()>) {
+        let sparse = self.backend.is_sparse();
+        if !sparse {
+            self.ensure_all_rows();
+        }
+        for u in 0..self.game.n() {
+            if sparse {
+                let _ = self.row(u);
+            }
+            let latency = self.game.latency_row(u);
+            if visit(u, self.backend.stored_row(u), &latency).is_break() {
+                return;
+            }
+        }
+    }
+
+    /// Individual costs of every peer, one streamed row each (see
+    /// [`GameSession::peer_cost`]).
     #[must_use]
     pub fn all_peer_costs(&mut self) -> Vec<f64> {
-        if self.backend.is_sparse() {
-            return (0..self.game.n())
-                .map(|u| {
-                    self.peer_cost(PeerId::new(u))
-                        .expect("peer index in range by construction")
-                })
-                .collect();
-        }
-        self.ensure_all_rows();
-        (0..self.game.n())
-            .map(|u| {
-                peer_cost_from_distances(
-                    &self.game,
-                    &self.profile,
-                    PeerId::new(u),
-                    self.backend.dense().row(u),
-                )
-            })
+        let mut stretches = Vec::with_capacity(self.game.n());
+        self.stream_rows(|u, row, latency| {
+            stretches.push(peer_stretch(u, row, latency));
+            ControlFlow::Continue(())
+        });
+        let alpha = self.game.alpha();
+        stretches
+            .into_iter()
+            .zip(self.profile.iter())
+            .map(|(stretch, (_, links))| alpha * links.len() as f64 + stretch)
             .collect()
     }
 
     /// Social cost of the current profile, decomposed into link and
-    /// stretch terms. Sparse sessions stream the summation one transient
-    /// row at a time — `n` sweeps, never an `n × n` matrix.
+    /// stretch terms: the stretch term sums `d_G(u, j) / d(u, j)` over
+    /// `u`, then `j ≠ u`, ascending, in one pass over the streamed rows.
     #[must_use]
     pub fn social_cost(&mut self) -> SocialCost {
-        if self.backend.is_sparse() {
-            let n = self.game.n();
-            let mut stretch_cost = 0.0f64;
-            'souter: for u in 0..n {
-                let _ = self.row(u);
-                let row = self.backend.stored_row(u);
-                for j in 0..n {
-                    if j != u {
-                        stretch_cost += row[j] / self.game.distance(u, j);
-                    }
-                }
-                if stretch_cost.is_infinite() {
-                    stretch_cost = f64::INFINITY;
-                    break 'souter;
-                }
-            }
-            return SocialCost {
-                link_cost: self.game.alpha() * self.profile.link_count() as f64,
-                stretch_cost,
-            };
-        }
-        self.ensure_all_rows();
-        let n = self.game.n();
         let mut stretch_cost = 0.0f64;
-        'outer: for u in 0..n {
-            let row = self.backend.dense().row(u);
-            for j in 0..n {
+        self.stream_rows(|u, row, latency| {
+            for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
                 if j != u {
-                    stretch_cost += row[j] / self.game.distance(u, j);
+                    stretch_cost += d_g / d;
                 }
             }
             if stretch_cost.is_infinite() {
                 stretch_cost = f64::INFINITY;
-                break 'outer;
+                return ControlFlow::Break(());
             }
-        }
+            ControlFlow::Continue(())
+        });
         SocialCost {
             link_cost: self.game.alpha() * self.profile.link_count() as f64,
             stretch_cost,
@@ -1110,7 +1096,7 @@ impl GameSession {
     /// hatch — the matrix is materialised transiently for small-instance
     /// debugging and dropped again on the next mutation. Large-`n`
     /// sparse flows must stay on `local_response` / `peer_cost` /
-    /// `social_cost`, which never call this.
+    /// `social_cost` / `max_stretch`, which never call this.
     pub fn overlay_distances(&mut self) -> &DistanceMatrix {
         if self.backend.is_sparse() {
             self.ensure_csr();
@@ -1127,54 +1113,44 @@ impl GameSession {
         self.backend.dense().matrix()
     }
 
-    /// The stretch matrix `d_G(i, j) / d(i, j)` (cached until the next
-    /// profile mutation). Sparse sessions route through the
-    /// [`GameSession::overlay_distances`] escape hatch.
-    pub fn stretch_matrix(&mut self) -> &DistanceMatrix {
-        if self.stretch.is_none() {
-            let n = self.game.n();
-            // sp-lint: allow(dense-alloc, reason = "the stretch matrix is inherently n^2; sparse flows never request it")
-            let mut s = DistanceMatrix::new_filled(n, 1.0);
-            if self.backend.is_sparse() {
-                let game = Arc::clone(&self.game);
-                let d = self.overlay_distances();
-                for i in 0..n {
-                    for j in 0..n {
-                        if i != j {
-                            s[(i, j)] = d[(i, j)] / game.distance(i, j);
-                        }
-                    }
-                }
-            } else {
-                self.ensure_all_rows();
-                for i in 0..n {
-                    let row = self.backend.dense().row(i);
-                    for j in 0..n {
-                        if i != j {
-                            s[(i, j)] = row[j] / self.game.distance(i, j);
-                        }
-                    }
+    /// The stretch matrix `d_G(i, j) / d(i, j)`, `1.0` on the diagonal,
+    /// built on demand from the streamed rows and owned by the caller —
+    /// the session keeps no copy.
+    #[must_use]
+    pub fn stretch_matrix(&mut self) -> DistanceMatrix {
+        // sp-lint: allow(dense-alloc, reason = "the stretch matrix is inherently n^2; sparse flows never request it")
+        let mut s = DistanceMatrix::new_filled(self.game.n(), 1.0);
+        self.stream_rows(|u, row, latency| {
+            let out = s.row_mut(u).iter_mut();
+            for (j, ((out, &d_g), &d)) in out.zip(row).zip(latency).enumerate() {
+                if j != u {
+                    *out = d_g / d;
                 }
             }
-            self.stretch = Some(s);
-        }
-        self.stretch.as_ref().expect("filled above")
+            ControlFlow::Continue(())
+        });
+        s
     }
 
     /// The largest stretch over all ordered pairs (`1.0` for fewer than
-    /// two peers, `∞` when some peer cannot reach some other peer).
+    /// two peers, `∞` when some peer cannot reach some other peer): a
+    /// running max of `d_G(i, j) / d(i, j)` over the streamed rows, so a
+    /// sparse session answers it in `O(n)` memory.
     #[must_use]
     pub fn max_stretch(&mut self) -> f64 {
-        let n = self.game.n();
-        let s = self.stretch_matrix();
         let mut m = 1.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m = m.max(s[(i, j)]);
+        self.stream_rows(|u, row, latency| {
+            for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
+                if j != u {
+                    m = m.max(d_g / d);
                 }
             }
-        }
+            if m.is_infinite() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
         m
     }
 
@@ -1757,7 +1733,7 @@ mod tests {
             );
         }
         let s_free = stretch_matrix(&game, &profile).unwrap();
-        assert_eq!(session.stretch_matrix(), &s_free);
+        assert_eq!(session.stretch_matrix(), s_free);
         let ms = max_stretch(&game, &profile).unwrap();
         let ms_s = session.max_stretch();
         assert!((ms - ms_s).abs() < 1e-12 || (ms.is_infinite() && ms_s.is_infinite()));
@@ -2035,13 +2011,13 @@ mod tests {
         let _ = s.social_cost();
         let warm = s.memory_bytes();
         assert!(warm > cold, "the CSR snapshot must be accounted");
+        let _ = s.max_stretch();
         let _ = s.stretch_matrix();
-        let stretched = s.memory_bytes();
-        assert!(stretched > warm, "the stretch matrix must be accounted");
+        assert_eq!(s.memory_bytes(), warm, "stretch readouts keep nothing");
         let _ = s.best_response(PeerId::new(0), BestResponseMethod::Exact);
         assert_eq!(
             s.memory_bytes(),
-            stretched + (warm - cold),
+            warm + (warm - cold),
             "an oracle build adds only the overlay transpose, sized like the CSR"
         );
         // Deterministic: same state, same bytes.

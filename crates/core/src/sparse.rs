@@ -103,9 +103,9 @@ pub struct SparseBackend {
     /// Transient exact row for `peer_cost`-style queries.
     row_buf: Vec<f64>,
     row_src: Option<usize>,
-    /// The documented `O(n²)` escape hatch behind `overlay_distances` /
-    /// `stretch_matrix` on sparse sessions — built only on demand,
-    /// dropped on any mutation. Not part of the scale path.
+    /// The documented `O(n²)` escape hatch behind `overlay_distances`
+    /// on sparse sessions — built only on demand, dropped on any
+    /// mutation. Not part of the scale path.
     escape: Option<DistanceMatrix>,
 }
 
@@ -257,7 +257,7 @@ impl SparseBackend {
     ) -> &DistanceMatrix {
         if self.escape.is_none() {
             let n = csr.node_count();
-            // sp-lint: allow(dense-alloc, reason = "the documented O(n^2) escape hatch for overlay_distances()/stretch_matrix() on sparse sessions; never on the scale path")
+            // sp-lint: allow(dense-alloc, reason = "the documented O(n^2) escape hatch for overlay_distances() on sparse sessions; never on the scale path")
             let mut m = DistanceMatrix::new_filled(n, f64::INFINITY);
             for u in 0..n {
                 csr.dijkstra_into_with(u, m.row_mut(u), scratch);

@@ -118,8 +118,7 @@ pub fn overlay_distances(
 /// assert_eq!(s[(0, 2)], 1.0); // 0->1->2 has length 2 = direct distance
 /// ```
 pub fn stretch_matrix(game: &Game, profile: &StrategyProfile) -> Result<DistanceMatrix, CoreError> {
-    let mut session = GameSession::from_refs(game, profile)?;
-    Ok(session.stretch_matrix().clone())
+    Ok(GameSession::from_refs(game, profile)?.stretch_matrix())
 }
 
 /// The largest stretch over all ordered pairs (`∞` if some peer cannot

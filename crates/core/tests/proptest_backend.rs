@@ -16,10 +16,17 @@
 //!    stays bit-identical to
 //!    [`GameSession::first_improving_move_uncached`] across arbitrary
 //!    interleaved applies, at every `α` regime the generator draws.
+//! 4. **Readouts stream exactly.** A sparse session's cost readouts
+//!    equal the session-free reference of `support` bit for bit, across
+//!    interleaved `apply` and `apply_batch` calls, and keep no `n × n`
+//!    matrix.
+
+mod support;
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use sp_core::{Game, GameSession, Move, PeerId, SparseParams, StrategyProfile};
+use sp_metric::LineSpace;
 
 /// CI's determinism matrix sets `SP_TEST_PARALLELISM` to pin every
 /// worker-count parameter these tests would otherwise draw, so the whole
@@ -139,6 +146,37 @@ fn assert_same_response(
     }
 }
 
+/// A sparse session answers `max_stretch` from one transient row at
+/// a time: no `n × n` matrix is built or kept, and the value is the
+/// dense twin's, bit for bit.
+#[test]
+fn sparse_max_stretch_keeps_no_matrix() {
+    let n = 512;
+    let positions: Vec<f64> = (0..n)
+        .map(|i| (i * i % 997) as f64 + i as f64 / n as f64)
+        .collect();
+    let mut links: Vec<(usize, usize)> = (1..n).flat_map(|i| [(i - 1, i), (i, i - 1)]).collect();
+    links.extend(
+        (0..n)
+            .step_by(7)
+            .map(|i| (i, (i * 31 + 5) % n))
+            .filter(|&(a, b)| a != b),
+    );
+    let p = StrategyProfile::from_links(n, &links).unwrap();
+    let sparse_game = Game::from_line_positions(positions.clone(), 1.5).unwrap();
+    let dense_game = Game::from_space(&LineSpace::new(positions).unwrap(), 1.5).unwrap();
+    let mut sparse = GameSession::new_sparse(sparse_game, p.clone()).unwrap();
+    let mut dense = GameSession::new(dense_game, p).unwrap();
+    let got = sparse.max_stretch();
+    assert!(got.is_finite() && got > 1.0, "max stretch {got}");
+    assert_eq!(got.to_bits(), dense.max_stretch().to_bits());
+    assert!(
+        sparse.memory_bytes() < 8 * n * n,
+        "sparse max_stretch must stay O(n): {} bytes",
+        sparse.memory_bytes()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -242,5 +280,46 @@ proptest! {
         }
         // The lazy path must actually have run its certified scan.
         prop_assert!(lazy.stats().oracle_builds > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A sparse session's `social_cost`, `all_peer_costs`, `max_stretch`
+    /// and `stretch_matrix` equal the session-free reference bit for
+    /// bit after every step; the script's moves alternate between
+    /// `apply_batch` chunks and single `apply` calls.
+    #[test]
+    fn sparse_readouts_equal_the_sessionless_reference(
+        (positions, alpha, profile, script) in arb_line_instance(),
+        params in arb_params(),
+        chunk in 1usize..4,
+    ) {
+        let game = Game::from_line_positions(positions, alpha).unwrap();
+        let mut s = GameSession::new_sparse_with(game, profile, params).unwrap();
+        support::readouts_match(&mut s, 0)?;
+        let moves: Vec<Move> = script
+            .iter()
+            .filter(|&&(_, from, to)| from != to)
+            .map(|&(kind, from, to)| {
+                let (from, to) = (PeerId::new(from), PeerId::new(to));
+                if kind == 0 {
+                    Move::AddLink { from, to }
+                } else {
+                    Move::RemoveLink { from, to }
+                }
+            })
+            .collect();
+        for (step, batch) in moves.chunks(chunk).enumerate() {
+            if step % 2 == 0 {
+                s.apply_batch(batch).unwrap();
+            } else {
+                for mv in batch {
+                    s.apply(mv.clone()).unwrap();
+                }
+            }
+            support::readouts_match(&mut s, step + 1)?;
+        }
     }
 }

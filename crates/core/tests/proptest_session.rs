@@ -7,6 +7,8 @@
 //! [`Move`]s must answer every query exactly like a cold session (full
 //! rebuild) on the same final profile.
 
+mod support;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
@@ -1006,6 +1008,35 @@ proptest! {
                 BATCH_RESET.load(Ordering::SeqCst) > 0,
                 "no batch of one peer's moves reset a node"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `social_cost`, `all_peer_costs`, `max_stretch` and
+    /// `stretch_matrix` equal a session-free reference bit for bit
+    /// (fresh Dijkstra per source over `topology`, reduced in the
+    /// documented order), checked after every step of a script that
+    /// interleaves `apply` and `apply_batch`.
+    #[test]
+    fn readouts_equal_the_sessionless_reference(
+        (game, profile, batches) in arb_batch_script()
+    ) {
+        let mut s = GameSession::new(game, profile).unwrap();
+        s.set_parallelism(forced_parallelism());
+        support::readouts_match(&mut s, 0)?;
+        for (step, (family, p, q, picks)) in batches.iter().enumerate() {
+            let moves = batch_moves(s.profile(), *family, *p, *q, picks);
+            if step % 2 == 0 {
+                s.apply_batch(&moves).unwrap();
+            } else {
+                for mv in moves {
+                    s.apply(mv).unwrap();
+                }
+            }
+            support::readouts_match(&mut s, step + 1)?;
         }
     }
 }
