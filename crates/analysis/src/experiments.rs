@@ -1,5 +1,6 @@
-//! The experiments of `EXPERIMENTS.md` (E1–E16), one per paper
-//! figure/theorem plus extensions. Each function returns a [`Report`]
+//! The experiments E1–E16, one per paper figure/theorem plus
+//! extensions; `experiments list` (the `sp-bench` runner) prints the
+//! catalogue with each experiment's subcommand and synopsis. Each function returns a [`Report`]
 //! whose tables the `sp-bench` binaries print; `quick` trims the sweeps
 //! for smoke tests.
 

@@ -9,8 +9,9 @@
 //! * [`table`] — fixed-width / Markdown / CSV table rendering for
 //!   experiment output;
 //! * [`report`] — serialisable experiment reports (`--json` output);
-//! * [`experiments`] — the nine experiments E1–E9 of `EXPERIMENTS.md`,
-//!   each regenerating one of the paper's figures/claims.
+//! * [`experiments`] — the sixteen experiments E1–E16, each
+//!   regenerating one of the paper's figures/claims or extending one
+//!   (`experiments list` prints the catalogue).
 
 #![forbid(unsafe_code)]
 // Index loops over small fixed-size numeric tables are clearer than

@@ -13,7 +13,7 @@
 //! their snapshot rows with `sp_graph::CsrGraph::dijkstra_without`
 //! (recomputing only the subtree below the responder's tight out-links)
 //! just the rows the greedy escalates, and fans the oracles out over
-//! `fork_readonly` worker shards.
+//! worker shards that all borrow that one snapshot.
 //!
 //! Wall-clock is machine-dependent (CI runners differ in core count), so
 //! besides the timed comparison the bench reports and **asserts** the
@@ -96,14 +96,13 @@ fn sharded_round(
 }
 
 /// Total full single-source sweeps an engine paid for the round: cache
-/// fills plus full oracle candidate sweeps (a fresh oracle sweeps all
-/// `n - 1` candidates; the cached oracle only rows with no valid snapshot
-/// row to repair).
+/// fills, plus all `n - 1` candidate sweeps per fresh oracle (a cached
+/// oracle repairs from its valid snapshot rows and sweeps none).
 fn oracle_sweeps(stats: &SessionStats, n: usize, fresh_oracles: bool) -> usize {
     let oracle = if fresh_oracles {
         stats.oracle_builds * (n - 1)
     } else {
-        stats.seq_oracle_swept
+        0
     };
     stats.full_sssp + oracle
 }
@@ -149,10 +148,8 @@ fn bench_parallel_round(c: &mut Criterion) {
     let reused_fraction = par_stats.seq_oracle_hits as f64 / (N * (N - 1)) as f64;
     println!(
         "n={N}: oracle SSSP sweeps {seq_sweeps} (sequential) vs {par_sweeps} \
-         (sharded×{SHARDS}: {} cache fills + {} fallback sweeps, {:.1}% of candidate \
-         rows reused, {} repaired) — {reduction:.1}x less work",
-        par_stats.full_sssp,
-        par_stats.seq_oracle_swept,
+         (sharded×{SHARDS} cache fills, {:.1}% of candidate rows reused, {} repaired) \
+         — {reduction:.1}x less work",
         reused_fraction * 100.0,
         par_stats.oracle_rows_repaired,
     );

@@ -15,11 +15,11 @@
 //! `sp_graph::CsrGraph::dijkstra_without`, which recomputes only the
 //! shortest-path subtree below the responder's tight out-links.
 //!
-//! A "sweep" here is a full single-source Dijkstra: the cached engine's
-//! overlay refills (`full_sssp`) plus the overlay rows its scans had to
-//! sweep before a repair (`seq_oracle_swept`). Repaired rows are partial
-//! work and are counted apart, as `seq_oracle_rows_repaired` (unit
-//! `rows`).
+//! A "sweep" here is a full single-source Dijkstra. The cached engine
+//! sweeps only to refill overlay rows (`full_sssp`): every scan refills
+//! the invalid rows before it reads any, so no candidate row pays a
+//! sweep of its own. Repaired rows are partial work and are counted
+//! apart, as `seq_oracle_rows_repaired` (unit `rows`).
 //!
 //! Wall-clock is machine-dependent, so besides the timed comparison the
 //! bench reports and **asserts** the machine-independent metric: total
@@ -115,15 +115,13 @@ fn run_rule(
 }
 
 /// Total full single-source sweeps an engine paid across the run: cache
-/// fills (`full_sssp`) plus full oracle candidate sweeps — all `n - 1`
-/// per build for the fresh engine, only the invalid overlay rows a scan
-/// swept before repairing them for the cached one (repairs are counted
-/// apart).
+/// fills (`full_sssp`), plus all `n - 1` candidate sweeps per build for
+/// the fresh engine (the cached engine's repairs are counted apart).
 fn oracle_sweeps(stats: &SessionStats, n: usize, fresh_oracles: bool) -> usize {
     let oracle = if fresh_oracles {
         stats.oracle_builds * (n - 1)
     } else {
-        stats.seq_oracle_swept
+        0
     };
     stats.full_sssp + oracle
 }
@@ -154,16 +152,14 @@ fn bench_sequential_reuse(c: &mut Criterion) {
     let cached_sweeps = oracle_sweeps(&cached_stats, N, false);
     let reduction = fresh_sweeps as f64 / cached_sweeps.max(1) as f64;
     let repaired = cached_stats.oracle_rows_repaired;
-    let total_rows = cached_stats.seq_oracle_hits + repaired + cached_stats.seq_oracle_swept;
+    let total_rows = cached_stats.seq_oracle_hits + repaired;
     let hit_rate = cached_stats.seq_oracle_hits as f64 / total_rows.max(1) as f64;
     println!(
         "n={N}: {} activations, {} moves; oracle SSSP sweeps {fresh_sweeps} (fresh) vs \
-         {cached_sweeps} (cached: {} fills + {} scan sweeps, {:.1}% of resolved candidate \
-         rows served verbatim from cache, {repaired} rows repaired) — {reduction:.1}x less work",
+         {cached_sweeps} (cached fills, {:.1}% of exact candidate rows served verbatim \
+         from cache, {repaired} rows repaired) — {reduction:.1}x less work",
         cached_out.steps,
         cached_out.moves,
-        cached_stats.full_sssp,
-        cached_stats.seq_oracle_swept,
         hit_rate * 100.0,
     );
     c.report_value(
@@ -206,8 +202,8 @@ const REMOVE_FIRST_NODES_RESET: usize = 897;
 /// Best-response dynamics on the warmed instance. The cached engine's
 /// `apply` repairs every row an accepted move breaks in place, so after
 /// the first activation fills the `n` overlay rows no row is swept
-/// again. The gated counters are the run's full sweeps (cache fills
-/// plus scan sweeps, as above), asserted to be at most `n`, the
+/// again. The gated counters are the run's full sweeps (cache fills,
+/// as above), asserted to be at most `n`, the
 /// residual rows its oracles derived, asserted below
 /// [`EAGER_BR_ROWS_REPAIRED`], and the nodes `apply`'s removal kernel
 /// reset, asserted below [`REMOVE_FIRST_NODES_RESET`]: each move folds
@@ -234,13 +230,11 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
     let sweeps = oracle_sweeps(&stats, N, false);
     let repaired = stats.oracle_rows_repaired;
     println!(
-        "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps \
-         ({} fills + {} scan sweeps), {} rows invalidated, {repaired} residual rows derived, \
+        "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps, \
+         {} rows invalidated, {repaired} residual rows derived, \
          {} candidate rows held as bounds, {} nodes reset by move repairs",
         out.steps,
         out.moves,
-        stats.full_sssp,
-        stats.seq_oracle_swept,
         stats.rows_invalidated,
         stats.oracle_rows_bounded,
         stats.repair_nodes_reset,
@@ -321,11 +315,11 @@ fn bench_monitored_mover(c: &mut Criterion, game: &Game, start: &StrategyProfile
     let mut session = GameSession::new(game.clone(), start.clone()).expect("sizes match");
     run(&mut session);
     let stats = session.stats();
-    let sweeps = stats.full_sssp + stats.seq_oracle_swept;
+    let sweeps = stats.full_sssp;
     println!(
-        "monitored mover: {MONITOR_STEPS} apply+rebuild steps — {} refills, {} scan sweeps, \
+        "monitored mover: {MONITOR_STEPS} apply+rebuild steps — {sweeps} refills, \
          {} rows repaired",
-        stats.full_sssp, stats.seq_oracle_swept, stats.oracle_rows_repaired,
+        stats.oracle_rows_repaired,
     );
     c.report_value(
         &format!("monitor_oracle_sweeps/{N}"),

@@ -115,12 +115,8 @@ fn bench_round(c: &mut Criterion) {
         let ratio = rebuild_stats.full_sssp as f64 / session_stats.full_sssp.max(1) as f64;
         println!(
             "n={n}: full SSSP sweeps (cache fills): session {} vs rebuild {} ({ratio:.1}x \
-             fewer); oracle fallback sweeps {} vs {} ({} builds each)",
-            session_stats.full_sssp,
-            rebuild_stats.full_sssp,
-            session_stats.seq_oracle_swept,
-            rebuild_stats.seq_oracle_swept,
-            session_stats.oracle_builds,
+             fewer; {} builds each)",
+            session_stats.full_sssp, rebuild_stats.full_sssp, session_stats.oracle_builds,
         );
         for (path, stats) in [("session", session_stats), ("rebuild", rebuild_stats)] {
             c.report_value(

@@ -1,5 +1,5 @@
-//! The unified experiment runner: every experiment of `EXPERIMENTS.md`
-//! (E1–E16) behind one binary with subcommands.
+//! The unified experiment runner: every experiment (E1–E16) behind one
+//! binary with subcommands; `experiments list` prints the catalogue.
 //!
 //! ```text
 //! experiments <SUBCOMMAND> [--quick] [--json] [--seed <u64>]

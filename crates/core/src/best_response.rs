@@ -8,11 +8,13 @@
 //! sweeps `G_{-i}` once per candidate; it is the reference and the path
 //! of one-shot calls and sparse sessions.
 //!
-//! Cached oracles read a [`CandidateRows`] store instead, built on the
-//! session's overlay rows `d_G(v, ·)`, which are certified lower bounds
-//! on the residual rows (removing links only lengthens paths). A row no
-//! out-link of `i` is tight on is exact as it stands; any other is held
-//! as a lower bound until a caller needs it exact, and only then is its
+//! Cached oracles read a [`CandidateRows`] store instead, built on one
+//! frozen [`Overlay`] snapshot: the overlay CSR, its transpose and every
+//! overlay row `d_G(v, ·)`, all valid and shared read-only by every
+//! oracle of a round. An overlay row is a certified lower bound on the
+//! residual row (removing links only lengthens paths). A row no out-link
+//! of `i` is tight on is exact as it stands; any other is held as a
+//! lower bound until a caller needs it exact, and only then is its
 //! residual row derived by [`CsrGraph::dijkstra_without`]. The greedy
 //! asks for exactly the rows whose bound score can still win (see
 //! [`sp_facility::solve_greedy`]); the other methods ask for every row;
@@ -28,6 +30,7 @@ use sp_facility::{
 };
 use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, Removal};
 
+use crate::cost::cost_from_row;
 use crate::oracle_cache::OracleCache;
 use crate::session::EDGE_ON_PATH_EPS;
 use crate::{topology_without_peer, CoreError, Game, LinkSet, PeerId, StrategyProfile};
@@ -120,44 +123,40 @@ pub(crate) struct OracleReuse {
     /// Candidate rows served exactly from a clean overlay row, with no
     /// repair.
     pub(crate) rows_reused: usize,
-    /// Candidate rows repaired from a valid but dirty overlay row.
+    /// Candidate rows repaired from a dirty overlay row.
     pub(crate) rows_repaired: usize,
-    /// Candidate rows whose overlay row was invalid and paid a full
-    /// sweep (kept in the cache) before the repair.
-    pub(crate) rows_swept: usize,
     /// Candidate rows served only as certified lower bounds: never
-    /// escalated, so never repaired or swept.
+    /// escalated, so never repaired.
     pub(crate) rows_bounded: usize,
 }
 
-/// The overlay CSR and its transpose — the graphs the cached oracle
-/// paths turn overlay rows into residual rows against.
+/// One frozen overlay snapshot: the overlay CSR, its transpose and the
+/// overlay distance rows, **every row valid**. Every cached oracle path
+/// reads it through shared borrows, so the oracles of one round — on
+/// one thread or many — see one consistent state and none can change it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Overlay<'a> {
     pub(crate) csr: &'a CsrGraph,
     pub(crate) transpose: &'a CsrGraph,
+    pub(crate) rows: &'a OracleCache,
 }
 
 /// Writes the exact residual row `D_{G_{-i}}(v, ·)` for candidate `v`
 /// into `out` (length `n`) — the one row-sourcing policy of every cached
-/// oracle path: make the overlay row `d_G(v, ·)` valid
-/// ([`OracleCache::ensure_row`], a full sweep only when it was invalid),
-/// then copy it into `out` and hand that to
-/// [`CsrGraph::dijkstra_without`]. When none of `i`'s out-links is tight
-/// on it (the conservative [`EDGE_ON_PATH_EPS`] test) it already is the
-/// residual row and is reused verbatim; otherwise only the subtree below
-/// `i`'s tight out-links is recomputed.
+/// oracle path: copy the overlay row `d_G(v, ·)` into `out` and hand it
+/// to [`CsrGraph::dijkstra_without`]. When none of `i`'s out-links is
+/// tight on it (the conservative [`EDGE_ON_PATH_EPS`] test) it already
+/// is the residual row and is reused verbatim; otherwise only the
+/// subtree below `i`'s tight out-links is recomputed.
 fn candidate_row(
     overlay: Overlay<'_>,
-    cache: &mut OracleCache,
     i: usize,
     v: usize,
     out: &mut [f64],
     scratch: &mut DijkstraScratch,
     reuse: &mut OracleReuse,
 ) {
-    let swept = cache.ensure_row(overlay.csr, v, scratch);
-    out.copy_from_slice(cache.row(v));
+    out.copy_from_slice(overlay.rows.row(v));
     let affected = overlay.csr.dijkstra_without(
         overlay.transpose,
         v,
@@ -166,9 +165,7 @@ fn candidate_row(
         out,
         scratch,
     );
-    if swept {
-        reuse.rows_swept += 1;
-    } else if affected == 0 {
+    if affected == 0 {
         reuse.rows_reused += 1;
     } else {
         reuse.rows_repaired += 1;
@@ -380,11 +377,9 @@ impl ResponseOracle {
 enum Held {
     /// Not converted yet.
     Unresolved,
-    /// A certified elementwise **lower bound** on the exact row: a valid
-    /// but dirty overlay row (`d_G(v, ·) ≤ D_{G_{-i}}(v, ·)`, since
-    /// removing `i`'s links only lengthens paths) or, for an invalid
-    /// overlay row, the metric row (`d(v, ·) ≤ D_{G_{-i}}(v, ·)` by the
-    /// triangle inequality).
+    /// A certified elementwise **lower bound** on the exact row: a dirty
+    /// overlay row (`d_G(v, ·) ≤ D_{G_{-i}}(v, ·)`, since removing `i`'s
+    /// links only lengthens paths).
     Lower,
     /// The exact row: a clean overlay row, or a residual row derived by
     /// [`candidate_row`].
@@ -401,8 +396,8 @@ enum Held {
 ///   the distance row.
 /// * A **dirty** overlay row is converted and held as a lower bound.
 /// * Escalating a row ([`RowSource::escalate`]) derives the exact
-///   residual row of a dirty (or invalid) one through [`candidate_row`]
-///   into one reusable row buffer, and converts it.
+///   residual row of a dirty one through [`candidate_row`] into one
+///   reusable row buffer, and converts it.
 ///
 /// The greedy reads the store as a [`RowSource`] and escalates only the
 /// rows whose bound score can still win; the other methods, and the
@@ -413,7 +408,6 @@ pub(crate) struct CandidateRows<'a> {
     game: &'a Game,
     i: usize,
     overlay: Overlay<'a>,
-    cache: &'a mut OracleCache,
     scratch: &'a mut DijkstraScratch,
     candidates: Vec<usize>,
     /// [`Game::latency_row`] of `i`, borrowed from a dense game.
@@ -433,23 +427,20 @@ impl<'a> CandidateRows<'a> {
         game: &'a Game,
         peer: PeerId,
         overlay: Overlay<'a>,
-        cache: &'a mut OracleCache,
         scratch: &'a mut DijkstraScratch,
     ) -> Self {
         let n = game.n();
         let i = peer.index();
         debug_assert!(i < n, "peer {i} out of bounds for {n} peers");
         let m = n - 1;
-        let assignment = cache.candidate_buffer();
         CandidateRows {
             game,
             i,
             overlay,
-            cache,
             scratch,
             candidates: candidates_of(n, i),
             d_i: game.latency_row(i),
-            assignment,
+            assignment: overlay.rows.candidate_buffer(),
             held: vec![Held::Unresolved; m],
             residual: vec![0.0; n],
             reuse: OracleReuse::default(),
@@ -461,10 +452,9 @@ impl<'a> CandidateRows<'a> {
     }
 
     /// `true` when none of `i`'s out-links is tight on overlay row `v`
-    /// (caller guarantees validity) — the row then already is the
-    /// residual row.
+    /// — the row then already is the residual row.
     fn clean(&self, v: usize) -> bool {
-        let cached = self.cache.row(v);
+        let cached = self.overlay.rows.row(v);
         let i = self.i;
         let (ts, ws) = self.overlay.csr.out_neighbors(i);
         ts.iter()
@@ -473,8 +463,8 @@ impl<'a> CandidateRows<'a> {
     }
 
     /// Holds row `k` at least as a lower bound: exact for free when its
-    /// overlay row is clean, otherwise the dirty overlay row or, for an
-    /// invalid one, the metric row. Neither pays a repair or a sweep.
+    /// overlay row is clean, otherwise the dirty overlay row, with no
+    /// repair.
     fn resolve(&mut self, k: usize) {
         if self.held[k] != Held::Unresolved {
             return;
@@ -482,18 +472,13 @@ impl<'a> CandidateRows<'a> {
         let (i, v) = (self.i, self.candidates[k]);
         let m = self.width();
         let out = &mut self.assignment[k * m..(k + 1) * m];
-        if self.cache.row_is_valid(v) {
-            write_assignment_row(out, i, v, &self.d_i, self.cache.row(v));
-            self.held[k] = if self.clean(v) {
-                self.reuse.rows_reused += 1;
-                Held::Exact
-            } else {
-                Held::Lower
-            };
+        write_assignment_row(out, i, v, &self.d_i, self.overlay.rows.row(v));
+        self.held[k] = if self.clean(v) {
+            self.reuse.rows_reused += 1;
+            Held::Exact
         } else {
-            write_assignment_row(out, i, v, &self.d_i, &self.game.latency_row(v));
-            self.held[k] = Held::Lower;
-        }
+            Held::Lower
+        };
     }
 
     /// Holds every row at least as a lower bound.
@@ -512,7 +497,6 @@ impl<'a> CandidateRows<'a> {
         let (i, v) = (self.i, self.candidates[k]);
         candidate_row(
             self.overlay,
-            self.cache,
             i,
             v,
             &mut self.residual,
@@ -644,8 +628,8 @@ impl RowSource for CandidateRows<'_> {
 /// unique to the scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LazyScan {
-    /// Row accounting (reused / repaired / swept / held as bounds) of
-    /// the rows the scan resolved.
+    /// Row accounting (reused / repaired / held as bounds) of the rows
+    /// the scan resolved.
     pub(crate) reuse: OracleReuse,
     /// Candidate moves rejected on a certified lower bound alone — no
     /// exact row for the new link target was ever materialised.
@@ -663,9 +647,8 @@ pub(crate) struct LazyScan {
 /// best response, repair) rows that, at high `α`, almost no candidate
 /// move needs. This scan resolves rows as moves reach them, rejects
 /// candidate adds/swaps on **certified lower bounds** — dirty overlay
-/// rows and metric rows, both provably `≤` the exact residual rows — and
-/// escalates to exact rows only for candidates whose bound survives the
-/// improvement test. Drops evaluate exact directly (their rows are the
+/// rows, provably `≤` the exact residual rows — and escalates to exact
+/// rows only for candidates whose bound survives the improvement test. Drops evaluate exact directly (their rows are the
 /// current links', needed anyway).
 ///
 /// Guarantee: the scan visits moves in the identical drop/add/swap order
@@ -750,6 +733,55 @@ fn scan_moves(
         }
     }
     None
+}
+
+/// `peer`'s cached best response to `profile`, read from the frozen
+/// `overlay` of that profile — the one body of every cached
+/// best-response path, run once per activated peer by
+/// `GameSession::best_responses_round` on any thread. The current cost
+/// comes from `peer`'s overlay row; the candidate rows from a
+/// [`CandidateRows`] store. Returns the response with the store's row
+/// accounting.
+pub(crate) fn respond(
+    game: &Game,
+    profile: &StrategyProfile,
+    overlay: Overlay<'_>,
+    peer: PeerId,
+    method: BestResponseMethod,
+    scratch: &mut DijkstraScratch,
+) -> Result<(BestResponse, OracleReuse), CoreError> {
+    let current_cost = cost_from_row(game, profile, peer, overlay.rows.row(peer.index()));
+    let rows = CandidateRows::new(game, peer, overlay, scratch);
+    let (solved, reuse) = rows.solve(method)?;
+    let br = finish_response(profile, peer, method, solved, current_cost);
+    Ok((br, reuse))
+}
+
+/// Shared tail of every oracle-backed response path: wraps the solved
+/// `(links, cost)`, falling back to the current strategy when a
+/// heuristic comes out worse.
+pub(crate) fn finish_response(
+    profile: &StrategyProfile,
+    peer: PeerId,
+    method: BestResponseMethod,
+    (links, cost): (LinkSet, f64),
+    current_cost: f64,
+) -> BestResponse {
+    // sp-lint: allow(float-eps, reason = "conservative accept: a heuristic tie or epsilon-worse solution keeps the current strategy, which is always valid")
+    let (links, cost) = if cost > current_cost {
+        // Heuristics may come out worse; keeping the current strategy
+        // is then the better (valid) response.
+        (profile.strategy(peer).clone(), current_cost)
+    } else {
+        (links, cost)
+    };
+    BestResponse {
+        peer,
+        links,
+        cost,
+        current_cost,
+        exact: method.is_exact(),
+    }
 }
 
 /// Computes `peer`'s best response to `profile` (all other strategies

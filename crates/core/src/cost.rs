@@ -66,8 +66,20 @@ pub fn peer_cost(game: &Game, profile: &StrategyProfile, peer: PeerId) -> Result
     let csr = CsrGraph::from_digraph(&overlay);
     let mut scratch = DijkstraScratch::new();
     let row = csr.dijkstra_row_with(peer.index(), &mut scratch);
-    let stretch = peer_stretch(peer.index(), row, &game.latency_row(peer.index()));
-    Ok(game.alpha() * profile.strategy(peer).len() as f64 + stretch)
+    Ok(cost_from_row(game, profile, peer, row))
+}
+
+/// `c_i(s)` from `peer`'s exact overlay row `d_G(i, ·)` — the one
+/// expression behind the free [`peer_cost`], `GameSession::peer_cost`
+/// and the current cost of every cached best response.
+pub(crate) fn cost_from_row(
+    game: &Game,
+    profile: &StrategyProfile,
+    peer: PeerId,
+    overlay_row: &[f64],
+) -> f64 {
+    let stretch = peer_stretch(peer.index(), overlay_row, &game.latency_row(peer.index()));
+    game.alpha() * profile.strategy(peer).len() as f64 + stretch
 }
 
 /// `Σ_{j≠i} stretch(i, j)` from peer `i`'s overlay row `d_G(i, ·)` and

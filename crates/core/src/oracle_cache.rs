@@ -129,11 +129,6 @@ impl OracleCache {
         self.dist.row(u)
     }
 
-    /// Whether row `u` currently holds valid distances.
-    pub(crate) fn row_is_valid(&self, u: usize) -> bool {
-        self.row_valid[u]
-    }
-
     /// Semantic size of the cached state in bytes: the matrix and its
     /// validity bits. Counts what the data is, not what the allocator
     /// holds, so the number is identical across machines and runs.

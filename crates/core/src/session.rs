@@ -49,17 +49,19 @@
 //! own [`DijkstraScratch`]; on simultaneous-round batches that refill is
 //! faster than repairing the many broken rows one by one.
 //!
-//! The overlay matrix lives in one [`OracleCache`](crate::oracle_cache),
-//! and every oracle the session hands out (a sequential
+//! The overlay matrix lives in one [`OracleCache`](crate::oracle_cache).
+//! Every cached oracle the session hands out (a sequential
 //! [`GameSession::best_response`] activation, the sharded
 //! [`GameSession::best_responses_round`] fan-out that `nash_gap` and
 //! `is_nash` also run on, the lazy [`GameSession::first_improving_move`]
-//! scan) reads its candidate rows from one lazy row store over those
+//! scan) first makes every overlay row valid, then reads one frozen
+//! snapshot of the rows, the CSR and its transpose through shared
+//! borrows — the shards of a round all borrow the same snapshot. Each
+//! oracle reads its candidate rows from one lazy row store over those
 //! overlay rows: a clean row is exact as it stands, a dirty row is held
 //! as a certified lower bound, and a residual `G_{-i}` row is derived by
 //! subtree repair only when the solver needs that row exact — for the
-//! greedy, only when the row's bound score can still win. All of them
-//! are served and invalidated by the same code path. The uncached
+//! greedy, only when the row's bound score can still win. The uncached
 //! variants
 //! ([`GameSession::best_response_uncached`],
 //! [`GameSession::first_improving_move_uncached`]) sweep a fresh
@@ -79,9 +81,9 @@
 //! [`crate::backend`] for the mode-selection guidance). Sparse sessions
 //! answer the heuristic [`GameSession::local_response`] without ever
 //! materialising a matrix, and route the certified queries
-//! (`best_response`, `nash_gap`, `is_nash`) through exact per-peer
-//! `G_{-i}` sweeps — `O(n)` memory at a time — counted in
-//! [`SessionStats::sparse_exact_fallbacks`].
+//! (`best_response`, `nash_gap`, `is_nash`, `first_improving_move`)
+//! through the uncached per-peer `G_{-i}` oracles — `O(n)` memory at a
+//! time.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -90,9 +92,10 @@ use sp_graph::{CsrGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, SessionBackend};
 use crate::best_response::{
-    first_improving_move_lazy, CandidateRows, OracleReuse, Overlay, ResponseOracle,
+    finish_response, first_improving_move_lazy, respond, CandidateRows, OracleReuse, Overlay,
+    ResponseOracle,
 };
-use crate::cost::peer_stretch;
+use crate::cost::{cost_from_row, peer_stretch};
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::oracle_cache::{repairs_in_place, OracleCache};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -148,17 +151,16 @@ pub enum Move {
 /// Counters describing how much shortest-path work a session performed.
 ///
 /// `full_sssp / n` is the number of APSP-equivalents actually computed;
-/// the legacy rebuild-per-call path performs one full APSP per
-/// `social_cost` and one sweep (plus a topology rebuild) per `peer_cost`.
+/// the rebuild-per-call path performs one full APSP per `social_cost`
+/// and one sweep (plus a topology rebuild) per `peer_cost`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Overlay CSR snapshots built.
     pub csr_rebuilds: usize,
     /// Full single-source sweeps (one distance-matrix row from scratch):
-    /// cold fills and refills of dropped rows. A move that removes links
-    /// of one peer repairs its broken rows in place and sweeps none. Rows
-    /// a lazy better-response scan sweeps are counted in
-    /// [`SessionStats::seq_oracle_swept`] instead.
+    /// cold fills and refills of dropped rows, whichever query asked for
+    /// them. A move that removes links of one peer repairs its broken
+    /// rows in place and sweeps none.
     pub full_sssp: usize,
     /// Seeded decrease-only re-relaxations (cheap incremental repairs):
     /// kept rows an added link shortens. A one-peer diff folds its added
@@ -198,26 +200,25 @@ pub struct SessionStats {
     /// [`GameSession::first_improving_move`], `nash_gap`, `is_nash`):
     /// clean overlay rows no out-link of the responder is tight on.
     pub seq_oracle_hits: usize,
-    /// Candidate rows of cached oracle paths whose overlay row was
-    /// invalid and paid a full sweep (kept in the cache) before the
-    /// repair. Best-response oracles refill every row before they build,
-    /// so only the lazy [`GameSession::first_improving_move`] scan adds
-    /// here.
+    /// Always `0`: every cached oracle path, the lazy
+    /// [`GameSession::first_improving_move`] scan included, refills the
+    /// invalid overlay rows (counted in [`SessionStats::full_sssp`])
+    /// before it reads any, so no candidate row pays a sweep of its own.
+    /// Kept only because the end-to-end benchmark harness still reads it.
     pub seq_oracle_swept: usize,
     /// Candidate rows of cached oracle paths that were not clean but were
-    /// derived from a valid overlay row by
+    /// derived from their overlay row by
     /// `sp_graph::CsrGraph::dijkstra_without`, recomputing only the
     /// shortest-path subtree below the responding peer's tight out-links
     /// instead of paying a full sweep. Overlay rows a move repairs are
     /// counted in [`SessionStats::rows_preserved`], not here.
     pub oracle_rows_repaired: usize,
     /// Candidate rows of cached oracle paths served only as certified
-    /// lower bounds (dirty overlay rows, or metric rows for invalid ones)
-    /// and never made exact: the greedy proved from the bound that the
-    /// row's facility could not win, or the better-response scan rejected
-    /// every move on it. A best-response oracle's `n − 1` candidate rows
-    /// add up across reused (`seq_oracle_hits`), repaired, swept and
-    /// bounded.
+    /// lower bounds (dirty overlay rows) and never made exact: the greedy
+    /// proved from the bound that the row's facility could not win, or
+    /// the better-response scan rejected every move on it. A
+    /// best-response oracle's `n − 1` candidate rows add up across reused
+    /// (`seq_oracle_hits`), repaired and bounded.
     pub oracle_rows_bounded: usize,
     /// Snapshots exported via [`GameSession::snapshot`] — the spill half
     /// of an eviction cycle in a session registry.
@@ -238,11 +239,6 @@ pub struct SessionStats {
     /// Candidate moves a sparse [`GameSession::local_response`] pruned on
     /// the stretch-floor bound without evaluating them.
     pub sparse_pruned_candidates: usize,
-    /// Certified queries on a sparse session that fell back to exact
-    /// `G_{-i}` evaluation (`best_response`, `nash_gap`, `is_nash`,
-    /// `first_improving_move`, and `local_response` on instances small
-    /// enough that the window covers every peer).
-    pub sparse_exact_fallbacks: usize,
     /// Candidate moves the lazy better-response scan
     /// ([`GameSession::first_improving_move`]) rejected on a certified
     /// lower bound alone — each one skips materialising an exact row
@@ -260,18 +256,8 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Full APSP-equivalents computed for cost queries: `full_sssp / n`.
-    #[must_use]
-    pub fn apsp_equivalents(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.full_sssp as f64 / n as f64
-        }
-    }
-
     /// Adds every counter of `other` into `self` — the one true way to
-    /// aggregate stats across forks, rounds, or repeated runs. The
+    /// aggregate stats across sessions, rounds, or repeated runs. The
     /// exhaustive destructure makes "added a field, forgot a merge
     /// site" a compile error, and the `counters` marker lets `sp-lint`
     /// cross-check the field list besides.
@@ -300,7 +286,6 @@ impl SessionStats {
             sparse_ball_sweeps,
             sparse_sketch_hits,
             sparse_pruned_candidates,
-            sparse_exact_fallbacks,
             lazy_certified_rejects,
             lazy_exact_evals,
             repair_nodes_reset,
@@ -327,7 +312,6 @@ impl SessionStats {
         self.sparse_ball_sweeps += sparse_ball_sweeps;
         self.sparse_sketch_hits += sparse_sketch_hits;
         self.sparse_pruned_candidates += sparse_pruned_candidates;
-        self.sparse_exact_fallbacks += sparse_exact_fallbacks;
         self.lazy_certified_rejects += lazy_certified_rejects;
         self.lazy_exact_evals += lazy_exact_evals;
         self.repair_nodes_reset += repair_nodes_reset;
@@ -359,9 +343,9 @@ impl SessionStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GameSession {
-    /// The immutable game, reference-counted so
-    /// [`GameSession::fork_readonly`] shards share one copy of the
-    /// underlying O(n²) distance matrix instead of cloning it per shard.
+    /// The immutable game, reference-counted so service layers can hold
+    /// it ([`GameSession::game_arc`]) without copying its O(n²) distance
+    /// matrix.
     game: Arc<Game>,
     profile: StrategyProfile,
     /// Overlay CSR snapshot; `None` when no query has needed it yet (or
@@ -510,34 +494,6 @@ impl GameSession {
     #[must_use]
     pub fn into_profile(self) -> StrategyProfile {
         self.profile
-    }
-
-    /// Forks a read-only evaluation snapshot of the current state — the
-    /// per-shard session behind [`GameSession::best_responses_round`].
-    ///
-    /// The fork **shares** the immutable [`Game`] (one atomic increment,
-    /// no O(n²) distance-matrix copy) and copies the mutable caches as
-    /// they stand: the overlay CSR and its transpose, the distance matrix
-    /// with its per-row validity (or the sparse backend's state), and the
-    /// profile. Nothing is recomputed. The fork gets a fresh
-    /// [`DijkstraScratch`] (so shards never contend) and zeroed
-    /// [`SessionStats`], and its bulk refills are pinned to the calling
-    /// thread (`Some(1)`) — shards must not nest worker pools.
-    ///
-    /// The fork is an independent session: mutating it (or the parent)
-    /// never affects the other.
-    #[must_use]
-    pub fn fork_readonly(&self) -> GameSession {
-        GameSession {
-            game: Arc::clone(&self.game),
-            profile: self.profile.clone(),
-            csr: self.csr.clone(),
-            transpose: self.transpose.clone(),
-            backend: self.backend.clone(),
-            scratch: DijkstraScratch::new(),
-            parallelism: Some(1),
-            stats: SessionStats::default(),
-        }
     }
 
     /// Work counters accumulated since creation (or the last
@@ -946,7 +902,8 @@ impl GameSession {
 
     /// Overrides the worker-thread count for every sharded code path:
     /// bulk row refills **and** the oracle fan-out of
-    /// [`GameSession::best_responses_round`].
+    /// [`GameSession::best_responses_round`], whose shards all borrow
+    /// the session's one frozen overlay snapshot.
     ///
     /// `None` (the default) derives it from
     /// `std::thread::available_parallelism` and only shards when enough
@@ -961,20 +918,20 @@ impl GameSession {
         self.parallelism = workers.map(|w| w.max(1));
     }
 
-    /// The worker-thread count the sharded paths would use right now:
-    /// the [`GameSession::set_parallelism`] override if one is set,
-    /// otherwise `std::thread::available_parallelism`.
-    #[must_use]
-    pub fn resolved_parallelism(&self) -> usize {
-        self.worker_count()
-    }
-
-    fn worker_count(&self) -> usize {
-        self.parallelism.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    /// How many worker shards `jobs` (at least one) independent jobs run
+    /// on: the [`GameSession::set_parallelism`] override, capped at
+    /// `jobs`; under automatic parallelism one shard below `min` jobs and
+    /// `std::thread::available_parallelism` (capped at `jobs`) from
+    /// there. The probe reads the cgroup CPU quota and costs about 20 µs,
+    /// so it runs only where the work could shard.
+    fn shard_count(&self, jobs: usize, min: usize) -> usize {
+        match self.parallelism {
+            Some(k) => k.min(jobs),
+            None if jobs >= min => std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(jobs),
+            None => 1,
+        }
     }
 
     /// Makes every row valid: the invalid rows are recomputed with one
@@ -989,8 +946,8 @@ impl GameSession {
         if invalid == 0 {
             return;
         }
-        let workers = self.worker_count().min(invalid);
-        if workers > 1 && (self.parallelism.is_some() || invalid >= PAR_ROWS_MIN) {
+        let workers = self.shard_count(invalid, PAR_ROWS_MIN);
+        if workers > 1 {
             self.ensure_csr();
             let csr = self.csr.as_ref().expect("ensured above");
             csr.dijkstra_rows_with(self.backend.dense_mut().invalid_jobs(), workers);
@@ -1019,12 +976,8 @@ impl GameSession {
             });
         }
         let _ = self.row(peer.index());
-        let stretch = peer_stretch(
-            peer.index(),
-            self.backend.stored_row(peer.index()),
-            &self.game.latency_row(peer.index()),
-        );
-        Ok(self.game.alpha() * self.profile.strategy(peer).len() as f64 + stretch)
+        let row = self.backend.stored_row(peer.index());
+        Ok(cost_from_row(&self.game, &self.profile, peer, row))
     }
 
     /// Streams every peer's exact overlay row `d_G(u, ·)`, with its
@@ -1135,14 +1088,20 @@ impl GameSession {
     /// The largest stretch over all ordered pairs (`1.0` for fewer than
     /// two peers, `∞` when some peer cannot reach some other peer): a
     /// running max of `d_G(i, j) / d(i, j)` over the streamed rows, so a
-    /// sparse session answers it in `O(n)` memory.
+    /// sparse session answers it in `O(n)` memory. The running max
+    /// compares and assigns: an `f64::max` chain measured about twice as
+    /// slow at `n = 112`, and both skip NaN, so the bits are the same.
     #[must_use]
     pub fn max_stretch(&mut self) -> f64 {
         let mut m = 1.0f64;
         self.stream_rows(|u, row, latency| {
             for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
                 if j != u {
-                    m = m.max(d_g / d);
+                    let stretch = d_g / d;
+                    // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
+                    if stretch > m {
+                        m = stretch;
+                    }
                 }
             }
             if m.is_infinite() {
@@ -1168,14 +1127,16 @@ impl GameSession {
     /// consecutive activations in sequential dynamics serve most
     /// candidate rows without a repair.
     ///
-    /// Fills every invalid overlay row first, plus the overlay CSR's
-    /// transpose the repair seeds from. Bit-identical to
-    /// [`GameSession::best_response_uncached`] (property-tested in
+    /// A one-peer [`GameSession::best_responses_round`]: fills every
+    /// invalid overlay row first, plus the overlay CSR's transpose the
+    /// repair seeds from, and runs on the calling thread. Bit-identical
+    /// to [`GameSession::best_response_uncached`] (property-tested in
     /// `crates/core/tests/proptest_session.rs`, including across
     /// arbitrary interleaved `apply` sequences); the `n - 1` candidate
     /// rows land in [`SessionStats::seq_oracle_hits`],
     /// [`SessionStats::oracle_rows_repaired`] or
-    /// [`SessionStats::oracle_rows_bounded`].
+    /// [`SessionStats::oracle_rows_bounded`]. A sparse session answers
+    /// through the uncached oracle.
     ///
     /// # Errors
     ///
@@ -1185,23 +1146,8 @@ impl GameSession {
         peer: PeerId,
         method: BestResponseMethod,
     ) -> Result<BestResponse, CoreError> {
-        let current_cost = self.peer_cost(peer)?;
-        if self.game.n() <= 1 {
-            return Ok(Self::trivial_response(peer, current_cost));
-        }
-        let solved = if self.backend.is_sparse() {
-            // Certified queries on a sparse session pay an exact fresh
-            // `G_{-i}` oracle — `O(n)` memory, never an n×n matrix — so
-            // the verdict carries the same guarantees as dense mode.
-            self.stats.sparse_exact_fallbacks += 1;
-            let oracle =
-                ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
-            self.stats.oracle_builds += 1;
-            oracle.solve(method)?
-        } else {
-            self.cached_solve(peer, method)?
-        };
-        Ok(self.finish_response(peer, method, solved, current_cost))
+        let mut round = self.best_responses_round(&[peer], method)?;
+        Ok(round.pop().expect("one response per activated peer"))
     }
 
     /// Like [`GameSession::best_response`], but always builds a fresh
@@ -1225,12 +1171,18 @@ impl GameSession {
         let oracle =
             ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
         self.stats.oracle_builds += 1;
-        Ok(self.finish_response(peer, method, oracle.solve(method)?, current_cost))
+        let solved = oracle.solve(method)?;
+        Ok(finish_response(
+            &self.profile,
+            peer,
+            method,
+            solved,
+            current_cost,
+        ))
     }
 
     /// The response on a game too small to have candidates (`n <= 1`):
-    /// the empty strategy at cost 0, trivially exact. One definition so
-    /// the cached and uncached paths cannot diverge on the contract.
+    /// the empty strategy at cost 0, trivially exact.
     fn trivial_response(peer: PeerId, current_cost: f64) -> BestResponse {
         BestResponse {
             peer,
@@ -1255,101 +1207,59 @@ impl GameSession {
         Ok(n <= 1)
     }
 
-    /// Solves `peer`'s cached oracle with `method` over a
-    /// [`CandidateRows`] store and counts its row accounting.
-    fn cached_solve(
-        &mut self,
-        peer: PeerId,
-        method: BestResponseMethod,
-    ) -> Result<(LinkSet, f64), CoreError> {
+    /// Makes every overlay row valid and the overlay transpose
+    /// available, then lends out the frozen [`Overlay`] snapshot every
+    /// cached oracle reads, with the game, the profile and the calling
+    /// thread's scratch.
+    fn frozen_overlay(&mut self) -> (Overlay<'_>, &Game, &StrategyProfile, &mut DijkstraScratch) {
         self.ensure_all_rows();
         self.ensure_transpose();
         let overlay = Overlay {
             csr: self.csr.as_ref().expect("ensured above"),
             transpose: self.transpose.as_ref().expect("ensured above"),
+            rows: self.backend.dense(),
         };
-        let rows = CandidateRows::new(
-            &self.game,
-            peer,
-            overlay,
-            self.backend.dense_mut(),
-            &mut self.scratch,
-        );
-        let (solved, reuse) = rows.solve(method)?;
-        self.stats.oracle_builds += 1;
-        self.count_rows(reuse);
-        Ok(solved)
+        (overlay, &self.game, &self.profile, &mut self.scratch)
     }
 
-    /// Counts one cached oracle's row accounting.
+    /// Counts one cached oracle build and its row accounting.
     fn count_rows(&mut self, reuse: OracleReuse) {
+        self.stats.oracle_builds += 1;
         self.stats.seq_oracle_hits += reuse.rows_reused;
-        self.stats.seq_oracle_swept += reuse.rows_swept;
         self.stats.oracle_rows_repaired += reuse.rows_repaired;
         self.stats.oracle_rows_bounded += reuse.rows_bounded;
-    }
-
-    /// Shared tail of the oracle-backed response paths: solve the UFL
-    /// instance and fall back to the current strategy when a heuristic
-    /// comes out worse.
-    fn finish_response(
-        &self,
-        peer: PeerId,
-        method: BestResponseMethod,
-        (links, cost): (LinkSet, f64),
-        current_cost: f64,
-    ) -> BestResponse {
-        // sp-lint: allow(float-eps, reason = "conservative accept: a heuristic tie or epsilon-worse solution keeps the current strategy, which is always valid")
-        if cost > current_cost {
-            // Heuristics may come out worse; keeping the current strategy
-            // is then the better (valid) response.
-            return BestResponse {
-                peer,
-                links: self.profile.strategy(peer).clone(),
-                cost: current_cost,
-                current_cost,
-                exact: method.is_exact(),
-            };
-        }
-        BestResponse {
-            peer,
-            links,
-            cost,
-            current_cost,
-            exact: method.is_exact(),
-        }
     }
 
     /// Best responses of every peer in `peers` against the **frozen**
     /// current profile — the oracle fan-out of one simultaneous-move
     /// round.
     ///
-    /// The session first makes every distance row valid (that snapshot is
-    /// the round-start state all oracles read), then computes one cached
-    /// oracle (the [`GameSession::best_response`] code path) per
-    /// activated peer. When the
+    /// The session first makes every distance row valid and builds the
+    /// overlay transpose; that snapshot is the round-start state every
+    /// oracle reads, through shared borrows, with the one cached-oracle
+    /// body [`GameSession::best_response`] also runs. When the
     /// [`GameSession::set_parallelism`] knob resolves to more than one
     /// worker — and, under automatic parallelism, at least
     /// `PAR_ORACLES_MIN` peers are activated — activation position `p`
     /// is assigned to shard `p mod k` (a deterministic round-robin
-    /// interleave, so fallback-sweep-heavy peers spread evenly across
-    /// shards instead of clustering in one contiguous chunk), each shard
-    /// runs on its own worker thread over a
-    /// [`GameSession::fork_readonly`] snapshot with a per-thread
-    /// [`DijkstraScratch`], and the results are scattered back into
-    /// activation order.
+    /// interleave, so repair-heavy peers spread evenly across shards
+    /// instead of clustering in one contiguous chunk), each shard runs on
+    /// its own scoped worker thread with its own [`DijkstraScratch`], and
+    /// the results are scattered back into activation order. No shard
+    /// copies or mutates any session state.
     ///
     /// **Determinism contract:** the returned responses are identical —
     /// bit-for-bit, including tie-breaking — whatever the shard count,
     /// because every shard evaluates the same frozen snapshot with the
     /// same per-peer code path and the interleave is a pure function of
-    /// `(position, shard count)` that the merge inverts exactly. Shard
-    /// oracle/reuse counters are folded into this session's
+    /// `(position, shard count)` that the merge inverts exactly. The
+    /// oracles' row accounting is added to this session's
     /// [`SessionStats`]; `oracle_parallel_rounds`/`oracle_shards` record
     /// the fan-out itself. One shard runs on the calling thread. This is
     /// the one fan-out for "every peer against a frozen profile": the
     /// simultaneous round engine, [`GameSession::nash_gap`] and
-    /// [`GameSession::is_nash`] all run on it.
+    /// [`GameSession::is_nash`] all run on it. A sparse session answers
+    /// every peer through [`GameSession::best_response_uncached`] instead.
     ///
     /// # Errors
     ///
@@ -1371,68 +1281,48 @@ impl GameSession {
             return Ok(Vec::new());
         }
         if n <= 1 || self.backend.is_sparse() {
-            // Sparse sessions evaluate the round sequentially through the
-            // exact fallback path — no frozen matrix to fan out over.
+            // A sparse session keeps no overlay matrix to share: each
+            // peer pays an exact fresh `G_{-i}` oracle — `O(n)` memory,
+            // never an n×n matrix — so the verdict carries the same
+            // guarantees as dense mode.
             return peers
                 .iter()
-                .map(|&p| self.best_response(p, method))
+                .map(|&p| self.best_response_uncached(p, method))
                 .collect();
         }
-        // Freeze the round-start snapshot every oracle will read, with
-        // the transpose its row repairs need, so forks carry both.
-        self.ensure_all_rows();
-        self.ensure_transpose();
-        let workers = self.worker_count().min(peers.len());
-        let shards =
-            if workers > 1 && (self.parallelism.is_some() || peers.len() >= PAR_ORACLES_MIN) {
-                workers
-            } else {
-                1
-            };
-        if shards <= 1 {
-            return peers
+        let shards = self.shard_count(peers.len(), PAR_ORACLES_MIN);
+        let (overlay, game, profile, scratch) = self.frozen_overlay();
+        // Shard s computes activation positions s, s + shards, …
+        let shard = |s: usize, scratch: &mut DijkstraScratch| {
+            peers
                 .iter()
-                .map(|&p| self.best_response(p, method))
-                .collect();
+                .skip(s)
+                .step_by(shards)
+                .map(|&p| respond(game, profile, overlay, p, method, scratch))
+                .collect::<Result<Vec<_>, CoreError>>()
+        };
+        let results: Vec<_> = if shards == 1 {
+            vec![shard(0, scratch)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..shards)
+                    .map(|s| scope.spawn(move || shard(s, &mut DijkstraScratch::new())))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("oracle shard thread panicked"))
+                    .collect()
+            })
+        };
+        if shards > 1 {
+            self.stats.oracle_parallel_rounds += 1;
+            self.stats.oracle_shards += shards;
         }
-
-        // Deterministic round-robin interleave: activation position p
-        // computes on shard p % shards. Every shard is non-empty because
-        // shards <= peers.len().
-        let mut shard_peers: Vec<Vec<PeerId>> = vec![Vec::new(); shards];
-        for (pos, &p) in peers.iter().enumerate() {
-            shard_peers[pos % shards].push(p);
-        }
-        let mut forks: Vec<GameSession> = (0..shards).map(|_| self.fork_readonly()).collect();
-        self.stats.oracle_parallel_rounds += 1;
-        self.stats.oracle_shards += shards;
-        let results: Vec<Result<Vec<BestResponse>, CoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_peers
-                .iter()
-                .zip(forks.iter_mut())
-                .map(|(mine, shard)| {
-                    scope.spawn(move || {
-                        mine.iter()
-                            .map(|&p| shard.best_response(p, method))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("oracle shard thread panicked"))
-                .collect()
-        });
-        // Scatter the shard results back into activation order (shard s
-        // computed positions s, s + shards, s + 2·shards, …).
-        let mut slots: Vec<Option<BestResponse>> = peers.iter().map(|_| None).collect();
-        for (s, (result, shard)) in results.into_iter().zip(&forks).enumerate() {
-            // Fold the fork's counters in wholesale: forks are
-            // read-only, so only oracle-path counters can be non-zero,
-            // and an exhaustive merge can never silently drop a counter
-            // a future PR adds.
-            self.stats.merge(&shard.stats());
-            for (k, br) in result?.into_iter().enumerate() {
+        // Scatter the shard results back into activation order.
+        let mut slots: Vec<Option<BestResponse>> = vec![None; peers.len()];
+        for (s, result) in results.into_iter().enumerate() {
+            for (k, (br, reuse)) in result?.into_iter().enumerate() {
+                self.count_rows(reuse);
                 slots[s + k * shards] = Some(br);
             }
         }
@@ -1445,13 +1335,15 @@ impl GameSession {
     /// First strictly improving single-link move for `peer` (drop, add,
     /// swap — in that order), or `None`; the "better response" used by
     /// low-churn dynamics. Served from the persistent oracle cache by a
-    /// lazy scan: candidate moves are first tested against certified
-    /// lower bounds (dirty overlay rows, or metric rows for invalid
-    /// ones), and only candidates whose bound survives pay for exact
-    /// residual rows, derived like [`GameSession::best_response`]'s (an
-    /// invalid overlay row is swept into the cache first). Bit-identical
-    /// to [`GameSession::first_improving_move_uncached`]; rows rejected on
-    /// a bound land in [`SessionStats::lazy_certified_rejects`].
+    /// lazy scan over the frozen overlay snapshot (every invalid overlay
+    /// row is refilled first, as for [`GameSession::best_response`]):
+    /// candidate moves are first tested against certified lower bounds
+    /// (dirty overlay rows), and only candidates whose bound survives pay
+    /// for exact residual rows, derived like
+    /// [`GameSession::best_response`]'s. Bit-identical to
+    /// [`GameSession::first_improving_move_uncached`]; rows rejected on a
+    /// bound land in [`SessionStats::lazy_certified_rejects`]. A sparse
+    /// session answers through the uncached scan.
     ///
     /// # Errors
     ///
@@ -1465,23 +1357,11 @@ impl GameSession {
             return Ok(None);
         }
         if self.backend.is_sparse() {
-            self.stats.sparse_exact_fallbacks += 1;
             return self.first_improving_move_uncached(peer, tol);
         }
-        self.ensure_transpose();
-        let overlay = Overlay {
-            csr: self.csr.as_ref().expect("ensured above"),
-            transpose: self.transpose.as_ref().expect("ensured above"),
-        };
-        let rows = CandidateRows::new(
-            &self.game,
-            peer,
-            overlay,
-            self.backend.dense_mut(),
-            &mut self.scratch,
-        );
-        let (mv, scan) = first_improving_move_lazy(&self.profile, peer, rows, tol);
-        self.stats.oracle_builds += 1;
+        let (overlay, game, profile, scratch) = self.frozen_overlay();
+        let rows = CandidateRows::new(game, peer, overlay, scratch);
+        let (mv, scan) = first_improving_move_lazy(profile, peer, rows, tol);
         self.count_rows(scan.reuse);
         self.stats.lazy_certified_rejects += scan.certified_rejects;
         self.stats.lazy_exact_evals += scan.exact_evals;
@@ -1593,7 +1473,6 @@ impl GameSession {
             return self.first_improving_move(peer, tol);
         }
         if self.backend.sparse().window() + 1 >= self.game.n() {
-            self.stats.sparse_exact_fallbacks += 1;
             return self.first_improving_move_uncached(peer, tol);
         }
         self.ensure_sparse_ready();
@@ -2200,49 +2079,47 @@ mod tests {
     fn set_parallelism_zero_clamps_to_one() {
         let g = game(1.5);
         let p = StrategyProfile::from_links(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let mut s = GameSession::from_refs(&g, &p).unwrap();
-        s.set_parallelism(Some(0));
-        assert_eq!(
-            s.resolved_parallelism(),
-            1,
-            "Some(0) must fall back to the calling thread"
-        );
-        // The clamped knob behaves exactly like Some(1): sequential refills.
-        let _ = s.social_cost();
-        assert_eq!(s.stats().parallel_passes, 0);
-        let responses = s
-            .best_responses_round(
-                &(0..5).map(PeerId::new).collect::<Vec<_>>(),
-                BestResponseMethod::Exact,
-            )
-            .unwrap();
-        assert_eq!(responses.len(), 5);
-        assert_eq!(s.stats().oracle_parallel_rounds, 0);
+        let peers: Vec<PeerId> = (0..5).map(PeerId::new).collect();
+        // The clamped knob behaves exactly like Some(1): sequential
+        // refills and a round on the calling thread, with the same
+        // answers and the same work.
+        let run = |workers: Option<usize>| {
+            let mut s = GameSession::from_refs(&g, &p).unwrap();
+            s.set_parallelism(workers);
+            let cost = s.social_cost();
+            let round = s
+                .best_responses_round(&peers, BestResponseMethod::Exact)
+                .unwrap();
+            (cost, round, s.stats())
+        };
+        let (cost, round, stats) = run(Some(0));
+        assert_eq!(stats.parallel_passes, 0);
+        assert_eq!(stats.oracle_parallel_rounds, 0);
+        assert_eq!(round.len(), 5);
+        assert_eq!((cost, round, stats), run(Some(1)));
     }
 
     #[test]
-    fn fork_readonly_shares_game_and_snapshots_caches() {
-        let g = detour_game();
-        let p = StrategyProfile::from_links(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+    fn lazy_scan_fills_each_row_once() {
+        // On a cold dense session the scan refills every overlay row
+        // through the one bulk refill before it reads any, so no
+        // candidate row pays a sweep of its own, and a second scan on the
+        // same profile sweeps nothing.
+        let g = game(1.0);
+        let p = StrategyProfile::from_links(5, &[(0, 4), (1, 2), (2, 3), (3, 1), (4, 3)]).unwrap();
         let mut s = GameSession::from_refs(&g, &p).unwrap();
-        let _ = s.social_cost();
-        let warm_sweeps = s.stats().full_sssp;
-        let mut fork = s.fork_readonly();
-        // The fork starts with zeroed counters and every row already
-        // valid: reading costs recomputes nothing.
-        assert_eq!(fork.stats(), SessionStats::default());
-        assert_eq!(fork.social_cost(), s.social_cost());
-        assert_eq!(fork.stats().full_sssp, 0, "snapshot rows must be reused");
-        assert_eq!(s.stats().full_sssp, warm_sweeps);
-        // Forks are independent sessions: mutating one leaves the other.
-        fork.apply(Move::RemoveLink {
-            from: PeerId::new(0),
-            to: PeerId::new(1),
-        })
-        .unwrap();
-        assert_ne!(fork.profile(), s.profile());
-        assert_matches_free_functions(&mut fork);
-        assert_matches_free_functions(&mut s);
+        let first = s.first_improving_move(PeerId::new(0), 1e-9).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.full_sssp, 5, "each row is swept exactly once");
+        assert_eq!(stats.seq_oracle_swept, 0);
+        let again = s.first_improving_move(PeerId::new(0), 1e-9).unwrap();
+        assert_eq!(again, first);
+        assert_eq!(s.stats().full_sssp, 5, "a second scan sweeps nothing");
+        assert_eq!(
+            first,
+            s.first_improving_move_uncached(PeerId::new(0), 1e-9)
+                .unwrap()
+        );
     }
 
     #[test]
@@ -2265,7 +2142,7 @@ mod tests {
                 "some candidate rows must come from the cache: {stats:?}"
             );
             assert_eq!(
-                stats.seq_oracle_hits + stats.oracle_rows_repaired + stats.seq_oracle_swept,
+                stats.seq_oracle_hits + stats.oracle_rows_repaired,
                 4 * 3,
                 "every candidate row of every cached build is accounted for"
             );

@@ -666,8 +666,11 @@ proptest! {
     /// method's cached `best_response` equals `best_response_uncached`
     /// bit for bit, each play returns what the uncached response
     /// predicted, and every cached oracle accounts for exactly its
-    /// `n − 1` candidate rows: reused, repaired, swept or bounded. Only
-    /// the greedy holds rows as bounds.
+    /// `n − 1` candidate rows: reused, repaired or bounded. Only the
+    /// greedy holds rows as bounds. The cached better-response scan
+    /// equals the uncached one too, and no cached oracle or scan sweeps
+    /// a candidate row of its own: the rows are refilled before any is
+    /// read.
     #[test]
     fn lazy_oracles_equal_uncached_for_every_method(
         (game, profile, sparse, script) in arb_play_script()
@@ -700,6 +703,9 @@ proptest! {
                     bounded += held;
                 }
             }
+            let fresh_mv = s.first_improving_move_uncached(peer, 1e-9).unwrap();
+            let lazy_mv = s.first_improving_move(peer, 1e-9).unwrap();
+            prop_assert_eq!(&fresh_mv, &lazy_mv, "better response of peer {:?}", peer);
             if kind < 3 {
                 play(&mut s, kind, from, to);
             } else {
@@ -717,6 +723,7 @@ proptest! {
                 }
             }
         }
+        prop_assert_eq!(s.stats().seq_oracle_swept, 0, "a cached oracle swept a row");
         // Every row stays exact through the plays' in-place repairs.
         let mut cold = GameSession::new(game.clone(), s.profile().clone()).unwrap();
         same_bits(&s.overlay_distances().clone(), cold.overlay_distances())?;

@@ -41,11 +41,11 @@
 //! A simultaneous round computes k independent best-response oracles
 //! against the frozen round-start profile, so
 //! [`simultaneous::run_simultaneous`] runs them through
-//! `GameSession::best_responses_round`, which snapshots the round-start
-//! state once, fans the oracles out over `fork_readonly` worker shards
-//! with per-thread Dijkstra scratch (or runs them on the calling thread
-//! at one shard), and merges the accepted moves in stable peer order
-//! into one `apply_batch`. The
+//! `GameSession::best_responses_round`, which freezes the round-start
+//! overlay snapshot once, fans the oracles out over worker shards that
+//! all borrow that snapshot, each with its own Dijkstra scratch (or runs
+//! them on the calling thread at one shard), and merges the accepted
+//! moves in stable peer order into one `apply_batch`. The
 //! [`simultaneous::SimultaneousConfig::parallelism`] knob (also fed to
 //! `GameSession::set_parallelism`) sets the shard count. **Determinism
 //! contract:** runs are bit-identical — accepted-move sets, traces,

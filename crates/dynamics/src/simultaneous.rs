@@ -15,12 +15,12 @@
 //! Because every response in a round is computed against the same frozen
 //! round-start profile, the k oracle computations are embarrassingly
 //! parallel. [`run_simultaneous`] makes one
-//! [`GameSession::best_responses_round`] call per round, which snapshots
-//! the round-start state, serves every oracle from the session's
-//! persistent oracle cache, fans the oracles out over `fork_readonly`
-//! worker shards (activation position `p` on shard `p mod k`, a
-//! deterministic round-robin interleave), and scatters the responses back
-//! into peer order. At one shard it runs on the calling thread. The
+//! [`GameSession::best_responses_round`] call per round, which freezes
+//! the round-start overlay snapshot, serves every oracle from it, fans
+//! the oracles out over worker shards that all borrow that one snapshot
+//! (activation position `p` on shard `p mod k`, a deterministic
+//! round-robin interleave), and scatters the responses back into peer
+//! order. At one shard it runs on the calling thread. The
 //! round's accepted moves commit as one `apply_batch`; when its removed
 //! links leave several peers, it drops the rows they were tight on, and
 //! the next round's sharded refill sweeps them again.

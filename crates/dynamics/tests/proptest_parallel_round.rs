@@ -3,10 +3,10 @@
 //!
 //! `run_simultaneous` runs every round through
 //! `GameSession::best_responses_round` (see `simultaneous`), which
-//! snapshots the round-start state, reuses its distance rows inside every
-//! oracle, and fans the oracles out over `fork_readonly` worker shards
-//! with a round-robin peer→shard interleave — or, at one shard, runs them
-//! on the calling thread. The determinism contract says the shard count
+//! freezes the round-start overlay snapshot, reuses its distance rows
+//! inside every oracle, and fans the oracles out over worker shards that
+//! all borrow that snapshot, with a round-robin peer→shard interleave —
+//! or, at one shard, runs them on the calling thread. The determinism contract says the shard count
 //! is unobservable: identical accepted-move sets (traces), identical
 //! termination, identical round and move counts — for any shard count,
 //! including 1 and more shards than peers.

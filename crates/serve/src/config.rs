@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use crate::obs::ObsConfig;
 use crate::registry::RegistryConfig;
 use crate::server::IoModel;
-use crate::wire::PROTO_JSON;
 
 /// Whether (and how) sessions keep a write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +88,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Connection I/O engine.
     pub io: IoModel,
-    /// Default wire protocol version tools built on this config speak
-    /// (1 = JSON, 2 = binary). The server always accepts both.
-    pub proto: u8,
     /// Global budget for resident sessions, in bytes.
     pub memory_budget: usize,
     /// Directory for spill/snapshot/WAL files.
@@ -113,7 +109,6 @@ impl Default for ServeConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2),
             io: IoModel::Reactor,
-            proto: PROTO_JSON,
             memory_budget: registry.memory_budget,
             spill_dir: registry.spill_dir,
             queue_capacity: registry.queue_capacity,
@@ -149,13 +144,6 @@ impl ServeConfig {
     #[must_use]
     pub fn io(mut self, io: IoModel) -> Self {
         self.io = io;
-        self
-    }
-
-    /// Sets the default wire protocol version for tools.
-    #[must_use]
-    pub fn proto(mut self, proto: u8) -> Self {
-        self.proto = proto;
         self
     }
 
@@ -217,7 +205,6 @@ mod tests {
             .addr("127.0.0.1:7171")
             .workers(3)
             .io(IoModel::Threaded)
-            .proto(2)
             .memory_budget(1 << 20)
             .spill_dir("/tmp/x")
             .queue_capacity(9)
@@ -232,7 +219,7 @@ mod tests {
                 quiet: true,
             });
         assert_eq!(cfg.addr, "127.0.0.1:7171");
-        assert_eq!((cfg.workers, cfg.proto), (3, 2));
+        assert_eq!(cfg.workers, 3);
         let reg = cfg.registry();
         assert_eq!(reg.memory_budget, 1 << 20);
         assert_eq!(reg.spill_dir, PathBuf::from("/tmp/x"));
@@ -260,7 +247,6 @@ mod tests {
             1,
             "a zero group commit still drains one job at a time"
         );
-        assert_eq!(ServeConfig::new().proto, PROTO_JSON);
         assert!(!ServeConfig::new().durability.is_wal());
     }
 }
