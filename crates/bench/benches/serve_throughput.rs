@@ -246,20 +246,19 @@ fn bench_serve_throughput(c: &mut Criterion) {
     })
     .expect("registry starts");
     let mut receivers = Vec::new();
-    receivers.push(
-        registry
-            .submit(SessionRequest {
-                id: None,
-                session: "burst".to_owned(),
-                op: SessionOp::Create(GameSpec {
-                    alpha: 1.0,
-                    geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
-                    links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-                    mode: BackendMode::Dense,
-                }),
-            })
-            .expect("accepting"),
-    );
+    receivers.push(registry.submit(
+        SessionRequest {
+            id: None,
+            session: "burst".to_owned(),
+            op: SessionOp::Create(GameSpec {
+                alpha: 1.0,
+                geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
+                links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
+                mode: BackendMode::Dense,
+            }),
+        },
+        None,
+    ));
     for k in 1..BURST {
         // Alternate adding and removing the same chord so every move in
         // the burst is valid when its turn comes.
@@ -274,15 +273,14 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 to: PeerId::new(2),
             }
         };
-        receivers.push(
-            registry
-                .submit(SessionRequest {
-                    id: None,
-                    session: "burst".to_owned(),
-                    op: SessionOp::Apply { mv },
-                })
-                .expect("accepting"),
-        );
+        receivers.push(registry.submit(
+            SessionRequest {
+                id: None,
+                session: "burst".to_owned(),
+                op: SessionOp::Apply { mv },
+            },
+            None,
+        ));
     }
     let workers = registry.spawn_workers(1);
     for rx in receivers {
@@ -319,30 +317,28 @@ fn bench_serve_throughput(c: &mut Criterion) {
     })
     .expect("registry starts");
     let mut receivers = Vec::new();
-    receivers.push(
-        registry
-            .submit(SessionRequest {
+    receivers.push(registry.submit(
+        SessionRequest {
+            id: None,
+            session: "burst".to_owned(),
+            op: SessionOp::Create(GameSpec {
+                alpha: 1.0,
+                geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
+                links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
+                mode: BackendMode::Dense,
+            }),
+        },
+        None,
+    ));
+    for _ in 1..BURST {
+        receivers.push(registry.submit(
+            SessionRequest {
                 id: None,
                 session: "burst".to_owned(),
-                op: SessionOp::Create(GameSpec {
-                    alpha: 1.0,
-                    geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
-                    links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-                    mode: BackendMode::Dense,
-                }),
-            })
-            .expect("accepting"),
-    );
-    for _ in 1..BURST {
-        receivers.push(
-            registry
-                .submit(SessionRequest {
-                    id: None,
-                    session: "burst".to_owned(),
-                    op: SessionOp::SocialCost,
-                })
-                .expect("accepting"),
-        );
+                op: SessionOp::SocialCost,
+            },
+            None,
+        ));
     }
     let depth = registry.stats().queue_depth_hwm;
     assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sp-serve [--addr HOST:PORT] [--workers K] [--budget-mib M]
-//!          [--spill-dir DIR] [--queue-cap Q] [--io reactor|threaded]
+//!          [--spill-dir DIR] [--io reactor|threaded]
 //!          [--durability off|wal] [--group-commit N] [--no-fsync]
 //!          [--obs] [--slow-ms MS]
 //! ```
@@ -29,7 +29,7 @@ use sp_serve::server::{IoModel, Server};
 
 fn usage() -> String {
     "usage: sp-serve [--addr HOST:PORT] [--workers K] [--budget-mib M] \
-     [--spill-dir DIR] [--queue-cap Q] [--io reactor|threaded] \
+     [--spill-dir DIR] [--io reactor|threaded] \
      [--durability off|wal] [--group-commit N] [--no-fsync] \
      [--obs] [--slow-ms MS]"
         .to_owned()
@@ -59,12 +59,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<ServeConfig, Stri
                 config = config.memory_budget(mib << 20);
             }
             "--spill-dir" => config = config.spill_dir(value("--spill-dir")?),
-            "--queue-cap" => {
-                let cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|_| "bad --queue-cap value".to_owned())?;
-                config = config.queue_capacity(cap);
-            }
             "--io" => {
                 config = config.io(match value("--io")?.as_str() {
                     "reactor" => IoModel::Reactor,
@@ -102,7 +96,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<ServeConfig, Stri
     if let Durability::Wal {
         group_commit: default_gc,
         ..
-    } = config.durability
+    } = config.registry.durability
     {
         config = config.durability(Durability::Wal {
             group_commit: group_commit.unwrap_or(default_gc),
@@ -133,9 +127,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let budget = config.memory_budget;
+    let budget = config.registry.memory_budget;
     let workers = config.workers;
-    let durability = config.durability;
+    let durability = config.registry.durability;
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {

@@ -88,32 +88,20 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Connection I/O engine.
     pub io: IoModel,
-    /// Global budget for resident sessions, in bytes.
-    pub memory_budget: usize,
-    /// Directory for spill/snapshot/WAL files.
-    pub spill_dir: PathBuf,
-    /// Per-session request queue bound.
-    pub queue_capacity: usize,
-    /// Write-ahead logging mode.
-    pub durability: Durability,
-    /// Observability: request spans, metrics, slow-request logging.
-    pub obs: ObsConfig,
+    /// The registry's slice: memory budget, spill directory,
+    /// durability and observability.
+    pub registry: RegistryConfig,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let registry = RegistryConfig::default();
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2),
             io: IoModel::Reactor,
-            memory_budget: registry.memory_budget,
-            spill_dir: registry.spill_dir,
-            queue_capacity: registry.queue_capacity,
-            durability: registry.durability,
-            obs: registry.obs,
+            registry: RegistryConfig::default(),
         }
     }
 }
@@ -150,48 +138,29 @@ impl ServeConfig {
     /// Sets the resident-session memory budget, in bytes.
     #[must_use]
     pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = bytes;
+        self.registry.memory_budget = bytes;
         self
     }
 
     /// Sets the spill/snapshot/WAL directory.
     #[must_use]
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spill_dir = dir.into();
-        self
-    }
-
-    /// Sets the per-session request queue bound.
-    #[must_use]
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
+        self.registry.spill_dir = dir.into();
         self
     }
 
     /// Sets the write-ahead logging mode.
     #[must_use]
     pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
+        self.registry.durability = durability;
         self
     }
 
     /// Sets the observability configuration.
     #[must_use]
     pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
+        self.registry.obs = obs;
         self
-    }
-
-    /// The registry-level slice of this configuration.
-    #[must_use]
-    pub fn registry(&self) -> RegistryConfig {
-        RegistryConfig {
-            memory_budget: self.memory_budget,
-            spill_dir: self.spill_dir.clone(),
-            queue_capacity: self.queue_capacity,
-            durability: self.durability,
-            obs: self.obs,
-        }
     }
 }
 
@@ -207,7 +176,6 @@ mod tests {
             .io(IoModel::Threaded)
             .memory_budget(1 << 20)
             .spill_dir("/tmp/x")
-            .queue_capacity(9)
             .durability(Durability::Wal {
                 group_commit: 16,
                 fsync: false,
@@ -220,16 +188,18 @@ mod tests {
             });
         assert_eq!(cfg.addr, "127.0.0.1:7171");
         assert_eq!(cfg.workers, 3);
-        let reg = cfg.registry();
+        let reg = &cfg.registry;
         assert_eq!(reg.memory_budget, 1 << 20);
         assert_eq!(reg.spill_dir, PathBuf::from("/tmp/x"));
-        assert_eq!(reg.queue_capacity, 9);
         assert!(reg.durability.is_wal());
         assert!(!reg.durability.fsync());
         assert_eq!(reg.durability.batch_cap(), 16);
         assert!(reg.obs.enabled && reg.obs.tick && reg.obs.quiet);
         assert_eq!(reg.obs.slow_ns, Some(5));
-        assert!(!ServeConfig::new().obs.enabled, "obs is off by default");
+        assert!(
+            !ServeConfig::new().registry.obs.enabled,
+            "obs is off by default"
+        );
     }
 
     #[test]
@@ -247,6 +217,6 @@ mod tests {
             1,
             "a zero group commit still drains one job at a time"
         );
-        assert!(!ServeConfig::new().durability.is_wal());
+        assert!(!ServeConfig::new().registry.durability.is_wal());
     }
 }

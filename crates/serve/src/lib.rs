@@ -15,8 +15,11 @@
 //! * A **worker-pool scheduler** inside the registry: requests to one
 //!   session execute strictly in submission order (one worker owns a
 //!   session at a time), distinct sessions run in parallel across the
-//!   pool, and per-session queues are **bounded** — a full queue blocks
-//!   the submitter, which is the service's backpressure.
+//!   pool, and a job has one non-blocking way in. The service's
+//!   backpressure is **per connection**: a threaded connection has one
+//!   request in flight, a reactor connection at most its pipeline
+//!   window, so a session's queue never outgrows the connections
+//!   addressing it.
 //! * [`wire`] / [`server`] / [`client`] — the typed protocol layer
 //!   (re-exporting `sp-wire`'s [`wire::Request`] / [`wire::Response`]
 //!   enums, stable [`wire::ErrorCode`]s, and both codecs) over

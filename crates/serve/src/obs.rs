@@ -88,10 +88,6 @@ pub struct ObsMetricSet {
     pub fsync_batches: Arc<Counter>,
     /// Completed spans at or past the slow threshold.
     pub slow_logged: Arc<Counter>,
-    /// Spill-and-drop events (budget-driven plus explicit `evict`).
-    pub sessions_evicted: Arc<Counter>,
-    /// Sessions restored from spill files.
-    pub sessions_restored: Arc<Counter>,
 }
 
 impl ObsMetricSet {
@@ -104,8 +100,6 @@ impl ObsMetricSet {
             wal_append_events: metrics.counter("obs.wal_append_events"),
             fsync_batches: metrics.counter("obs.fsync_batches"),
             slow_logged: metrics.counter("obs.slow_logged"),
-            sessions_evicted: metrics.counter("obs.sessions_evicted"),
-            sessions_restored: metrics.counter("obs.sessions_restored"),
         }
     }
 }
@@ -269,8 +263,9 @@ impl ServeObs {
     }
 
     /// The `metrics` result body: every registered metric plus the
-    /// caller-supplied extra counters (the registry injects aggregated
-    /// per-session `work.*` counters), name-sorted so identical state
+    /// caller-supplied extra counters (the registry injects its
+    /// `obs.sessions_*` event counters and the aggregated per-session
+    /// `work.*` counters), name-sorted so identical state
     /// encodes to identical bytes.
     #[must_use]
     pub fn metrics_body(&self, extra_counters: &[(String, u64)]) -> MetricsBody {

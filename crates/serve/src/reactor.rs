@@ -7,7 +7,7 @@
 //! connection's buffers. Reading, protocol negotiation, and response
 //! writing all happen on that thread; only the *execution* of session
 //! requests leaves it, handed to the registry worker pool via
-//! [`SessionRegistry::submit_with`] with a callback responder. A worker
+//! [`SessionRegistry::submit_with`] with a reply callback. A worker
 //! finishing a job parks the encoded response in the connection's
 //! completion map and wakes the loop through an `eventfd`
 //! ([`sp_net::WakeHandle`]) — many completions coalesce into one
@@ -47,7 +47,7 @@ use sp_net::{Interest, Poller, WakeHandle};
 use sp_obs::{Phase, SpanHandle};
 
 use crate::obs::ServeObs;
-use crate::registry::{Responder, SessionRegistry};
+use crate::registry::SessionRegistry;
 use crate::server::respond_request_traced;
 use crate::wire::{ConnProtocol, ErrorCode, FrameAction, Request, Response, WireError};
 
@@ -61,9 +61,10 @@ const WAKE_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Maximum requests in flight per connection before the reactor stops
-/// reading it. Bounds per-session queue growth at `window × connections`
-/// (see the registry's backpressure docs) while leaving plenty of
-/// pipelining headroom.
+/// reading it. This is the reactor's backpressure: one connection can
+/// have at most this many jobs queued in the registry, so a session's
+/// queue depth is at most `window × connections` addressing it, while
+/// leaving plenty of pipelining headroom.
 pub const PIPELINE_WINDOW: u64 = 64;
 
 /// Read chunk size; frames larger than this simply take several reads.
@@ -361,17 +362,13 @@ impl Reactor {
                     let span = obs.as_ref().map(|o| o.begin_span(req.op.code() as u8));
                     let cb_obs = obs.clone();
                     let cb_span = span.clone();
-                    registry.submit_with_traced(
-                        req,
-                        Responder::callback(move |resp| {
-                            let bytes = codec.encode_response(&resp);
-                            if let (Some(o), Some(s)) = (&cb_obs, &cb_span) {
-                                o.stamp(s, Phase::Encode);
-                            }
-                            shared.complete(seq, bytes, cb_span);
-                        }),
-                        span,
-                    );
+                    registry.submit_with(req, span, move |resp| {
+                        let bytes = codec.encode_response(&resp);
+                        if let (Some(o), Some(s)) = (&cb_obs, &cb_span) {
+                            o.stamp(s, Phase::Encode);
+                        }
+                        shared.complete(seq, bytes, cb_span);
+                    });
                 }
                 FrameAction::Request(other) => {
                     // ping/stats/hello-echo: answered inline, without a
@@ -596,9 +593,10 @@ mod tests {
 
     use sp_json::{frame, json, Value};
 
+    use super::PIPELINE_WINDOW;
     use crate::config::ServeConfig;
     use crate::server::{IoModel, Server};
-    use crate::wire::{binary, Codec, Request, SessionOp};
+    use crate::wire::{binary, Codec, Request, SessionOp, SessionRequest};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -618,6 +616,12 @@ mod tests {
         .expect("server starts");
         assert!(server.uses_reactor(), "linux test host must have epoll");
         (server, dir)
+    }
+
+    fn binary_frame(request: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame::append_frame_bytes(&mut out, &Codec::Binary.encode_request(request)).unwrap();
+        out
     }
 
     fn json_frame(v: &Value) -> Vec<u8> {
@@ -747,6 +751,63 @@ mod tests {
         let v = crate::wire::json::encode_response(&resp);
         assert_eq!(v["ok"], true, "{v}");
         assert_eq!(v["result"]["n"].as_usize(), Some(3));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pipelined_burst_queues_at_most_one_window() {
+        let dir = test_dir("window");
+        let server = Server::start(
+            ServeConfig::new()
+                .workers(1)
+                .io(IoModel::Reactor)
+                .spill_dir(dir.clone()),
+        )
+        .expect("server starts");
+        assert!(server.uses_reactor(), "linux test host must have epoll");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        use std::io::Write;
+        stream
+            .write_all(&json_frame(&json!({ "op": "hello", "proto": 2, "id": 0 })))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let verdict = frame::read_frame(&mut reader).unwrap().expect("verdict");
+        assert_eq!(verdict["result"]["proto"].as_usize(), Some(2), "{verdict}");
+
+        // One burst at one session — a create, then three windows of
+        // reads — written before any response is consumed.
+        let create = crate::wire::json::decode_request(&json!({
+            "op": "create", "session": "w", "id": 0, "alpha": 1.0,
+            "positions_1d": [0.0, 1.0, 3.0],
+            "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
+        }))
+        .expect("typed");
+        let reads = 3 * PIPELINE_WINDOW;
+        let mut burst = binary_frame(&create);
+        for id in 1..=reads {
+            burst.extend_from_slice(&binary_frame(&Request::Session(SessionRequest {
+                id: Some(id),
+                session: "w".to_owned(),
+                op: SessionOp::SocialCost,
+            })));
+        }
+        stream.write_all(&burst).unwrap();
+
+        for id in 0..=reads {
+            let payload = frame::read_frame_bytes(&mut reader)
+                .unwrap()
+                .expect("response");
+            let resp = binary::decode_response(&payload).expect("typed response");
+            assert_eq!(resp.id, Some(id), "responses must keep request order");
+            assert!(resp.outcome.is_ok(), "{resp:?}");
+        }
+        let hwm = server.registry().stats().queue_depth_hwm;
+        assert!(
+            (1..=PIPELINE_WINDOW as usize).contains(&hwm),
+            "one connection queued {hwm} jobs past its window of {PIPELINE_WINDOW}"
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

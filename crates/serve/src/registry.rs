@@ -16,15 +16,17 @@
 //!
 //! # Backpressure
 //!
-//! Per-session queues are bounded ([`RegistryConfig::queue_capacity`]).
-//! [`SessionRegistry::submit`] blocks the caller until space frees up —
-//! in the threaded TCP server each connection thread submits
-//! synchronously, so a flooding client stalls itself, not the pool.
-//! The epoll reactor must never block its event loop, so it uses
-//! [`SessionRegistry::submit_with`], which enqueues unconditionally;
-//! its backpressure is the per-connection pipeline window (the reactor
-//! stops *reading* a connection with too many frames in flight), which
-//! bounds queue growth to `window × connections` per session.
+//! A job has one way in, [`SessionRegistry::submit_with`], which never
+//! blocks, and one way out, the reply callback it carries.
+//! [`SessionRegistry::submit`] wraps it in a channel for callers that
+//! wait. The queues themselves are unbounded: the bound is per
+//! connection, set by the engine that submits. A threaded connection
+//! waits for each response before it reads its next frame, so it has
+//! at most one request in flight; the reactor stops *reading* a
+//! connection once `PIPELINE_WINDOW` of its frames are in flight.
+//! A session's queue depth is therefore at most the sum of those
+//! bounds over the connections that address it, and a flooding client
+//! stalls itself, not the pool.
 //!
 //! # Memory budget and eviction
 //!
@@ -101,9 +103,6 @@ pub struct RegistryConfig {
     pub memory_budget: usize,
     /// Directory for spill/snapshot files (created on registry start).
     pub spill_dir: PathBuf,
-    /// Per-session request queue bound; blocking submitters wait when
-    /// full.
-    pub queue_capacity: usize,
     /// Write-ahead logging mode ([`crate::wal`]). Under
     /// [`Durability::Wal`], every state-mutating op appends a WAL
     /// record before its response is released, startup replays
@@ -121,50 +120,32 @@ impl Default for RegistryConfig {
         RegistryConfig {
             memory_budget: 64 << 20,
             spill_dir: PathBuf::from("sp-serve-spill"),
-            queue_capacity: 64,
             durability: Durability::Off,
             obs: ObsConfig::default(),
         }
     }
 }
 
-/// Where a finished job's response goes: a blocking channel (the
-/// threaded server parks a connection thread on `recv`) or a callback
-/// (the reactor encodes the frame and wakes its event loop — it has no
-/// thread to park).
-pub enum Responder {
-    /// Deliver by sending on a channel.
-    Channel(mpsc::Sender<Response>),
-    /// Deliver by invoking a closure on the worker thread.
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-impl Responder {
-    /// Wraps a completion closure.
-    #[must_use]
-    pub fn callback(f: impl FnOnce(Response) + Send + 'static) -> Responder {
-        Responder::Callback(Box::new(f))
-    }
-
-    fn deliver(self, response: Response) {
-        match self {
-            // The submitter may have hung up (shutdown race, dead
-            // connection); that's fine.
-            Responder::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Responder::Callback(f) => f(response),
-        }
-    }
-}
+/// Where a finished job's response goes: a closure the worker calls
+/// (the reactor encodes the frame and wakes its event loop;
+/// [`SessionRegistry::submit`] sends on a channel).
+type Reply = Box<dyn FnOnce(Response) + Send>;
 
 /// A queued request plus where its response goes.
 struct Job {
     request: SessionRequest,
-    reply: Responder,
+    reply: Reply,
     /// The request's trace span, when observability is on and the
     /// connection engine started one at decode time.
     span: Option<SpanHandle>,
+}
+
+impl Job {
+    /// Answers the job with [`ErrorCode::Shutdown`] instead of running
+    /// it.
+    fn refuse(self) {
+        (self.reply)(Response::err(self.request.id, shutdown_error()));
+    }
 }
 
 /// Mutable per-session state, guarded by the entry mutex.
@@ -203,8 +184,6 @@ struct EntryState {
 struct SessionEntry {
     name: String,
     state: Mutex<EntryState>,
-    /// Signalled when queue space frees up (backpressure release).
-    space: Condvar,
 }
 
 /// A point-in-time snapshot of the registry's counters.
@@ -254,11 +233,14 @@ impl RegistryStats {
     }
 }
 
-/// What a worker carries back from executing one job.
-struct JobOutcome {
-    response: Response,
+/// The residency a worker checks out of an entry for one job;
+/// [`SessionRegistry::run_job`] edits it in place.
+struct Slot {
+    /// The resident session; `None` when spilled or not yet created.
     resident: Option<Box<GameSession>>,
+    /// Whether the session logically exists (resident or spilled).
     created: bool,
+    /// Whether resident state has diverged from the spill file.
     dirty: bool,
 }
 
@@ -297,7 +279,7 @@ pub struct SessionRegistry {
 /// commit — append-before-acknowledge made concrete. Jobs without a
 /// WAL append carry `wal: None` and just ride along.
 struct PendingReply {
-    reply: Responder,
+    reply: Reply,
     response: Response,
     wal: Option<Arc<Mutex<SessionWal>>>,
     span: Option<SpanHandle>,
@@ -328,10 +310,7 @@ impl SessionRegistry {
             stop: AtomicBool::new(false),
             clock: AtomicU64::new(0),
             total_bytes: AtomicUsize::new(0),
-            config: RegistryConfig {
-                queue_capacity: config.queue_capacity.max(1),
-                ..config
-            },
+            config,
             requests_served: AtomicU64::new(0),
             sessions_created: AtomicU64::new(0),
             sessions_evicted: AtomicU64::new(0),
@@ -366,102 +345,48 @@ impl SessionRegistry {
             .collect()
     }
 
-    /// Enqueues a request on its session's queue, blocking while the
-    /// queue is at capacity, and returns the receiver the response will
-    /// arrive on.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ErrorCode::Shutdown`] once
-    /// [`SessionRegistry::shutdown`] has been called.
-    pub fn submit(&self, request: SessionRequest) -> Result<mpsc::Receiver<Response>, WireError> {
-        self.submit_traced(request, None)
-    }
-
-    /// [`SessionRegistry::submit`] carrying the request's trace span
-    /// (stamped at each scheduler seam when observability is on).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ErrorCode::Shutdown`] once
-    /// [`SessionRegistry::shutdown`] has been called.
-    pub fn submit_traced(
+    /// Enqueues a request and returns the receiver its response will
+    /// arrive on — [`SessionRegistry::submit_with`] for callers that
+    /// block (the threaded engine, tests, benches). After
+    /// [`SessionRegistry::shutdown`] the response is an
+    /// [`ErrorCode::Shutdown`] error.
+    pub fn submit(
         &self,
         request: SessionRequest,
         span: Option<SpanHandle>,
-    ) -> Result<mpsc::Receiver<Response>, WireError> {
-        if self.stop.load(Ordering::Acquire) {
-            return Err(shutdown_error());
-        }
-        let entry = self.entry(&request.session);
+    ) -> mpsc::Receiver<Response> {
         let (tx, rx) = mpsc::channel();
-        let mut st = lock_unpoisoned(&entry.state);
-        while st.queue.len() >= self.config.queue_capacity {
-            if self.stop.load(Ordering::Acquire) {
-                return Err(shutdown_error());
-            }
-            st = entry.space.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        let job = Job {
-            request,
-            reply: Responder::Channel(tx),
-            span,
-        };
-        if let Err((_, e)) = self.push_job(entry.clone(), st, job) {
-            return Err(e);
-        }
-        Ok(rx)
+        self.submit_with(request, span, move |response| {
+            // The submitter may have hung up (dead connection); that's
+            // fine.
+            let _ = tx.send(response);
+        });
+        rx
     }
 
     /// Enqueues a request **without blocking** and delivers the
-    /// response through `reply` when a worker finishes it (or
-    /// immediately, with [`ErrorCode::Shutdown`], if the registry is
-    /// stopping). The caller is responsible for bounding its own
-    /// in-flight work — this is the reactor's entry point, and the
-    /// reactor's pipeline window is that bound.
-    pub fn submit_with(&self, request: SessionRequest, reply: Responder) {
-        self.submit_with_traced(request, reply, None);
-    }
-
-    /// [`SessionRegistry::submit_with`] carrying the request's trace
-    /// span.
-    pub fn submit_with_traced(
+    /// response through `reply` on the worker thread that finishes it
+    /// (or at once, with [`ErrorCode::Shutdown`], if the registry is
+    /// stopping). `span` is the request's trace span, stamped at each
+    /// scheduler seam when observability is on. The caller bounds its
+    /// own in-flight work (see the module docs on backpressure).
+    pub fn submit_with(
         &self,
         request: SessionRequest,
-        reply: Responder,
         span: Option<SpanHandle>,
+        reply: impl FnOnce(Response) + Send + 'static,
     ) {
-        if self.stop.load(Ordering::Acquire) {
-            let id = request.id;
-            reply.deliver(Response::err(id, shutdown_error()));
-            return;
-        }
-        let entry = self.entry(&request.session);
-        let st = lock_unpoisoned(&entry.state);
         let job = Job {
             request,
-            reply,
+            reply: Box::new(reply),
             span,
         };
-        if let Err(e) = self.push_job(entry.clone(), st, job) {
-            // push_job only fails on the shutdown race, and hands the
-            // job back inside the error.
-            let (job, _) = e;
-            let id = job.request.id;
-            job.reply.deliver(Response::err(id, shutdown_error()));
+        if self.stop.load(Ordering::Acquire) {
+            job.refuse();
+            return;
         }
-    }
-
-    /// The common enqueue tail: final stop check under the entry lock,
-    /// push, record the depth high-water mark, schedule. Returns the
-    /// job on the shutdown race so the caller can fail it properly.
-    #[allow(clippy::result_large_err)]
-    fn push_job(
-        &self,
-        entry: Arc<SessionEntry>,
-        mut st: MutexGuard<'_, EntryState>,
-        job: Job,
-    ) -> Result<(), (Job, WireError)> {
+        let entry = self.entry(&job.request.session);
+        let mut st = lock_unpoisoned(&entry.state);
         // Final stop check *under the entry lock*: shutdown() drains
         // this queue under the same lock after setting the flag, so a
         // push that observes `stop == false` here is ordered before the
@@ -469,7 +394,9 @@ impl SessionRegistry {
         // enqueued after the drain has passed, which would strand its
         // submitter waiting on a response no worker is left to serve.
         if self.stop.load(Ordering::Acquire) {
-            return Err((job, shutdown_error()));
+            drop(st);
+            job.refuse();
+            return;
         }
         if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
             obs.stamp(span, Phase::Enqueue);
@@ -485,12 +412,10 @@ impl SessionRegistry {
             drop(st);
             self.push_ready(entry);
         }
-        Ok(())
     }
 
-    /// Stops the worker pool: in-flight requests finish, queued requests
-    /// are answered with [`ErrorCode::Shutdown`], blocked submitters
-    /// wake with an error.
+    /// Stops the worker pool: in-flight requests finish, and queued or
+    /// later requests are answered with [`ErrorCode::Shutdown`].
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         self.ready_cv.notify_all();
@@ -507,10 +432,8 @@ impl SessionRegistry {
                 // re-locks.)
                 let drained: Vec<Job> = lock_unpoisoned(&e.state).queue.drain(..).collect();
                 for job in drained {
-                    let id = job.request.id;
-                    job.reply.deliver(Response::err(id, shutdown_error()));
+                    job.refuse();
                 }
-                e.space.notify_all();
             }
         }
     }
@@ -580,15 +503,18 @@ impl SessionRegistry {
         total
     }
 
-    /// The aggregated work counters the `metrics` op injects, as
-    /// `work.*` name/value pairs. A deliberate subset of
+    /// The registry-side counters the `metrics` op injects, as
+    /// name/value pairs: the eviction and restore events as
+    /// `obs.sessions_evicted` / `obs.sessions_restored` (the same
+    /// atomics [`SessionRegistry::stats`] reads), then the aggregated
+    /// work counters as `work.*` — a deliberate subset of
     /// [`SessionStats`]: the coarse per-op work drivers, not the
     /// cache-internals fine structure (`stats` and the core's own
     /// reporting keep the full set).
     #[must_use]
     pub fn work_counters(&self) -> Vec<(String, u64)> {
         let w = self.work_stats();
-        [
+        let work = [
             ("work.batch_applies", w.batch_applies),
             ("work.csr_rebuilds", w.csr_rebuilds),
             ("work.full_sssp", w.full_sssp),
@@ -598,8 +524,20 @@ impl SessionRegistry {
             ("work.snapshot_exports", w.snapshot_exports),
             ("work.snapshot_restores", w.snapshot_restores),
         ]
+        .map(|(name, v)| (name, v as u64));
+        [
+            (
+                "obs.sessions_evicted",
+                self.sessions_evicted.load(Ordering::Relaxed),
+            ),
+            (
+                "obs.sessions_restored",
+                self.sessions_restored.load(Ordering::Relaxed),
+            ),
+        ]
         .into_iter()
-        .map(|(name, v)| (name.to_owned(), v as u64))
+        .chain(work)
+        .map(|(name, v)| (name.to_owned(), v))
         .collect()
     }
 
@@ -623,7 +561,6 @@ impl SessionRegistry {
             Arc::new(SessionEntry {
                 name: name.to_owned(),
                 state: Mutex::new(EntryState::default()),
-                space: Condvar::new(),
             })
         }))
     }
@@ -734,7 +671,7 @@ impl SessionRegistry {
             }
         }
         for p in batch.drain(..) {
-            p.reply.deliver(p.response);
+            (p.reply)(p.response);
         }
     }
 
@@ -854,21 +791,19 @@ impl SessionRegistry {
     /// is what makes the WAL append (done here, while the session is
     /// checked out) precede the acknowledgement.
     fn process(&self, entry: &Arc<SessionEntry>, out: &mut Vec<PendingReply>) {
-        let (job, resident, created, dirty, mut wal) = {
+        let (job, mut slot, mut wal) = {
             let mut st = lock_unpoisoned(&entry.state);
             let Some(job) = st.queue.pop_front() else {
                 st.scheduled = false;
                 return;
             };
-            entry.space.notify_one();
             st.busy = true;
-            (
-                job,
-                st.resident.take(),
-                st.created,
-                st.dirty,
-                st.wal.clone(),
-            )
+            let slot = Slot {
+                resident: st.resident.take(),
+                created: st.created,
+                dirty: st.dirty,
+            };
+            (job, slot, st.wal.clone())
         };
         if let Some(obs) = &self.obs {
             obs.set().queue_wait_events.inc();
@@ -880,12 +815,10 @@ impl SessionRegistry {
         // the residency drop so they can be folded into the entry's
         // `carried` tally below.
         let mut departed: Option<SessionStats> = None;
-        let mut outcome = self.run_job(
+        let mut response = self.run_job(
             &entry.name,
             &job.request,
-            resident,
-            created,
-            dirty,
+            &mut slot,
             &mut wal,
             &mut departed,
         );
@@ -903,7 +836,7 @@ impl SessionRegistry {
         let mut reply_wal = None;
         if self.config.durability.is_wal()
             && job.request.op.is_wal_logged()
-            && outcome.response.outcome.is_ok()
+            && response.outcome.is_ok()
         {
             let appended = self.wal_for(&entry.name, &mut wal).and_then(|w| {
                 lock_unpoisoned(&w).append(&Request::Session(job.request.clone()))?;
@@ -921,7 +854,7 @@ impl SessionRegistry {
                     reply_wal = Some(w);
                 }
                 Err(e) => {
-                    outcome.response = Response::err(
+                    response = Response::err(
                         job.request.id,
                         WireError::new(ErrorCode::Io, format!("wal append failed: {e}")),
                     );
@@ -931,15 +864,15 @@ impl SessionRegistry {
         {
             let mut st = lock_unpoisoned(&entry.state);
             st.busy = false;
-            st.created = outcome.created;
-            st.dirty = outcome.dirty;
+            st.created = slot.created;
+            st.dirty = slot.dirty;
             st.wal = wal;
             if let Some(stats) = &departed {
                 st.carried.merge(stats);
             }
-            let new_bytes = outcome.resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
+            let new_bytes = slot.resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
             self.account(&mut st, new_bytes);
-            st.resident = outcome.resident;
+            st.resident = slot.resident;
             let old_stamp = st.last_used;
             st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             // Re-key the eviction index (entry lock → index lock, the
@@ -972,42 +905,34 @@ impl SessionRegistry {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         out.push(PendingReply {
             reply: job.reply,
-            response: outcome.response,
+            response,
             wal: reply_wal,
             span: job.span,
         });
     }
 
-    /// The lifecycle-aware execution of one request. Queries and
+    /// The lifecycle-aware execution of one request against the
+    /// checked-out `slot`, which it edits in place. Queries and
     /// mutations restore a spilled session transparently; `create`
     /// builds, `snapshot`/`evict` persist, `load` is an explicit
     /// restore. When an op drops a resident session (explicit evict),
     /// its work counters land in `departed` for the caller to fold
     /// into the entry's carried tally.
-    #[allow(clippy::too_many_arguments)]
     fn run_job(
         &self,
         name: &str,
         request: &SessionRequest,
-        resident: Option<Box<GameSession>>,
-        created: bool,
-        dirty: bool,
+        slot: &mut Slot,
         wal: &mut Option<Arc<Mutex<SessionWal>>>,
         departed: &mut Option<SessionStats>,
-    ) -> JobOutcome {
+    ) -> Response {
         let id = request.id;
 
         // The audit ops answer from the log alone — no residency, no
         // restore. Routed through the scheduler like everything else so
         // the answer is serialised against the session's own appends.
         if matches!(request.op, SessionOp::WalHead | SessionOp::WalVerify) {
-            let response = self.wal_audit(name, request, created, wal.as_ref());
-            return JobOutcome {
-                response,
-                resident,
-                created,
-                dirty,
-            };
+            return self.wal_audit(name, request, slot.created, wal.as_ref());
         }
 
         // A poisoned log quarantines its session: after a failed append
@@ -1025,43 +950,29 @@ impl SessionRegistry {
                      failure; restart the server to recover the durable state"
                 ),
             );
-            return JobOutcome {
-                response: Response::err(id, e),
-                resident,
-                created,
-                dirty,
-            };
+            return Response::err(id, e);
         }
 
         if let SessionOp::Create(spec) = &request.op {
-            if created {
+            if slot.created {
                 let e = WireError::new(
                     ErrorCode::SessionExists,
                     format!("session {name:?} already exists"),
                 );
-                return JobOutcome {
-                    response: Response::err(id, e),
-                    resident,
-                    created,
-                    dirty,
-                };
+                return Response::err(id, e);
             }
             return match ops::build_session(spec) {
                 Ok(session) => {
                     self.sessions_created.fetch_add(1, Ordering::Relaxed);
-                    JobOutcome {
-                        response: Response::ok(id, ops::create_result(&session)),
+                    let response = Response::ok(id, ops::create_result(&session));
+                    *slot = Slot {
                         resident: Some(Box::new(session)),
                         created: true,
                         dirty: true,
-                    }
+                    };
+                    response
                 }
-                Err(e) => JobOutcome {
-                    response: Response::err(id, e),
-                    resident,
-                    created,
-                    dirty,
-                },
+                Err(e) => Response::err(id, e),
             };
         }
 
@@ -1071,50 +982,35 @@ impl SessionRegistry {
         // a multi-megabyte snapshot just to persist and re-drop it
         // would be pure waste and would inflate the gated
         // evict/restore counters.
-        if resident.is_none()
-            && created
+        if slot.resident.is_none()
+            && slot.created
             && matches!(request.op, SessionOp::Snapshot | SessionOp::Evict)
         {
             let result = match request.op {
                 SessionOp::Snapshot => ResultBody::Persisted,
                 _ => ResultBody::Evicted,
             };
-            return JobOutcome {
-                response: Response::ok(id, result),
-                resident: None,
-                created,
-                dirty,
-            };
+            return Response::ok(id, result);
         }
 
         // Everything else needs a resident session: restore a spilled
         // one, or (for `load`) cold-start from a file nothing remembers.
-        let mut dirty = dirty;
-        let mut created = created;
-        let mut resident = match resident {
+        let mut resident = match slot.resident.take() {
             Some(s) => s,
             None => {
-                if !created && !matches!(request.op, SessionOp::Load) {
+                if !slot.created && !matches!(request.op, SessionOp::Load) {
                     let e = WireError::new(
                         ErrorCode::UnknownSession,
                         format!("unknown session {name:?}"),
                     );
-                    return JobOutcome {
-                        response: Response::err(id, e),
-                        resident: None,
-                        created,
-                        dirty,
-                    };
+                    return Response::err(id, e);
                 }
                 match snapshot::load(&self.spill_path(name)) {
                     Ok(mut s) => {
                         ops::tune_for_service(&mut s);
                         self.sessions_restored.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &self.obs {
-                            obs.set().sessions_restored.inc();
-                        }
-                        created = true;
-                        dirty = false;
+                        slot.created = true;
+                        slot.dirty = false;
                         Box::new(s)
                     }
                     Err(e) => {
@@ -1122,92 +1018,57 @@ impl SessionRegistry {
                             ErrorCode::Io,
                             format!("cannot restore session {name:?}: {e}"),
                         );
-                        return JobOutcome {
-                            response: Response::err(id, e),
-                            resident: None,
-                            created,
-                            dirty,
-                        };
+                        return Response::err(id, e);
                     }
                 }
             }
         };
 
-        match &request.op {
-            SessionOp::Load => JobOutcome {
-                response: Response::ok(id, ops::loaded_result(&resident)),
-                resident: Some(resident),
-                created,
-                dirty,
-            },
-            SessionOp::Snapshot => match self.spill(name, &mut resident, dirty, wal.as_ref()) {
-                Ok(()) => JobOutcome {
-                    response: Response::ok(id, ResultBody::Persisted),
-                    resident: Some(resident),
-                    created,
-                    dirty: false,
-                },
-                Err(e) => JobOutcome {
-                    response: Response::err(
+        let response = match &request.op {
+            SessionOp::Load => Response::ok(id, ops::loaded_result(&resident)),
+            SessionOp::Snapshot => {
+                match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
+                    Ok(()) => {
+                        slot.dirty = false;
+                        Response::ok(id, ResultBody::Persisted)
+                    }
+                    Err(e) => Response::err(
                         id,
                         WireError::new(ErrorCode::Io, format!("snapshot failed: {e}")),
                     ),
-                    resident: Some(resident),
-                    created,
-                    dirty,
-                },
-            },
+                }
+            }
             // The explicit evict spills (compacting the WAL to a mark
             // covering everything so far) *before* `process` appends
             // the evict record itself — so a recovered tail may end
             // with a trailing evict, which replay treats as a
             // placement-only no-op.
-            SessionOp::Evict => match self.spill(name, &mut resident, dirty, wal.as_ref()) {
+            SessionOp::Evict => match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
                 Ok(()) => {
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        obs.set().sessions_evicted.inc();
-                    }
                     // The session leaves residency here; its work
                     // counters survive in the entry's carried tally.
                     *departed = Some(resident.stats());
-                    JobOutcome {
-                        response: Response::ok(id, ResultBody::Evicted),
-                        resident: None,
-                        created,
-                        dirty: false,
-                    }
+                    slot.dirty = false;
+                    return Response::ok(id, ResultBody::Evicted);
                 }
-                Err(e) => JobOutcome {
-                    response: Response::err(
-                        id,
-                        WireError::new(ErrorCode::Io, format!("evict failed: {e}")),
-                    ),
-                    resident: Some(resident),
-                    created,
-                    dirty,
-                },
+                Err(e) => Response::err(
+                    id,
+                    WireError::new(ErrorCode::Io, format!("evict failed: {e}")),
+                ),
             },
-            op => {
-                let mutating = op.is_mutating();
-                match ops::execute_query(op, &mut resident) {
-                    Ok(result) => JobOutcome {
-                        response: Response::ok(id, result),
-                        resident: Some(resident),
-                        created,
-                        dirty: dirty || mutating,
-                    },
-                    Err(e) => JobOutcome {
-                        // A failed mutation (validation happens up
-                        // front) leaves the session untouched.
-                        response: Response::err(id, e),
-                        resident: Some(resident),
-                        created,
-                        dirty,
-                    },
+            op => match ops::execute_query(op, &mut resident) {
+                Ok(result) => {
+                    slot.dirty |= op.is_mutating();
+                    Response::ok(id, result)
                 }
-            }
-        }
+                // A failed mutation (validation happens up front)
+                // leaves the session untouched.
+                Err(e) => Response::err(id, e),
+            },
+        };
+        slot.resident = Some(resident);
+        response
     }
 
     /// Answers `wal_head` / `wal_verify` for one session.
@@ -1326,9 +1187,6 @@ impl SessionRegistry {
             let (mut s, mark) = snapshot::load_with_mark(&snap_path)?;
             ops::tune_for_service(&mut s);
             self.sessions_restored.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.set().sessions_restored.inc();
-            }
             (Some(Box::new(s)), mark, true)
         } else {
             (None, 0, false)
@@ -1487,9 +1345,6 @@ impl SessionRegistry {
                     // the eviction index (entry lock → index lock).
                     lock_unpoisoned(&self.evict_index).remove(&(st.last_used, victim.name.clone()));
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        obs.set().sessions_evicted.inc();
-                    }
                 }
                 Err(_) => {
                     // Disk trouble: keep the session resident and stop
@@ -1523,7 +1378,7 @@ mod tests {
     }
 
     fn submit_and_wait(registry: &SessionRegistry, body: Value) -> Value {
-        let rx = registry.submit(decode_session(&body)).expect("accepting");
+        let rx = registry.submit(decode_session(&body), None);
         json::encode_response(&rx.recv().expect("response"))
     }
 
@@ -1720,29 +1575,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_is_bounded_and_recorded() {
+    fn queue_depth_is_recorded() {
         let dir = test_dir("depth");
         let registry = SessionRegistry::new(RegistryConfig {
             spill_dir: dir.clone(),
-            queue_capacity: 8,
             ..RegistryConfig::default()
         })
         .unwrap();
         // No workers yet: queue up a burst, then start the pool.
         let mut receivers = Vec::new();
-        receivers.push(
-            registry
-                .submit(decode_session(&create_body("q", &[0.0, 1.0, 2.0])))
-                .unwrap(),
-        );
+        receivers.push(registry.submit(decode_session(&create_body("q", &[0.0, 1.0, 2.0])), None));
         for _ in 0..7 {
-            receivers.push(
-                registry
-                    .submit(decode_session(
-                        &json!({ "op": "social_cost", "session": "q" }),
-                    ))
-                    .unwrap(),
-            );
+            receivers.push(registry.submit(
+                decode_session(&json!({ "op": "social_cost", "session": "q" })),
+                None,
+            ));
         }
         assert_eq!(registry.stats().queue_depth_hwm, 8);
         let workers = registry.spawn_workers(2);
@@ -1769,15 +1616,17 @@ mod tests {
         let tx2 = tx.clone();
         registry.submit_with(
             decode_session(&create_body("cb", &[0.0, 1.0, 2.0])),
-            Responder::callback(move |r| {
+            None,
+            move |r| {
                 let _ = tx.send(r);
-            }),
+            },
         );
         registry.submit_with(
             decode_session(&json!({ "op": "social_cost", "session": "cb", "id": 1 })),
-            Responder::callback(move |r| {
+            None,
+            move |r| {
                 let _ = tx2.send(r);
-            }),
+            },
         );
         let first = rx.recv().unwrap();
         let second = rx.recv().unwrap();
@@ -1790,11 +1639,21 @@ mod tests {
         let (tx, rx) = mpsc::channel::<Response>();
         registry.submit_with(
             decode_session(&json!({ "op": "social_cost", "session": "cb" })),
-            Responder::callback(move |r| {
+            None,
+            move |r| {
                 let _ = tx.send(r);
-            }),
+            },
         );
         let r = rx.recv().unwrap();
+        assert_eq!(r.outcome.unwrap_err().code, ErrorCode::Shutdown);
+        // The channel wrapper answers the same way.
+        let r = registry
+            .submit(
+                decode_session(&json!({ "op": "social_cost", "session": "cb" })),
+                None,
+            )
+            .recv()
+            .unwrap();
         assert_eq!(r.outcome.unwrap_err().code, ErrorCode::Shutdown);
         for w in workers {
             w.join().unwrap();

@@ -18,6 +18,13 @@
 //! Either way, registry-level ops (`ping`, `stats`, `hello`) answer
 //! inline without touching the scheduler, and per-connection responses
 //! arrive in request order.
+//!
+//! Both models hand session requests to the scheduler through the same
+//! non-blocking [`SessionRegistry::submit_with`] and bound what one
+//! connection has in flight: the threaded model by waiting on each
+//! response (one request at a time), the reactor by its
+//! `PIPELINE_WINDOW`. That per-connection bound is the service's
+//! backpressure — the registry's queues are not bounded themselves.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,14 +32,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use sp_json::{frame, Value};
+use sp_json::frame;
 use sp_obs::{Phase, SpanHandle};
 
 use crate::config::ServeConfig;
 use crate::registry::SessionRegistry;
 use crate::wire::{
-    json, ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError,
-    PROTO_BINARY, PROTO_JSON,
+    ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError, PROTO_BINARY,
+    PROTO_JSON,
 };
 
 /// Which connection I/O engine a [`Server`] runs.
@@ -73,7 +80,7 @@ impl Server {
     /// [`crate::config::Durability::Wal`]) startup WAL recovery
     /// failures.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
-        let registry = SessionRegistry::new(config.registry())?;
+        let registry = SessionRegistry::new(config.registry)?;
         let worker_handles = registry.spawn_workers(config.workers);
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -191,17 +198,10 @@ fn start_threaded(listener: TcpListener, registry: &Arc<SessionRegistry>) -> io:
 }
 
 /// Computes the response for one typed request — the single routing
-/// point shared by both I/O models and the legacy [`respond`] entry.
-/// Session requests block on the scheduler; everything else answers
-/// inline.
-#[must_use]
-pub fn respond_request(registry: &SessionRegistry, request: Request) -> Response {
-    respond_request_traced(registry, request, None)
-}
-
-/// [`respond_request`] carrying the request's trace span. Session
-/// requests hand the span to the scheduler (which stamps the queue and
-/// execution phases); inline ops stamp [`Phase::Execute`] themselves.
+/// point shared by both I/O models. Session requests block on the
+/// scheduler and hand it `span` (which it stamps at the queue and
+/// execution phases); everything else answers inline and stamps
+/// [`Phase::Execute`] itself.
 #[must_use]
 pub(crate) fn respond_request_traced(
     registry: &SessionRegistry,
@@ -213,15 +213,12 @@ pub(crate) fn respond_request_traced(
         // returns before the inline Execute stamp below.
         Request::Session(req) => {
             let id = req.id;
-            return match registry.submit_traced(req, span) {
-                Err(e) => Response::err(id, e),
-                Ok(rx) => rx.recv().unwrap_or_else(|_| {
-                    Response::err(
-                        id,
-                        WireError::new(ErrorCode::Shutdown, "server shutting down"),
-                    )
-                }),
-            };
+            return registry.submit(req, span).recv().unwrap_or_else(|_| {
+                Response::err(
+                    id,
+                    WireError::new(ErrorCode::Shutdown, "server shutting down"),
+                )
+            });
         }
         // A hello that reaches the router (rather than the negotiation
         // state machine) is answered statelessly: the version echo
@@ -265,18 +262,6 @@ pub(crate) fn respond_request_traced(
         obs.stamp(span, Phase::Execute);
     }
     response
-}
-
-/// The protocol-1 convenience router: decodes a JSON request value,
-/// routes it, and encodes the JSON response value. Kept for tests and
-/// tools that hold `Value`s; the connection handlers speak
-/// [`respond_request`] through a [`ConnProtocol`].
-#[must_use]
-pub fn respond(registry: &SessionRegistry, request: &Value) -> Value {
-    match json::decode_request(request) {
-        Ok(req) => json::encode_response(&respond_request(registry, req)),
-        Err(e) => json::encode_response(&Response::err(e.id, e.error)),
-    }
 }
 
 fn handle_connection(stream: TcpStream, registry: &SessionRegistry) {
@@ -331,5 +316,64 @@ fn handle_connection(stream: TcpStream, registry: &SessionRegistry) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sp_core::BackendMode;
+
+    use super::*;
+    use crate::client::ServeClient;
+    use crate::wire::{GameSpec, Geometry};
+
+    /// Synchronous clients on the threaded engine.
+    const CLIENTS: usize = 4;
+
+    #[test]
+    fn threaded_connections_queue_one_request_each() {
+        let dir =
+            std::env::temp_dir().join(format!("sp-serve-server-threaded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(
+            ServeConfig::new()
+                .workers(1)
+                .io(IoModel::Threaded)
+                .spill_dir(dir.clone()),
+        )
+        .expect("server starts");
+        assert!(!server.uses_reactor());
+        let addr = server.local_addr();
+        let mut setup = ServeClient::connect(addr, PROTO_JSON).expect("connect");
+        setup
+            .create(
+                "t",
+                GameSpec {
+                    alpha: 1.0,
+                    geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
+                    links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
+                    mode: BackendMode::Dense,
+                },
+            )
+            .expect("create");
+        // Every client hammers the one session; a threaded connection
+        // waits for each response before it sends the next request.
+        std::thread::scope(|scope| {
+            for _ in 0..CLIENTS {
+                scope.spawn(|| {
+                    let mut client = ServeClient::connect(addr, PROTO_JSON).expect("connect");
+                    for _ in 0..50 {
+                        client.social_cost("t").expect("social_cost");
+                    }
+                });
+            }
+        });
+        let hwm = server.registry().stats().queue_depth_hwm;
+        assert!(
+            (1..=CLIENTS).contains(&hwm),
+            "{CLIENTS} synchronous connections queued {hwm} jobs on one session"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -57,7 +57,6 @@ fn run_replay(
             .io(io)
             .memory_budget(budget)
             .spill_dir(dir.clone())
-            .queue_capacity(32)
             .obs(ObsConfig {
                 enabled: true,
                 quiet: true,

@@ -64,12 +64,14 @@ fn add_link(from: usize, to: usize) -> SessionOp {
 /// Submits one op and blocks for its response.
 fn call(registry: &SessionRegistry, session: &str, op: SessionOp) -> Response {
     registry
-        .submit(SessionRequest {
-            id: None,
-            session: session.to_owned(),
-            op,
-        })
-        .expect("accepted")
+        .submit(
+            SessionRequest {
+                id: None,
+                session: session.to_owned(),
+                op,
+            },
+            None,
+        )
         .recv()
         .expect("answered")
 }
@@ -346,15 +348,14 @@ fn eviction_flushes_pending_records_before_spilling() {
         ("aa", add_link(0, 2)),
         ("bb", SessionOp::Create(spec())),
     ] {
-        receivers.push(
-            registry
-                .submit(SessionRequest {
-                    id: None,
-                    session: session.to_owned(),
-                    op,
-                })
-                .expect("accepted"),
-        );
+        receivers.push(registry.submit(
+            SessionRequest {
+                id: None,
+                session: session.to_owned(),
+                op,
+            },
+            None,
+        ));
     }
     // All three drain as one batch: "aa" is evicted while its records
     // are still pending (the group commit only runs at batch end).
