@@ -20,18 +20,12 @@
 //!   every response must be bit-identical to the single-threaded
 //!   no-eviction reference executor.
 //!
-//! PR 8 adds two more gated counter families: **bytes on the wire**
-//! (the fixed counter script plus its reference responses encoded
-//! through both codecs — the committed proof the binary protocol
-//! shrinks the stream) and the **syscall-equivalent wakeup model** of
-//! the two I/O engines (the reactor's batched pipelining vs the
-//! threaded engine's one-wakeup-per-request baseline).
-//!
-//! PR 10 adds the **observability counters**: the fixed workload with
-//! `--obs` on under the deterministic tick clock, every `ObsMetricSet`
-//! counter cross-checked against the registry's own stats and gated —
-//! spans completed, queue waits, WAL appends, commit batches, slow
-//! logs, evictions, restores.
+//! Two more gated counter families: **bytes on the wire** (the fixed
+//! counter script plus its reference responses, encoded and framed)
+//! and the **observability counters**: the fixed workload with `--obs`
+//! on under the deterministic tick clock, every `ObsMetricSet` counter
+//! cross-checked against the registry's own stats and gated — spans
+//! completed, queue waits, WAL appends, commit batches, slow logs.
 //!
 //! Snapshot committed as `BENCH_serve_throughput.json`.
 
@@ -42,7 +36,7 @@ use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
 use sp_serve::registry::{RegistryConfig, SessionRegistry};
 use sp_serve::server::Server;
-use sp_serve::wire::{Codec, GameSpec, Geometry, SessionOp, SessionRequest, PROTO_JSON};
+use sp_serve::wire::{binary, GameSpec, Geometry, Response, SessionOp, SessionRequest};
 use sp_serve::workload::{self, WorkloadConfig};
 
 /// The fixed counter workload (independent of `BENCH_QUICK`, so the
@@ -58,14 +52,9 @@ const COUNTER_CFG: WorkloadConfig = WorkloadConfig {
 /// resident footprint, forcing continuous evict/restore cycles.
 const COUNTER_BUDGET: usize = 8 << 20;
 
-/// Scripted burst length for the deterministic queue-depth counter, and
-/// the per-batch frame count of the pipelining model below. Must not
-/// exceed the reactor's per-connection pipeline window or the model's
-/// batches would stall mid-flight.
+/// Scripted burst length for the deterministic queue-depth and
+/// group-commit counters.
 const BURST: usize = 16;
-
-#[cfg(target_os = "linux")]
-const _: () = assert!(BURST as u64 <= sp_serve::reactor::PIPELINE_WINDOW);
 
 fn spill_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sp-serve-bench-{tag}-{}", std::process::id()));
@@ -87,7 +76,7 @@ fn run_served(
     budget: usize,
     workers: usize,
     clients: usize,
-) -> (Vec<sp_json::Value>, sp_serve::registry::RegistryStats) {
+) -> (Vec<Response>, sp_serve::registry::RegistryStats) {
     let dir = spill_dir(tag);
     let server = Server::start(
         ServeConfig::new()
@@ -97,12 +86,22 @@ fn run_served(
     )
     .expect("server starts");
     let script = workload::build_script(cfg);
-    let outcome =
-        workload::replay(server.local_addr(), &script, clients, PROTO_JSON).expect("replay runs");
+    let outcome = workload::replay(server.local_addr(), &script, clients).expect("replay runs");
     let stats = server.registry().stats();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     (outcome.responses, stats)
+}
+
+/// Panics at the first served response that does not encode to the
+/// reference's bytes.
+fn assert_matches_reference(pass: &str, served: &[Response], reference: &[Response]) {
+    if let Err(k) = workload::verify(served, reference) {
+        panic!(
+            "{pass} response {k} diverged from reference:\n  served:    {:?}\n  reference: {:?}",
+            served[k], reference[k]
+        );
+    }
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
@@ -139,10 +138,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
 
     // ---- counter pass: deterministic evict/restore accounting ----------
     let (served, stats) = run_served("counters", &COUNTER_CFG, COUNTER_BUDGET, 1, 1);
-    let reference = workload::reference_responses(&workload::build_script(&COUNTER_CFG));
-    if let Err((k, s, r)) = workload::verify(&served, &reference) {
-        panic!("serve response {k} diverged from reference:\n  served:    {s}\n  reference: {r}");
-    }
+    let reference = workload::reference_typed(&workload::build_script(&COUNTER_CFG));
+    assert_matches_reference("serve", &served, &reference);
     assert!(
         stats.sessions_evicted > 0 && stats.sessions_restored > 0,
         "the counter workload must cycle sessions through the spill path: {stats:?}"
@@ -196,13 +193,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
     )
     .expect("server starts");
     let script = workload::build_script(&COUNTER_CFG);
-    let outcome =
-        workload::replay(server.local_addr(), &script, 1, PROTO_JSON).expect("replay runs");
-    if let Err((k, s, r)) = workload::verify(&outcome.responses, &reference) {
-        panic!(
-            "WAL-mode response {k} diverged from reference:\n  served:    {s}\n  reference: {r}"
-        );
-    }
+    let outcome = workload::replay(server.local_addr(), &script, 1).expect("replay runs");
+    assert_matches_reference("WAL-mode", &outcome.responses, &reference);
     let wal_stats = server.registry().stats();
     server.shutdown();
     assert!(
@@ -359,86 +351,24 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     c.report_value("serve_counters/queue_depth_hwm", depth as f64, "depth");
 
-    // ---- codec counter: bytes on the wire, both protocols --------------
+    // ---- codec counter: bytes on the wire ------------------------------
     // Every request of the fixed counter script plus its reference
-    // response, encoded through each codec with the 4-byte length prefix
-    // counted in. Both codecs are deterministic functions of the typed
-    // values, so these totals are machine-independent — and the binary
-    // total is the committed proof that protocol 2 actually shrinks the
-    // stream relative to the JSON baseline (bench_check gates `bytes`
-    // as more-is-worse).
+    // response, encoded with the 4-byte length prefix counted in. The
+    // codec is a deterministic function of the typed values, so the
+    // total is machine-independent (bench_check gates `bytes` as
+    // more-is-worse).
     let script = workload::build_script(&COUNTER_CFG);
-    let reference = workload::reference_typed(&script);
-    let mut json_bytes = 0usize;
     let mut binary_bytes = 0usize;
     for (r, resp) in script.iter().zip(&reference) {
-        json_bytes += 4 + Codec::Json.encode_request(&r.request).len();
-        json_bytes += 4 + Codec::Json.encode_response(resp).len();
-        binary_bytes += 4 + Codec::Binary.encode_request(&r.request).len();
-        binary_bytes += 4 + Codec::Binary.encode_response(resp).len();
+        binary_bytes += 4 + binary::encode_request(&r.request).len();
+        binary_bytes += 4 + binary::encode_response(resp).len();
     }
-    assert!(
-        binary_bytes < json_bytes,
-        "the binary codec must beat JSON on the wire: {binary_bytes} >= {json_bytes}"
-    );
     println!(
         "wire bytes for the {}-request counter script (requests + responses, framed): \
-         json {json_bytes}, binary {binary_bytes} ({:.1}% of json)",
+         {binary_bytes}",
         script.len(),
-        100.0 * binary_bytes as f64 / json_bytes as f64,
     );
-    c.report_value("wire/json_bytes", json_bytes as f64, "bytes");
     c.report_value("wire/binary_bytes", binary_bytes as f64, "bytes");
-
-    // ---- reactor counter: syscall-equivalent wakeups under pipelining --
-    // Real epoll wakeup counts depend on kernel scheduling and TCP
-    // segmentation, so the gated counter is the *deterministic model* of
-    // the two I/O engines over the same script, using the engines' own
-    // constants:
-    //
-    // * threaded engine — strictly closed-loop, one blocked `read(2)`
-    //   wakeup per request (the response write happens on the
-    //   already-running thread): `requests` wakeups;
-    // * reactor — a client pipelines `BURST`-frame batches (within the
-    //   reactor's `PIPELINE_WINDOW`, checked at compile time above), and
-    //   level-triggered epoll hands the loop one readable event per
-    //   arrived batch plus one writable event to flush the batched
-    //   responses: `2 × ⌈requests / BURST⌉` wakeups.
-    //
-    // The model's honesty is anchored by the reactor's pipelining tests
-    // (responses to a burst return in order off one wakeup) and gated
-    // here so the window or the batched-flush design can't silently
-    // regress: `wakeups` is more-is-worse, and the committed snapshot
-    // keeps the reactor at least 2× below the threaded baseline.
-    let requests = COUNTER_CFG.requests;
-    let baseline_wakeups = requests;
-    let batches = requests.div_ceil(BURST);
-    let reactor_wakeups = 2 * batches;
-    // Frames that rode a wakeup another frame already paid for — the
-    // pipelining payoff (less-is-worse would be backwards: bench_check
-    // treats `frames` as more-is-better).
-    let pipelined_frames = requests - batches;
-    assert!(
-        2 * reactor_wakeups <= baseline_wakeups,
-        "the reactor model must stay at least 2x below the threaded baseline: \
-         {reactor_wakeups} vs {baseline_wakeups}"
-    );
-    println!(
-        "wakeup model for {requests} requests: threaded {baseline_wakeups}, \
-         reactor {reactor_wakeups} ({batches} batches of {BURST}, {pipelined_frames} \
-         frames pipelined)"
-    );
-    c.report_value(
-        "serve_reactor/baseline_wakeups",
-        baseline_wakeups as f64,
-        "wakeups",
-    );
-    c.report_value("serve_reactor/wakeups", reactor_wakeups as f64, "wakeups");
-    c.report_value(
-        "serve_reactor/pipelined_frames",
-        pipelined_frames as f64,
-        "frames",
-    );
 
     // ---- obs counter pass: deterministic tracing accounting ------------
     // The fixed workload once more with observability **on**: the tick
@@ -448,7 +378,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // lines themselves. Responses must stay bit-identical — tracing
     // observes the pipeline, it never steers it — and every
     // `ObsMetricSet` counter is cross-checked against the registry's
-    // own stats for the same run, which makes all seven
+    // own stats for the same run, which makes all five
     // machine-independent and gateable.
     let dir = spill_dir("obs");
     let server = Server::start(
@@ -465,16 +395,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
             }),
     )
     .expect("server starts");
-    let outcome =
-        workload::replay(server.local_addr(), &script, 1, PROTO_JSON).expect("replay runs");
-    let obs_reference = workload::reference_responses(&script);
-    if let Err((k, s, r)) = workload::verify(&outcome.responses, &obs_reference) {
-        panic!(
-            "obs-mode response {k} diverged from reference:\n  served:    {s}\n  reference: {r}"
-        );
-    }
-    let mut client =
-        ServeClient::connect(server.local_addr(), PROTO_JSON).expect("metrics connection");
+    let outcome = workload::replay(server.local_addr(), &script, 1).expect("replay runs");
+    assert_matches_reference("obs-mode", &outcome.responses, &reference);
+    let mut client = ServeClient::connect(server.local_addr()).expect("metrics connection");
     let metrics = client.metrics().expect("metrics answers with --obs on");
     let obs_stats = server.registry().stats();
     server.shutdown();
@@ -493,8 +416,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
         let wal_append_events = get("obs.wal_append_events");
         let fsync_batches = get("obs.fsync_batches");
         let slow_logged = get("obs.slow_logged");
-        let sessions_evicted = get("obs.sessions_evicted");
-        let sessions_restored = get("obs.sessions_restored");
         assert_eq!(
             spans_completed, COUNTER_CFG.requests as u64,
             "every replayed request must complete exactly one span"
@@ -509,12 +430,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
         );
         assert_eq!(wal_append_events, obs_stats.wal_records);
         assert_eq!(fsync_batches, obs_stats.wal_fsyncs);
-        assert_eq!(sessions_evicted, obs_stats.sessions_evicted);
-        assert_eq!(sessions_restored, obs_stats.sessions_restored);
         println!(
             "obs workload: {spans_completed} spans, {queue_wait_events} queue waits, \
              {wal_append_events} WAL appends over {fsync_batches} commit batches, \
-             {sessions_evicted} evicted / {sessions_restored} restored, \
              {slow_logged} slow-logged — all responses bit-identical to the reference"
         );
         c.report_value("obs/spans_completed", spans_completed as f64, "spans");
@@ -522,12 +440,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
         c.report_value("obs/wal_append_events", wal_append_events as f64, "events");
         c.report_value("obs/fsync_batches", fsync_batches as f64, "batches");
         c.report_value("obs/slow_logged", slow_logged as f64, "spans");
-        c.report_value("obs/sessions_evicted", sessions_evicted as f64, "sessions");
-        c.report_value(
-            "obs/sessions_restored",
-            sessions_restored as f64,
-            "sessions",
-        );
     }
 }
 

@@ -171,10 +171,8 @@ fn more_is_worse(unit: &str) -> Option<bool> {
         // not drift at all.
         // `bytes` is peak session memory at the gated instance size —
         // the large-n counter proving the sparse path never grew a
-        // matrix — so more is worse like the work counters.
-        // `wakeups` counts syscall-equivalent scheduler wakeups in the
-        // serve I/O model: more wakeups means the reactor's batching
-        // regressed toward one-wakeup-per-request.
+        // matrix — or framed bytes on the wire; more is worse like the
+        // work counters.
         // `records`, `batches`, and `fsyncs` are the WAL counters for a
         // fixed deterministic workload: records appended, group-commit
         // batches, and durability sync points. All count write-path
@@ -186,13 +184,11 @@ fn more_is_worse(unit: &str) -> Option<bool> {
         // counts, so any drift means instrumentation fired twice (or
         // stopped firing — the benches assert the floors).
         "sweeps" | "rebuilds" | "rows" | "visits" | "count" | "moves" | "steps" | "requests"
-        | "sessions" | "depth" | "bytes" | "wakeups" | "records" | "batches" | "fsyncs"
-        | "spans" | "events" => Some(true),
+        | "sessions" | "depth" | "bytes" | "records" | "batches" | "fsyncs" | "spans"
+        | "events" => Some(true),
         // `hits` counts queries a cache or certified bound absorbed:
-        // fewer means the short-circuit stopped firing. `frames` counts
-        // pipelined frames that shared a wakeup — fewer means the
-        // pipeline window stopped carrying traffic.
-        "x" | "ratio" | "hits" | "frames" => Some(false),
+        // fewer means the short-circuit stopped firing.
+        "x" | "ratio" | "hits" => Some(false),
         _ => None,
     }
 }

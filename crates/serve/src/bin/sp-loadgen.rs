@@ -3,14 +3,13 @@
 //! ```text
 //! sp-loadgen --addr HOST:PORT [--clients C] [--sessions S]
 //!            [--requests R] [--peers N] [--seed SEED]
-//!            [--proto 1|2] [--quick | --acceptance] [--verify]
+//!            [--quick | --acceptance] [--verify]
 //!            [--server-metrics] [--crash-at K | --resume-at K]
 //! ```
 //!
 //! Builds the deterministic mixed workload (`sp_serve::workload`),
-//! replays it over `C` connections speaking the requested protocol
-//! version (1 = JSON, 2 = compact binary; session `i` is driven by
-//! client `i % C`, preserving per-session order), and prints throughput,
+//! replays it over `C` connections (session `i` is driven by client
+//! `i % C`, preserving per-session order), and prints throughput,
 //! **per-op latency histograms** (fixed machine-independent HDR-style
 //! buckets — p50/p99/p999), and the server's registry counters; the same
 //! numbers are emitted as one sp-json object on the final line. With
@@ -35,13 +34,12 @@ use std::process::ExitCode;
 use sp_json::{json, Value};
 use sp_obs::{format_ns, Histogram};
 use sp_serve::client::ServeClient;
-use sp_serve::wire::{json as wire_json, Request, ResultBody};
+use sp_serve::wire::{ResultBody, ServiceStats};
 use sp_serve::workload::{self, WorkloadConfig};
 
 struct Args {
     addr: String,
     clients: usize,
-    proto: u8,
     verify: bool,
     server_metrics: bool,
     crash_at: Option<usize>,
@@ -51,7 +49,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: sp-loadgen --addr HOST:PORT [--clients C] [--sessions S] [--requests R] \
-     [--peers N] [--seed SEED] [--proto 1|2] [--quick | --acceptance] [--verify] \
+     [--peers N] [--seed SEED] [--quick | --acceptance] [--verify] \
      [--server-metrics] [--crash-at K | --resume-at K]"
         .to_owned()
 }
@@ -60,7 +58,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: String::new(),
         clients: 8,
-        proto: 1,
         verify: false,
         server_metrics: false,
         crash_at: None,
@@ -76,13 +73,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match a.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--clients" => args.clients = parse_usize("--clients", value("--clients")?)?,
-            "--proto" => {
-                args.proto = match value("--proto")?.as_str() {
-                    "1" => 1,
-                    "2" => 2,
-                    other => return Err(format!("bad --proto value {other:?} (1|2)")),
-                };
-            }
             "--sessions" => {
                 explicit.push(("sessions", parse_usize("--sessions", value("--sessions")?)?));
             }
@@ -156,9 +146,9 @@ fn per_op_histograms(
 /// the slow end of its trace ring (`trace_tail`): counters and gauges
 /// as `name=value` lines, histograms and spans with human-readable
 /// latencies. Requires the server to run with `--obs`.
-fn print_server_metrics(addr: std::net::SocketAddr, proto: u8) -> Result<(), String> {
+fn print_server_metrics(addr: std::net::SocketAddr) -> Result<(), String> {
     let mut client =
-        ServeClient::connect(addr, proto).map_err(|e| format!("metrics connect failed: {e}"))?;
+        ServeClient::connect(addr).map_err(|e| format!("metrics connect failed: {e}"))?;
     let body = client
         .metrics()
         .map_err(|e| format!("metrics query failed: {e} (is the server running with --obs?)"))?;
@@ -196,12 +186,28 @@ fn print_server_metrics(addr: std::net::SocketAddr, proto: u8) -> Result<(), Str
     Ok(())
 }
 
+/// Prints the server's registry counters as `name = value` lines.
+fn print_stats(s: &ServiceStats) {
+    println!("server stats:");
+    for (name, v) in [
+        ("requests_served", s.requests_served),
+        ("sessions_created", s.sessions_created),
+        ("sessions_evicted", s.sessions_evicted),
+        ("sessions_restored", s.sessions_restored),
+        ("queue_depth_hwm", s.queue_depth_hwm as u64),
+        ("resident_sessions", s.resident_sessions as u64),
+        ("resident_bytes", s.resident_bytes as u64),
+    ] {
+        println!("  {name} = {v}");
+    }
+}
+
 /// Audits every workload session's WAL over the wire: `wal_verify`
 /// re-scans each log (CRC + hash chain) server-side. Any failure —
 /// including `bad_frame`/`chain_broken` from a tampered log — is fatal.
-fn audit_sessions(addr: std::net::SocketAddr, proto: u8, sessions: usize) -> Result<(), String> {
+fn audit_sessions(addr: std::net::SocketAddr, sessions: usize) -> Result<(), String> {
     let mut client =
-        ServeClient::connect(addr, proto).map_err(|e| format!("audit connect failed: {e}"))?;
+        ServeClient::connect(addr).map_err(|e| format!("audit connect failed: {e}"))?;
     let mut records = 0u64;
     for i in 0..sessions {
         let name = workload::session_name(i);
@@ -231,13 +237,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "workload: {} requests over {} sessions of {} peers (seed {}), {} clients, protocol {}",
-        args.cfg.requests,
-        args.cfg.sessions,
-        args.cfg.peers,
-        args.cfg.seed,
-        args.clients,
-        args.proto,
+        "workload: {} requests over {} sessions of {} peers (seed {}), {} clients",
+        args.cfg.requests, args.cfg.sessions, args.cfg.peers, args.cfg.seed, args.clients,
     );
     let script = workload::build_script(&args.cfg);
     // The crash gate replays a window of the full script; the mapping of
@@ -264,7 +265,7 @@ fn main() -> ExitCode {
             },
         );
     }
-    let outcome = match workload::replay(addr, window, args.clients, args.proto) {
+    let outcome = match workload::replay(addr, window, args.clients) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sp-loadgen: replay failed: {e}");
@@ -274,7 +275,7 @@ fn main() -> ExitCode {
     let failed = outcome
         .responses
         .iter()
-        .filter(|r| r.get("ok") != Some(&Value::Bool(true)))
+        .filter(|r| r.outcome.is_err())
         .count();
     let secs = outcome.wall.as_secs_f64();
     println!(
@@ -296,20 +297,15 @@ fn main() -> ExitCode {
             format_ns(h.max()),
         );
     }
-    match ServeClient::connect(addr, args.proto)
+    match ServeClient::connect(addr)
         .map_err(|e| e.to_string())
-        .and_then(|mut c| {
-            c.request(&Request::Stats { id: None })
-                .map_err(|e| e.to_string())
-        }) {
-        Ok(response) => println!(
-            "server stats: {}",
-            wire_json::encode_response(&response)["result"]
-        ),
+        .and_then(|mut c| c.stats().map_err(|e| e.to_string()))
+    {
+        Ok(stats) => print_stats(&stats),
         Err(e) => eprintln!("sp-loadgen: stats query failed: {e}"),
     }
     if args.server_metrics {
-        if let Err(e) = print_server_metrics(addr, args.proto) {
+        if let Err(e) = print_server_metrics(addr) {
             eprintln!("sp-loadgen: {e}");
             return ExitCode::FAILURE;
         }
@@ -324,7 +320,6 @@ fn main() -> ExitCode {
     let summary = json!({
         "requests": window.len(),
         "offset": lo,
-        "proto": usize::from(args.proto),
         "clients": args.clients,
         "wall_s": secs,
         "failed": failed,
@@ -340,20 +335,22 @@ fn main() -> ExitCode {
         // The reference executes the *full* script — recovery means the
         // served window must match the same window of a run that never
         // crashed — then only the replayed window is compared.
-        let reference = workload::reference_responses(&script);
+        let reference = workload::reference_typed(&script);
         match workload::verify(&outcome.responses, &reference[lo..hi]) {
             Ok(()) => println!("verify: all {} responses bit-identical", window.len()),
-            Err((k, served, expected)) => {
+            Err(k) => {
                 eprintln!(
-                    "verify: response {} diverged\n  served:    {served}\n  reference: {expected}",
+                    "verify: response {} diverged\n  served:    {:?}\n  reference: {:?}",
                     lo + k,
+                    outcome.responses[k],
+                    reference[lo + k],
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
     if args.resume_at.is_some() {
-        if let Err(e) = audit_sessions(addr, args.proto, args.cfg.sessions) {
+        if let Err(e) = audit_sessions(addr, args.cfg.sessions) {
             eprintln!("sp-loadgen: wal audit failed: {e}");
             return ExitCode::FAILURE;
         }

@@ -1,151 +1,60 @@
-//! Blocking clients for the sp-serve wire protocol, speaking either
-//! codec.
+//! The blocking sp-serve client.
 //!
 //! [`ServeClient`] is the public API: one typed method per op, each
 //! returning `Result<ResultBody, WireError>`, with connection setup and
-//! protocol negotiation hidden behind [`ServeClient::connect`]. Calls
+//! the hello handshake hidden behind [`ServeClient::connect`]. Calls
 //! are synchronous — one request, one response — which is exactly the
 //! closed-loop behaviour the load generator wants; parallelism comes
 //! from opening several clients.
 //!
 //! ```no_run
 //! use sp_serve::client::ServeClient;
-//! use sp_serve::wire::PROTO_BINARY;
 //!
-//! let mut client = ServeClient::connect("127.0.0.1:7171", PROTO_BINARY).unwrap();
+//! let mut client = ServeClient::connect("127.0.0.1:7171").unwrap();
 //! client.ping().unwrap();
 //! let cost = client.social_cost("alice").unwrap();
 //! let head = client.wal_head("alice").unwrap();
 //! # let _ = (cost, head);
 //! ```
-//!
-//! The raw frame-level `Client` underneath is crate-internal: tools
-//! and tests talk types, not hand-assembled frames.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use sp_core::{BestResponseMethod, Move, PeerId};
-use sp_json::{frame, json, Value};
+use sp_json::frame;
 
 use crate::wire::{
-    Codec, DynamicsSpec, ErrorCode, GameSpec, MetricsBody, Request, Response, ResultBody,
-    ServiceStats, SessionOp, SessionRequest, TraceSpanBody, WireError, PROTO_BINARY, PROTO_JSON,
-    TRACE_TAIL_DEFAULT_LIMIT,
+    binary, hello, DynamicsSpec, ErrorCode, GameSpec, MetricsBody, Request, Response, ResultBody,
+    ServiceStats, SessionOp, SessionRequest, TraceSpanBody, WireError, TRACE_TAIL_DEFAULT_LIMIT,
 };
-
-/// One TCP connection to an sp-serve instance, at the frame level.
-pub(crate) struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    codec: Codec,
-}
-
-impl Client {
-    /// Connects speaking implicit protocol 1 (JSON frames, no
-    /// handshake) — every pre-negotiation client did exactly this.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
-            codec: Codec::Json,
-        })
-    }
-
-    /// Connects and negotiates `proto` (1 = JSON, 2 = binary) with a
-    /// first-frame `hello`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors; a server that rejects the version
-    /// surfaces as [`io::ErrorKind::InvalidData`] carrying the typed
-    /// error message.
-    pub fn connect_proto<A: ToSocketAddrs>(addr: A, proto: u8) -> io::Result<Client> {
-        let mut client = Client::connect(addr)?;
-        if proto == PROTO_JSON {
-            return Ok(client);
-        }
-        // The hello travels — and is answered — in JSON regardless of
-        // the version asked for; only afterwards does the codec switch.
-        let verdict = client.call(&json!({ "op": "hello", "proto": usize::from(proto) }))?;
-        if verdict.get("ok") != Some(&Value::Bool(true)) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server rejected protocol {proto}: {verdict}"),
-            ));
-        }
-        if proto == PROTO_BINARY {
-            client.codec = Codec::Binary;
-        }
-        Ok(client)
-    }
-
-    /// The codec this connection speaks after negotiation.
-    #[must_use]
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Sends one raw protocol-1 JSON request and blocks for its
-    /// response. Only valid on JSON connections (the historical API,
-    /// kept for tools that hold untyped `Value`s).
-    ///
-    /// # Errors
-    ///
-    /// Propagates framing/transport errors; the server closing before
-    /// responding is [`io::ErrorKind::UnexpectedEof`]; calling this on a
-    /// binary connection is [`io::ErrorKind::InvalidInput`].
-    pub fn call(&mut self, request: &Value) -> io::Result<Value> {
-        if self.codec != Codec::Json {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "raw JSON calls are only valid on protocol-1 connections",
-            ));
-        }
-        frame::write_frame(&mut self.writer, request)?;
-        frame::read_frame(&mut self.reader)?.ok_or_else(closed_early)
-    }
-}
-
-fn closed_early() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        "server closed before responding",
-    )
-}
 
 /// The typed sp-serve client: one method per op, everything returning
 /// `Result<ResultBody, WireError>` — transport failures surface as
 /// [`ErrorCode::Io`] errors, so callers handle exactly one error shape.
-/// Works identically over either protocol; negotiation happens inside
-/// [`ServeClient::connect`] and never concerns the caller again.
 pub struct ServeClient {
-    inner: Client,
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
 }
 
 impl ServeClient {
-    /// Connects and negotiates `proto` (1 = JSON, 2 = compact binary).
+    /// Connects and sends the hello; every later frame is binary.
     ///
     /// # Errors
     ///
-    /// Propagates connection/negotiation failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A, proto: u8) -> io::Result<ServeClient> {
-        Ok(ServeClient {
-            inner: Client::connect_proto(addr, proto)?,
-        })
-    }
-
-    /// The negotiated protocol version.
-    #[must_use]
-    pub fn proto(&self) -> u8 {
-        self.inner.codec().proto()
+    /// Propagates transport errors; a server that rejects the hello
+    /// surfaces as [`io::ErrorKind::InvalidData`] carrying its verdict.
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<ServeClient> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let mut writer = BufWriter::new(stream);
+        frame::write_frame_bytes(&mut writer, hello::REQUEST)?;
+        let verdict = frame::read_frame_bytes(&mut reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed during hello")
+        })?;
+        hello::check_verdict(&verdict)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.message))?;
+        Ok(ServeClient { reader, writer })
     }
 
     /// Sends one typed request and blocks for its full typed response
@@ -158,16 +67,12 @@ impl ServeClient {
     /// / [`ErrorCode::BadFrame`] errors; server-side failures arrive
     /// inside the response's own `outcome`.
     pub fn request(&mut self, request: &Request) -> Result<Response, WireError> {
-        let payload = self.inner.codec.encode_request(request);
-        frame::write_frame_bytes(&mut self.inner.writer, &payload)
+        frame::write_frame_bytes(&mut self.writer, &binary::encode_request(request))
             .map_err(|e| WireError::new(ErrorCode::Io, format!("send failed: {e}")))?;
-        let reply = frame::read_frame_bytes(&mut self.inner.reader)
+        let reply = frame::read_frame_bytes(&mut self.reader)
             .map_err(|e| WireError::new(ErrorCode::Io, format!("receive failed: {e}")))?
             .ok_or_else(|| WireError::new(ErrorCode::Io, "server closed before responding"))?;
-        self.inner
-            .codec
-            .decode_response(&reply, request.code())
-            .map_err(|e| e.error)
+        binary::decode_response(&reply).map_err(|e| e.error)
     }
 
     fn op(&mut self, session: &str, op: SessionOp) -> Result<ResultBody, WireError> {

@@ -22,14 +22,14 @@
 //!   addressing it.
 //! * [`wire`] / [`server`] / [`client`] — the typed protocol layer
 //!   (re-exporting `sp-wire`'s [`wire::Request`] / [`wire::Response`]
-//!   enums, stable [`wire::ErrorCode`]s, and both codecs) over
+//!   enums, stable [`wire::ErrorCode`]s, and the binary codec) over
 //!   length-prefixed frames on plain `std::net` TCP, with ops `create`
 //!   / `load` / `apply` / `apply_batch` / `best_response` / `nash_gap`
 //!   / `social_cost` / `stretch` / `run_dynamics` / `snapshot` /
-//!   `evict` plus registry-level `stats`, `ping`, and the versioned
-//!   `hello` handshake (protocol 1 = JSON, protocol 2 = compact
-//!   binary; frame layout, op-code table, and the negotiation diagram
-//!   are in this crate's README).
+//!   `evict` plus registry-level `stats` and `ping`. Every connection
+//!   opens with a JSON `hello` for protocol 2 and speaks binary after
+//!   it (frame layout, op-code table, and the handshake diagram are in
+//!   this crate's README).
 //! * [`reactor`] (Linux) — the default connection engine: one epoll
 //!   event loop on nonblocking sockets driving every connection, with
 //!   per-connection read/write buffers and **pipelined frames**
@@ -59,15 +59,15 @@
 //!   Observation never steers: with `--obs` on, responses stay
 //!   bit-identical to an unobserved run.
 //! * [`config::ServeConfig`] — the one builder-style front door for
-//!   every server knob (address, workers, I/O engine, protocol,
-//!   budget, durability), parsed once in `sp-serve` and threaded
+//!   every server knob (address, workers, I/O engine, budget,
+//!   durability, observability), parsed once in `sp-serve` and threaded
 //!   through server → reactor → registry.
 //!
 //! Determinism is the design axis throughout: session ops never depend
 //! on registry state, responses never leak scheduling, and floating
-//! point crosses the wire through [`sp_json::encode_f64`] (lossless,
-//! `∞`-safe) — which is what makes "bit-identical under concurrency and
-//! eviction" a testable contract rather than a hope.
+//! point crosses the wire as raw IEEE-754 bits (lossless, `∞`-safe) —
+//! which is what makes "bit-identical under concurrency and eviction"
+//! a testable contract rather than a hope.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

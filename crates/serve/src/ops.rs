@@ -14,9 +14,8 @@
 //! come from the shared builders here so the envelopes still compare
 //! equal.
 //!
-//! Parsing no longer lives here: requests arrive as typed
-//! [`sp_wire::Request`] values, decoded by whichever codec the
-//! connection negotiated.
+//! Parsing does not live here: requests arrive as typed
+//! [`sp_wire::Request`] values, decoded by the binary codec.
 
 use sp_core::{BackendMode, GameSession, LinkSet, SocialCost};
 use sp_dynamics::{run_config_on_session, DynamicsConfig, ResponseRule};
@@ -187,61 +186,58 @@ pub fn execute_query(op: &SessionOp, session: &mut GameSession) -> Result<Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{json, Request, SessionRequest};
-    use sp_json::json;
-
-    fn decode_session(v: &sp_json::Value) -> SessionRequest {
-        let Request::Session(s) = json::decode_request(v).expect("well-formed") else {
-            panic!("expected a session request");
-        };
-        s
-    }
+    use crate::wire::Geometry;
+    use sp_core::{BestResponseMethod, Move, PeerId};
 
     #[test]
-    fn decodes_and_executes_a_round_trip() {
-        let create = decode_session(&json!({
-            "op": "create", "session": "s0", "alpha": 1.0,
-            "positions_1d": [0.0, 1.0, 3.0],
-            "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
-        }));
-        let SessionOp::Create(spec) = &create.op else {
-            panic!("expected create")
-        };
-        let mut session = build_session(spec).unwrap();
+    fn executes_a_round_trip() {
+        let mut session = build_session(&GameSpec {
+            alpha: 1.0,
+            geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
+            links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
+            mode: BackendMode::Dense,
+        })
+        .unwrap();
         let ResultBody::Created { n, .. } = create_result(&session) else {
             panic!("expected created body")
         };
         assert_eq!(n, 3);
 
-        let apply = decode_session(&json!({
-            "op": "apply", "session": "s0", "id": 1,
-            "move": json!({ "add": [0, 2] }),
-        }));
-        let ResultBody::Applied { previous } = execute_query(&apply.op, &mut session).unwrap()
-        else {
+        let apply = SessionOp::Apply {
+            mv: Move::AddLink {
+                from: PeerId::new(0),
+                to: PeerId::new(2),
+            },
+        };
+        let ResultBody::Applied { previous } = execute_query(&apply, &mut session).unwrap() else {
             panic!("expected applied body")
         };
         assert_eq!(previous.len(), 1);
 
-        let sc = decode_session(&json!({ "op": "social_cost", "session": "s0" }));
-        let ResultBody::SocialCost(sc) = execute_query(&sc.op, &mut session).unwrap() else {
+        let ResultBody::SocialCost(sc) =
+            execute_query(&SessionOp::SocialCost, &mut session).unwrap()
+        else {
             panic!("expected social cost body")
         };
         assert!(sc.total > 0.0);
 
-        let br = decode_session(&json!({
-            "op": "best_response", "session": "s0", "peer": 2, "method": "exact",
-        }));
-        let ResultBody::BestResponse(br) = execute_query(&br.op, &mut session).unwrap() else {
+        let br = SessionOp::BestResponse {
+            peer: PeerId::new(2),
+            method: BestResponseMethod::Exact,
+        };
+        let ResultBody::BestResponse(br) = execute_query(&br, &mut session).unwrap() else {
             panic!("expected best response body")
         };
         assert_eq!(br.peer, 2);
         assert!(br.exact);
 
-        let dyn_req = decode_session(&json!({
-            "op": "run_dynamics", "session": "s0", "rule": "better", "max_rounds": 3,
-        }));
-        let ResultBody::Dynamics(d) = execute_query(&dyn_req.op, &mut session).unwrap() else {
+        let dyn_op = SessionOp::RunDynamics(DynamicsSpec {
+            rule: DynamicsRule::Better,
+            max_rounds: Some(3),
+            tolerance: None,
+            detect_cycles: None,
+        });
+        let ResultBody::Dynamics(d) = execute_query(&dyn_op, &mut session).unwrap() else {
             panic!("expected dynamics body")
         };
         assert!(d.steps >= d.moves);
@@ -267,7 +263,7 @@ mod tests {
     fn lifecycle_ops_cannot_reach_execute_query() {
         let mut session = build_session(&GameSpec {
             alpha: 1.0,
-            geometry: crate::wire::Geometry::Line(vec![0.0, 1.0]),
+            geometry: Geometry::Line(vec![0.0, 1.0]),
             links: Vec::new(),
             mode: BackendMode::Dense,
         })

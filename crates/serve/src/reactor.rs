@@ -49,7 +49,7 @@ use sp_obs::{Phase, SpanHandle};
 use crate::obs::ServeObs;
 use crate::registry::SessionRegistry;
 use crate::server::respond_request_traced;
-use crate::wire::{ConnProtocol, ErrorCode, FrameAction, Request, Response, WireError};
+use crate::wire::{binary, ConnProtocol, ErrorCode, FrameAction, Request, WireError};
 
 /// Token of the listening socket.
 const LISTENER_TOKEN: u64 = 0;
@@ -336,12 +336,13 @@ impl Reactor {
                 Ok(None) => return,
                 Err(message) => {
                     // A broken envelope (oversized length prefix) is
-                    // fatal, but still answered: typed reject, flush,
-                    // close — never a silent hangup.
+                    // fatal, but still answered — JSON before the
+                    // hello, binary after: typed reject, flush, close,
+                    // never a silent hangup.
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     let e = WireError::new(ErrorCode::BadFrame, message);
-                    let bytes = conn.proto.codec().encode_response(&Response::err(None, e));
+                    let bytes = conn.proto.encode_error(None, e);
                     conn.shared.complete_local(seq, bytes, None);
                     conn.closing = true;
                     return;
@@ -354,16 +355,12 @@ impl Reactor {
             }
             match conn.proto.on_frame(&payload) {
                 FrameAction::Request(Request::Session(req)) => {
-                    // The codec is pinned at dispatch time: a later
-                    // negotiation can't change how this response is
-                    // encoded (and hello is first-frame-only anyway).
-                    let codec = conn.proto.codec();
                     let shared = Arc::clone(&conn.shared);
                     let span = obs.as_ref().map(|o| o.begin_span(req.op.code() as u8));
                     let cb_obs = obs.clone();
                     let cb_span = span.clone();
                     registry.submit_with(req, span, move |resp| {
-                        let bytes = codec.encode_response(&resp);
+                        let bytes = binary::encode_response(&resp);
                         if let (Some(o), Some(s)) = (&cb_obs, &cb_span) {
                             o.stamp(s, Phase::Encode);
                         }
@@ -371,12 +368,11 @@ impl Reactor {
                     });
                 }
                 FrameAction::Request(other) => {
-                    // ping/stats/hello-echo: answered inline, without a
-                    // round trip through the worker pool.
-                    let codec = conn.proto.codec();
+                    // ping/stats/metrics/trace_tail: answered inline,
+                    // without a round trip through the worker pool.
                     let span = obs.as_ref().map(|o| o.begin_span(other.code() as u8));
                     let resp = respond_request_traced(&registry, other, span.clone());
-                    let bytes = codec.encode_response(&resp);
+                    let bytes = binary::encode_response(&resp);
                     if let (Some(o), Some(s)) = (&obs, &span) {
                         o.stamp(s, Phase::Encode);
                     }
@@ -587,29 +583,27 @@ pub fn spawn(
 
 #[cfg(test)]
 mod tests {
-    use std::io::BufReader;
+    use std::io::{BufReader, Write};
     use std::net::TcpStream;
     use std::path::PathBuf;
 
-    use sp_json::{frame, json, Value};
+    use sp_core::BackendMode;
+    use sp_json::frame;
 
     use super::PIPELINE_WINDOW;
     use crate::config::ServeConfig;
     use crate::server::{IoModel, Server};
-    use crate::wire::{binary, Codec, Request, SessionOp, SessionRequest};
+    use crate::wire::{
+        binary, hello, GameSpec, Geometry, Request, Response, ResultBody, SessionOp, SessionRequest,
+    };
 
-    fn test_dir(tag: &str) -> PathBuf {
+    fn start(tag: &str, workers: usize) -> (Server, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("sp-serve-reactor-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn start(tag: &str) -> (Server, PathBuf) {
-        let dir = test_dir(tag);
         let server = Server::start(
             ServeConfig::new()
-                .workers(2)
+                .workers(workers)
                 .io(IoModel::Reactor)
                 .spill_dir(dir.clone()),
         )
@@ -618,188 +612,126 @@ mod tests {
         (server, dir)
     }
 
-    fn binary_frame(request: &Request) -> Vec<u8> {
-        let mut out = Vec::new();
-        frame::append_frame_bytes(&mut out, &Codec::Binary.encode_request(request)).unwrap();
-        out
+    /// Connects and completes the hello.
+    fn negotiate(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        frame::write_frame_bytes(&mut stream, hello::REQUEST).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let verdict = frame::read_frame_bytes(&mut reader)
+            .unwrap()
+            .expect("verdict");
+        assert_eq!(verdict, hello::accept(None));
+        (stream, reader)
     }
 
-    fn json_frame(v: &Value) -> Vec<u8> {
-        let mut out = Vec::new();
-        frame::append_frame_bytes(&mut out, v.to_string_compact().as_bytes()).unwrap();
-        out
+    fn session(id: u64, session: &str, op: SessionOp) -> Request {
+        Request::Session(SessionRequest {
+            id: Some(id),
+            session: session.to_owned(),
+            op,
+        })
+    }
+
+    fn create(session_name: &str) -> Request {
+        session(
+            0,
+            session_name,
+            SessionOp::Create(GameSpec {
+                alpha: 1.0,
+                geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
+                links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
+                mode: BackendMode::Dense,
+            }),
+        )
+    }
+
+    fn append(burst: &mut Vec<u8>, request: &Request) {
+        frame::append_frame_bytes(burst, &binary::encode_request(request)).unwrap();
+    }
+
+    fn read_response(reader: &mut BufReader<TcpStream>) -> Response {
+        let payload = frame::read_frame_bytes(reader).unwrap().expect("response");
+        binary::decode_response(&payload).expect("typed response")
     }
 
     #[test]
     fn pipelined_frames_come_back_in_request_order() {
-        let (server, dir) = start("pipeline");
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
+        let (server, dir) = start("pipeline", 2);
+        let (mut stream, mut reader) = negotiate(&server);
 
         // One burst: a create followed by 20 interleaved reads, written
         // before any response is consumed.
         let mut burst = Vec::new();
-        burst.extend_from_slice(&json_frame(&json!({
-            "op": "create", "session": "p", "id": 0, "alpha": 1.0,
-            "positions_1d": [0.0, 1.0, 3.0],
-            "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
-        })));
-        for i in 1..=20usize {
-            let body = if i % 2 == 0 {
-                json!({ "op": "social_cost", "session": "p", "id": i })
+        append(&mut burst, &create("p"));
+        for i in 1..=20u64 {
+            if i % 2 == 0 {
+                append(&mut burst, &session(i, "p", SessionOp::SocialCost));
             } else {
-                json!({ "op": "ping", "id": i })
-            };
-            burst.extend_from_slice(&json_frame(&body));
+                append(&mut burst, &Request::Ping { id: Some(i) });
+            }
         }
-        use std::io::Write;
         stream.write_all(&burst).unwrap();
 
-        let mut reader = BufReader::new(stream);
-        for i in 0..=20usize {
-            let v = frame::read_frame(&mut reader).unwrap().expect("response");
-            assert_eq!(v["ok"], true, "{v}");
-            assert_eq!(
-                v["id"].as_usize(),
-                Some(i),
-                "responses must keep request order"
-            );
+        let created = read_response(&mut reader);
+        assert!(
+            matches!(created.outcome, Ok(ResultBody::Created { n: 3, .. })),
+            "{created:?}"
+        );
+        for i in 1..=20u64 {
+            let resp = read_response(&mut reader);
+            assert_eq!(resp.id, Some(i), "responses must keep request order");
+            assert!(resp.outcome.is_ok(), "{resp:?}");
         }
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn binary_protocol_negotiates_over_the_reactor() {
-        let (server, dir) = start("binary");
+    fn oversized_length_prefix_is_rejected_in_the_connection_state() {
+        let (server, dir) = start("oversized", 1);
+        let huge = u32::MAX.to_be_bytes();
+
+        // Before the hello the reject is the JSON envelope…
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        use std::io::Write;
-
-        // JSON hello asking for protocol 2…
-        stream
-            .write_all(&json_frame(&json!({ "op": "hello", "proto": 2, "id": 0 })))
-            .unwrap();
-        let read_half = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(read_half);
-        let verdict = frame::read_frame(&mut reader).unwrap().expect("verdict");
-        assert_eq!(verdict["ok"], true, "{verdict}");
-        assert_eq!(verdict["result"]["proto"].as_usize(), Some(2));
-
-        // …then binary frames both ways.
-        let ping = binary::encode_request(&Request::Ping { id: Some(7) });
-        let mut out = Vec::new();
-        frame::append_frame_bytes(&mut out, &ping).unwrap();
-        stream.write_all(&out).unwrap();
-        let payload = frame::read_frame_bytes(&mut reader).unwrap().expect("pong");
-        let resp = binary::decode_response(&payload).expect("typed pong");
-        assert_eq!(resp.id, Some(7));
-        assert!(resp.outcome.is_ok());
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn garbage_gets_a_typed_reject_then_close() {
-        let (server, dir) = start("reject");
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        use std::io::Write;
-        let mut out = Vec::new();
-        frame::append_frame_bytes(&mut out, b"definitely not json").unwrap();
-        stream.write_all(&out).unwrap();
+        stream.write_all(&huge).unwrap();
         let mut reader = BufReader::new(stream);
         let v = frame::read_frame(&mut reader)
             .unwrap()
             .expect("typed reject");
-        assert_eq!(v["ok"], false);
-        assert_eq!(v["code"].as_str(), Some("bad_frame"));
-        // The server closes after the reject.
-        assert!(frame::read_frame(&mut reader).unwrap().is_none());
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        assert_eq!(v["code"].as_str(), Some("bad_frame"), "{v}");
+        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
 
-    #[test]
-    fn binary_session_round_trip_matches_json_encoding_of_the_result() {
-        let (server, dir) = start("binary-session");
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        use std::io::Write;
-        stream
-            .write_all(&json_frame(&json!({ "op": "hello", "proto": 2 })))
-            .unwrap();
-        let read_half = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(read_half);
-        let _verdict = frame::read_frame(&mut reader).unwrap().expect("verdict");
-
-        let create: Value = json!({
-            "op": "create", "session": "b", "id": 1, "alpha": 1.5,
-            "positions_1d": [0.0, 2.0, 5.0],
-            "links": [[0, 1], [1, 2]],
-        });
-        let typed = crate::wire::json::decode_request(&create).expect("typed");
-        assert!(matches!(
-            typed,
-            Request::Session(ref s) if matches!(s.op, SessionOp::Create(_))
-        ));
-        let mut out = Vec::new();
-        frame::append_frame_bytes(&mut out, &Codec::Binary.encode_request(&typed)).unwrap();
-        stream.write_all(&out).unwrap();
-        let payload = frame::read_frame_bytes(&mut reader)
-            .unwrap()
-            .expect("reply");
-        let resp = binary::decode_response(&payload).expect("typed response");
-        assert_eq!(resp.id, Some(1));
-        let v = crate::wire::json::encode_response(&resp);
-        assert_eq!(v["ok"], true, "{v}");
-        assert_eq!(v["result"]["n"].as_usize(), Some(3));
+        // …after it, binary.
+        let (mut stream, mut reader) = negotiate(&server);
+        stream.write_all(&huge).unwrap();
+        let resp = read_response(&mut reader);
+        assert_eq!(
+            resp.outcome.unwrap_err().code,
+            crate::wire::ErrorCode::BadFrame
+        );
+        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_pipelined_burst_queues_at_most_one_window() {
-        let dir = test_dir("window");
-        let server = Server::start(
-            ServeConfig::new()
-                .workers(1)
-                .io(IoModel::Reactor)
-                .spill_dir(dir.clone()),
-        )
-        .expect("server starts");
-        assert!(server.uses_reactor(), "linux test host must have epoll");
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        use std::io::Write;
-        stream
-            .write_all(&json_frame(&json!({ "op": "hello", "proto": 2, "id": 0 })))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let verdict = frame::read_frame(&mut reader).unwrap().expect("verdict");
-        assert_eq!(verdict["result"]["proto"].as_usize(), Some(2), "{verdict}");
+        let (server, dir) = start("window", 1);
+        let (mut stream, mut reader) = negotiate(&server);
 
         // One burst at one session — a create, then three windows of
         // reads — written before any response is consumed.
-        let create = crate::wire::json::decode_request(&json!({
-            "op": "create", "session": "w", "id": 0, "alpha": 1.0,
-            "positions_1d": [0.0, 1.0, 3.0],
-            "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
-        }))
-        .expect("typed");
         let reads = 3 * PIPELINE_WINDOW;
-        let mut burst = binary_frame(&create);
+        let mut burst = Vec::new();
+        append(&mut burst, &create("w"));
         for id in 1..=reads {
-            burst.extend_from_slice(&binary_frame(&Request::Session(SessionRequest {
-                id: Some(id),
-                session: "w".to_owned(),
-                op: SessionOp::SocialCost,
-            })));
+            append(&mut burst, &session(id, "w", SessionOp::SocialCost));
         }
         stream.write_all(&burst).unwrap();
 
         for id in 0..=reads {
-            let payload = frame::read_frame_bytes(&mut reader)
-                .unwrap()
-                .expect("response");
-            let resp = binary::decode_response(&payload).expect("typed response");
+            let resp = read_response(&mut reader);
             assert_eq!(resp.id, Some(id), "responses must keep request order");
             assert!(resp.outcome.is_ok(), "{resp:?}");
         }

@@ -1360,8 +1360,8 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{json, Request};
-    use sp_json::{json, Value};
+    use crate::wire::{GameSpec, Geometry};
+    use sp_core::{BackendMode, Move, PeerId};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1370,24 +1370,44 @@ mod tests {
         dir
     }
 
-    fn decode_session(body: &Value) -> SessionRequest {
-        match json::decode_request(body).expect("well-formed") {
-            Request::Session(s) => s,
-            other => panic!("expected a session request, got {other:?}"),
+    fn req(session: &str, op: SessionOp) -> SessionRequest {
+        SessionRequest {
+            id: None,
+            session: session.to_owned(),
+            op,
         }
     }
 
-    fn submit_and_wait(registry: &SessionRegistry, body: Value) -> Value {
-        let rx = registry.submit(decode_session(&body), None);
-        json::encode_response(&rx.recv().expect("response"))
+    fn submit_and_wait(registry: &SessionRegistry, request: SessionRequest) -> Response {
+        registry.submit(request, None).recv().expect("response")
     }
 
-    fn create_body(name: &str, positions: &[f64]) -> Value {
-        json!({
-            "op": "create", "session": name, "alpha": 1.0,
-            "positions_1d": Value::Array(positions.iter().map(|&x| Value::Number(x)).collect()),
-            "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
-        })
+    fn create_with(name: &str, positions: Vec<f64>, mode: BackendMode) -> SessionRequest {
+        req(
+            name,
+            SessionOp::Create(GameSpec {
+                alpha: 1.0,
+                geometry: Geometry::Line(positions),
+                links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
+                mode,
+            }),
+        )
+    }
+
+    fn create(name: &str, positions: &[f64]) -> SessionRequest {
+        create_with(name, positions.to_vec(), BackendMode::Dense)
+    }
+
+    fn add_0_2(name: &str) -> SessionRequest {
+        let mv = Move::AddLink {
+            from: PeerId::new(0),
+            to: PeerId::new(2),
+        };
+        req(name, SessionOp::Apply { mv })
+    }
+
+    fn error_code(r: Response) -> ErrorCode {
+        r.outcome.expect_err("request must fail").code
     }
 
     #[test]
@@ -1400,37 +1420,33 @@ mod tests {
         .unwrap();
         let workers = registry.spawn_workers(4);
 
-        let r = submit_and_wait(&registry, create_body("a", &[0.0, 1.0, 3.0]));
-        assert_eq!(r["ok"], true, "{r}");
-        let r = submit_and_wait(&registry, create_body("a", &[0.0, 1.0, 3.0]));
-        assert_eq!(r["ok"], false, "duplicate create must fail");
-        assert_eq!(r["code"].as_str(), Some("session_exists"));
+        let r = submit_and_wait(&registry, create("a", &[0.0, 1.0, 3.0]));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let r = submit_and_wait(&registry, create("a", &[0.0, 1.0, 3.0]));
+        assert_eq!(
+            error_code(r),
+            ErrorCode::SessionExists,
+            "duplicate create must fail"
+        );
 
         // Ordering: apply, then read — the read must see the apply.
-        let r = submit_and_wait(
-            &registry,
-            json!({ "op": "apply", "session": "a", "move": json!({ "add": [0, 2] }) }),
-        );
-        assert_eq!(r["ok"], true, "{r}");
-        let sc1 = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "a" }));
-        assert_eq!(sc1["ok"], true);
+        let r = submit_and_wait(&registry, add_0_2("a"));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let sc1 = submit_and_wait(&registry, req("a", SessionOp::SocialCost));
+        assert!(sc1.outcome.is_ok(), "{sc1:?}");
 
         // Evict and transparently restore on next use.
-        let r = submit_and_wait(&registry, json!({ "op": "evict", "session": "a" }));
-        assert_eq!(r["ok"], true, "{r}");
-        let sc2 = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "a" }));
+        let r = submit_and_wait(&registry, req("a", SessionOp::Evict));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let sc2 = submit_and_wait(&registry, req("a", SessionOp::SocialCost));
         assert_eq!(sc2, sc1, "restored session must answer identically");
         let stats = registry.stats();
         assert_eq!(stats.sessions_evicted, 1);
         assert_eq!(stats.sessions_restored, 1);
 
         // Unknown sessions fail without being created.
-        let r = submit_and_wait(
-            &registry,
-            json!({ "op": "social_cost", "session": "ghost" }),
-        );
-        assert_eq!(r["ok"], false);
-        assert_eq!(r["code"].as_str(), Some("unknown_session"));
+        let r = submit_and_wait(&registry, req("ghost", SessionOp::SocialCost));
+        assert_eq!(error_code(r), ErrorCode::UnknownSession);
 
         registry.shutdown();
         for w in workers {
@@ -1451,10 +1467,10 @@ mod tests {
         .unwrap();
         let workers = registry.spawn_workers(1);
         for name in ["a", "b", "c"] {
-            let r = submit_and_wait(&registry, create_body(name, &[0.0, 1.0, 3.0, 4.0]));
-            assert_eq!(r["ok"], true, "{r}");
-            let r = submit_and_wait(&registry, json!({ "op": "social_cost", "session": name }));
-            assert_eq!(r["ok"], true);
+            let r = submit_and_wait(&registry, create(name, &[0.0, 1.0, 3.0, 4.0]));
+            assert!(r.outcome.is_ok(), "{r:?}");
+            let r = submit_and_wait(&registry, req(name, SessionOp::SocialCost));
+            assert!(r.outcome.is_ok(), "{r:?}");
         }
         let stats = registry.stats();
         assert!(
@@ -1463,8 +1479,8 @@ mod tests {
         );
         // Every session still answers (restored on demand) with the
         // value a never-evicted session would give.
-        let fresh = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "a" }));
-        assert_eq!(fresh["ok"], true);
+        let fresh = submit_and_wait(&registry, req("a", SessionOp::SocialCost));
+        assert!(fresh.outcome.is_ok(), "{fresh:?}");
         registry.shutdown();
         for w in workers {
             w.join().unwrap();
@@ -1482,17 +1498,19 @@ mod tests {
         .unwrap();
         let workers = registry.spawn_workers(2);
         let n = 400;
-        let positions = Value::Array((0..n).map(|i| Value::Number(f64::from(i))).collect());
+        let positions = (0..n).map(f64::from).collect();
         let r = submit_and_wait(
             &registry,
-            json!({
-                "op": "create", "session": "big", "alpha": 0.8, "mode": "sparse",
-                "positions_1d": positions,
-                "links": [[0, 1], [1, 0], [1, 2], [2, 1]],
-            }),
+            create_with("big", positions, BackendMode::Sparse),
         );
-        assert_eq!(r["ok"], true, "{r}");
-        assert_eq!(r["result"]["mode"].as_str(), Some("sparse"));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        assert!(matches!(
+            r.outcome,
+            Ok(ResultBody::Created {
+                mode: BackendMode::Sparse,
+                ..
+            })
+        ));
         // A dense 400-peer slot charges ≥ 2 × 400² × 8 B (metric +
         // overlay matrix); the sparse slot must stay well under one
         // such matrix.
@@ -1502,15 +1520,20 @@ mod tests {
             "sparse slot accounted {} bytes",
             registry.stats().resident_bytes
         );
-        let sc1 = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "big" }));
-        assert_eq!(sc1["ok"], true, "{sc1}");
+        let sc1 = submit_and_wait(&registry, req("big", SessionOp::SocialCost));
+        assert!(sc1.outcome.is_ok(), "{sc1:?}");
         // Spill to the v2 file and restore transparently, bit-identically.
-        let r = submit_and_wait(&registry, json!({ "op": "evict", "session": "big" }));
-        assert_eq!(r["ok"], true, "{r}");
-        let r = submit_and_wait(&registry, json!({ "op": "load", "session": "big" }));
-        assert_eq!(r["ok"], true, "{r}");
-        assert_eq!(r["result"]["mode"].as_str(), Some("sparse"));
-        let sc2 = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "big" }));
+        let r = submit_and_wait(&registry, req("big", SessionOp::Evict));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let r = submit_and_wait(&registry, req("big", SessionOp::Load));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        assert_eq!(
+            r.outcome,
+            Ok(ResultBody::Loaded {
+                mode: BackendMode::Sparse
+            })
+        );
+        let sc2 = submit_and_wait(&registry, req("big", SessionOp::SocialCost));
         assert_eq!(sc2, sc1, "restored sparse session must answer identically");
         registry.shutdown();
         for w in workers {
@@ -1532,8 +1555,8 @@ mod tests {
         })
         .unwrap();
         let workers = registry.spawn_workers(1);
-        let r = submit_and_wait(&registry, create_body("p", &[0.0, 1.0, 3.0]));
-        assert_eq!(r["ok"], true, "{r}");
+        let r = submit_and_wait(&registry, create("p", &[0.0, 1.0, 3.0]));
+        assert!(r.outcome.is_ok(), "{r:?}");
 
         // Fault injection: poison the session's log exactly as a failed
         // append or group-commit fsync would.
@@ -1549,23 +1572,27 @@ mod tests {
         // Every op — reads, mutations, spills, audits — fails typed:
         // resident state may hold mutations the log does not witness,
         // so nothing may serve (or persist) it.
-        for body in [
-            json!({ "op": "social_cost", "session": "p" }),
-            json!({ "op": "apply", "session": "p", "move": json!({ "add": [0, 2] }) }),
-            json!({ "op": "evict", "session": "p" }),
-            json!({ "op": "wal_head", "session": "p" }),
-            json!({ "op": "wal_verify", "session": "p" }),
+        for request in [
+            req("p", SessionOp::SocialCost),
+            add_0_2("p"),
+            req("p", SessionOp::Evict),
+            req("p", SessionOp::WalHead),
+            req("p", SessionOp::WalVerify),
         ] {
-            let r = submit_and_wait(&registry, body.clone());
-            assert_eq!(r["ok"], false, "{body} must fail on a poisoned wal");
-            assert_eq!(r["code"].as_str(), Some("io"), "{r}");
+            let op = request.op.code();
+            let r = submit_and_wait(&registry, request);
+            assert_eq!(
+                error_code(r),
+                ErrorCode::Io,
+                "{op:?} must fail on a poisoned wal"
+            );
         }
 
         // Other sessions are untouched by the quarantine.
-        let r = submit_and_wait(&registry, create_body("q", &[0.0, 1.0, 3.0]));
-        assert_eq!(r["ok"], true, "{r}");
-        let r = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "q" }));
-        assert_eq!(r["ok"], true, "{r}");
+        let r = submit_and_wait(&registry, create("q", &[0.0, 1.0, 3.0]));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let r = submit_and_wait(&registry, req("q", SessionOp::SocialCost));
+        assert!(r.outcome.is_ok(), "{r:?}");
 
         registry.shutdown();
         for w in workers {
@@ -1584,12 +1611,9 @@ mod tests {
         .unwrap();
         // No workers yet: queue up a burst, then start the pool.
         let mut receivers = Vec::new();
-        receivers.push(registry.submit(decode_session(&create_body("q", &[0.0, 1.0, 2.0])), None));
+        receivers.push(registry.submit(create("q", &[0.0, 1.0, 2.0]), None));
         for _ in 0..7 {
-            receivers.push(registry.submit(
-                decode_session(&json!({ "op": "social_cost", "session": "q" })),
-                None,
-            ));
+            receivers.push(registry.submit(req("q", SessionOp::SocialCost), None));
         }
         assert_eq!(registry.stats().queue_depth_hwm, 8);
         let workers = registry.spawn_workers(2);
@@ -1614,15 +1638,14 @@ mod tests {
         let workers = registry.spawn_workers(1);
         let (tx, rx) = mpsc::channel::<Response>();
         let tx2 = tx.clone();
+        registry.submit_with(create("cb", &[0.0, 1.0, 2.0]), None, move |r| {
+            let _ = tx.send(r);
+        });
         registry.submit_with(
-            decode_session(&create_body("cb", &[0.0, 1.0, 2.0])),
-            None,
-            move |r| {
-                let _ = tx.send(r);
+            SessionRequest {
+                id: Some(1),
+                ..req("cb", SessionOp::SocialCost)
             },
-        );
-        registry.submit_with(
-            decode_session(&json!({ "op": "social_cost", "session": "cb", "id": 1 })),
             None,
             move |r| {
                 let _ = tx2.send(r);
@@ -1637,21 +1660,14 @@ mod tests {
         registry.shutdown();
         // Post-shutdown submits answer immediately with a typed error.
         let (tx, rx) = mpsc::channel::<Response>();
-        registry.submit_with(
-            decode_session(&json!({ "op": "social_cost", "session": "cb" })),
-            None,
-            move |r| {
-                let _ = tx.send(r);
-            },
-        );
+        registry.submit_with(req("cb", SessionOp::SocialCost), None, move |r| {
+            let _ = tx.send(r);
+        });
         let r = rx.recv().unwrap();
         assert_eq!(r.outcome.unwrap_err().code, ErrorCode::Shutdown);
         // The channel wrapper answers the same way.
         let r = registry
-            .submit(
-                decode_session(&json!({ "op": "social_cost", "session": "cb" })),
-                None,
-            )
+            .submit(req("cb", SessionOp::SocialCost), None)
             .recv()
             .unwrap();
         assert_eq!(r.outcome.unwrap_err().code, ErrorCode::Shutdown);

@@ -15,9 +15,9 @@
 //!   simplest possible reference for the reactor's observable
 //!   behaviour — both models answer any request sequence identically.
 //!
-//! Either way, registry-level ops (`ping`, `stats`, `hello`) answer
-//! inline without touching the scheduler, and per-connection responses
-//! arrive in request order.
+//! Either way, registry-level ops (`ping`, `stats`, `metrics`,
+//! `trace_tail`) answer inline without touching the scheduler, and
+//! per-connection responses arrive in request order.
 //!
 //! Both models hand session requests to the scheduler through the same
 //! non-blocking [`SessionRegistry::submit_with`] and bound what one
@@ -38,8 +38,7 @@ use sp_obs::{Phase, SpanHandle};
 use crate::config::ServeConfig;
 use crate::registry::SessionRegistry;
 use crate::wire::{
-    ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError, PROTO_BINARY,
-    PROTO_JSON,
+    binary, ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError,
 };
 
 /// Which connection I/O engine a [`Server`] runs.
@@ -220,19 +219,14 @@ pub(crate) fn respond_request_traced(
                 )
             });
         }
-        // A hello that reaches the router (rather than the negotiation
-        // state machine) is answered statelessly: the version echo
-        // without a codec switch. Only [`ConnProtocol`] can switch.
-        Request::Hello { id, proto } => match proto {
-            PROTO_JSON | PROTO_BINARY => Response::ok(id, ResultBody::Hello { proto }),
-            other => Response::err(
-                id,
-                WireError::new(
-                    ErrorCode::BadProto,
-                    format!("unsupported protocol version {other}"),
-                ),
+        // [`ConnProtocol`] answers every hello before routing.
+        Request::Hello { id, .. } => Response::err(
+            id,
+            WireError::new(
+                ErrorCode::BadProto,
+                "hello must be the first frame of a connection",
             ),
-        },
+        ),
         Request::Ping { id } => Response::ok(id, ResultBody::Pong),
         Request::Stats { id } => Response::ok(id, ResultBody::Stats(registry.stats().to_wire())),
         Request::Metrics { id } => match registry.obs() {
@@ -282,15 +276,10 @@ fn handle_connection(stream: TcpStream, registry: &SessionRegistry) {
         };
         match proto.on_frame(&payload) {
             FrameAction::Request(request) => {
-                // Capture the codec before routing: a negotiated switch
-                // can only happen on hello frames, which never reach
-                // here, but the discipline keeps response encoding
-                // tied to the codec the request arrived under.
-                let codec = proto.codec();
                 let obs = registry.obs().cloned();
                 let span = obs.as_ref().map(|o| o.begin_span(request.code() as u8));
                 let response = respond_request_traced(registry, request, span.clone());
-                let bytes = codec.encode_response(&response);
+                let bytes = binary::encode_response(&response);
                 if let (Some(obs), Some(span)) = (&obs, &span) {
                     obs.stamp(span, Phase::Encode);
                 }
@@ -327,6 +316,56 @@ mod tests {
     use crate::client::ServeClient;
     use crate::wire::{GameSpec, Geometry};
 
+    /// The handshake holds on both engines: a protocol-1 first frame,
+    /// a `proto: 1` hello, or bytes that are not JSON get a typed JSON
+    /// reject and then EOF; a protocol-2 hello gets the pinned verdict
+    /// and the connection speaks binary.
+    #[test]
+    fn handshake_rejects_protocol_1_on_both_engines() {
+        for io in [IoModel::Threaded, IoModel::Reactor] {
+            let dir = std::env::temp_dir().join(format!(
+                "sp-serve-server-hello-{io:?}-{}",
+                std::process::id()
+            ));
+            let server = Server::start(ServeConfig::new().workers(1).io(io).spill_dir(dir.clone()))
+                .expect("server starts");
+            for (first, code) in [
+                (&br#"{"op":"ping","id":1}"#[..], "bad_proto"),
+                (br#"{"op":"hello","proto":1}"#, "bad_proto"),
+                (b"definitely not json", "bad_frame"),
+            ] {
+                let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+                frame::write_frame_bytes(&mut stream, first).unwrap();
+                let mut reader = BufReader::new(stream);
+                let v = frame::read_frame(&mut reader)
+                    .unwrap()
+                    .expect("typed reject");
+                assert_eq!(v["ok"], false, "{io:?}: {v}");
+                assert_eq!(v["code"].as_str(), Some(code), "{io:?}: {v}");
+                assert!(
+                    frame::read_frame_bytes(&mut reader).unwrap().is_none(),
+                    "{io:?}: the server must close after the reject"
+                );
+            }
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            frame::write_frame_bytes(&mut stream, br#"{"op":"hello","proto":2,"id":7}"#).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let verdict = frame::read_frame_bytes(&mut reader)
+                .unwrap()
+                .expect("verdict");
+            assert_eq!(verdict, br#"{"id":7,"ok":true,"result":{"proto":2}}"#);
+            let ping = binary::encode_request(&Request::Ping { id: Some(8) });
+            frame::write_frame_bytes(&mut stream, &ping).unwrap();
+            let pong = frame::read_frame_bytes(&mut reader).unwrap().expect("pong");
+            assert_eq!(
+                binary::decode_response(&pong),
+                Ok(Response::ok(Some(8), ResultBody::Pong))
+            );
+            server.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// Synchronous clients on the threaded engine.
     const CLIENTS: usize = 4;
 
@@ -344,7 +383,7 @@ mod tests {
         .expect("server starts");
         assert!(!server.uses_reactor());
         let addr = server.local_addr();
-        let mut setup = ServeClient::connect(addr, PROTO_JSON).expect("connect");
+        let mut setup = ServeClient::connect(addr).expect("connect");
         setup
             .create(
                 "t",
@@ -361,7 +400,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..CLIENTS {
                 scope.spawn(|| {
-                    let mut client = ServeClient::connect(addr, PROTO_JSON).expect("connect");
+                    let mut client = ServeClient::connect(addr).expect("connect");
                     for _ in 0..50 {
                         client.social_cost("t").expect("social_cost");
                     }

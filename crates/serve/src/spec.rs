@@ -1,18 +1,17 @@
 //! Building games from typed [`GameSpec`]s.
 //!
-//! Structural validation (shapes, "exactly one geometry", sparse-needs-
-//! line) lives in the codecs — [`sp_wire::json::parse_game_spec`] and
-//! the binary decoder — which is why this module receives a typed spec,
-//! not a JSON object. What stays here is *semantic* validation, the
-//! part only game construction can decide: matrix squareness and
-//! symmetry, metric axioms, link bounds. Failures carry
-//! [`ErrorCode::BadSpec`] with the historical messages.
+//! Structural validation ("exactly one geometry", shapes) is the type
+//! itself: the binary decoder can only produce well-formed
+//! [`GameSpec`]s. What stays here is *semantic* validation, the part
+//! only game construction can decide: finite coordinates, matrix
+//! squareness and symmetry, metric axioms, link bounds, and sparse
+//! mode's need for a line geometry. Failures carry
+//! [`ErrorCode::BadSpec`].
 //!
 //! Dense mode stores line geometries as a precomputed matrix (the
 //! historical, bit-identically accounted representation); sparse mode
 //! keeps the positions themselves so the game's metric store stays
-//! `O(n)` (see `sp_core::backend` — sparse requires the line geometry,
-//! which both codecs already enforce, and this builder re-checks).
+//! `O(n)` (see `sp_core::backend`).
 
 use sp_core::{BackendMode, Game, StrategyProfile};
 use sp_graph::DistanceMatrix;
@@ -29,9 +28,9 @@ fn bad(message: String) -> WireError {
 /// # Errors
 ///
 /// Returns a [`ErrorCode::BadSpec`] error when the geometry is
-/// semantically invalid (non-square or asymmetric matrix, bad metric,
-/// out-of-bounds links) or when sparse mode is asked for without a line
-/// geometry.
+/// semantically invalid (non-finite points, non-square or asymmetric
+/// matrix, bad metric, out-of-bounds links) or when sparse mode is
+/// asked for without a line geometry.
 pub fn build(spec: &GameSpec) -> Result<(Game, StrategyProfile), WireError> {
     if spec.mode == BackendMode::Sparse && !matches!(spec.geometry, Geometry::Line(_)) {
         return Err(bad(
@@ -49,6 +48,11 @@ pub fn build(spec: &GameSpec) -> Result<(Game, StrategyProfile), WireError> {
             }
         }
         Geometry::Points2D(points) => {
+            // A NaN or infinite coordinate would reach the distance
+            // matrix as NaN, which the matrix builder refuses by panic.
+            if points.iter().any(|(x, y)| !x.is_finite() || !y.is_finite()) {
+                return Err(bad("points_2d coordinates must be finite".to_owned()));
+            }
             let pts: Vec<Point2> = points.iter().map(|&(x, y)| Point2::new(x, y)).collect();
             let space = Euclidean2D::new(pts).map_err(|e| bad(e.to_string()))?;
             Game::from_space(&space, spec.alpha).map_err(|e| bad(e.to_string()))?
@@ -129,8 +133,7 @@ mod tests {
         let (g, _) = build(&line_spec(vec![0.0, 1.0], BackendMode::Dense)).unwrap();
         assert!(g.line_positions().is_none());
 
-        // Sparse needs a line geometry even if a caller bypasses the
-        // codec-level check by constructing the spec directly.
+        // Sparse needs a line geometry.
         let e = build(&GameSpec {
             alpha: 1.0,
             geometry: Geometry::Matrix(vec![vec![0.0, 1.0], vec![1.0, 0.0]]),
@@ -161,5 +164,34 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::BadSpec);
+    }
+
+    /// The binary codec carries any f64, so non-finite values reach
+    /// the builder and must fail typed rather than panic.
+    #[test]
+    fn rejects_non_finite_values() {
+        for x in [f64::NAN, f64::INFINITY] {
+            for geometry in [
+                Geometry::Line(vec![0.0, x]),
+                Geometry::Points2D(vec![(0.0, 0.0), (x, 1.0)]),
+                Geometry::Matrix(vec![vec![0.0, x], vec![x, 0.0]]),
+            ] {
+                for mode in [BackendMode::Dense, BackendMode::Sparse] {
+                    let spec = GameSpec {
+                        alpha: 1.0,
+                        geometry: geometry.clone(),
+                        links: Vec::new(),
+                        mode,
+                    };
+                    assert_eq!(build(&spec).unwrap_err().code, ErrorCode::BadSpec);
+                }
+            }
+            let e = build(&GameSpec {
+                alpha: x,
+                ..line_spec(vec![0.0, 1.0], BackendMode::Dense)
+            })
+            .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadSpec);
+        }
     }
 }

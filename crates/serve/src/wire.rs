@@ -1,18 +1,12 @@
 //! The server's view of the wire protocol: the typed types re-exported
-//! from [`sp_wire`], the codec switch, and the per-connection
-//! negotiation state machine.
+//! from [`sp_wire`] and the per-connection handshake state machine.
 //!
-//! Frames are length-prefixed payloads ([`sp_json::frame`]); what the
-//! payload *is* depends on the negotiated codec:
-//!
-//! * [`Codec::Json`] (protocol 1, the default) — compact JSON, the
-//!   historical protocol. A connection that never says `hello` speaks
-//!   it implicitly, so every pre-typed client keeps working unchanged.
-//! * [`Codec::Binary`] (protocol 2) — the compact binary codec
-//!   ([`sp_wire::binary`]). Opted into by making the **first** frame a
-//!   JSON `{"op": "hello", "proto": 2}`; the server answers in JSON (so
-//!   the client reads the verdict with the codec it already speaks) and
-//!   both sides switch.
+//! Frames are length-prefixed payloads ([`sp_json::frame`]). The first
+//! frame of a connection must be the JSON hello
+//! `{"op":"hello","proto":2}` ([`hello`]); the server answers in JSON
+//! and every later frame, both ways, is the binary codec
+//! ([`binary`]). Any other first frame gets a typed JSON reject and
+//! the connection closes.
 //!
 //! [`ConnProtocol`] encodes those rules once, for both the threaded
 //! connection handler and the epoll reactor: feed it each decoded
@@ -20,108 +14,19 @@
 //! request, write an inline reply, or write a typed reject and close.
 
 pub use sp_wire::{
-    binary, json, validate_name, BestResponseBody, DecodeError, DynamicsBody, DynamicsRule,
+    binary, hello, validate_name, BestResponseBody, DecodeError, DynamicsBody, DynamicsRule,
     DynamicsSpec, ErrorCode, GameSpec, Geometry, MetricHistogramBody, MetricsBody, OpCode, Request,
     Response, ResultBody, ServiceStats, SessionOp, SessionRequest, SocialCostBody, TraceSpanBody,
-    WireError, MAX_NAME_LEN, PROTO_BINARY, PROTO_JSON, TRACE_PHASES, TRACE_TAIL_DEFAULT_LIMIT,
+    WireError, MAX_NAME_LEN, PROTO_BINARY, TRACE_PHASES, TRACE_TAIL_DEFAULT_LIMIT,
 };
-
-pub use sp_wire::json::request_id;
-
-/// One of the two interchangeable frame-payload serializations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// Protocol 1: compact JSON payloads.
-    Json,
-    /// Protocol 2: compact binary payloads.
-    Binary,
-}
-
-impl Codec {
-    /// The protocol version this codec implements.
-    #[must_use]
-    pub fn proto(self) -> u8 {
-        match self {
-            Codec::Json => PROTO_JSON,
-            Codec::Binary => PROTO_BINARY,
-        }
-    }
-
-    /// Encodes a request into a frame payload.
-    #[must_use]
-    pub fn encode_request(self, request: &Request) -> Vec<u8> {
-        match self {
-            Codec::Json => json::encode_request(request)
-                .to_string_compact()
-                .into_bytes(),
-            Codec::Binary => binary::encode_request(request),
-        }
-    }
-
-    /// Decodes a frame payload into a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed failure (an unparseable JSON payload is
-    /// [`ErrorCode::BadFrame`]) with whatever request id survived.
-    pub fn decode_request(self, payload: &[u8]) -> Result<Request, DecodeError> {
-        match self {
-            Codec::Json => {
-                let v = sp_json::frame::parse_frame_payload(payload).map_err(|e| DecodeError {
-                    id: None,
-                    error: WireError::new(
-                        ErrorCode::BadFrame,
-                        format!("malformed JSON frame: {e}"),
-                    ),
-                })?;
-                json::decode_request(&v)
-            }
-            Codec::Binary => binary::decode_request(payload),
-        }
-    }
-
-    /// Encodes a response into a frame payload.
-    #[must_use]
-    pub fn encode_response(self, response: &Response) -> Vec<u8> {
-        match self {
-            Codec::Json => json::encode_response(response)
-                .to_string_compact()
-                .into_bytes(),
-            Codec::Binary => binary::encode_response(response),
-        }
-    }
-
-    /// Decodes a response frame payload. JSON result bodies are not
-    /// self-describing, so the caller supplies the op the response
-    /// answers (the binary codec carries it and ignores the hint).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ErrorCode::BadFrame`] failure on any shape mismatch.
-    pub fn decode_response(self, payload: &[u8], op: OpCode) -> Result<Response, DecodeError> {
-        match self {
-            Codec::Json => {
-                let v = sp_json::frame::parse_frame_payload(payload).map_err(|e| DecodeError {
-                    id: None,
-                    error: WireError::new(
-                        ErrorCode::BadFrame,
-                        format!("malformed JSON frame: {e}"),
-                    ),
-                })?;
-                json::decode_response(&v, op)
-            }
-            Codec::Binary => binary::decode_response(payload),
-        }
-    }
-}
 
 /// What the connection handler should do with one incoming frame.
 #[derive(Debug)]
 pub enum FrameAction {
     /// A routable request: dispatch it and write the encoded response.
     Request(Request),
-    /// An inline reply (hello verdicts, non-fatal decode errors): write
-    /// the payload in order and keep the connection open.
+    /// An inline reply (the hello verdict, non-fatal decode errors):
+    /// write the payload in order and keep the connection open.
     Reply(Vec<u8>),
     /// A typed reject: write the payload in order, then close. Fatal
     /// failures — undecodable frames, failed negotiation — are answered
@@ -129,85 +34,57 @@ pub enum FrameAction {
     Reject(Vec<u8>),
 }
 
-/// Per-connection protocol state: the active codec plus whether the
-/// next frame is still eligible to be a `hello`.
-#[derive(Debug)]
+/// Per-connection protocol state: whether the hello has been accepted.
+#[derive(Debug, Default)]
 pub struct ConnProtocol {
-    codec: Codec,
-    first: bool,
-}
-
-impl Default for ConnProtocol {
-    fn default() -> Self {
-        ConnProtocol::new()
-    }
+    negotiated: bool,
 }
 
 impl ConnProtocol {
-    /// A fresh connection: implicit protocol 1 until a first-frame
-    /// `hello` says otherwise.
+    /// A fresh connection, waiting for its hello.
     #[must_use]
     pub fn new() -> ConnProtocol {
-        ConnProtocol {
-            codec: Codec::Json,
-            first: true,
+        ConnProtocol::default()
+    }
+
+    /// Encodes an error response in the connection's current state:
+    /// the JSON envelope before the hello, binary after.
+    #[must_use]
+    pub fn encode_error(&self, id: Option<u64>, error: WireError) -> Vec<u8> {
+        if self.negotiated {
+            binary::encode_response(&Response::err(id, error))
+        } else {
+            hello::reject(id, &error)
         }
     }
 
-    /// The codec currently in force (for encoding routed responses).
-    #[must_use]
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Consumes one frame payload and decides what to do with it,
-    /// applying the negotiation rules: a first-frame `hello` answers in
-    /// the pre-switch codec and then switches; a later `hello` is a
-    /// non-fatal error; an unsupported version or an undecodable frame
-    /// is a typed reject.
+    /// Consumes one frame payload and decides what to do with it: the
+    /// first frame must be a protocol-2 hello (anything else is a
+    /// typed reject); after it, a binary request routes, a binary
+    /// `hello` is a non-fatal error, and an undecodable frame is a
+    /// typed reject.
     pub fn on_frame(&mut self, payload: &[u8]) -> FrameAction {
-        let decoded = self.codec.decode_request(payload);
-        let first = std::mem::replace(&mut self.first, false);
-        match decoded {
-            Ok(Request::Hello { id, proto }) => {
-                if !first {
-                    let e = WireError::new(
-                        ErrorCode::BadProto,
-                        "hello must be the first frame of a connection",
-                    );
-                    return FrameAction::Reply(self.codec.encode_response(&Response::err(id, e)));
+        if !self.negotiated {
+            return match hello::decode_request(payload) {
+                Ok(id) => {
+                    self.negotiated = true;
+                    FrameAction::Reply(hello::accept(id))
                 }
-                match proto {
-                    PROTO_JSON => {
-                        let ok = Response::ok(id, ResultBody::Hello { proto: PROTO_JSON });
-                        FrameAction::Reply(self.codec.encode_response(&ok))
-                    }
-                    PROTO_BINARY => {
-                        // The verdict travels in the codec the client
-                        // spoke when asking; everything after is binary.
-                        let ok = Response::ok(
-                            id,
-                            ResultBody::Hello {
-                                proto: PROTO_BINARY,
-                            },
-                        );
-                        let bytes = self.codec.encode_response(&ok);
-                        self.codec = Codec::Binary;
-                        FrameAction::Reply(bytes)
-                    }
-                    other => {
-                        let e = WireError::new(
-                            ErrorCode::BadProto,
-                            format!("unsupported protocol version {other}"),
-                        );
-                        FrameAction::Reject(self.codec.encode_response(&Response::err(id, e)))
-                    }
-                }
-            }
+                Err(DecodeError { id, error }) => FrameAction::Reject(self.encode_error(id, error)),
+            };
+        }
+        match binary::decode_request(payload) {
+            Ok(Request::Hello { id, .. }) => FrameAction::Reply(self.encode_error(
+                id,
+                WireError::new(
+                    ErrorCode::BadProto,
+                    "hello must be the first frame of a connection",
+                ),
+            )),
             Ok(request) => FrameAction::Request(request),
             Err(DecodeError { id, error }) => {
                 let fatal = matches!(error.code, ErrorCode::BadFrame | ErrorCode::BadProto);
-                let bytes = self.codec.encode_response(&Response::err(id, error));
+                let bytes = self.encode_error(id, error);
                 if fatal {
                     FrameAction::Reject(bytes)
                 } else {
@@ -220,116 +97,111 @@ impl ConnProtocol {
 
 #[cfg(test)]
 mod tests {
+    use rand::prelude::*;
+
     use super::*;
-    use sp_json::json;
 
-    fn json_payload(v: &sp_json::Value) -> Vec<u8> {
-        v.to_string_compact().into_bytes()
-    }
-
-    fn parse(bytes: &[u8]) -> sp_json::Value {
-        sp_json::frame::parse_frame_payload(bytes).expect("JSON payload")
-    }
-
-    #[test]
-    fn implicit_v1_needs_no_hello() {
+    fn negotiated() -> ConnProtocol {
         let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(&json!({ "op": "ping", "id": 1 })));
         assert!(matches!(
-            action,
-            FrameAction::Request(Request::Ping { id: Some(1) })
+            conn.on_frame(hello::REQUEST),
+            FrameAction::Reply(_)
         ));
-        assert_eq!(conn.codec(), Codec::Json);
+        conn
+    }
+
+    fn rejected(conn: &mut ConnProtocol, payload: &[u8]) -> Vec<u8> {
+        match conn.on_frame(payload) {
+            FrameAction::Reject(bytes) => bytes,
+            other => panic!("{payload:?} must be rejected, got {other:?}"),
+        }
     }
 
     #[test]
-    fn explicit_v1_hello_replies_and_stays_json() {
+    fn hello_verdict_bytes_are_pinned_and_switch_to_binary() {
         let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(
-            &json!({ "op": "hello", "proto": 1, "id": 0 }),
-        ));
-        let FrameAction::Reply(bytes) = action else {
-            panic!("hello must be answered inline, got {action:?}");
-        };
-        let v = parse(&bytes);
-        assert_eq!(v["ok"], true);
-        assert_eq!(v["result"]["proto"], 1usize);
-        assert_eq!(conn.codec(), Codec::Json);
-    }
-
-    #[test]
-    fn v2_hello_switches_to_binary_after_the_json_verdict() {
-        let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(&json!({ "op": "hello", "proto": 2 })));
-        let FrameAction::Reply(bytes) = action else {
+        let FrameAction::Reply(bytes) = conn.on_frame(br#"{"op":"hello","proto":2}"#) else {
             panic!("hello must be answered inline");
         };
-        // The verdict itself is JSON (pre-switch codec)…
-        let v = parse(&bytes);
-        assert_eq!(v["result"]["proto"], 2usize);
-        // …and the connection is binary from here on.
-        assert_eq!(conn.codec(), Codec::Binary);
-        let ping = Codec::Binary.encode_request(&Request::Ping { id: Some(9) });
-        let action = conn.on_frame(&ping);
+        assert_eq!(bytes, br#"{"ok":true,"result":{"proto":2}}"#);
+        let ping = binary::encode_request(&Request::Ping { id: Some(9) });
         assert!(matches!(
-            action,
+            conn.on_frame(&ping),
             FrameAction::Request(Request::Ping { id: Some(9) })
         ));
+
+        let mut conn = ConnProtocol::new();
+        let FrameAction::Reply(bytes) = conn.on_frame(br#"{"op":"hello","proto":2,"id":7}"#) else {
+            panic!("hello must be answered inline");
+        };
+        assert_eq!(bytes, br#"{"id":7,"ok":true,"result":{"proto":2}}"#);
     }
 
     #[test]
-    fn unsupported_version_is_a_typed_reject() {
-        let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(
-            &json!({ "op": "hello", "proto": 9, "id": 3 }),
-        ));
-        let FrameAction::Reject(bytes) = action else {
-            panic!("unsupported proto must reject, got {action:?}");
-        };
-        let v = parse(&bytes);
-        assert_eq!(v["ok"], false);
-        assert_eq!(v["id"], 3.0);
-        assert_eq!(v["code"].as_str(), Some("bad_proto"));
+    fn protocol_1_first_frames_are_typed_json_rejects() {
+        for (payload, reject) in [
+            (
+                &br#"{"op":"ping","id":1}"#[..],
+                &br#"{"id":1,"ok":false,"error":"the first frame must be {\"op\":\"hello\",\"proto\":2}; protocol 1 requests are not served","code":"bad_proto"}"#[..],
+            ),
+            (
+                br#"{"op":"hello","proto":1}"#,
+                br#"{"ok":false,"error":"unsupported protocol version 1","code":"bad_proto"}"#,
+            ),
+            (
+                br#"{"op":"hello","proto":9,"id":3}"#,
+                br#"{"id":3,"ok":false,"error":"unsupported protocol version 9","code":"bad_proto"}"#,
+            ),
+        ] {
+            assert_eq!(rejected(&mut ConnProtocol::new(), payload), reject);
+        }
+        let bytes = rejected(&mut ConnProtocol::new(), b"not json at all");
+        assert!(bytes.ends_with(br#""code":"bad_frame"}"#), "{bytes:?}");
     }
 
     #[test]
-    fn malformed_hello_and_garbage_frames_reject_with_codes() {
-        let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(&json!({ "op": "hello" })));
-        let FrameAction::Reject(bytes) = action else {
-            panic!("missing proto must reject");
-        };
-        assert_eq!(parse(&bytes)["code"].as_str(), Some("bad_proto"));
-
-        let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(b"not json at all");
-        let FrameAction::Reject(bytes) = action else {
-            panic!("garbage must reject");
-        };
-        assert_eq!(parse(&bytes)["code"].as_str(), Some("bad_frame"));
+    fn hostile_first_frames_never_panic_and_always_reject() {
+        let valid = br#"{"id":7,"op":"hello","proto":2}"#;
+        for cut in 0..valid.len() {
+            rejected(&mut ConnProtocol::new(), &valid[..cut]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..400 {
+            let len = rng.random_range(0usize..48);
+            let payload: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..=255)).collect();
+            rejected(&mut ConnProtocol::new(), &payload);
+        }
     }
 
     #[test]
-    fn midstream_hello_is_a_nonfatal_error() {
-        let mut conn = ConnProtocol::new();
-        let _ = conn.on_frame(&json_payload(&json!({ "op": "ping" })));
-        let action = conn.on_frame(&json_payload(&json!({ "op": "hello", "proto": 2 })));
-        let FrameAction::Reply(bytes) = action else {
+    fn midstream_hello_is_a_nonfatal_binary_error() {
+        let mut conn = negotiated();
+        let again = binary::encode_request(&Request::Hello {
+            id: Some(2),
+            proto: PROTO_BINARY,
+        });
+        let FrameAction::Reply(bytes) = conn.on_frame(&again) else {
             panic!("mid-stream hello must be a non-fatal error");
         };
-        let v = parse(&bytes);
-        assert_eq!(v["ok"], false);
-        assert_eq!(v["code"].as_str(), Some("bad_proto"));
-        assert_eq!(conn.codec(), Codec::Json, "no switch mid-stream");
+        let resp = binary::decode_response(&bytes).expect("binary");
+        assert_eq!(resp.id, Some(2));
+        assert_eq!(resp.outcome.unwrap_err().code, ErrorCode::BadProto);
     }
 
     #[test]
     fn nonfatal_decode_errors_keep_the_connection() {
-        let mut conn = ConnProtocol::new();
-        let action = conn.on_frame(&json_payload(&json!({ "op": "warp", "session": "x" })));
-        let FrameAction::Reply(bytes) = action else {
-            panic!("unknown op is an error reply, not a hangup");
+        let mut conn = negotiated();
+        let mut w = binary::Writer::new();
+        w.u8(OpCode::SocialCost as u8);
+        w.u8(0);
+        w.string("../escape");
+        let FrameAction::Reply(bytes) = conn.on_frame(&w.into_vec()) else {
+            panic!("a bad name is an error reply, not a hangup");
         };
-        assert_eq!(parse(&bytes)["code"].as_str(), Some("unknown_op"));
+        let resp = binary::decode_response(&bytes).expect("binary");
+        assert_eq!(resp.outcome.unwrap_err().code, ErrorCode::BadName);
+        let bytes = rejected(&mut conn, &[0xFF, 0]);
+        let resp = binary::decode_response(&bytes).expect("binary");
+        assert_eq!(resp.outcome.unwrap_err().code, ErrorCode::BadFrame);
     }
 }

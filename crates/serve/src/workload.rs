@@ -4,11 +4,11 @@
 //! The three pieces exist to make one claim testable: a concurrent
 //! sp-serve under memory pressure (evict/restore cycles, worker-pool
 //! interleaving) answers **bit-identically** to a single-threaded
-//! executor that keeps every session resident forever — through either
-//! codec. The script is a pure function of [`WorkloadConfig`] built as
-//! typed [`Request`]s (what travels is whatever the negotiated codec
-//! encodes them to); each session's requests form a deterministic
-//! subsequence; and replay partitions sessions across client
+//! executor that keeps every session resident forever, compared as
+//! encoded response bytes. The script is a pure function of
+//! [`WorkloadConfig`] built as typed [`Request`]s; each session's
+//! requests form a deterministic subsequence; and replay partitions
+//! sessions across client
 //! connections (session `i` belongs to client `i % clients`), so
 //! per-session order — the only order that matters — is preserved
 //! however the pool schedules.
@@ -26,13 +26,12 @@ use std::time::{Duration, Instant};
 
 use rand::prelude::*;
 use sp_core::{BackendMode, BestResponseMethod, GameSession, Move, PeerId};
-use sp_json::Value;
 
 use crate::client::ServeClient;
 use crate::ops;
 use crate::wire::{
-    json, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec, Geometry, Request, Response, ResultBody,
-    SessionOp, SessionRequest, WireError, PROTO_JSON,
+    binary, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec, Geometry, Request, Response,
+    ResultBody, SessionOp, SessionRequest, WireError,
 };
 
 /// Parameters of a generated workload.
@@ -267,16 +266,6 @@ pub fn reference_typed(script: &[ScriptRequest]) -> Vec<Response> {
         .collect()
 }
 
-/// [`reference_typed`] rendered through the shared JSON encoder — the
-/// `Value` form the verify path compares against served responses.
-#[must_use]
-pub fn reference_responses(script: &[ScriptRequest]) -> Vec<Value> {
-    reference_typed(script)
-        .iter()
-        .map(json::encode_response)
-        .collect()
-}
-
 fn reference_respond(sessions: &mut HashMap<String, GameSession>, request: &Request) -> Response {
     let Request::Session(req) = request else {
         return Response::err(
@@ -336,11 +325,8 @@ fn reference_respond(sessions: &mut HashMap<String, GameSession>, request: &Requ
 /// order) plus wall-clock.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// One response per script request, in script order, as the JSON
-    /// rendering of the typed response the server sent — the shared
-    /// encoder on both sides is what makes cross-protocol comparison
-    /// exact.
-    pub responses: Vec<Value>,
+    /// One response per script request, in script order.
+    pub responses: Vec<Response>,
     /// Closed-loop latency of each request in nanoseconds, script order.
     pub latencies: Vec<u64>,
     /// End-to-end wall time of the replay.
@@ -348,9 +334,8 @@ pub struct ReplayOutcome {
 }
 
 /// Replays the script against a live server over `clients` closed-loop
-/// connections speaking protocol `proto` (1 = JSON, 2 = binary).
-/// Session `i` is driven by client `i % clients`, so each session's
-/// requests arrive in script order regardless of scheduling.
+/// connections. Session `i` is driven by client `i % clients`, so each
+/// session's requests arrive in script order regardless of scheduling.
 ///
 /// # Errors
 ///
@@ -363,17 +348,16 @@ pub fn replay(
     addr: SocketAddr,
     script: &[ScriptRequest],
     clients: usize,
-    proto: u8,
 ) -> io::Result<ReplayOutcome> {
     let clients = clients.max(1);
     let start = Instant::now();
-    let mut responses: Vec<Option<Value>> = vec![None; script.len()];
+    let mut responses: Vec<Option<Response>> = vec![None; script.len()];
     let mut latencies: Vec<u64> = vec![0; script.len()];
-    let results: Vec<io::Result<Vec<(usize, Value, u64)>>> = std::thread::scope(|scope| {
+    let results: Vec<io::Result<Vec<(usize, Response, u64)>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                scope.spawn(move || -> io::Result<Vec<(usize, Value, u64)>> {
-                    let mut client = ServeClient::connect(addr, proto)?;
+                scope.spawn(move || -> io::Result<Vec<(usize, Response, u64)>> {
+                    let mut client = ServeClient::connect(addr)?;
                     let mut out = Vec::new();
                     for (k, r) in script.iter().enumerate() {
                         if r.session_index % clients != c {
@@ -387,7 +371,7 @@ pub fn replay(
                             io::Error::new(io::ErrorKind::InvalidData, e.to_string())
                         })?;
                         let nanos = u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        out.push((k, json::encode_response(&response), nanos));
+                        out.push((k, response, nanos));
                     }
                     Ok(out)
                 })
@@ -418,23 +402,22 @@ pub fn replay(
     })
 }
 
-/// The default protocol for callers that don't care about codecs.
-pub const DEFAULT_PROTO: u8 = PROTO_JSON;
-
-/// Compares a served response vector against the reference, returning
-/// the index and pair of the first mismatch.
+/// Compares a served response vector against the reference by their
+/// binary encodings — bit-exact for floats.
 ///
 /// # Errors
 ///
-/// Returns `(index, served, reference)` of the first divergence.
-pub fn verify(served: &[Value], reference: &[Value]) -> Result<(), (usize, Value, Value)> {
+/// Returns the index of the first divergence.
+pub fn verify(served: &[Response], reference: &[Response]) -> Result<(), usize> {
     assert_eq!(served.len(), reference.len(), "response counts differ");
-    for (k, (s, r)) in served.iter().zip(reference).enumerate() {
-        if s != r {
-            return Err((k, s.clone(), r.clone()));
-        }
+    match served
+        .iter()
+        .zip(reference)
+        .position(|(s, r)| binary::encode_response(s) != binary::encode_response(r))
+    {
+        Some(k) => Err(k),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -476,9 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn script_round_trips_both_codecs() {
+    fn script_round_trips_the_binary_codec() {
         // The script IS the proptest corpus in miniature: every request
-        // the mix can produce must survive both codecs unchanged.
+        // the mix can produce must survive the codec unchanged.
         let cfg = WorkloadConfig {
             sessions: 4,
             requests: 200,
@@ -486,14 +469,9 @@ mod tests {
             seed: 11,
         };
         for r in build_script(&cfg) {
-            let v = json::encode_request(&r.request);
+            let b = binary::encode_request(&r.request);
             assert_eq!(
-                json::decode_request(&v).expect("JSON round trip"),
-                r.request
-            );
-            let b = crate::wire::binary::encode_request(&r.request);
-            assert_eq!(
-                crate::wire::binary::decode_request(&b).expect("binary round trip"),
+                binary::decode_request(&b).expect("binary round trip"),
                 r.request
             );
         }
@@ -508,11 +486,11 @@ mod tests {
             seed: 3,
         };
         let script = build_script(&cfg);
-        let responses = reference_responses(&script);
+        let responses = reference_typed(&script);
         assert_eq!(responses.len(), script.len());
         for (k, r) in responses.iter().enumerate() {
-            assert_eq!(r["ok"], true, "request {k} failed: {r}");
-            assert_eq!(r["id"].as_usize(), Some(k), "ids echo script order");
+            assert!(r.outcome.is_ok(), "request {k} failed: {r:?}");
+            assert_eq!(r.id, Some(k as u64), "ids echo script order");
         }
     }
 }

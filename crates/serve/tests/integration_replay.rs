@@ -1,33 +1,29 @@
 //! End-to-end replay equivalence: a concurrent sp-serve under memory
 //! pressure answers bit-identically to a single-threaded, no-eviction
-//! reference executor — through **either codec and either I/O engine**.
+//! reference executor — on **either I/O engine**.
 //!
-//! The two `acceptance_replay_*` tests are the acceptance gate: the
-//! mixed 10k-request workload over 256 sessions runs against a live TCP
-//! server with a 32 MiB registry budget — far below the workload's
-//! resident footprint, so the registry must continuously evict LRU
-//! sessions to disk and restore them on their next request — across 8
-//! closed-loop client connections and a multi-worker scheduler, once
-//! over protocol 1 (JSON frames) and once over protocol 2 (compact
-//! binary frames). Every one of the 10k responses must equal, bit for
-//! bit, what the reference executor computes with every session
-//! permanently resident (binary responses are decoded and re-encoded
-//! through the shared JSON encoder for the comparison, which is exactly
-//! the codec-equivalence claim).
+//! `acceptance_replay_is_bit_identical_under_eviction` is the
+//! acceptance gate: the mixed 10k-request workload over 256 sessions
+//! runs against a live TCP server with a 32 MiB registry budget — far
+//! below the workload's resident footprint, so the registry must
+//! continuously evict LRU sessions to disk and restore them on their
+//! next request — across 8 closed-loop client connections and a
+//! multi-worker scheduler. Every one of the 10k responses must encode
+//! to exactly the bytes of what the reference executor computes with
+//! every session permanently resident.
 //!
 //! Every server here runs with **observability on** (quiet wall-clock
 //! spans): the bit-identity assertions double as the proof that tracing
 //! observes the pipeline without steering it — `--obs` must never
-//! change a response byte, on either engine, through either codec.
+//! change a response byte, on either engine.
 
 use std::path::PathBuf;
 
-use sp_json::Value;
 use sp_serve::client::ServeClient;
 use sp_serve::config::ServeConfig;
 use sp_serve::obs::ObsConfig;
 use sp_serve::server::{IoModel, Server};
-use sp_serve::wire::{Request, ResultBody, SessionOp, PROTO_BINARY, PROTO_JSON};
+use sp_serve::wire::{Request, Response, ResultBody, SessionOp};
 use sp_serve::workload::{self, WorkloadConfig};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -43,10 +39,9 @@ fn run_replay(
     workers: usize,
     clients: usize,
     io: IoModel,
-    proto: u8,
 ) -> (
-    Vec<Value>,
-    Vec<Value>,
+    Vec<Response>,
+    Vec<Response>,
     sp_serve::registry::RegistryStats,
     usize,
 ) {
@@ -71,12 +66,11 @@ fn run_replay(
         .iter()
         .filter(|r| matches!(&r.request, Request::Session(s) if matches!(s.op, SessionOp::Evict)))
         .count();
-    let outcome = workload::replay(addr, &script, clients, proto).expect("replay completes");
+    let outcome = workload::replay(addr, &script, clients).expect("replay completes");
     let stats = server.registry().stats();
 
-    // Protocol sanity: the registry-level ops answer inline (over a
-    // fresh typed connection, whatever the replay spoke).
-    let mut client = ServeClient::connect(addr, PROTO_JSON).expect("ping connection");
+    // Protocol sanity: the registry-level ops answer inline.
+    let mut client = ServeClient::connect(addr).expect("ping connection");
     assert_eq!(client.ping(), Ok(ResultBody::Pong));
 
     // Observability sanity: the replay's spans landed in the registry
@@ -112,26 +106,27 @@ fn run_replay(
     }
 
     server.shutdown();
-    let reference = workload::reference_responses(&script);
+    let reference = workload::reference_typed(&script);
     let _ = std::fs::remove_dir_all(&dir);
     (outcome.responses, reference, stats, explicit_evicts)
 }
 
-fn assert_identical(served: &[Value], reference: &[Value]) {
-    if let Err((k, s, r)) = workload::verify(served, reference) {
-        panic!("response {k} diverged:\n  served:    {s}\n  reference: {r}");
+fn assert_identical(served: &[Response], reference: &[Response]) {
+    if let Err(k) = workload::verify(served, reference) {
+        let (s, r) = (&served[k], &reference[k]);
+        panic!("response {k} diverged:\n  served:    {s:?}\n  reference: {r:?}");
     }
 }
 
 fn assert_quick_outcome(
     cfg: &WorkloadConfig,
-    served: &[Value],
-    reference: &[Value],
+    served: &[Response],
+    reference: &[Response],
     stats: &sp_serve::registry::RegistryStats,
 ) {
     assert_eq!(served.len(), cfg.requests);
     assert!(
-        served.iter().all(|r| r["ok"] == true),
+        served.iter().all(|r| r.outcome.is_ok()),
         "quick workload must not produce errors"
     );
     assert_identical(served, reference);
@@ -152,24 +147,7 @@ fn assert_quick_outcome(
 #[test]
 fn quick_replay_is_bit_identical() {
     let cfg = WorkloadConfig::quick();
-    let (served, reference, stats, _) =
-        run_replay("quick", &cfg, 64 << 20, 4, 4, IoModel::Reactor, PROTO_JSON);
-    assert_quick_outcome(&cfg, &served, &reference, &stats);
-}
-
-/// The same smoke over the negotiated binary protocol.
-#[test]
-fn quick_replay_is_bit_identical_over_binary() {
-    let cfg = WorkloadConfig::quick();
-    let (served, reference, stats, _) = run_replay(
-        "quick-bin",
-        &cfg,
-        64 << 20,
-        4,
-        4,
-        IoModel::Reactor,
-        PROTO_BINARY,
-    );
+    let (served, reference, stats, _) = run_replay("quick", &cfg, 64 << 20, 4, 4, IoModel::Reactor);
     assert_quick_outcome(&cfg, &served, &reference, &stats);
 }
 
@@ -178,15 +156,8 @@ fn quick_replay_is_bit_identical_over_binary() {
 #[test]
 fn quick_replay_is_bit_identical_on_threaded_io() {
     let cfg = WorkloadConfig::quick();
-    let (served, reference, stats, _) = run_replay(
-        "quick-threaded",
-        &cfg,
-        64 << 20,
-        4,
-        4,
-        IoModel::Threaded,
-        PROTO_JSON,
-    );
+    let (served, reference, stats, _) =
+        run_replay("quick-threaded", &cfg, 64 << 20, 4, 4, IoModel::Threaded);
     assert_quick_outcome(&cfg, &served, &reference, &stats);
 }
 
@@ -194,13 +165,22 @@ fn quick_replay_is_bit_identical_on_threaded_io() {
 /// 54 MB resident, so 32 MiB keeps the registry evicting throughout.
 const ACCEPTANCE_BUDGET: usize = 32 << 20;
 
-fn acceptance_replay(tag: &str, proto: u8) {
+/// The acceptance gate (see module docs): 10k requests, 256 sessions,
+/// 32 MiB budget, bit-identical to the no-eviction reference.
+#[test]
+fn acceptance_replay_is_bit_identical_under_eviction() {
     let cfg = WorkloadConfig::acceptance();
-    let (served, reference, stats, explicit_evicts) =
-        run_replay(tag, &cfg, ACCEPTANCE_BUDGET, 4, 8, IoModel::Reactor, proto);
+    let (served, reference, stats, explicit_evicts) = run_replay(
+        "acceptance",
+        &cfg,
+        ACCEPTANCE_BUDGET,
+        4,
+        8,
+        IoModel::Reactor,
+    );
     assert_eq!(served.len(), 10_000);
     assert!(
-        served.iter().all(|r| r["ok"] == true),
+        served.iter().all(|r| r.outcome.is_ok()),
         "acceptance workload must not produce errors"
     );
     assert_identical(&served, &reference);
@@ -224,19 +204,4 @@ fn acceptance_replay(tag: &str, proto: u8) {
         "registry ended far above budget: {stats:?}"
     );
     assert_eq!(stats.requests_served, 10_000);
-}
-
-/// The acceptance gate (see module docs) over protocol 1: 10k requests,
-/// 256 sessions, 32 MiB budget, bit-identical to the no-eviction
-/// reference.
-#[test]
-fn acceptance_replay_is_bit_identical_under_eviction() {
-    acceptance_replay("acceptance", PROTO_JSON);
-}
-
-/// The acceptance gate again over protocol 2: the same 10k script
-/// through the compact binary codec, still bit-identical.
-#[test]
-fn acceptance_replay_is_bit_identical_over_binary() {
-    acceptance_replay("acceptance-bin", PROTO_BINARY);
 }

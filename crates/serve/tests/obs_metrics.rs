@@ -17,7 +17,7 @@ use sp_serve::client::ServeClient;
 use sp_serve::config::ServeConfig;
 use sp_serve::obs::ObsConfig;
 use sp_serve::server::{IoModel, Server};
-use sp_serve::wire::{ErrorCode, GameSpec, Geometry, MetricsBody, PROTO_BINARY, PROTO_JSON};
+use sp_serve::wire::{ErrorCode, GameSpec, Geometry, MetricsBody};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sp-serve-obs-{tag}-{}", std::process::id()));
@@ -66,7 +66,7 @@ fn metrics_and_trace_tail_require_obs() {
     let dir = test_dir("off");
     let server =
         Server::start(ServeConfig::new().workers(1).spill_dir(dir.clone())).expect("server starts");
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_JSON).expect("connect");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let err = client.metrics().expect_err("metrics must refuse");
     assert_eq!(err.code, ErrorCode::BadRequest);
     let err = client
@@ -82,7 +82,7 @@ fn metrics_and_trace_tail_require_obs() {
 #[test]
 fn work_counters_survive_evict_and_restore() {
     let (server, dir) = obs_server("carry", IoModel::Threaded);
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_JSON).expect("connect");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     client.create("carry", spec()).expect("create");
     client
@@ -145,14 +145,14 @@ fn work_counters_survive_evict_and_restore() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `metrics` and `trace_tail` speak both codecs, and the tail reflects
+/// `metrics` and `trace_tail` answer over binary, and the tail reflects
 /// completed requests with well-formed per-phase offsets and real op
 /// names. Requests on one connection are strictly sequential, so every
 /// earlier request's span has finished by the time the tail is read.
 #[test]
 fn trace_tail_reports_completed_spans_over_binary() {
     let (server, dir) = obs_server("tail", IoModel::Reactor);
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_BINARY).expect("connect");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     client.create("traced", spec()).expect("create");
     for _ in 0..3 {

@@ -24,8 +24,7 @@ use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::registry::{RegistryConfig, SessionRegistry};
 use sp_serve::server::Server;
 use sp_serve::wire::{
-    ErrorCode, GameSpec, Geometry, Response, ResultBody, SessionOp, SessionRequest, PROTO_BINARY,
-    PROTO_JSON,
+    ErrorCode, GameSpec, Geometry, Response, ResultBody, SessionOp, SessionRequest,
 };
 use sp_serve::workload::{self, WorkloadConfig};
 
@@ -107,8 +106,7 @@ fn last_frame_start(data: &[u8]) -> usize {
 /// The acceptance gate in-process: crash (drop without shutdown) at the
 /// script midpoint, restart on the same spill directory, replay the
 /// rest — the combined responses must be bit-identical to the
-/// no-crash reference, phase one over JSON and phase two over binary
-/// (recovery is codec-agnostic). A full `wal_verify` sweep closes it.
+/// no-crash reference. A full `wal_verify` sweep closes it.
 #[test]
 fn crash_restart_replay_is_bit_identical_to_an_uncrashed_run() {
     let dir = test_dir("crash");
@@ -123,8 +121,8 @@ fn crash_restart_replay_is_bit_identical_to_an_uncrashed_run() {
             .durability(wal_mode(8)),
     )
     .expect("first server starts");
-    let first = workload::replay(server.local_addr(), &script[..k], 4, PROTO_JSON)
-        .expect("pre-crash replay completes");
+    let first =
+        workload::replay(server.local_addr(), &script[..k], 4).expect("pre-crash replay completes");
     // The crash: no shutdown, no drain — every response above was
     // acknowledged, so its record is already group-committed.
     drop(server);
@@ -141,23 +139,24 @@ fn crash_restart_replay_is_bit_identical_to_an_uncrashed_run() {
         "restart must replay the pre-crash tail: {:?}",
         server.registry().stats()
     );
-    let second = workload::replay(server.local_addr(), &script[k..], 4, PROTO_BINARY)
+    let second = workload::replay(server.local_addr(), &script[k..], 4)
         .expect("post-crash replay completes");
 
-    let reference = workload::reference_responses(&script);
+    let reference = workload::reference_typed(&script);
     let combined: Vec<_> = first
         .responses
         .iter()
         .chain(&second.responses)
         .cloned()
         .collect();
-    if let Err((i, s, r)) = workload::verify(&combined, &reference) {
-        panic!("response {i} diverged across the crash:\n  served:    {s}\n  reference: {r}");
+    if let Err(i) = workload::verify(&combined, &reference) {
+        let (s, r) = (&combined[i], &reference[i]);
+        panic!("response {i} diverged across the crash:\n  served:    {s:?}\n  reference: {r:?}");
     }
 
     // The audit sweep: every session's log re-scans clean, and the
     // audited head agrees with the live one.
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_BINARY).expect("audit client");
+    let mut client = ServeClient::connect(server.local_addr()).expect("audit client");
     for i in 0..cfg.sessions {
         let name = workload::session_name(i);
         let verified = client.wal_verify(&name).expect("audit passes");
@@ -269,7 +268,7 @@ fn tampered_log_is_rejected_over_the_wire() {
             .durability(wal_mode(4)),
     )
     .expect("server starts");
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_BINARY).expect("client");
+    let mut client = ServeClient::connect(server.local_addr()).expect("client");
     client.create("audit", spec()).expect("create");
     for (from, to) in [(0, 2), (0, 3), (1, 3)] {
         client
@@ -313,7 +312,7 @@ fn audit_ops_are_bad_request_when_durability_is_off() {
     let dir = test_dir("off");
     let server =
         Server::start(ServeConfig::new().workers(1).spill_dir(dir.clone())).expect("server starts");
-    let mut client = ServeClient::connect(server.local_addr(), PROTO_JSON).expect("client");
+    let mut client = ServeClient::connect(server.local_addr()).expect("client");
     client.create("s", spec()).expect("create");
     for op in [client.wal_head("s"), client.wal_verify("s")] {
         match op {

@@ -1,7 +1,8 @@
-//! The compact binary codec (protocol version 2).
+//! The compact binary codec (protocol version 2): every request and
+//! response after the JSON hello ([`crate::hello`]).
 //!
 //! Binary frames ride behind the same 4-byte big-endian length prefix
-//! as JSON frames — only the payload bytes differ. The payload grammar:
+//! as the hello — only the payload bytes differ. The payload grammar:
 //!
 //! ```text
 //! request  := op:u8 flags:u8 [id:varint] body
@@ -613,7 +614,7 @@ fn read_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
 ///
 /// Returns a [`ErrorCode::BadFrame`] failure — with the request id when
 /// the header was intact — on any malformed payload. Name validation
-/// failures surface as [`ErrorCode::BadName`], matching the JSON path.
+/// failures surface as [`ErrorCode::BadName`].
 pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     let mut r = Reader::new(payload);
     let (tag, id) = read_header(&mut r).map_err(|error| DecodeError { id: None, error })?;
@@ -795,9 +796,9 @@ fn result_tag(body: &ResultBody) -> u8 {
     }) as u8
 }
 
-/// Encodes a response into a binary frame payload. Unlike JSON result
-/// bodies, binary ones are self-describing (the tag byte mirrors the
-/// op code), so decoding needs no request context.
+/// Encodes a response into a binary frame payload. Result bodies are
+/// self-describing (the tag byte mirrors the op code), so decoding
+/// needs no request context.
 #[must_use]
 pub fn encode_response(response: &Response) -> Vec<u8> {
     let mut w = Writer::new();

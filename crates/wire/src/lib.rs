@@ -1,38 +1,27 @@
 //! The typed sp-serve wire protocol.
 //!
 //! One set of types — [`Request`], [`Response`], [`WireError`] — is the
-//! protocol; the two codec modules ([`json`] and [`binary`]) are
-//! interchangeable serializations of it. The server, the load
-//! generator, and the single-threaded reference executor all dispatch
-//! on these enums, so "the concurrent server answers bit-identically to
-//! the reference" is a statement about *typed values*, checked after
-//! decoding, not about accidental agreement between two hand-rolled
-//! JSON builders.
+//! protocol, and [`binary`] is its one serialization. The server, the
+//! load generator, and the single-threaded reference executor all
+//! dispatch on these enums, so "the concurrent server answers
+//! bit-identically to the reference" is a statement about the encoded
+//! bytes of typed values.
 //!
-//! # Versions and negotiation
+//! # The handshake
 //!
-//! * **Proto 1** is the historical JSON protocol: length-prefixed
-//!   compact-JSON frames (`sp_json::frame`). A connection that never
-//!   sends a `hello` speaks proto 1 implicitly — every pre-existing
-//!   client keeps working unchanged.
-//! * **Proto 2** is the compact binary codec over the same length
-//!   prefix. A client opts in by making its *first* frame a JSON
-//!   `hello {proto: 2}`; the server answers in JSON (so the client can
-//!   read the verdict with the codec it already speaks) and both sides
-//!   switch to binary for every subsequent frame.
-//!
-//! A malformed or unsupported `hello` is answered with a typed reject
-//! ([`ErrorCode::BadProto`]) before the connection closes — never a
-//! silent close.
+//! Frames are length-prefixed payloads. A connection's first frame is
+//! the JSON `{"op":"hello","proto":2}` ([`hello`]); the server answers
+//! in JSON and both sides speak the binary codec from then on. Any
+//! other first frame — a protocol-1 request, another version, bytes
+//! that are not JSON — is answered with a typed JSON reject
+//! ([`ErrorCode::BadProto`] or [`ErrorCode::BadFrame`]) before the
+//! connection closes, never with a silent close.
 //!
 //! # Error taxonomy
 //!
 //! Every failure carries a stable machine-readable [`ErrorCode`] beside
-//! its human-readable message. Codes are part of the protocol: the JSON
-//! envelope carries them as a `"code"` string, the binary codec as a
-//! single byte, and both renderings are produced by the same shared
-//! constructors, which is what keeps error responses inside the
-//! bit-identity contract.
+//! its human-readable message: a single byte in the binary codec, a
+//! `"code"` string in the hello's JSON reject.
 
 #![forbid(unsafe_code)]
 
@@ -40,19 +29,18 @@ use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 use sp_dynamics::Termination;
 
 pub mod binary;
-pub mod json;
+pub mod hello;
 
-/// The implicit, historical JSON protocol version.
-pub const PROTO_JSON: u8 = 1;
-/// The negotiated compact binary protocol version.
+/// The protocol version a connection's hello must ask for: the compact
+/// binary codec.
 pub const PROTO_BINARY: u8 = 2;
 
 /// Largest session-name length the service accepts.
 pub const MAX_NAME_LEN: usize = 64;
 
 /// Stable operation codes. The numeric values are the binary codec's
-/// on-wire tags and the README's op-code table; the names are the JSON
-/// codec's `"op"` strings. Neither may change once released.
+/// on-wire tags and the README's op-code table; the names label trace
+/// spans and latency histograms. Neither may change once released.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum OpCode {
@@ -96,7 +84,7 @@ pub enum OpCode {
 }
 
 impl OpCode {
-    /// The JSON `"op"` string.
+    /// The op's name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -119,32 +107,6 @@ impl OpCode {
             OpCode::Metrics => "metrics",
             OpCode::TraceTail => "trace_tail",
         }
-    }
-
-    /// Inverse of [`OpCode::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<OpCode> {
-        Some(match name {
-            "hello" => OpCode::Hello,
-            "ping" => OpCode::Ping,
-            "stats" => OpCode::Stats,
-            "create" => OpCode::Create,
-            "load" => OpCode::Load,
-            "apply" => OpCode::Apply,
-            "apply_batch" => OpCode::ApplyBatch,
-            "best_response" => OpCode::BestResponse,
-            "nash_gap" => OpCode::NashGap,
-            "social_cost" => OpCode::SocialCost,
-            "stretch" => OpCode::Stretch,
-            "run_dynamics" => OpCode::RunDynamics,
-            "snapshot" => OpCode::Snapshot,
-            "evict" => OpCode::Evict,
-            "wal_head" => OpCode::WalHead,
-            "wal_verify" => OpCode::WalVerify,
-            "metrics" => OpCode::Metrics,
-            "trace_tail" => OpCode::TraceTail,
-            _ => return None,
-        })
     }
 
     /// Inverse of the `repr(u8)` value (the binary tag).
@@ -176,7 +138,7 @@ impl OpCode {
 
 /// Stable error codes — the machine-readable half of every error
 /// response. `repr(u8)` values are the binary codec's bytes; the
-/// strings are the JSON envelope's `"code"` field.
+/// strings are the hello reject's `"code"` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -209,7 +171,7 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// The JSON `"code"` string.
+    /// The code's name (the hello reject's `"code"` string).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -227,28 +189,6 @@ impl ErrorCode {
             ErrorCode::BadFrame => "bad_frame",
             ErrorCode::ChainBroken => "chain_broken",
         }
-    }
-
-    /// Inverse of [`ErrorCode::as_str`]. (Not [`std::str::FromStr`] —
-    /// unknown codes are an `Option`, not an error value.)
-    #[must_use]
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad_request" => ErrorCode::BadRequest,
-            "unknown_op" => ErrorCode::UnknownOp,
-            "bad_field" => ErrorCode::BadField,
-            "bad_name" => ErrorCode::BadName,
-            "bad_spec" => ErrorCode::BadSpec,
-            "session_exists" => ErrorCode::SessionExists,
-            "unknown_session" => ErrorCode::UnknownSession,
-            "core" => ErrorCode::Core,
-            "io" => ErrorCode::Io,
-            "shutdown" => ErrorCode::Shutdown,
-            "bad_proto" => ErrorCode::BadProto,
-            "bad_frame" => ErrorCode::BadFrame,
-            "chain_broken" => ErrorCode::ChainBroken,
-            _ => return None,
-        })
     }
 
     /// Inverse of the `repr(u8)` value.
@@ -310,9 +250,7 @@ pub struct DecodeError {
 }
 
 /// The geometry of an embedded game spec — exactly one representation,
-/// by construction (the old JSON layer had to *check* "exactly one of
-/// `positions_1d` / `points_2d` / `matrix`"; the type makes the
-/// ambiguity unrepresentable).
+/// by construction (a spec cannot name two geometries or none).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     /// Points on a line, by coordinate.
@@ -333,8 +271,7 @@ pub struct GameSpec {
     pub geometry: Geometry,
     /// Initial directed links; empty means the empty profile.
     pub links: Vec<(usize, usize)>,
-    /// Evaluation backend; dense is the default and the JSON codec
-    /// omits it.
+    /// Evaluation backend.
     pub mode: BackendMode,
 }
 
@@ -349,7 +286,7 @@ pub enum DynamicsRule {
 
 /// The engine knobs a `run_dynamics` request may override; `None`
 /// means "engine default". Kept optional (rather than resolved) so a
-/// request round-trips codecs without losing which fields were
+/// request round-trips the codec without losing which fields were
 /// explicit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicsSpec {
@@ -475,12 +412,13 @@ pub struct SessionRequest {
 /// One request frame, fully typed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Version negotiation (first frame of a connection).
+    /// A binary hello. Negotiation is the JSON first frame
+    /// ([`hello`]), so the server answers this one with
+    /// [`ErrorCode::BadProto`].
     Hello {
         /// Echoed back.
         id: Option<u64>,
-        /// Requested protocol version ([`PROTO_JSON`] or
-        /// [`PROTO_BINARY`]).
+        /// Requested protocol version.
         proto: u8,
     },
     /// Liveness probe.
@@ -801,29 +739,6 @@ pub fn validate_name(name: &str) -> Result<(), WireError> {
     Ok(())
 }
 
-/// The wire names of the best-response solve methods.
-#[must_use]
-pub fn method_name(m: BestResponseMethod) -> &'static str {
-    match m {
-        BestResponseMethod::Exact => "exact",
-        BestResponseMethod::ExactEnumeration => "enumeration",
-        BestResponseMethod::Greedy => "greedy",
-        BestResponseMethod::LocalSearch => "local_search",
-    }
-}
-
-/// Inverse of [`method_name`].
-#[must_use]
-pub fn method_from_name(s: &str) -> Option<BestResponseMethod> {
-    Some(match s {
-        "exact" => BestResponseMethod::Exact,
-        "enumeration" => BestResponseMethod::ExactEnumeration,
-        "greedy" => BestResponseMethod::Greedy,
-        "local_search" => BestResponseMethod::LocalSearch,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,10 +765,8 @@ mod tests {
             OpCode::Metrics,
             OpCode::TraceTail,
         ] {
-            assert_eq!(OpCode::from_name(op.name()), Some(op));
             assert_eq!(OpCode::from_u8(op as u8), Some(op));
         }
-        assert_eq!(OpCode::from_name("warp"), None);
         assert_eq!(OpCode::from_u8(0xFF), None);
     }
 
@@ -874,10 +787,8 @@ mod tests {
             ErrorCode::BadFrame,
             ErrorCode::ChainBroken,
         ] {
-            assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
             assert_eq!(ErrorCode::from_u8(code as u8), Some(code));
         }
-        assert_eq!(ErrorCode::parse("mystery"), None);
         assert_eq!(ErrorCode::from_u8(0), None);
     }
 

@@ -1,9 +1,7 @@
 //! Property tests for codec fidelity: every typed [`Request`] /
-//! [`Response`] the protocol can express must survive **both** codecs
-//! unchanged, the two codecs must agree with each other (decoding a
-//! binary frame and re-encoding through the JSON codec yields exactly
-//! what encoding through JSON directly yields — the equivalence the
-//! replay gate's bit-identity claim leans on), and malformed frames —
+//! [`Response`] the protocol can express must survive the binary codec
+//! unchanged, re-encoding a decoded frame must reproduce its bytes (the
+//! replay gate compares encoded responses), and malformed frames —
 //! truncated, trailing-garbage, oversized — must be rejected, never
 //! misread.
 
@@ -12,17 +10,14 @@ use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 use sp_dynamics::Termination;
 use sp_json::frame;
 use sp_wire::{
-    binary, json, BestResponseBody, DynamicsBody, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec,
-    Geometry, OpCode, Request, Response, ResultBody, ServiceStats, SessionOp, SessionRequest,
+    binary, BestResponseBody, DynamicsBody, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec,
+    Geometry, Request, Response, ResultBody, ServiceStats, SessionOp, SessionRequest,
     SocialCostBody, WireError,
 };
 
-/// Ids kept below 2^32: the JSON codec carries them as numbers, so the
-/// protocol's usable id space is the exactly-representable integers
-/// (the binary codec varints the full u64, but cross-codec equivalence
-/// is only promised where both codecs are lossless).
+/// Ids span the full u64: the binary codec varints them losslessly.
 fn arb_id() -> impl Strategy<Value = Option<u64>> {
-    prop_oneof![Just(None), (0u64..1 << 32).prop_map(Some)]
+    prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)]
 }
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -42,8 +37,7 @@ fn arb_name() -> impl Strategy<Value = String> {
         })
 }
 
-/// Printable ASCII, deliberately including quotes and backslashes to
-/// exercise JSON string escaping.
+/// Printable ASCII error messages.
 fn arb_msg() -> impl Strategy<Value = String> {
     proptest::collection::vec(32u8..127, 0..40)
         .prop_map(|bytes| bytes.into_iter().map(char::from).collect())
@@ -210,46 +204,38 @@ fn arb_social() -> impl Strategy<Value = SocialCostBody> {
     })
 }
 
-/// A result body paired with the op code it answers — the pairing the
-/// JSON decoder needs (protocol-1 results are not self-describing; the
-/// binary codec tags them and needs no hint).
-fn arb_op_body() -> impl Strategy<Value = (OpCode, ResultBody)> {
-    let small = || 0u64..1 << 32;
+/// A result body of any op.
+fn arb_body() -> impl Strategy<Value = ResultBody> {
+    let big = || 0u64..=u64::MAX;
     prop_oneof![
-        (1u8..=2).prop_map(|proto| (OpCode::Hello, ResultBody::Hello { proto })),
-        Just((OpCode::Ping, ResultBody::Pong)),
+        (1u8..=2).prop_map(|proto| ResultBody::Hello { proto }),
+        Just(ResultBody::Pong),
         (
-            (small(), small(), small(), small()),
+            (big(), big(), big(), big()),
             (0usize..100, 0usize..100, 0usize..1 << 32),
         )
-            .prop_map(|((a, b, c, d), (e, f, g))| (
-                OpCode::Stats,
-                ResultBody::Stats(ServiceStats {
-                    requests_served: a,
-                    sessions_created: b,
-                    sessions_evicted: c,
-                    sessions_restored: d,
-                    queue_depth_hwm: e,
-                    resident_sessions: f,
-                    resident_bytes: g,
-                })
-            )),
+            .prop_map(|((a, b, c, d), (e, f, g))| ResultBody::Stats(ServiceStats {
+                requests_served: a,
+                sessions_created: b,
+                sessions_evicted: c,
+                sessions_restored: d,
+                queue_depth_hwm: e,
+                resident_sessions: f,
+                resident_bytes: g,
+            })),
         (1usize..200, 0.01f64..100.0, 0usize..400, arb_mode()).prop_map(
-            |(n, alpha, links, mode)| (
-                OpCode::Create,
-                ResultBody::Created {
-                    n,
-                    alpha,
-                    links,
-                    mode
-                }
-            )
+            |(n, alpha, links, mode)| ResultBody::Created {
+                n,
+                alpha,
+                links,
+                mode
+            }
         ),
-        arb_mode().prop_map(|mode| (OpCode::Load, ResultBody::Loaded { mode })),
+        arb_mode().prop_map(|mode| ResultBody::Loaded { mode }),
         proptest::collection::vec(0usize..64, 0..6)
-            .prop_map(|previous| (OpCode::Apply, ResultBody::Applied { previous })),
+            .prop_map(|previous| ResultBody::Applied { previous }),
         proptest::collection::vec(proptest::collection::vec(0usize..64, 0..6), 0..4)
-            .prop_map(|previous| (OpCode::ApplyBatch, ResultBody::BatchApplied { previous })),
+            .prop_map(|previous| ResultBody::BatchApplied { previous }),
         (
             0usize..64,
             proptest::collection::vec(0usize..64, 0..6),
@@ -257,8 +243,7 @@ fn arb_op_body() -> impl Strategy<Value = (OpCode, ResultBody)> {
             arb_cost(),
             proptest::bool::ANY,
         )
-            .prop_map(|(peer, links, cost, current_cost, exact)| (
-                OpCode::BestResponse,
+            .prop_map(|(peer, links, cost, current_cost, exact)| {
                 ResultBody::BestResponse(BestResponseBody {
                     peer,
                     links,
@@ -266,27 +251,27 @@ fn arb_op_body() -> impl Strategy<Value = (OpCode, ResultBody)> {
                     current_cost,
                     exact,
                 })
-            )),
-        arb_cost().prop_map(|gap| (OpCode::NashGap, ResultBody::NashGap { gap })),
-        arb_social().prop_map(|s| (OpCode::SocialCost, ResultBody::SocialCost(s))),
-        arb_cost().prop_map(|max_stretch| (OpCode::Stretch, ResultBody::Stretch { max_stretch })),
+            }),
+        arb_cost().prop_map(|gap| ResultBody::NashGap { gap }),
+        arb_social().prop_map(ResultBody::SocialCost),
+        arb_cost().prop_map(|max_stretch| ResultBody::Stretch { max_stretch }),
         (
             arb_termination(),
             0usize..10_000,
             0usize..10_000,
             arb_social()
         )
-            .prop_map(|(termination, steps, moves, social_cost)| (
-                OpCode::RunDynamics,
+            .prop_map(|(termination, steps, moves, social_cost)| {
                 ResultBody::Dynamics(DynamicsBody {
                     termination,
                     steps,
                     moves,
                     social_cost,
                 })
-            )),
-        Just((OpCode::Snapshot, ResultBody::Persisted)),
-        Just((OpCode::Evict, ResultBody::Evicted)),
+            }),
+        Just(ResultBody::Persisted),
+        Just(ResultBody::Evicted),
+        (big(), big()).prop_map(|(records, head_hash)| ResultBody::WalHead { records, head_hash }),
     ]
 }
 
@@ -304,72 +289,48 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
         Just(ErrorCode::Shutdown),
         Just(ErrorCode::BadProto),
         Just(ErrorCode::BadFrame),
+        Just(ErrorCode::ChainBroken),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Requests round-trip both codecs, and the codecs agree with each
-    /// other on every decodable value.
+    /// Requests round-trip the binary codec, and re-encoding the
+    /// decoded value reproduces the frame byte for byte.
     #[test]
-    fn requests_roundtrip_both_codecs(request in arb_request()) {
-        let v = json::encode_request(&request);
-        let via_json = json::decode_request(&v).expect("JSON decode");
-        prop_assert_eq!(&via_json, &request);
-
+    fn requests_roundtrip_binary(request in arb_request()) {
         let b = binary::encode_request(&request);
-        let via_binary = binary::decode_request(&b).expect("binary decode");
-        prop_assert_eq!(&via_binary, &request);
-
-        // Cross-codec equivalence stated directly: re-encoding the
-        // binary-decoded value through JSON reproduces the JSON frame.
-        prop_assert_eq!(json::encode_request(&via_binary), v);
+        let decoded = binary::decode_request(&b).expect("binary decode");
+        prop_assert_eq!(&decoded, &request);
+        prop_assert_eq!(binary::encode_request(&decoded), b);
     }
 
-    /// Success responses round-trip both codecs; decoding the binary
-    /// frame and re-encoding through JSON reproduces the JSON frame
-    /// byte-for-byte (this is the property `Client::call_request` leans
-    /// on for protocol-2 bit-identity).
+    /// Success responses round-trip the binary codec byte for byte —
+    /// the property the replay gate's encoded-bytes comparison leans
+    /// on.
     #[test]
-    fn ok_responses_roundtrip_both_codecs(
-        id in arb_id(),
-        (op, body) in arb_op_body(),
-    ) {
+    fn ok_responses_roundtrip_binary(id in arb_id(), body in arb_body()) {
         let response = Response::ok(id, body);
-        let v = json::encode_response(&response);
-        prop_assert_eq!(&json::decode_response(&v, op).expect("JSON decode"), &response);
-
         let b = binary::encode_response(&response);
-        let via_binary = binary::decode_response(&b).expect("binary decode");
-        prop_assert_eq!(&via_binary, &response);
-        prop_assert_eq!(
-            json::encode_response(&via_binary).to_string_compact(),
-            v.to_string_compact()
-        );
+        let decoded = binary::decode_response(&b).expect("binary decode");
+        prop_assert_eq!(&decoded, &response);
+        prop_assert_eq!(binary::encode_response(&decoded), b);
     }
 
-    /// Error responses round-trip both codecs with their stable code
-    /// strings intact, whatever op they answer.
+    /// Error responses round-trip the binary codec with their stable
+    /// code bytes intact.
     #[test]
-    fn error_responses_roundtrip_both_codecs(
+    fn error_responses_roundtrip_binary(
         id in arb_id(),
         code in arb_error_code(),
         msg in arb_msg(),
-        (op, _) in arb_op_body(),
     ) {
         let response = Response::err(id, WireError::new(code, msg));
-        let v = json::encode_response(&response);
-        prop_assert_eq!(v["code"].as_str(), Some(code.as_str()));
-        prop_assert_eq!(&json::decode_response(&v, op).expect("JSON decode"), &response);
-
         let b = binary::encode_response(&response);
-        let via_binary = binary::decode_response(&b).expect("binary decode");
-        prop_assert_eq!(&via_binary, &response);
-        prop_assert_eq!(
-            json::encode_response(&via_binary).to_string_compact(),
-            v.to_string_compact()
-        );
+        let decoded = binary::decode_response(&b).expect("binary decode");
+        prop_assert_eq!(&decoded, &response);
+        prop_assert_eq!(binary::encode_response(&decoded), b);
     }
 
     /// Every proper prefix of a binary frame is rejected — a truncated
@@ -396,7 +357,7 @@ proptest! {
     #[test]
     fn truncated_and_padded_binary_responses_are_rejected(
         id in arb_id(),
-        (_, body) in arb_op_body(),
+        body in arb_body(),
         cut in 0usize..1 << 16,
     ) {
         let full = binary::encode_response(&Response::ok(id, body));
