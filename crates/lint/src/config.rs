@@ -112,8 +112,7 @@ impl Config {
                 "write_frame",
                 "read_frame",
                 "TcpStream::",
-                "session_to_value",
-                "session_from_value",
+                ".checkpoint(",
             ]),
             dense_alloc_paths: s(&[
                 "crates/core/src/",

@@ -4,7 +4,7 @@
 //! sp-loadgen --addr HOST:PORT [--clients C] [--sessions S]
 //!            [--requests R] [--peers N] [--seed SEED]
 //!            [--quick | --acceptance] [--verify]
-//!            [--server-metrics] [--crash-at K | --resume-at K]
+//!            [--server-metrics] [--resume-at K1] [--crash-at K2]
 //! ```
 //!
 //! Builds the deterministic mixed workload (`sp_serve::workload`),
@@ -22,8 +22,10 @@
 //! models a crash with K committed requests — and `--resume-at K`
 //! replays `[K, end)` against the restarted server and verifies against
 //! the *same* reference slice, proving the recovered state is
-//! bit-identical to never having crashed. Resume mode finishes with a
-//! `wal_verify` audit sweep over every workload session.
+//! bit-identical to never having crashed. Both together replay the
+//! window `[K1, K2)`, so a run can crash again after a recovery. Resume
+//! mode finishes with a `wal_verify` audit sweep over every workload
+//! session.
 
 #![forbid(unsafe_code)]
 
@@ -50,7 +52,7 @@ struct Args {
 fn usage() -> String {
     "usage: sp-loadgen --addr HOST:PORT [--clients C] [--sessions S] [--requests R] \
      [--peers N] [--seed SEED] [--quick | --acceptance] [--verify] \
-     [--server-metrics] [--crash-at K | --resume-at K]"
+     [--server-metrics] [--resume-at K1] [--crash-at K2]"
         .to_owned()
 }
 
@@ -119,9 +121,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     }
     if args.addr.is_empty() {
         return Err(format!("--addr is required\n{}", usage()));
-    }
-    if args.crash_at.is_some() && args.resume_at.is_some() {
-        return Err("--crash-at and --resume-at are mutually exclusive".to_owned());
     }
     Ok(args)
 }
@@ -258,10 +257,10 @@ fn main() -> ExitCode {
         println!(
             "window: requests [{lo}, {hi}) of {} ({} mode)",
             script.len(),
-            if args.crash_at.is_some() {
-                "crash"
-            } else {
-                "resume"
+            match (args.resume_at, args.crash_at) {
+                (Some(_), Some(_)) => "resume, then crash",
+                (Some(_), None) => "resume",
+                _ => "crash",
             },
         );
     }

@@ -9,7 +9,7 @@
 //!
 //! Binds, prints the resolved address on stdout (`listening on …`), and
 //! serves until killed. With `--durability wal`, startup first recovers
-//! every session from its snapshot + write-ahead log (so a `kill -9`
+//! every session from its log — checkpoint plus tail (so a `kill -9`
 //! loses nothing acknowledged), and each state-mutating op is logged
 //! before its response — group-committed every `--group-commit` jobs
 //! per worker. `--no-fsync` keeps the WAL cadence but skips the

@@ -142,7 +142,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the spill/snapshot/WAL directory.
+    /// Sets the directory holding each session's file (its log).
     #[must_use]
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.registry.spill_dir = dir.into();

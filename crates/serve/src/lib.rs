@@ -9,9 +9,10 @@
 //!   named sessions with **LRU eviction under a global memory budget**
 //!   (semantic byte accounting via [`sp_core::GameSession::memory_bytes`],
 //!   so eviction decisions are deterministic and machine-independent).
-//!   Evicted sessions spill to sp-json snapshot files and are restored
-//!   transparently on their next request, bit-identically
-//!   ([`snapshot`], property-tested in `tests/proptest_snapshot.rs`).
+//!   Evicted sessions spill as a checkpoint in their one file (the
+//!   session's log) and are restored transparently on their next
+//!   request, bit-identically ([`snapshot`], property-tested in
+//!   `tests/proptest_snapshot.rs`).
 //! * A **worker-pool scheduler** inside the registry: requests to one
 //!   session execute strictly in submission order (one worker owns a
 //!   session at a time), distinct sessions run in parallel across the
@@ -45,8 +46,8 @@
 //! * [`wal`] + [`config::Durability`] — per-session **write-ahead
 //!   logging**: every state-mutating op is appended (CRC-framed,
 //!   fnv1a hash-chained) before its response is released, synced once
-//!   per worker drain batch (group commit), compacted into the
-//!   snapshot on spill, and replayed from the tail on startup — so a
+//!   per worker drain batch (group commit), rewritten as a checkpoint
+//!   on spill, and replayed from the tail on startup — so a
 //!   `kill -9` loses nothing acknowledged, and the chain doubles as a
 //!   tamper-evident audit trail queryable via `wal_head` /
 //!   `wal_verify`.

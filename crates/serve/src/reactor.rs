@@ -688,34 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_in_the_connection_state() {
-        let (server, dir) = start("oversized", 1);
-        let huge = u32::MAX.to_be_bytes();
-
-        // Before the hello the reject is the JSON envelope…
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(&huge).unwrap();
-        let mut reader = BufReader::new(stream);
-        let v = frame::read_frame(&mut reader)
-            .unwrap()
-            .expect("typed reject");
-        assert_eq!(v["code"].as_str(), Some("bad_frame"), "{v}");
-        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
-
-        // …after it, binary.
-        let (mut stream, mut reader) = negotiate(&server);
-        stream.write_all(&huge).unwrap();
-        let resp = read_response(&mut reader);
-        assert_eq!(
-            resp.outcome.unwrap_err().code,
-            crate::wire::ErrorCode::BadFrame
-        );
-        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn a_pipelined_burst_queues_at_most_one_window() {
         let (server, dir) = start("window", 1);
         let (mut stream, mut reader) = negotiate(&server);

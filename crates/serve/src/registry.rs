@@ -38,12 +38,13 @@
 //! style as the core's `OracleCache` budget, so eviction behaviour is
 //! reproducible across hosts. When the total exceeds
 //! [`RegistryConfig::memory_budget`], the least-recently-used idle
-//! session is serialised to `<spill_dir>/<name>-<fnv1a(name)>.json`
-//! (the hash suffix keeps case-distinct names distinct on
-//! case-insensitive filesystems)
-//! ([`crate::snapshot`]) and dropped; its next request restores it
-//! transparently, bit-identically. Sessions whose state already matches
-//! their spill file (not *dirty*) skip the file write.
+//! session is checkpointed into its one file,
+//! `<spill_dir>/<name>-<fnv1a(name)>.wal` (the hash suffix keeps
+//! case-distinct names distinct on case-insensitive filesystems; the
+//! format is [`crate::wal`]'s, the checkpoint [`crate::snapshot`]'s),
+//! and dropped; its next request restores it transparently,
+//! bit-identically. Without a log, sessions whose state already
+//! matches their file (not *dirty*) skip the write.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -101,12 +102,13 @@ pub struct RegistryConfig {
     /// Global budget for resident sessions, in bytes. Exceeding it
     /// triggers LRU eviction of idle sessions.
     pub memory_budget: usize,
-    /// Directory for spill/snapshot files (created on registry start).
+    /// Directory for the per-session files (created on registry start).
     pub spill_dir: PathBuf,
     /// Write-ahead logging mode ([`crate::wal`]). Under
     /// [`Durability::Wal`], every state-mutating op appends a WAL
-    /// record before its response is released, startup replays
-    /// snapshot + WAL tail, and spill doubles as WAL compaction.
+    /// record before its response is released, startup rebuilds each
+    /// session from its log's checkpoint plus tail, and a spill
+    /// rewrites the log as a fresh checkpoint.
     pub durability: Durability,
     /// Observability ([`crate::obs`]): request spans, the metrics
     /// registry, and slow-request logging. Off by default — with it
@@ -162,7 +164,7 @@ struct EntryState {
     resident: Option<Box<GameSession>>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
-    /// Whether resident state has diverged from the spill file.
+    /// Whether resident state has diverged from the session's file.
     dirty: bool,
     /// Bytes currently charged against the global budget.
     bytes: usize,
@@ -240,7 +242,7 @@ struct Slot {
     resident: Option<Box<GameSession>>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
-    /// Whether resident state has diverged from the spill file.
+    /// Whether resident state has diverged from the session's file.
     dirty: bool,
 }
 
@@ -287,11 +289,11 @@ struct PendingReply {
 
 impl SessionRegistry {
     /// Creates a registry (and its spill directory). Under
-    /// [`Durability::Wal`], every WAL file in the spill directory is
-    /// recovered before this returns: torn tails truncated, snapshots
-    /// loaded, and the WAL tail past each snapshot's mark replayed
-    /// through the normal ops dispatch — workers start on a state
-    /// provably equal to everything the previous process acknowledged.
+    /// [`Durability::Wal`], every log in the spill directory is
+    /// recovered before this returns: torn tails truncated, each
+    /// checkpoint restored and the tail after it replayed through the
+    /// normal ops dispatch — workers start on a state provably equal
+    /// to everything the previous process acknowledged.
     ///
     /// # Errors
     ///
@@ -695,61 +697,52 @@ impl SessionRegistry {
         session.memory_bytes() + session.game().metric_bytes() + ENTRY_OVERHEAD_BYTES
     }
 
-    fn spill_path(&self, name: &str) -> PathBuf {
+    /// The session's one file: its log, checkpoint included.
+    fn log_path(&self, name: &str) -> PathBuf {
         // The name is suffixed with its (stable, portable) FNV-1a hash:
         // the registry distinguishes names by case, so on a
-        // case-insensitive filesystem bare `<name>.json` files for "A"
+        // case-insensitive filesystem bare `<name>.wal` files for "A"
         // and "a" would silently overwrite each other and cross-wire
         // two sessions' restored state.
-        let tag = sp_graph::fnv1a(name.as_bytes());
-        self.config
-            .spill_dir
-            .join(format!("{name}-{tag:016x}.json"))
-    }
-
-    /// The session's WAL file: snapshot naming, `.wal` extension.
-    fn wal_path(&self, name: &str) -> PathBuf {
         let tag = sp_graph::fnv1a(name.as_bytes());
         self.config.spill_dir.join(format!("{name}-{tag:016x}.wal"))
     }
 
-    /// The session's WAL handle, opened lazily on first use. Only
-    /// called under [`Durability::Wal`]; startup recovery has already
-    /// installed handles for every log that existed on disk, so a
-    /// missing handle here really is a brand-new session.
+    /// The session's WAL handle, opened lazily on first use by the
+    /// logged `op`. Only called under [`Durability::Wal`]. A `create`
+    /// starts the session's history, so its log starts fresh; any
+    /// other op runs on a session that came from a file (a `load` cold
+    /// start nothing recovered at startup), and opening that file must
+    /// never truncate it — its checkpoint is the session's only copy.
     fn wal_for(
         &self,
         name: &str,
+        op: &SessionOp,
         slot: &mut Option<Arc<Mutex<SessionWal>>>,
     ) -> io::Result<Arc<Mutex<SessionWal>>> {
         if let Some(w) = slot {
             return Ok(Arc::clone(w));
         }
-        let wal = SessionWal::create(&self.wal_path(name), self.config.durability.fsync())?;
+        let (path, fsync) = (self.log_path(name), self.config.durability.fsync());
+        let wal = match op {
+            SessionOp::Create(_) => SessionWal::create(&path, fsync)?,
+            _ => SessionWal::open(&path, fsync)?,
+        };
         let wal = Arc::new(Mutex::new(wal));
         *slot = Some(Arc::clone(&wal));
         Ok(wal)
     }
 
-    /// Writes the session's spill file unless a current one exists.
+    /// Writes the session's checkpoint into its file.
     ///
-    /// With a WAL this is the flush-then-spill + compaction sequence,
-    /// in exactly this order:
-    ///
-    /// 1. **commit** — unflushed appends hit disk before the snapshot
-    ///    that claims to cover them can exist (the eviction edge: an
-    ///    idle session may hold records appended this batch but not
-    ///    yet group-committed);
-    /// 2. **snapshot with mark** — the file records the WAL position
-    ///    it captures, and under durability fsync it is synced to disk
-    ///    (data, then directory entry) before step 3 may truncate the
-    ///    records it covers: a crash between steps 2 and 3 just makes
-    ///    recovery skip the tail records the snapshot already covers,
-    ///    and power loss can never keep the truncation while losing
-    ///    the snapshot;
-    /// 3. **compact** — the log is rewritten as a bare header carrying
-    ///    the same `(records, head)`, so the audit chain spans the
-    ///    truncation.
+    /// Without a log the file is rewritten only when it is stale. With
+    /// one, the spill is two ordered steps: **commit** (unflushed
+    /// appends hit disk first — the eviction edge: an idle session may
+    /// hold records appended this batch but not yet group-committed),
+    /// then **checkpoint** — one atomic rewrite of the log as a header
+    /// carrying the same `(records, head)` and the session as it
+    /// stands. A crash leaves either the old file or the new one, and
+    /// the audit chain spans the rewrite.
     fn spill(
         &self,
         name: &str,
@@ -757,32 +750,20 @@ impl SessionRegistry {
         dirty: bool,
         wal: Option<&Arc<Mutex<SessionWal>>>,
     ) -> io::Result<()> {
-        let path = self.spill_path(name);
+        let path = self.log_path(name);
         let Some(wal) = wal else {
             if dirty || !path.exists() {
                 snapshot::save(&path, session)?;
             }
             return Ok(());
         };
+        let checkpoint = snapshot::checkpoint(session)?;
         let mut w = lock_unpoisoned(wal);
         if w.commit()? {
             self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
         }
-        if dirty || !path.exists() {
-            // sp-lint: allow(lock-hygiene, reason = "deliberate hold-across-save: the commit -> snapshot -> compact sequence must be atomic against concurrent appends or the mark could cover records it never flushed")
-            snapshot::save_with_mark(
-                &path,
-                session,
-                w.head().records,
-                self.config.durability.fsync(),
-            )?;
-        }
-        // A clean session skips the save: its records since the
-        // snapshot are all non-mutating (anything else would have set
-        // `dirty`), so the file — whatever mark it carries — already
-        // equals the state at the new base. Compaction is still
-        // correct, and keeps evict-heavy workloads from growing logs.
-        w.compact_to_mark()
+        // sp-lint: allow(lock-hygiene, reason = "deliberate hold-across-checkpoint: commit and rewrite must be atomic against concurrent appends, or the header could count records never flushed")
+        w.checkpoint(checkpoint)
     }
 
     /// Executes one job with the session checked out of its entry. The
@@ -838,10 +819,12 @@ impl SessionRegistry {
             && job.request.op.is_wal_logged()
             && response.outcome.is_ok()
         {
-            let appended = self.wal_for(&entry.name, &mut wal).and_then(|w| {
-                lock_unpoisoned(&w).append(&Request::Session(job.request.clone()))?;
-                Ok(w)
-            });
+            let appended = self
+                .wal_for(&entry.name, &job.request.op, &mut wal)
+                .and_then(|w| {
+                    lock_unpoisoned(&w).append(&Request::Session(job.request.clone()))?;
+                    Ok(w)
+                });
             match appended {
                 Ok(w) => {
                     self.wal_records.fetch_add(1, Ordering::Relaxed);
@@ -1005,9 +988,8 @@ impl SessionRegistry {
                     );
                     return Response::err(id, e);
                 }
-                match snapshot::load(&self.spill_path(name)) {
-                    Ok(mut s) => {
-                        ops::tune_for_service(&mut s);
+                match snapshot::load(&self.log_path(name)) {
+                    Ok(s) => {
                         self.sessions_restored.fetch_add(1, Ordering::Relaxed);
                         slot.created = true;
                         slot.dirty = false;
@@ -1038,11 +1020,10 @@ impl SessionRegistry {
                     ),
                 }
             }
-            // The explicit evict spills (compacting the WAL to a mark
-            // covering everything so far) *before* `process` appends
-            // the evict record itself — so a recovered tail may end
-            // with a trailing evict, which replay treats as a
-            // placement-only no-op.
+            // The explicit evict spills (checkpointing everything so
+            // far) *before* `process` appends the evict record itself —
+            // so a recovered tail may end with a trailing evict, which
+            // replay treats as a placement-only no-op.
             SessionOp::Evict => match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
                 Ok(()) => {
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
@@ -1095,9 +1076,8 @@ impl SessionRegistry {
                 WireError::new(ErrorCode::BadRequest, "write-ahead logging is disabled"),
             );
         }
-        // A created session with no log yet: restored from a pre-WAL
-        // snapshot and not yet touched by a logged op. Its chain is
-        // the empty one.
+        // A created session with no log yet (its log failed to open):
+        // its chain is the empty one.
         let head = match wal {
             None => Ok(wal::WalHead {
                 records: 0,
@@ -1172,77 +1152,23 @@ impl SessionRegistry {
         Ok(())
     }
 
-    /// Rebuilds one session: snapshot (if any) + the WAL tail past the
-    /// snapshot's mark, replayed through the normal ops dispatch.
-    fn recover_session(&self, name: &str, wal_path: &std::path::Path) -> io::Result<()> {
-        let replay_error = |seq: u64, what: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("wal replay of {name:?} record {seq}: {what}"),
-            )
-        };
-        let (wal, base_seq, tail) = SessionWal::recover(wal_path, self.config.durability.fsync())?;
-        let snap_path = self.spill_path(name);
-        let (mut resident, mark, mut created) = if snap_path.exists() {
-            let (mut s, mark) = snapshot::load_with_mark(&snap_path)?;
-            ops::tune_for_service(&mut s);
+    /// Rebuilds one session from its log: the checkpoint (if any) plus
+    /// the tail after it ([`snapshot::rebuild`]).
+    fn recover_session(&self, name: &str, path: &std::path::Path) -> io::Result<()> {
+        let (wal, log) = SessionWal::recover(path, self.config.durability.fsync())?;
+        let resident = snapshot::rebuild(&log)
+            .map_err(|e| io::Error::new(e.kind(), format!("recovery of session {name:?}: {e}")))?;
+        if log.checkpoint.is_some() {
             self.sessions_restored.fetch_add(1, Ordering::Relaxed);
-            (Some(Box::new(s)), mark, true)
-        } else {
-            (None, 0, false)
-        };
-        let mut dirty = false;
-        let mut replayed = 0u64;
-        for (k, req) in tail.iter().enumerate() {
-            let seq = base_seq + 1 + k as u64;
-            if seq <= mark {
-                // The snapshot was written after this record (crash
-                // between snapshot save and WAL truncation) — already
-                // applied, replaying would double-apply.
-                continue;
-            }
-            let Request::Session(sr) = req else {
-                return Err(replay_error(seq, "not a session op"));
-            };
-            replayed += 1;
-            match &sr.op {
-                SessionOp::Create(spec) => {
-                    if created {
-                        return Err(replay_error(seq, "create on an existing session"));
-                    }
-                    let s = ops::build_session(spec).map_err(|e| replay_error(seq, &e.message))?;
-                    resident = Some(Box::new(s));
-                    created = true;
-                    dirty = true;
-                }
-                // Placement-only records: the state they acknowledged
-                // is already either resident or inside the snapshot.
-                SessionOp::Evict => {}
-                SessionOp::Load => {
-                    if resident.is_none() {
-                        let mut s = snapshot::load(&snap_path)?;
-                        ops::tune_for_service(&mut s);
-                        resident = Some(Box::new(s));
-                        created = true;
-                    }
-                }
-                op => {
-                    let Some(session) = resident.as_mut() else {
-                        return Err(replay_error(seq, "mutation on a non-resident session"));
-                    };
-                    // The record was acknowledged, so it must apply
-                    // cleanly now — anything else is divergence.
-                    ops::execute_query(op, session).map_err(|e| replay_error(seq, &e.message))?;
-                    dirty = true;
-                }
-            }
         }
-        self.wal_replays.fetch_add(replayed, Ordering::Relaxed);
+        self.wal_replays
+            .fetch_add(log.tail.len() as u64, Ordering::Relaxed);
+        let created = resident.is_some();
+        let resident = resident.map(Box::new);
 
         let entry = self.entry(name);
         let mut st = lock_unpoisoned(&entry.state);
         st.created = created;
-        st.dirty = dirty;
         st.wal = Some(Arc::new(Mutex::new(wal)));
         let new_bytes = resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
         self.account(&mut st, new_bytes);

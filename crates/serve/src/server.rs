@@ -268,10 +268,17 @@ fn handle_connection(stream: TcpStream, registry: &SessionRegistry) {
     loop {
         let payload = match frame::read_frame_bytes(&mut reader) {
             Ok(Some(p)) => p,
+            // A broken envelope (oversized length prefix) is fatal, but
+            // still answered in the connection's state, as the reactor
+            // does: typed reject, then close.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let error = WireError::new(ErrorCode::BadFrame, e.to_string());
+                let _ = frame::write_frame_bytes(&mut writer, &proto.encode_error(None, error));
+                return;
+            }
             // Clean close or a mid-frame transport error both end the
-            // connection (undecodable *payloads* get typed replies via
-            // the protocol state machine below; only the length-prefix
-            // envelope itself is unrecoverable).
+            // connection silently (undecodable *payloads* get typed
+            // replies via the protocol state machine below).
             Ok(None) | Err(_) => return,
         };
         match proto.on_frame(&payload) {
@@ -361,6 +368,54 @@ mod tests {
                 binary::decode_response(&pong),
                 Ok(Response::ok(Some(8), ResultBody::Pong))
             );
+            server.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// An oversized length prefix is answered with a typed `bad_frame`
+    /// in the connection's state — the JSON envelope before the hello,
+    /// binary after it — then EOF, on both engines.
+    #[test]
+    fn oversized_length_prefix_is_rejected_in_the_connection_state() {
+        use std::io::Write;
+
+        let huge = u32::MAX.to_be_bytes();
+        for io in [IoModel::Threaded, IoModel::Reactor] {
+            let dir = std::env::temp_dir().join(format!(
+                "sp-serve-server-oversized-{io:?}-{}",
+                std::process::id()
+            ));
+            let server = Server::start(ServeConfig::new().workers(1).io(io).spill_dir(dir.clone()))
+                .expect("server starts");
+
+            // Before the hello the reject is the JSON envelope…
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.write_all(&huge).unwrap();
+            let mut reader = BufReader::new(stream);
+            let v = frame::read_frame(&mut reader)
+                .unwrap()
+                .expect("typed reject");
+            assert_eq!(v["code"].as_str(), Some("bad_frame"), "{io:?}: {v}");
+            assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
+
+            // …after it, binary.
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            frame::write_frame_bytes(&mut stream, crate::wire::hello::REQUEST).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let verdict = frame::read_frame_bytes(&mut reader).unwrap();
+            assert_eq!(verdict, Some(crate::wire::hello::accept(None)));
+            stream.write_all(&huge).unwrap();
+            let reject = frame::read_frame_bytes(&mut reader)
+                .unwrap()
+                .expect("typed reject");
+            let code = binary::decode_response(&reject)
+                .expect("binary envelope")
+                .outcome
+                .unwrap_err()
+                .code;
+            assert_eq!(code, ErrorCode::BadFrame, "{io:?}");
+            assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
             server.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
         }

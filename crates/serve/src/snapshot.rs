@@ -1,10 +1,23 @@
-//! Session snapshot persistence: [`sp_core::GameSession`] ⇄ sp-json ⇄
-//! file.
+//! Session persistence: a session's checkpoint, and the rebuild from a
+//! session's log.
 //!
-//! A snapshot file is self-contained — it carries the game (latency
-//! matrix plus `α`) and the profile — so it serves two roles:
+//! A session's state is its game (the metric and `α`) plus its
+//! strategy profile; every distance row is derived from those. A
+//! **checkpoint** captures that state as the [`GameSpec`] of a
+//! `create` request that rebuilds the session as it stands:
 //!
-//! * **eviction spill**: the registry writes the file, drops the
+//! * dense sessions carry `Geometry::Matrix` of the game's distances,
+//!   so the restored game holds exactly the source's bits;
+//! * sparse sessions carry `Geometry::Line` positions — kilobytes where
+//!   a 10⁵-peer matrix would be gigabytes; the landmark sketch is
+//!   rebuilt, and is deliberately outside the bit-identity contract;
+//! * the current profile as `links`, and the mode.
+//!
+//! The checkpoint lives in the header of the session's log, as the
+//! bytes of that `create` in the binary wire codec ([`crate::wal`]),
+//! so each session has one file in one format. It serves two roles:
+//!
+//! * **eviction spill**: the registry rewrites the file, drops the
 //!   in-memory session, and the next request restores it transparently;
 //! * **cold start**: a fresh server process (or the explicit `load` op)
 //!   can resurrect a session nothing in memory remembers.
@@ -14,340 +27,148 @@
 //! produced. Cached distance rows are derived state, so the file does
 //! not carry them: the restored session rebuilds its rows lazily from
 //! the profile, and cached ≡ fresh makes its answers bit-identical.
-//! Finite floats survive the text round trip because the printer emits
-//! shortest-round-trip renderings. Equal sessions produce
+//! Floats cross as raw IEEE-754 bits, and equal sessions produce
 //! byte-identical files.
-//!
-//! Dense format (`"format": "sp-serve/session-snapshot/v1"`):
-//!
-//! ```json
-//! {
-//!   "format": "sp-serve/session-snapshot/v1",
-//!   "alpha": 2.0,
-//!   "matrix": [[0.0, 1.5], [1.5, 0.0]],
-//!   "profile": [[1], []]
-//! }
-//! ```
-//!
-//! Older v1 files also hold `overlay_rows` and `residual_rows` (cached
-//! distance rows). The reader ignores both keys, so those files still
-//! load, and a stale or tampered row in them can never be served.
-//!
-//! Sparse sessions ([`sp_core::GameSession::new_sparse`]) use the v2
-//! format: no matrix — the landmark sketch is cheap to rebuild and is
-//! deliberately outside the bit-identity contract, so the file carries
-//! only what reconstruction needs (geometry, profile, tuning
-//! parameters). A 10⁵-peer sparse session spills kilobytes of positions
-//! where a dense matrix would spill gigabytes:
-//!
-//! ```json
-//! {
-//!   "format": "sp-serve/session-snapshot/v2-sparse",
-//!   "alpha": 2.0,
-//!   "positions_1d": [0.0, 1.5, 4.0],
-//!   "profile": [[1], [], []],
-//!   "params": { "landmarks": 8, "ball_cap": 64, "window": 16,
-//!               "unreach_penalty": 1000000.0 }
-//! }
-//! ```
 
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-use sp_core::{BackendMode, Game, GameSession, SparseParams, StrategyProfile};
-use sp_graph::DistanceMatrix;
-use sp_json::{decode_f64, encode_f64, Value};
+use sp_core::{BackendMode, GameSession, SparseParams};
 
-/// The format tag of dense-session snapshot files.
-pub const FORMAT: &str = "sp-serve/session-snapshot/v1";
+use crate::ops;
+use crate::spec;
+use crate::wal::{self, Log};
+use crate::wire::{ErrorCode, GameSpec, Geometry, Request, SessionOp, WireError};
 
-/// The format tag of sparse-session snapshot files.
-pub const FORMAT_V2_SPARSE: &str = "sp-serve/session-snapshot/v2-sparse";
-
-fn profile_value(profile: &StrategyProfile) -> Value {
-    Value::Array(
-        profile
-            .iter()
-            .map(|(_, links)| Value::Array(links.iter().map(|t| Value::from(t.index())).collect()))
-            .collect(),
-    )
-}
-
-/// Serialises a session to a value: game + profile for dense sessions
-/// (v1), geometry + profile + tuning parameters for sparse ones (v2).
-#[must_use]
-pub fn session_to_value(session: &mut GameSession) -> Value {
-    if session.backend_mode() == BackendMode::Sparse {
-        return sparse_session_to_value(session);
-    }
+/// The session as it stands as a checkpoint: the spec of a `create`
+/// request that rebuilds it.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] for a sparse session the spec cannot
+/// express — non-default [`SparseParams`] or a metric that is not a
+/// line. The service never builds such sessions.
+pub fn checkpoint(session: &mut GameSession) -> io::Result<GameSpec> {
+    let mode = session.backend_mode();
     let game = session.game_arc();
-    let n = game.n();
-    let matrix: Value = Value::Array(
-        (0..n)
-            .map(|i| Value::Array((0..n).map(|j| Value::Number(game.distance(i, j))).collect()))
-            .collect(),
-    );
-    let profile = profile_value(&session.snapshot());
-    Value::Object(vec![
-        ("format".to_owned(), Value::from(FORMAT)),
-        ("alpha".to_owned(), Value::Number(game.alpha())),
-        ("matrix".to_owned(), matrix),
-        ("profile".to_owned(), profile),
-    ])
-}
-
-/// The v2 body: geometry, profile, and [`SparseParams`] — everything a
-/// [`GameSession::restore_sparse`] needs, nothing quadratic. Sparse
-/// sessions built over a dense matrix store (possible through the core
-/// API, not through the service spec) fall back to persisting the
-/// matrix so the file stays self-contained.
-fn sparse_session_to_value(session: &mut GameSession) -> Value {
-    let game = session.game_arc();
-    let profile = profile_value(&session.snapshot());
-    let params = session.sparse_params().unwrap_or_default();
-    let geometry = match game.line_positions() {
-        Some(pos) => (
-            "positions_1d".to_owned(),
-            Value::Array(pos.iter().map(|&x| Value::Number(x)).collect()),
-        ),
-        None => {
+    let geometry = match (mode, game.line_positions()) {
+        (BackendMode::Dense, _) => {
             let n = game.n();
-            (
-                "matrix".to_owned(),
-                Value::Array(
-                    (0..n)
-                        .map(|i| {
-                            Value::Array(
-                                (0..n).map(|j| Value::Number(game.distance(i, j))).collect(),
-                            )
-                        })
-                        .collect(),
-                ),
+            Geometry::Matrix(
+                (0..n)
+                    .map(|i| (0..n).map(|j| game.distance(i, j)).collect())
+                    .collect(),
             )
         }
+        (BackendMode::Sparse, Some(positions))
+            if session.sparse_params() == Some(SparseParams::default()) =>
+        {
+            Geometry::Line(positions.to_vec())
+        }
+        (BackendMode::Sparse, _) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a sparse session checkpoints only over line positions with default parameters",
+            ));
+        }
     };
-    Value::Object(vec![
-        ("format".to_owned(), Value::from(FORMAT_V2_SPARSE)),
-        ("alpha".to_owned(), Value::Number(game.alpha())),
+    let links = session
+        .snapshot()
+        .iter()
+        .flat_map(|(i, links)| links.iter().map(move |t| (i.index(), t.index())))
+        .collect();
+    Ok(GameSpec {
+        alpha: game.alpha(),
         geometry,
-        ("profile".to_owned(), profile),
-        (
-            "params".to_owned(),
-            Value::Object(vec![
-                ("landmarks".to_owned(), Value::from(params.landmarks)),
-                ("ball_cap".to_owned(), Value::from(params.ball_cap)),
-                ("window".to_owned(), Value::from(params.window)),
-                (
-                    "unreach_penalty".to_owned(),
-                    encode_f64(params.unreach_penalty),
-                ),
-            ]),
-        ),
-    ])
+        links,
+        mode,
+    })
 }
 
-/// Rebuilds a session from a value produced by [`session_to_value`],
-/// dispatching on the format tag (v1 dense, v2 sparse).
+/// Rebuilds the session a checkpoint describes, tuned for the service.
+fn restore(spec: &GameSpec) -> Result<GameSession, WireError> {
+    let (game, profile) = spec::build(spec)?;
+    let mut session = match spec.mode {
+        BackendMode::Dense => GameSession::restore(game, profile),
+        BackendMode::Sparse => GameSession::restore_sparse(game, profile, SparseParams::default()),
+    }
+    .map_err(|e| WireError::new(ErrorCode::Core, e.to_string()))?;
+    ops::tune_for_service(&mut session);
+    Ok(session)
+}
+
+/// Rebuilds the session a log describes: the header's checkpoint, then
+/// every tail record replayed through the normal ops dispatch. `None`
+/// when the log holds no session (a log created but never written).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on a missing/mismatched format tag,
-/// malformed fields, or a profile [`sp_core::GameSession::restore`]
-/// rejects.
-pub fn session_from_value(v: &Value) -> Result<GameSession, String> {
-    match v.get("format").and_then(Value::as_str) {
-        Some(f) if f == FORMAT => dense_session_from_value(v),
-        Some(f) if f == FORMAT_V2_SPARSE => sparse_session_from_value(v),
-        Some(f) => Err(format!("unsupported snapshot format {f:?}")),
-        None => Err("snapshot is missing its format tag".to_owned()),
-    }
-}
-
-fn parse_alpha(v: &Value) -> Result<f64, String> {
-    v.get("alpha")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "snapshot needs a numeric 'alpha'".to_owned())
-}
-
-fn parse_matrix_game(v: &Value, alpha: f64) -> Result<Game, String> {
-    let rows = v
-        .get("matrix")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'matrix' array")?;
-    let n = rows.len();
-    // sp-lint: allow(dense-alloc, reason = "decoding the explicitly dense v1 matrix wire format; sparse snapshots take the v2 positions path")
-    let mut flat = Vec::with_capacity(n * n);
-    for row in rows {
-        let r = row.as_array().ok_or("matrix rows must be arrays")?;
-        if r.len() != n {
-            return Err("matrix must be square".to_owned());
-        }
-        for x in r {
-            flat.push(x.as_f64().ok_or("matrix entries must be numbers")?);
-        }
-    }
-    let matrix = DistanceMatrix::from_row_major(n, flat).map_err(|e| e.to_string())?;
-    Game::new(matrix, alpha).map_err(|e| e.to_string())
-}
-
-fn parse_profile(v: &Value, n: usize) -> Result<StrategyProfile, String> {
-    let strategies = v
-        .get("profile")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'profile' array")?;
-    if strategies.len() != n {
-        return Err(format!(
-            "profile has {} strategies for {n} peers",
-            strategies.len()
-        ));
-    }
-    let mut links: Vec<(usize, usize)> = Vec::new();
-    for (i, s) in strategies.iter().enumerate() {
-        for t in s.as_array().ok_or("profile strategies must be arrays")? {
-            links.push((i, t.as_usize().ok_or("profile links must be peer indices")?));
-        }
-    }
-    StrategyProfile::from_links(n, &links).map_err(|e| e.to_string())
-}
-
-fn dense_session_from_value(v: &Value) -> Result<GameSession, String> {
-    let alpha = parse_alpha(v)?;
-    let game = parse_matrix_game(v, alpha)?;
-    let n = game.n();
-    let profile = parse_profile(v, n)?;
-    // Older files also carry `overlay_rows` / `residual_rows`; cached
-    // rows are rebuilt from the profile, so those keys are ignored.
-    GameSession::restore(game, profile).map_err(|e| e.to_string())
-}
-
-fn sparse_session_from_value(v: &Value) -> Result<GameSession, String> {
-    let alpha = parse_alpha(v)?;
-    let game = match v.get("positions_1d").filter(|p| !p.is_null()) {
-        Some(p) => {
-            let positions = p
-                .as_array()
-                .ok_or("positions_1d must be an array")?
-                .iter()
-                .map(|x| x.as_f64().ok_or("positions_1d entries must be numbers"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            Game::from_line_positions(positions, alpha).map_err(|e| e.to_string())?
-        }
-        None => parse_matrix_game(v, alpha)?,
+/// [`io::ErrorKind::InvalidData`] when the checkpoint does not build or
+/// a record does not apply — a record was acknowledged, so anything
+/// but a clean apply is divergence, and rebuilding must not guess.
+pub fn rebuild(log: &Log) -> io::Result<Option<GameSession>> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let mut session = match &log.checkpoint {
+        Some(spec) => Some(restore(spec).map_err(|e| invalid(format!("checkpoint: {e}")))?),
+        None => None,
     };
-    let profile = parse_profile(v, game.n())?;
-    let pv = v.get("params").ok_or("sparse snapshot needs 'params'")?;
-    let field = |key: &str| {
-        pv.get(key)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| format!("params needs a non-negative integer {key:?}"))
-    };
-    let params = SparseParams {
-        landmarks: field("landmarks")?,
-        ball_cap: field("ball_cap")?,
-        window: field("window")?,
-        unreach_penalty: pv
-            .get("unreach_penalty")
-            .and_then(decode_f64)
-            .ok_or("params needs a numeric 'unreach_penalty'")?,
-    };
-    GameSession::restore_sparse(game, profile, params).map_err(|e| e.to_string())
+    for (k, request) in log.tail.iter().enumerate() {
+        let fail = |what: &str| {
+            invalid(format!(
+                "wal record {}: {what}",
+                log.base_seq + 1 + k as u64
+            ))
+        };
+        let Request::Session(sr) = request else {
+            return Err(fail("not a session op"));
+        };
+        match (&sr.op, session.as_mut()) {
+            (SessionOp::Create(_), Some(_)) => return Err(fail("create on an existing session")),
+            (SessionOp::Create(spec), None) => {
+                session = Some(ops::build_session(spec).map_err(|e| fail(&e.message))?);
+            }
+            // Placement-only records: the state they acknowledged is
+            // already resident.
+            (SessionOp::Evict | SessionOp::Load, _) => {}
+            (_, None) => return Err(fail("mutation on a session that does not exist")),
+            (op, Some(s)) => {
+                ops::execute_query(op, s).map_err(|e| fail(&e.message))?;
+            }
+        }
+    }
+    Ok(session)
 }
 
-/// Writes a session snapshot to `path` atomically (temp file + rename),
-/// so a crash mid-spill never leaves a truncated snapshot behind. No
-/// fsync — the non-WAL spill path, where durability is best-effort by
-/// contract.
+/// Writes `session` to `path` as a header-only log holding its
+/// checkpoint, atomically (temp file + rename), so a crash mid-spill
+/// never leaves a truncated file behind. No fsync — the non-logging
+/// spill path, where durability is best-effort by contract.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates filesystem errors, and [`checkpoint`]'s refusal.
 pub fn save(path: &Path, session: &mut GameSession) -> io::Result<()> {
-    save_with_mark(path, session, 0, false)
+    let checkpoint = checkpoint(session)?;
+    wal::write_fresh(path, false, 0, wal::genesis(), Some(checkpoint)).map(drop)
 }
 
-/// [`save`], additionally recording the WAL compaction mark: the
-/// session's WAL record count at the moment of the snapshot. Recovery
-/// replays only WAL records *after* the mark, which is what makes the
-/// crash window between "snapshot written" and "WAL truncated" safe —
-/// records at or below the mark are already inside the snapshot, and
-/// the mark says so. A zero mark is omitted from the file (byte-for-
-/// byte the historical format, which non-WAL deployments still write).
-///
-/// Under `fsync` the snapshot is made *durable*, not just atomic: the
-/// temp file is synced before the rename and the directory entry after
-/// it. The WAL compaction that follows a spill truncates records the
-/// snapshot claims to cover, so the snapshot must be on disk — not in
-/// the page cache — before that truncation can happen; otherwise power
-/// loss could keep the (durably renamed) truncated log while losing
-/// the snapshot, making acknowledged records at or below the mark
-/// unrecoverable.
+/// Reads a session back from its log at `path` ([`rebuild`]).
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
-pub fn save_with_mark(
-    path: &Path,
-    session: &mut GameSession,
-    mark: u64,
-    fsync: bool,
-) -> io::Result<()> {
-    let mut value = session_to_value(session);
-    if mark > 0 {
-        if let Value::Object(fields) = &mut value {
-            fields.push(("wal_mark".to_owned(), Value::Number(mark as f64)));
-        }
-    }
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(value.to_string_compact().as_bytes())?;
-        if fsync {
-            f.sync_data()?;
-        }
-    }
-    fs::rename(&tmp, path)?;
-    if fsync {
-        crate::wal::sync_parent_dir(path)?;
-    }
-    Ok(())
-}
-
-/// Reads a session snapshot from `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors; malformed content surfaces as
-/// [`io::ErrorKind::InvalidData`].
+/// Propagates filesystem errors; malformed content, a retired format,
+/// or a log that holds no session is [`io::ErrorKind::InvalidData`].
 pub fn load(path: &Path) -> io::Result<GameSession> {
-    Ok(load_with_mark(path)?.0)
-}
-
-/// [`load`], also returning the WAL compaction mark recorded by
-/// [`save_with_mark`] (0 when absent — every pre-WAL snapshot).
-///
-/// # Errors
-///
-/// Propagates filesystem errors; malformed content surfaces as
-/// [`io::ErrorKind::InvalidData`].
-pub fn load_with_mark(path: &Path) -> io::Result<(GameSession, u64)> {
-    let text = fs::read_to_string(path)?;
-    let value: Value = text
-        .parse()
-        .map_err(|e: sp_json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    // Marks are WAL record counts; far below 2^53, so the JSON number
-    // round-trips exactly.
-    let mark = value.get("wal_mark").and_then(Value::as_usize).unwrap_or(0) as u64;
-    let session =
-        session_from_value(&value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((session, mark))
+    rebuild(&wal::read(path)?)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "the log holds no session"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_core::{BestResponseMethod, Move, PeerId};
+    use sp_core::{BestResponseMethod, Game, Move, PeerId, StrategyProfile};
     use sp_metric::LineSpace;
+    use std::fs;
 
     fn warmed_session() -> GameSession {
         let game =
@@ -367,39 +188,30 @@ mod tests {
         s
     }
 
+    fn tmp(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sp-serve-snap-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        dir.join("s.wal")
+    }
+
+    /// The checkpoint round trip through the file, as the spill path
+    /// takes it: same game, same profile, bit-identical answers.
     #[test]
-    fn value_roundtrip_is_bit_identical() {
+    fn file_roundtrip_is_bit_identical() {
+        let path = tmp("roundtrip");
         let mut s = warmed_session();
         let snap_before = s.snapshot();
-        let v = session_to_value(&mut s);
-        // Through the full text pipeline, as the spill path does.
-        let text = v.to_string_compact();
-        let mut restored = session_from_value(&text.parse().unwrap()).unwrap();
+        save(&path, &mut s).unwrap();
+        let mut restored = load(&path).unwrap();
         assert_eq!(restored.snapshot(), snap_before);
         assert_eq!(restored.profile(), s.profile());
         assert_eq!(restored.game(), s.game());
-        // And queries agree bitwise.
         assert_eq!(
             restored.social_cost().total().to_bits(),
             s.social_cost().total().to_bits()
         );
         assert_eq!(restored.stats().snapshot_restores, 1);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("sp-serve-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let mut s = warmed_session();
-        save(&path, &mut s).unwrap();
-        let mut back = load(&path).unwrap();
-        assert_eq!(back.profile(), s.profile());
-        assert_eq!(
-            back.social_cost().total().to_bits(),
-            s.social_cost().total().to_bits()
-        );
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
@@ -407,28 +219,21 @@ mod tests {
         let positions: Vec<f64> = (0..40).map(|i| f64::from(i) * 1.25).collect();
         let game = Game::from_line_positions(positions, 0.8).unwrap();
         let mut s = GameSession::new_sparse(game, StrategyProfile::empty(40)).unwrap();
-        s.apply(Move::AddLink {
-            from: PeerId::new(0),
-            to: PeerId::new(1),
-        })
-        .unwrap();
-        s.apply(Move::AddLink {
-            from: PeerId::new(1),
-            to: PeerId::new(2),
-        })
-        .unwrap();
-        let v = session_to_value(&mut s);
-        assert_eq!(
-            v.get("format").and_then(Value::as_str),
-            Some(FORMAT_V2_SPARSE)
-        );
+        for (from, to) in [(0, 1), (1, 2)] {
+            s.apply(Move::AddLink {
+                from: PeerId::new(from),
+                to: PeerId::new(to),
+            })
+            .unwrap();
+        }
         assert!(
-            v.get("matrix").is_none(),
-            "sparse snapshots must not carry a quadratic matrix"
+            matches!(checkpoint(&mut s).unwrap().geometry, Geometry::Line(_)),
+            "sparse checkpoints must not carry a quadratic matrix"
         );
-        let text = v.to_string_compact();
-        let mut back = session_from_value(&text.parse().unwrap()).unwrap();
-        assert_eq!(back.backend_mode(), sp_core::BackendMode::Sparse);
+        let path = tmp("sparse");
+        save(&path, &mut s).unwrap();
+        let mut back = load(&path).unwrap();
+        assert_eq!(back.backend_mode(), BackendMode::Sparse);
         assert_eq!(back.profile(), s.profile());
         assert_eq!(back.sparse_params(), s.sparse_params());
         assert_eq!(back.game(), s.game());
@@ -437,80 +242,62 @@ mod tests {
             s.social_cost().total().to_bits()
         );
         assert_eq!(back.stats().snapshot_restores, 1);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
+    /// A sparse session the spec cannot express is refused up front
+    /// rather than checkpointed as something else.
     #[test]
-    fn rejects_foreign_and_malformed_values() {
-        assert!(session_from_value(&sp_json::json!({ "format": "nope" })).is_err());
-        assert!(session_from_value(&sp_json::json!({ "alpha": 1.0 })).is_err());
-        let mut s = warmed_session();
-        let good = session_to_value(&mut s);
-        // A link to a peer the game does not have.
-        let mut bad = good.clone();
-        if let Value::Object(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "profile" {
-                    if let Value::Array(strategies) = v {
-                        strategies[0] = Value::Array(vec![Value::from(99usize)]);
-                    }
-                }
-            }
-        }
-        assert!(session_from_value(&bad).is_err());
-    }
-
-    /// An older v1 file carries cached distance rows. They are derived
-    /// state: the reader ignores them, so a wrong distance in one can
-    /// never be served — the restored session answers exactly like a
-    /// fresh session on the same game and profile.
-    #[test]
-    fn old_format_rows_are_ignored_not_served() {
-        let mut s = warmed_session();
-        let mut fresh = GameSession::new(s.game().clone(), s.profile().clone()).unwrap();
-        let n = s.n();
-        let rows = s.overlay_distances().clone();
-        let row_value = |u: usize, tamper: bool| {
-            let mut row = rows.row(u).to_vec();
-            if tamper {
-                row[n - 1] *= 0.5;
-            }
-            Value::Array(vec![
-                Value::from(u),
-                Value::Array(row.into_iter().map(encode_f64).collect()),
-            ])
+    fn inexpressible_sparse_sessions_are_invalid_input() {
+        let positions: Vec<f64> = (0..8).map(f64::from).collect();
+        let line = Game::from_line_positions(positions, 1.0).unwrap();
+        let params = SparseParams {
+            landmarks: 3,
+            ..SparseParams::default()
         };
-        let mut old = session_to_value(&mut s);
-        if let Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| k != "overlay_rows" && k != "residual_rows");
-            fields.push((
-                "overlay_rows".to_owned(),
-                Value::Array((0..n).map(|u| row_value(u, u == 0)).collect()),
-            ));
-            fields.push(("residual_rows".to_owned(), Value::Array(Vec::new())));
-        }
-        let text = old.to_string_compact();
-        let mut restored = session_from_value(&text.parse().unwrap()).unwrap();
+        let mut tuned =
+            GameSession::new_sparse_with(line, StrategyProfile::empty(8), params).unwrap();
+        let e = checkpoint(&mut tuned).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
 
-        assert_eq!(
-            restored.social_cost().total().to_bits(),
-            fresh.social_cost().total().to_bits()
-        );
-        assert_eq!(restored.stretch_matrix(), fresh.stretch_matrix());
-        for i in 0..n {
-            let peer = PeerId::new(i);
-            assert_eq!(
-                restored.peer_cost(peer).unwrap().to_bits(),
-                fresh.peer_cost(peer).unwrap().to_bits()
-            );
-            let a = restored
-                .best_response(peer, BestResponseMethod::Exact)
-                .unwrap();
-            let b = fresh
-                .best_response(peer, BestResponseMethod::Exact)
-                .unwrap();
-            assert_eq!(a.links, b.links, "peer {i}");
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "peer {i}");
-            assert_eq!(a.current_cost.to_bits(), b.current_cost.to_bits());
-        }
+        let matrix = warmed_session().game().clone();
+        let mut over_matrix = GameSession::new_sparse(matrix, StrategyProfile::empty(5)).unwrap();
+        let e = save(&tmp("inexpressible"), &mut over_matrix).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// The retired formats are refused by name, never misread.
+    #[test]
+    fn retired_formats_are_invalid_data_naming_the_format() {
+        let path = tmp("retired");
+        fs::write(
+            &path,
+            br#"{"format":"sp-serve/session-snapshot/v1","alpha":1,"matrix":[[0]],"profile":[[]]}"#,
+        )
+        .unwrap();
+        let e = load(&path).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("JSON session snapshot"), "{e}");
+
+        let mut old = Vec::new();
+        let body = [&b"SPWAL01"[..], &[0, 1]].concat();
+        old.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        old.extend_from_slice(&body);
+        old.extend_from_slice(&wal::crc32(&body).to_le_bytes());
+        fs::write(&path, &old).unwrap();
+        let e = load(&path).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("SPWAL01"), "{e}");
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A header-only log (created, never written) holds no session.
+    #[test]
+    fn an_empty_log_holds_no_session() {
+        let path = tmp("empty");
+        drop(wal::SessionWal::create(&path, false).unwrap());
+        assert!(rebuild(&wal::read(&path).unwrap()).unwrap().is_none());
+        assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -1,12 +1,13 @@
-//! The per-session write-ahead log: durability for acknowledged ops
-//! plus a tamper-evident audit chain over them.
+//! The per-session log: one file per session that holds its
+//! checkpoint, the acknowledged ops since, and a tamper-evident audit
+//! chain over them.
 //!
 //! # Why a WAL
 //!
-//! The registry spills sessions lazily (LRU under a budget), so before
-//! this module a crash lost every move applied since a session's last
-//! spill — acknowledged work the service then silently forgot, which
-//! the selfish-peer dynamics make *plausibly wrong* rather than loudly
+//! The registry spills sessions lazily (LRU under a budget), so without
+//! a log a crash loses every move applied since a session's last spill —
+//! acknowledged work the service then silently forgets, which the
+//! selfish-peer dynamics make *plausibly wrong* rather than loudly
 //! broken. The contract here is append-before-acknowledge: every
 //! state-mutating op ([`crate::wire::SessionOp::is_wal_logged`]) is written to the
 //! session's log before its response is released, so a recovered
@@ -14,33 +15,41 @@
 //!
 //! # File format
 //!
-//! One log file per session, a flat sequence of frames sharing the
+//! One file per session, a flat sequence of frames sharing the
 //! length-prefix + CRC envelope; the **first** frame is the header:
 //!
 //! ```text
-//! file   := frame*                       (frame 0 is the header)
-//! frame  := len:u32le  body  crc32:u32le (CRC-32/IEEE over body)
-//! header := "SPWAL01"  varint(base_seq)  varint(base_hash)
-//! record := varint(seq)  varint(prev_hash)  varint(req_len)  request
+//! file       := frame*                       (frame 0 is the header)
+//! frame      := len:u32le  body  crc32:u32le (CRC-32/IEEE over body)
+//! header     := "SPWAL02"  varint(base_seq)  varint(base_hash)
+//!               varint(ckpt_len)  checkpoint (ckpt_len = 0: none)
+//! record     := varint(seq)  varint(prev_hash)  varint(req_len)  request
 //! ```
 //!
 //! `request` is the op verbatim as [`sp_wire::binary::encode_request`]
-//! bytes — the WAL speaks the wire grammar (LEB128 varints,
-//! bounds-checked decode) instead of inventing a second codec, and
-//! replay feeds the decoded requests back through the normal ops
-//! dispatch.
+//! bytes, and so is `checkpoint`: a `create` request whose spec
+//! rebuilds the session as it stood at `base_seq` (see
+//! [`crate::snapshot`]). The log speaks the wire grammar (LEB128
+//! varints, bounds-checked decode) instead of inventing a second codec,
+//! and replay feeds the decoded requests back through the normal ops
+//! dispatch. A spill rewrites the file as a header whose checkpoint
+//! covers every record so far ([`SessionWal::checkpoint`]); the
+//! non-logging spill and [`crate::snapshot::save`] write the same
+//! header-only file. Files of the retired formats — `SPWAL01` logs and
+//! the JSON snapshots — are refused with a typed error naming them.
 //!
 //! # The hash chain
 //!
 //! Each record's `prev_hash` carries the chain value before it, and the
 //! chain advances by folding the record body into the running FNV-1a
 //! state: `head' = fnv1a_extend(head, body)`. A fresh log starts at
-//! [`genesis`]. Compaction (snapshot spill) rewrites the file as a bare
-//! header carrying the *current* `(records, head)` — so the chain and
-//! the record count span truncations, and `wal_head` answers the same
+//! [`genesis`]. A checkpoint rewrites the file as a bare header
+//! carrying the *current* `(records, head)` — so the chain and the
+//! record count span truncations, and `wal_head` answers the same
 //! before and after a spill. Tampering with any byte of any surviving
-//! record breaks its CRC ([`ErrorCode::BadFrame`]) or, if the CRC is
-//! recomputed, the chain ([`ErrorCode::ChainBroken`]).
+//! frame breaks its CRC ([`ErrorCode::BadFrame`]) or, if the CRC is
+//! recomputed, the chain ([`ErrorCode::ChainBroken`]) or the
+//! checkpoint's decode.
 //!
 //! # Torn tails
 //!
@@ -64,7 +73,7 @@
 //! "successful" operation could retroactively make records durable
 //! that clients were already told failed. Both therefore *poison* the
 //! log: every subsequent [`SessionWal::append`], [`SessionWal::commit`],
-//! [`SessionWal::compact_to_mark`], and [`SessionWal::verify`] fails
+//! [`SessionWal::checkpoint`], and [`SessionWal::verify`] fails
 //! until the process restarts and recovers from what actually reached
 //! disk.
 
@@ -75,14 +84,14 @@ use std::path::{Path, PathBuf};
 use sp_graph::{fnv1a, fnv1a_extend};
 
 use crate::wire::binary::{self, Reader, Writer};
-use crate::wire::{ErrorCode, Request, WireError};
+use crate::wire::{ErrorCode, GameSpec, Request, SessionOp, SessionRequest, WireError};
 
-/// Magic leading the header frame body (format version 01).
-pub const MAGIC: &[u8; 7] = b"SPWAL01";
+/// Magic leading the header frame body (format version 02).
+pub const MAGIC: &[u8; 7] = b"SPWAL02";
 
-/// Upper bound on one frame body; a length field beyond this is treated
-/// as corruption (or a tear) rather than an allocation request.
-const MAX_FRAME_BODY: usize = 1 << 26;
+/// The session name a checkpoint's `create` request carries. The file
+/// name is what names the session; this only satisfies the grammar.
+const CHECKPOINT_NAME: &str = "checkpoint";
 
 /// The chain value of an empty, never-compacted log.
 #[must_use]
@@ -142,11 +151,13 @@ fn frame_bytes(body: &[u8]) -> Vec<u8> {
     out
 }
 
-fn header_frame(base_seq: u64, base_hash: u64) -> Vec<u8> {
+fn header_frame(base_seq: u64, base_hash: u64, checkpoint: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
     w.bytes(MAGIC);
     w.varint(base_seq);
     w.varint(base_hash);
+    w.usize(checkpoint.len());
+    w.bytes(checkpoint);
     frame_bytes(&w.into_vec())
 }
 
@@ -177,10 +188,9 @@ fn scan_frame<'a>(data: &'a [u8], pos: &mut usize) -> Option<ScanFrame<'a>> {
     let Some(len_bytes) = data.get(start..start + 4) else {
         return Some(ScanFrame::Torn);
     };
+    // No allocation follows from `len`: a length past EOF is a tear,
+    // and a checkpoint may legitimately hold a large dense matrix.
     let len = u32::from_le_bytes(len_bytes.try_into().unwrap_or([0; 4])) as usize;
-    if len > MAX_FRAME_BODY {
-        return Some(ScanFrame::Torn);
-    }
     let body_end = start + 4 + len;
     let Some(body) = data.get(start + 4..body_end) else {
         return Some(ScanFrame::Torn);
@@ -196,23 +206,54 @@ fn scan_frame<'a>(data: &'a [u8], pos: &mut usize) -> Option<ScanFrame<'a>> {
     Some(ScanFrame::Ok(body))
 }
 
-fn parse_header(body: &[u8]) -> Result<(u64, u64), WireError> {
+/// Decodes a header checkpoint: the bytes of a `create` request.
+fn parse_checkpoint(bytes: &[u8]) -> Result<GameSpec, WireError> {
+    match binary::decode_request(bytes).map_err(|e| e.error)? {
+        Request::Session(SessionRequest {
+            op: SessionOp::Create(spec),
+            ..
+        }) => Ok(spec),
+        _ => Err(bad_frame("wal checkpoint is not a create request")),
+    }
+}
+
+fn parse_header(body: &[u8]) -> Result<(u64, u64, Option<GameSpec>), WireError> {
     let mut r = Reader::new(body);
-    if r.bytes(MAGIC.len())? != MAGIC {
+    let magic = r.bytes(MAGIC.len())?;
+    if magic == b"SPWAL01" {
+        return Err(bad_frame(
+            "an SPWAL01 log: that format is retired and is not migrated",
+        ));
+    }
+    if magic != MAGIC {
         return Err(bad_frame("wal header magic mismatch"));
     }
     let base_seq = r.varint()?;
     let base_hash = r.varint()?;
+    let len = r.count(1)?;
+    let checkpoint = match len {
+        0 => None,
+        _ => Some(parse_checkpoint(r.bytes(len)?)?),
+    };
     r.finish()?;
-    Ok((base_seq, base_hash))
+    Ok((base_seq, base_hash, checkpoint))
 }
 
-/// A parse of a whole log file: the compaction base, the surviving
-/// tail records, and where the valid prefix ends.
+/// A session's log as recovery reads it.
+#[derive(Debug)]
+pub struct Log {
+    /// Records the header covers (the seq of the last one folded in).
+    pub base_seq: u64,
+    /// The session as it stood at `base_seq`, when the header holds one.
+    pub checkpoint: Option<GameSpec>,
+    /// The intact records after the header (seqs `base_seq + 1 ..`).
+    pub tail: Vec<Request>,
+}
+
+/// A parse of a whole log file: the log itself plus where its valid
+/// prefix ends.
 struct LogScan {
-    base_seq: u64,
-    /// `(seq, request)` for each intact tail record, in order.
-    records: Vec<(u64, Request)>,
+    log: Log,
     /// Chain head after the last intact record.
     head_hash: u64,
     /// Byte offset where the valid prefix ends (tear starts here).
@@ -225,15 +266,23 @@ struct LogScan {
 /// (or any other anomaly) is an error instead of an end-of-log.
 fn scan_log(data: &[u8], strict: bool) -> Result<LogScan, WireError> {
     let mut pos = 0usize;
-    let (base_seq, base_hash) = match scan_frame(data, &mut pos) {
+    let (base_seq, base_hash, checkpoint) = match scan_frame(data, &mut pos) {
         Some(ScanFrame::Ok(body)) => parse_header(body)?,
-        Some(ScanFrame::Torn) | None => {
-            // The header is written atomically (temp file + rename), so
-            // it can never be torn by a crashed append — only corrupted.
-            return Err(bad_frame("wal header missing or corrupt"));
+        // The header is written atomically (temp file + rename), so it
+        // can never be torn by a crashed append — only corrupted, or
+        // not a log at all.
+        _ if data.first() == Some(&b'{') => {
+            return Err(bad_frame(
+                "a JSON session snapshot: that format is retired and is not migrated",
+            ));
         }
+        _ => return Err(bad_frame("wal header missing or corrupt")),
     };
-    let mut records = Vec::new();
+    let mut log = Log {
+        base_seq,
+        checkpoint,
+        tail: Vec::new(),
+    };
     let mut seq = base_seq;
     let mut head = base_hash;
     loop {
@@ -241,8 +290,7 @@ fn scan_log(data: &[u8], strict: bool) -> Result<LogScan, WireError> {
         match scan_frame(data, &mut pos) {
             None => {
                 return Ok(LogScan {
-                    base_seq,
-                    records,
+                    log,
                     head_hash: head,
                     valid_len: frame_start as u64,
                     torn: false,
@@ -270,8 +318,7 @@ fn scan_log(data: &[u8], strict: bool) -> Result<LogScan, WireError> {
                     }
                 }
                 return Ok(LogScan {
-                    base_seq,
-                    records,
+                    log,
                     head_hash: head,
                     valid_len: frame_start as u64,
                     torn: true,
@@ -292,17 +339,32 @@ fn scan_log(data: &[u8], strict: bool) -> Result<LogScan, WireError> {
                 }
                 seq = rec_seq;
                 head = fnv1a_extend(head, body);
-                records.push((rec_seq, request));
+                log.tail.push(request);
             }
         }
     }
+}
+
+fn invalid_data(e: WireError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.message)
+}
+
+/// Reads a session's log without touching the file: a torn final frame
+/// ends the tail, as in [`SessionWal::recover`].
+///
+/// # Errors
+///
+/// Filesystem errors propagate; a file that is not an intact log (or is
+/// one of the retired formats) is [`io::ErrorKind::InvalidData`].
+pub fn read(path: &Path) -> io::Result<Log> {
+    Ok(scan_log(&fs::read(path)?, false).map_err(invalid_data)?.log)
 }
 
 /// Makes a rename into `path`'s directory durable: the file's data
 /// blocks are synced by the caller, but the directory *entry* the
 /// rename installed lives in the directory inode — without syncing
 /// that too, power loss can forget the file ever existed.
-pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         File::open(dir)?.sync_all()?;
     }
@@ -310,12 +372,32 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
 }
 
 /// Atomically (re)writes `path` as a bare header carrying `(base_seq,
-/// base_hash)` and reopens it for appending.
-fn write_fresh(path: &Path, fsync: bool, base_seq: u64, base_hash: u64) -> io::Result<File> {
+/// base_hash)` and the `checkpoint` spec, if any, and reopens it for
+/// appending.
+pub(crate) fn write_fresh(
+    path: &Path,
+    fsync: bool,
+    base_seq: u64,
+    base_hash: u64,
+    checkpoint: Option<GameSpec>,
+) -> io::Result<File> {
+    let checkpoint = checkpoint.map_or_else(Vec::new, |spec| {
+        binary::encode_request(&Request::Session(SessionRequest {
+            id: None,
+            session: CHECKPOINT_NAME.to_owned(),
+            op: SessionOp::Create(spec),
+        }))
+    });
+    if u32::try_from(checkpoint.len() + 64).is_err() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "checkpoint exceeds the 4 GiB frame limit",
+        ));
+    }
     let tmp = path.with_extension("wal.tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&header_frame(base_seq, base_hash))?;
+        f.write_all(&header_frame(base_seq, base_hash, &checkpoint))?;
         if fsync {
             f.sync_data()?;
         }
@@ -351,7 +433,7 @@ pub struct SessionWal {
     pending: bool,
     /// Set after a failed append (the file may end in a torn frame) or
     /// a failed commit (the kernel may have dropped the dirty pages):
-    /// every further append, commit, compaction, and verification
+    /// every further append, commit, checkpoint, and verification
     /// fails, so nothing can retroactively acknowledge the lost
     /// records. See the module docs on poisoning.
     broken: bool,
@@ -362,14 +444,14 @@ fn poisoned() -> io::Error {
 }
 
 impl SessionWal {
-    /// Creates a fresh log at `path` (genesis chain, empty tail),
-    /// atomically.
+    /// Creates a fresh log at `path` (genesis chain, no checkpoint,
+    /// empty tail), atomically — replacing any file there.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path, fsync: bool) -> io::Result<SessionWal> {
-        let file = write_fresh(path, fsync, 0, genesis())?;
+        let file = write_fresh(path, fsync, 0, genesis(), None)?;
         Ok(SessionWal {
             path: path.to_path_buf(),
             file,
@@ -381,36 +463,48 @@ impl SessionWal {
         })
     }
 
+    /// Opens the log at `path` for appending without ever truncating
+    /// an existing file — its checkpoint may be the session's only
+    /// copy: an existing log is recovered (only a torn final frame is
+    /// cut), a missing one is created.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionWal::recover`] and [`SessionWal::create`].
+    pub fn open(path: &Path, fsync: bool) -> io::Result<SessionWal> {
+        match SessionWal::recover(path, fsync) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => SessionWal::create(path, fsync),
+            recovered => recovered.map(|(wal, _)| wal),
+        }
+    }
+
     /// Opens an existing log, tolerating a torn final frame (truncated
     /// away — it was never acknowledged). Returns the log positioned
-    /// for appending, the compaction base `base_seq`, and the surviving
-    /// tail requests (seqs `base_seq + 1 ..`).
+    /// for appending and its contents: the header's checkpoint and the
+    /// surviving tail requests.
     ///
     /// # Errors
     ///
     /// Filesystem errors propagate; corruption *before* the final frame
-    /// (bad header, mid-log CRC or chain failure) is
-    /// [`io::ErrorKind::InvalidData`] — recovery must not guess.
-    pub fn recover(path: &Path, fsync: bool) -> io::Result<(SessionWal, u64, Vec<Request>)> {
-        let data = fs::read(path)?;
-        let scan = scan_log(&data, false)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.message))?;
+    /// (bad header or checkpoint, mid-log CRC or chain failure) and
+    /// the retired formats are [`io::ErrorKind::InvalidData`] —
+    /// recovery must not guess.
+    pub fn recover(path: &Path, fsync: bool) -> io::Result<(SessionWal, Log)> {
+        let scan = scan_log(&fs::read(path)?, false).map_err(invalid_data)?;
         let file = OpenOptions::new().append(true).open(path)?;
         if scan.torn {
             file.set_len(scan.valid_len)?;
         }
-        let records = scan.base_seq + scan.records.len() as u64;
         let wal = SessionWal {
             path: path.to_path_buf(),
             file,
             fsync,
-            records,
+            records: scan.log.base_seq + scan.log.tail.len() as u64,
             head_hash: scan.head_hash,
             pending: false,
             broken: false,
         };
-        let tail = scan.records.into_iter().map(|(_, r)| r).collect();
-        Ok((wal, scan.base_seq, tail))
+        Ok((wal, scan.log))
     }
 
     /// The live chain state.
@@ -420,13 +514,6 @@ impl SessionWal {
             records: self.records,
             head_hash: self.head_hash,
         }
-    }
-
-    /// Whether appends since the last [`SessionWal::commit`] are still
-    /// awaiting their durability point.
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        self.pending
     }
 
     /// Whether the log is poisoned by an earlier failed append or
@@ -502,38 +589,45 @@ impl SessionWal {
         Ok(true)
     }
 
-    /// Compaction: rewrites the file as a bare header carrying the
-    /// current `(records, head_hash)` — the snapshot the caller just
-    /// wrote covers everything up to here, so the tail records are
-    /// truncated to the mark while the chain continues uninterrupted.
-    /// Callers must [`SessionWal::commit`] first (flush-then-spill).
+    /// The spill: atomically rewrites the file as a bare header
+    /// carrying the current `(records, head_hash)` and `checkpoint` —
+    /// the [`crate::snapshot::checkpoint`] spec of the session as it
+    /// stands after every record so far — so the tail is dropped while
+    /// the chain continues uninterrupted. Callers must
+    /// [`SessionWal::commit`] first (flush-then-spill).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors. A poisoned log refuses to
-    /// compact: the in-memory `(records, head)` may count records that
-    /// never durably reached disk, and baking them into a fresh header
-    /// would forge an audit chain over ops clients were told failed.
-    pub fn compact_to_mark(&mut self) -> io::Result<()> {
+    /// Propagates filesystem errors. A poisoned log refuses: the
+    /// in-memory `(records, head)` may count records that never
+    /// durably reached disk, and baking them into a fresh header would
+    /// forge an audit chain over ops clients were told failed.
+    pub fn checkpoint(&mut self, checkpoint: GameSpec) -> io::Result<()> {
         if self.broken {
             return Err(poisoned());
         }
-        self.file = write_fresh(&self.path, self.fsync, self.records, self.head_hash)?;
+        self.file = write_fresh(
+            &self.path,
+            self.fsync,
+            self.records,
+            self.head_hash,
+            Some(checkpoint),
+        )?;
         self.pending = false;
         Ok(())
     }
 
     /// The audit check: re-reads the whole file from disk and walks it
-    /// strictly — header magic and CRC, every record's CRC, seq
-    /// continuity, the `prev_hash` chain, and finally that the file's
-    /// head equals the live in-memory head.
+    /// strictly — header magic, CRC and checkpoint, every record's CRC,
+    /// seq continuity, the `prev_hash` chain, and finally that the
+    /// file's head equals the live in-memory head.
     ///
     /// # Errors
     ///
-    /// Structural damage (truncation, CRC failure, undecodable record)
-    /// is [`ErrorCode::BadFrame`]; a record that parses but breaks the
-    /// chain — or a file that disagrees with the live head — is
-    /// [`ErrorCode::ChainBroken`]; unreadable files are
+    /// Structural damage (truncation, CRC failure, undecodable record
+    /// or checkpoint) is [`ErrorCode::BadFrame`]; a record that parses
+    /// but breaks the chain — or a file that disagrees with the live
+    /// head — is [`ErrorCode::ChainBroken`]; unreadable files are
     /// [`ErrorCode::Io`], as is a poisoned log (the live head counts
     /// records whose durability is unknown, so no audit can pass).
     pub fn verify(&self) -> Result<WalHead, WireError> {
@@ -546,7 +640,7 @@ impl SessionWal {
         let data = fs::read(&self.path)
             .map_err(|e| WireError::new(ErrorCode::Io, format!("cannot read wal: {e}")))?;
         let scan = scan_log(&data, true)?;
-        let records = scan.base_seq + scan.records.len() as u64;
+        let records = scan.log.base_seq + scan.log.tail.len() as u64;
         if records != self.records || scan.head_hash != self.head_hash {
             return Err(chain_broken(format!(
                 "wal file ends at ({records}, {:016x}) but the live chain head is ({}, {:016x})",
@@ -560,7 +654,6 @@ impl SessionWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{SessionOp, SessionRequest};
     use sp_core::{Move, PeerId};
 
     fn tmp(tag: &str) -> PathBuf {
@@ -611,16 +704,27 @@ mod tests {
         assert_eq!(head.records, 5);
         drop(wal);
 
-        let (wal, base, tail) = SessionWal::recover(&path, false).unwrap();
-        assert_eq!(base, 0);
-        assert_eq!(tail.len(), 5);
-        assert_eq!(tail[2], apply_req(2));
+        let (wal, log) = SessionWal::recover(&path, false).unwrap();
+        assert_eq!(log.base_seq, 0);
+        assert!(log.checkpoint.is_none());
+        assert_eq!(log.tail.len(), 5);
+        assert_eq!(log.tail[2], apply_req(2));
         assert_eq!(wal.head(), head, "recovery reproduces the chain head");
         assert!(wal.verify().is_ok());
     }
 
+    /// A checkpoint spec (a 3-peer line game).
+    fn spec() -> GameSpec {
+        GameSpec {
+            alpha: 1.0,
+            geometry: crate::wire::Geometry::Line(vec![0.0, 1.0, 3.0]),
+            links: vec![(0, 1)],
+            mode: sp_core::BackendMode::Dense,
+        }
+    }
+
     #[test]
-    fn compaction_preserves_the_chain_across_truncation() {
+    fn checkpoint_preserves_the_chain_across_truncation() {
         let path = tmp("compact");
         let mut wal = SessionWal::create(&path, false).unwrap();
         for k in 0..3 {
@@ -628,17 +732,59 @@ mod tests {
         }
         wal.commit().unwrap();
         let head = wal.head();
-        wal.compact_to_mark().unwrap();
-        assert_eq!(wal.head(), head, "compaction keeps records and head");
+        wal.checkpoint(spec()).unwrap();
+        assert_eq!(wal.head(), head, "a checkpoint keeps records and head");
         wal.append(&apply_req(3)).unwrap();
         wal.commit().unwrap();
         drop(wal);
 
-        let (wal, base, tail) = SessionWal::recover(&path, false).unwrap();
-        assert_eq!(base, 3, "tail restarts at the compaction mark");
-        assert_eq!(tail.len(), 1);
+        let (wal, log) = SessionWal::recover(&path, false).unwrap();
+        assert_eq!(log.base_seq, 3, "tail restarts at the checkpoint");
+        assert_eq!(log.checkpoint, Some(spec()));
+        assert_eq!(log.tail.len(), 1);
         assert_eq!(wal.head().records, 4);
         assert!(wal.verify().is_ok());
+    }
+
+    /// Opening an existing log appends to it: the checkpoint and the
+    /// records already there survive (only `create` starts afresh).
+    #[test]
+    fn open_never_truncates_an_existing_log() {
+        let path = tmp("open");
+        let mut wal = SessionWal::create(&path, false).unwrap();
+        wal.append(&apply_req(0)).unwrap();
+        wal.checkpoint(spec()).unwrap();
+        wal.append(&apply_req(1)).unwrap();
+        wal.commit().unwrap();
+        let head = wal.head();
+        drop(wal);
+        let before = fs::read(&path).unwrap();
+
+        let mut wal = SessionWal::open(&path, false).unwrap();
+        assert_eq!(wal.head(), head);
+        assert_eq!(fs::read(&path).unwrap(), before, "open must not rewrite");
+        wal.append(&apply_req(2)).unwrap();
+        wal.commit().unwrap();
+        assert!(fs::read(&path).unwrap().starts_with(&before));
+        let log = read(&path).unwrap();
+        assert!(log.checkpoint.is_some());
+        assert_eq!(log.tail, vec![apply_req(1), apply_req(2)]);
+
+        // A missing file is created fresh.
+        fs::remove_file(&path).unwrap();
+        let wal = SessionWal::open(&path, false).unwrap();
+        assert_eq!(wal.head().records, 0);
+        assert!(read(&path).unwrap().checkpoint.is_none());
+    }
+
+    /// A header whose checkpoint is not a `create` request fails the
+    /// scan even with a valid CRC.
+    #[test]
+    fn a_checkpoint_that_is_not_a_create_is_rejected() {
+        let path = tmp("badckpt");
+        let not_create = binary::encode_request(&apply_req(0));
+        fs::write(&path, header_frame(0, genesis(), &not_create)).unwrap();
+        assert_eq!(read(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -654,8 +800,12 @@ mod tests {
 
         for cut in intact_len..fs::metadata(&path).unwrap().len() {
             fs::write(&path, &full[..cut as usize]).unwrap();
-            let (wal, _, tail) = SessionWal::recover(&path, false).expect("torn tail must recover");
-            assert_eq!(tail.len(), 1, "cut at {cut} must drop only the torn record");
+            let (wal, log) = SessionWal::recover(&path, false).expect("torn tail must recover");
+            assert_eq!(
+                log.tail.len(),
+                1,
+                "cut at {cut} must drop only the torn record"
+            );
             assert_eq!(wal.head().records, 1);
             assert!(
                 wal.verify().is_ok(),
@@ -668,6 +818,7 @@ mod tests {
     fn any_single_byte_corruption_is_rejected_with_a_typed_error() {
         let path = tmp("corrupt");
         let mut wal = SessionWal::create(&path, false).unwrap();
+        wal.checkpoint(spec()).unwrap();
         for k in 0..3 {
             wal.append(&apply_req(k)).unwrap();
         }
@@ -709,6 +860,7 @@ mod tests {
     fn mid_log_corruption_fails_recovery_instead_of_truncating() {
         let path = tmp("midlog");
         let mut wal = SessionWal::create(&path, false).unwrap();
+        wal.checkpoint(spec()).unwrap();
         for k in 0..3 {
             wal.append(&apply_req(k)).unwrap();
         }
@@ -737,13 +889,13 @@ mod tests {
         let mut bent = clean.clone();
         bent[last_frame + 4] ^= 0x40;
         fs::write(&path, &bent).unwrap();
-        let (wal, _, tail) = SessionWal::recover(&path, false).unwrap();
-        assert_eq!(tail.len(), 2);
+        let (wal, log) = SessionWal::recover(&path, false).unwrap();
+        assert_eq!(log.tail.len(), 2);
         assert_eq!(wal.head().records, 2);
     }
 
     #[test]
-    fn a_poisoned_log_refuses_append_commit_compact_and_verify() {
+    fn a_poisoned_log_refuses_append_commit_checkpoint_and_verify() {
         let path = tmp("poison");
         let mut wal = SessionWal::create(&path, false).unwrap();
         wal.append(&apply_req(0)).unwrap();
@@ -753,8 +905,8 @@ mod tests {
         assert!(wal.append(&apply_req(1)).is_err(), "append must refuse");
         assert!(wal.commit().is_err(), "commit must not retry the sync");
         assert!(
-            wal.compact_to_mark().is_err(),
-            "compaction must not bake an untrusted head into a fresh header"
+            wal.checkpoint(spec()).is_err(),
+            "a checkpoint must not bake an untrusted head into a fresh header"
         );
         let e = wal
             .verify()
@@ -763,8 +915,8 @@ mod tests {
 
         // Restarting recovers from what actually reached disk.
         drop(wal);
-        let (wal, _, tail) = SessionWal::recover(&path, false).unwrap();
-        assert_eq!(tail.len(), 1);
+        let (wal, log) = SessionWal::recover(&path, false).unwrap();
+        assert_eq!(log.tail.len(), 1);
         assert!(wal.verify().is_ok());
     }
 
@@ -776,7 +928,7 @@ mod tests {
         wal.commit().unwrap();
         // An attacker replacing the file with a *self-consistent* but
         // shorter log still trips the live-head cross-check.
-        fs::write(&path, header_frame(0, genesis())).unwrap();
+        fs::write(&path, header_frame(0, genesis(), &[])).unwrap();
         let e = wal.verify().unwrap_err();
         assert_eq!(e.code, ErrorCode::ChainBroken);
     }

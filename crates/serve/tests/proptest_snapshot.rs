@@ -6,15 +6,28 @@
 //! whatever interleaving of mutations and queries warmed the source
 //! session's caches (the restored session starts cold and rebuilds its
 //! rows on demand). These tests drive arbitrary apply/query scripts,
-//! push the session through the full text pipeline (the same
-//! `snapshot::session_to_value` / `session_from_value` pair the spill
-//! files use), and compare state and subsequent answers.
+//! push the session through the full file pipeline (the same
+//! `snapshot::save` / `snapshot::load` pair — a checkpoint in a log
+//! header — the spill files use), and compare state and subsequent
+//! answers.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use sp_core::{BestResponseMethod, Game, GameSession, LinkSet, Move, PeerId, StrategyProfile};
 use sp_metric::generators;
 use sp_serve::snapshot;
+
+/// A unique file per proptest case (cases run concurrently across test
+/// threads, and a shrinking run revisits the same closure).
+fn case_path() -> PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!("sp-serve-proptest-snap-{}", std::process::id()));
+    let _ = std::fs::create_dir_all(&dir);
+    dir.join(format!("case-{}.wal", CASE.fetch_add(1, Ordering::Relaxed)))
+}
 
 /// A random small game, initial profile, and interleaved script of
 /// moves (`kind < 3`) and queries (`kind >= 3`).
@@ -101,9 +114,11 @@ proptest! {
             step(&mut original, kind, a, b);
         }
 
-        // Through the full text pipeline, exactly like a spill file.
-        let text = snapshot::session_to_value(&mut original).to_string_compact();
-        let mut restored = snapshot::session_from_value(&text.parse().unwrap()).unwrap();
+        // Through the full file pipeline, exactly like a spill file.
+        let path = case_path();
+        snapshot::save(&path, &mut original).unwrap();
+        let mut restored = snapshot::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
 
         // State: the profile the snapshot carries.
         prop_assert_eq!(original.snapshot(), restored.snapshot(), "profile diverged");
@@ -149,10 +164,10 @@ proptest! {
     }
 
     /// Snapshot files are deterministic: the same session state writes
-    /// byte-identical text (what makes the registry's skip-rewrite
+    /// byte-identical files (what makes the registry's skip-rewrite
     /// `dirty` optimisation safe to reason about).
     #[test]
-    fn snapshot_text_is_deterministic(
+    fn snapshot_bytes_are_deterministic(
         (game, profile, script) in arb_script()
     ) {
         let mut a = GameSession::from_refs(&game, &profile).unwrap();
@@ -161,8 +176,11 @@ proptest! {
             step(&mut a, kind, x, y);
             step(&mut b, kind, x, y);
         }
-        let ta = snapshot::session_to_value(&mut a).to_string_compact();
-        let tb = snapshot::session_to_value(&mut b).to_string_compact();
-        prop_assert_eq!(ta, tb);
+        let (pa, pb) = (case_path(), case_path());
+        snapshot::save(&pa, &mut a).unwrap();
+        snapshot::save(&pb, &mut b).unwrap();
+        let (ba, bb) = (std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
+        let _ = (std::fs::remove_file(&pa), std::fs::remove_file(&pb));
+        prop_assert_eq!(ba, bb);
     }
 }

@@ -7,8 +7,10 @@
 //! that headline sit the edges that make it true: torn final records
 //! recover to exactly the acknowledged prefix, a tampered log is
 //! rejected over the wire with a typed error, eviction flushes pending
-//! WAL records before it spills (and compacts to the snapshot mark),
-//! and the audit ops answer `bad_request` when durability is off.
+//! WAL records before it spills (and rewrites the log as a
+//! checkpoint), a session cold-started from a file keeps that file's
+//! checkpoint across a crash, and the audit ops answer `bad_request`
+//! when durability is off.
 //!
 //! In-process, "crash" means dropping the [`Server`] without
 //! `shutdown()`: no graceful drain runs, yet every *acknowledged*
@@ -23,10 +25,12 @@ use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::registry::{RegistryConfig, SessionRegistry};
 use sp_serve::server::Server;
+use sp_serve::wal;
 use sp_serve::wire::{
     ErrorCode, GameSpec, Geometry, Response, ResultBody, SessionOp, SessionRequest,
 };
 use sp_serve::workload::{self, WorkloadConfig};
+use sp_serve::{ops, snapshot};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sp-serve-wal-it-{tag}-{}", std::process::id()));
@@ -326,7 +330,7 @@ fn audit_ops_are_bad_request_when_durability_is_off() {
 
 /// The eviction edge: a session holding appended-but-uncommitted WAL
 /// records that gets LRU-spilled mid-batch must flush those records
-/// before the snapshot (never the reverse), then compact to the mark.
+/// before the checkpoint rewrites the log (never the reverse).
 /// Pinned by queueing a whole batch before the single worker starts —
 /// so the spill happens with the batch's commit still pending — and
 /// checking the on-disk aftermath plus the recovered state.
@@ -374,20 +378,24 @@ fn eviction_flushes_pending_records_before_spilling() {
         w.join().expect("worker joins");
     }
 
-    // On disk: the spilled session's log is compacted to a bare header
-    // (its records live in the snapshot now), and the snapshot exists.
+    // On disk: the spilled session's log is rewritten as a bare
+    // header whose checkpoint holds the records' effect, and it is the
+    // session's only file.
     let wal_bytes = fs::read(wal_file(&dir, "aa")).unwrap();
     let header_len = 8 + u32::from_le_bytes(wal_bytes[0..4].try_into().unwrap()) as usize;
     assert_eq!(
         wal_bytes.len(),
         header_len,
-        "the spilled session's log must be compacted to its header"
+        "the spilled session's log must be rewritten as its header"
     );
-    let tag = sp_graph::fnv1a(b"aa");
+    let log = wal::read(&wal_file(&dir, "aa")).unwrap();
     assert!(
-        dir.join(format!("aa-{tag:016x}.json")).exists(),
-        "the snapshot the compaction relies on must exist"
+        log.checkpoint.is_some(),
+        "the header must carry the checkpoint"
     );
+    assert_eq!(log.base_seq, 2);
+    let files = fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, 2, "one file per session");
 
     // The flushed-then-spilled state survives recovery bit-identically.
     let recovered = SessionRegistry::new(RegistryConfig {
@@ -425,6 +433,73 @@ fn eviction_flushes_pending_records_before_spilling() {
         cost,
         "recovered state diverged from the never-evicted reference"
     );
+    reference.shutdown();
+    for w in ref_workers {
+        w.join().expect("worker joins");
+    }
+    let _ = fs::remove_dir_all(&ref_dir);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The one-file hazard: a session cold-started by `load` from a file
+/// no log handle covers, then mutated, must keep that file's
+/// checkpoint when its log is opened for the mutation — a crash (drop
+/// without shutdown) and restart then serve it bit-identically to a
+/// session that never crashed.
+#[test]
+fn a_loaded_session_survives_a_crash_bit_identically() {
+    let dir = test_dir("cold");
+    let start = || {
+        Server::start(
+            ServeConfig::new()
+                .workers(1)
+                .spill_dir(dir.clone())
+                .durability(wal_mode(4)),
+        )
+        .expect("server starts")
+    };
+    let server = start();
+    // The file appears after startup, so recovery installed no handle.
+    let mut seed = ops::build_session(&spec()).unwrap();
+    snapshot::save(&wal_file(&dir, "cold"), &mut seed).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).expect("client");
+    client.load("cold").expect("cold start from the file");
+    client
+        .apply(
+            "cold",
+            Move::AddLink {
+                from: PeerId::new(0),
+                to: PeerId::new(3),
+            },
+        )
+        .expect("apply");
+    let before = client.social_cost("cold").expect("social cost");
+    drop(client);
+    drop(server);
+
+    let server = start();
+    let mut client = ServeClient::connect(server.local_addr()).expect("client");
+    assert_eq!(
+        client
+            .social_cost("cold")
+            .expect("recovered session answers"),
+        before,
+        "the crash lost the loaded session's state"
+    );
+    client.wal_verify("cold").expect("the log audits clean");
+    server.shutdown();
+
+    // The reference: the same state, never loaded, never crashed.
+    let ref_dir = test_dir("cold-ref");
+    let reference = SessionRegistry::new(RegistryConfig {
+        spill_dir: ref_dir.clone(),
+        ..RegistryConfig::default()
+    })
+    .expect("reference registry starts");
+    let ref_workers = reference.spawn_workers(1);
+    call_ok(&reference, "cold", SessionOp::Create(spec()));
+    call_ok(&reference, "cold", add_link(0, 3));
+    assert_eq!(call_ok(&reference, "cold", SessionOp::SocialCost), before);
     reference.shutdown();
     for w in ref_workers {
         w.join().expect("worker joins");
