@@ -75,3 +75,30 @@ fn bad_inputs_fail_cleanly() {
     let (ok3, stdout3, _) = run(&[]);
     assert!(!ok3 || stdout3.is_empty());
 }
+
+/// The paper's experiments as a pinned output: every table cell of
+/// `experiments all --quick --json` (E1–E16, covering Lemmas 4.2/4.3
+/// and Theorems 4.1/4.4/5.1) must match the committed golden file byte
+/// for byte, so an engine change that moves a reported number fails
+/// here. A deliberate change regenerates the file with
+/// `experiments all --quick --json > crates/bench/tests/golden/experiments_all_quick.json`
+/// and explains every moved cell.
+#[test]
+fn all_quick_json_matches_the_golden_file() {
+    const GOLDEN: &str = include_str!("golden/experiments_all_quick.json");
+    let (ok, stdout, stderr) = run(&["all", "--quick", "--json"]);
+    assert!(ok, "stderr: {stderr}");
+    if stdout != GOLDEN {
+        let line = stdout
+            .lines()
+            .zip(GOLDEN.lines())
+            .position(|(a, b)| a != b)
+            .map_or(stdout.lines().count().min(GOLDEN.lines().count()), |k| k);
+        panic!(
+            "experiments output diverged from the golden file at line {}:\n  got:    {:?}\n  golden: {:?}",
+            line + 1,
+            stdout.lines().nth(line),
+            GOLDEN.lines().nth(line),
+        );
+    }
+}

@@ -125,7 +125,7 @@ impl Config {
                 // banned from re-growing.
                 "crates/core/src/oracle_cache.rs",
             ]),
-            counter_structs: s(&["SessionStats", "ObsMetricSet"]),
+            counter_structs: s(&["SessionStats", "RegistryStats"]),
             check_unsafe: true,
             unsafe_exempt: s(&[
                 // The epoll/eventfd FFI shim: the one module allowed to

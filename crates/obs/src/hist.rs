@@ -13,6 +13,8 @@
 //! **upper bound** of the bucket holding the p-th sample, so quantiles
 //! never understate latency.
 
+use std::sync::{Mutex, MutexGuard};
+
 use sp_json::{json, Value};
 
 /// Linear sub-buckets per power-of-two octave (2^3 — the HDR
@@ -155,6 +157,64 @@ impl Histogram {
             "p999_ns": self.value_at_quantile(0.999) as usize,
             "max_ns": self.max as usize,
         })
+    }
+}
+
+/// A shared histogram: a [`Histogram`] behind its own mutex (one
+/// metric, one lock — never shared across metrics).
+#[derive(Debug, Default)]
+pub struct HistogramCell(Mutex<Histogram>);
+
+impl HistogramCell {
+    fn lock(&self) -> MutexGuard<'_, Histogram> {
+        // A histogram is a bag of monotone counts; a panicked writer
+        // cannot leave it inconsistent in any way a reader must fear.
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Records one nanosecond value.
+    pub fn record(&self, value_ns: u64) {
+        self.lock().record(value_ns);
+    }
+
+    /// The standard summary of the current contents.
+    #[must_use]
+    pub fn summary(&self) -> HistogramSummary {
+        HistogramSummary::of(&self.lock())
+    }
+}
+
+/// The fixed summary a histogram exports (ns units throughout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HistogramSummary {
+    /// Values recorded.
+    pub count: u64,
+    /// Smallest recorded value (0 when empty).
+    pub min_ns: u64,
+    /// Median (bucket upper bound).
+    pub p50_ns: u64,
+    /// 99th percentile (bucket upper bound).
+    pub p99_ns: u64,
+    /// 99.9th percentile (bucket upper bound).
+    pub p999_ns: u64,
+    /// Largest recorded value (exact).
+    pub max_ns: u64,
+}
+
+impl HistogramSummary {
+    /// Summarises `h`.
+    #[must_use]
+    pub fn of(h: &Histogram) -> HistogramSummary {
+        HistogramSummary {
+            count: h.count(),
+            min_ns: h.min(),
+            p50_ns: h.value_at_quantile(0.50),
+            p99_ns: h.value_at_quantile(0.99),
+            p999_ns: h.value_at_quantile(0.999),
+            max_ns: h.max(),
+        }
     }
 }
 

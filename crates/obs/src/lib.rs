@@ -6,10 +6,10 @@
 //! * [`Histogram`] — the fixed-bucket log-linear latency histogram
 //!   (moved here from `sp-serve` so server and load generator share one
 //!   implementation; bucket layout and quantile readout are unchanged).
-//! * [`MetricsRegistry`] — named counters, gauges, and histograms.
-//!   Handles are `Arc`s registered once at startup; the hot path is a
-//!   single relaxed atomic op, and snapshots iterate in sorted name
-//!   order so their encoding is deterministic.
+//!   [`HistogramCell`] shares one behind a mutex and reads out a
+//!   [`HistogramSummary`]. Counters are not kept here: a service
+//!   counts its events in plain atomics owned by the layer that
+//!   counts them, and exports them itself.
 //! * [`Span`] / [`ActiveSpan`] / [`TraceSink`] — per-request phase
 //!   timestamps (decode → queue → execute → wal → fsync → encode →
 //!   flush) recorded into fixed-size striped ring buffers. Recording
@@ -17,19 +17,15 @@
 //! * [`Clock`] — the injectable time source: [`WallClock`] for
 //!   production, [`TickClock`] for machine-independent tests and
 //!   benchmarks (every reading advances a counter by a fixed step, so
-//!   span and metric *counts* are bit-reproducible).
+//!   span *counts* and durations are bit-reproducible).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;
 mod hist;
-mod metrics;
 mod span;
 
 pub use clock::{Clock, TickClock, WallClock};
-pub use hist::{format_ns, Histogram, SUB_BUCKETS};
-pub use metrics::{
-    Counter, Gauge, HistogramCell, HistogramSummary, MetricsRegistry, MetricsSnapshot,
-};
+pub use hist::{format_ns, Histogram, HistogramCell, HistogramSummary, SUB_BUCKETS};
 pub use span::{ActiveSpan, Phase, Span, SpanHandle, SpanRing, TraceSink, PHASES, SPAN_PHASES};

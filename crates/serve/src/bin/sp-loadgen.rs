@@ -141,7 +141,7 @@ fn per_op_histograms(
     by_op
 }
 
-/// Fetches and prints the server's metrics registry (`metrics` op) and
+/// Fetches and prints the server's metrics (`metrics` op) and
 /// the slow end of its trace ring (`trace_tail`): counters and gauges
 /// as `name=value` lines, histograms and spans with human-readable
 /// latencies. Requires the server to run with `--obs`.

@@ -14,8 +14,8 @@
 //! before its response — group-committed every `--group-commit` jobs
 //! per worker. `--no-fsync` keeps the WAL cadence but skips the
 //! syscall (benchmarks, throwaway data). `--obs` turns on request
-//! tracing and the server-side metrics registry (the `metrics` /
-//! `trace_tail` ops); `--slow-ms` additionally logs one structured
+//! tracing, the latency histograms and the `metrics` / `trace_tail`
+//! ops; `--slow-ms` additionally logs one structured
 //! line per request at least that slow. See the crate README for the
 //! wire protocol, the WAL format, and the span phase diagram.
 

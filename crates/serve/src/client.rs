@@ -108,8 +108,8 @@ impl ServeClient {
         }
     }
 
-    /// `metrics` — the server-side metrics registry snapshot (requires
-    /// the server to run with observability enabled).
+    /// `metrics` — the server's counters, gauges and histograms
+    /// (requires the server to run with observability enabled).
     ///
     /// # Errors
     ///

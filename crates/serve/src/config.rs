@@ -184,7 +184,6 @@ mod tests {
                 enabled: true,
                 slow_ns: Some(5),
                 tick: true,
-                quiet: true,
             });
         assert_eq!(cfg.addr, "127.0.0.1:7171");
         assert_eq!(cfg.workers, 3);
@@ -194,7 +193,7 @@ mod tests {
         assert!(reg.durability.is_wal());
         assert!(!reg.durability.fsync());
         assert_eq!(reg.durability.batch_cap(), 16);
-        assert!(reg.obs.enabled && reg.obs.tick && reg.obs.quiet);
+        assert!(reg.obs.enabled && reg.obs.tick);
         assert_eq!(reg.obs.slow_ns, Some(5));
         assert!(
             !ServeConfig::new().registry.obs.enabled,

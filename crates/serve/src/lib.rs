@@ -54,9 +54,10 @@
 //! * [`obs`] (over the `sp-obs` crate) — opt-in observability:
 //!   per-request **spans** stamped at every pipeline seam (decode →
 //!   enqueue → dequeue → execute → wal → fsync → encode → flush) into
-//!   fixed-size ring buffers, a named metrics registry (counters,
-//!   gauges, fixed-bucket latency histograms), and two wire ops —
-//!   `metrics` (0x1D) and `trace_tail` (0x1E) — that export both.
+//!   fixed-size ring buffers, fixed-bucket latency histograms, and two
+//!   wire ops — `metrics` (0x1D), the one exporter of the service's
+//!   counters (plain atomics; the registry's always count), and
+//!   `trace_tail` (0x1E).
 //!   Observation never steers: with `--obs` on, responses stay
 //!   bit-identical to an unobserved run.
 //! * [`config::ServeConfig`] — the one builder-style front door for

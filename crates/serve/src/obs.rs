@@ -1,5 +1,5 @@
-//! The server's observability layer: request spans, the metrics
-//! registry, and the glue between [`sp_obs`]'s primitives and the
+//! The server's observability layer: request spans, the `metrics`
+//! exporter, and the glue between [`sp_obs`]'s primitives and the
 //! serve pipeline.
 //!
 //! [`ServeObs`] is built once per registry (when [`ObsConfig::enabled`]
@@ -12,6 +12,17 @@
 //! span into the trace sink, feeds the per-op latency histogram, and —
 //! past the slow threshold — emits one structured log line.
 //!
+//! # One counter system
+//!
+//! Every service counter is one plain atomic, owned by the layer that
+//! counts the event, and counted once. The registry's counters
+//! ([`RegistryStats`]) always count, with or without `--obs`; `stats`
+//! reads them. The span counters (`obs.spans_completed`,
+//! `obs.slow_logged`) and the reactor's (`reactor.*`) live here and
+//! count only with observability on. [`ServeObs::metrics_body`] is the
+//! one exporter: it names those atomics, the histograms and the
+//! aggregated `work.*` counters for the `metrics` op.
+//!
 //! With observability **off** (the default) no span is ever allocated
 //! and every instrumentation site is a skipped `Option` check: the
 //! request path is byte-identical to the uninstrumented server.
@@ -22,11 +33,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use sp_core::SessionStats;
 use sp_obs::{
-    format_ns, ActiveSpan, Clock, Counter, Gauge, HistogramCell, MetricsRegistry, Phase, Span,
-    SpanHandle, TickClock, TraceSink, WallClock,
+    format_ns, ActiveSpan, Clock, HistogramCell, Phase, Span, SpanHandle, TickClock, TraceSink,
+    WallClock,
 };
 
+use crate::registry::RegistryStats;
 use crate::wire::{MetricHistogramBody, MetricsBody, OpCode, TraceSpanBody};
 
 /// Tick-clock step: every reading advances deterministic time by 1 µs.
@@ -43,8 +56,8 @@ const TRACE_PER_STRIPE: usize = 128;
 /// [`crate::registry::RegistryConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
-    /// Master switch. Off = no spans, no metrics, `metrics` /
-    /// `trace_tail` answer `bad_request`.
+    /// Master switch. Off = no spans, `metrics` / `trace_tail` answer
+    /// `bad_request`.
     pub enabled: bool,
     /// Slow-request threshold: a completed span whose total duration
     /// reaches this emits one structured log line (and increments
@@ -53,10 +66,6 @@ pub struct ObsConfig {
     /// Use the deterministic [`TickClock`] instead of wall time —
     /// for tests and benches that gate on machine-independent counts.
     pub tick: bool,
-    /// Suppress the slow-request log line (the counter still moves) —
-    /// benches use this with `slow_ns = Some(0)` to count every span
-    /// deterministically without spamming stderr.
-    pub quiet: bool,
 }
 
 impl ObsConfig {
@@ -71,65 +80,35 @@ impl ObsConfig {
     }
 }
 
-/// The deterministic counter set the throughput bench gates on: every
-/// field counts *events whose number is a pure function of the request
-/// sequence* (never of timing), so under a tick clock and a
-/// single-worker closed loop the values are bit-reproducible across
-/// machines.
-#[derive(Debug)]
-pub struct ObsMetricSet {
-    /// Spans completed (one per request that reached its flush stamp).
-    pub spans_completed: Arc<Counter>,
-    /// Jobs that waited in a session FIFO queue (dequeue stamps).
-    pub queue_wait_events: Arc<Counter>,
-    /// Successful WAL appends observed by spans.
-    pub wal_append_events: Arc<Counter>,
-    /// Group-commit fsyncs that covered at least one pending record.
-    pub fsync_batches: Arc<Counter>,
-    /// Completed spans at or past the slow threshold.
-    pub slow_logged: Arc<Counter>,
-}
-
-impl ObsMetricSet {
-    /// Registers every gated counter under its `obs.*` name.
-    fn register(metrics: &MetricsRegistry) -> ObsMetricSet {
-        // sp-lint: counters(ObsMetricSet)
-        ObsMetricSet {
-            spans_completed: metrics.counter("obs.spans_completed"),
-            queue_wait_events: metrics.counter("obs.queue_wait_events"),
-            wal_append_events: metrics.counter("obs.wal_append_events"),
-            fsync_batches: metrics.counter("obs.fsync_batches"),
-            slow_logged: metrics.counter("obs.slow_logged"),
-        }
-    }
-}
-
 /// The per-server observability state: clock, span sequencer, trace
-/// sink, and metric handles. Shared (`Arc`) by the connection engine,
-/// the scheduler workers, and the inline `metrics` / `trace_tail` ops.
+/// sink, histograms, and the counters only observability counts.
+/// Shared (`Arc`) by the connection engine, the scheduler workers, and
+/// the inline `metrics` / `trace_tail` ops.
 pub struct ServeObs {
-    metrics: MetricsRegistry,
-    set: ObsMetricSet,
     trace: TraceSink,
     clock: Box<dyn Clock>,
     slow_ns: Option<u64>,
-    quiet: bool,
     seq: AtomicU64,
-    /// Per-op latency histograms, indexed by op code — pre-registered
-    /// so the hot path never touches the registry's name map.
-    op_hist: Vec<Option<Arc<HistogramCell>>>,
-    queue_depth_hwm: Arc<Gauge>,
-    wal_batch_jobs: Arc<HistogramCell>,
-    wal_fsync_ns: Arc<HistogramCell>,
-    reactor_wakeups: Arc<Counter>,
-    reactor_pipeline_hwm: Arc<Gauge>,
+    /// Per-op latency histograms, indexed by op code.
+    op_hist: Vec<Option<(String, HistogramCell)>>,
+    /// WAL group-commit batch sizes (jobs per batch with an append).
+    pub(crate) wal_batch_jobs: HistogramCell,
+    /// WAL commit latency.
+    pub(crate) wal_fsync_ns: HistogramCell,
+    /// Spans completed (one per request that reached its flush stamp).
+    spans_completed: AtomicU64,
+    /// Completed spans at or past the slow threshold.
+    slow_logged: AtomicU64,
+    /// Reactor eventfd wakeups.
+    pub(crate) reactor_wakeups: AtomicU64,
+    /// High-water mark of one reactor connection's frames in flight.
+    pub(crate) reactor_pipeline_hwm: AtomicU64,
 }
 
 impl std::fmt::Debug for ServeObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeObs")
             .field("slow_ns", &self.slow_ns)
-            .field("quiet", &self.quiet)
             .field("seq", &self.seq.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -143,8 +122,6 @@ impl ServeObs {
         if !cfg.enabled {
             return None;
         }
-        let metrics = MetricsRegistry::new();
-        let set = ObsMetricSet::register(&metrics);
         let clock: Box<dyn Clock> = if cfg.tick {
             Box::new(TickClock::new(TICK_STEP_NS))
         } else {
@@ -152,28 +129,22 @@ impl ServeObs {
         };
         let op_hist = (0..=u8::MAX)
             .map(|tag| {
-                OpCode::from_u8(tag).map(|op| metrics.histogram(&format!("op.{}", op.name())))
+                OpCode::from_u8(tag)
+                    .map(|op| (format!("op.{}", op.name()), HistogramCell::default()))
             })
             .collect();
-        let queue_depth_hwm = metrics.gauge("queue.depth_hwm");
-        let wal_batch_jobs = metrics.histogram("wal.batch_jobs");
-        let wal_fsync_ns = metrics.histogram("wal.fsync_ns");
-        let reactor_wakeups = metrics.counter("reactor.wakeups");
-        let reactor_pipeline_hwm = metrics.gauge("reactor.pipeline_depth_hwm");
         Some(Arc::new(ServeObs {
-            metrics,
-            set,
             trace: TraceSink::new(TRACE_STRIPES, TRACE_PER_STRIPE),
             clock,
             slow_ns: cfg.slow_ns,
-            quiet: cfg.quiet,
             seq: AtomicU64::new(0),
             op_hist,
-            queue_depth_hwm,
-            wal_batch_jobs,
-            wal_fsync_ns,
-            reactor_wakeups,
-            reactor_pipeline_hwm,
+            wal_batch_jobs: HistogramCell::default(),
+            wal_fsync_ns: HistogramCell::default(),
+            spans_completed: AtomicU64::new(0),
+            slow_logged: AtomicU64::new(0),
+            reactor_wakeups: AtomicU64::new(0),
+            reactor_pipeline_hwm: AtomicU64::new(0),
         }))
     }
 
@@ -181,48 +152,6 @@ impl ServeObs {
     #[must_use]
     pub fn now_ns(&self) -> u64 {
         self.clock.now_ns()
-    }
-
-    /// The gated counter set.
-    #[must_use]
-    pub fn set(&self) -> &ObsMetricSet {
-        &self.set
-    }
-
-    /// The full metrics registry (for ad-hoc metrics and tests).
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The per-session queue-depth high-water gauge.
-    #[must_use]
-    pub fn queue_depth_hwm(&self) -> &Gauge {
-        &self.queue_depth_hwm
-    }
-
-    /// The WAL group-commit batch-size histogram (jobs per batch).
-    #[must_use]
-    pub fn wal_batch_jobs(&self) -> &HistogramCell {
-        &self.wal_batch_jobs
-    }
-
-    /// The WAL commit-latency histogram.
-    #[must_use]
-    pub fn wal_fsync_ns(&self) -> &HistogramCell {
-        &self.wal_fsync_ns
-    }
-
-    /// The reactor eventfd-wakeup counter.
-    #[must_use]
-    pub fn reactor_wakeups(&self) -> &Counter {
-        &self.reactor_wakeups
-    }
-
-    /// The reactor per-connection pipeline-depth high-water gauge.
-    #[must_use]
-    pub fn reactor_pipeline_hwm(&self) -> &Gauge {
-        &self.reactor_pipeline_hwm
     }
 
     /// Starts a span for a freshly decoded request (stamping
@@ -247,48 +176,106 @@ impl ServeObs {
     pub fn finish_span(&self, span: &SpanHandle) {
         let snap = span.snapshot();
         self.trace.record(snap);
-        self.set.spans_completed.inc();
+        self.spans_completed.fetch_add(1, Ordering::Relaxed);
         let total = snap.total_ns();
-        if let Some(Some(hist)) = self.op_hist.get(usize::from(snap.op)) {
+        if let Some(Some((_, hist))) = self.op_hist.get(usize::from(snap.op)) {
             hist.record(total);
         }
-        if let Some(limit) = self.slow_ns {
-            if total >= limit {
-                self.set.slow_logged.inc();
-                if !self.quiet {
-                    eprintln!("{}", slow_request_line(&snap));
-                }
-            }
+        if self.slow_ns.is_some_and(|limit| total >= limit) {
+            self.slow_logged.fetch_add(1, Ordering::Relaxed);
+            eprintln!("{}", slow_request_line(&snap));
         }
     }
 
-    /// The `metrics` result body: every registered metric plus the
-    /// caller-supplied extra counters (the registry injects its
-    /// `obs.sessions_*` event counters and the aggregated per-session
-    /// `work.*` counters), name-sorted so identical state
-    /// encodes to identical bytes.
+    /// The `metrics` result body, the one exporter of the service's
+    /// counters: the registry's always-on `stats` (under their `obs.*`
+    /// and `queue.*` names), the counters only observability counts,
+    /// the histograms, and the aggregated `work` as `work.*` — a
+    /// deliberate subset of [`SessionStats`]: the coarse per-op work,
+    /// not the cache-internals fine structure. Each list is
+    /// name-sorted, so identical state encodes to identical bytes.
     #[must_use]
-    pub fn metrics_body(&self, extra_counters: &[(String, u64)]) -> MetricsBody {
-        let snap = self.metrics.snapshot();
-        let mut counters = snap.counters;
-        counters.extend_from_slice(extra_counters);
+    pub fn metrics_body(&self, stats: &RegistryStats, work: &SessionStats) -> MetricsBody {
+        // sp-lint: counters(RegistryStats)
+        let RegistryStats {
+            requests_served,
+            sessions_created: _,
+            sessions_evicted,
+            sessions_restored,
+            queue_depth_hwm,
+            resident_sessions: _,
+            resident_bytes: _,
+            wal_records,
+            // Also the count of the `wal.batch_jobs` histogram.
+            wal_batches: _,
+            wal_fsyncs,
+            wal_replays: _,
+        } = *stats;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut counters: Vec<(String, u64)> = [
+            ("obs.fsync_batches", wal_fsyncs),
+            // A job waits in a session queue once per request served.
+            ("obs.queue_wait_events", requests_served),
+            ("obs.sessions_evicted", sessions_evicted),
+            ("obs.sessions_restored", sessions_restored),
+            ("obs.slow_logged", load(&self.slow_logged)),
+            ("obs.spans_completed", load(&self.spans_completed)),
+            ("obs.wal_append_events", wal_records),
+            ("reactor.wakeups", load(&self.reactor_wakeups)),
+            ("work.batch_applies", work.batch_applies as u64),
+            ("work.csr_rebuilds", work.csr_rebuilds as u64),
+            ("work.full_sssp", work.full_sssp as u64),
+            (
+                "work.incremental_relaxations",
+                work.incremental_relaxations as u64,
+            ),
+            ("work.oracle_builds", work.oracle_builds as u64),
+            (
+                "work.oracle_rows_repaired",
+                work.oracle_rows_repaired as u64,
+            ),
+            ("work.snapshot_exports", work.snapshot_exports as u64),
+            ("work.snapshot_restores", work.snapshot_restores as u64),
+        ]
+        .map(|(name, v)| (name.to_owned(), v))
+        .into();
         counters.sort();
-        MetricsBody {
-            counters,
-            gauges: snap.gauges,
-            histograms: snap
-                .histograms
-                .into_iter()
-                .map(|(name, h)| MetricHistogramBody {
-                    name,
+        let gauges = vec![
+            ("queue.depth_hwm".to_owned(), queue_depth_hwm as u64),
+            (
+                "reactor.pipeline_depth_hwm".to_owned(),
+                load(&self.reactor_pipeline_hwm),
+            ),
+        ];
+        let ops = self
+            .op_hist
+            .iter()
+            .flatten()
+            .map(|(name, h)| (name.as_str(), h));
+        let wal = [
+            ("wal.batch_jobs", &self.wal_batch_jobs),
+            ("wal.fsync_ns", &self.wal_fsync_ns),
+        ];
+        let mut histograms: Vec<MetricHistogramBody> = ops
+            .chain(wal)
+            .map(|(name, cell)| {
+                let h = cell.summary();
+                MetricHistogramBody {
+                    name: name.to_owned(),
                     count: h.count,
                     min_ns: h.min_ns,
                     p50_ns: h.p50_ns,
                     p99_ns: h.p99_ns,
                     p999_ns: h.p999_ns,
                     max_ns: h.max_ns,
-                })
-                .collect(),
+                }
+            })
+            .collect();
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        MetricsBody {
+            counters,
+            gauges,
+            histograms,
         }
     }
 
@@ -355,7 +342,6 @@ mod tests {
             enabled: true,
             slow_ns: Some(0),
             tick: true,
-            quiet: true,
         })
         .expect("enabled");
         for _ in 0..3 {
@@ -364,9 +350,15 @@ mod tests {
             obs.stamp(&span, Phase::Flush);
             obs.finish_span(&span);
         }
-        assert_eq!(obs.set().spans_completed.get(), 3);
-        assert_eq!(obs.set().slow_logged.get(), 3, "slow_ns=0 counts all");
-        let body = obs.metrics_body(&[("work.full_sssp".to_owned(), 9)]);
+        let stats = RegistryStats {
+            wal_fsyncs: 5,
+            ..RegistryStats::default()
+        };
+        let work = SessionStats {
+            full_sssp: 9,
+            ..SessionStats::default()
+        };
+        let body = obs.metrics_body(&stats, &work);
         let counter = |name: &str| {
             body.counters
                 .iter()
@@ -374,7 +366,14 @@ mod tests {
                 .map(|&(_, v)| v)
         };
         assert_eq!(counter("obs.spans_completed"), Some(3));
+        assert_eq!(counter("obs.slow_logged"), Some(3), "slow_ns=0 counts all");
+        assert_eq!(counter("obs.fsync_batches"), Some(5));
         assert_eq!(counter("work.full_sssp"), Some(9));
+        assert!(
+            body.counters.windows(2).all(|w| w[0].0 < w[1].0)
+                && body.histograms.windows(2).all(|w| w[0].name < w[1].name),
+            "metrics are name-sorted: {body:?}"
+        );
         let sc = body
             .histograms
             .iter()

@@ -264,7 +264,7 @@ impl Reactor {
 
     fn drain_wake(&mut self) {
         if let Some(obs) = &self.obs {
-            obs.reactor_wakeups().inc();
+            obs.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
         }
         self.notifier.wake.drain();
         let dirty: Vec<u64> = std::mem::take(&mut lock_unpoisoned(&self.notifier.dirty));
@@ -351,7 +351,8 @@ impl Reactor {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             if let Some(obs) = &obs {
-                obs.reactor_pipeline_hwm().raise(conn.outstanding());
+                obs.reactor_pipeline_hwm
+                    .fetch_max(conn.outstanding(), Ordering::Relaxed);
             }
             match conn.proto.on_frame(&payload) {
                 FrameAction::Request(Request::Session(req)) => {

@@ -188,31 +188,38 @@ struct SessionEntry {
     state: Mutex<EntryState>,
 }
 
-/// A point-in-time snapshot of the registry's counters.
+/// A point-in-time snapshot of the registry's counters. Each is one
+/// atomic that counts whether or not observability is on; `stats`
+/// answers with a subset, and [`crate::obs::ServeObs::metrics_body`]
+/// exports the event counters under the names noted here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
-    /// Requests executed to completion by the worker pool.
+    /// Requests executed to completion by the worker pool
+    /// (`obs.queue_wait_events`: each waited in a session queue once).
     pub requests_served: u64,
     /// Sessions built by `create` requests.
     pub sessions_created: u64,
     /// Spill-and-drop events: budget-driven LRU evictions plus explicit
-    /// `evict` requests.
+    /// `evict` requests (`obs.sessions_evicted`).
     pub sessions_evicted: u64,
-    /// Sessions restored from spill files (transparent or via `load`).
+    /// Sessions restored from spill files, transparently or via `load`
+    /// (`obs.sessions_restored`).
     pub sessions_restored: u64,
-    /// High-water mark of any single session's request queue depth.
+    /// High-water mark of any single session's request queue depth
+    /// (the `queue.depth_hwm` gauge).
     pub queue_depth_hwm: usize,
     /// Sessions currently resident in memory.
     pub resident_sessions: usize,
     /// Bytes currently charged against the budget.
     pub resident_bytes: usize,
-    /// WAL records appended (all sessions).
+    /// WAL records appended, all sessions (`obs.wal_append_events`).
     pub wal_records: u64,
     /// Worker drain batches that carried at least one WAL append —
     /// the group-commit unit.
     pub wal_batches: u64,
-    /// WAL commit points that had pending records to sync. With
-    /// `fsync` off the syscall is elided but the cadence (and this
+    /// WAL commit points that had pending records to sync: group
+    /// commits and the commit that opens a spill (`obs.fsync_batches`).
+    /// With `fsync` off the syscall is elided but the cadence (and this
     /// counter) is identical.
     pub wal_fsyncs: u64,
     /// WAL records replayed by startup recovery.
@@ -406,9 +413,6 @@ impl SessionRegistry {
         st.queue.push_back(job);
         self.queue_depth_hwm
             .fetch_max(st.queue.len(), Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.queue_depth_hwm().raise(st.queue.len() as u64);
-        }
         if !st.scheduled {
             st.scheduled = true;
             drop(st);
@@ -505,44 +509,6 @@ impl SessionRegistry {
         total
     }
 
-    /// The registry-side counters the `metrics` op injects, as
-    /// name/value pairs: the eviction and restore events as
-    /// `obs.sessions_evicted` / `obs.sessions_restored` (the same
-    /// atomics [`SessionRegistry::stats`] reads), then the aggregated
-    /// work counters as `work.*` — a deliberate subset of
-    /// [`SessionStats`]: the coarse per-op work drivers, not the
-    /// cache-internals fine structure (`stats` and the core's own
-    /// reporting keep the full set).
-    #[must_use]
-    pub fn work_counters(&self) -> Vec<(String, u64)> {
-        let w = self.work_stats();
-        let work = [
-            ("work.batch_applies", w.batch_applies),
-            ("work.csr_rebuilds", w.csr_rebuilds),
-            ("work.full_sssp", w.full_sssp),
-            ("work.incremental_relaxations", w.incremental_relaxations),
-            ("work.oracle_builds", w.oracle_builds),
-            ("work.oracle_rows_repaired", w.oracle_rows_repaired),
-            ("work.snapshot_exports", w.snapshot_exports),
-            ("work.snapshot_restores", w.snapshot_restores),
-        ]
-        .map(|(name, v)| (name, v as u64));
-        [
-            (
-                "obs.sessions_evicted",
-                self.sessions_evicted.load(Ordering::Relaxed),
-            ),
-            (
-                "obs.sessions_restored",
-                self.sessions_restored.load(Ordering::Relaxed),
-            ),
-        ]
-        .into_iter()
-        .chain(work)
-        .map(|(name, v)| (name.to_owned(), v))
-        .collect()
-    }
-
     fn shard_of(&self, name: &str) -> usize {
         (sp_graph::fnv1a(name.as_bytes()) % SHARDS as u64) as usize
     }
@@ -631,21 +597,19 @@ impl SessionRegistry {
         if !wals.is_empty() {
             self.wal_batches.fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = &self.obs {
-                obs.wal_batch_jobs().record(batch.len() as u64);
+                obs.wal_batch_jobs.record(batch.len() as u64);
             }
         }
         for w in &wals {
             let commit_start = self.obs.as_ref().map(|o| o.now_ns());
             let committed = lock_unpoisoned(w).commit();
             if let (Some(obs), Some(start)) = (&self.obs, commit_start) {
-                obs.wal_fsync_ns()
-                    .record(obs.now_ns().saturating_sub(start));
+                obs.wal_fsync_ns.record(obs.now_ns().saturating_sub(start));
             }
             match committed {
                 Ok(true) => {
                     self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
                     if let Some(obs) = &self.obs {
-                        obs.set().fsync_batches.inc();
                         // The fsync covered every record this batch
                         // appended to this log: stamp those spans.
                         for p in batch.iter() {
@@ -786,11 +750,8 @@ impl SessionRegistry {
             };
             (job, slot, st.wal.clone())
         };
-        if let Some(obs) = &self.obs {
-            obs.set().queue_wait_events.inc();
-            if let Some(span) = &job.span {
-                obs.stamp(span, Phase::Dequeue);
-            }
+        if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
+            obs.stamp(span, Phase::Dequeue);
         }
         // Work counters of a session this job evicts, captured before
         // the residency drop so they can be folded into the entry's
@@ -828,11 +789,8 @@ impl SessionRegistry {
             match appended {
                 Ok(w) => {
                     self.wal_records.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        obs.set().wal_append_events.inc();
-                        if let Some(span) = &job.span {
-                            obs.stamp(span, Phase::Wal);
-                        }
+                    if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
+                        obs.stamp(span, Phase::Wal);
                     }
                     reply_wal = Some(w);
                 }

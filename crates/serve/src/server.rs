@@ -236,7 +236,7 @@ pub(crate) fn respond_request_traced(
             ),
             Some(obs) => Response::ok(
                 id,
-                ResultBody::Metrics(obs.metrics_body(&registry.work_counters())),
+                ResultBody::Metrics(obs.metrics_body(&registry.stats(), &registry.work_stats())),
             ),
         },
         Request::TraceTail { id, limit, slow_ns } => match registry.obs() {

@@ -12,10 +12,10 @@
 //! to exactly the bytes of what the reference executor computes with
 //! every session permanently resident.
 //!
-//! Every server here runs with **observability on** (quiet wall-clock
-//! spans): the bit-identity assertions double as the proof that tracing
-//! observes the pipeline without steering it — `--obs` must never
-//! change a response byte, on either engine.
+//! Every server here runs with **observability on** (wall-clock
+//! spans, no slow threshold): the bit-identity assertions double as the
+//! proof that tracing observes the pipeline without steering it —
+//! `--obs` must never change a response byte, on either engine.
 
 use std::path::PathBuf;
 
@@ -52,11 +52,7 @@ fn run_replay(
             .io(io)
             .memory_budget(budget)
             .spill_dir(dir.clone())
-            .obs(ObsConfig {
-                enabled: true,
-                quiet: true,
-                ..ObsConfig::default()
-            }),
+            .obs(ObsConfig::enabled()),
     )
     .expect("server starts");
     let addr = server.local_addr();

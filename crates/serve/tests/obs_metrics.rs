@@ -1,5 +1,6 @@
 //! Wire-level observability: the `metrics` and `trace_tail` ops, the
-//! obs-off refusal path, and the work-counter carry across eviction.
+//! obs-off refusal path, the exported names and obs-on ≡ obs-off
+//! counting, and the work-counter carry across eviction.
 //!
 //! The carry test is the regression gate for a real bug: before
 //! `EntryState::carried`, evicting a session threw away its resident
@@ -14,10 +15,12 @@ use std::path::PathBuf;
 
 use sp_core::{BackendMode, Move, PeerId};
 use sp_serve::client::ServeClient;
-use sp_serve::config::ServeConfig;
+use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
+use sp_serve::registry::RegistryStats;
 use sp_serve::server::{IoModel, Server};
 use sp_serve::wire::{ErrorCode, GameSpec, Geometry, MetricsBody};
+use sp_serve::workload::{self, WorkloadConfig};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sp-serve-obs-{tag}-{}", std::process::id()));
@@ -42,11 +45,7 @@ fn obs_server(tag: &str, io: IoModel) -> (Server, PathBuf) {
             .workers(1)
             .io(io)
             .spill_dir(dir.clone())
-            .obs(ObsConfig {
-                enabled: true,
-                quiet: true,
-                ..ObsConfig::default()
-            }),
+            .obs(ObsConfig::enabled()),
     )
     .expect("server starts");
     (server, dir)
@@ -75,6 +74,121 @@ fn metrics_and_trace_tail_require_obs() {
     assert_eq!(err.code, ErrorCode::BadRequest);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every counter `metrics` exports, name-sorted. Operators, CI and
+/// the benchmark harness read these names: renaming one breaks them.
+const COUNTERS: [&str; 16] = [
+    "obs.fsync_batches",
+    "obs.queue_wait_events",
+    "obs.sessions_evicted",
+    "obs.sessions_restored",
+    "obs.slow_logged",
+    "obs.spans_completed",
+    "obs.wal_append_events",
+    "reactor.wakeups",
+    "work.batch_applies",
+    "work.csr_rebuilds",
+    "work.full_sssp",
+    "work.incremental_relaxations",
+    "work.oracle_builds",
+    "work.oracle_rows_repaired",
+    "work.snapshot_exports",
+    "work.snapshot_restores",
+];
+
+/// Every gauge `metrics` exports, name-sorted.
+const GAUGES: [&str; 2] = ["queue.depth_hwm", "reactor.pipeline_depth_hwm"];
+
+/// Replays a short WAL script (one worker, one client, a budget that
+/// forces evictions) and returns the registry's counters, plus the
+/// `metrics` body when observability is on.
+fn wal_run(tag: &str, obs: bool) -> (RegistryStats, Option<MetricsBody>) {
+    let dir = test_dir(tag);
+    // The reactor finishes each span on its loop thread before it reads
+    // the next frame, so `metrics` sees every replayed span completed.
+    let mut config = ServeConfig::new()
+        .workers(1)
+        .io(IoModel::Reactor)
+        .memory_budget(64 << 10)
+        .spill_dir(dir.clone())
+        .durability(Durability::Wal {
+            group_commit: 8,
+            fsync: false,
+        });
+    if obs {
+        config = config.obs(ObsConfig::enabled());
+    }
+    let server = Server::start(config).expect("server starts");
+    let script = workload::build_script(&WorkloadConfig {
+        sessions: 6,
+        requests: 120,
+        peers: 12,
+        seed: 5,
+    });
+    workload::replay(server.local_addr(), &script, 1).expect("replay runs");
+    let stats = server.registry().stats();
+    let metrics = obs.then(|| {
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        client.metrics().expect("metrics")
+    });
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    (stats, metrics)
+}
+
+/// One counter system: `metrics` exports exactly the pinned names, its
+/// registry-backed counters are the registry's own atomics, and
+/// turning observability on changes no registry counter.
+#[test]
+fn exported_names_are_pinned_and_obs_never_changes_counting() {
+    let (off, none) = wal_run("count-off", false);
+    let (on, metrics) = wal_run("count-on", true);
+    assert!(none.is_none());
+    let metrics = metrics.expect("obs on answers metrics");
+    assert_eq!(on, off, "obs-on and obs-off runs must count alike");
+    assert!(
+        off.wal_records > 0 && off.wal_fsyncs > 0 && off.sessions_evicted > 0,
+        "the script must log, commit and evict: {off:?}"
+    );
+
+    let names =
+        |list: &[(String, u64)]| -> Vec<String> { list.iter().map(|(n, _)| n.clone()).collect() };
+    assert_eq!(names(&metrics.counters), COUNTERS);
+    assert_eq!(names(&metrics.gauges), GAUGES);
+    let histograms: Vec<&str> = metrics.histograms.iter().map(|h| h.name.as_str()).collect();
+    for name in [
+        "op.apply",
+        "op.social_cost",
+        "wal.batch_jobs",
+        "wal.fsync_ns",
+    ] {
+        assert!(histograms.contains(&name), "missing {name}: {histograms:?}");
+    }
+
+    let gauge = |name: &str| {
+        metrics
+            .gauges
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert_eq!(
+        counter(&metrics, "obs.queue_wait_events"),
+        on.requests_served
+    );
+    assert_eq!(counter(&metrics, "obs.spans_completed"), on.requests_served);
+    assert_eq!(counter(&metrics, "obs.wal_append_events"), on.wal_records);
+    assert_eq!(counter(&metrics, "obs.fsync_batches"), on.wal_fsyncs);
+    assert_eq!(
+        counter(&metrics, "obs.sessions_evicted"),
+        on.sessions_evicted
+    );
+    assert_eq!(
+        counter(&metrics, "obs.sessions_restored"),
+        on.sessions_restored
+    );
+    assert_eq!(gauge("queue.depth_hwm"), on.queue_depth_hwm as u64);
 }
 
 /// The regression gate (see module docs): `work.*` counters must not

@@ -76,7 +76,7 @@ pub enum OpCode {
     WalHead = 0x1B,
     /// Re-scan the session's WAL, verifying CRCs and the hash chain.
     WalVerify = 0x1C,
-    /// Server-side metrics registry snapshot, answered inline.
+    /// Server-side metrics snapshot, answered inline.
     Metrics = 0x1D,
     /// Last-N completed request spans with phase breakdowns, answered
     /// inline (opt-in slow-threshold filter).
@@ -431,7 +431,7 @@ pub enum Request {
         /// Echoed back.
         id: Option<u64>,
     },
-    /// Server-side metrics registry snapshot (requires the server to
+    /// Server-side metrics snapshot (requires the server to
     /// run with observability enabled).
     Metrics {
         /// Echoed back.
@@ -672,7 +672,7 @@ pub enum ResultBody {
         /// Chain head after the walk (matches `wal_head`).
         head_hash: u64,
     },
-    /// `metrics`: the server's metrics registry snapshot.
+    /// `metrics`: the server's metrics snapshot.
     Metrics(MetricsBody),
     /// `trace_tail`: the last completed request spans, oldest first.
     TraceTail {
