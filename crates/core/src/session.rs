@@ -1239,9 +1239,10 @@ impl GameSession {
     /// `PAR_ORACLES_MIN` peers are activated — activation position `p`
     /// is assigned to shard `p mod k` (a deterministic round-robin
     /// interleave, so repair-heavy peers spread evenly across shards
-    /// instead of clustering in one contiguous chunk), each shard runs on
-    /// its own scoped worker thread with its own [`DijkstraScratch`], and
-    /// the results are scattered back into activation order. No shard
+    /// instead of clustering in one contiguous chunk), shard 0 runs on
+    /// the calling thread with the session's scratch, every other shard
+    /// on its own scoped worker thread with its own [`DijkstraScratch`],
+    /// and the results are scattered back into activation order. No shard
     /// copies or mutates any session state.
     ///
     /// **Determinism contract:** the returned responses are identical —
@@ -1251,11 +1252,11 @@ impl GameSession {
     /// `(position, shard count)` that the merge inverts exactly. The
     /// oracles' row accounting is added to this session's
     /// [`SessionStats`]; `oracle_parallel_rounds`/`oracle_shards` record
-    /// the fan-out itself. One shard runs on the calling thread. This is
-    /// the one fan-out for "every peer against a frozen profile": the
-    /// simultaneous round engine, [`GameSession::nash_gap`] and
-    /// [`GameSession::is_nash`] all run on it. A sparse session answers
-    /// every peer through [`GameSession::best_response_uncached`] instead.
+    /// the fan-out itself. This is the one fan-out for "every peer
+    /// against a frozen profile": the simultaneous round engine,
+    /// [`GameSession::nash_gap`] and [`GameSession::is_nash`] all run on
+    /// it. A sparse session answers every peer through
+    /// [`GameSession::best_response_uncached`] instead.
     ///
     /// # Errors
     ///
@@ -1297,19 +1298,20 @@ impl GameSession {
                 .map(|&p| respond(game, profile, overlay, p, method, scratch))
                 .collect::<Result<Vec<_>, CoreError>>()
         };
-        let results: Vec<_> = if shards == 1 {
-            vec![shard(0, scratch)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|s| scope.spawn(move || shard(s, &mut DijkstraScratch::new())))
-                    .collect();
+        // Shard 0 runs on the calling thread with the session's scratch;
+        // every other shard gets a scoped worker of its own.
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..shards)
+                .map(|s| scope.spawn(move || shard(s, &mut DijkstraScratch::new())))
+                .collect();
+            let mut results = vec![shard(0, scratch)];
+            results.extend(
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("oracle shard thread panicked"))
-                    .collect()
-            })
-        };
+                    .map(|h| h.join().expect("oracle shard thread panicked")),
+            );
+            results
+        });
         if shards > 1 {
             self.stats.oracle_parallel_rounds += 1;
             self.stats.oracle_shards += shards;

@@ -1,3 +1,5 @@
+use std::collections::BinaryHeap;
+
 use crate::{FacilityProblem, FacilitySolution};
 
 /// Lexicographic score used to compare candidate open sets even when some
@@ -208,6 +210,117 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
     (score, cover, gain)
 }
 
+/// Branch-free lane-split fold of `term(best_v[c], row[c])` over the
+/// clients: the terms are summed in four independent lanes (client `c`
+/// into lane `c mod 4`), so no add waits on the one before it, and the
+/// clients whose term reports `true` are counted. The count is exact;
+/// the sum holds the same non-negative terms as a fixed-order sum and
+/// differs from it only in rounding, within the error bound of any
+/// order, `≤ C · ε` of the terms' total.
+fn lane_fold(best_v: &[f64], row: &[f64], term: impl Fn(f64, f64) -> (f64, bool)) -> (usize, f64) {
+    let mut sum = [0.0f64; 4];
+    let mut count = [0usize; 4];
+    let mut add = |k: usize, b: f64, a: f64| {
+        let (t, hit) = term(b, a);
+        sum[k] += t;
+        count[k] += usize::from(hit);
+    };
+    let (b_chunks, b_rest) = best_v.as_chunks::<4>();
+    let (a_chunks, a_rest) = row.as_chunks::<4>();
+    for (bs, as_) in b_chunks.iter().zip(a_chunks) {
+        for k in 0..4 {
+            add(k, bs[k], as_[k]);
+        }
+    }
+    for (k, (&b, &a)) in b_rest.iter().zip(a_rest).enumerate() {
+        add(k, b, a);
+    }
+    (count.iter().sum(), (sum[0] + sum[1]) + (sum[2] + sum[3]))
+}
+
+/// [`lane_fold`] term of a row while no client is served: the entry when
+/// it is finite (counted: a client the row would serve), else nothing.
+fn covered_term(_b: f64, a: f64) -> (f64, bool) {
+    let finite = a.is_finite();
+    (if finite { a } else { 0.0 }, finite)
+}
+
+/// [`lane_fold`] term of a row against served clients (`b` finite): the
+/// gain `b − min(b, a)` that [`exact_score`] adds, taken by a compare
+/// and a mask (neither value is NaN), and whether the row can serve the
+/// client at all.
+fn gain_term(b: f64, a: f64) -> (f64, bool) {
+    // For non-NaN values `a < b` picks the same branch as `min`.
+    (if a < b { b - a } else { 0.0 }, a.is_finite())
+}
+
+/// Whether a lower bound `b` on a candidate's score provably cannot tie
+/// or beat `thr`: more unserved clients, or as many and a finite part
+/// above the threshold by more than `slack` times the magnitudes
+/// summed — both finite parts and `mag`, the candidate's other sums
+/// (the current score, its opening cost and its gain bound). A sum
+/// that overflowed to `±∞` makes the tolerance infinite, and a NaN
+/// bound compares false, so neither ever rejects.
+fn hopeless(b: Score, thr: Score, mag: f64, slack: f64) -> bool {
+    let tol = slack * (b.finite_cost.abs() + thr.finite_cost.abs() + mag);
+    b.unserved > thr.unserved
+        // Certified: `tol` is far above the rounding error of the sums on
+        // both sides.
+        || (b.unserved == thr.unserved && b.finite_cost > thr.finite_cost + tol)
+}
+
+/// A closed facility in [`solve_greedy`]'s queue once every client is
+/// served, keyed by `open(f) − gain[f]`: the current score plus the key
+/// is the facility's lower bound. The queue pops the smallest key, ties
+/// by index.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    key: f64,
+    f: usize,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    /// Reversed, so [`BinaryHeap`] pops the smallest key first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.total_cmp(&self.key).then(other.f.cmp(&self.f))
+    }
+}
+
+/// Scores candidate `f` in the fixed order on the row as held. A
+/// lower-bound row whose score can still win (`can_win`) is escalated
+/// and scored again on the exact row, which is never below it; a
+/// lower-bound row that cannot win keeps its bound score, which then
+/// cannot win either. Returns [`exact_score`]'s triple.
+fn score_row<R: RowSource>(
+    src: &mut R,
+    f: usize,
+    best_v: &[f64],
+    oc: f64,
+    all_served: bool,
+    can_win: impl Fn(Score) -> bool,
+) -> (Score, usize, f64) {
+    let held = exact_score(src.row(f), best_v, oc, all_served);
+    if src.is_exact(f) || !can_win(held.0) {
+        return held;
+    }
+    src.escalate(f);
+    exact_score(src.row(f), best_v, oc, all_served)
+}
+
 /// Classic greedy: repeatedly open the facility with the best marginal
 /// improvement, stopping when nothing improves. Scores compare
 /// lexicographically — fewer unserved clients first, then the finite part
@@ -240,7 +353,7 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 ///
 /// * `cover[f]` — how many still-unserved clients `f` would serve: an
 ///   exact count after each re-score, decremented whenever one of them
-///   turns served (`C` before the first re-score).
+///   turns served.
 /// * `gain[f]` — `Σ max(0, best_v[c] − a(f, c))` over served clients.
 ///   Opening facilities only lowers `best_v`, which only lowers the sum.
 ///   A client turning served adds a term, so at that moment every bound
@@ -251,17 +364,49 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 ///
 /// With `cur` the current score, `(unserved − cover[f], cur + open(f) −
 /// gain[f])` is a lexicographic lower bound on `f`'s score: the clients
-/// `f` newly serves only add cost. A step scores the candidate with the
-/// smallest bound first, then every other candidate whose bound can
-/// still beat or tie the best exact score so far (or `cur`, before any);
-/// scoring refreshes the candidate's bounds. Once every client is
-/// served, the scoring loop is branch-free.
+/// `f` newly serves only add cost. While some client is unserved, a
+/// step tests the candidate with the smallest bound first, then every
+/// other candidate in index order, against the best exact score so far
+/// (or `cur`, before any).
 ///
-/// The first step has no bounds to go on: it scores every row as held,
-/// takes the exact rows first, then visits the lower-bound rows in
-/// ascending (score, index) order, so the most promising ones are
-/// escalated first and the exact scores in hand reject most of the rest
-/// on their bound scores.
+/// Once every client is served, `cover` is `0` for good and only `gain`
+/// moves, so the closed facilities wait in a priority queue keyed by
+/// `open(f) − gain[f]` (`cur` plus the key is the bound), which stays
+/// ordered across steps because a key changes only when its facility is
+/// popped. A step pops the smallest key. A stale key (its `gain` read
+/// before the last open) is refreshed and queued again; a fresh one gets
+/// its fixed-order score, once per step. The step stops when the
+/// smallest bound cannot win even with a tolerance that covers every
+/// queued candidate's own: with `gain = cur + open(f) − bound`, each
+/// candidate's scale is at most `|thr| + 2 · (|cur| + max open)`.
+///
+/// # Lane-split screening
+///
+/// An exact score is a chain of `C` dependent float adds. Before a
+/// candidate pays for one, it is screened by a lane-split bound: the
+/// same row read in four independent accumulators (client `c` into lane
+/// `c mod 4`), with no dependency chain and no branch.
+///
+/// * *First step:* every client is unserved, so a row's lane pass gives
+///   its count of `+∞` entries and the sum of its finite entries:
+///   `cover[f]` exactly, `gain[f] = 0`, and a bound score with the exact
+///   unserved count. Exact rows are visited first — the one with the
+///   smallest bound, then the rest in index order — then the lower-bound
+///   rows in ascending (bound, index) order, so the most promising ones
+///   are escalated first. A row whose lane bound cannot win within the
+///   slack is skipped; any other row is scored in the fixed order and
+///   escalated by the rule above.
+/// * *Later steps, every client served:* a popped stale key is
+///   refreshed by a lane-split `gain = Σ (b − min(b, a))`, so only the
+///   candidates whose fresh bound is smallest pay for a fixed-order
+///   score.
+/// * *Served update:* when every client turns served at once (the
+///   first open of a finite row), each closed row's `cover` and `gain`
+///   change by one lane pass over the row instead of a branch per
+///   client; later opens only lower `best_v`.
+///
+/// Lane sums only screen: every opened facility's score, and so the
+/// cost, still comes from the fixed-order exact score.
 ///
 /// **Contract:** the facility opened at every step, hence the returned
 /// open set and the bits of `cost`, are identical to the eager greedy
@@ -274,21 +419,33 @@ fn exact_score(row: &[f64], best_v: &[f64], oc: f64, all_served: bool) -> (Score
 /// ties it at a higher index.
 ///
 /// **Why the slack is sound:** bounds and scores are float sums of at
-/// most `F + C + 2` non-negative terms, each within `(F + C + 2) · ε` of
-/// its real value relative to the magnitudes summed. A float bound
-/// rejects only when it exceeds the threshold by `max(1e-9, 4 · (F + C)
-/// · ε)` times those magnitudes, so no candidate whose float score ties
-/// or beats the threshold is ever skipped. At the game's `F = C = 111`
-/// the rounding error is below `6e-14` — four orders of magnitude under
-/// the slack. A sum that overflows to `+∞` makes the slack infinite (or
-/// the bound `−∞`/NaN), so nothing is skipped on it.
+/// most `F + C + 2` non-negative terms. Summed in any order — the fixed
+/// one, four lanes, or the stale bounds' running updates — such a sum
+/// is within `(F + C + 2) · ε` of its real value relative to the
+/// magnitudes summed, so a lane bound and the fixed-order score of the
+/// same row differ by at most about `2 · (F + C + 2) · ε` times the
+/// row's own magnitude. A bound rejects only when it exceeds the
+/// threshold by `max(1e-9, 4 · (F + C) · ε)` times a scale that holds
+/// both finite parts compared — the candidate's own bound included —
+/// and the current score, the candidate's opening cost and its gain,
+/// so no candidate whose float score ties or beats the threshold is
+/// ever skipped. At the game's `F = C = 111` the rounding error is
+/// below `1e-13` — four orders of magnitude under the slack. A sum that
+/// overflows to `+∞` makes the tolerance infinite (or the bound `−∞` or
+/// NaN, which compares false), so nothing is skipped on it.
 ///
-/// Runs in `O(F · C + F log F)` for the first step (every facility is
-/// scored), then `O(F + R · C)` per step for `R` re-scored facilities,
-/// plus `O(F)` per client that turns served; the worst case is the eager
-/// `O(F² · C)`. On best-response instances from the 112-peer `dynamics`
-/// benchmark a solve takes ~20 steps and ~360 exact scores, against
-/// ~2040 eager ones.
+/// Runs in `O(F · C + F log F)` for the first step (every row gets a
+/// lane pass), then `O(F + R · C)` per step for `R` screened facilities
+/// while some client is unserved, `O(R · (C + log F))` once all are,
+/// plus `O(F · C)` when every client turns served at once and `O(F)` per
+/// client that turns served later; the worst case is the eager
+/// `O(F² · C)`. On the best-response instances of the 112-peer
+/// `dynamics` benchmark (seed 7, 17 instances), the exact scores per
+/// solve fell from 148 to 15 for sequential activations (4.7 opens per
+/// solve; 115 → 9 of them in the first step), from 152 to 13 for
+/// `nash_gap` (3.5 opens) and from 381 to 77 for simultaneous rounds
+/// (17.5 opens), against ~2040 for the eager greedy; escalations fell
+/// by 9–15%.
 ///
 /// Gives the standard `O(log C)`-approximation for UFL; exactness is *not*
 /// guaranteed — use the exact solvers when the result feeds a
@@ -320,8 +477,8 @@ pub fn solve_greedy<R: RowSource>(mut src: R) -> FacilitySolution {
     let mut open: Vec<usize> = Vec::new();
     let mut is_open = vec![false; nf];
     let mut best_v = vec![f64::INFINITY; nc];
-    // Upper bounds; `cover = C` is valid before the first re-score.
-    let mut cover = vec![nc; nf];
+    // Upper bounds, set for every row by the first step's lane pass.
+    let mut cover = vec![0; nf];
     let mut gain = vec![0.0f64; nf];
     let mut cur = Score {
         unserved: nc,
@@ -330,48 +487,19 @@ pub fn solve_greedy<R: RowSource>(mut src: R) -> FacilitySolution {
     let mut bound = vec![cur; nf];
     let mut newly: Vec<(usize, f64)> = Vec::with_capacity(nc);
     let mut order: Vec<usize> = Vec::with_capacity(nf);
+    // Once every client is served: the closed facilities by bound, the
+    // step at which each `gain` was last read afresh, and the candidates
+    // a step has scored.
+    let mut queue: BinaryHeap<Queued> = BinaryHeap::with_capacity(nf);
+    let mut queued = false;
+    let mut fresh_at = vec![usize::MAX; nf];
+    let mut scored: Vec<usize> = Vec::with_capacity(nf);
+    let max_open = (0..nf).map(|f| src.open_cost(f)).fold(0.0, f64::max);
 
     loop {
         let oc_sum: f64 = open.iter().map(|&f| src.open_cost(f)).sum();
         let all_served = cur.unserved == 0;
         let first_step = open.is_empty();
-        order.clear();
-        if first_step {
-            // No bounds yet and every row is scored anyway: the bound is
-            // the score of the row as held. Exact rows go first, in index
-            // order, then the lower bounds from the lowest score, ties by
-            // index, so the first escalations set a tight threshold.
-            for f in 0..nf {
-                let oc = oc_sum + src.open_cost(f);
-                (bound[f], cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
-            }
-            order.extend((0..nf).filter(|&f| src.is_exact(f)));
-            let exact = order.len();
-            order.extend((0..nf).filter(|&f| !src.is_exact(f)));
-            order[exact..].sort_unstable_by(|&f, &g| {
-                let (a, b) = (bound[f], bound[g]);
-                a.unserved
-                    .cmp(&b.unserved)
-                    .then(a.finite_cost.total_cmp(&b.finite_cost))
-                    .then(f.cmp(&g))
-            });
-        } else {
-            let mut first: Option<usize> = None;
-            for f in (0..nf).filter(|&f| !is_open[f]) {
-                bound[f] = Score {
-                    unserved: cur.unserved.saturating_sub(cover[f]),
-                    finite_cost: cur.finite_cost + src.open_cost(f) - gain[f],
-                };
-                if first.is_none_or(|g| bound[f].better_than(bound[g])) {
-                    first = Some(f);
-                }
-            }
-            let Some(first) = first else { break };
-            // The most promising candidate first, so the threshold is
-            // tight before the others are tested against it.
-            order.push(first);
-            order.extend((0..nf).filter(|&f| f != first && !is_open[f]));
-        }
         // Whether `f` scoring `s` would replace `pick` as the step's
         // choice: strictly better than the open set, and better than the
         // pick or tied with it at a lower index.
@@ -380,51 +508,165 @@ pub fn solve_greedy<R: RowSource>(mut src: R) -> FacilitySolution {
                 && pick.is_none_or(|(pf, ps)| s.better_than(ps) || (s == ps && f < pf))
         };
         let mut pick: Option<(usize, Score)> = None;
-        for &f in &order {
-            let oc = oc_sum + src.open_cost(f);
-            let mut s = if first_step {
-                bound[f]
-            } else {
-                let thr = pick.map_or(cur, |(_, s)| s);
-                let b = bound[f];
-                let scale =
-                    cur.finite_cost.abs() + src.open_cost(f) + gain[f] + thr.finite_cost.abs();
-                // sp-lint: allow(float-eps, reason = "certified bound test: `slack` is the tolerance, far above the rounding error of the sums on both sides")
-                let hopeless = b.finite_cost > thr.finite_cost + slack * scale;
-                if b.unserved > thr.unserved || (b.unserved == thr.unserved && hopeless) {
-                    continue;
-                }
-                let s;
-                (s, cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
-                s
-            };
-            // A lower-bound row is escalated only when its score can still
-            // win; the exact score is then never below it.
-            if !src.is_exact(f) {
-                if !wins(f, s, pick) {
-                    continue;
-                }
-                src.escalate(f);
-                (s, cover[f], gain[f]) = exact_score(src.row(f), &best_v, oc, all_served);
+        if all_served {
+            let step = open.len();
+            if !queued {
+                queue.extend((0..nf).filter(|&f| !is_open[f]).map(|f| Queued {
+                    key: src.open_cost(f) - gain[f],
+                    f,
+                }));
+                queued = true;
             }
-            if wins(f, s, pick) {
-                pick = Some((f, s));
+            scored.clear();
+            while let Some(&Queued { key, f }) = queue.peek() {
+                let thr = pick.map_or(cur, |(_, s)| s);
+                let b = Score {
+                    unserved: 0,
+                    finite_cost: cur.finite_cost + key,
+                };
+                // Every queued bound is at least `b`, and this tolerance
+                // covers each one's own: `gain = cur + open − bound`.
+                if hopeless(b, thr, 4.0 * (cur.finite_cost.abs() + max_open), slack) {
+                    break;
+                }
+                queue.pop();
+                if fresh_at[f] != step {
+                    // A stale bound: read the row afresh in lanes and
+                    // queue it again.
+                    (_, gain[f]) = lane_fold(&best_v, src.row(f), gain_term);
+                    fresh_at[f] = step;
+                    queue.push(Queued {
+                        key: src.open_cost(f) - gain[f],
+                        f,
+                    });
+                    continue;
+                }
+                // The smallest fresh bound: the candidate's turn for its
+                // fixed-order score, once per step.
+                scored.push(f);
+                let mag = cur.finite_cost.abs() + src.open_cost(f) + gain[f];
+                if hopeless(b, thr, mag, slack) {
+                    continue;
+                }
+                let oc = oc_sum + src.open_cost(f);
+                let s;
+                (s, cover[f], gain[f]) =
+                    score_row(&mut src, f, &best_v, oc, true, |s| wins(f, s, pick));
+                if wins(f, s, pick) {
+                    pick = Some((f, s));
+                }
+            }
+            let picked = pick.map(|(f, _)| f);
+            queue.extend(
+                scored
+                    .iter()
+                    .filter(|&&f| Some(f) != picked)
+                    .map(|&f| Queued {
+                        key: src.open_cost(f) - gain[f],
+                        f,
+                    }),
+            );
+        } else {
+            order.clear();
+            if first_step {
+                // No client is served yet (`best_v` is all `+∞`): a row's
+                // lane-split reading gives its exact `cover` and a bound
+                // score with the exact unserved count.
+                for f in 0..nf {
+                    let (covered, sum) = lane_fold(&best_v, src.row(f), covered_term);
+                    cover[f] = covered;
+                    gain[f] = 0.0;
+                    bound[f] = Score {
+                        unserved: nc - covered,
+                        finite_cost: src.open_cost(f) + sum,
+                    };
+                }
+                // Exact rows go first: the most promising one, then the
+                // rest in index order (their order cannot change the pick
+                // they leave). Then the lower bounds from the lowest
+                // bound, ties by index, so the first escalations set a
+                // tight threshold.
+                let exact_first = (0..nf).filter(|&f| src.is_exact(f)).reduce(|f, g| {
+                    if bound[g].better_than(bound[f]) {
+                        g
+                    } else {
+                        f
+                    }
+                });
+                order.extend(exact_first);
+                order.extend((0..nf).filter(|&f| src.is_exact(f) && Some(f) != exact_first));
+                let exact = order.len();
+                order.extend((0..nf).filter(|&f| !src.is_exact(f)));
+                order[exact..].sort_unstable_by(|&f, &g| {
+                    let (a, b) = (bound[f], bound[g]);
+                    a.unserved
+                        .cmp(&b.unserved)
+                        .then(a.finite_cost.total_cmp(&b.finite_cost))
+                        .then(f.cmp(&g))
+                });
+            } else {
+                let mut first: Option<usize> = None;
+                for f in (0..nf).filter(|&f| !is_open[f]) {
+                    bound[f] = Score {
+                        unserved: cur.unserved.saturating_sub(cover[f]),
+                        finite_cost: cur.finite_cost + src.open_cost(f) - gain[f],
+                    };
+                    if first.is_none_or(|g| bound[f].better_than(bound[g])) {
+                        first = Some(f);
+                    }
+                }
+                let Some(first) = first else { break };
+                // The most promising candidate first, so the threshold is
+                // tight before the others are tested against it.
+                order.push(first);
+                order.extend((0..nf).filter(|&f| f != first && !is_open[f]));
+            }
+            for &f in &order {
+                let thr = pick.map_or(cur, |(_, s)| s);
+                let mag = cur.finite_cost.abs() + src.open_cost(f) + gain[f];
+                if hopeless(bound[f], thr, mag, slack) {
+                    continue;
+                }
+                let oc = oc_sum + src.open_cost(f);
+                let s;
+                (s, cover[f], gain[f]) =
+                    score_row(&mut src, f, &best_v, oc, false, |s| wins(f, s, pick));
+                if wins(f, s, pick) {
+                    pick = Some((f, s));
+                }
             }
         }
         let Some((f, s)) = pick else { break };
         is_open[f] = true;
         open.push(f);
         newly.clear();
-        for (c, &a) in src.row(f).iter().enumerate() {
-            if best_v[c].is_infinite() && a.is_finite() {
-                newly.push((c, a));
+        if all_served {
+            // Every client stays served: only `best_v` moves.
+            for (b, &a) in best_v.iter_mut().zip(src.row(f)) {
+                *b = b.min(a);
             }
-            best_v[c] = best_v[c].min(a);
+        } else {
+            for (c, &a) in src.row(f).iter().enumerate() {
+                if best_v[c].is_infinite() && a.is_finite() {
+                    newly.push((c, a));
+                }
+                best_v[c] = best_v[c].min(a);
+            }
         }
         // Clients that just turned served: every closed facility that can
         // serve one leaves the unserved count and gains on it exactly the
         // term its next score of the row as held will count.
-        if !newly.is_empty() {
+        if newly.len() == nc {
+            // Every client at once (the first open, when the opened row
+            // is finite): one lane pass per row, whose term is `0` where
+            // the row cannot serve the client.
+            for g in (0..nf).filter(|&g| !is_open[g]) {
+                let (lost, extra) = lane_fold(&best_v, src.row(g), gain_term);
+                cover[g] -= lost;
+                gain[g] += extra;
+                fresh_at[g] = open.len();
+            }
+        } else if !newly.is_empty() {
             for g in (0..nf).filter(|&g| !is_open[g]) {
                 let row = src.row(g);
                 let (mut lost, mut extra) = (0usize, 0.0);

@@ -3,7 +3,10 @@
 //! family the lazy bounds must survive — uniform and per-facility
 //! (including free) opening costs, unreachable clients, exact float ties,
 //! sums that overflow, and best-response-shaped instances from a random
-//! overlay. Each family is also solved over row sources that serve
+//! overlay, plus the adversaries of the four-lane bound passes: client
+//! counts with a lane remainder, rows mixing magnitudes `1e15` and
+//! `1e-3`, and candidates whose exact scores differ by a few ULPs.
+//! Each family is also solved over row sources that serve
 //! some rows as certified lower bounds (equal to the exact rows, random,
 //! finite over `+∞`, integer ties, all zero) and escalate them on demand.
 
@@ -263,6 +266,91 @@ fn arb_overflowing() -> impl Strategy<Value = FacilityProblem> {
     })
 }
 
+/// Client counts that leave a remainder in the greedy's four-lane
+/// bound passes (1–9 and 45–48), with some unreachable clients.
+fn arb_lane_remainders() -> impl Strategy<Value = FacilityProblem> {
+    (
+        1usize..=MAX_SIDE,
+        prop_oneof![1usize..=9, 45usize..=48],
+        0.0f64..20.0,
+    )
+        .prop_flat_map(|(nf, nc, open_cost)| {
+            matrix((0.0f64..10.0, 0u32..10), nf, nc).prop_map(move |rows| {
+                let rows = rows
+                    .into_iter()
+                    .map(|row| {
+                        row.into_iter()
+                            .map(|(v, r)| if r == 0 { f64::INFINITY } else { v })
+                            .collect()
+                    })
+                    .collect();
+                FacilityProblem::with_uniform_open_cost(open_cost, rows).unwrap()
+            })
+        })
+}
+
+/// Entries near `1e15` beside entries near `1e-3`: a lane-split sum and
+/// the fixed-order sum of the same row differ in many low bits.
+fn arb_mixed_magnitude() -> impl Strategy<Value = FacilityProblem> {
+    (1usize..=MAX_SIDE, 1usize..=MAX_SIDE, 0.0f64..2.0).prop_flat_map(|(nf, nc, open_cost)| {
+        matrix((0.5f64..1.5, 0u32..8), nf, nc).prop_map(move |rows| {
+            let rows = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(v, k)| match k {
+                            0 => v * 1e15,
+                            1 => v * 1e15 + v,
+                            2 => f64::INFINITY,
+                            _ => v * 1e-3,
+                        })
+                        .collect()
+                })
+                .collect();
+            FacilityProblem::with_uniform_open_cost(open_cost * 1e15, rows).unwrap()
+        })
+    })
+}
+
+/// Rows that nearly tie: each row after the first is either fresh, a
+/// permutation of an earlier row (the same terms summed in another
+/// order), or an earlier row with one entry moved by a few ULPs, so
+/// exact scores of different candidates differ by a few ULPs.
+fn arb_near_ties() -> impl Strategy<Value = FacilityProblem> {
+    (2usize..=MAX_SIDE, 1usize..=MAX_SIDE, 0.0f64..5.0).prop_flat_map(|(nf, nc, open_cost)| {
+        (
+            matrix(0.0f64..10.0, nf, nc),
+            proptest::collection::vec((0u32..3, 0usize..MAX_SIDE, 0u64..u64::MAX), nf..=nf),
+        )
+            .prop_map(move |(mut rows, recipe)| {
+                for (f, &(kind, from, r)) in recipe.iter().enumerate().skip(1) {
+                    let mut row = rows[from % f].clone();
+                    match kind {
+                        0 => continue,
+                        1 => {
+                            // A seeded Fisher–Yates shuffle.
+                            for c in (1..nc).rev() {
+                                row.swap(c, (mix(r ^ c as u64) % (c as u64 + 1)) as usize);
+                            }
+                        }
+                        _ => {
+                            let c = (r % nc as u64) as usize;
+                            for _ in 0..1 + r % 4 {
+                                row[c] = if r & 16 == 0 {
+                                    row[c].next_up()
+                                } else {
+                                    row[c].next_down().max(0.0)
+                                };
+                            }
+                        }
+                    }
+                    rows[f] = row;
+                }
+                FacilityProblem::with_uniform_open_cost(open_cost, rows).unwrap()
+            })
+    })
+}
+
 /// All-pairs shortest paths of a dense weight matrix (`∞` = no arc).
 fn floyd_warshall(mut d: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     let n = d.len();
@@ -349,6 +437,27 @@ proptest! {
         p in arb_overflowing(),
         seed in 0u64..=u64::MAX,
     ) {
+        assert_identical_bounded(&p, seed)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_with_lane_remainders(
+        p in arb_lane_remainders(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        assert_identical_bounded(&p, seed)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_on_mixed_magnitudes(
+        p in arb_mixed_magnitude(),
+        seed in 0u64..=u64::MAX,
+    ) {
+        assert_identical_bounded(&p, seed)?;
+    }
+
+    #[test]
+    fn lazy_greedy_matches_reference_on_near_ties(p in arb_near_ties(), seed in 0u64..=u64::MAX) {
         assert_identical_bounded(&p, seed)?;
     }
 

@@ -459,9 +459,10 @@ impl CsrGraph {
     ///
     /// The buffers must be disjoint (guaranteed by the borrow checker);
     /// `CsrGraph` itself is immutable and shared read-only across the
-    /// threads. With `workers <= 1` or a single job everything runs on
-    /// the calling thread — results are identical either way, only the
-    /// wall-clock changes. This is the bulk-row engine behind
+    /// threads. The first shard runs on the calling thread, so `k`
+    /// workers spawn `k − 1` threads; with `workers <= 1` or a single
+    /// job everything runs there. Results are identical either way, only
+    /// the wall-clock changes. This is the bulk-row engine behind
     /// `GameSession`'s parallel cache refill.
     ///
     /// # Panics
@@ -470,23 +471,23 @@ impl CsrGraph {
     /// differs from `node_count()`.
     pub fn dijkstra_rows_with(&self, mut jobs: Vec<(usize, &mut [f64])>, workers: usize) {
         let workers = workers.max(1).min(jobs.len());
-        if workers <= 1 {
+        let sweep = |shard: &mut [(usize, &mut [f64])]| {
             let mut scratch = DijkstraScratch::new();
-            for (source, row) in &mut jobs {
+            for (source, row) in shard {
                 self.dijkstra_into_with(*source, row, &mut scratch);
             }
+        };
+        if workers <= 1 {
+            sweep(&mut jobs);
             return;
         }
         let shard_len = jobs.len().div_ceil(workers);
+        let (own, rest) = jobs.split_at_mut(shard_len);
         std::thread::scope(|scope| {
-            for shard in jobs.chunks_mut(shard_len) {
-                scope.spawn(move || {
-                    let mut scratch = DijkstraScratch::new();
-                    for (source, row) in shard {
-                        self.dijkstra_into_with(*source, row, &mut scratch);
-                    }
-                });
+            for shard in rest.chunks_mut(shard_len) {
+                scope.spawn(move || sweep(shard));
             }
+            sweep(own);
         });
     }
 
