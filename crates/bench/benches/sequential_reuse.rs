@@ -41,7 +41,10 @@
 //! into a row before the removal kernel takes its dropped links out;
 //! the nodes that kernel resets over the run are reported as
 //! `seq_apply_nodes_reset/64` (unit `visits`) and asserted below the
-//! count of the remove-first order.
+//! count of the remove-first order. Both repairs settle through a FIFO
+//! worklist that may pop a node more than once; their pops over the run
+//! are reported as `seq_apply_pops/64` (unit `visits`), so the
+//! regression gate catches a re-labelling blow-up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -232,12 +235,14 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
     println!(
         "best-response dynamics: {} activations, {} moves — {sweeps} full sweeps, \
          {} rows invalidated, {repaired} residual rows derived, \
-         {} candidate rows held as bounds, {} nodes reset by move repairs",
+         {} candidate rows held as bounds, {} nodes reset and {} worklist pops by move \
+         repairs",
         out.steps,
         out.moves,
         stats.rows_invalidated,
         stats.oracle_rows_bounded,
         stats.repair_nodes_reset,
+        stats.repair_pops,
     );
     c.report_value(
         &format!("seq_br_sweeps/cached/{N}"),
@@ -253,6 +258,11 @@ fn bench_best_response_dynamics(c: &mut Criterion, game: &Game, start: &Strategy
     c.report_value(
         &format!("seq_apply_nodes_reset/{N}"),
         reset as f64,
+        "visits",
+    );
+    c.report_value(
+        &format!("seq_apply_pops/{N}"),
+        stats.repair_pops as f64,
         "visits",
     );
     assert!(

@@ -157,7 +157,7 @@ fn candidate_row(
     reuse: &mut OracleReuse,
 ) {
     out.copy_from_slice(overlay.rows.row(v));
-    let affected = overlay.csr.dijkstra_without(
+    let repair = overlay.csr.dijkstra_without(
         overlay.transpose,
         v,
         Removal::OutEdgesOf(i),
@@ -165,7 +165,7 @@ fn candidate_row(
         out,
         scratch,
     );
-    if affected == 0 {
+    if repair.reset == 0 {
         reuse.rows_reused += 1;
     } else {
         reuse.rows_repaired += 1;

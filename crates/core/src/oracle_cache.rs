@@ -61,13 +61,23 @@
 //!   [`EDGE_ON_PATH_EPS`] slack — ties count as tight), and folds the
 //!   added links into every kept row;
 //! * every kept row is **bit-identical** to a fresh sweep of the new
-//!   overlay: a fresh Dijkstra, the subtree repair and decrease-only
-//!   relaxation all compute the minimum over source-to-target path
-//!   sums, so equal inputs give equal bits. Debug builds assert it at
-//!   the end of every repair pass;
-//!   `crates/core/tests/proptest_session.rs` and
-//!   `crates/graph/tests/proptest_incremental.rs` check it in release
-//!   builds too.
+//!   overlay. A fresh Dijkstra, the subtree repair and decrease-only
+//!   relaxation all end at the one fixpoint of `D[v] = min(D0[v],
+//!   min_p fl(D[p] + w))`: rounding is monotone and link lengths are
+//!   non-negative, so every label is a path's left-associated sum and
+//!   only falls, and once no link relaxes each label is the smallest
+//!   such sum. The two repairs settle through a FIFO worklist rather
+//!   than Dijkstra's heap, since they start from an exact row with a
+//!   small frontier: the order only changes how often a node is popped
+//!   (counted in `SessionStats::repair_pops`), never the fixpoint. A
+//!   repair that reaches `n` pops hands what is still queued to the
+//!   heap, at its current labels, and ends as Dijkstra; that is the same
+//!   relaxation from the same state, so the bits hold across the
+//!   hand-off too. Debug builds assert bit-identity at the end of every
+//!   repair pass; `crates/core/tests/proptest_session.rs`,
+//!   `crates/graph/tests/proptest_incremental.rs` (the hand-off
+//!   included) and the root package's `tests/repair_reference.rs` check
+//!   it in release builds too.
 //!
 //! [`GameSession`]: crate::GameSession
 
@@ -87,6 +97,8 @@ pub(crate) struct RepairCounts {
     pub incremental_relaxations: usize,
     /// Nodes the removal kernel reset across the in-place repairs.
     pub nodes_reset: usize,
+    /// Worklist pops of the decrease folds and removal repairs.
+    pub pops: usize,
 }
 
 /// The overlay distance matrix with per-row validity. See the module
@@ -227,13 +239,14 @@ impl OracleCache {
                 continue;
             }
             // Added links only ever shorten distances.
-            if relax_added(csr, row, added, &mut seeds, scratch) {
+            if let Some(pops) = relax_added(csr, row, added, &mut seeds, scratch) {
                 counts.incremental_relaxations += 1;
+                counts.pops += pops;
             }
             // One peer's diff: with its links folded in, the kernel
             // resets only what the added links did not take over.
             if let Some(transpose) = transpose {
-                counts.nodes_reset += csr.dijkstra_without(
+                let repair = csr.dijkstra_without(
                     transpose,
                     u,
                     Removal::Edges(removed),
@@ -241,6 +254,8 @@ impl OracleCache {
                     row,
                     scratch,
                 );
+                counts.nodes_reset += repair.reset;
+                counts.pops += repair.pops;
             }
             counts.rows_preserved += 1;
         }
@@ -278,15 +293,16 @@ pub(crate) fn repairs_in_place(
 /// `csr`, the overlay with them: a link seeds its target when it
 /// strictly shortens the row. On a one-peer diff `csr` also lacks the
 /// removed links, and the result is the exact row of the old overlay
-/// plus the added links (see the module docs). Returns `true` when a
-/// relaxation ran. `seeds` is the caller's reusable seed buffer.
+/// plus the added links (see the module docs). Returns the relaxation's
+/// worklist pops when one ran. `seeds` is the caller's reusable seed
+/// buffer.
 fn relax_added(
     csr: &CsrGraph,
     row: &mut [f64],
     added: &[(usize, usize, f64)],
     seeds: &mut Vec<(usize, f64)>,
     scratch: &mut DijkstraScratch,
-) -> bool {
+) -> Option<usize> {
     seeds.clear();
     seeds.extend(added.iter().filter_map(|&(i, j, w)| {
         let d_ui = row[i];
@@ -294,8 +310,7 @@ fn relax_added(
         (d_ui.is_finite() && d_ui + w < row[j]).then_some((j, d_ui + w))
     }));
     if seeds.is_empty() {
-        return false;
+        return None;
     }
-    csr.relax_decrease_into(row, seeds, scratch);
-    true
+    Some(csr.relax_decrease_into(row, seeds, scratch))
 }

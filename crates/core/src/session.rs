@@ -32,6 +32,14 @@
 //!   overlay CSR's transpose. Folding first means a node the move's new
 //!   links take over is never reset.
 //!
+//! Both repairs settle through a FIFO worklist, not a priority queue:
+//! they start from an exact row with a small frontier, and any settle
+//! order reaches the same bits (see the repair invariants in
+//! `crate::oracle_cache`). A repair hands off to Dijkstra after `n`
+//! pops, so none costs more than `n` pops plus one sweep;
+//! [`SessionStats::repair_pops`] counts the pops. The from-scratch
+//! sweeps (cold fills and refills) keep the heap.
+//!
 //! A move leaves every valid row valid, so a best response followed by
 //! an `apply` of it — one step of sequential dynamics — refills nothing.
 //!
@@ -253,6 +261,13 @@ pub struct SessionStats {
     /// added links are folded in first, so a node they take over is
     /// never reset; only distances that really grew are.
     pub repair_nodes_reset: usize,
+    /// Worklist pops of the row repairs a committed diff runs on the
+    /// dense backend: the decrease folds of its added links
+    /// (`sp_graph::CsrGraph::relax_decrease_into`) and the in-place
+    /// removal repairs counted in [`SessionStats::repair_nodes_reset`].
+    /// A FIFO worklist can pop a node more than once, so this is the
+    /// counter a re-labelling blow-up shows in.
+    pub repair_pops: usize,
 }
 
 impl SessionStats {
@@ -289,6 +304,7 @@ impl SessionStats {
             lazy_certified_rejects,
             lazy_exact_evals,
             repair_nodes_reset,
+            repair_pops,
         } = *other;
         self.csr_rebuilds += csr_rebuilds;
         self.full_sssp += full_sssp;
@@ -315,6 +331,7 @@ impl SessionStats {
         self.lazy_certified_rejects += lazy_certified_rejects;
         self.lazy_exact_evals += lazy_exact_evals;
         self.repair_nodes_reset += repair_nodes_reset;
+        self.repair_pops += repair_pops;
     }
 }
 
@@ -835,6 +852,7 @@ impl GameSession {
         self.stats.rows_preserved += counts.rows_preserved;
         self.stats.incremental_relaxations += counts.incremental_relaxations;
         self.stats.repair_nodes_reset += counts.nodes_reset;
+        self.stats.repair_pops += counts.pops;
     }
 
     /// Drops the overlay CSR and its transpose together.
@@ -2394,6 +2412,7 @@ mod tests {
                     &mut row,
                     &mut scratch,
                 )
+                .reset
             })
             .sum();
         assert_eq!((reset, carried), (1, 4));

@@ -1,5 +1,5 @@
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::{edge_on_path, DiGraph};
 
@@ -52,20 +52,39 @@ impl PartialOrd for Entry {
 ///
 /// Hot loops (the `GameSession` evaluation cache, best-response oracles)
 /// run thousands of Dijkstra sweeps over same-sized graphs; sharing one
-/// scratch avoids a heap allocation per sweep. Besides the priority
-/// queue, the scratch owns a distance row for
+/// scratch avoids a heap allocation per sweep. The scratch owns the
+/// priority queue of the from-scratch sweeps, the FIFO worklist and its
+/// in-queue flags that the two incremental kernels
+/// ([`CsrGraph::relax_decrease_into`], [`CsrGraph::dijkstra_without`])
+/// settle through, the affected-set bookkeeping of
+/// [`CsrGraph::dijkstra_without`], and a distance row for
 /// [`CsrGraph::dijkstra_row_with`], so back-to-back oracle builds reuse
-/// both the heap and the output buffer across calls, and the
-/// affected-set bookkeeping of [`CsrGraph::dijkstra_without`].
+/// every buffer across calls.
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraScratch {
     heap: BinaryHeap<Entry>,
     row: Vec<f64>,
-    /// Per-node membership flags of the affected set; all `false`
-    /// between calls.
+    /// Per-node flags, all `false` between calls: membership of the
+    /// affected set while [`CsrGraph::dijkstra_without`] collects it,
+    /// then the worklist's in-queue flags.
     marked: Vec<bool>,
-    /// The affected set, in discovery order (doubles as the worklist).
+    /// The affected set, in discovery order (doubles as the worklist of
+    /// its closure).
     affected: Vec<usize>,
+    /// The FIFO worklist of the incremental kernels; each node is queued
+    /// at most once at a time.
+    queue: VecDeque<usize>,
+}
+
+/// What one [`CsrGraph::dijkstra_without`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowRepair {
+    /// Nodes reset to `∞` and re-derived: the affected set. `0` means no
+    /// removed edge was tight, and the row was left untouched.
+    pub reset: usize,
+    /// Queue pops of the settle step, as
+    /// [`CsrGraph::relax_decrease_into`] counts them.
+    pub pops: usize,
 }
 
 /// The edges [`CsrGraph::dijkstra_without`] takes out of a row.
@@ -254,7 +273,7 @@ impl CsrGraph {
             dist: 0.0,
             node: source,
         });
-        self.relax_from_heap(dist, scratch);
+        self.settle_heap(dist, scratch, usize::MAX);
     }
 
     /// Like [`CsrGraph::dijkstra_into_with`] but sweeps into the
@@ -283,13 +302,31 @@ impl CsrGraph {
     /// additions**: given `dist` holding correct distances in a graph of
     /// which `self` is a superset (same nodes, possibly extra or cheaper
     /// edges), and `seeds` listing nodes whose tentative distance just
-    /// dropped, restores exact distances for `self`.
+    /// dropped, restores exact distances for `self`. Work is proportional
+    /// to the region whose distances actually change, not to the whole
+    /// graph: the `GameSession` cache folds a move's added links into its
+    /// rows with it.
     ///
-    /// Seeds with `new_dist >= dist[node]` are ignored. This is the
-    /// standard decrease-only re-relaxation: work is proportional to the
-    /// region whose distances actually change, not to the whole graph —
-    /// the `GameSession` cache uses it to avoid full APSP rebuilds when a
-    /// peer adds links.
+    /// Seeds with `new_dist >= dist[node]` are ignored. The others settle
+    /// through a FIFO worklist, not a priority queue: a popped node
+    /// relaxes its out-edges, and a node whose distance drops is queued
+    /// unless it already is. A repair starts from an exact row with a
+    /// small frontier, so it needs no settle order. Rounding is monotone
+    /// and weights are non-negative, so every distance is always some
+    /// path's left-associated sum `fl(fl(d0 + w1) + w2) …` and only ever
+    /// falls. When the queue empties no edge relaxes, so each distance is
+    /// the smallest such sum: the one fixpoint of `D[v] = min(D0[v],
+    /// min_p fl(D[p] + w))`, which a fresh Dijkstra also reaches. Any
+    /// settle order gives the same bits.
+    ///
+    /// FIFO order may pop a node many times. After `node_count()` pops in
+    /// one call, the node just popped and whatever is still queued go to
+    /// the heap at their current distances, and the call ends as
+    /// Dijkstra, which relaxes each node at most once. So no call does
+    /// more than `node_count()` worklist pops plus one Dijkstra sweep.
+    ///
+    /// Returns the number of pops from both queues; more than
+    /// `node_count()` means the call handed off to the heap.
     ///
     /// # Panics
     ///
@@ -300,22 +337,19 @@ impl CsrGraph {
         dist: &mut [f64],
         seeds: &[(usize, f64)],
         scratch: &mut DijkstraScratch,
-    ) {
+    ) -> usize {
         let n = self.node_count();
         assert_eq!(dist.len(), n, "distance buffer has wrong length");
-        scratch.heap.clear();
+        scratch.marked.resize(n, false);
         for &(node, new_dist) in seeds {
             assert!(node < n, "seed {node} out of bounds for {n} nodes");
             // sp-lint: allow(float-eps, reason = "Dijkstra relaxation: exact strict improvement is the termination criterion; an eps band would cycle")
             if new_dist < dist[node] {
                 dist[node] = new_dist;
-                scratch.heap.push(Entry {
-                    dist: new_dist,
-                    node,
-                });
+                scratch.enqueue(node);
             }
         }
-        self.relax_from_heap(dist, scratch);
+        self.settle_worklist(dist, scratch, usize::MAX)
     }
 
     /// Removes the edges `removal` names from `dist`, an exact row from
@@ -329,7 +363,10 @@ impl CsrGraph {
     ///    subgraph). Those distances are reset to `∞`.
     /// 3. *Seeding:* each affected node takes its best in-edge from an
     ///    unaffected node, read from `transpose`.
-    /// 4. *Settling:* Dijkstra from those seeds.
+    /// 4. *Settling:* the seeds settle through the FIFO worklist of
+    ///    [`CsrGraph::relax_decrease_into`], with the same hand-off to
+    ///    Dijkstra after `node_count()` pops. Affected nodes without a
+    ///    finite seed stay at `∞` until a relaxation reaches them.
     ///
     /// The two [`Removal`]s are the two ways a row loses edges:
     ///
@@ -361,13 +398,17 @@ impl CsrGraph {
     /// cannot grow. The affected distances are re-derived from the same
     /// `d(u) + w` sums a fresh sweep forms, and settling relaxes every
     /// edge out of a node whose distance changed, so after the decrease
-    /// fold every edge of `self` is relaxed and the row is bit-identical
-    /// to a fresh sweep. Any `eps >= 0` is exact; a larger one only
-    /// widens the affected set. Work is proportional to the affected set
-    /// and its edges, not to the graph.
+    /// fold every edge of `self` is relaxed. The row then is the fixpoint
+    /// [`CsrGraph::relax_decrease_into`] describes, whatever order the
+    /// worklist settled in, and so bit-identical to a fresh sweep. Any
+    /// `eps >= 0` is exact; a larger one only widens the affected set.
+    /// Work is proportional to the affected set and its edges, not to
+    /// the graph: at most `node_count()` worklist pops plus one Dijkstra
+    /// sweep.
     ///
-    /// Returns the size of the affected set. `0` means no removed edge
-    /// was tight, and `dist` is left untouched.
+    /// Returns the size of the affected set and the settle step's pops
+    /// (see [`RowRepair`]). No reset means no removed edge was tight, and
+    /// `dist` is left untouched.
     ///
     /// `transpose` must be [`CsrGraph::transpose`] of `self`.
     ///
@@ -384,7 +425,7 @@ impl CsrGraph {
         eps: f64,
         dist: &mut [f64],
         scratch: &mut DijkstraScratch,
-    ) -> usize {
+    ) -> RowRepair {
         let n = self.node_count();
         assert_eq!(dist.len(), n, "distance buffer has wrong length");
         assert_eq!(transpose.node_count(), n, "transpose has wrong node count");
@@ -416,16 +457,15 @@ impl CsrGraph {
                 self.mark_tight_targets(u, source, eps, dist, scratch);
             }
         }
-        let affected = scratch.affected.len();
-        if affected == 0 {
-            return 0;
+        let reset = scratch.affected.len();
+        if reset == 0 {
+            return RowRepair::default();
         }
 
         // Step 3: reset, then seed from the unaffected in-neighbours.
         for &a in &scratch.affected {
             dist[a] = f64::INFINITY;
         }
-        scratch.heap.clear();
         for &a in &scratch.affected {
             let (ps, ws) = transpose.out_neighbors(a);
             let mut best = f64::INFINITY;
@@ -436,21 +476,17 @@ impl CsrGraph {
                     best = best.min(dist[p] + w);
                 }
             }
-            if best.is_finite() {
-                dist[a] = best;
-                scratch.heap.push(Entry {
-                    dist: best,
-                    node: a,
-                });
+            dist[a] = best;
+        }
+        // Step 4: the flags turn from affected-set to in-queue flags.
+        for &a in &scratch.affected {
+            scratch.marked[a] = dist[a].is_finite();
+            if scratch.marked[a] {
+                scratch.queue.push_back(a);
             }
         }
-        for &a in &scratch.affected {
-            scratch.marked[a] = false;
-        }
-
-        // Step 4.
-        self.relax_from_heap_skipping(dist, scratch, skip);
-        affected
+        let pops = self.settle_worklist(dist, scratch, skip);
+        RowRepair { reset, pops }
     }
 
     /// Runs one full single-source sweep per `(source, buffer)` job,
@@ -507,22 +543,57 @@ impl CsrGraph {
         }
     }
 
-    /// Settles whatever is queued in `scratch.heap` against `dist` (lazy
-    /// deletion: stale queue entries are skipped on pop).
-    fn relax_from_heap(&self, dist: &mut [f64], scratch: &mut DijkstraScratch) {
-        // `usize::MAX` is never a node index, so nothing is skipped.
-        self.relax_from_heap_skipping(dist, scratch, usize::MAX);
-    }
-
-    /// [`CsrGraph::relax_from_heap`], never expanding the out-edges of
-    /// `skip` (settled nodes equal to `skip` are popped but not relaxed).
-    fn relax_from_heap_skipping(
+    /// Settles the nodes queued in `scratch.queue` against `dist` in FIFO
+    /// order, never expanding the out-edges of `skip`, and hands off to
+    /// [`CsrGraph::settle_heap`] after `node_count()` pops (see
+    /// [`CsrGraph::relax_decrease_into`]). Returns the pops of both.
+    fn settle_worklist(
         &self,
         dist: &mut [f64],
         scratch: &mut DijkstraScratch,
         skip: usize,
-    ) {
+    ) -> usize {
+        let n = self.node_count();
+        let mut pops = 0;
+        while let Some(u) = scratch.queue.pop_front() {
+            scratch.marked[u] = false;
+            if pops == n {
+                scratch.heap.clear();
+                for v in std::iter::once(u).chain(scratch.queue.drain(..)) {
+                    scratch.marked[v] = false;
+                    scratch.heap.push(Entry {
+                        dist: dist[v],
+                        node: v,
+                    });
+                }
+                return pops + self.settle_heap(dist, scratch, skip);
+            }
+            pops += 1;
+            if u == skip {
+                continue;
+            }
+            let d = dist[u];
+            let (ts, ws) = self.out_neighbors(u);
+            for (&v, &w) in ts.iter().zip(ws) {
+                let nd = d + w;
+                // sp-lint: allow(float-eps, reason = "label-correcting relaxation: exact strict improvement is the termination criterion; an eps band would cycle")
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    scratch.enqueue(v);
+                }
+            }
+        }
+        pops
+    }
+
+    /// Settles whatever is queued in `scratch.heap` against `dist` in
+    /// Dijkstra order (lazy deletion: stale queue entries are skipped on
+    /// pop), never expanding the out-edges of `skip` (settled nodes equal
+    /// to `skip` are popped but not relaxed). Returns the pops.
+    fn settle_heap(&self, dist: &mut [f64], scratch: &mut DijkstraScratch, skip: usize) -> usize {
+        let mut pops = 0;
         while let Some(Entry { dist: d, node: u }) = scratch.heap.pop() {
+            pops += 1;
             // sp-lint: allow(float-eps, reason = "stale-heap-entry skip: compares a value against an exact copy of itself, never a recomputation")
             if d > dist[u] || u == skip {
                 continue;
@@ -536,6 +607,17 @@ impl CsrGraph {
                     scratch.heap.push(Entry { dist: nd, node: v });
                 }
             }
+        }
+        pops
+    }
+}
+
+impl DijkstraScratch {
+    /// Queues `v` on the worklist unless it is queued already.
+    fn enqueue(&mut self, v: usize) {
+        if !self.marked[v] {
+            self.marked[v] = true;
+            self.queue.push_back(v);
         }
     }
 }

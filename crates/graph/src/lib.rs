@@ -59,7 +59,7 @@ mod scc;
 mod sparse;
 mod traversal;
 
-pub use csr::{CsrGraph, DijkstraScratch, Removal};
+pub use csr::{CsrGraph, DijkstraScratch, Removal, RowRepair};
 pub use digraph::{DiGraph, Edge};
 pub use dijkstra::{dijkstra, dijkstra_targets, dijkstra_tree, ShortestPathTree};
 pub use error::GraphError;

@@ -6,7 +6,9 @@
 //! with a sweep of the materialised new graph, so must one node's
 //! additions folded in before its removed edges are taken out (the
 //! session's order), and the sharded multi-row sweep must agree with
-//! sequential sweeps exactly.
+//! sequential sweeps exactly. Both incremental kernels settle through a
+//! FIFO worklist that hands off to Dijkstra after `node_count()` pops; a
+//! family of path-with-chords graphs drives them past that budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,7 +68,7 @@ fn check_without(
     for source in 0..n {
         let mut dist = csr.dijkstra(source);
         let before = dist.clone();
-        let affected = csr.dijkstra_without(
+        let repair = csr.dijkstra_without(
             &transpose,
             source,
             Removal::OutEdgesOf(skip),
@@ -85,7 +87,7 @@ fn check_without(
             dist,
             sub.dijkstra(source)
         );
-        if affected == 0 {
+        if repair.reset == 0 {
             prop_assert_eq!(bits(&dist), bits(&before), "no roots must mean no writes");
         }
     }
@@ -138,14 +140,16 @@ fn check_removal(
         if fold_first {
             fold(&mut dist, scratch);
         }
-        total += new.dijkstra_without(
-            &transpose,
-            source,
-            Removal::Edges(&gone),
-            eps,
-            &mut dist,
-            scratch,
-        );
+        total += new
+            .dijkstra_without(
+                &transpose,
+                source,
+                Removal::Edges(&gone),
+                eps,
+                &mut dist,
+                scratch,
+            )
+            .reset;
         if !fold_first {
             fold(&mut dist, scratch);
         }
@@ -165,6 +169,28 @@ fn check_removal(
         );
     }
     Ok(total)
+}
+
+/// The hand-off family: node 0 is the source, node 1 a hub `s` with a
+/// chord to every node of the path `p_0 → … → p_{L−1}` (nodes `3..3 + L`,
+/// edge weights `path`), node 2 is left to the caller, and `pad`
+/// isolated nodes follow. Chord `j` weighs `2 · prefix_j + 1`, where
+/// `prefix_j` is the path length from `p_0` to `p_j`, so reaching `p_j`
+/// over its own chord loses to the chord of `p_0` and the path, and each
+/// `p_{j−1}` improves `p_j`. The chords are listed far end first, so a
+/// FIFO worklist seeded through them pops the path back to front and
+/// re-labels it about `L² / 2` times. The padding moves the
+/// `node_count()` budget, and so the hand-off, along that cascade.
+/// Returns `(n, edges, prefix)`.
+fn chord_path(path: &[f64], pad: usize) -> (usize, Vec<(usize, usize, f64)>, Vec<f64>) {
+    let l = path.len() + 1;
+    let mut prefix = vec![0.0];
+    for &w in path {
+        prefix.push(prefix[prefix.len() - 1] + w);
+    }
+    let mut edges: Vec<(usize, usize, f64)> = (0..l - 1).map(|j| (3 + j, 4 + j, path[j])).collect();
+    edges.extend((0..l).rev().map(|j| (1, 3 + j, 2.0 * prefix[j] + 1.0)));
+    (3 + l + pad, edges, prefix)
 }
 
 fn build(n: usize, edges: &[(usize, usize, f64)]) -> DiGraph {
@@ -333,6 +359,56 @@ proptest! {
         let eps = if loose { 1e-9 } else { 0.0 };
         let mut scratch = DijkstraScratch::new();
         check_removal(n, &edges, &removed, &added, false, eps, &mut scratch)?;
+    }
+
+    /// The hand-off family of [`chord_path`] drives both kernels past
+    /// `node_count()` worklist pops, so they hand what is still queued to
+    /// the heap and end as Dijkstra, and their rows still match a fresh
+    /// sweep bit for bit.
+    ///
+    /// * The decrease fold: the source reaches the path through a heavy
+    ///   link to `p_0`, and a link to `s` is added.
+    /// * The removal repair: node 2 reaches every `p_j` first, over
+    ///   direct links listed far end first, and its out-edges are taken
+    ///   out; `s` seeds the whole path.
+    #[test]
+    fn worklist_hands_off_to_dijkstra_past_node_count_pops(
+        path in proptest::collection::vec(1.0f64..2.0, 7..24),
+        pad_raw in 0usize..1000
+    ) {
+        let l = path.len() + 1;
+        let pad = pad_raw % (l * l / 4 + 1);
+        let (n, base, prefix) = chord_path(&path, pad);
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
+        let mut scratch = DijkstraScratch::new();
+
+        let mut old = base.clone();
+        old.push((0, 3, 2.0 * prefix[l - 1] + 3.0));
+        let mut dist = CsrGraph::from_digraph(&build(n, &old)).dijkstra(0);
+        old.push((0, 1, 1.0));
+        let new = CsrGraph::from_digraph(&build(n, &old));
+        let pops = new.relax_decrease_into(&mut dist, &[(1, 1.0)], &mut scratch);
+        prop_assert_eq!(bits(&dist), bits(&new.dijkstra(0)), "fold, pad {}", pad);
+        prop_assert!(pops > n, "fold: {} pops on {} nodes never handed off", pops, n);
+
+        let mut edges = base;
+        edges.extend([(0, 1, 1.0), (0, 2, 1.0)]);
+        edges.extend((0..l).rev().map(|j| (2, 3 + j, 0.5 * (j + 1) as f64)));
+        let csr = CsrGraph::from_digraph(&build(n, &edges));
+        let mut dist = csr.dijkstra(0);
+        let repair = csr.dijkstra_without(
+            &csr.transpose(),
+            0,
+            Removal::OutEdgesOf(2),
+            0.0,
+            &mut dist,
+            &mut scratch,
+        );
+        let kept: Vec<(usize, usize, f64)> = edges.into_iter().filter(|e| e.0 != 2).collect();
+        let fresh = CsrGraph::from_digraph(&build(n, &kept)).dijkstra(0);
+        prop_assert_eq!(bits(&dist), bits(&fresh), "removal, pad {}", pad);
+        prop_assert_eq!(repair.reset, l);
+        prop_assert!(repair.pops > n, "removal: {} pops on {} nodes never handed off", repair.pops, n);
     }
 
     /// `skip` is the only bridge from one half of the graph to the
