@@ -92,24 +92,6 @@ pub fn exhaustive_nash_scan(game: &Game, tolerance: f64) -> Result<ExhaustiveRes
     })
 }
 
-/// Cross-checks the fast scanner against the general-purpose machinery on
-/// one profile (used by tests).
-#[must_use]
-pub fn agrees_with_reference(game: &Game, profile: &StrategyProfile) -> bool {
-    use sp_core::{is_nash, NashTest};
-    let n = game.n();
-    if n > EXHAUSTIVE_LIMIT || n <= 1 {
-        return true;
-    }
-    let fast = FastGame::new(game).expect("size checked");
-    let masks = fast.unpack(fast.encode(profile));
-    let fast_verdict = fast.is_nash(&masks, 1e-9);
-    let slow = is_nash(game, profile, &NashTest::exact())
-        .expect("valid inputs")
-        .is_nash();
-    fast_verdict == slow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +99,23 @@ mod tests {
 
     fn line_game(positions: Vec<f64>, alpha: f64) -> Game {
         Game::from_space(&LineSpace::new(positions).unwrap(), alpha).unwrap()
+    }
+
+    /// Cross-checks the fast scanner against the general-purpose machinery
+    /// on one profile.
+    fn agrees_with_reference(game: &Game, profile: &StrategyProfile) -> bool {
+        use sp_core::{is_nash, NashTest};
+        let n = game.n();
+        if n > EXHAUSTIVE_LIMIT || n <= 1 {
+            return true;
+        }
+        let fast = FastGame::new(game).expect("size checked");
+        let masks = fast.unpack(fast.encode(profile));
+        let fast_verdict = fast.is_nash(&masks, 1e-9);
+        let slow = is_nash(game, profile, &NashTest::exact())
+            .expect("valid inputs")
+            .is_nash();
+        fast_verdict == slow
     }
 
     #[test]

@@ -624,12 +624,6 @@ pub fn exp_baselines(quick: bool) -> Report {
     report
 }
 
-/// Representative peer of a cluster, used by E6 narrative output.
-#[must_use]
-pub fn representative_of(inst: &NoEquilibriumInstance, c: Cluster) -> sp_core::PeerId {
-    inst.representative(c)
-}
-
 /// E10 — extension: ε-stability of the no-equilibrium instance. With a
 /// large enough indifference threshold (peers ignore small gains), even
 /// `I_1` settles — quantifying "how far from stable" Theorem 5.1's

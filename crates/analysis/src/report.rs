@@ -20,7 +20,7 @@ pub struct NamedTable {
 impl NamedTable {
     /// Wraps a [`Table`] with a name.
     #[must_use]
-    pub fn from_table(name: &str, table: &Table) -> Self {
+    fn from_table(name: &str, table: &Table) -> Self {
         NamedTable {
             name: name.to_owned(),
             headers: table.headers().to_vec(),
@@ -30,7 +30,7 @@ impl NamedTable {
 
     /// Rebuilds the displayable [`Table`].
     #[must_use]
-    pub fn to_table(&self) -> Table {
+    fn to_table(&self) -> Table {
         let mut t = Table::new(self.headers.clone());
         for row in &self.rows {
             t.push_row(row.clone());

@@ -95,12 +95,6 @@ impl ResponseGraph {
         self.edges.len()
     }
 
-    /// The pure Nash equilibria, as profile codes.
-    #[must_use]
-    pub fn sink_codes(&self) -> &[u32] {
-        &self.sinks
-    }
-
     /// The pure Nash equilibria, decoded.
     #[must_use]
     pub fn equilibria(&self) -> Vec<StrategyProfile> {
@@ -243,7 +237,7 @@ mod tests {
             assert!(is_nash(&g, &profile, &NashTest::exact()).unwrap().is_nash());
         }
         // And non-sinks are not equilibria: spot check a few codes.
-        let sinks: std::collections::HashSet<u32> = rg.sink_codes().iter().copied().collect();
+        let sinks: std::collections::HashSet<u32> = rg.sinks.iter().copied().collect();
         let fast = FastGame::new(&g).unwrap();
         for code in (0..rg.profile_count() as u32).step_by(7) {
             if !sinks.contains(&code) {
@@ -282,7 +276,7 @@ mod tests {
     fn sinks_have_no_successors() {
         let g = line_game(3, 2.0);
         let rg = ResponseGraph::build(&g, 1e-9).unwrap();
-        for &s in rg.sink_codes() {
+        for &s in &rg.sinks {
             assert!(rg.successors(s).is_empty());
         }
     }

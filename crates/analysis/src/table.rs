@@ -1,11 +1,10 @@
-//! Column-aligned table rendering (text / Markdown / CSV).
+//! Column-aligned table rendering.
 
 use std::fmt;
 
 /// A simple column-aligned table used for experiment output.
 ///
-/// Renders as fixed-width text ([`fmt::Display`]), GitHub Markdown
-/// ([`Table::to_markdown`]), or CSV ([`Table::to_csv`]).
+/// Renders as fixed-width text ([`fmt::Display`]).
 ///
 /// # Example
 ///
@@ -16,7 +15,6 @@ use std::fmt;
 /// t.push_row(vec!["8".into(), "1.31".into()]);
 /// let text = t.to_string();
 /// assert!(text.contains("PoA"));
-/// assert!(t.to_csv().starts_with("n,PoA"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -83,43 +81,6 @@ impl Table {
         }
         w
     }
-
-    /// GitHub-flavoured Markdown rendering.
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push('|');
-        for h in &self.headers {
-            out.push_str(&format!(" {h} |"));
-        }
-        out.push_str("\n|");
-        for _ in &self.headers {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push('|');
-            for cell in row {
-                out.push_str(&format!(" {cell} |"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// CSV rendering (naive quoting: commas in cells are replaced by
-    /// semicolons — experiment output never needs more).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let clean = |s: &String| s.replace(',', ";");
-        let mut out = self.headers.iter().map(clean).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(clean).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -177,21 +138,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("long-header"));
         assert!(lines[2].starts_with("123456"));
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let mut t = Table::new(vec!["x"]);
-        t.push_row(vec!["1".into()]);
-        let md = t.to_markdown();
-        assert_eq!(md, "| x |\n|---|\n| 1 |\n");
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.push_row(vec!["a,b".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "x,y\na;b,2\n");
     }
 
     #[test]

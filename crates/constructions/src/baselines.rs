@@ -28,7 +28,7 @@ pub struct Baseline {
 ///
 /// Social cost `α·n(n−1) + n(n−1)` — optimal for `α → 0`.
 #[must_use]
-pub fn complete(game: &Game) -> Baseline {
+fn complete(game: &Game) -> Baseline {
     let profile = StrategyProfile::complete(game.n());
     let cost = social_cost(game, &profile).expect("sizes match");
     Baseline {
@@ -44,7 +44,7 @@ pub fn complete(game: &Game) -> Baseline {
 ///
 /// Panics if the game has no peers.
 #[must_use]
-pub fn best_star(game: &Game) -> Baseline {
+fn best_star(game: &Game) -> Baseline {
     let n = game.n();
     assert!(n > 0, "star needs at least one peer");
     let mut best: Option<Baseline> = None;
@@ -77,7 +77,7 @@ pub fn best_star(game: &Game) -> Baseline {
 ///
 /// Panics if `order` is not a permutation of `0..n`.
 #[must_use]
-pub fn chain(game: &Game, order: &[usize]) -> Baseline {
+fn chain(game: &Game, order: &[usize]) -> Baseline {
     let n = game.n();
     assert_eq!(order.len(), n, "order must cover all peers");
     let mut seen = vec![false; n];
@@ -102,7 +102,7 @@ pub fn chain(game: &Game, order: &[usize]) -> Baseline {
 /// A chain over the greedy nearest-neighbour tour starting from peer 0 —
 /// a metric-agnostic stand-in for the line order.
 #[must_use]
-pub fn nearest_neighbor_chain(game: &Game) -> Baseline {
+fn nearest_neighbor_chain(game: &Game) -> Baseline {
     let n = game.n();
     if n == 0 {
         return Baseline {
@@ -139,7 +139,7 @@ pub fn nearest_neighbor_chain(game: &Game) -> Baseline {
 
 /// The bidirectional metric minimum spanning tree.
 #[must_use]
-pub fn mst(game: &Game) -> Baseline {
+fn mst(game: &Game) -> Baseline {
     let tree = builders::mst_bidirectional(game.matrix());
     let links: Vec<(usize, usize)> = tree.edges().map(|(u, v, _)| (u, v)).collect();
     let profile = StrategyProfile::from_links(game.n(), &links).expect("valid indices");
@@ -162,7 +162,7 @@ pub fn mst(game: &Game) -> Baseline {
 ///
 /// Panics if `hubs == 0` or `hubs > n` (for `n > 0`).
 #[must_use]
-pub fn hub_overlay(game: &Game, hubs: usize) -> Baseline {
+fn hub_overlay(game: &Game, hubs: usize) -> Baseline {
     let n = game.n();
     if n == 0 {
         return Baseline {
@@ -231,7 +231,7 @@ pub fn hub_overlay(game: &Game, hubs: usize) -> Baseline {
 
 /// The `⌈√n⌉`-hub overlay.
 #[must_use]
-pub fn sqrt_hub_overlay(game: &Game) -> Baseline {
+fn sqrt_hub_overlay(game: &Game) -> Baseline {
     let n = game.n();
     let h = ((n as f64).sqrt().ceil() as usize).clamp(1, n.max(1));
     hub_overlay(game, h)

@@ -33,9 +33,8 @@ use sp_graph::{dijkstra, CsrGraph, DiGraph};
 /// let game = FabrikantGame::new(4, 2.0).unwrap();
 /// // A star owned by its centre.
 /// let star = StrategyProfile::from_links(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-/// // Centre: 3α + 3 hops; leaf: 0 bought + 1 + 2 + 2 hops.
-/// assert_eq!(game.player_cost(&star, 0.into()).unwrap(), 9.0);
-/// assert_eq!(game.player_cost(&star, 1.into()).unwrap(), 5.0);
+/// // Centre: 3α + 3 hops; each leaf: 0 bought + 1 + 2 + 2 hops.
+/// assert_eq!(game.social_cost(&star).unwrap(), 9.0 + 3.0 * 5.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabrikantGame {
@@ -108,7 +107,7 @@ impl FabrikantGame {
     ///
     /// Returns [`CoreError::ProfileSizeMismatch`] /
     /// [`CoreError::PeerOutOfBounds`] for malformed inputs.
-    pub fn player_cost(&self, profile: &StrategyProfile, i: PeerId) -> Result<f64, CoreError> {
+    fn player_cost(&self, profile: &StrategyProfile, i: PeerId) -> Result<f64, CoreError> {
         self.check_profile(profile)?;
         if i.index() >= self.n {
             return Err(CoreError::PeerOutOfBounds {
@@ -220,30 +219,6 @@ impl FabrikantGame {
         Ok((bought, sol.cost))
     }
 
-    /// Returns `None` when `profile` is a Nash equilibrium (under exact
-    /// best responses), or `Some((player, better strategy, old, new))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError`] from [`FabrikantGame::best_response`].
-    #[allow(clippy::type_complexity)]
-    pub fn find_deviation(
-        &self,
-        profile: &StrategyProfile,
-    ) -> Result<Option<(PeerId, LinkSet, f64, f64)>, CoreError> {
-        for i in 0..self.n {
-            let p = PeerId::new(i);
-            let old = self.player_cost(profile, p)?;
-            let (links, new) = self.best_response(profile, p, BestResponseMethod::Exact)?;
-            let improving =
-                new < old - 1e-9 * (1.0 + old.abs()) || (old.is_infinite() && new.is_finite());
-            if improving {
-                return Ok(Some((p, links, old, new)));
-            }
-        }
-        Ok(None)
-    }
-
     /// Round-robin exact best-response dynamics; returns the final profile
     /// and whether it converged within `max_rounds`.
     ///
@@ -297,6 +272,26 @@ mod tests {
         StrategyProfile::from_links(n, &links).unwrap()
     }
 
+    /// Returns `None` when `profile` is a Nash equilibrium (under exact
+    /// best responses), or `Some((player, better strategy, old, new))`.
+    #[allow(clippy::type_complexity)]
+    fn find_deviation(
+        g: &FabrikantGame,
+        profile: &StrategyProfile,
+    ) -> Result<Option<(PeerId, LinkSet, f64, f64)>, CoreError> {
+        for i in 0..g.n {
+            let p = PeerId::new(i);
+            let old = g.player_cost(profile, p)?;
+            let (links, new) = g.best_response(profile, p, BestResponseMethod::Exact)?;
+            let improving =
+                new < old - 1e-9 * (1.0 + old.abs()) || (old.is_infinite() && new.is_finite());
+            if improving {
+                return Ok(Some((p, links, old, new)));
+            }
+        }
+        Ok(None)
+    }
+
     #[test]
     fn costs_on_the_star() {
         let g = FabrikantGame::new(5, 3.0).unwrap();
@@ -316,7 +311,7 @@ mod tests {
             let g = FabrikantGame::new(6, alpha).unwrap();
             let star = star_owned_by_center(6);
             assert!(
-                g.find_deviation(&star).unwrap().is_none(),
+                find_deviation(&g, &star).unwrap().is_none(),
                 "star should be Nash at α={alpha}"
             );
         }
@@ -326,14 +321,14 @@ mod tests {
     fn complete_is_nash_for_alpha_below_one() {
         let g = FabrikantGame::new(5, 0.5).unwrap();
         let c = complete_one_direction(5);
-        assert!(g.find_deviation(&c).unwrap().is_none());
+        assert!(find_deviation(&g, &c).unwrap().is_none());
     }
 
     #[test]
     fn complete_is_not_nash_for_large_alpha() {
         let g = FabrikantGame::new(5, 3.0).unwrap();
         let c = complete_one_direction(5);
-        let dev = g.find_deviation(&c).unwrap();
+        let dev = find_deviation(&g, &c).unwrap();
         assert!(dev.is_some(), "dropping a redundant edge must pay at α=3");
         let (p, links, old, new) = dev.unwrap();
         assert!(new < old);
@@ -348,7 +343,7 @@ mod tests {
         // costs α < 1).
         let g = FabrikantGame::new(5, 0.4).unwrap();
         let star = star_owned_by_center(5);
-        assert!(g.find_deviation(&star).unwrap().is_some());
+        assert!(find_deviation(&g, &star).unwrap().is_some());
     }
 
     #[test]
@@ -372,7 +367,7 @@ mod tests {
             .best_response_dynamics(StrategyProfile::empty(5), 50)
             .unwrap();
         assert!(converged, "Fabrikant BR dynamics should settle here");
-        assert!(g.find_deviation(&profile).unwrap().is_none());
+        assert!(find_deviation(&g, &profile).unwrap().is_none());
         assert!(g.social_cost(&profile).unwrap().is_finite());
     }
 

@@ -144,8 +144,7 @@ impl LineLowerBound {
     /// The paper's reference topology `G̃`: the bidirectional chain, whose
     /// social cost `α·2(n−1) + n(n−1)` upper-bounds the optimum
     /// (Theorem 4.4 proof).
-    #[must_use]
-    pub fn reference_profile(&self) -> StrategyProfile {
+    fn reference_profile(&self) -> StrategyProfile {
         let mut links = Vec::new();
         for k in 0..self.n.saturating_sub(1) {
             links.push((k, k + 1));

@@ -19,7 +19,7 @@
 //! The six Figure 3 candidate topologies are exposed via
 //! [`CandidateState`] and [`NoEquilibriumInstance::candidate_profile`].
 
-use sp_core::{CoreError, Game, LinkSet, PeerId, StrategyProfile};
+use sp_core::{CoreError, Game, PeerId, StrategyProfile};
 use sp_metric::{Euclidean2D, Point2};
 
 /// The five clusters of the instance.
@@ -271,14 +271,6 @@ impl NoEquilibriumInstance {
         Cluster::ALL[peer.index() / self.params.k]
     }
 
-    /// The peers of a cluster, ascending.
-    #[must_use]
-    pub fn peers_in(&self, cluster: Cluster) -> Vec<PeerId> {
-        let k = self.params.k;
-        let base = cluster.index() * k;
-        (base..base + k).map(PeerId::new).collect()
-    }
-
     /// The first (representative) peer of a cluster.
     #[must_use]
     pub fn representative(&self, cluster: Cluster) -> PeerId {
@@ -301,8 +293,7 @@ impl NoEquilibriumInstance {
     /// The candidates then differ only in `Π1`'s optional second
     /// top-link and `Π2`'s top-link — the two degrees of freedom that
     /// oscillate forever.
-    #[must_use]
-    pub fn backbone_links(&self) -> Vec<(usize, usize)> {
+    fn backbone_links(&self) -> Vec<(usize, usize)> {
         let mut links = Vec::new();
         let k = self.params.k;
         // Intra-cluster bidirectional paths.
@@ -353,16 +344,6 @@ impl NoEquilibriumInstance {
             .into_iter()
             .find(|&s| &self.candidate_profile(s) == profile)
     }
-
-    /// Convenience: the strategy a representative plays in a profile.
-    #[must_use]
-    pub fn representative_strategy<'p>(
-        &self,
-        profile: &'p StrategyProfile,
-        cluster: Cluster,
-    ) -> &'p LinkSet {
-        profile.strategy(self.representative(cluster))
-    }
 }
 
 #[cfg(test)]
@@ -387,8 +368,9 @@ mod tests {
         // Max intra-cluster distance is eps/n; min inter-cluster distance
         // is about 0.98.
         for c in Cluster::ALL {
-            let peers = inst.peers_in(c);
-            assert_eq!(peers.len(), k);
+            let base = inst.representative(c).index();
+            let peers: Vec<PeerId> = (base..base + k).map(PeerId::new).collect();
+            assert!(peers.iter().all(|&p| inst.cluster_of(p) == c));
             for &a in &peers {
                 for &b in &peers {
                     if a != b {

@@ -46,21 +46,6 @@ impl NashTest {
             tolerance: 1e-9,
         }
     }
-
-    /// Replaces the tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol` is negative or not finite.
-    #[must_use]
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        assert!(
-            tol.is_finite() && tol >= 0.0,
-            "tolerance must be finite non-negative"
-        );
-        self.tolerance = tol;
-        self
-    }
 }
 
 impl Default for NashTest {
@@ -258,17 +243,5 @@ mod tests {
                 "heuristic deviation must be genuinely improving"
             );
         }
-    }
-
-    #[test]
-    fn with_tolerance_rejects_bad_values() {
-        let t = NashTest::exact().with_tolerance(0.5);
-        assert_eq!(t.tolerance, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn with_tolerance_panics_on_nan() {
-        let _ = NashTest::exact().with_tolerance(f64::NAN);
     }
 }

@@ -214,21 +214,17 @@ impl Game {
     /// Panics when the game stores an implicit metric
     /// ([`Game::from_line_positions`]) — those games exist precisely so
     /// an `n × n` matrix never has to exist. Query
-    /// [`Game::dense_matrix`] when unsure, or [`Game::distance`] for
+    /// [`Game::line_positions`] when unsure, or [`Game::distance`] for
     /// individual entries.
     #[must_use]
     pub fn matrix(&self) -> &DistanceMatrix {
-        self.dense_matrix()
-            .expect("matrix() requires a dense game; implicit-metric games answer distance() only")
-    }
-
-    /// The latency matrix when this game stores one densely, `None` for
-    /// implicit metrics.
-    #[must_use]
-    pub fn dense_matrix(&self) -> Option<&DistanceMatrix> {
         match &self.metric {
-            MetricStore::Dense(dist) => Some(dist),
-            MetricStore::Line(_) => None,
+            MetricStore::Dense(dist) => dist,
+            MetricStore::Line(_) => {
+                panic!(
+                    "matrix() requires a dense game; implicit-metric games answer distance() only"
+                )
+            }
         }
     }
 
@@ -252,19 +248,6 @@ impl Game {
             MetricStore::Dense(dist) => dist.len() * dist.len() * std::mem::size_of::<f64>(),
             MetricStore::Line(positions) => positions.len() * std::mem::size_of::<f64>(),
         }
-    }
-
-    /// A copy of this game with a different `α` (same metric).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidAlpha`] unless `α` is finite positive.
-    pub fn with_alpha(&self, alpha: f64) -> Result<Self, CoreError> {
-        validate_alpha(alpha)?;
-        Ok(Game {
-            metric: self.metric.clone(),
-            alpha,
-        })
     }
 }
 
@@ -334,15 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn with_alpha_preserves_metric() {
-        let g = line_game();
-        let g2 = g.with_alpha(9.0).unwrap();
-        assert_eq!(g2.alpha(), 9.0);
-        assert_eq!(g2.distance(0, 1), g.distance(0, 1));
-        assert!(g.with_alpha(-3.0).is_err());
-    }
-
-    #[test]
     fn empty_game_is_fine() {
         let g = Game::new(DistanceMatrix::new_filled(0, 0.0), 1.0).unwrap();
         assert_eq!(g.n(), 0);
@@ -354,7 +328,6 @@ mod tests {
         let dense = Game::from_space(&LineSpace::new(coords.clone()).unwrap(), 2.0).unwrap();
         let implicit = Game::from_line_positions(coords.clone(), 2.0).unwrap();
         assert_eq!(implicit.n(), 4);
-        assert!(implicit.dense_matrix().is_none());
         assert_eq!(implicit.line_positions().unwrap(), coords.as_slice());
         for i in 0..4 {
             assert!(matches!(dense.latency_row(i), Cow::Borrowed(_)));
@@ -395,8 +368,6 @@ mod tests {
         assert_eq!(dense.metric_bytes(), 4 * 4 * 8);
         let implicit = Game::from_line_positions(vec![0.0, 1.0, 3.0, 7.0], 1.5).unwrap();
         assert_eq!(implicit.metric_bytes(), 4 * 8);
-        let g2 = implicit.with_alpha(2.0).unwrap();
-        assert_eq!(g2.metric_bytes(), 4 * 8);
     }
 
     #[test]

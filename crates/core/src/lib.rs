@@ -37,7 +37,8 @@
 //!   reduction to uncapacitated facility location (see `sp-facility`), or
 //!   approximately via greedy/local-search;
 //! * [`is_nash`] / [`nash_gap`] — (exact) Nash-equilibrium verification;
-//! * [`poa`] — bounds used for Price-of-Anarchy bracketing;
+//! * [`poa`] — the universal lower bound on the optimal social cost, used
+//!   for Price-of-Anarchy bracketing;
 //! * [`backend`] — **the two evaluation backends**: the exact dense
 //!   `OracleCache`-backed default, and the [`SparseBackend`] landmark
 //!   mode ([`GameSession::new_sparse`]) that answers large-`n`
@@ -96,7 +97,6 @@
 pub mod backend;
 mod best_response;
 mod cost;
-pub mod demand;
 mod error;
 mod game;
 mod oracle_cache;

@@ -139,12 +139,6 @@ impl LinkSet {
         self.links.iter().copied()
     }
 
-    /// The links as a sorted slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[PeerId] {
-        &self.links
-    }
-
     /// Returns a copy with `peer` added.
     #[must_use]
     pub fn with(&self, peer: PeerId) -> Self {
@@ -229,7 +223,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(w.len(), 2);
         let wo = w.without(PeerId::new(1));
-        assert_eq!(wo.as_slice(), &[PeerId::new(2)]);
+        assert_eq!(wo.iter().collect::<Vec<_>>(), vec![PeerId::new(2)]);
     }
 
     #[test]

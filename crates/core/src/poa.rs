@@ -12,7 +12,7 @@
 //! pattern: `OPT ≤ C(G̃) ∈ O(αn + n²)` via the bidirectional chain, and
 //! `OPT ≥ Ω(αn + n²)` generically.
 
-use crate::{CoreError, Game, SocialCost, StrategyProfile};
+use crate::Game;
 
 /// A universal lower bound on the optimal social cost:
 ///
@@ -41,85 +41,9 @@ pub fn opt_lower_bound(game: &Game) -> f64 {
     game.alpha() * n + n * (n - 1.0)
 }
 
-/// An upper bound on the cost of any Nash equilibrium, from Theorem 4.1:
-/// no equilibrium stretch exceeds `α + 1` and there are at most `n(n−1)`
-/// directed links, so `C(NE) ≤ α·n(n−1) + (α+1)·n(n−1) ∈ O(αn²)`.
-///
-/// # Example
-///
-/// ```
-/// use sp_core::{poa, Game};
-/// use sp_metric::LineSpace;
-///
-/// let game = Game::from_space(&LineSpace::new(vec![0.0, 1.0]).unwrap(), 3.0).unwrap();
-/// assert_eq!(poa::nash_cost_upper_bound(&game), 2.0 * 3.0 + 2.0 * 4.0);
-/// ```
-#[must_use]
-pub fn nash_cost_upper_bound(game: &Game) -> f64 {
-    let n = game.n() as f64;
-    if game.n() <= 1 {
-        return 0.0;
-    }
-    let pairs = n * (n - 1.0);
-    game.alpha() * pairs + (game.alpha() + 1.0) * pairs
-}
-
-/// The paper's Theorem 4.1/4.4 Price-of-Anarchy bound `min(α, n)` for this
-/// game (up to constants).
-#[must_use]
-pub fn poa_bound(game: &Game) -> f64 {
-    game.alpha().min(game.n() as f64)
-}
-
-/// The exact optimal social cost for **tiny** games (`n ≤ 5`) by
-/// exhaustive enumeration of all `2^{n(n-1)}` strategy profiles.
-///
-/// Returns the best profile and its cost.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InstanceTooLarge`] for `n > 5` (the search is
-/// `2^{n(n-1)}`; `n = 5` is already `2^20` profiles).
-pub fn exhaustive_optimum(game: &Game) -> Result<(StrategyProfile, SocialCost), CoreError> {
-    const LIMIT: usize = 5;
-    let n = game.n();
-    if n > LIMIT {
-        return Err(CoreError::InstanceTooLarge { n, limit: LIMIT });
-    }
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
-        .collect();
-    let m = pairs.len();
-    let profile_for = |mask: u64| -> Result<StrategyProfile, CoreError> {
-        let links: Vec<(usize, usize)> = (0..m)
-            .filter(|&k| mask & (1 << k) != 0)
-            .map(|k| pairs[k])
-            .collect();
-        StrategyProfile::from_links(n, &links)
-    };
-    // One live session reused across all 2^m candidates. The free
-    // `social_cost` wrapper builds a throwaway session per call — at
-    // n = 5 that cloned the O(n²) game matrix and reallocated the
-    // distance matrix 2^20 times; `set_profile` drops only the caches.
-    let mut session = crate::GameSession::new(game.clone(), StrategyProfile::empty(n))?;
-    let mut best_mask = 0u64;
-    let mut best_cost = session.social_cost();
-    for mask in 1u64..(1u64 << m) {
-        session.set_profile(profile_for(mask)?)?;
-        let cost = session.social_cost();
-        // sp-lint: allow(float-eps, reason = "argmin over masks scanned in fixed order; first-wins on exact ties is deterministic")
-        if cost.total() < best_cost.total() {
-            best_cost = cost;
-            best_mask = mask;
-        }
-    }
-    Ok((profile_for(best_mask)?, best_cost))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::social_cost;
     use sp_metric::LineSpace;
 
     fn game(n: usize, alpha: f64) -> Game {
@@ -132,70 +56,29 @@ mod tests {
         let g = game(4, 2.0);
         assert_eq!(opt_lower_bound(&g), 2.0 * 4.0 + 12.0);
         assert_eq!(opt_lower_bound(&game(1, 2.0)), 0.0);
-        assert_eq!(opt_lower_bound(&game(0, 2.0).with_alpha(1.0).unwrap()), 0.0);
-    }
-
-    #[test]
-    fn upper_bound_formula() {
-        let g = game(3, 1.0);
-        assert_eq!(nash_cost_upper_bound(&g), 6.0 + 2.0 * 6.0);
-        assert_eq!(poa_bound(&g), 1.0);
-        assert_eq!(poa_bound(&game(3, 100.0)), 3.0);
-    }
-
-    #[test]
-    fn exhaustive_opt_on_three_line_peers() {
-        // Positions 0, 1, 2 with α = 1: the bidirectional chain
-        // (4 links, all stretches 1) has cost 4α + 6 = 10; the complete
-        // graph has 6α + 6 = 12. Chain is optimal.
-        let g = game(3, 1.0);
-        let (profile, cost) = exhaustive_optimum(&g).unwrap();
-        assert_eq!(profile.link_count(), 4);
-        assert!((cost.total() - 10.0).abs() < 1e-9);
-        assert!(cost.is_connected());
-    }
-
-    #[test]
-    fn exhaustive_opt_prefers_fewer_links_at_high_alpha() {
-        // α = 10, three peers: the directed triangle (3 links) keeps
-        // everyone connected with stretches <= 3 each... compare with the
-        // chain (4 links). Optimizer must pick whatever is cheapest; we
-        // only assert it beats both hand candidates.
-        let g = game(3, 10.0);
-        let (_, cost) = exhaustive_optimum(&g).unwrap();
-        let chain = StrategyProfile::from_links(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]).unwrap();
-        let triangle = StrategyProfile::from_links(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
-        assert!(cost.total() <= social_cost(&g, &chain).unwrap().total() + 1e-9);
-        assert!(cost.total() <= social_cost(&g, &triangle).unwrap().total() + 1e-9);
-    }
-
-    #[test]
-    fn exhaustive_opt_profile_and_cost_stay_in_sync() {
-        // The optimizer tracks the best candidate by mask; the returned
-        // profile must actually price at the returned cost.
-        for alpha in [0.7, 2.0] {
-            let g = game(4, alpha);
-            let (profile, cost) = exhaustive_optimum(&g).unwrap();
-            let recheck = social_cost(&g, &profile).unwrap();
-            assert!((cost.total() - recheck.total()).abs() < 1e-12);
-            assert_eq!(cost.link_cost, recheck.link_cost);
-        }
-    }
-
-    #[test]
-    fn exhaustive_opt_rejects_large_instances() {
-        assert!(matches!(
-            exhaustive_optimum(&game(6, 1.0)),
-            Err(CoreError::InstanceTooLarge { n: 6, limit: 5 })
-        ));
+        assert_eq!(opt_lower_bound(&game(0, 1.0)), 0.0);
     }
 
     #[test]
     fn opt_lower_bound_is_actually_below_opt() {
+        // The true optimum of a 4-peer line, by brute force over all
+        // 2^{n(n-1)} profiles.
+        let pairs: Vec<(usize, usize)> = (0..4)
+            .flat_map(|i| (0..4).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
         for alpha in [0.5, 1.0, 3.0] {
             let g = game(4, alpha);
-            let (_, cost) = exhaustive_optimum(&g).unwrap();
-            assert!(cost.total() >= opt_lower_bound(&g) - 1e-9);
+            let opt = (0u32..1 << pairs.len())
+                .map(|mask| {
+                    let links: Vec<(usize, usize)> = (0..pairs.len())
+                        .filter(|&k| mask & (1 << k) != 0)
+                        .map(|k| pairs[k])
+                        .collect();
+                    let profile = crate::StrategyProfile::from_links(4, &links).unwrap();
+                    crate::social_cost(&g, &profile).unwrap().total()
+                })
+                .fold(f64::INFINITY, f64::min);
+            assert!(opt >= opt_lower_bound(&g) - 1e-9);
         }
     }
 }

@@ -340,7 +340,7 @@ impl SessionStats {
 ///
 /// All query methods take `&mut self` because they fill caches on
 /// demand; none of them changes the profile. Only [`GameSession::apply`]
-/// and [`GameSession::set_profile`] do.
+/// and [`GameSession::apply_batch`] do.
 ///
 /// # Example
 ///
@@ -594,30 +594,6 @@ impl GameSession {
         let mut session = GameSession::new_sparse_with(game, profile, params)?;
         session.stats.snapshot_restores = 1;
         Ok(session)
-    }
-
-    /// Replaces the whole profile, discarding every cache. Prefer
-    /// [`GameSession::apply`] for single-peer changes — that is the
-    /// operation the incremental repair is built for.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ProfileSizeMismatch`] on size disagreement.
-    pub fn set_profile(&mut self, profile: StrategyProfile) -> Result<(), CoreError> {
-        if profile.n() != self.game.n() {
-            return Err(CoreError::ProfileSizeMismatch {
-                expected: self.game.n(),
-                actual: profile.n(),
-            });
-        }
-        self.profile = profile;
-        self.invalidate_all();
-        Ok(())
-    }
-
-    fn invalidate_all(&mut self) {
-        self.drop_csr();
-        self.backend.invalidate();
     }
 
     /// Applies a unilateral move, repairing the distance cache
@@ -2092,18 +2068,6 @@ mod tests {
         let mut s = GameSession::from_refs(&g, &p).unwrap();
         let _ = s.peer_cost(PeerId::new(2)).unwrap();
         assert_eq!(s.stats().full_sssp, 1, "peer_cost computes a single row");
-    }
-
-    #[test]
-    fn set_profile_resets_cache() {
-        let g = game(1.0);
-        let mut s = GameSession::from_refs(&g, &StrategyProfile::complete(5)).unwrap();
-        let dense = s.social_cost();
-        s.set_profile(StrategyProfile::empty(5)).unwrap();
-        let empty = s.social_cost();
-        assert!(dense.is_connected());
-        assert!(!empty.is_connected());
-        assert!(s.set_profile(StrategyProfile::empty(3)).is_err());
     }
 
     #[test]

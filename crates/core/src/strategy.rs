@@ -154,22 +154,6 @@ impl StrategyProfile {
         Ok(self.strategies[from.index()].insert(to))
     }
 
-    /// Removes a single link; returns `true` if it was present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::PeerOutOfBounds`] if `from` is out of bounds.
-    pub fn remove_link(&mut self, from: PeerId, to: PeerId) -> Result<bool, CoreError> {
-        let n = self.n();
-        if from.index() >= n {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: from.index(),
-                n,
-            });
-        }
-        Ok(self.strategies[from.index()].remove(to))
-    }
-
     /// Returns `true` if the directed link `(from, to)` is present.
     ///
     /// # Panics
@@ -278,12 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn add_remove_links() {
+    fn add_links() {
         let mut p = StrategyProfile::empty(3);
         assert!(p.add_link(PeerId::new(0), PeerId::new(2)).unwrap());
         assert!(!p.add_link(PeerId::new(0), PeerId::new(2)).unwrap());
-        assert!(p.remove_link(PeerId::new(0), PeerId::new(2)).unwrap());
-        assert!(!p.remove_link(PeerId::new(0), PeerId::new(2)).unwrap());
         assert!(p.add_link(PeerId::new(0), PeerId::new(0)).is_err());
     }
 

@@ -134,8 +134,7 @@ impl ChurnSimulator {
     }
 
     /// Indices of currently alive peers, ascending.
-    #[must_use]
-    pub fn alive_peers(&self) -> Vec<usize> {
+    fn alive_peers(&self) -> Vec<usize> {
         (0..self.universe().n())
             .filter(|&i| self.alive[i])
             .collect()

@@ -2,12 +2,10 @@
 //!
 //! The conclusion of the paper's Section 5 — selfish dynamics need not
 //! stabilise — raises the empirical question *how often* and *how fast*
-//! dynamics do converge on ordinary instances. These helpers run many
-//! seeded dynamics and aggregate outcomes (experiment E7).
+//! dynamics do converge on ordinary instances. [`ConvergenceStats`]
+//! aggregates the outcomes of many seeded runs (experiment E7).
 
-use sp_core::{Game, StrategyProfile};
-
-use crate::{DynamicsConfig, DynamicsOutcome, DynamicsRunner, Termination};
+use crate::{DynamicsOutcome, Termination};
 
 /// Aggregated outcomes of a batch of dynamics runs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -27,16 +25,6 @@ pub struct ConvergenceStats {
 }
 
 impl ConvergenceStats {
-    /// Fraction of runs that converged (0.0 for an empty batch).
-    #[must_use]
-    pub fn convergence_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.converged as f64 / self.runs as f64
-        }
-    }
-
     /// Mean steps among converged runs (`None` if none converged).
     #[must_use]
     pub fn mean_steps(&self) -> Option<f64> {
@@ -48,12 +36,6 @@ impl ConvergenceStats {
                     / self.steps_to_converge.len() as f64,
             )
         }
-    }
-
-    /// Maximum steps among converged runs (`None` if none converged).
-    #[must_use]
-    pub fn max_steps(&self) -> Option<usize> {
-        self.steps_to_converge.iter().copied().max()
     }
 
     /// Folds one outcome into the statistics.
@@ -71,27 +53,24 @@ impl ConvergenceStats {
     }
 }
 
-/// Runs the same dynamics from `starts` and aggregates the outcomes.
-#[must_use]
-pub fn run_batch(
-    game: &Game,
-    config: &DynamicsConfig,
-    starts: impl IntoIterator<Item = StrategyProfile>,
-) -> ConvergenceStats {
-    let mut stats = ConvergenceStats::default();
-    for start in starts {
-        let mut runner = DynamicsRunner::new(game, config.clone());
-        let outcome = runner.run(start);
-        stats.record(&outcome);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Schedule;
+    use crate::{DynamicsConfig, DynamicsRunner, Schedule};
+    use sp_core::{Game, StrategyProfile};
     use sp_metric::LineSpace;
+
+    fn run_batch(
+        game: &Game,
+        config: &DynamicsConfig,
+        starts: Vec<StrategyProfile>,
+    ) -> ConvergenceStats {
+        let mut stats = ConvergenceStats::default();
+        for start in starts {
+            stats.record(&DynamicsRunner::new(game, config.clone()).run(start));
+        }
+        stats
+    }
 
     #[test]
     fn batch_on_easy_instances_converges_everywhere() {
@@ -106,9 +85,8 @@ mod tests {
         let stats = run_batch(&game, &DynamicsConfig::default(), starts);
         assert_eq!(stats.runs, 3);
         assert_eq!(stats.converged, 3);
-        assert_eq!(stats.convergence_rate(), 1.0);
+        assert_eq!(stats.steps_to_converge.len(), 3);
         assert!(stats.mean_steps().unwrap() > 0.0);
-        assert!(stats.max_steps().unwrap() >= 4);
     }
 
     #[test]
@@ -122,15 +100,13 @@ mod tests {
         };
         let stats = run_batch(&game, &config, vec![StrategyProfile::empty(3)]);
         assert_eq!(stats.round_limited, 1);
-        assert_eq!(stats.convergence_rate(), 0.0);
+        assert_eq!(stats.converged, 0);
         assert_eq!(stats.mean_steps(), None);
     }
 
     #[test]
     fn empty_batch_is_harmless() {
         let stats = ConvergenceStats::default();
-        assert_eq!(stats.convergence_rate(), 0.0);
         assert_eq!(stats.mean_steps(), None);
-        assert_eq!(stats.max_steps(), None);
     }
 }

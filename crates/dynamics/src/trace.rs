@@ -68,11 +68,6 @@ impl Trace {
         self.moves.is_empty()
     }
 
-    /// Moves made by one peer, in order.
-    pub fn moves_of(&self, peer: PeerId) -> impl Iterator<Item = &MoveRecord> + '_ {
-        self.moves.iter().filter(move |m| m.peer == peer)
-    }
-
     /// Every recorded move must strictly improve the mover's cost; returns
     /// the first violating record, if any (used as a self-check by tests).
     #[must_use]
@@ -109,7 +104,7 @@ mod tests {
             ..record(1, 7.0, 6.0)
         });
         assert_eq!(t.len(), 2);
-        assert_eq!(t.moves_of(PeerId::new(1)).count(), 1);
+        assert_eq!(t.moves()[1].peer, PeerId::new(1));
         assert_eq!(t.moves()[0].improvement(), 5.0);
     }
 

@@ -189,36 +189,6 @@ impl FacilityProblem {
         }
         total
     }
-
-    /// Builds the [`FacilitySolution`] for a given open set (sorted,
-    /// deduplicated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn solution_for(&self, open: &[usize]) -> FacilitySolution {
-        let mut open: Vec<usize> = open.to_vec();
-        open.sort_unstable();
-        open.dedup();
-        let cost = self.cost_of(&open);
-        FacilitySolution { open, cost }
-    }
-
-    /// For each client, the cheapest assignment cost over *all* facilities
-    /// — an admissible lower bound used by branch-and-bound.
-    #[must_use]
-    pub fn per_client_minima(&self) -> Vec<f64> {
-        let mut minima = vec![f64::INFINITY; self.clients];
-        for f in 0..self.facility_count() {
-            for (c, &a) in self.assignment_row(f).iter().enumerate() {
-                if a < minima[c] {
-                    minima[c] = a;
-                }
-            }
-        }
-        minima
-    }
 }
 
 #[cfg(test)]
@@ -247,14 +217,6 @@ mod tests {
         assert_eq!(p.cost_of(&[0, 1]), 4.0 + 1.0 + 1.0);
         // Duplicates counted once.
         assert_eq!(p.cost_of(&[0, 0]), p.cost_of(&[0]));
-    }
-
-    #[test]
-    fn solution_for_sorts_and_dedups() {
-        let p = tiny();
-        let s = p.solution_for(&[1, 0, 1]);
-        assert_eq!(s.open, vec![0, 1]);
-        assert_eq!(s.cost, 6.0);
     }
 
     #[test]
@@ -333,11 +295,5 @@ mod tests {
     fn assignment_row_rejects_out_of_range_facility_without_clients() {
         let p = FacilityProblem::new(vec![3.0], vec![vec![]]).unwrap();
         let _ = p.assignment_row(1);
-    }
-
-    #[test]
-    fn per_client_minima_takes_columnwise_min() {
-        let p = tiny();
-        assert_eq!(p.per_client_minima(), vec![1.0, 1.0]);
     }
 }

@@ -86,22 +86,6 @@ pub fn star_graph<F: FnMut(usize, usize) -> f64>(n: usize, center: usize, mut w:
     g
 }
 
-/// Builds a digraph from explicit `(from, to)` pairs, taking weights from a
-/// [`DistanceMatrix`].
-///
-/// # Panics
-///
-/// Panics if any endpoint is out of bounds for the matrix, on self-loops,
-/// or if a referenced matrix entry is not a valid weight.
-#[must_use]
-pub fn from_edge_list(dist: &DistanceMatrix, edges: &[(usize, usize)]) -> DiGraph {
-    let mut g = DiGraph::new(dist.len());
-    for &(u, v) in edges {
-        g.add_edge(u, v, dist[(u, v)]);
-    }
-    g
-}
-
 /// Minimum spanning tree of the complete graph implied by a symmetric
 /// [`DistanceMatrix`], returned with edges in **both** directions (so the
 /// result is strongly connected).
@@ -164,24 +148,6 @@ pub fn mst_bidirectional(dist: &DistanceMatrix) -> DiGraph {
     g
 }
 
-/// `k`-nearest-neighbour digraph: each node links to its `k` nearest other
-/// nodes (by the matrix), directed.
-///
-/// Ties are broken by node index for determinism.
-#[must_use]
-pub fn k_nearest_neighbors(dist: &DistanceMatrix, k: usize) -> DiGraph {
-    let n = dist.len();
-    let mut g = DiGraph::new(n);
-    for i in 0..n {
-        let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        others.sort_by(|&a, &b| dist[(i, a)].total_cmp(&dist[(i, b)]).then(a.cmp(&b)));
-        for &j in others.iter().take(k) {
-            g.add_edge(i, j, dist[(i, j)]);
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn from_edge_list_uses_matrix_weights() {
-        let d = DistanceMatrix::from_fn(3, |i, j| ((i as f64) - (j as f64)).abs() * 2.0);
-        let g = from_edge_list(&d, &[(0, 1), (1, 2)]);
-        assert_eq!(g.edge_weight(0, 1), Some(2.0));
-        assert_eq!(g.edge_weight(1, 2), Some(2.0));
-    }
-
-    #[test]
     fn mst_on_line_is_the_chain() {
         let pos = [0.0f64, 1.0, 3.0, 6.0, 10.0];
         let d = DistanceMatrix::from_fn(5, |i, j| (pos[i] - pos[j]).abs());
@@ -249,7 +207,8 @@ mod tests {
             DistanceMatrix::from_row_major(3, vec![0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0])
                 .unwrap();
         let mst = mst_bidirectional(&d);
-        assert!((mst.total_weight() - 4.0).abs() < 1e-12); // 2 × both directions
+        let total: f64 = mst.edges().map(|(_, _, w)| w).sum();
+        assert!((total - 4.0).abs() < 1e-12); // 2 × both directions
     }
 
     #[test]
@@ -262,25 +221,5 @@ mod tests {
             mst_bidirectional(&DistanceMatrix::new_filled(1, 0.0)).edge_count(),
             0
         );
-    }
-
-    #[test]
-    fn knn_degree_and_choice() {
-        let pos = [0.0f64, 1.0, 2.0, 10.0];
-        let d = DistanceMatrix::from_fn(4, |i, j| (pos[i] - pos[j]).abs());
-        let g = k_nearest_neighbors(&d, 2);
-        assert_eq!(g.out_degree(0), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(0, 2));
-        assert!(!g.has_edge(0, 3));
-        assert!(g.has_edge(3, 2));
-        assert!(g.has_edge(3, 1));
-    }
-
-    #[test]
-    fn knn_with_k_larger_than_n() {
-        let d = DistanceMatrix::from_fn(3, |i, j| ((i as i64 - j as i64).abs()) as f64);
-        let g = k_nearest_neighbors(&d, 10);
-        assert_eq!(g.edge_count(), 6);
     }
 }

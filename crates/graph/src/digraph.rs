@@ -71,19 +71,12 @@ impl DiGraph {
         self.adj.is_empty()
     }
 
-    /// Adds a node and returns its index.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Adds the directed edge `(from, to)` with weight `weight`.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of bounds, if `from == to`, or if
-    /// `weight` is NaN, negative, or infinite. Use [`DiGraph::try_add_edge`]
-    /// to recover from invalid input instead.
+    /// `weight` is NaN, negative, or infinite.
     pub fn add_edge(&mut self, from: usize, to: usize, weight: f64) {
         self.try_add_edge(from, to, weight)
             .unwrap_or_else(|e| panic!("add_edge({from}, {to}, {weight}): {e}"));
@@ -97,7 +90,7 @@ impl DiGraph {
     /// [`GraphError::SelfLoop`] when `from == to`, and
     /// [`GraphError::InvalidWeight`] for weights that are NaN, negative or
     /// infinite.
-    pub fn try_add_edge(&mut self, from: usize, to: usize, weight: f64) -> Result<(), GraphError> {
+    fn try_add_edge(&mut self, from: usize, to: usize, weight: f64) -> Result<(), GraphError> {
         let n = self.adj.len();
         if from >= n {
             return Err(GraphError::NodeOutOfBounds { node: from, len: n });
@@ -126,32 +119,6 @@ impl DiGraph {
         self.add_edge(b, a, weight);
     }
 
-    /// Removes every edge `(from, to)` (all parallel copies); returns how
-    /// many were removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of bounds.
-    pub fn remove_edge(&mut self, from: usize, to: usize) -> usize {
-        let before = self.adj[from].len();
-        self.adj[from].retain(|e| e.to != to);
-        let removed = before - self.adj[from].len();
-        self.edge_count -= removed;
-        removed
-    }
-
-    /// Removes all out-edges of `node`; returns how many were removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    pub fn clear_out_edges(&mut self, node: usize) -> usize {
-        let removed = self.adj[node].len();
-        self.adj[node].clear();
-        self.edge_count -= removed;
-        removed
-    }
-
     /// Out-edges of `node`.
     ///
     /// # Panics
@@ -170,20 +137,6 @@ impl DiGraph {
     #[must_use]
     pub fn out_degree(&self, node: usize) -> usize {
         self.adj[node].len()
-    }
-
-    /// In-degree of `node` (linear scan over all edges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    #[must_use]
-    pub fn in_degree(&self, node: usize) -> usize {
-        assert!(node < self.adj.len(), "node {node} out of bounds");
-        self.adj
-            .iter()
-            .map(|es| es.iter().filter(|e| e.to == node).count())
-            .sum()
     }
 
     /// Returns `true` if at least one edge `(from, to)` exists.
@@ -229,12 +182,6 @@ impl DiGraph {
         rev
     }
 
-    /// Total weight of all edges.
-    #[must_use]
-    pub fn total_weight(&self) -> f64 {
-        self.edges().map(|(_, _, w)| w).sum()
-    }
-
     /// Maximum out-degree over all nodes (0 for an empty graph).
     #[must_use]
     pub fn max_out_degree(&self) -> usize {
@@ -273,7 +220,6 @@ mod tests {
         assert_eq!(g.edge_weight(0, 2), Some(2.0));
         assert_eq!(g.edge_weight(2, 0), None);
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(3), 2);
     }
 
     #[test]
@@ -283,24 +229,6 @@ mod tests {
         g.add_edge(0, 1, 3.0);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edge_weight(0, 1), Some(3.0));
-    }
-
-    #[test]
-    fn remove_edge_removes_all_parallels() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(0, 1, 5.0);
-        g.add_edge(0, 1, 3.0);
-        assert_eq!(g.remove_edge(0, 1), 2);
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.has_edge(0, 1));
-    }
-
-    #[test]
-    fn clear_out_edges_resets_degree() {
-        let mut g = diamond();
-        assert_eq!(g.clear_out_edges(0), 2);
-        assert_eq!(g.out_degree(0), 0);
-        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
@@ -358,20 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn total_weight_and_max_degree() {
+    fn max_degree() {
         let g = diamond();
-        assert_eq!(g.total_weight(), 7.0);
         assert_eq!(g.max_out_degree(), 2);
         assert_eq!(DiGraph::new(0).max_out_degree(), 0);
-    }
-
-    #[test]
-    fn add_node_grows_graph() {
-        let mut g = DiGraph::new(1);
-        let v = g.add_node();
-        assert_eq!(v, 1);
-        g.add_edge(0, 1, 1.5);
-        assert!(g.has_edge(0, 1));
     }
 
     #[test]

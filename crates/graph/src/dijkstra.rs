@@ -50,35 +50,7 @@ impl PartialOrd for HeapEntry {
 /// ```
 #[must_use]
 pub fn dijkstra(g: &DiGraph, source: usize) -> Vec<f64> {
-    dijkstra_impl(g, source, None).0
-}
-
-/// Shortest path distances from `source`, stopping as soon as every node in
-/// `targets` has been settled.
-///
-/// Entries for unsettled nodes are `f64::INFINITY`, which for non-target
-/// nodes does **not** imply unreachability — only that the search stopped
-/// early. All entries for `targets` are exact.
-///
-/// # Panics
-///
-/// Panics if `source` or any target is out of bounds.
-///
-/// # Example
-///
-/// ```
-/// use sp_graph::{builders, dijkstra_targets};
-///
-/// let g = builders::bidirectional_path_graph(100, |_, _| 1.0);
-/// let d = dijkstra_targets(&g, 0, &[3]);
-/// assert_eq!(d[3], 3.0);
-/// ```
-#[must_use]
-pub fn dijkstra_targets(g: &DiGraph, source: usize, targets: &[usize]) -> Vec<f64> {
-    for &t in targets {
-        assert!(t < g.node_count(), "target {t} out of bounds");
-    }
-    dijkstra_impl(g, source, Some(targets)).0
+    dijkstra_impl(g, source).0
 }
 
 /// A shortest-path tree rooted at a source node, with predecessor links for
@@ -87,18 +59,11 @@ pub fn dijkstra_targets(g: &DiGraph, source: usize, targets: &[usize]) -> Vec<f6
 /// Produced by [`dijkstra_tree`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPathTree {
-    source: usize,
     dist: Vec<f64>,
     pred: Vec<Option<usize>>,
 }
 
 impl ShortestPathTree {
-    /// The root of the tree.
-    #[must_use]
-    pub fn source(&self) -> usize {
-        self.source
-    }
-
     /// Distance from the source to `node` (`f64::INFINITY` if unreachable).
     ///
     /// # Panics
@@ -107,23 +72,6 @@ impl ShortestPathTree {
     #[must_use]
     pub fn distance(&self, node: usize) -> f64 {
         self.dist[node]
-    }
-
-    /// All distances, indexed by node.
-    #[must_use]
-    pub fn distances(&self) -> &[f64] {
-        &self.dist
-    }
-
-    /// Predecessor of `node` on its shortest path from the source, `None`
-    /// for the source itself and for unreachable nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    #[must_use]
-    pub fn predecessor(&self, node: usize) -> Option<usize> {
-        self.pred[node]
     }
 
     /// The shortest path from the source to `node` (inclusive), or `None`
@@ -146,17 +94,6 @@ impl ShortestPathTree {
         path.reverse();
         Some(path)
     }
-
-    /// Number of edges on the shortest path to `node`, or `None` if
-    /// unreachable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    #[must_use]
-    pub fn hop_count(&self, node: usize) -> Option<usize> {
-        self.path_to(node).map(|p| p.len() - 1)
-    }
 }
 
 /// Runs Dijkstra from `source` and returns the full [`ShortestPathTree`]
@@ -176,36 +113,19 @@ impl ShortestPathTree {
 /// g.add_edge(1, 2, 1.0);
 /// let t = dijkstra_tree(&g, 0);
 /// assert_eq!(t.path_to(2), Some(vec![0, 1, 2]));
-/// assert_eq!(t.hop_count(2), Some(2));
 /// ```
 #[must_use]
 pub fn dijkstra_tree(g: &DiGraph, source: usize) -> ShortestPathTree {
-    let (dist, pred) = dijkstra_impl(g, source, None);
-    ShortestPathTree { source, dist, pred }
+    let (dist, pred) = dijkstra_impl(g, source);
+    ShortestPathTree { dist, pred }
 }
 
-fn dijkstra_impl(
-    g: &DiGraph,
-    source: usize,
-    targets: Option<&[usize]>,
-) -> (Vec<f64>, Vec<Option<usize>>) {
+fn dijkstra_impl(g: &DiGraph, source: usize) -> (Vec<f64>, Vec<Option<usize>>) {
     let n = g.node_count();
     assert!(source < n, "source {source} out of bounds for {n} nodes");
     let mut dist = vec![f64::INFINITY; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut settled = vec![false; n];
-    let mut remaining = targets.map(|t| {
-        let mut want = vec![false; n];
-        let mut count = 0usize;
-        for &x in t {
-            if !want[x] {
-                want[x] = true;
-                count += 1;
-            }
-        }
-        (want, count)
-    });
-
     let mut heap = BinaryHeap::with_capacity(n);
     dist[source] = 0.0;
     heap.push(HeapEntry {
@@ -218,14 +138,6 @@ fn dijkstra_impl(
             continue;
         }
         settled[u] = true;
-        if let Some((ref want, ref mut count)) = remaining {
-            if want[u] {
-                *count -= 1;
-                if *count == 0 {
-                    break;
-                }
-            }
-        }
         for e in g.out_edges(u) {
             let nd = d + e.weight;
             // sp-lint: allow(float-eps, reason = "Dijkstra relaxation: exact strict improvement is the termination criterion; an eps band would cycle")
@@ -296,31 +208,9 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(0, 3, 10.0);
         let t = dijkstra_tree(&g, 0);
-        assert_eq!(t.source(), 0);
         assert_eq!(t.path_to(3), Some(vec![0, 1, 2, 3]));
-        assert_eq!(t.hop_count(3), Some(3));
         assert_eq!(t.path_to(4), None);
-        assert_eq!(t.hop_count(4), None);
-        assert_eq!(t.predecessor(0), None);
         assert_eq!(t.path_to(0), Some(vec![0]));
-    }
-
-    #[test]
-    fn targets_early_exit_is_exact_for_targets() {
-        let g = builders::bidirectional_path_graph(50, |_, _| 1.0);
-        let d = dijkstra_targets(&g, 0, &[5, 7]);
-        assert_eq!(d[5], 5.0);
-        assert_eq!(d[7], 7.0);
-        // Far nodes may legitimately be unsettled (INFINITY).
-        let full = dijkstra(&g, 0);
-        assert_eq!(full[49], 49.0);
-    }
-
-    #[test]
-    fn duplicate_targets_are_fine() {
-        let g = builders::cycle_graph(5, |_, _| 2.0);
-        let d = dijkstra_targets(&g, 0, &[3, 3, 3]);
-        assert_eq!(d[3], 6.0);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!   sweeps and incremental decrease-only re-relaxation
 //!   ([`CsrGraph::relax_decrease_into`]) powering `sp-core`'s
 //!   `GameSession` cache.
-//! * [`dijkstra`] / [`dijkstra_targets`] / [`ShortestPathTree`] —
+//! * [`dijkstra`] / [`dijkstra_tree`] / [`ShortestPathTree`] —
 //!   binary-heap Dijkstra single-source shortest paths.
 //! * [`apsp`] / [`floyd_warshall`] — all-pairs shortest paths producing a
 //!   [`DistanceMatrix`].
-//! * [`tarjan_scc`] / [`Condensation`] — strongly connected components.
-//! * [`is_strongly_connected`], [`reachable_from`], traversal orders.
+//! * [`is_strongly_connected`] / [`reachable_from`] — reachability.
 //! * [`builders`] — canonical topologies (path, cycle, star, complete, …).
 //! * [`BoundedDijkstra`] / [`LandmarkSketch`] /
 //!   [`farthest_point_landmarks`] — bounded-radius sweeps with
@@ -55,22 +54,20 @@ mod error;
 mod hash;
 mod matrix;
 pub mod measures;
-mod scc;
 mod sparse;
 mod traversal;
 
 pub use csr::{CsrGraph, DijkstraScratch, Removal, RowRepair};
 pub use digraph::{DiGraph, Edge};
-pub use dijkstra::{dijkstra, dijkstra_targets, dijkstra_tree, ShortestPathTree};
+pub use dijkstra::{dijkstra, dijkstra_tree, ShortestPathTree};
 pub use error::GraphError;
 pub use hash::{fnv1a, fnv1a_extend, FNV1A_BASIS};
 pub use matrix::DistanceMatrix;
-pub use scc::{tarjan_scc, Condensation};
 pub use sparse::{
     edge_on_path, farthest_point_landmarks, BoundedDijkstra, BoundedSweep, LandmarkSketch,
     SketchRepair,
 };
-pub use traversal::{bfs_order, dfs_postorder, dfs_preorder, reachable_from};
+pub use traversal::reachable_from;
 
 /// All-pairs shortest paths by running Dijkstra from every node.
 ///

@@ -128,57 +128,6 @@ impl DistanceMatrix {
         }
         true
     }
-
-    /// The largest finite entry, or `None` if all entries are infinite (or
-    /// the matrix is empty).
-    #[must_use]
-    pub fn max_finite(&self) -> Option<f64> {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .max_by(f64::total_cmp)
-    }
-
-    /// The smallest strictly positive finite entry, or `None`.
-    #[must_use]
-    pub fn min_positive(&self) -> Option<f64> {
-        self.data
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Sum of all off-diagonal entries (may be infinite).
-    #[must_use]
-    pub fn off_diagonal_sum(&self) -> f64 {
-        let mut s = 0.0;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    s += self[(i, j)];
-                }
-            }
-        }
-        s
-    }
-
-    /// Returns `true` if any entry is infinite.
-    #[must_use]
-    pub fn has_infinite(&self) -> bool {
-        self.data.iter().any(|v| v.is_infinite())
-    }
-
-    /// Iterates over `(i, j, value)` for all off-diagonal entries.
-    pub fn iter_off_diagonal(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let n = self.n;
-        (0..n).flat_map(move |i| {
-            (0..n)
-                .filter(move |&j| j != i)
-                .map(move |j| (i, j, self[(i, j)]))
-        })
-    }
 }
 
 impl Index<(usize, usize)> for DistanceMatrix {
@@ -269,41 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn extremes_and_sums() {
-        let mut m = DistanceMatrix::new_filled(3, f64::INFINITY);
-        for i in 0..3 {
-            m[(i, i)] = 0.0;
-        }
-        m[(0, 1)] = 2.0;
-        m[(1, 0)] = 3.0;
-        assert_eq!(m.max_finite(), Some(3.0));
-        assert_eq!(m.min_positive(), Some(2.0));
-        assert!(m.has_infinite());
-        assert!(m.off_diagonal_sum().is_infinite());
-        m[(0, 2)] = 1.0;
-        m[(2, 0)] = 1.0;
-        m[(1, 2)] = 1.0;
-        m[(2, 1)] = 1.0;
-        assert_eq!(m.off_diagonal_sum(), 9.0);
-        assert!(!m.has_infinite());
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = DistanceMatrix::new_filled(0, 0.0);
         assert!(m.is_empty());
-        assert_eq!(m.max_finite(), None);
-        assert_eq!(m.min_positive(), None);
         assert!(m.is_symmetric(0.0));
-        assert_eq!(m.off_diagonal_sum(), 0.0);
-    }
-
-    #[test]
-    fn iter_off_diagonal_skips_diagonal() {
-        let m = DistanceMatrix::from_fn(3, |i, j| (i + j) as f64);
-        let items: Vec<_> = m.iter_off_diagonal().collect();
-        assert_eq!(items.len(), 6);
-        assert!(items.iter().all(|&(i, j, _)| i != j));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Topology characterisation measures.
 //!
 //! Equilibrium overlays are *shaped* by the metric and `α`; these
-//! measures quantify that shape: eccentricities and weighted diameter,
+//! measures quantify that shape: weighted diameter,
 //! degree statistics, betweenness centrality (how load concentrates on
 //! hub peers), and clustering.
 //!
@@ -17,14 +17,13 @@
 //! assert_eq!(bc[1], 0.0);
 //! ```
 
-use crate::{apsp, CsrGraph, DiGraph, DistanceMatrix};
+use crate::{apsp, CsrGraph, DiGraph};
 
 /// Weighted eccentricity of every node: the largest finite shortest-path
 /// distance to any other node, `f64::INFINITY` if some node is
 /// unreachable. Empty graphs yield an empty vector; a single node has
 /// eccentricity 0.
-#[must_use]
-pub fn eccentricities(g: &DiGraph) -> Vec<f64> {
+fn eccentricities(g: &DiGraph) -> Vec<f64> {
     let d = apsp(g);
     let n = g.node_count();
     (0..n)
@@ -42,15 +41,6 @@ pub fn eccentricities(g: &DiGraph) -> Vec<f64> {
 #[must_use]
 pub fn diameter(g: &DiGraph) -> f64 {
     eccentricities(g).into_iter().fold(0.0f64, f64::max)
-}
-
-/// Weighted radius: the smallest eccentricity (`0.0` for empty graphs).
-#[must_use]
-pub fn radius(g: &DiGraph) -> f64 {
-    eccentricities(g)
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
-        .min(f64::INFINITY)
 }
 
 /// Summary statistics of the out-degree distribution.
@@ -213,35 +203,6 @@ pub fn clustering_coefficient(g: &DiGraph) -> f64 {
     }
 }
 
-/// Average shortest-path distance over ordered reachable pairs, together
-/// with the count of unreachable pairs.
-#[must_use]
-pub fn mean_distance(g: &DiGraph) -> (f64, usize) {
-    let d: DistanceMatrix = apsp(g);
-    let n = g.node_count();
-    let mut sum = 0.0;
-    let mut reachable = 0usize;
-    let mut unreachable = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            if d[(i, j)].is_finite() {
-                sum += d[(i, j)];
-                reachable += 1;
-            } else {
-                unreachable += 1;
-            }
-        }
-    }
-    if reachable == 0 {
-        (0.0, unreachable)
-    } else {
-        (sum / reachable as f64, unreachable)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +214,6 @@ mod tests {
         let ecc = eccentricities(&g);
         assert_eq!(ecc, vec![3.0, 2.0, 2.0, 3.0]);
         assert_eq!(diameter(&g), 3.0);
-        assert_eq!(radius(&g), 2.0);
     }
 
     #[test]
@@ -330,18 +290,5 @@ mod tests {
         let star = builders::star_graph(5, 0, |_, _| 1.0);
         assert_eq!(clustering_coefficient(&star), 0.0);
         assert_eq!(clustering_coefficient(&DiGraph::new(2)), 0.0);
-    }
-
-    #[test]
-    fn mean_distance_counts_unreachable() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, 2.0);
-        let (mean, unreachable) = mean_distance(&g);
-        assert_eq!(mean, 2.0);
-        assert_eq!(unreachable, 5);
-        let full = builders::complete_graph(3, |_, _| 1.5);
-        let (m2, u2) = mean_distance(&full);
-        assert!((m2 - 1.5).abs() < 1e-12);
-        assert_eq!(u2, 0);
     }
 }

@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use crate::DiGraph;
 
 /// Nodes reachable from `source` along directed edges, as a boolean mask
@@ -36,167 +34,23 @@ pub fn reachable_from(g: &DiGraph, source: usize) -> Vec<bool> {
     seen
 }
 
-/// Breadth-first visit order from `source` (ignores weights).
-///
-/// Only reachable nodes appear. Neighbours are visited in insertion order.
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds.
-///
-/// # Example
-///
-/// ```
-/// use sp_graph::{builders, bfs_order};
-///
-/// let g = builders::path_graph(4, |_, _| 1.0);
-/// assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
-/// ```
-#[must_use]
-pub fn bfs_order(g: &DiGraph, source: usize) -> Vec<usize> {
-    let n = g.node_count();
-    assert!(source < n, "source {source} out of bounds for {n} nodes");
-    let mut seen = vec![false; n];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[source] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for e in g.out_edges(u) {
-            if !seen[e.to] {
-                seen[e.to] = true;
-                queue.push_back(e.to);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first preorder from `source` (ignores weights). Neighbours are
-/// explored in insertion order.
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds.
-#[must_use]
-pub fn dfs_preorder(g: &DiGraph, source: usize) -> Vec<usize> {
-    let n = g.node_count();
-    assert!(source < n, "source {source} out of bounds for {n} nodes");
-    let mut seen = vec![false; n];
-    let mut order = Vec::new();
-    // Stack of (node, next-edge-index) frames for an iterative DFS.
-    let mut stack: Vec<(usize, usize)> = vec![(source, 0)];
-    seen[source] = true;
-    order.push(source);
-    while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-        let edges = g.out_edges(u);
-        if *idx < edges.len() {
-            let v = edges[*idx].to;
-            *idx += 1;
-            if !seen[v] {
-                seen[v] = true;
-                order.push(v);
-                stack.push((v, 0));
-            }
-        } else {
-            stack.pop();
-        }
-    }
-    order
-}
-
-/// Depth-first postorder from `source` (ignores weights).
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds.
-#[must_use]
-pub fn dfs_postorder(g: &DiGraph, source: usize) -> Vec<usize> {
-    let n = g.node_count();
-    assert!(source < n, "source {source} out of bounds for {n} nodes");
-    let mut seen = vec![false; n];
-    let mut order = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(source, 0)];
-    seen[source] = true;
-    while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-        let edges = g.out_edges(u);
-        if *idx < edges.len() {
-            let v = edges[*idx].to;
-            *idx += 1;
-            if !seen[v] {
-                seen[v] = true;
-                stack.push((v, 0));
-            }
-        } else {
-            order.push(u);
-            stack.pop();
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders;
 
-    fn tree() -> DiGraph {
-        // 0 -> {1, 2}, 1 -> {3, 4}
-        let mut g = DiGraph::new(5);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(0, 2, 1.0);
-        g.add_edge(1, 3, 1.0);
-        g.add_edge(1, 4, 1.0);
-        g
-    }
-
     #[test]
-    fn bfs_visits_level_by_level() {
-        assert_eq!(bfs_order(&tree(), 0), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_preorder_goes_deep_first() {
-        assert_eq!(dfs_preorder(&tree(), 0), vec![0, 1, 3, 4, 2]);
-    }
-
-    #[test]
-    fn dfs_postorder_emits_children_first() {
-        let post = dfs_postorder(&tree(), 0);
-        assert_eq!(post.last(), Some(&0));
-        let pos = |x: usize| post.iter().position(|&v| v == x).unwrap();
-        assert!(pos(3) < pos(1));
-        assert!(pos(4) < pos(1));
-        assert!(pos(1) < pos(0));
-        assert!(pos(2) < pos(0));
-    }
-
-    #[test]
-    fn traversals_skip_unreachable() {
+    fn reachability_skips_unreachable() {
         let mut g = DiGraph::new(4);
         g.add_edge(0, 1, 1.0);
         g.add_edge(2, 3, 1.0);
-        assert_eq!(bfs_order(&g, 0), vec![0, 1]);
-        assert_eq!(dfs_preorder(&g, 0), vec![0, 1]);
-        assert_eq!(dfs_postorder(&g, 0), vec![1, 0]);
         assert_eq!(reachable_from(&g, 0), vec![true, true, false, false]);
+        assert_eq!(reachable_from(&DiGraph::new(1), 0), vec![true]);
     }
 
     #[test]
-    fn traversals_handle_cycles() {
+    fn reachability_follows_cycles() {
         let g = builders::cycle_graph(4, |_, _| 1.0);
-        assert_eq!(bfs_order(&g, 1), vec![1, 2, 3, 0]);
-        assert_eq!(dfs_preorder(&g, 1).len(), 4);
-        assert_eq!(dfs_postorder(&g, 1).len(), 4);
         assert!(reachable_from(&g, 1).iter().all(|&r| r));
-    }
-
-    #[test]
-    fn singleton_traversals() {
-        let g = DiGraph::new(1);
-        assert_eq!(bfs_order(&g, 0), vec![0]);
-        assert_eq!(dfs_preorder(&g, 0), vec![0]);
-        assert_eq!(dfs_postorder(&g, 0), vec![0]);
     }
 }

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use sp_graph::{
-    apsp, dijkstra, dijkstra_tree, floyd_warshall, is_strongly_connected, tarjan_scc, CsrGraph,
-    DiGraph,
+    apsp, dijkstra, dijkstra_tree, floyd_warshall, is_strongly_connected, CsrGraph, DiGraph,
 };
 
 /// Strategy: a random digraph with `n ∈ [1, 12]` nodes and random edges with
@@ -98,35 +97,11 @@ proptest! {
     }
 
     #[test]
-    fn scc_partitions_nodes(g in arb_graph()) {
-        let sccs = tarjan_scc(&g);
-        let n = g.node_count();
-        let mut seen = vec![0usize; n];
-        for comp in &sccs {
-            prop_assert!(!comp.is_empty());
-            for &v in comp {
-                seen[v] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1), "every node in exactly one SCC");
-    }
-
-    #[test]
-    fn scc_members_mutually_reachable(g in arb_graph()) {
+    fn strong_connectivity_iff_all_pairs_reachable(g in arb_graph()) {
         let d = apsp(&g);
-        for comp in tarjan_scc(&g) {
-            for &u in &comp {
-                for &v in &comp {
-                    prop_assert!(d[(u, v)].is_finite(), "{} cannot reach {} inside an SCC", u, v);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn strong_connectivity_iff_single_scc(g in arb_graph()) {
-        let single = tarjan_scc(&g).len() == 1;
-        prop_assert_eq!(single, is_strongly_connected(&g));
+        let n = g.node_count();
+        let all_finite = (0..n).all(|i| d.row(i).iter().all(|x| x.is_finite()));
+        prop_assert_eq!(all_finite, is_strongly_connected(&g));
     }
 
     #[test]

@@ -62,15 +62,6 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Value {
-    /// The boolean payload, if this is a [`Value::Bool`].
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric payload, if this is a [`Value::Number`].
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
@@ -106,15 +97,6 @@ impl Value {
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs, if this is a [`Value::Object`].
-    #[must_use]
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(m) => Some(m),
             _ => None,
         }
     }
@@ -280,7 +262,7 @@ impl Index<usize> for Value {
 
 impl PartialEq<bool> for Value {
     fn eq(&self, other: &bool) -> bool {
-        self.as_bool() == Some(*other)
+        matches!(self, Value::Bool(b) if b == other)
     }
 }
 
@@ -599,40 +581,6 @@ impl FromStr for Value {
     }
 }
 
-/// Encodes an `f64` losslessly for wire/snapshot use: finite values
-/// become [`Value::Number`] (the shortest-round-trip rendering the
-/// printer uses parses back to the identical bits), `+∞` becomes the
-/// string `"inf"`. Plain [`Value::from`] would render non-finite values
-/// as JSON `null` (valid JSON, but not recoverable); overlay distances
-/// in a disconnected session are legitimately infinite, so codecs that
-/// must round-trip bit-identically go through this pair instead. `-∞`
-/// and NaN never occur in this workspace's data and are rejected.
-///
-/// # Panics
-///
-/// Panics on NaN or `-∞`.
-#[must_use]
-pub fn encode_f64(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else if x == f64::INFINITY {
-        Value::String("inf".to_owned())
-    } else {
-        panic!("encode_f64: unsupported non-finite value {x}")
-    }
-}
-
-/// Decodes a value produced by [`encode_f64`]; `None` for anything that
-/// encoder cannot have emitted.
-#[must_use]
-pub fn decode_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Number(x) => Some(*x),
-        Value::String(s) if s == "inf" => Some(f64::INFINITY),
-        _ => None,
-    }
-}
-
 /// Length-prefixed JSON framing for stream transports.
 ///
 /// A frame is a 4-byte big-endian payload length followed by that many
@@ -923,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn lossless_f64_roundtrip() {
+    fn finite_f64_roundtrips_bit_exactly() {
         for x in [
             0.0,
             1.0,
@@ -932,22 +880,12 @@ mod tests {
             f64::MAX,
             f64::MIN_POSITIVE,
             1.0 / 3.0,
-            f64::INFINITY,
         ] {
-            let v = encode_f64(x);
             // Through the full text pipeline, not just the Value tree.
-            let back: Value = v.to_string_compact().parse().unwrap();
-            let y = decode_f64(&back).unwrap();
+            let back: Value = Value::Number(x).to_string_compact().parse().unwrap();
+            let y = back.as_f64().unwrap();
             assert_eq!(x.to_bits(), y.to_bits(), "{x} did not round-trip");
         }
-        assert_eq!(decode_f64(&Value::Null), None);
-        assert_eq!(decode_f64(&Value::String("infx".into())), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported non-finite")]
-    fn encode_f64_rejects_nan() {
-        let _ = encode_f64(f64::NAN);
     }
 
     #[test]

@@ -16,8 +16,7 @@ pub const MALFORMED_WAIVER: &str = "malformed-waiver";
 pub const STALE_WAIVER: &str = "stale-waiver";
 
 /// All lint ids a waiver may name.
-#[must_use]
-pub fn known_lints() -> Vec<&'static str> {
+fn known_lints() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = lints::all().iter().map(|l| l.id()).collect();
     ids.push(MALFORMED_WAIVER);
     ids.push(STALE_WAIVER);

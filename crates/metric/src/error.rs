@@ -45,13 +45,6 @@ pub enum MetricError {
         /// End point.
         k: usize,
     },
-    /// Mismatched dimensions (e.g. points of different arity).
-    DimensionMismatch {
-        /// Expected dimension.
-        expected: usize,
-        /// Actual dimension.
-        actual: usize,
-    },
 }
 
 impl fmt::Display for MetricError {
@@ -74,9 +67,6 @@ impl fmt::Display for MetricError {
             }
             MetricError::TriangleViolation { i, j, k } => {
                 write!(f, "triangle inequality violated on points {i}, {j}, {k}")
-            }
-            MetricError::DimensionMismatch { expected, actual } => {
-                write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
         }
     }

@@ -1,4 +1,4 @@
-use crate::{MetricError, MetricSpace, Point2, PointN};
+use crate::{MetricError, MetricSpace, Point2};
 
 /// Peers in the 2-dimensional Euclidean plane.
 ///
@@ -69,79 +69,6 @@ impl MetricSpace for Euclidean2D {
     }
 }
 
-/// Peers in `k`-dimensional Euclidean space.
-///
-/// All points must share the same dimension and be pairwise distinct.
-///
-/// # Example
-///
-/// ```
-/// use sp_metric::{EuclideanND, MetricSpace, PointN};
-///
-/// let s = EuclideanND::new(vec![
-///     PointN::new(vec![0.0, 0.0, 0.0]).unwrap(),
-///     PointN::new(vec![2.0, 3.0, 6.0]).unwrap(),
-/// ]).unwrap();
-/// assert_eq!(s.distance(0, 1), 7.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct EuclideanND {
-    points: Vec<PointN>,
-    dim: usize,
-}
-
-impl EuclideanND {
-    /// Creates a `k`-dimensional space from points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::DimensionMismatch`] if points have different
-    /// dimensions and [`MetricError::CoincidentPoints`] on duplicates.
-    pub fn new(points: Vec<PointN>) -> Result<Self, MetricError> {
-        let dim = points.first().map_or(0, PointN::dim);
-        for p in &points {
-            if p.dim() != dim {
-                return Err(MetricError::DimensionMismatch {
-                    expected: dim,
-                    actual: p.dim(),
-                });
-            }
-        }
-        for i in 0..points.len() {
-            for j in (i + 1)..points.len() {
-                if points[i] == points[j] {
-                    return Err(MetricError::CoincidentPoints { i, j });
-                }
-            }
-        }
-        Ok(EuclideanND { points, dim })
-    }
-
-    /// Dimension of the space (0 when empty).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// All points, indexed by peer.
-    #[must_use]
-    pub fn points(&self) -> &[PointN] {
-        &self.points
-    }
-}
-
-impl MetricSpace for EuclideanND {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        self.points[i]
-            .distance_to(&self.points[j])
-            .expect("EuclideanND points verified same-dimension at construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,33 +91,6 @@ mod tests {
     fn plane_rejects_duplicates() {
         let r = Euclidean2D::new(vec![Point2::new(1.0, 1.0), Point2::new(1.0, 1.0)]);
         assert_eq!(r, Err(MetricError::CoincidentPoints { i: 0, j: 1 }));
-    }
-
-    #[test]
-    fn nd_rejects_mixed_dimensions() {
-        let r = EuclideanND::new(vec![
-            PointN::new(vec![0.0]).unwrap(),
-            PointN::new(vec![0.0, 1.0]).unwrap(),
-        ]);
-        assert_eq!(
-            r,
-            Err(MetricError::DimensionMismatch {
-                expected: 1,
-                actual: 2
-            })
-        );
-    }
-
-    #[test]
-    fn nd_is_valid_metric() {
-        let s = EuclideanND::new(vec![
-            PointN::new(vec![0.0, 0.0, 0.0]).unwrap(),
-            PointN::new(vec![1.0, 0.0, 0.0]).unwrap(),
-            PointN::new(vec![0.0, 1.0, 1.0]).unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(s.dim(), 3);
-        assert!(validate_metric(&s, 1e-12).is_ok());
     }
 
     #[test]

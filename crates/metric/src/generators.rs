@@ -17,7 +17,7 @@
 use rand::prelude::*;
 use sp_graph::{floyd_warshall, DiGraph, DistanceMatrix};
 
-use crate::{Euclidean2D, LineSpace, MatrixMetric, Point2};
+use crate::{Euclidean2D, MatrixMetric, Point2};
 
 /// `n` points uniformly at random in the square `[0, side]²`.
 ///
@@ -39,76 +39,6 @@ pub fn uniform_square<R: Rng + ?Sized>(n: usize, side: f64, rng: &mut R) -> Eucl
         }
     }
     Euclidean2D::new(points).expect("duplicates were filtered during sampling")
-}
-
-/// `n` points uniformly at random on the segment `[0, length]`.
-///
-/// # Panics
-///
-/// Panics if `length` is not a positive finite number.
-pub fn uniform_line<R: Rng + ?Sized>(n: usize, length: f64, rng: &mut R) -> LineSpace {
-    assert!(
-        length.is_finite() && length > 0.0,
-        "length must be positive, got {length}"
-    );
-    let mut positions: Vec<f64> = Vec::with_capacity(n);
-    while positions.len() < n {
-        let p = rng.random_range(0.0..length);
-        if !positions.contains(&p) {
-            positions.push(p);
-        }
-    }
-    LineSpace::new(positions).expect("duplicates were filtered during sampling")
-}
-
-/// A `rows × cols` grid with the given spacing — the canonical
-/// growth-bounded 2-D metric.
-///
-/// # Panics
-///
-/// Panics if `spacing` is not a positive finite number.
-#[must_use]
-pub fn grid_2d(rows: usize, cols: usize, spacing: f64) -> Euclidean2D {
-    assert!(
-        spacing.is_finite() && spacing > 0.0,
-        "spacing must be positive, got {spacing}"
-    );
-    let mut points = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            points.push(Point2::new(c as f64 * spacing, r as f64 * spacing));
-        }
-    }
-    Euclidean2D::new(points).expect("grid points are distinct")
-}
-
-/// A line whose consecutive gaps grow geometrically: position of peer `i`
-/// is `scale · base^i`.
-///
-/// With `base > 1` this produces the kind of exponentially-stretching
-/// placement underlying the paper's Figure 1 (the exact Figure 1 positions,
-/// which alternate `α^{i-1}/2` and `α^{i-1}`, live in
-/// `sp-constructions::line`).
-///
-/// # Panics
-///
-/// Panics if `base <= 1` or `scale <= 0`, or if positions overflow `f64`.
-#[must_use]
-pub fn exponential_line(n: usize, base: f64, scale: f64) -> LineSpace {
-    assert!(
-        base > 1.0 && base.is_finite(),
-        "base must be > 1, got {base}"
-    );
-    assert!(
-        scale > 0.0 && scale.is_finite(),
-        "scale must be positive, got {scale}"
-    );
-    let positions: Vec<f64> = (0..n).map(|i| scale * base.powi(i as i32)).collect();
-    assert!(
-        positions.iter().all(|p| p.is_finite()),
-        "positions overflow f64 for n={n}, base={base}"
-    );
-    LineSpace::new(positions).expect("geometric positions are strictly increasing")
 }
 
 /// Builder for clustered placements: `clusters` groups of `per_cluster`
@@ -286,40 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_line_in_range() {
-        let s = uniform_line(25, 10.0, &mut rng());
-        assert_eq!(s.len(), 25);
-        assert!(s.positions().iter().all(|&p| (0.0..10.0).contains(&p)));
-        assert!(validate_metric(&s, 1e-9).is_ok());
-    }
-
-    #[test]
-    fn grid_counts_and_spacing() {
-        let g = grid_2d(3, 4, 2.0);
-        assert_eq!(g.len(), 12);
-        assert_eq!(g.distance(0, 1), 2.0); // adjacent in a row
-        assert_eq!(g.distance(0, 4), 2.0); // adjacent in a column
-        assert!(validate_metric(&g, 1e-9).is_ok());
-    }
-
-    #[test]
-    fn exponential_line_gaps_grow() {
-        let s = exponential_line(6, 3.0, 1.0);
-        let p = s.positions();
-        for i in 1..5 {
-            let gap_prev = p[i] - p[i - 1];
-            let gap_next = p[i + 1] - p[i];
-            assert!(gap_next > gap_prev);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "base must be > 1")]
-    fn exponential_line_rejects_base_one() {
-        let _ = exponential_line(4, 1.0, 1.0);
-    }
-
-    #[test]
     fn clustered_builder_produces_tight_groups() {
         let s = ClusteredPoints::new(3, 4)
             .area_side(1000.0)
@@ -341,7 +237,8 @@ mod tests {
     fn bounded_ratio_metric_is_valid() {
         let m = random_bounded_ratio_metric(12, 1.0, 2.0, &mut rng());
         assert!(validate_metric(&m, 1e-9).is_ok());
-        assert!(m.matrix().max_finite().unwrap() <= 2.0);
+        let n = m.matrix().len();
+        assert!((0..n).all(|i| m.matrix().row(i).iter().all(|&d| d <= 2.0)));
     }
 
     #[test]

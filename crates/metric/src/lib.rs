@@ -7,13 +7,12 @@
 //! * the [`MetricSpace`] trait — finite point sets with pairwise distances;
 //! * concrete spaces: [`LineSpace`] (1-D Euclidean, the space of the paper's
 //!   lower bound), [`Euclidean2D`] (the space of the paper's non-existence
-//!   instance), [`EuclideanND`], and [`MatrixMetric`] (arbitrary finite
-//!   metrics given explicitly);
-//! * random placement generators ([`generators`]) for uniform, clustered,
-//!   grid, and exponentially-spaced workloads;
-//! * metric diagnostics ([`doubling`]): validation of the metric axioms,
-//!   doubling-dimension estimation, and growth-bounded checks — the paper's
-//!   upper bound holds for *arbitrary* metrics including these families.
+//!   instance), and [`MatrixMetric`] (arbitrary finite metrics given
+//!   explicitly);
+//! * random placement generators ([`generators`]) for uniform, clustered
+//!   and bounded-ratio workloads;
+//! * [`validate_metric`], the check of the metric axioms — the paper's
+//!   upper bound holds for *arbitrary* metrics.
 //!
 //! # Example
 //!
@@ -33,21 +32,18 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod doubling;
 mod error;
 mod euclidean;
 pub mod generators;
 mod line;
 mod matrix_metric;
 mod point;
-mod ring;
 mod space;
 
 pub use error::MetricError;
-pub use euclidean::{Euclidean2D, EuclideanND};
+pub use euclidean::Euclidean2D;
 pub use generators::ClusteredPoints;
 pub use line::LineSpace;
 pub use matrix_metric::MatrixMetric;
-pub use point::{Point2, PointN};
-pub use ring::RingSpace;
+pub use point::Point2;
 pub use space::{validate_metric, MetricSpace};

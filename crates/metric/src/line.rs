@@ -62,14 +62,6 @@ impl LineSpace {
     pub fn positions(&self) -> &[f64] {
         &self.positions
     }
-
-    /// Peer indices sorted by position, left to right.
-    #[must_use]
-    pub fn sorted_indices(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.positions.len()).collect();
-        idx.sort_by(|&a, &b| self.positions[a].total_cmp(&self.positions[b]));
-        idx
-    }
 }
 
 impl MetricSpace for LineSpace {
@@ -106,12 +98,6 @@ mod tests {
     fn rejects_non_finite() {
         assert!(LineSpace::new(vec![f64::NAN]).is_err());
         assert!(LineSpace::new(vec![f64::NEG_INFINITY, 0.0]).is_err());
-    }
-
-    #[test]
-    fn sorted_indices_orders_by_position() {
-        let s = LineSpace::new(vec![5.0, -1.0, 3.0]).unwrap();
-        assert_eq!(s.sorted_indices(), vec![1, 2, 0]);
     }
 
     #[test]

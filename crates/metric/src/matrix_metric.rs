@@ -55,12 +55,6 @@ impl MatrixMetric {
     pub fn matrix(&self) -> &DistanceMatrix {
         &self.matrix
     }
-
-    /// Consumes the metric, returning the matrix.
-    #[must_use]
-    pub fn into_matrix(self) -> DistanceMatrix {
-        self.matrix
-    }
 }
 
 impl MetricSpace for MatrixMetric {
@@ -109,10 +103,7 @@ mod tests {
     #[test]
     fn into_matrix_roundtrip() {
         let m = MatrixMetric::new(valid_matrix(), 1e-9).unwrap();
-        let back: DistanceMatrix = m.into_matrix();
+        let back: DistanceMatrix = m.into();
         assert_eq!(back, valid_matrix());
-        let m2 = MatrixMetric::new(valid_matrix(), 1e-9).unwrap();
-        let back2: DistanceMatrix = m2.into();
-        assert_eq!(back2, valid_matrix());
     }
 }

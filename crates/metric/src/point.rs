@@ -1,5 +1,3 @@
-use crate::MetricError;
-
 /// A point in the Euclidean plane.
 ///
 /// # Example
@@ -39,96 +37,6 @@ impl Point2 {
     pub fn distance_to(self, other: Point2) -> f64 {
         (self.x - other.x).hypot(self.y - other.y)
     }
-
-    /// Midpoint between `self` and `other`.
-    #[must_use]
-    pub fn midpoint(self, other: Point2) -> Point2 {
-        Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Translates the point by `(dx, dy)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the translated coordinates are not finite.
-    #[must_use]
-    pub fn translated(self, dx: f64, dy: f64) -> Point2 {
-        Point2::new(self.x + dx, self.y + dy)
-    }
-}
-
-/// A point in `k`-dimensional Euclidean space.
-///
-/// # Example
-///
-/// ```
-/// use sp_metric::PointN;
-///
-/// let a = PointN::new(vec![0.0, 0.0, 0.0]).unwrap();
-/// let b = PointN::new(vec![1.0, 2.0, 2.0]).unwrap();
-/// assert_eq!(a.distance_to(&b).unwrap(), 3.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PointN {
-    coords: Vec<f64>,
-}
-
-impl PointN {
-    /// Creates a point from its coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::NonFiniteValue`] if any coordinate is NaN or
-    /// infinite.
-    pub fn new(coords: Vec<f64>) -> Result<Self, MetricError> {
-        if coords.iter().any(|c| !c.is_finite()) {
-            return Err(MetricError::NonFiniteValue {
-                context: "point coordinate",
-            });
-        }
-        Ok(PointN { coords })
-    }
-
-    /// Dimension (number of coordinates).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// The coordinates as a slice.
-    #[must_use]
-    pub fn coords(&self) -> &[f64] {
-        &self.coords
-    }
-
-    /// Euclidean distance to `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricError::DimensionMismatch`] if dimensions differ.
-    pub fn distance_to(&self, other: &PointN) -> Result<f64, MetricError> {
-        if self.dim() != other.dim() {
-            return Err(MetricError::DimensionMismatch {
-                expected: self.dim(),
-                actual: other.dim(),
-            });
-        }
-        let sq: f64 = self
-            .coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        Ok(sq.sqrt())
-    }
-}
-
-impl From<Point2> for PointN {
-    fn from(p: Point2) -> Self {
-        PointN {
-            coords: vec![p.x, p.y],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,46 +50,11 @@ mod tests {
         assert_eq!(a.distance_to(b), 5.0);
         assert_eq!(b.distance_to(a), 5.0);
         assert_eq!(a.distance_to(a), 0.0);
-        assert_eq!(a.midpoint(b), Point2::new(2.5, 3.0));
-        assert_eq!(a.translated(-1.0, -1.0), Point2::new(0.0, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn point2_rejects_nan() {
         let _ = Point2::new(f64::NAN, 0.0);
-    }
-
-    #[test]
-    fn pointn_distance_and_dim() {
-        let a = PointN::new(vec![0.0; 4]).unwrap();
-        let b = PointN::new(vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(a.dim(), 4);
-        assert_eq!(a.distance_to(&b).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn pointn_dimension_mismatch() {
-        let a = PointN::new(vec![0.0]).unwrap();
-        let b = PointN::new(vec![0.0, 0.0]).unwrap();
-        assert_eq!(
-            a.distance_to(&b),
-            Err(MetricError::DimensionMismatch {
-                expected: 1,
-                actual: 2
-            })
-        );
-    }
-
-    #[test]
-    fn pointn_rejects_non_finite() {
-        assert!(PointN::new(vec![f64::INFINITY]).is_err());
-        assert!(PointN::new(vec![f64::NAN, 1.0]).is_err());
-    }
-
-    #[test]
-    fn point2_converts_to_pointn() {
-        let p: PointN = Point2::new(2.0, 3.0).into();
-        assert_eq!(p.coords(), &[2.0, 3.0]);
     }
 }

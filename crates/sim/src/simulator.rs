@@ -81,22 +81,6 @@ impl WorkloadStats {
         self.results.iter().filter(|r| r.delivered).count() as f64 / self.results.len() as f64
     }
 
-    /// Mean latency of delivered lookups (`None` if none delivered).
-    #[must_use]
-    pub fn mean_latency(&self) -> Option<f64> {
-        let delivered: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.delivered)
-            .map(|r| r.latency)
-            .collect();
-        if delivered.is_empty() {
-            None
-        } else {
-            Some(delivered.iter().sum::<f64>() / delivered.len() as f64)
-        }
-    }
-
     /// Mean measured stretch of delivered lookups (`None` if none).
     #[must_use]
     pub fn mean_stretch(&self, game: &Game) -> Option<f64> {
@@ -429,10 +413,10 @@ mod tests {
         let stats = sim.run_workload(&[(0, 3), (3, 0), (1, 1)]);
         assert_eq!(stats.results.len(), 3);
         assert_eq!(stats.success_rate(), 1.0);
-        assert!((stats.mean_latency().unwrap() - (4.0 + 4.0) / 3.0).abs() < 1e-12);
+        let latency: f64 = stats.results.iter().map(|r| r.latency).sum();
+        assert!((latency - (4.0 + 4.0)).abs() < 1e-12);
         let empty = WorkloadStats::default();
         assert_eq!(empty.success_rate(), 1.0);
-        assert_eq!(empty.mean_latency(), None);
     }
 
     #[test]

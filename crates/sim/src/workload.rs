@@ -1,57 +1,11 @@
 //! Lookup workload generators.
 
-use rand::prelude::*;
-
 /// All ordered pairs `(s, d)` with `s != d` — the workload implied by the
 /// paper's social cost (every peer measures stretch to every other peer).
 #[must_use]
 pub fn all_pairs(n: usize) -> Vec<(usize, usize)> {
     (0..n)
         .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
-        .collect()
-}
-
-/// `count` uniformly random ordered pairs with distinct endpoints.
-///
-/// # Panics
-///
-/// Panics if `n < 2` and `count > 0`.
-pub fn random_pairs<R: Rng + ?Sized>(n: usize, count: usize, rng: &mut R) -> Vec<(usize, usize)> {
-    assert!(n >= 2 || count == 0, "need at least two peers for lookups");
-    (0..count)
-        .map(|_| {
-            let s = rng.random_range(0..n);
-            let mut d = rng.random_range(0..n - 1);
-            if d >= s {
-                d += 1;
-            }
-            (s, d)
-        })
-        .collect()
-}
-
-/// A hotspot workload: every lookup targets `hot`; sources uniform among
-/// the others.
-///
-/// # Panics
-///
-/// Panics if `hot >= n` or `n < 2` with `count > 0`.
-pub fn hotspot_pairs<R: Rng + ?Sized>(
-    n: usize,
-    hot: usize,
-    count: usize,
-    rng: &mut R,
-) -> Vec<(usize, usize)> {
-    assert!(hot < n, "hot peer out of bounds");
-    assert!(n >= 2 || count == 0, "need at least two peers for lookups");
-    (0..count)
-        .map(|_| {
-            let mut s = rng.random_range(0..n - 1);
-            if s >= hot {
-                s += 1;
-            }
-            (s, hot)
-        })
         .collect()
 }
 
@@ -67,24 +21,7 @@ mod tests {
     }
 
     #[test]
-    fn random_pairs_are_valid() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let pairs = random_pairs(5, 100, &mut rng);
-        assert_eq!(pairs.len(), 100);
-        assert!(pairs.iter().all(|&(s, d)| s != d && s < 5 && d < 5));
-    }
-
-    #[test]
-    fn hotspot_targets_hot() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let pairs = hotspot_pairs(6, 3, 50, &mut rng);
-        assert!(pairs.iter().all(|&(s, d)| d == 3 && s != 3 && s < 6));
-    }
-
-    #[test]
     fn empty_workloads() {
         assert!(all_pairs(1).is_empty());
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(random_pairs(1, 0, &mut rng).is_empty());
     }
 }

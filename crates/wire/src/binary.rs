@@ -164,8 +164,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

@@ -9,7 +9,7 @@
 //! This facade crate re-exports the entire workspace API. See the individual
 //! crates for details:
 //!
-//! * [`graph`] — directed weighted graphs, Dijkstra, APSP, SCC.
+//! * [`graph`] — directed weighted graphs, Dijkstra, APSP, reachability.
 //! * [`metric`] — metric spaces, peer placements, generators.
 //! * [`facility`] — facility-location solvers powering best responses.
 //! * [`core`] — the game itself: costs, best responses, Nash equilibria.

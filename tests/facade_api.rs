@@ -65,7 +65,9 @@ fn graph_and_metric_layers_are_reachable() {
     use selfish_peers::graph::{builders, is_strongly_connected};
     let g = builders::cycle_graph(4, |_, _| 1.0);
     assert!(is_strongly_connected(&g));
-    use selfish_peers::metric::doubling;
-    let grid = selfish_peers::metric::generators::grid_2d(4, 4, 1.0);
-    assert!(doubling::growth_bound_estimate(&grid, 6) >= 1.0);
+    use rand::SeedableRng;
+    use selfish_peers::metric::{generators, validate_metric};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let square = generators::uniform_square(16, 4.0, &mut rng);
+    assert!(validate_metric(&square, 1e-9).is_ok());
 }

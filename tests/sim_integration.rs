@@ -56,28 +56,6 @@ fn greedy_routing_on_equilibria_is_partial_but_consistent() {
 }
 
 #[test]
-fn hotspot_workload_latency_tracks_demand_game_costs() {
-    // Build a hotspot demand game, settle it, and verify the simulator's
-    // hotspot workload sees low latency toward the hot peer.
-    use selfish_peers::core::demand::{DemandGame, TrafficDemands};
-    let mut rng = StdRng::seed_from_u64(9);
-    let space = generators::uniform_square(8, 100.0, &mut rng);
-    let base = Game::from_space(&space, 6.0).unwrap();
-    let dg = DemandGame::new(base.clone(), TrafficDemands::hotspot(8, 0, 20.0)).unwrap();
-    let (profile, converged) = dg
-        .best_response_dynamics(StrategyProfile::empty(8), 100)
-        .unwrap();
-    assert!(converged);
-    let sim = LookupSimulator::new(&base, &profile, SimConfig::default()).unwrap();
-    let pairs = workload::hotspot_pairs(8, 0, 100, &mut rng);
-    let stats = sim.run_workload(&pairs);
-    assert_eq!(stats.success_rate(), 1.0);
-    // Lookups toward the hotspot are near-direct: mean stretch close to 1.
-    let mean = stats.mean_stretch(&base).unwrap();
-    assert!(mean < 1.3, "hotspot stretch should be near 1, got {mean}");
-}
-
-#[test]
 fn failures_degrade_lookups_consistently_with_resilience_analysis() {
     use selfish_peers::analysis::resilience::single_failure_impact;
     let (game, profile) = converged_equilibrium(10, 4.0, 11);
