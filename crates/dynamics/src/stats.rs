@@ -14,14 +14,8 @@ pub struct ConvergenceStats {
     pub runs: usize,
     /// Runs that converged.
     pub converged: usize,
-    /// Runs that provably cycled.
-    pub cycled: usize,
-    /// Runs stopped by the round limit.
-    pub round_limited: usize,
     /// Steps used by each converged run.
     pub steps_to_converge: Vec<usize>,
-    /// Accepted moves per converged run.
-    pub moves_to_converge: Vec<usize>,
 }
 
 impl ConvergenceStats {
@@ -41,14 +35,9 @@ impl ConvergenceStats {
     /// Folds one outcome into the statistics.
     pub fn record(&mut self, outcome: &DynamicsOutcome) {
         self.runs += 1;
-        match outcome.termination {
-            Termination::Converged { .. } => {
-                self.converged += 1;
-                self.steps_to_converge.push(outcome.steps);
-                self.moves_to_converge.push(outcome.moves);
-            }
-            Termination::Cycle { .. } => self.cycled += 1,
-            Termination::RoundLimit => self.round_limited += 1,
+        if matches!(outcome.termination, Termination::Converged { .. }) {
+            self.converged += 1;
+            self.steps_to_converge.push(outcome.steps);
         }
     }
 }
@@ -99,7 +88,7 @@ mod tests {
             ..DynamicsConfig::default()
         };
         let stats = run_batch(&game, &config, vec![StrategyProfile::empty(3)]);
-        assert_eq!(stats.round_limited, 1);
+        assert_eq!(stats.runs, 1);
         assert_eq!(stats.converged, 0);
         assert_eq!(stats.mean_steps(), None);
     }

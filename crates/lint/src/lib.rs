@@ -5,7 +5,7 @@
 //! lives or dies by: eps-disciplined float comparisons in the
 //! best-response oracles, hash-order-free traversal in everything that
 //! feeds a trace or a response, panic-free handling of remote input on
-//! the serve path, no I/O under registry shard locks, and counter
+//! the serve path, no I/O under the registry's locks, and counter
 //! structs whose every field reaches every merge site. `sp-lint` checks
 //! exactly those, over a flat token stream from a small in-crate Rust
 //! lexer — no syn, no rustc internals, no external dependencies.

@@ -1,8 +1,8 @@
 //! `lock-hygiene`: I/O or encode/decode work under a live lock guard.
 //!
-//! The registry shards serialize all session access through per-shard
+//! The registry serializes session access through its map and entry
 //! mutexes; holding one across file or network I/O (snapshot spill,
-//! frame writes) stalls every session hashed to the shard. The lint
+//! frame writes) stalls every request that needs the lock. The lint
 //! tracks `let guard = ….lock()/.read()/.write()` bindings to the end
 //! of their enclosing block (or an explicit `drop(guard)`) and flags
 //! lines inside that span whose call chain matches an I/O marker.

@@ -5,8 +5,8 @@
 //! being exactly the paper's unit of analysis: one isolated game
 //! instance per named session. The pieces:
 //!
-//! * [`registry::SessionRegistry`] — a sharded-lock concurrent map of
-//!   named sessions with **LRU eviction under a global memory budget**
+//! * [`registry::SessionRegistry`] — one mutex-guarded map of named
+//!   sessions with **LRU eviction under a global memory budget**
 //!   (semantic byte accounting via [`sp_core::GameSession::memory_bytes`],
 //!   so eviction decisions are deterministic and machine-independent).
 //!   Evicted sessions spill as a checkpoint in their one file (the

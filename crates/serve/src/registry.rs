@@ -1,7 +1,11 @@
-//! The session registry: a sharded concurrent map of named
+//! The session registry: one locked, name-ordered map of named
 //! [`GameSession`]s with LRU spill-to-disk eviction under a global
 //! memory budget, and the worker-pool scheduler that executes requests
 //! against them.
+//!
+//! The map lock is held only to find, insert or list entries; a walk
+//! over the sessions copies their `Arc`s out before it takes any entry
+//! lock.
 //!
 //! # Ordering and parallelism
 //!
@@ -45,10 +49,17 @@
 //! and dropped; its next request restores it transparently,
 //! bit-identically. Without a log, sessions whose state already
 //! matches their file (not *dirty*) skip the write.
+//!
+//! # Work counters
+//!
+//! A session's [`SessionStats`] are banked into one registry total, and
+//! zeroed, when a job ends, when a spill drops the session and when WAL
+//! recovery rebuilds it, so each unit of work counts once whatever
+//! becomes of the session. [`SessionRegistry::work_stats`] reads the
+//! total.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -66,10 +77,6 @@ use crate::wire::{
     ErrorCode, Request, Response, ResultBody, ServiceStats, SessionOp, SessionRequest, WireError,
 };
 
-/// Number of map shards; requests hash on the session name, so sixteen
-/// shards keep map contention negligible next to the work itself.
-const SHARDS: usize = 16;
-
 /// Fixed accounting overhead charged per registry slot (name, queue,
 /// bookkeeping) on top of the session's own semantic size.
 const ENTRY_OVERHEAD_BYTES: usize = 256;
@@ -78,10 +85,6 @@ const ENTRY_OVERHEAD_BYTES: usize = 256;
 /// concurrent worker grabbed before giving up for this round (the next
 /// completed request retries).
 const EVICT_RETRIES: usize = 8;
-
-/// How many eviction-index entries `pick_lru` copies out per probe
-/// round; the index lock is never held while entry locks are taken.
-const EVICT_PROBE_BATCH: usize = 8;
 
 /// Locks a mutex, recovering from poisoning. Every registry lock
 /// protects state that is valid after any panic point (queues and
@@ -174,13 +177,14 @@ struct EntryState {
     /// logged op (or eagerly by startup recovery). Shared so the
     /// group-commit batch can sync it after the entry lock is gone.
     wal: Option<Arc<Mutex<SessionWal>>>,
-    /// Work counters accumulated by *departed* incarnations of this
-    /// session (evicted or spilled residents). A restored session's
-    /// live counters start from zero, so without this carry an
-    /// evict/restore cycle would silently reset the session's work
-    /// history; [`SessionRegistry::work_stats`] reports
-    /// `carried + resident`.
-    carried: SessionStats,
+}
+
+impl EntryState {
+    /// Whether the budget enforcer may spill this session now: resident,
+    /// and no worker holds it or will pick it up.
+    fn evictable(&self) -> bool {
+        self.resident.is_some() && !self.busy && !self.scheduled && self.queue.is_empty()
+    }
 }
 
 struct SessionEntry {
@@ -214,7 +218,7 @@ pub struct RegistryStats {
     pub resident_bytes: usize,
     /// WAL records appended, all sessions (`obs.wal_append_events`).
     pub wal_records: u64,
-    /// Worker drain batches that carried at least one WAL append —
+    /// Worker drain batches that held at least one WAL append —
     /// the group-commit unit.
     pub wal_batches: u64,
     /// WAL commit points that had pending records to sync: group
@@ -253,17 +257,10 @@ struct Slot {
     dirty: bool,
 }
 
-/// The sharded-lock session map plus its worker-pool scheduler. See the
-/// module docs for the ordering, backpressure, and eviction contracts.
+/// The session map plus its worker-pool scheduler. See the module docs
+/// for the ordering, backpressure, eviction and lock contracts.
 pub struct SessionRegistry {
-    shards: Vec<Mutex<HashMap<String, Arc<SessionEntry>>>>,
-    /// Ordered eviction index: one `(last_used, name)` pair per
-    /// *resident* session, kept in sync under the owning entry's state
-    /// lock. `pick_lru` walks it ascending instead of scanning and
-    /// sorting every shard. Lock order is entry state → index,
-    /// everywhere; readers that need entry locks first snapshot a batch
-    /// and drop the index lock.
-    evict_index: Mutex<BTreeSet<(u64, String)>>,
+    sessions: Mutex<BTreeMap<String, Arc<SessionEntry>>>,
     ready: Mutex<VecDeque<Arc<SessionEntry>>>,
     ready_cv: Condvar,
     stop: AtomicBool,
@@ -279,6 +276,9 @@ pub struct SessionRegistry {
     wal_batches: AtomicU64,
     wal_fsyncs: AtomicU64,
     wal_replays: AtomicU64,
+    /// The work counters of every session, banked by
+    /// [`SessionRegistry::bank`] (see the module docs).
+    work: Mutex<SessionStats>,
     /// The observability state; `None` when [`RegistryConfig::obs`] is
     /// disabled, which keeps every instrumentation site free.
     obs: Option<Arc<ServeObs>>,
@@ -312,8 +312,7 @@ impl SessionRegistry {
         std::fs::create_dir_all(&config.spill_dir)?;
         let obs = ServeObs::new(&config.obs);
         let registry = Arc::new(SessionRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            evict_index: Mutex::new(BTreeSet::new()),
+            sessions: Mutex::new(BTreeMap::new()),
             ready: Mutex::new(VecDeque::new()),
             ready_cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -329,6 +328,7 @@ impl SessionRegistry {
             wal_batches: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
             wal_replays: AtomicU64::new(0),
+            work: Mutex::new(SessionStats::default()),
             obs,
         });
         if registry.config.durability.is_wal() {
@@ -425,21 +425,15 @@ impl SessionRegistry {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         self.ready_cv.notify_all();
-        for shard in &self.shards {
-            // sp-lint: allow(nondeterministic-iteration, reason = "order-insensitive: every entry's queue is cleared, no output depends on visit order")
-            let entries: Vec<Arc<SessionEntry>> =
-                lock_unpoisoned(shard).values().cloned().collect();
-            for e in entries {
-                // Drain queued jobs and answer each with a typed
-                // shutdown error — a submit racing the stop flag must
-                // not strand its connection (thread blocked in `recv`,
-                // or reactor sequence slot never completed). (A worker
-                // mid-process simply finds an empty queue when it
-                // re-locks.)
-                let drained: Vec<Job> = lock_unpoisoned(&e.state).queue.drain(..).collect();
-                for job in drained {
-                    job.refuse();
-                }
+        for e in self.entries() {
+            // Drain queued jobs and answer each with a typed shutdown
+            // error — a submit racing the stop flag must not strand its
+            // connection (thread blocked in `recv`, or reactor sequence
+            // slot never completed). (A worker mid-process simply finds
+            // an empty queue when it re-locks.)
+            let drained: Vec<Job> = lock_unpoisoned(&e.state).queue.drain(..).collect();
+            for job in drained {
+                job.refuse();
             }
         }
     }
@@ -447,18 +441,14 @@ impl SessionRegistry {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
-        let mut resident = 0usize;
-        for shard in &self.shards {
-            // sp-lint: allow(nondeterministic-iteration, reason = "order-insensitive: commutative count of resident entries")
-            let entries: Vec<Arc<SessionEntry>> =
-                lock_unpoisoned(shard).values().cloned().collect();
-            for e in entries {
+        let resident = self
+            .entries()
+            .iter()
+            .filter(|e| {
                 let st = lock_unpoisoned(&e.state);
-                if st.resident.is_some() || st.busy {
-                    resident += 1;
-                }
-            }
-        }
+                st.resident.is_some() || st.busy
+            })
+            .count();
         RegistryStats {
             requests_served: self.requests_served.load(Ordering::Relaxed),
             sessions_created: self.sessions_created.load(Ordering::Relaxed),
@@ -486,51 +476,38 @@ impl SessionRegistry {
         self.obs.as_ref()
     }
 
-    /// Aggregated per-session work counters across every session the
-    /// registry knows: each entry's live resident counters plus the
-    /// `carried` counters of its departed (evicted/spilled)
-    /// incarnations — so an evict/restore cycle never resets a
-    /// session's work history.
+    /// The work counters of every job the registry has run, evicted
+    /// and restored incarnations included (see the module docs).
     #[must_use]
     pub fn work_stats(&self) -> SessionStats {
-        let mut total = SessionStats::default();
-        for shard in &self.shards {
-            // sp-lint: allow(nondeterministic-iteration, reason = "order-insensitive: SessionStats::merge is commutative per-field addition")
-            let entries: Vec<Arc<SessionEntry>> =
-                lock_unpoisoned(shard).values().cloned().collect();
-            for e in entries {
-                let st = lock_unpoisoned(&e.state);
-                total.merge(&st.carried);
-                if let Some(session) = &st.resident {
-                    total.merge(&session.stats());
-                }
-            }
-        }
-        total
+        *lock_unpoisoned(&self.work)
     }
 
-    fn shard_of(&self, name: &str) -> usize {
-        (sp_graph::fnv1a(name.as_bytes()) % SHARDS as u64) as usize
+    /// Merges a session's work counters into the registry's total and
+    /// zeroes them, so that no later bank counts them again.
+    fn bank(&self, session: &mut GameSession) {
+        lock_unpoisoned(&self.work).merge(&session.stats());
+        session.reset_stats();
     }
 
-    /// Finds an existing entry without creating one (the eviction path
-    /// must not mint entries for names it merely probes).
-    fn lookup(&self, name: &str) -> Option<Arc<SessionEntry>> {
-        // sp-lint: allow(panic-path, reason = "shard_of takes the hash modulo SHARDS, the array length")
-        lock_unpoisoned(&self.shards[self.shard_of(name)])
-            .get(name)
-            .cloned()
+    /// Every entry, in name order, copied out so that no entry lock is
+    /// taken under the map lock.
+    fn entries(&self) -> Vec<Arc<SessionEntry>> {
+        // sp-lint: allow(nondeterministic-iteration, reason = "BTreeMap values iterate in key order, the session names")
+        lock_unpoisoned(&self.sessions).values().cloned().collect()
     }
 
     fn entry(&self, name: &str) -> Arc<SessionEntry> {
-        // sp-lint: allow(panic-path, reason = "shard_of takes the hash modulo SHARDS, the array length")
-        let mut shard = lock_unpoisoned(&self.shards[self.shard_of(name)]);
-        Arc::clone(shard.entry(name.to_owned()).or_insert_with(|| {
-            Arc::new(SessionEntry {
-                name: name.to_owned(),
-                state: Mutex::new(EntryState::default()),
-            })
-        }))
+        let mut sessions = lock_unpoisoned(&self.sessions);
+        if let Some(e) = sessions.get(name) {
+            return Arc::clone(e);
+        }
+        let e = Arc::new(SessionEntry {
+            name: name.to_owned(),
+            state: Mutex::new(EntryState::default()),
+        });
+        sessions.insert(name.to_owned(), Arc::clone(&e));
+        e
     }
 
     fn push_ready(&self, entry: Arc<SessionEntry>) {
@@ -753,17 +730,10 @@ impl SessionRegistry {
         if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
             obs.stamp(span, Phase::Dequeue);
         }
-        // Work counters of a session this job evicts, captured before
-        // the residency drop so they can be folded into the entry's
-        // `carried` tally below.
-        let mut departed: Option<SessionStats> = None;
-        let mut response = self.run_job(
-            &entry.name,
-            &job.request,
-            &mut slot,
-            &mut wal,
-            &mut departed,
-        );
+        let mut response = self.run_job(&entry.name, &job.request, &mut slot, &mut wal);
+        if let Some(session) = slot.resident.as_mut() {
+            self.bank(session);
+        }
         if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
             obs.stamp(span, Phase::Execute);
         }
@@ -808,24 +778,10 @@ impl SessionRegistry {
             st.created = slot.created;
             st.dirty = slot.dirty;
             st.wal = wal;
-            if let Some(stats) = &departed {
-                st.carried.merge(stats);
-            }
             let new_bytes = slot.resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
             self.account(&mut st, new_bytes);
             st.resident = slot.resident;
-            let old_stamp = st.last_used;
             st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            // Re-key the eviction index (entry lock → index lock, the
-            // global lock order): drop the old stamp's pair, insert the
-            // fresh one iff the session stayed resident.
-            {
-                let mut index = lock_unpoisoned(&self.evict_index);
-                index.remove(&(old_stamp, entry.name.clone()));
-                if st.resident.is_some() {
-                    index.insert((st.last_used, entry.name.clone()));
-                }
-            }
             if st.queue.is_empty() {
                 st.scheduled = false;
             } else {
@@ -856,16 +812,14 @@ impl SessionRegistry {
     /// checked-out `slot`, which it edits in place. Queries and
     /// mutations restore a spilled session transparently; `create`
     /// builds, `snapshot`/`evict` persist, `load` is an explicit
-    /// restore. When an op drops a resident session (explicit evict),
-    /// its work counters land in `departed` for the caller to fold
-    /// into the entry's carried tally.
+    /// restore. An explicit evict banks the session's work counters
+    /// before it drops the session.
     fn run_job(
         &self,
         name: &str,
         request: &SessionRequest,
         slot: &mut Slot,
         wal: &mut Option<Arc<Mutex<SessionWal>>>,
-        departed: &mut Option<SessionStats>,
     ) -> Response {
         let id = request.id;
 
@@ -985,9 +939,7 @@ impl SessionRegistry {
             SessionOp::Evict => match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
                 Ok(()) => {
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-                    // The session leaves residency here; its work
-                    // counters survive in the entry's carried tally.
-                    *departed = Some(resident.stats());
+                    self.bank(&mut resident);
                     slot.dirty = false;
                     return Response::ok(id, ResultBody::Evicted);
                 }
@@ -1122,7 +1074,10 @@ impl SessionRegistry {
         self.wal_replays
             .fetch_add(log.tail.len() as u64, Ordering::Relaxed);
         let created = resident.is_some();
-        let resident = resident.map(Box::new);
+        let mut resident = resident.map(Box::new);
+        if let Some(session) = resident.as_mut() {
+            self.bank(session);
+        }
 
         let entry = self.entry(name);
         let mut st = lock_unpoisoned(&entry.state);
@@ -1132,60 +1087,22 @@ impl SessionRegistry {
         self.account(&mut st, new_bytes);
         st.resident = resident;
         st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if st.resident.is_some() {
-            lock_unpoisoned(&self.evict_index).insert((st.last_used, entry.name.clone()));
-        }
         Ok(())
     }
 
-    /// Picks the least-recently-used evictable entry, if any. The
-    /// victim is the minimum of `(last_used, name)` among evictable
-    /// sessions — the name tie-break makes the choice independent of
-    /// map iteration order, so eviction sequences replay identically
-    /// across runs.
-    ///
-    /// The candidates come from the ordered eviction index, walked
-    /// ascending in small snapshot batches (the index lock is released
-    /// before any entry lock is taken, honouring the entry → index
-    /// lock order). The first still-current, evictable pair *is* the
-    /// minimum — the common case costs `O(log sessions)` plus a couple
-    /// of probes, where the old implementation copied and sorted every
-    /// shard on every call. Pairs whose stamp no longer matches the
-    /// entry were re-keyed by a racing worker after the snapshot; their
-    /// fresh pair sits further right, so skipping them is exact, not a
-    /// heuristic.
+    /// Picks the least-recently-used evictable entry, if any: the
+    /// smallest `last_used` among them. Stamps come from one counter and
+    /// are unique, so the choice does not depend on the walk's order
+    /// and eviction sequences replay identically across runs.
     fn pick_lru(&self) -> Option<Arc<SessionEntry>> {
-        let mut cursor: Option<(u64, String)> = None;
-        loop {
-            let batch: Vec<(u64, String)> = {
-                let index = lock_unpoisoned(&self.evict_index);
-                match &cursor {
-                    None => index.iter().take(EVICT_PROBE_BATCH).cloned().collect(),
-                    Some(c) => index
-                        .range((Bound::Excluded(c.clone()), Bound::Unbounded))
-                        .take(EVICT_PROBE_BATCH)
-                        .cloned()
-                        .collect(),
-                }
-            };
-            let last = batch.last().cloned()?;
-            for (stamp, name) in batch {
-                let Some(e) = self.lookup(&name) else {
-                    continue;
-                };
+        self.entries()
+            .into_iter()
+            .filter_map(|e| {
                 let st = lock_unpoisoned(&e.state);
-                let evictable = st.resident.is_some()
-                    && !st.busy
-                    && !st.scheduled
-                    && st.queue.is_empty()
-                    && st.last_used == stamp;
-                drop(st);
-                if evictable {
-                    return Some(e);
-                }
-            }
-            cursor = Some(last);
-        }
+                st.evictable().then(|| (st.last_used, Arc::clone(&e)))
+            })
+            .min_by_key(|&(stamp, _)| stamp)
+            .map(|(_, e)| e)
     }
 
     /// Evicts LRU sessions until the total drops under the budget (or
@@ -1201,10 +1118,7 @@ impl SessionRegistry {
             // submit from scheduling the session while its file is
             // half-written.
             let mut st = lock_unpoisoned(&victim.state);
-            let evictable =
-                st.resident.is_some() && !st.busy && !st.scheduled && st.queue.is_empty();
-            let session = if evictable { st.resident.take() } else { None };
-            let Some(mut session) = session else {
+            let Some(mut session) = st.evictable().then(|| st.resident.take()).flatten() else {
                 misses += 1;
                 if misses > EVICT_RETRIES {
                     return;
@@ -1220,14 +1134,8 @@ impl SessionRegistry {
             match self.spill(&victim.name, &mut session, st.dirty, victim_wal.as_ref()) {
                 Ok(()) => {
                     st.dirty = false;
-                    // The dropped resident's work counters survive in
-                    // the entry's carried tally (the restore starts a
-                    // fresh session whose live counters are zero).
-                    st.carried.merge(&session.stats());
+                    self.bank(&mut session);
                     self.account(&mut st, 0);
-                    // The session is no longer resident: its pair leaves
-                    // the eviction index (entry lock → index lock).
-                    lock_unpoisoned(&self.evict_index).remove(&(st.last_used, victim.name.clone()));
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
@@ -1365,6 +1273,112 @@ mod tests {
         // value a never-evicted session would give.
         let fresh = submit_and_wait(&registry, req("a", SessionOp::SocialCost));
         assert!(fresh.outcome.is_ok(), "{fresh:?}");
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The names of the resident sessions, in name order.
+    fn resident(registry: &SessionRegistry) -> Vec<String> {
+        registry
+            .entries()
+            .iter()
+            .filter(|e| lock_unpoisoned(&e.state).resident.is_some())
+            .map(|e| e.name.clone())
+            .collect()
+    }
+
+    /// The slot bytes of the 4-peer test session, after its `create`
+    /// alone and after a `social_cost` has filled its rows.
+    fn line4_slot_bytes() -> (usize, usize) {
+        let SessionOp::Create(spec) = create("probe", &LINE4).op else {
+            unreachable!("create builds a create op")
+        };
+        let mut session = ops::build_session(&spec).expect("valid spec");
+        let created = SessionRegistry::slot_bytes(&session);
+        ops::execute_query(&SessionOp::SocialCost, &mut session).expect("social cost");
+        (created, SessionRegistry::slot_bytes(&session))
+    }
+
+    const LINE4: [f64; 4] = [0.0, 1.0, 3.0, 4.0];
+
+    /// The budget evicts the least recently used session, one at a time
+    /// and in order: the victims below are pinned, so picking any other
+    /// idle session (the most recently used, say) fails.
+    #[test]
+    fn budget_evicts_the_least_recently_used_session() {
+        let dir = test_dir("lru-order");
+        let (_, used) = line4_slot_bytes();
+        let registry = SessionRegistry::new(RegistryConfig {
+            // Room for three used sessions, not four.
+            memory_budget: 3 * used + used / 2,
+            spill_dir: dir.clone(),
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let workers = registry.spawn_workers(1);
+        let touch = |name: &str| {
+            let r = submit_and_wait(&registry, req(name, SessionOp::SocialCost));
+            assert!(r.outcome.is_ok(), "{r:?}");
+        };
+        let open = |name: &str| {
+            let r = submit_and_wait(&registry, create(name, &LINE4));
+            assert!(r.outcome.is_ok(), "{r:?}");
+            touch(name);
+        };
+        for name in ["a", "b", "c"] {
+            open(name);
+        }
+        assert_eq!(resident(&registry), ["a", "b", "c"]);
+        assert_eq!(registry.stats().sessions_evicted, 0);
+        // Use order a, c, d: `b` is the least recently used.
+        touch("a");
+        open("d");
+        assert_eq!(resident(&registry), ["a", "c", "d"]);
+        // Use order a, d, c: now `a` is.
+        touch("c");
+        open("e");
+        assert_eq!(resident(&registry), ["c", "d", "e"]);
+        let stats = registry.stats();
+        assert_eq!((stats.sessions_evicted, stats.sessions_restored), (2, 0));
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session with queued work is never evicted, even when it is the
+    /// least recently used: the budget takes the idle one instead.
+    #[test]
+    fn budget_never_evicts_a_session_with_queued_work() {
+        let dir = test_dir("lru-queued");
+        let (created, used) = line4_slot_bytes();
+        // Two created sessions overflow the budget; one used one fits.
+        assert!(2 * created > used, "{created} {used}");
+        let registry = SessionRegistry::new(RegistryConfig {
+            memory_budget: used,
+            spill_dir: dir.clone(),
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        // No workers yet: `a` runs first, and still has its
+        // `social_cost` queued when `b`'s create overflows the budget.
+        let receivers = [
+            registry.submit(create("a", &LINE4), None),
+            registry.submit(create("b", &LINE4), None),
+            registry.submit(req("a", SessionOp::SocialCost), None),
+        ];
+        let workers = registry.spawn_workers(1);
+        for rx in receivers {
+            let r = rx.recv().unwrap();
+            assert!(r.outcome.is_ok(), "{r:?}");
+        }
+        assert_eq!(resident(&registry), ["a"]);
+        let stats = registry.stats();
+        assert_eq!((stats.sessions_evicted, stats.sessions_restored), (1, 0));
         registry.shutdown();
         for w in workers {
             w.join().unwrap();

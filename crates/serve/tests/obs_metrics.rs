@@ -2,14 +2,14 @@
 //! obs-off refusal path, the exported names and obs-on ≡ obs-off
 //! counting, and the work-counter carry across eviction.
 //!
-//! The carry test is the regression gate for a real bug: before
-//! `EntryState::carried`, evicting a session threw away its resident
-//! [`sp_core::SessionStats`] — a restore came back with fresh counters
-//! (`snapshot_restores = 1`, everything else 0), so `metrics` silently
-//! under-reported all work done before the eviction. The server now
-//! banks a departing incarnation's stats at both eviction sites (the
-//! explicit `evict` op and the budget enforcer) and reports
-//! carried + resident.
+//! The carry test is the regression gate for a real bug: evicting a
+//! session once threw away its resident [`sp_core::SessionStats`] — a
+//! restore came back with fresh counters (`snapshot_restores = 1`,
+//! everything else 0), so `metrics` silently under-reported all work
+//! done before the eviction. The registry now banks a session's stats
+//! into one total when a job ends, at both eviction sites (the explicit
+//! `evict` op and the budget enforcer) and after WAL recovery, and
+//! `metrics` reports that total. The test covers each site.
 
 use std::path::PathBuf;
 
@@ -56,6 +56,30 @@ fn counter(m: &MetricsBody, name: &str) -> u64 {
         .iter()
         .find(|(n, _)| n == name)
         .map_or(0, |&(_, v)| v)
+}
+
+/// The `(snapshot_exports, snapshot_restores, batch_applies)` work
+/// counters of a `metrics` body.
+fn work_counters(m: &MetricsBody) -> (u64, u64, u64) {
+    (
+        counter(m, "work.snapshot_exports"),
+        counter(m, "work.snapshot_restores"),
+        counter(m, "work.batch_applies"),
+    )
+}
+
+/// Two added links, as one `apply_batch`.
+fn two_links() -> Vec<Move> {
+    vec![
+        Move::AddLink {
+            from: PeerId::new(0),
+            to: PeerId::new(2),
+        },
+        Move::AddLink {
+            from: PeerId::new(3),
+            to: PeerId::new(1),
+        },
+    ]
 }
 
 /// Without `--obs`, both observability ops refuse with a typed
@@ -200,19 +224,7 @@ fn work_counters_survive_evict_and_restore() {
 
     client.create("carry", spec()).expect("create");
     client
-        .apply_batch(
-            "carry",
-            vec![
-                Move::AddLink {
-                    from: PeerId::new(0),
-                    to: PeerId::new(2),
-                },
-                Move::AddLink {
-                    from: PeerId::new(3),
-                    to: PeerId::new(1),
-                },
-            ],
-        )
+        .apply_batch("carry", two_links())
         .expect("apply_batch");
 
     let before = client.metrics().expect("metrics");
@@ -238,7 +250,7 @@ fn work_counters_survive_evict_and_restore() {
     assert_eq!(
         counter(&restored, "work.batch_applies"),
         batches,
-        "restore must neither lose nor double-count carried work"
+        "restore must neither lose nor double-count banked work"
     );
     assert!(counter(&restored, "work.snapshot_restores") >= 1);
     assert!(counter(&restored, "obs.sessions_restored") >= 1);
@@ -255,6 +267,71 @@ fn work_counters_survive_evict_and_restore() {
     assert!(counter(&again, "work.snapshot_restores") >= 2);
     assert!(counter(&again, "obs.sessions_evicted") >= 2);
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Budget evictions, with no `evict` op: under a one-byte budget
+    // every job ends with its session spilled and dropped.
+    let dir = test_dir("carry-budget");
+    let server = Server::start(
+        ServeConfig::new()
+            .workers(1)
+            .memory_budget(1)
+            .spill_dir(dir.clone())
+            .obs(ObsConfig::enabled()),
+    )
+    .expect("server starts");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client.create("tight", spec()).expect("create");
+    client
+        .apply_batch("tight", two_links())
+        .expect("apply_batch");
+    let m = client.metrics().expect("metrics after budget evictions");
+    // create → export; restore → apply_batch → export.
+    assert_eq!(work_counters(&m), (2, 1, 1), "{m:?}");
+    assert_eq!(counter(&m, "obs.sessions_evicted"), 2);
+    // A clean session is not exported again, only restored.
+    client.social_cost("tight").expect("social_cost");
+    let m = client.metrics().expect("metrics after a clean eviction");
+    assert_eq!(work_counters(&m), (2, 2, 1), "{m:?}");
+    assert_eq!(counter(&m, "obs.sessions_evicted"), 3);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // WAL recovery: a restarted server reports the work of rebuilding
+    // its sessions before it has served a single request.
+    let dir = test_dir("carry-wal");
+    let wal_server = || {
+        Server::start(
+            ServeConfig::new()
+                .workers(1)
+                .spill_dir(dir.clone())
+                .durability(Durability::Wal {
+                    group_commit: 8,
+                    fsync: false,
+                })
+                .obs(ObsConfig::enabled()),
+        )
+        .expect("server starts")
+    };
+    let server = wal_server();
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client.create("logged", spec()).expect("create");
+    client.evict("logged").expect("evict writes a checkpoint");
+    client
+        .apply_batch("logged", two_links())
+        .expect("apply_batch");
+    server.shutdown();
+    let server = wal_server();
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let m = client.metrics().expect("metrics after recovery");
+    // The checkpoint is restored and the tail's apply_batch replayed.
+    assert_eq!(work_counters(&m), (0, 1, 1), "{m:?}");
+    client
+        .social_cost("logged")
+        .expect("the recovered session serves");
+    let m = client.metrics().expect("metrics after a request");
+    assert_eq!(work_counters(&m), (0, 1, 1), "{m:?}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
