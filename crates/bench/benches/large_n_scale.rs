@@ -1,8 +1,7 @@
-//! Large-`n` scale: the sparse backend drives better-response rounds on
+//! Large-`n` scale: a sparse session drives better-response rounds on
 //! 10⁵ peers in linear memory.
 //!
-//! The tentpole claim of the pluggable-backend work: a `GameSession` on
-//! the [`sp_core::SparseBackend`] never materialises the `n × n`
+//! The claim: a [`sp_core::SparseSession`] never materialises the `n × n`
 //! distance matrix, so instance sizes three orders of magnitude past the
 //! dense ceiling stay drivable. At `n = 100 000` the dense matrix alone
 //! would cost `8 n² = 80 GB`; the sparse session (landmark sketch +
@@ -24,7 +23,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sp_core::{Game, GameSession, SparseParams, StrategyProfile};
+use sp_core::{Game, SparseParams, SparseSession, StrategyProfile};
 use sp_dynamics::large_scale::{run_large_scale, LargeScaleConfig, LargeScaleReport};
 
 /// The gated size: counters always come from this instance.
@@ -58,9 +57,9 @@ fn instance(n: usize) -> (Game, StrategyProfile) {
     (game, profile)
 }
 
-fn drive(n: usize, params: SparseParams) -> (GameSession, LargeScaleReport) {
+fn drive(n: usize, params: SparseParams) -> (SparseSession, LargeScaleReport) {
     let (game, profile) = instance(n);
-    let mut session = GameSession::new_sparse_with(game, profile, params).expect("sizes match");
+    let mut session = SparseSession::with_params(game, profile, params).expect("sizes match");
     let cfg = LargeScaleConfig {
         max_rounds: ROUNDS,
         tolerance: 1e-9,

@@ -26,7 +26,7 @@ use std::borrow::Cow;
 
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
-    FacilityProblem, FacilitySolution, RowSource,
+    FacilityProblem, FacilitySolution, RowSource, ENUMERATION_FACILITY_LIMIT,
 };
 use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch, Removal};
 
@@ -69,6 +69,24 @@ impl BestResponseMethod {
             self,
             BestResponseMethod::Exact | BestResponseMethod::ExactEnumeration
         )
+    }
+
+    /// Lets a caller refuse a whole run up front.
+    ///
+    /// # Errors
+    ///
+    /// The [`CoreError::InstanceTooLarge`] [`best_response`] returns
+    /// when this method cannot solve a game of `n` peers.
+    pub fn check_size(self, n: usize) -> Result<(), CoreError> {
+        if self == BestResponseMethod::ExactEnumeration
+            && n.saturating_sub(1) > ENUMERATION_FACILITY_LIMIT
+        {
+            return Err(CoreError::InstanceTooLarge {
+                n,
+                limit: ENUMERATION_FACILITY_LIMIT + 1,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -865,6 +883,20 @@ mod tests {
 
     fn line_game(alpha: f64) -> Game {
         Game::from_space(&LineSpace::new(vec![0.0, 1.0, 2.0, 3.0]).unwrap(), alpha).unwrap()
+    }
+
+    #[test]
+    fn check_size_names_the_error_enumeration_returns() {
+        let method = BestResponseMethod::ExactEnumeration;
+        let limit = ENUMERATION_FACILITY_LIMIT + 1;
+        assert_eq!(method.check_size(limit), Ok(()));
+        for n in [limit + 1, limit + 7] {
+            let game = Game::from_line_positions((0..n).map(|i| i as f64).collect(), 1.0).unwrap();
+            let refused = best_response(&game, &StrategyProfile::empty(n), PeerId::new(0), method);
+            assert_eq!(refused.map(|_| ()), method.check_size(n));
+            assert!(method.check_size(n).is_err());
+        }
+        assert_eq!(BestResponseMethod::Exact.check_size(1000), Ok(()));
     }
 
     #[test]

@@ -37,8 +37,8 @@ enum MetricStore {
 /// Games built through [`Game::new`] / [`Game::from_space`] store the
 /// matrix **densely** (`O(n²)`), which is exact and fine up to a few
 /// thousand peers. [`Game::from_line_positions`] stores an implicit 1-D
-/// metric in `O(n)` instead — the representation required by
-/// `GameSession::new_sparse` for large-`n` runs.
+/// metric in `O(n)` instead — the representation a
+/// [`SparseSession`](crate::SparseSession) needs for large-`n` runs.
 ///
 /// # Example
 ///
@@ -125,7 +125,8 @@ impl Game {
     /// `n × n` matrix is ever materialised — the game holds the `n`
     /// coordinates and nothing else, so a 10⁵-peer instance costs
     /// kilobytes instead of tens of gigabytes. This is the metric
-    /// representation `GameSession::new_sparse` requires.
+    /// representation a [`SparseSession`](crate::SparseSession) needs at
+    /// scale.
     ///
     /// Validation is `O(n log n)`: every coordinate must be finite and
     /// all coordinates pairwise distinct (coincident peers would create

@@ -39,12 +39,11 @@
 //! * [`is_nash`] / [`nash_gap`] — (exact) Nash-equilibrium verification;
 //! * [`poa`] — the universal lower bound on the optimal social cost, used
 //!   for Price-of-Anarchy bracketing;
-//! * [`backend`] — **the two evaluation backends**: the exact dense
-//!   `OracleCache`-backed default, and the [`SparseBackend`] landmark
-//!   mode ([`GameSession::new_sparse`]) that answers large-`n`
-//!   better-response dynamics in `O(n · (landmarks + window))` memory
-//!   without ever materialising the `O(n²)` distance matrix (see the
-//!   module docs for the mode-selection guidance).
+//! * [`SparseSession`] — the landmark session that answers large-`n`
+//!   better-response dynamics ([`SparseSession::local_response`]) in
+//!   `O(n · (landmarks + window))` memory without ever materialising the
+//!   `O(n²)` distance matrix (see its docs for when to pick which
+//!   session type).
 //!
 //! The free functions are retained as thin, source-compatible wrappers —
 //! each builds a throwaway [`GameSession`] — so one-shot callers keep the
@@ -94,7 +93,6 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod backend;
 mod best_response;
 mod cost;
 mod error;
@@ -107,14 +105,13 @@ mod sparse;
 mod strategy;
 mod topology;
 
-pub use backend::BackendMode;
 pub use best_response::{best_response, first_improving_move, BestResponse, BestResponseMethod};
 pub use cost::{all_peer_costs, peer_cost, social_cost, SocialCost};
 pub use error::CoreError;
 pub use game::Game;
 pub use peer::{LinkSet, PeerId};
 pub use session::{GameSession, Move, SessionStats};
-pub use sparse::{SparseBackend, SparseParams};
+pub use sparse::{BackendMode, SparseParams, SparseSession};
 pub use strategy::StrategyProfile;
 pub use topology::{
     max_stretch, overlay_distances, stretch_matrix, topology, topology_without_peer,

@@ -7,8 +7,8 @@
 //! single peer's out-links. A [`GameSession`] owns the game and the
 //! current profile and keeps two derived structures resident:
 //!
-//! * the overlay CSR snapshot (and, once an oracle or a sparse sketch
-//!   needs it, its transpose);
+//! * the overlay CSR snapshot (and, once an oracle needs it, its
+//!   transpose);
 //! * the overlay distance matrix, with **per-row validity** — rows are
 //!   (re)computed lazily, one Dijkstra sweep at a time.
 //!
@@ -80,25 +80,15 @@
 //! [`SessionStats`] counts the sweeps actually performed, so benchmarks
 //! and tests can verify the cache earns its keep.
 //!
-//! # Backends
-//!
-//! Everything above describes the **dense** backend — the default, and
-//! the exact reference. A session can instead be created in **sparse**
-//! mode ([`GameSession::new_sparse`]), which swaps the `O(n²)` distance
-//! matrix for landmark sketches plus bounded-radius sweeps (see
-//! [`crate::backend`] for the mode-selection guidance). Sparse sessions
-//! answer the heuristic [`GameSession::local_response`] without ever
-//! materialising a matrix, and route the certified queries
-//! (`best_response`, `nash_gap`, `is_nash`, `first_improving_move`)
-//! through the uncached per-peer `G_{-i}` oracles — `O(n)` memory at a
-//! time.
+//! The session is exact and dense: it keeps all `n` overlay rows. The
+//! large-`n` landmark path, which keeps none, is its own type,
+//! [`SparseSession`](crate::SparseSession).
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use sp_graph::{CsrGraph, DijkstraScratch, DistanceMatrix};
 
-use crate::backend::{BackendMode, SessionBackend};
 use crate::best_response::{
     finish_response, first_improving_move_lazy, respond, CandidateRows, OracleReuse, Overlay,
     ResponseOracle,
@@ -106,7 +96,6 @@ use crate::best_response::{
 use crate::cost::{cost_from_row, peer_stretch};
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::oracle_cache::{repairs_in_place, OracleCache};
-use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
 use crate::{
     BestResponse, BestResponseMethod, CoreError, Game, LinkSet, PeerId, SocialCost, StrategyProfile,
 };
@@ -193,11 +182,6 @@ pub struct SessionStats {
     pub batch_applies: usize,
     /// Individual moves folded into those batched applies.
     pub batch_moves: usize,
-    /// Bulk row refills that ran sharded over worker threads.
-    pub parallel_passes: usize,
-    /// Rows recomputed inside parallel passes (also counted in
-    /// [`SessionStats::full_sssp`]).
-    pub parallel_rows: usize,
     /// Calls to [`GameSession::best_responses_round`] that actually
     /// fanned oracles out over worker shards.
     pub oracle_parallel_rounds: usize,
@@ -234,18 +218,20 @@ pub struct SessionStats {
     /// `1` when this session was rebuilt by [`GameSession::restore`]
     /// (registries count restores by summing this over live sessions).
     pub snapshot_restores: usize,
-    /// Landmark sketch rows swept by a sparse backend — the initial
-    /// `2·L` build rows plus every row the post-move repair rebuilt
-    /// (also counted in [`SessionStats::full_sssp`]).
+    /// Landmark sketch rows swept by a [`SparseSession`](crate::SparseSession)
+    /// — the initial `2·L` build rows plus every row the post-move
+    /// repair rebuilt (also counted in [`SessionStats::full_sssp`]).
     pub sparse_sketch_rows: usize,
     /// Bounded-radius Dijkstra sweeps performed by
-    /// [`GameSession::local_response`] candidate evaluation.
+    /// [`SparseSession::local_response`](crate::SparseSession::local_response)
+    /// candidate evaluation.
     pub sparse_ball_sweeps: usize,
     /// Demand entries a sparse candidate evaluation answered with a
     /// certified sketch upper bound instead of an exact distance.
     pub sparse_sketch_hits: usize,
-    /// Candidate moves a sparse [`GameSession::local_response`] pruned on
-    /// the stretch-floor bound without evaluating them.
+    /// Candidate moves
+    /// [`SparseSession::local_response`](crate::SparseSession::local_response)
+    /// pruned on the stretch-floor bound without evaluating them.
     pub sparse_pruned_candidates: usize,
     /// Candidate moves the lazy better-response scan
     /// ([`GameSession::first_improving_move`]) rejected on a certified
@@ -261,8 +247,8 @@ pub struct SessionStats {
     /// added links are folded in first, so a node they take over is
     /// never reset; only distances that really grew are.
     pub repair_nodes_reset: usize,
-    /// Worklist pops of the row repairs a committed diff runs on the
-    /// dense backend: the decrease folds of its added links
+    /// Worklist pops of the row repairs a committed diff runs on a
+    /// [`GameSession`]: the decrease folds of its added links
     /// (`sp_graph::CsrGraph::relax_decrease_into`) and the in-place
     /// removal repairs counted in [`SessionStats::repair_nodes_reset`].
     /// A FIFO worklist can pop a node more than once, so this is the
@@ -287,8 +273,6 @@ impl SessionStats {
             oracle_builds,
             batch_applies,
             batch_moves,
-            parallel_passes,
-            parallel_rows,
             oracle_parallel_rounds,
             oracle_shards,
             seq_oracle_hits,
@@ -314,8 +298,6 @@ impl SessionStats {
         self.oracle_builds += oracle_builds;
         self.batch_applies += batch_applies;
         self.batch_moves += batch_moves;
-        self.parallel_passes += parallel_passes;
-        self.parallel_rows += parallel_rows;
         self.oracle_parallel_rounds += oracle_parallel_rounds;
         self.oracle_shards += oracle_shards;
         self.seq_oracle_hits += seq_oracle_hits;
@@ -360,28 +342,12 @@ impl SessionStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GameSession {
-    /// The immutable game, reference-counted so service layers can hold
-    /// it ([`GameSession::game_arc`]) without copying its O(n²) distance
-    /// matrix.
-    game: Arc<Game>,
-    profile: StrategyProfile,
-    /// Overlay CSR snapshot; `None` when no query has needed it yet (or
-    /// after a full reset).
-    csr: Option<CsrGraph>,
-    /// Transpose of `csr` — the in-edges the cached oracle's row repair
-    /// seeds from, and the graph a sparse session's landmark sketch
-    /// sweeps backward on. Built lazily by the first query that needs it
-    /// and dropped whenever `csr` is.
-    transpose: Option<CsrGraph>,
-    /// The pluggable distance backend. Dense sessions hold the overlay
-    /// distance rows with per-row validity; sparse sessions hold
-    /// landmark sketches and bounded-sweep state. Both are repaired —
-    /// never discarded — by [`GameSession::apply`] / `apply_batch`.
-    backend: SessionBackend,
-    scratch: DijkstraScratch,
+    core: SessionCore,
+    /// The overlay distance rows with per-row validity, repaired — never
+    /// discarded — by [`GameSession::apply`] / `apply_batch`.
+    cache: OracleCache,
     /// Worker-thread override for bulk row refills; `None` = auto.
     parallelism: Option<usize>,
-    stats: SessionStats,
 }
 
 impl GameSession {
@@ -392,22 +358,11 @@ impl GameSession {
     /// Returns [`CoreError::ProfileSizeMismatch`] when the profile and
     /// game disagree on the number of peers.
     pub fn new(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
-        if profile.n() != game.n() {
-            return Err(CoreError::ProfileSizeMismatch {
-                expected: game.n(),
-                actual: profile.n(),
-            });
-        }
         let n = game.n();
         Ok(GameSession {
-            game: Arc::new(game),
-            profile,
-            csr: None,
-            transpose: None,
-            backend: SessionBackend::Dense(OracleCache::new(n)),
-            scratch: DijkstraScratch::new(),
+            core: SessionCore::new(game, profile)?,
+            cache: OracleCache::new(n),
             parallelism: None,
-            stats: SessionStats::default(),
         })
     }
 
@@ -421,69 +376,10 @@ impl GameSession {
         GameSession::new(game.clone(), profile.clone())
     }
 
-    /// Creates a session on the **sparse** landmark backend with default
-    /// [`SparseParams`] — the mode for instances too large for the dense
-    /// `8n²`-byte matrix. See [`crate::backend`] for when to pick which
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GameSession::new`].
-    pub fn new_sparse(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
-        GameSession::new_sparse_with(game, profile, SparseParams::default())
-    }
-
-    /// Like [`GameSession::new_sparse`] with explicit tuning parameters.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GameSession::new`].
-    pub fn new_sparse_with(
-        game: Game,
-        profile: StrategyProfile,
-        params: SparseParams,
-    ) -> Result<Self, CoreError> {
-        if profile.n() != game.n() {
-            return Err(CoreError::ProfileSizeMismatch {
-                expected: game.n(),
-                actual: profile.n(),
-            });
-        }
-        let backend = SessionBackend::Sparse(Box::new(SparseBackend::new(&game, params)));
-        Ok(GameSession {
-            game: Arc::new(game),
-            profile,
-            csr: None,
-            transpose: None,
-            backend,
-            scratch: DijkstraScratch::new(),
-            parallelism: None,
-            stats: SessionStats::default(),
-        })
-    }
-
-    /// Which backend this session evaluates on.
-    #[must_use]
-    pub fn backend_mode(&self) -> BackendMode {
-        self.backend.mode()
-    }
-
-    /// The sparse tuning parameters, when this is a sparse session
-    /// (`None` on dense sessions) — what a service persists so a
-    /// restored session behaves identically.
-    #[must_use]
-    pub fn sparse_params(&self) -> Option<SparseParams> {
-        if self.backend.is_sparse() {
-            Some(*self.backend.sparse().params())
-        } else {
-            None
-        }
-    }
-
     /// The game being evaluated.
     #[must_use]
     pub fn game(&self) -> &Game {
-        &self.game
+        &self.core.game
     }
 
     /// A shared handle to the game — what service layers clone to keep
@@ -492,45 +388,44 @@ impl GameSession {
     /// copying the O(n²) distance matrix.
     #[must_use]
     pub fn game_arc(&self) -> Arc<Game> {
-        Arc::clone(&self.game)
+        Arc::clone(&self.core.game)
     }
 
     /// The current profile.
     #[must_use]
     pub fn profile(&self) -> &StrategyProfile {
-        &self.profile
+        &self.core.profile
     }
 
     /// Number of peers.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.game.n()
+        self.core.game.n()
     }
 
     /// Consumes the session, returning the current profile.
     #[must_use]
     pub fn into_profile(self) -> StrategyProfile {
-        self.profile
+        self.core.profile
     }
 
     /// Work counters accumulated since creation (or the last
     /// [`GameSession::reset_stats`]).
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        self.core.stats
     }
 
     /// Zeroes the work counters.
     pub fn reset_stats(&mut self) {
-        self.stats = SessionStats::default();
+        self.core.stats = SessionStats::default();
     }
 
     /// Semantic size of this session's mutable state in bytes: the
     /// profile, the overlay CSR snapshot and its transpose, and the
-    /// backend's distance state (the dense overlay matrix, or the sparse
-    /// sketches and transient row). Cost readouts keep nothing beyond
-    /// those rows, so they never grow it. The (shared, immutable) [`Game`]
-    /// is excluded — registries account for it per slot, since sessions
+    /// overlay distance matrix. Cost readouts keep nothing beyond those
+    /// rows, so they never grow it. The (shared, immutable) [`Game`] is
+    /// excluded — registries account for it per slot, since sessions
     /// may share one game through [`GameSession::game_arc`].
     ///
     /// Sizes are computed from the data's shape, not from allocator
@@ -539,15 +434,7 @@ impl GameSession {
     /// (and the benches that count them) stay deterministic.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let n = self.game.n();
-        let usize_b = std::mem::size_of::<usize>();
-        let f64_b = std::mem::size_of::<f64>();
-        let profile = n * std::mem::size_of::<LinkSet>()
-            + self.profile.link_count() * std::mem::size_of::<PeerId>();
-        let csr_bytes = |c: &CsrGraph| (n + 1) * usize_b + c.edge_count() * (usize_b + f64_b);
-        let csr =
-            self.csr.as_ref().map_or(0, csr_bytes) + self.transpose.as_ref().map_or(0, csr_bytes);
-        profile + csr + self.backend.memory_bytes()
+        self.core.memory_bytes() + self.cache.memory_bytes()
     }
 
     /// Captures the session's mutable state for spill-to-disk
@@ -558,11 +445,10 @@ impl GameSession {
     /// one [`SessionStats::snapshot_exports`].
     #[must_use]
     pub fn snapshot(&mut self) -> StrategyProfile {
-        self.stats.snapshot_exports += 1;
-        self.profile.clone()
+        self.core.snapshot()
     }
 
-    /// Rebuilds a dense session from `game` and a profile captured by
+    /// Rebuilds a session from `game` and a profile captured by
     /// [`GameSession::snapshot`]. Caches start cold and refill on demand;
     /// cached ≡ fresh makes every answer bit-identical to the source
     /// session's (property-tested in
@@ -575,24 +461,7 @@ impl GameSession {
     /// the game on the peer count.
     pub fn restore(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
         let mut session = GameSession::new(game, profile)?;
-        session.stats.snapshot_restores = 1;
-        Ok(session)
-    }
-
-    /// Rebuilds a **sparse** session from a profile captured by
-    /// [`GameSession::snapshot`] and the session's [`SparseParams`]. Work
-    /// counters start fresh except [`SessionStats::snapshot_restores`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GameSession::new_sparse_with`].
-    pub fn restore_sparse(
-        game: Game,
-        profile: StrategyProfile,
-        params: SparseParams,
-    ) -> Result<Self, CoreError> {
-        let mut session = GameSession::new_sparse_with(game, profile, params)?;
-        session.stats.snapshot_restores = 1;
+        session.core.stats.snapshot_restores = 1;
         Ok(session)
     }
 
@@ -611,28 +480,9 @@ impl GameSession {
     ///   [`Move::SetStrategy`] links);
     /// * [`CoreError::SelfLink`] when a move would create a self-link.
     pub fn apply(&mut self, mv: Move) -> Result<LinkSet, CoreError> {
-        self.validate_move(&mv)?;
-        let (peer, new_links) = self.resolve_validated(&mv);
-        let old_links = self.profile.strategy(peer).clone();
-        if old_links == new_links {
-            return Ok(old_links);
-        }
-
-        let mut added: Vec<(usize, usize, f64)> = Vec::new();
-        let mut removed: Vec<(usize, usize, f64)> = Vec::new();
-        self.edge_diff(
-            peer.index(),
-            &old_links,
-            &new_links,
-            &mut added,
-            &mut removed,
-        );
-
-        self.profile
-            .set_strategy(peer, new_links)
-            .expect("move endpoints validated above");
-        self.repair_after_edges(&added, &removed);
-        Ok(old_links)
+        let mut commit = self.core.commit(std::slice::from_ref(&mv), false)?;
+        self.repair_after_edges(&commit);
+        Ok(commit.previous.pop().expect("one prior link set per move"))
     }
 
     /// Applies a whole batch of moves — a simultaneous round, a churn
@@ -658,240 +508,60 @@ impl GameSession {
     /// Same conditions as [`GameSession::apply`], checked for **every**
     /// move up front: a failed batch leaves the session untouched.
     pub fn apply_batch(&mut self, moves: &[Move]) -> Result<Vec<LinkSet>, CoreError> {
-        for mv in moves {
-            self.validate_move(mv)?;
-        }
-        let n = self.game.n();
-        let mut previous = Vec::with_capacity(moves.len());
-        let mut pre_batch: Vec<Option<LinkSet>> = vec![None; n];
-        for mv in moves {
-            let (peer, new_links) = self.resolve_validated(mv);
-            let old = self.profile.strategy(peer).clone();
-            if pre_batch[peer.index()].is_none() {
-                pre_batch[peer.index()] = Some(old.clone());
-            }
-            if old != new_links {
-                self.profile
-                    .set_strategy(peer, new_links)
-                    .expect("validated above");
-            }
-            previous.push(old);
-        }
-
-        // Net edge diff of every touched peer against its pre-batch
-        // strategy — the union the single repair pass runs on.
-        let mut added: Vec<(usize, usize, f64)> = Vec::new();
-        let mut removed: Vec<(usize, usize, f64)> = Vec::new();
-        for (i, old) in pre_batch.iter().enumerate() {
-            let Some(old) = old else { continue };
-            let new = self.profile.strategy(PeerId::new(i));
-            self.edge_diff(i, old, new, &mut added, &mut removed);
-        }
-        if added.is_empty() && removed.is_empty() {
-            return Ok(previous);
-        }
-        self.stats.batch_applies += 1;
-        self.stats.batch_moves += moves.len();
-        self.repair_after_edges(&added, &removed);
-        Ok(previous)
+        let commit = self.core.commit(moves, true)?;
+        self.repair_after_edges(&commit);
+        Ok(commit.previous)
     }
 
-    /// Bounds- and self-link-checks one move without touching any state.
-    fn validate_move(&self, mv: &Move) -> Result<(), CoreError> {
-        let n = self.game.n();
-        let check = |peer: PeerId| -> Result<(), CoreError> {
-            if peer.index() >= n {
-                return Err(CoreError::PeerOutOfBounds {
-                    peer: peer.index(),
-                    n,
-                });
-            }
-            Ok(())
-        };
-        match mv {
-            Move::SetStrategy { peer, links } => {
-                check(*peer)?;
-                for t in links.iter() {
-                    check(t)?;
-                    if t == *peer {
-                        return Err(CoreError::SelfLink { peer: peer.index() });
-                    }
-                }
-            }
-            Move::AddLink { from, to } => {
-                check(*from)?;
-                check(*to)?;
-                if from == to {
-                    return Err(CoreError::SelfLink { peer: from.index() });
-                }
-            }
-            Move::RemoveLink { from, to } => {
-                check(*from)?;
-                check(*to)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolves an already-validated move to `(peer, its new link set)`
-    /// against the *current* profile.
-    fn resolve_validated(&self, mv: &Move) -> (PeerId, LinkSet) {
-        match mv {
-            Move::SetStrategy { peer, links } => (*peer, links.clone()),
-            Move::AddLink { from, to } => (*from, self.profile.strategy(*from).with(*to)),
-            Move::RemoveLink { from, to } => (*from, self.profile.strategy(*from).without(*to)),
-        }
-    }
-
-    /// Appends the `(from, to, weight)` edges by which `new` differs from
-    /// `old` for peer `i` — the diff representation both repair paths
-    /// consume.
-    fn edge_diff(
-        &self,
-        i: usize,
-        old: &LinkSet,
-        new: &LinkSet,
-        added: &mut Vec<(usize, usize, f64)>,
-        removed: &mut Vec<(usize, usize, f64)>,
-    ) {
-        for t in new.iter().filter(|t| !old.contains(*t)) {
-            added.push((i, t.index(), self.game.distance(i, t.index())));
-        }
-        for t in old.iter().filter(|t| !new.contains(*t)) {
-            removed.push((i, t.index(), self.game.distance(i, t.index())));
-        }
-    }
-
-    /// The shared repair pass behind [`GameSession::apply`] and
+    /// The repair pass behind [`GameSession::apply`] and
     /// [`GameSession::apply_batch`]: given the net `(from, to, weight)`
     /// edge changes already written to the profile, lets the
     /// [`OracleCache`] decrease-relax the kept rows for the added edges
     /// and repair the rows whose shortest paths may have used a removed
     /// edge — folding first and repairing in place when every changed
     /// edge leaves one peer, dropping them otherwise.
-    fn repair_after_edges(
-        &mut self,
-        added: &[(usize, usize, f64)],
-        removed: &[(usize, usize, f64)],
-    ) {
-        if self.backend.is_sparse() {
-            // Same lazy bail-out shape as the dense tier: with nothing
-            // cached, dropping the CSR is strictly cheaper than
-            // rebuilding it just to repair an empty sketch.
-            if self.csr.is_none() || !self.backend.sparse().has_cached_state() {
-                self.drop_csr();
-                self.backend.invalidate();
-                return;
-            }
-            self.rebuild_csr();
-            if self.backend.sparse().has_sketch() {
-                self.ensure_transpose();
-            }
-            let csr = self.csr.as_ref().expect("just rebuilt");
-            let repair = self.backend.sparse_mut().repair(
-                csr,
-                self.transpose.as_ref(),
-                added,
-                removed,
-                &mut self.scratch,
-            );
-            self.stats.rows_invalidated += repair.rows_rebuilt;
-            self.stats.rows_preserved += repair.rows_preserved;
-            self.stats.full_sssp += repair.rows_rebuilt;
-            self.stats.sparse_sketch_rows += repair.rows_rebuilt;
+    fn repair_after_edges(&mut self, commit: &Commit) {
+        let (added, removed) = (&commit.added, &commit.removed);
+        if commit.is_noop() {
             return;
         }
-
-        if self.csr.is_none() || !self.backend.dense().any_valid_row() {
+        if self.core.csr.is_none() || !self.cache.any_valid_row() {
             // Nothing cached worth repairing; stay lazy.
-            self.drop_csr();
-            self.backend.invalidate();
+            self.core.drop_csr();
+            self.cache.invalidate_all();
             return;
         }
 
         // The edge set changed: refresh the CSR snapshot (O(m), cheap
         // next to the sweeps it lets us keep), and its transpose when the
         // diff leaves one peer, so broken rows are repaired in place.
-        self.rebuild_csr();
+        self.core.rebuild_csr();
         if repairs_in_place(added, removed) {
-            self.ensure_transpose();
+            self.core.ensure_transpose();
         }
-        let csr = self.csr.as_ref().expect("just rebuilt");
-        let counts = self.backend.dense_mut().repair_after_edges(
+        let csr = self.core.csr.as_ref().expect("just rebuilt");
+        let counts = self.cache.repair_after_edges(
             csr,
-            self.transpose.as_ref(),
+            self.core.transpose.as_ref(),
             added,
             removed,
-            &mut self.scratch,
+            &mut self.core.scratch,
         );
-        self.stats.rows_invalidated += counts.rows_invalidated;
-        self.stats.rows_preserved += counts.rows_preserved;
-        self.stats.incremental_relaxations += counts.incremental_relaxations;
-        self.stats.repair_nodes_reset += counts.nodes_reset;
-        self.stats.repair_pops += counts.pops;
+        self.core.stats.rows_invalidated += counts.rows_invalidated;
+        self.core.stats.rows_preserved += counts.rows_preserved;
+        self.core.stats.incremental_relaxations += counts.incremental_relaxations;
+        self.core.stats.repair_nodes_reset += counts.nodes_reset;
+        self.core.stats.repair_pops += counts.pops;
     }
 
-    /// Drops the overlay CSR and its transpose together.
-    fn drop_csr(&mut self) {
-        self.csr = None;
-        self.transpose = None;
-    }
-
-    /// Builds the overlay CSR straight from the profile: each peer's
-    /// links in [`LinkSet`] order, weighted by the game's distances.
-    fn rebuild_csr(&mut self) {
-        let game = &self.game;
-        let lists = self.profile.iter().map(|(i, links)| {
-            links
-                .iter()
-                .map(move |j| (j.index(), game.distance(i.index(), j.index())))
-        });
-        self.csr = Some(CsrGraph::from_out_edges(lists, self.profile.link_count()));
-        self.transpose = None;
-        self.stats.csr_rebuilds += 1;
-    }
-
-    fn ensure_csr(&mut self) {
-        if self.csr.is_none() {
-            self.rebuild_csr();
-        }
-    }
-
-    /// Makes the overlay CSR and its transpose available — what the
-    /// cached oracle tiers repair rows against and the sparse sketch
-    /// sweeps on.
-    fn ensure_transpose(&mut self) {
-        self.ensure_csr();
-        if self.transpose.is_none() {
-            let csr = self.csr.as_ref().expect("ensured above");
-            self.transpose = Some(csr.transpose());
-        }
-    }
-
-    /// Makes an exact distance row for source `u` available and returns
-    /// it: the cached overlay row (dense) or the transient single-row
-    /// buffer (sparse — the row stays valid until the next mutation).
+    /// Makes the overlay row of source `u` valid and returns it.
     fn row(&mut self, u: usize) -> &[f64] {
-        self.ensure_csr();
-        let csr = self.csr.as_ref().expect("ensured above");
-        if self.backend.is_sparse() {
-            if self
-                .backend
-                .sparse_mut()
-                .compute_row(csr, u, &mut self.scratch)
-            {
-                self.stats.full_sssp += 1;
-            }
-            return self.backend.sparse().row_ref(u);
+        self.core.ensure_csr();
+        let csr = self.core.csr.as_ref().expect("ensured above");
+        if self.cache.ensure_row(csr, u, &mut self.core.scratch) {
+            self.core.stats.full_sssp += 1;
         }
-        if self
-            .backend
-            .dense_mut()
-            .ensure_row(csr, u, &mut self.scratch)
-        {
-            self.stats.full_sssp += 1;
-        }
-        self.backend.dense().row(u)
+        self.cache.row(u)
     }
 
     /// Overrides the worker-thread count for every sharded code path:
@@ -932,25 +602,19 @@ impl GameSession {
     /// full sweep each, sharded over worker threads when there are
     /// enough of them to pay for the spawns.
     fn ensure_all_rows(&mut self) {
-        debug_assert!(
-            !self.backend.is_sparse(),
-            "ensure_all_rows materialises the full matrix; sparse paths must not reach it"
-        );
-        let invalid = self.backend.dense().invalid_row_count();
+        let invalid = self.cache.invalid_row_count();
         if invalid == 0 {
             return;
         }
         let workers = self.shard_count(invalid, PAR_ROWS_MIN);
         if workers > 1 {
-            self.ensure_csr();
-            let csr = self.csr.as_ref().expect("ensured above");
-            csr.dijkstra_rows_with(self.backend.dense_mut().invalid_jobs(), workers);
-            self.backend.dense_mut().mark_all_valid();
-            self.stats.full_sssp += invalid;
-            self.stats.parallel_passes += 1;
-            self.stats.parallel_rows += invalid;
+            self.core.ensure_csr();
+            let csr = self.core.csr.as_ref().expect("ensured above");
+            csr.dijkstra_rows_with(self.cache.invalid_jobs(), workers);
+            self.cache.mark_all_valid();
+            self.core.stats.full_sssp += invalid;
         } else {
-            for u in 0..self.game.n() {
+            for u in 0..self.core.game.n() {
                 let _ = self.row(u);
             }
         }
@@ -963,34 +627,26 @@ impl GameSession {
     ///
     /// Returns [`CoreError::PeerOutOfBounds`] for out-of-range peers.
     pub fn peer_cost(&mut self, peer: PeerId) -> Result<f64, CoreError> {
-        if peer.index() >= self.game.n() {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: peer.index(),
-                n: self.game.n(),
-            });
-        }
+        check_peer(self.n(), peer)?;
         let _ = self.row(peer.index());
-        let row = self.backend.stored_row(peer.index());
-        Ok(cost_from_row(&self.game, &self.profile, peer, row))
+        let row = self.cache.row(peer.index());
+        Ok(cost_from_row(
+            &self.core.game,
+            &self.core.profile,
+            peer,
+            row,
+        ))
     }
 
     /// Streams every peer's exact overlay row `d_G(u, ·)`, with its
     /// latency row `d(u, ·)`, to `visit` in peer order until `visit`
-    /// breaks — the one body behind the cost readouts. Dense sessions
-    /// refill their invalid rows once (sharded, as for any bulk refill)
-    /// and read the cached rows; sparse sessions sweep one transient row
-    /// per peer, so a readout holds `O(n)` memory there.
+    /// breaks — the one body behind the cost readouts. The invalid rows
+    /// are refilled once first (sharded, as for any bulk refill).
     fn stream_rows(&mut self, mut visit: impl FnMut(usize, &[f64], &[f64]) -> ControlFlow<()>) {
-        let sparse = self.backend.is_sparse();
-        if !sparse {
-            self.ensure_all_rows();
-        }
-        for u in 0..self.game.n() {
-            if sparse {
-                let _ = self.row(u);
-            }
-            let latency = self.game.latency_row(u);
-            if visit(u, self.backend.stored_row(u), &latency).is_break() {
+        self.ensure_all_rows();
+        for u in 0..self.core.game.n() {
+            let latency = self.core.game.latency_row(u);
+            if visit(u, self.cache.row(u), &latency).is_break() {
                 return;
             }
         }
@@ -1000,15 +656,15 @@ impl GameSession {
     /// [`GameSession::peer_cost`]).
     #[must_use]
     pub fn all_peer_costs(&mut self) -> Vec<f64> {
-        let mut stretches = Vec::with_capacity(self.game.n());
+        let mut stretches = Vec::with_capacity(self.core.game.n());
         self.stream_rows(|u, row, latency| {
             stretches.push(peer_stretch(u, row, latency));
             ControlFlow::Continue(())
         });
-        let alpha = self.game.alpha();
+        let alpha = self.core.game.alpha();
         stretches
             .into_iter()
-            .zip(self.profile.iter())
+            .zip(self.core.profile.iter())
             .map(|(stretch, (_, links))| alpha * links.len() as f64 + stretch)
             .collect()
     }
@@ -1019,41 +675,17 @@ impl GameSession {
     #[must_use]
     pub fn social_cost(&mut self) -> SocialCost {
         let mut stretch_cost = 0.0f64;
-        self.stream_rows(|u, row, latency| {
-            stretch_cost = add_row_stretch(stretch_cost, u, row, latency);
-            if stretch_cost.is_infinite() {
-                stretch_cost = f64::INFINITY;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
+        self.stream_rows(|u, row, latency| sum_stretch(&mut stretch_cost, u, row, latency));
         SocialCost {
-            link_cost: self.game.alpha() * self.profile.link_count() as f64,
+            link_cost: self.core.game.alpha() * self.core.profile.link_count() as f64,
             stretch_cost,
         }
     }
 
     /// The overlay distance matrix `d_G(i, j)` (fills every row).
-    ///
-    /// On a **sparse** session this is the documented `O(n²)` escape
-    /// hatch — the matrix is materialised transiently for small-instance
-    /// debugging and dropped again on the next mutation. Large-`n`
-    /// sparse flows must stay on `local_response` / `peer_cost` /
-    /// `social_cost` / `max_stretch`, which never call this.
     pub fn overlay_distances(&mut self) -> &DistanceMatrix {
-        if self.backend.is_sparse() {
-            self.ensure_csr();
-            if !self.backend.sparse().escape_ready() {
-                self.stats.full_sssp += self.game.n();
-            }
-            let csr = self.csr.as_ref().expect("ensured above");
-            return self
-                .backend
-                .sparse_mut()
-                .escape_matrix(csr, &mut self.scratch);
-        }
         self.ensure_all_rows();
-        self.backend.dense().matrix()
+        self.cache.matrix()
     }
 
     /// The stretch matrix `d_G(i, j) / d(i, j)`, `1.0` on the diagonal,
@@ -1061,8 +693,8 @@ impl GameSession {
     /// the session keeps no copy.
     #[must_use]
     pub fn stretch_matrix(&mut self) -> DistanceMatrix {
-        // sp-lint: allow(dense-alloc, reason = "the stretch matrix is inherently n^2; sparse flows never request it")
-        let mut s = DistanceMatrix::new_filled(self.game.n(), 1.0);
+        // sp-lint: allow(dense-alloc, reason = "the stretch matrix is inherently n^2; a SparseSession has no such readout")
+        let mut s = DistanceMatrix::new_filled(self.core.game.n(), 1.0);
         self.stream_rows(|u, row, latency| {
             let out = s.row_mut(u).iter_mut();
             for (j, ((out, &d_g), &d)) in out.zip(row).zip(latency).enumerate() {
@@ -1077,29 +709,11 @@ impl GameSession {
 
     /// The largest stretch over all ordered pairs (`1.0` for fewer than
     /// two peers, `∞` when some peer cannot reach some other peer): a
-    /// running max of `d_G(i, j) / d(i, j)` over the streamed rows, so a
-    /// sparse session answers it in `O(n)` memory. The running max
-    /// compares and assigns: an `f64::max` chain measured about twice as
-    /// slow at `n = 112`, and both skip NaN, so the bits are the same.
+    /// running max of `d_G(i, j) / d(i, j)` over the streamed rows.
     #[must_use]
     pub fn max_stretch(&mut self) -> f64 {
         let mut m = 1.0f64;
-        self.stream_rows(|u, row, latency| {
-            for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
-                if j != u {
-                    let stretch = d_g / d;
-                    // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
-                    if stretch > m {
-                        m = stretch;
-                    }
-                }
-            }
-            if m.is_infinite() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        self.stream_rows(|u, row, latency| max_stretch_of(&mut m, u, row, latency));
         m
     }
 
@@ -1125,8 +739,7 @@ impl GameSession {
     /// arbitrary interleaved `apply` sequences); the `n - 1` candidate
     /// rows land in [`SessionStats::seq_oracle_hits`],
     /// [`SessionStats::oracle_rows_repaired`] or
-    /// [`SessionStats::oracle_rows_bounded`]. A sparse session answers
-    /// through the uncached oracle.
+    /// [`SessionStats::oracle_rows_bounded`].
     ///
     /// # Errors
     ///
@@ -1155,15 +768,19 @@ impl GameSession {
         method: BestResponseMethod,
     ) -> Result<BestResponse, CoreError> {
         let current_cost = self.peer_cost(peer)?;
-        if self.game.n() <= 1 {
+        if self.core.game.n() <= 1 {
             return Ok(Self::trivial_response(peer, current_cost));
         }
-        let oracle =
-            ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
-        self.stats.oracle_builds += 1;
+        let oracle = ResponseOracle::build_with(
+            &self.core.game,
+            &self.core.profile,
+            peer,
+            &mut self.core.scratch,
+        )?;
+        self.core.stats.oracle_builds += 1;
         let solved = oracle.solve(method)?;
         Ok(finish_response(
-            &self.profile,
+            &self.core.profile,
             peer,
             method,
             solved,
@@ -1187,14 +804,8 @@ impl GameSession {
     /// for any single-link move to exist (`n <= 1`) — the shared guard
     /// of the better-response paths.
     fn too_small_for_moves(&self, peer: PeerId) -> Result<bool, CoreError> {
-        let n = self.game.n();
-        if peer.index() >= n {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: peer.index(),
-                n,
-            });
-        }
-        Ok(n <= 1)
+        check_peer(self.n(), peer)?;
+        Ok(self.n() <= 1)
     }
 
     /// Makes every overlay row valid and the overlay transpose
@@ -1203,21 +814,26 @@ impl GameSession {
     /// thread's scratch.
     fn frozen_overlay(&mut self) -> (Overlay<'_>, &Game, &StrategyProfile, &mut DijkstraScratch) {
         self.ensure_all_rows();
-        self.ensure_transpose();
+        self.core.ensure_transpose();
         let overlay = Overlay {
-            csr: self.csr.as_ref().expect("ensured above"),
-            transpose: self.transpose.as_ref().expect("ensured above"),
-            rows: self.backend.dense(),
+            csr: self.core.csr.as_ref().expect("ensured above"),
+            transpose: self.core.transpose.as_ref().expect("ensured above"),
+            rows: &self.cache,
         };
-        (overlay, &self.game, &self.profile, &mut self.scratch)
+        (
+            overlay,
+            &self.core.game,
+            &self.core.profile,
+            &mut self.core.scratch,
+        )
     }
 
     /// Counts one cached oracle build and its row accounting.
     fn count_rows(&mut self, reuse: OracleReuse) {
-        self.stats.oracle_builds += 1;
-        self.stats.seq_oracle_hits += reuse.rows_reused;
-        self.stats.oracle_rows_repaired += reuse.rows_repaired;
-        self.stats.oracle_rows_bounded += reuse.rows_bounded;
+        self.core.stats.oracle_builds += 1;
+        self.core.stats.seq_oracle_hits += reuse.rows_reused;
+        self.core.stats.oracle_rows_repaired += reuse.rows_repaired;
+        self.core.stats.oracle_rows_bounded += reuse.rows_bounded;
     }
 
     /// Best responses of every peer in `peers` against the **frozen**
@@ -1249,8 +865,7 @@ impl GameSession {
     /// the fan-out itself. This is the one fan-out for "every peer
     /// against a frozen profile": the simultaneous round engine,
     /// [`GameSession::nash_gap`] and [`GameSession::is_nash`] all run on
-    /// it. A sparse session answers every peer through
-    /// [`GameSession::best_response_uncached`] instead.
+    /// it.
     ///
     /// # Errors
     ///
@@ -1262,20 +877,14 @@ impl GameSession {
         peers: &[PeerId],
         method: BestResponseMethod,
     ) -> Result<Vec<BestResponse>, CoreError> {
-        let n = self.game.n();
+        let n = self.n();
         for &p in peers {
-            if p.index() >= n {
-                return Err(CoreError::PeerOutOfBounds { peer: p.index(), n });
-            }
+            check_peer(n, p)?;
         }
         if peers.is_empty() {
             return Ok(Vec::new());
         }
-        if n <= 1 || self.backend.is_sparse() {
-            // A sparse session keeps no overlay matrix to share: each
-            // peer pays an exact fresh `G_{-i}` oracle — `O(n)` memory,
-            // never an n×n matrix — so the verdict carries the same
-            // guarantees as dense mode.
+        if n <= 1 {
             return peers
                 .iter()
                 .map(|&p| self.best_response_uncached(p, method))
@@ -1307,8 +916,8 @@ impl GameSession {
             results
         });
         if shards > 1 {
-            self.stats.oracle_parallel_rounds += 1;
-            self.stats.oracle_shards += shards;
+            self.core.stats.oracle_parallel_rounds += 1;
+            self.core.stats.oracle_shards += shards;
         }
         // Scatter the shard results back into activation order.
         let mut slots: Vec<Option<BestResponse>> = vec![None; peers.len()];
@@ -1334,8 +943,7 @@ impl GameSession {
     /// for exact residual rows, derived like
     /// [`GameSession::best_response`]'s. Bit-identical to
     /// [`GameSession::first_improving_move_uncached`]; rows rejected on a
-    /// bound land in [`SessionStats::lazy_certified_rejects`]. A sparse
-    /// session answers through the uncached scan.
+    /// bound land in [`SessionStats::lazy_certified_rejects`].
     ///
     /// # Errors
     ///
@@ -1348,15 +956,12 @@ impl GameSession {
         if self.too_small_for_moves(peer)? {
             return Ok(None);
         }
-        if self.backend.is_sparse() {
-            return self.first_improving_move_uncached(peer, tol);
-        }
         let (overlay, game, profile, scratch) = self.frozen_overlay();
         let rows = CandidateRows::new(game, peer, overlay, scratch);
         let (mv, scan) = first_improving_move_lazy(profile, peer, rows, tol);
         self.count_rows(scan.reuse);
-        self.stats.lazy_certified_rejects += scan.certified_rejects;
-        self.stats.lazy_exact_evals += scan.exact_evals;
+        self.core.stats.lazy_certified_rejects += scan.certified_rejects;
+        self.core.stats.lazy_exact_evals += scan.exact_evals;
         Ok(mv)
     }
 
@@ -1375,113 +980,14 @@ impl GameSession {
         if self.too_small_for_moves(peer)? {
             return Ok(None);
         }
-        let oracle =
-            ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
-        self.stats.oracle_builds += 1;
-        Ok(oracle.first_improving_move(peer, self.profile.strategy(peer), tol))
-    }
-
-    /// Builds the landmark sketch (and the overlay transpose it sweeps
-    /// backward on) of a sparse session if absent, charging the `2·L`
-    /// landmark sweeps to the stats.
-    fn ensure_sparse_ready(&mut self) {
-        self.ensure_transpose();
-        let csr = self.csr.as_ref().expect("ensured above");
-        let transpose = self.transpose.as_ref().expect("ensured above");
-        let swept = self
-            .backend
-            .sparse_mut()
-            .ensure_ready(csr, transpose, &mut self.scratch);
-        if swept > 0 {
-            self.stats.full_sssp += swept;
-            self.stats.sparse_sketch_rows += swept;
-        }
-    }
-
-    /// Certified bounds `(lower, upper)` on the overlay distance
-    /// `d_G(u, v)` under the current profile: `lower ≤ d_G(u, v) ≤
-    /// upper` always holds. Dense sessions answer exactly
-    /// (`lower == upper`); sparse sessions combine the landmark sketch
-    /// with the metric lower bound without sweeping from `u`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::PeerOutOfBounds`] for out-of-range peers.
-    pub fn dist_bounds(&mut self, u: PeerId, v: PeerId) -> Result<(f64, f64), CoreError> {
-        let n = self.game.n();
-        for p in [u, v] {
-            if p.index() >= n {
-                return Err(CoreError::PeerOutOfBounds { peer: p.index(), n });
-            }
-        }
-        if self.backend.is_sparse() {
-            self.ensure_sparse_ready();
-            return Ok(self
-                .backend
-                .sparse()
-                .dist_bounds(&self.game, u.index(), v.index()));
-        }
-        let d = self.row(u.index())[v.index()];
-        Ok((d, d))
-    }
-
-    /// The sparse session's native better response: a **deterministic
-    /// heuristic** move for `peer` evaluated against its metric window
-    /// only — exact distances inside a bounded ball, certified sketch
-    /// upper bounds beyond it, stretch-floor pruning for hopeless
-    /// candidates — or `None` when no evaluated move improves.
-    ///
-    /// Cost model: `O(window · ball_cap · log)` per call, independent of
-    /// `n` once the sketch is built. Never materialises a matrix. The
-    /// returned move carries `exact: false` — large-`n` dynamics trade
-    /// per-move optimality for tractability, converging on the same
-    /// better-response principle the paper's dynamics use.
-    ///
-    /// On a **dense** session this simply forwards to
-    /// [`GameSession::first_improving_move`] (exact), so driver code can
-    /// call it unconditionally. Sparse sessions whose window already
-    /// covers every peer (`window + 1 ≥ n`) also route to the exact scan
-    /// — a sparse session on a small instance decides **bit-identically**
-    /// to a dense one.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::PeerOutOfBounds`] for out-of-range peers.
-    pub fn local_response(
-        &mut self,
-        peer: PeerId,
-        tol: f64,
-    ) -> Result<Option<BestResponse>, CoreError> {
-        if peer.index() >= self.game.n() {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: peer.index(),
-                n: self.game.n(),
-            });
-        }
-        if self.too_small_for_moves(peer)? {
-            return Ok(None);
-        }
-        if !self.backend.is_sparse() {
-            return self.first_improving_move(peer, tol);
-        }
-        if self.backend.sparse().window() + 1 >= self.game.n() {
-            return self.first_improving_move_uncached(peer, tol);
-        }
-        self.ensure_sparse_ready();
-        let csr = self.csr.as_ref().expect("sketch build ensured the CSR");
-        let mut counts = LocalCounts::default();
-        let result = self.backend.sparse_mut().local_response(
-            &self.game,
-            &self.profile,
-            csr,
+        let oracle = ResponseOracle::build_with(
+            &self.core.game,
+            &self.core.profile,
             peer,
-            tol,
-            &mut counts,
-        );
-        self.stats.sparse_ball_sweeps += counts.ball_sweeps;
-        self.stats.sparse_sketch_hits += counts.sketch_hits;
-        self.stats.sparse_pruned_candidates += counts.pruned;
-        Ok(result)
+            &mut self.core.scratch,
+        )?;
+        self.core.stats.oracle_builds += 1;
+        Ok(oracle.first_improving_move(peer, self.core.profile.strategy(peer), tol))
     }
 
     /// Every peer's best response against the current profile, through
@@ -1492,7 +998,7 @@ impl GameSession {
         &mut self,
         method: BestResponseMethod,
     ) -> Result<Vec<BestResponse>, CoreError> {
-        let peers: Vec<PeerId> = (0..self.game.n()).map(PeerId::new).collect();
+        let peers: Vec<PeerId> = (0..self.core.game.n()).map(PeerId::new).collect();
         self.best_responses_round(&peers, method)
     }
 
@@ -1552,11 +1058,241 @@ impl GameSession {
     }
 }
 
+/// A changed overlay edge `(from, to, weight)`.
+pub(crate) type Edge = (usize, usize, f64);
+
+/// A batch of moves written to a profile: the links each move's peer
+/// held right before it, and the net edge diff of the whole batch.
+pub(crate) struct Commit {
+    pub(crate) previous: Vec<LinkSet>,
+    pub(crate) added: Vec<Edge>,
+    pub(crate) removed: Vec<Edge>,
+}
+
+impl Commit {
+    /// Whether the batch left every link as it was.
+    pub(crate) fn is_noop(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty()
+    }
+}
+
+/// What [`GameSession`] and [`SparseSession`](crate::SparseSession)
+/// both keep besides their distance state: the game, the profile, its
+/// overlay CSR (and the transpose, once something needs it), Dijkstra
+/// scratch and the work counters. Both commit moves through
+/// [`SessionCore::commit`].
+#[derive(Debug, Clone)]
+pub(crate) struct SessionCore {
+    /// The immutable game, reference-counted so service layers can hold
+    /// it ([`GameSession::game_arc`]) without copying its O(n²)
+    /// distance matrix.
+    pub(crate) game: Arc<Game>,
+    pub(crate) profile: StrategyProfile,
+    /// Overlay CSR snapshot; `None` when no query has needed it yet (or
+    /// after a full reset).
+    pub(crate) csr: Option<CsrGraph>,
+    /// Transpose of `csr`: the in-edges the cached oracle's row repair
+    /// seeds from, and the graph a sparse sketch sweeps backward on.
+    /// Built lazily and dropped whenever `csr` is.
+    pub(crate) transpose: Option<CsrGraph>,
+    pub(crate) scratch: DijkstraScratch,
+    pub(crate) stats: SessionStats,
+}
+
+impl SessionCore {
+    /// Fails when the profile and game disagree on the peer count.
+    pub(crate) fn new(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
+        if profile.n() != game.n() {
+            return Err(CoreError::ProfileSizeMismatch {
+                expected: game.n(),
+                actual: profile.n(),
+            });
+        }
+        Ok(SessionCore {
+            game: Arc::new(game),
+            profile,
+            csr: None,
+            transpose: None,
+            scratch: DijkstraScratch::new(),
+            stats: SessionStats::default(),
+        })
+    }
+
+    /// Validates every move up front (a failed batch leaves the profile
+    /// untouched), then writes them to the profile in order — later
+    /// moves see earlier ones — and diffs each touched peer's strategy
+    /// against the one it held before the batch, in peer order. A
+    /// `batch` that changed links counts in
+    /// [`SessionStats::batch_applies`]. The caller repairs its distance
+    /// state against the diff.
+    pub(crate) fn commit(&mut self, moves: &[Move], batch: bool) -> Result<Commit, CoreError> {
+        for mv in moves {
+            validate_move(self.game.n(), mv)?;
+        }
+        let profile = &mut self.profile;
+        let mut previous = Vec::with_capacity(moves.len());
+        // (peer, position of its move) for every move.
+        let mut touched = Vec::with_capacity(moves.len());
+        for mv in moves {
+            let (peer, new_links) = resolve(profile, mv);
+            let old = profile.strategy(peer).clone();
+            if old != new_links {
+                profile
+                    .set_strategy(peer, new_links)
+                    .expect("validated above");
+            }
+            touched.push((peer.index(), previous.len()));
+            previous.push(old);
+        }
+        // Each peer's first move holds its strategy from before the batch.
+        touched.sort_unstable();
+        touched.dedup_by_key(|&mut (peer, _)| peer);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for (i, k) in touched {
+            let (old, new) = (&previous[k], profile.strategy(PeerId::new(i)));
+            for t in new.iter().filter(|t| !old.contains(*t)) {
+                added.push((i, t.index(), self.game.distance(i, t.index())));
+            }
+            for t in old.iter().filter(|t| !new.contains(*t)) {
+                removed.push((i, t.index(), self.game.distance(i, t.index())));
+            }
+        }
+        let commit = Commit {
+            previous,
+            added,
+            removed,
+        };
+        if batch && !commit.is_noop() {
+            self.stats.batch_applies += 1;
+            self.stats.batch_moves += moves.len();
+        }
+        Ok(commit)
+    }
+
+    /// Semantic bytes of the profile and the overlay CSRs built from it.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let n = self.profile.n();
+        let usize_b = std::mem::size_of::<usize>();
+        let f64_b = std::mem::size_of::<f64>();
+        let csr_bytes = |c: &CsrGraph| (n + 1) * usize_b + c.edge_count() * (usize_b + f64_b);
+        n * std::mem::size_of::<LinkSet>()
+            + self.profile.link_count() * std::mem::size_of::<PeerId>()
+            + self.csr.as_ref().map_or(0, csr_bytes)
+            + self.transpose.as_ref().map_or(0, csr_bytes)
+    }
+
+    /// The profile, counted as one [`SessionStats::snapshot_exports`].
+    pub(crate) fn snapshot(&mut self) -> StrategyProfile {
+        self.stats.snapshot_exports += 1;
+        self.profile.clone()
+    }
+
+    /// Drops the overlay CSR and its transpose together.
+    pub(crate) fn drop_csr(&mut self) {
+        self.csr = None;
+        self.transpose = None;
+    }
+
+    /// Builds the overlay CSR straight from the profile: each peer's
+    /// links in [`LinkSet`] order, weighted by the game's distances.
+    pub(crate) fn rebuild_csr(&mut self) {
+        let game = &self.game;
+        let lists = self.profile.iter().map(|(i, links)| {
+            links
+                .iter()
+                .map(move |j| (j.index(), game.distance(i.index(), j.index())))
+        });
+        self.csr = Some(CsrGraph::from_out_edges(lists, self.profile.link_count()));
+        self.transpose = None;
+        self.stats.csr_rebuilds += 1;
+    }
+
+    pub(crate) fn ensure_csr(&mut self) {
+        if self.csr.is_none() {
+            self.rebuild_csr();
+        }
+    }
+
+    /// Makes the overlay CSR and its transpose available.
+    pub(crate) fn ensure_transpose(&mut self) {
+        self.ensure_csr();
+        if self.transpose.is_none() {
+            let csr = self.csr.as_ref().expect("ensured above");
+            self.transpose = Some(csr.transpose());
+        }
+    }
+}
+
+/// [`CoreError::PeerOutOfBounds`] unless `peer` is one of `n`.
+pub(crate) fn check_peer(n: usize, peer: PeerId) -> Result<(), CoreError> {
+    if peer.index() >= n {
+        return Err(CoreError::PeerOutOfBounds {
+            peer: peer.index(),
+            n,
+        });
+    }
+    Ok(())
+}
+
+/// Bounds- and self-link-checks one move against `n` peers.
+fn validate_move(n: usize, mv: &Move) -> Result<(), CoreError> {
+    let check = |peer: PeerId| check_peer(n, peer);
+    match mv {
+        Move::SetStrategy { peer, links } => {
+            check(*peer)?;
+            for t in links.iter() {
+                check(t)?;
+                if t == *peer {
+                    return Err(CoreError::SelfLink { peer: peer.index() });
+                }
+            }
+        }
+        Move::AddLink { from, to } => {
+            check(*from)?;
+            check(*to)?;
+            if from == to {
+                return Err(CoreError::SelfLink { peer: from.index() });
+            }
+        }
+        Move::RemoveLink { from, to } => {
+            check(*from)?;
+            check(*to)?;
+        }
+    }
+    Ok(())
+}
+
+/// Resolves a validated move to `(peer, its new link set)` against the
+/// current `profile`.
+fn resolve(profile: &StrategyProfile, mv: &Move) -> (PeerId, LinkSet) {
+    match mv {
+        Move::SetStrategy { peer, links } => (*peer, links.clone()),
+        Move::AddLink { from, to } => (*from, profile.strategy(*from).with(*to)),
+        Move::RemoveLink { from, to } => (*from, profile.strategy(*from).without(*to)),
+    }
+}
+
+/// Adds row `u`'s stretches to the social-cost accumulator `acc`, and
+/// stops the row stream once the sum is infinite.
+pub(crate) fn sum_stretch(
+    acc: &mut f64,
+    u: usize,
+    row: &[f64],
+    latency: &[f64],
+) -> ControlFlow<()> {
+    *acc = add_row_stretch(*acc, u, row, latency);
+    if acc.is_infinite() {
+        *acc = f64::INFINITY;
+        return ControlFlow::Break(());
+    }
+    ControlFlow::Continue(())
+}
+
 /// `acc + Σ_{j≠u} d_G(u, j) / d(u, j)`, added in ascending `j` — one
-/// row of [`GameSession::social_cost`]'s running sum. Kept out of line:
-/// inlined into the row stream, the accumulator stayed live across the
-/// stream's calls, was spilled to the stack, and every add then waited
-/// on a store-to-load round trip (about twice as slow at `n = 112`).
+/// row of the social cost's running sum. Kept out of line: inlined into
+/// the row stream, the accumulator stayed live across the stream's
+/// calls, was spilled to the stack, and every add then waited on a
+/// store-to-load round trip (about twice as slow at `n = 112`).
 #[inline(never)]
 fn add_row_stretch(mut acc: f64, u: usize, row: &[f64], latency: &[f64]) -> f64 {
     for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
@@ -1565,6 +1301,32 @@ fn add_row_stretch(mut acc: f64, u: usize, row: &[f64], latency: &[f64]) -> f64 
         }
     }
     acc
+}
+
+/// Raises the running max `m` to row `u`'s largest stretch, and stops
+/// the row stream once it is infinite. The running max compares and
+/// assigns: an `f64::max` chain measured about twice as slow at
+/// `n = 112`, and both skip NaN, so the bits are the same.
+pub(crate) fn max_stretch_of(
+    m: &mut f64,
+    u: usize,
+    row: &[f64],
+    latency: &[f64],
+) -> ControlFlow<()> {
+    for (j, (&d_g, &d)) in row.iter().zip(latency).enumerate() {
+        if j != u {
+            let stretch = d_g / d;
+            // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
+            if stretch > *m {
+                *m = stretch;
+            }
+        }
+    }
+    if m.is_infinite() {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
 }
 
 #[cfg(test)]
@@ -2036,14 +1798,11 @@ mod tests {
         let b = seq.social_cost();
         assert_eq!(a, b);
         assert_eq!(par.overlay_distances(), seq.overlay_distances());
-        assert_eq!(par.stats().parallel_passes, 1);
-        assert_eq!(par.stats().parallel_rows, 5);
         assert_eq!(
             par.stats().full_sssp,
             5,
             "parallel rows count as full sweeps"
         );
-        assert_eq!(seq.stats().parallel_passes, 0);
         assert_matches_free_functions(&mut par);
 
         // Invalidate some rows and refill again through the threaded path.
@@ -2088,7 +1847,6 @@ mod tests {
             (cost, round, s.stats())
         };
         let (cost, round, stats) = run(Some(0));
-        assert_eq!(stats.parallel_passes, 0);
         assert_eq!(stats.oracle_parallel_rounds, 0);
         assert_eq!(round.len(), 5);
         assert_eq!((cost, round, stats), run(Some(1)));
@@ -2362,8 +2120,8 @@ mod tests {
 
         // What the dropped link carried: the nodes the removal resets
         // in the old rows, before the new link is folded in.
-        let csr = s.csr.as_ref().unwrap();
-        let transpose = s.transpose.as_ref().unwrap();
+        let csr = s.core.csr.as_ref().unwrap();
+        let transpose = s.core.transpose.as_ref().unwrap();
         let mut scratch = DijkstraScratch::new();
         let carried: usize = (0..5)
             .map(|u| {

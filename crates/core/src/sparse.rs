@@ -1,50 +1,89 @@
-//! The sparse landmark evaluation backend.
+//! The sparse landmark session for large instances.
 //!
-//! A [`SparseBackend`] never holds an `n × n` matrix. Its state is:
+//! A [`SparseSession`] never holds an `n × n` matrix. Beyond the game,
+//! the profile and its overlay CSR, its state is:
 //!
-//! * **landmarks** — `L` nodes picked once per session by deterministic
-//!   farthest-point traversal of the *metric* (the metric never
-//!   changes);
+//! * **landmarks** — `L` nodes picked once by deterministic
+//!   farthest-point traversal of the (fixed) *metric*;
 //! * **sketch** — `2L` full distance rows (forward on the overlay,
-//!   backward on its transpose), giving certified upper/lower bounds on
-//!   any overlay distance, repaired incrementally through the shared
-//!   [`sp_graph::edge_on_path`] invalidation discipline;
-//! * **metric windows** — for every peer, its `window` metric-nearest
-//!   neighbours; in the low-α locality regime these are the only link
-//!   targets a peer could plausibly want (the paper's peers link within
-//!   bounded metric balls), so candidate enumeration is `O(window)`
-//!   instead of `O(n)`;
-//! * **bounded Dijkstra scratch** — transient exact balls of at most
-//!   `ball_cap` nodes, with a completeness certificate.
+//!   backward on its transpose): certified upper/lower bounds on any
+//!   overlay distance, repaired through the same
+//!   [`sp_graph::edge_on_path`] tightness predicate as a
+//!   [`GameSession`]'s rows;
+//! * **metric windows** — each peer's `window` metric-nearest
+//!   neighbours: in the low-α locality regime the only link targets a
+//!   peer could plausibly want (the paper's peers link within bounded
+//!   metric balls), so candidate enumeration is `O(window)`, not `O(n)`;
+//! * **bounded Dijkstra scratch** — exact balls of at most `ball_cap`
+//!   nodes, with a completeness certificate;
+//! * **one transient exact row** for the cost readouts.
 //!
 //! Total: `O(n · (L + window) + edges)` bytes.
 //!
-//! [`SparseBackend::local_response`] is the scale path: it evaluates
+//! [`SparseSession::local_response`] is the scale path: it evaluates
 //! drop/add/swap candidates with exact in-ball distances, certified
 //! sketch **upper bounds** for demand the ball did not reach, and a
-//! stretch-floor prune (`stretch ≥ 1` always, because overlay distances
-//! are at least metric distances) that skips whole candidate classes at
-//! high α. It is a *deterministic heuristic*: accepted moves improve the
-//! estimator, not necessarily the exact cost — while `best_response`,
-//! `is_nash` and `nash_gap` on a sparse session stay **certified** by
-//! falling back to exact per-peer `G_{-i}` sweeps. Small sessions
-//! (`window + 1 ≥ n`) route `local_response` to the exact path too, so
-//! sparse and dense decisions are bit-identical there (property-tested).
+//! stretch-floor prune (`stretch ≥ 1`, since overlay distances are at
+//! least metric distances) that skips whole candidate classes at high
+//! α. It is a *deterministic heuristic*: accepted moves improve the
+//! estimator, not necessarily the exact cost. When the window covers
+//! every peer (`window + 1 ≥ n`) it scans a fresh `G_{-i}` oracle
+//! instead, and decides bit-identically to a dense
+//! [`GameSession::first_improving_move`] (property-tested).
+//!
+//! # Choosing a session type
+//!
+//! Use a [`GameSession`] when `n` is at most a few thousand: every query
+//! is exact, equilibrium checks are authoritative, and the `8n²`-byte
+//! matrix is affordable. Use a [`SparseSession`] for large instances
+//! driven by better-response dynamics (`sp_dynamics::large_scale`). Its
+//! cost readouts are exact, one transient row per peer: `n` sweeps,
+//! `O(n)` memory. It has no exact oracle: an exact best response or
+//! Nash gap runs on a transient dense session of its game and profile
+//! (the free [`best_response`](crate::best_response) and
+//! [`nash_gap`](crate::nash_gap) build one), `O(n²)` while it runs.
+//!
+//! [`GameSession`]: crate::GameSession
+//! [`GameSession::first_improving_move`]: crate::GameSession::first_improving_move
 
-use sp_graph::{
-    farthest_point_landmarks, BoundedDijkstra, CsrGraph, DijkstraScratch, DistanceMatrix,
-    LandmarkSketch, SketchRepair,
+use std::ops::ControlFlow;
+
+use sp_graph::{farthest_point_landmarks, BoundedDijkstra, CsrGraph, LandmarkSketch};
+
+use crate::best_response::ResponseOracle;
+use crate::session::{
+    check_peer, max_stretch_of, sum_stretch, Commit, SessionCore, EDGE_ON_PATH_EPS,
+};
+use crate::{
+    BestResponse, CoreError, Game, LinkSet, Move, PeerId, SessionStats, SocialCost, StrategyProfile,
 };
 
-use crate::session::EDGE_ON_PATH_EPS;
-use crate::{BestResponse, Game, PeerId, StrategyProfile};
+/// Which session type evaluates a game: the exact dense
+/// [`GameSession`](crate::GameSession) or the landmark [`SparseSession`].
+/// `sp-serve` names it on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendMode {
+    /// Exact dense evaluation over the full overlay distance matrix.
+    Dense,
+    /// Landmark-sketch evaluation in `O(n)`-per-row memory.
+    Sparse,
+}
 
-/// Tuning knobs for a sparse session ([`GameSession::new_sparse_with`]).
+impl BackendMode {
+    /// The wire name used by `sp-serve` (`"dense"` / `"sparse"`).
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BackendMode::Dense => "dense",
+            BackendMode::Sparse => "sparse",
+        }
+    }
+}
+
+/// Tuning knobs for a sparse session ([`SparseSession::with_params`]).
 ///
 /// The defaults target better-response dynamics on ~10⁵-peer line
 /// metrics; see the module docs for what each knob trades off.
-///
-/// [`GameSession::new_sparse_with`]: crate::GameSession::new_sparse_with
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseParams {
     /// Landmark count `L`: sketch memory is `2 · L` full rows and bound
@@ -73,212 +112,392 @@ impl Default for SparseParams {
     }
 }
 
-/// Work counters from one [`SparseBackend::local_response`] call; the
-/// session folds them into [`SessionStats`](crate::SessionStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LocalCounts {
-    /// Bounded evaluation sweeps run.
-    pub ball_sweeps: usize,
-    /// Demand entries answered by a sketch upper bound (ball cut off).
-    pub sketch_hits: usize,
-    /// Candidate strategies skipped by the stretch-floor prune.
-    pub pruned: usize,
+/// A stateful evaluation handle for large instances: a [`Game`], the
+/// current [`StrategyProfile`], and landmark distance state in
+/// `O(n · (landmarks + window))` memory. See the module docs.
+///
+/// # Example
+///
+/// ```
+/// use sp_core::{Game, PeerId, SparseSession, StrategyProfile};
+///
+/// let game = Game::from_line_positions((0..100).map(f64::from).collect(), 0.8).unwrap();
+/// let mut session = SparseSession::new(game, StrategyProfile::empty(100)).unwrap();
+/// // From the empty profile, the estimator wants peer 0 linked.
+/// let mv = session.local_response(PeerId::new(0), 1e-9).unwrap().unwrap();
+/// assert!(!mv.links.is_empty() && !mv.exact);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SparseSession {
+    /// The game, the profile and its overlay CSR; the transpose stands
+    /// while the sketch does, whose backward rows sweep on it.
+    core: SessionCore,
+    landmarks: Landmarks,
+    /// Transient exact row of the cost readouts, and its source; a
+    /// mutation clears the source.
+    row: Vec<f64>,
+    row_src: Option<usize>,
 }
 
-/// Landmark-sketch distance backend. See the module docs; constructed
-/// only through [`GameSession::new_sparse`](crate::GameSession::new_sparse).
+impl SparseSession {
+    /// Creates a session owning `game` and `profile`, with default
+    /// [`SparseParams`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ProfileSizeMismatch`] when the profile and
+    /// game disagree on the number of peers.
+    pub fn new(game: Game, profile: StrategyProfile) -> Result<Self, CoreError> {
+        SparseSession::with_params(game, profile, SparseParams::default())
+    }
+
+    /// Like [`SparseSession::new`] with explicit tuning parameters.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SparseSession::new`].
+    pub fn with_params(
+        game: Game,
+        profile: StrategyProfile,
+        params: SparseParams,
+    ) -> Result<Self, CoreError> {
+        let core = SessionCore::new(game, profile)?;
+        let (game, n) = (&core.game, core.game.n());
+        assert!(n < u32::MAX as usize, "peer ids must fit u32");
+        let window = params.window.min(n.saturating_sub(1));
+        let landmarks = Landmarks {
+            params,
+            window,
+            ids: farthest_point_landmarks(n, params.landmarks.min(n), |i, j| game.distance(i, j)),
+            near: metric_windows(game, window),
+            sketch: None,
+            bounded: BoundedDijkstra::new(),
+        };
+        Ok(SparseSession {
+            core,
+            landmarks,
+            row: Vec::new(),
+            row_src: None,
+        })
+    }
+
+    /// Rebuilds a session from a profile captured by
+    /// [`SparseSession::snapshot`] and the session's [`SparseParams`].
+    /// Work counters start fresh except
+    /// [`SessionStats::snapshot_restores`], which is `1`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SparseSession::new`].
+    pub fn restore(
+        game: Game,
+        profile: StrategyProfile,
+        params: SparseParams,
+    ) -> Result<Self, CoreError> {
+        let mut session = SparseSession::with_params(game, profile, params)?;
+        session.core.stats.snapshot_restores = 1;
+        Ok(session)
+    }
+
+    /// The game being evaluated.
+    #[must_use]
+    pub fn game(&self) -> &Game {
+        &self.core.game
+    }
+
+    /// The current profile.
+    #[must_use]
+    pub fn profile(&self) -> &StrategyProfile {
+        &self.core.profile
+    }
+
+    /// Number of peers.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.core.game.n()
+    }
+
+    /// The tuning parameters — what a service persists so that a
+    /// restored session behaves identically.
+    #[must_use]
+    pub fn params(&self) -> SparseParams {
+        self.landmarks.params
+    }
+
+    /// Work counters accumulated since creation (or the last
+    /// [`SparseSession::reset_stats`]).
+    #[must_use]
+    pub fn stats(&self) -> SessionStats {
+        self.core.stats
+    }
+
+    /// Zeroes the work counters.
+    pub fn reset_stats(&mut self) {
+        self.core.stats = SessionStats::default();
+    }
+
+    /// Semantic size of this session's mutable state in bytes: the
+    /// profile, the overlay CSR and its transpose, the landmark ids, the
+    /// metric windows, the transient row and the sketch. The [`Game`] is
+    /// excluded, as for [`GameSession::memory_bytes`]; the bytes follow
+    /// the data's shape, so they are the same on every machine.
+    ///
+    /// [`GameSession::memory_bytes`]: crate::GameSession::memory_bytes
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        let lm = &self.landmarks;
+        self.core.memory_bytes()
+            + lm.ids.len() * std::mem::size_of::<usize>()
+            + lm.near.len() * std::mem::size_of::<u32>()
+            + self.row.len() * std::mem::size_of::<f64>()
+            + lm.sketch.as_ref().map_or(0, LandmarkSketch::memory_bytes)
+    }
+
+    /// Captures the session's mutable state, the strategy profile;
+    /// counts one [`SessionStats::snapshot_exports`].
+    #[must_use]
+    pub fn snapshot(&mut self) -> StrategyProfile {
+        self.core.snapshot()
+    }
+
+    /// Applies a unilateral move, repairing the sketch, and returns the
+    /// links the peer held before.
+    ///
+    /// # Errors
+    ///
+    /// As for [`GameSession::apply`](crate::GameSession::apply).
+    pub fn apply(&mut self, mv: Move) -> Result<LinkSet, CoreError> {
+        let mut commit = self.core.commit(std::slice::from_ref(&mv), false)?;
+        self.repair_after_edges(&commit);
+        Ok(commit.previous.pop().expect("one prior link set per move"))
+    }
+
+    /// Applies a batch of moves as one transaction — one CSR rebuild and
+    /// one sketch repair against the net edge diff — and returns each
+    /// move's prior links, as
+    /// [`GameSession::apply_batch`](crate::GameSession::apply_batch).
+    ///
+    /// # Errors
+    ///
+    /// As for [`SparseSession::apply`], checked for every move up front:
+    /// a failed batch leaves the session untouched.
+    pub fn apply_batch(&mut self, moves: &[Move]) -> Result<Vec<LinkSet>, CoreError> {
+        let commit = self.core.commit(moves, true)?;
+        self.repair_after_edges(&commit);
+        Ok(commit.previous)
+    }
+
+    /// Repairs the sketch after a committed edge diff, through the same
+    /// tightness predicate as a [`GameSession`](crate::GameSession)'s
+    /// rows. With nothing cached, dropping the CSR is strictly cheaper
+    /// than rebuilding it just to repair an empty sketch.
+    fn repair_after_edges(&mut self, commit: &Commit) {
+        if commit.is_noop() {
+            return;
+        }
+        let cached = self.landmarks.sketch.is_some() || self.row_src.is_some();
+        self.row_src = None;
+        if self.core.csr.is_none() || !cached {
+            self.core.drop_csr();
+            self.landmarks.sketch = None;
+            return;
+        }
+        self.core.rebuild_csr();
+        if self.landmarks.sketch.is_none() {
+            return;
+        }
+        self.core.ensure_transpose();
+        let csr = self.core.csr.as_ref().expect("just rebuilt");
+        let transpose = self.core.transpose.as_ref().expect("ensured above");
+        let sketch = self.landmarks.sketch.as_mut().expect("checked above");
+        let repair = sketch.repair_after_edges(
+            csr,
+            transpose,
+            &commit.added,
+            &commit.removed,
+            EDGE_ON_PATH_EPS,
+            &mut self.core.scratch,
+        );
+        self.core.stats.rows_invalidated += repair.rows_rebuilt;
+        self.core.stats.rows_preserved += repair.rows_preserved;
+        self.core.stats.full_sssp += repair.rows_rebuilt;
+        self.core.stats.sparse_sketch_rows += repair.rows_rebuilt;
+    }
+
+    /// Builds the landmark sketch (and the overlay transpose it sweeps
+    /// backward on) if absent, charging the `2·L` landmark sweeps to the
+    /// stats.
+    fn ensure_sketch(&mut self) {
+        self.core.ensure_transpose();
+        if self.landmarks.sketch.is_some() {
+            return;
+        }
+        let csr = self.core.csr.as_ref().expect("ensured above");
+        let transpose = self.core.transpose.as_ref().expect("ensured above");
+        let ids = self.landmarks.ids.clone();
+        let swept = 2 * ids.len();
+        let sketch = LandmarkSketch::build(csr, transpose, ids, &mut self.core.scratch);
+        self.landmarks.sketch = Some(sketch);
+        self.core.stats.full_sssp += swept;
+        self.core.stats.sparse_sketch_rows += swept;
+    }
+
+    /// Streams every peer's exact overlay row `d_G(u, ·)`, with its
+    /// latency row `d(u, ·)`, to `visit` in peer order until `visit`
+    /// breaks: one transient row at a time, so a readout holds `O(n)`
+    /// memory.
+    fn stream_rows(&mut self, mut visit: impl FnMut(usize, &[f64], &[f64]) -> ControlFlow<()>) {
+        self.core.ensure_csr();
+        let csr = self.core.csr.as_ref().expect("ensured above");
+        let n = self.core.game.n();
+        if self.row.len() != n {
+            self.row.clear();
+            self.row.resize(n, f64::INFINITY);
+        }
+        for u in 0..n {
+            if self.row_src != Some(u) {
+                csr.dijkstra_into_with(u, &mut self.row, &mut self.core.scratch);
+                self.row_src = Some(u);
+                self.core.stats.full_sssp += 1;
+            }
+            let latency = self.core.game.latency_row(u);
+            if visit(u, &self.row, &latency).is_break() {
+                return;
+            }
+        }
+    }
+
+    /// Social cost of the current profile, exactly as
+    /// [`GameSession::social_cost`](crate::GameSession::social_cost)
+    /// computes it, from `n` transient rows.
+    #[must_use]
+    pub fn social_cost(&mut self) -> SocialCost {
+        let mut stretch_cost = 0.0f64;
+        self.stream_rows(|u, row, latency| sum_stretch(&mut stretch_cost, u, row, latency));
+        SocialCost {
+            link_cost: self.core.game.alpha() * self.core.profile.link_count() as f64,
+            stretch_cost,
+        }
+    }
+
+    /// The largest stretch over all ordered pairs, exactly as
+    /// [`GameSession::max_stretch`](crate::GameSession::max_stretch)
+    /// computes it, from `n` transient rows.
+    #[must_use]
+    pub fn max_stretch(&mut self) -> f64 {
+        let mut m = 1.0f64;
+        self.stream_rows(|u, row, latency| max_stretch_of(&mut m, u, row, latency));
+        m
+    }
+
+    /// Certified bounds `(lower, upper)` on the overlay distance
+    /// `d_G(u, v)` under the current profile: `lower ≤ d_G(u, v) ≤
+    /// upper` always holds. Combines the landmark sketch with the metric
+    /// lower bound, without sweeping from `u`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::PeerOutOfBounds`] for out-of-range peers.
+    pub fn dist_bounds(&mut self, u: PeerId, v: PeerId) -> Result<(f64, f64), CoreError> {
+        for p in [u, v] {
+            check_peer(self.n(), p)?;
+        }
+        self.ensure_sketch();
+        if u == v {
+            return Ok((0.0, 0.0));
+        }
+        let sketch = self.landmarks.sketch.as_ref().expect("ensured above");
+        let (u, v) = (u.index(), v.index());
+        // Overlay edge weights are metric distances, so the metric
+        // distance is a lower bound too (triangle inequality).
+        let lower = sketch.lower(u, v).max(self.core.game.distance(u, v));
+        Ok((lower, sketch.upper(u, v)))
+    }
+
+    /// The session's better response: a **deterministic heuristic** move
+    /// for `peer` evaluated against its metric window only — exact
+    /// distances inside a bounded ball, certified sketch upper bounds
+    /// beyond it, stretch-floor pruning for hopeless candidates — or
+    /// `None` when no evaluated move improves.
+    ///
+    /// Cost model: `O(window · ball_cap · log)` per call, independent of
+    /// `n` once the sketch is built. Never materialises a matrix. The
+    /// returned move carries `exact: false` — large-`n` dynamics trade
+    /// per-move optimality for tractability, converging on the same
+    /// better-response principle the paper's dynamics use.
+    ///
+    /// A session whose window already covers every peer
+    /// (`window + 1 ≥ n`) scans a fresh `G_{-i}` oracle instead, and
+    /// decides **bit-identically** to a dense
+    /// [`GameSession::first_improving_move`](crate::GameSession::first_improving_move).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::PeerOutOfBounds`] for out-of-range peers.
+    pub fn local_response(
+        &mut self,
+        peer: PeerId,
+        tol: f64,
+    ) -> Result<Option<BestResponse>, CoreError> {
+        let n = self.n();
+        check_peer(n, peer)?;
+        if n <= 1 {
+            return Ok(None);
+        }
+        if self.landmarks.window + 1 >= n {
+            let oracle = ResponseOracle::build_with(
+                &self.core.game,
+                &self.core.profile,
+                peer,
+                &mut self.core.scratch,
+            )?;
+            self.core.stats.oracle_builds += 1;
+            return Ok(oracle.first_improving_move(peer, self.core.profile.strategy(peer), tol));
+        }
+        self.ensure_sketch();
+        Ok(self.landmarks.local_response(&mut self.core, peer, tol))
+    }
+}
+
+/// The landmark state of a [`SparseSession`], kept apart from its
+/// [`SessionCore`] so that candidate evaluation can borrow both.
 #[derive(Debug, Clone)]
-pub struct SparseBackend {
+struct Landmarks {
     params: SparseParams,
     /// Effective window (`params.window` clamped to `n − 1`).
     window: usize,
-    /// Landmark ids, fixed for the session (metric-derived).
-    landmarks: Vec<usize>,
+    /// Landmark ids, picked once from the metric.
+    ids: Vec<usize>,
     /// Row-major `n × window` metric-nearest neighbour ids.
     near: Vec<u32>,
-    /// Landmark rows over the current overlay; `None` until first use
-    /// and after a wholesale profile replacement.
+    /// Landmark rows over the current overlay; `None` until first use.
     sketch: Option<LandmarkSketch>,
     bounded: BoundedDijkstra,
-    /// Transient exact row for `peer_cost`-style queries.
-    row_buf: Vec<f64>,
-    row_src: Option<usize>,
-    /// The documented `O(n²)` escape hatch behind `overlay_distances`
-    /// on sparse sessions — built only on demand, dropped on any
-    /// mutation. Not part of the scale path.
-    escape: Option<DistanceMatrix>,
 }
 
-impl SparseBackend {
-    /// Precomputes the metric-derived state (landmarks, windows); the
-    /// overlay-derived sketch is built lazily by
-    /// [`SparseBackend::ensure_ready`].
-    pub(crate) fn new(game: &Game, params: SparseParams) -> Self {
-        let n = game.n();
-        assert!(n < u32::MAX as usize, "peer ids must fit u32");
-        let window = params.window.min(n.saturating_sub(1));
-        let landmarks =
-            farthest_point_landmarks(n, params.landmarks.min(n), |i, j| game.distance(i, j));
-        let near = metric_windows(game, window);
-        SparseBackend {
-            params,
-            window,
-            landmarks,
-            near,
-            sketch: None,
-            bounded: BoundedDijkstra::new(),
-            row_buf: Vec::new(),
-            row_src: None,
-            escape: None,
-        }
-    }
-
-    pub(crate) fn params(&self) -> &SparseParams {
-        &self.params
-    }
-
-    pub(crate) fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Builds the sketch for the current overlay (`transpose` is
-    /// `csr.transpose()`) if it is not already standing. Returns the
-    /// number of full rows swept (`2 · L` on a build, `0` otherwise) for
-    /// the session's counters.
-    pub(crate) fn ensure_ready(
-        &mut self,
-        csr: &CsrGraph,
-        transpose: &CsrGraph,
-        scratch: &mut DijkstraScratch,
-    ) -> usize {
-        if self.sketch.is_some() {
-            return 0;
-        }
-        let sketch = LandmarkSketch::build(csr, transpose, self.landmarks.clone(), scratch);
-        self.sketch = Some(sketch);
-        2 * self.landmarks.len()
-    }
-
-    /// Whether the landmark sketch is standing — the session then keeps
-    /// the overlay transpose its repair needs.
-    pub(crate) fn has_sketch(&self) -> bool {
-        self.sketch.is_some()
-    }
-
-    /// Repairs the sketch after a committed edge diff (the sparse arm of
-    /// the session's single invalidation code path) against the new
-    /// overlay `csr` and its transpose, which the session supplies
-    /// whenever [`SparseBackend::has_sketch`] holds. No-op while the
-    /// sketch is lazily absent.
-    pub(crate) fn repair(
-        &mut self,
-        csr: &CsrGraph,
-        transpose: Option<&CsrGraph>,
-        added: &[(usize, usize, f64)],
-        removed: &[(usize, usize, f64)],
-        scratch: &mut DijkstraScratch,
-    ) -> SketchRepair {
-        self.row_src = None;
-        self.escape = None;
-        let Some(sketch) = self.sketch.as_mut() else {
-            return SketchRepair::default();
-        };
-        let transpose = transpose.expect("the session keeps a transpose while a sketch stands");
-        sketch.repair_after_edges(csr, transpose, added, removed, EDGE_ON_PATH_EPS, scratch)
-    }
-
-    /// Whether any overlay-derived state is standing (sketch, transient
-    /// row, escape matrix) — the session's repair pass stays lazy when
-    /// there is nothing to repair.
-    pub(crate) fn has_cached_state(&self) -> bool {
-        self.sketch.is_some() || self.row_src.is_some() || self.escape.is_some()
-    }
-
-    /// Whether the escape-hatch matrix is already materialised (the
-    /// session charges `n` sweeps to the stats when it is not).
-    pub(crate) fn escape_ready(&self) -> bool {
-        self.escape.is_some()
-    }
-
-    /// Sweeps the exact overlay row of `u` into the transient buffer.
-    /// Returns `false` when the buffer already holds `u`'s row (still
-    /// valid — mutations clear it), `true` when a sweep was paid.
-    pub(crate) fn compute_row(
-        &mut self,
-        csr: &CsrGraph,
-        u: usize,
-        scratch: &mut DijkstraScratch,
-    ) -> bool {
-        if self.row_src == Some(u) {
-            return false;
-        }
-        let n = csr.node_count();
-        if self.row_buf.len() != n {
-            self.row_buf.clear();
-            self.row_buf.resize(n, f64::INFINITY);
-        }
-        csr.dijkstra_into_with(u, &mut self.row_buf, scratch);
-        self.row_src = Some(u);
-        true
-    }
-
-    /// The transient row last computed by [`SparseBackend::compute_row`].
-    pub(crate) fn row_ref(&self, u: usize) -> &[f64] {
-        debug_assert_eq!(self.row_src, Some(u), "transient row is for another source");
-        &self.row_buf
-    }
-
-    /// Certified `(lower, upper)` bounds on the overlay distance
-    /// `d_G(u, v)`: sketch triangle bounds, with the metric distance as
-    /// an additional lower bound (overlay edge weights *are* metric
-    /// distances, so `d_G ≥ d_met` by the triangle inequality).
-    pub(crate) fn dist_bounds(&self, game: &Game, u: usize, v: usize) -> (f64, f64) {
-        if u == v {
-            return (0.0, 0.0);
-        }
-        let sketch = self.sketch.as_ref().expect("ensure_ready precedes queries");
-        let lower = sketch.lower(u, v).max(game.distance(u, v));
-        (lower, sketch.upper(u, v))
-    }
-
+impl Landmarks {
     /// The metric-nearest window of peer `i` (candidate/demand set).
-    pub(crate) fn near_window(&self, i: usize) -> &[u32] {
+    fn near_window(&self, i: usize) -> &[u32] {
         &self.near[i * self.window..(i + 1) * self.window]
-    }
-
-    /// The full overlay matrix escape hatch: `n` exact sweeps into a
-    /// dense matrix, cached until the next mutation. Small-instance
-    /// debugging only — this is precisely the allocation the sparse mode
-    /// exists to avoid.
-    pub(crate) fn escape_matrix(
-        &mut self,
-        csr: &CsrGraph,
-        scratch: &mut DijkstraScratch,
-    ) -> &DistanceMatrix {
-        if self.escape.is_none() {
-            let n = csr.node_count();
-            // sp-lint: allow(dense-alloc, reason = "the documented O(n^2) escape hatch for overlay_distances() on sparse sessions; never on the scale path")
-            let mut m = DistanceMatrix::new_filled(n, f64::INFINITY);
-            for u in 0..n {
-                csr.dijkstra_into_with(u, m.row_mut(u), scratch);
-            }
-            self.escape = Some(m);
-        }
-        self.escape.as_ref().expect("built above")
     }
 
     /// Deterministic heuristic better response: first estimated-improving
     /// drop/add/swap over the peer's metric window. See the module docs
     /// for the estimator's contract.
-    pub(crate) fn local_response(
+    fn local_response(
         &mut self,
-        game: &Game,
-        profile: &StrategyProfile,
-        csr: &CsrGraph,
+        core: &mut SessionCore,
         peer: PeerId,
         tol: f64,
-        counts: &mut LocalCounts,
     ) -> Option<BestResponse> {
+        let SessionCore {
+            game,
+            profile,
+            csr,
+            stats,
+            ..
+        } = core;
+        let csr = csr.as_ref().expect("the sketch build ensured the CSR");
         let i = peer.index();
         let alpha = game.alpha();
         let demand: Vec<usize> = self.near_window(i).iter().map(|&x| x as usize).collect();
@@ -287,7 +506,7 @@ impl SparseBackend {
             .iter()
             .map(|t| (t.index(), game.distance(i, t.index())))
             .collect();
-        let cur_cost = self.estimate(game, csr, i, &cur, &demand, counts);
+        let cur_cost = self.estimate(game, csr, i, &cur, &demand, stats);
         let improves = |c: f64| {
             if c.is_infinite() {
                 return false;
@@ -311,7 +530,7 @@ impl SparseBackend {
         for k in 0..cur.len() {
             let mut cand = cur.clone();
             cand.remove(k);
-            let c = self.estimate(game, csr, i, &cand, &demand, counts);
+            let c = self.estimate(game, csr, i, &cand, &demand, stats);
             if improves(c) {
                 return finish(&cand, c);
             }
@@ -330,12 +549,12 @@ impl SparseBackend {
         // class is pruned unevaluated.
         let add_floor = alpha * (cur.len() + 1) as f64 + demand.len() as f64;
         if !improves(add_floor) {
-            counts.pruned += add_targets.len();
+            stats.sparse_pruned_candidates += add_targets.len();
         } else {
             for &(v, w) in &add_targets {
                 let mut cand = cur.clone();
                 cand.push((v, w));
-                let c = self.estimate(game, csr, i, &cand, &demand, counts);
+                let c = self.estimate(game, csr, i, &cand, &demand, stats);
                 if improves(c) {
                     return finish(&cand, c);
                 }
@@ -346,13 +565,13 @@ impl SparseBackend {
         if !cur.is_empty() {
             let swap_floor = alpha * cur.len() as f64 + demand.len() as f64;
             if !improves(swap_floor) {
-                counts.pruned += cur.len() * add_targets.len();
+                stats.sparse_pruned_candidates += cur.len() * add_targets.len();
             } else {
                 for k in 0..cur.len() {
                     for &(v, w) in &add_targets {
                         let mut cand = cur.clone();
                         cand[k] = (v, w);
-                        let c = self.estimate(game, csr, i, &cand, &demand, counts);
+                        let c = self.estimate(game, csr, i, &cand, &demand, stats);
                         if improves(c) {
                             return finish(&cand, c);
                         }
@@ -374,20 +593,23 @@ impl SparseBackend {
         i: usize,
         links: &[(usize, f64)],
         demand: &[usize],
-        counts: &mut LocalCounts,
+        stats: &mut SessionStats,
     ) -> f64 {
         let sweep = self
             .bounded
             .sweep_with_source_links(csr, i, Some(links), self.params.ball_cap);
-        counts.ball_sweeps += 1;
-        let sketch = self.sketch.as_ref().expect("ensure_ready precedes queries");
+        stats.sparse_ball_sweeps += 1;
+        let sketch = self
+            .sketch
+            .as_ref()
+            .expect("ensure_sketch precedes queries");
         let mut cost = game.alpha() * links.len() as f64;
         for &j in demand {
             let d = match sweep.distance(j) {
                 Some(d) => d,
                 None if sweep.complete => f64::INFINITY,
                 None => {
-                    counts.sketch_hits += 1;
+                    stats.sparse_sketch_hits += 1;
                     let mut best = f64::INFINITY;
                     for &(v, w) in links {
                         let via = if v == j { w } else { w + sketch.upper(v, j) };
@@ -405,29 +627,6 @@ impl SparseBackend {
             }
         }
         cost
-    }
-
-    /// Semantic bytes of cached distance state (deterministic across
-    /// machines; the `sp-serve` registry budgets sessions with it).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        let f64s = std::mem::size_of::<f64>();
-        let mut bytes = self.landmarks.len() * std::mem::size_of::<usize>()
-            + self.near.len() * std::mem::size_of::<u32>()
-            + self.row_buf.len() * f64s;
-        if let Some(s) = &self.sketch {
-            bytes += s.memory_bytes();
-        }
-        if let Some(e) = &self.escape {
-            bytes += e.len() * e.len() * f64s;
-        }
-        bytes
-    }
-
-    /// Drops every cached sketch and row (profile replaced wholesale).
-    pub(crate) fn invalidate(&mut self) {
-        self.sketch = None;
-        self.row_src = None;
-        self.escape = None;
     }
 }
 

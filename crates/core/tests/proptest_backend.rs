@@ -1,31 +1,33 @@
-//! Property tests pinning the sparse backend to the dense reference.
+//! Property tests pinning the sparse session to the dense reference.
 //!
-//! Three contracts hold for every instance, not just the benchmarked
+//! Four contracts hold for every instance, not just the benchmarked
 //! ones:
 //!
-//! 1. **Certified bounds bracket.** A sparse session's
-//!    [`GameSession::dist_bounds`] always satisfies
-//!    `lower ≤ exact ≤ upper`, where "exact" is the dense session's
-//!    answer on the same game and profile.
+//! 1. **Certified bounds bracket.** [`SparseSession::dist_bounds`]
+//!    always satisfies `lower ≤ exact ≤ upper`, where "exact" is the
+//!    dense session's overlay distance on the same game and profile.
 //! 2. **Small instances collapse to exact.** When the metric window
-//!    already covers every peer (`window + 1 ≥ n`), a sparse session's
-//!    [`GameSession::local_response`] decides **bit-identically** to the
-//!    dense [`GameSession::first_improving_move`].
+//!    already covers every peer (`window + 1 ≥ n`),
+//!    [`SparseSession::local_response`] decides **bit-identically** to
+//!    the dense [`GameSession::first_improving_move`].
 //! 3. **Lazy oracle is invisible.** The cached
 //!    [`GameSession::first_improving_move`] (a lazy certified-bound scan)
 //!    stays bit-identical to
 //!    [`GameSession::first_improving_move_uncached`] across arbitrary
 //!    interleaved applies, at every `α` regime the generator draws.
 //! 4. **Readouts stream exactly.** A sparse session's cost readouts
-//!    equal the session-free reference of `support` bit for bit, across
-//!    interleaved `apply` and `apply_batch` calls, and keep no `n × n`
-//!    matrix.
+//!    (social cost, max stretch) equal the session-free reference of
+//!    `support` bit for bit, across interleaved `apply` and
+//!    `apply_batch` calls, and keep no `n × n` matrix.
 
+// The dense readout check in `support` is `proptest_session.rs`'s; this
+// suite shares only its session-free reference.
+#[allow(dead_code)]
 mod support;
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use sp_core::{Game, GameSession, Move, PeerId, SparseParams, StrategyProfile};
+use sp_core::{Game, GameSession, Move, PeerId, SparseParams, SparseSession, StrategyProfile};
 use sp_metric::LineSpace;
 
 /// CI's determinism matrix sets `SP_TEST_PARALLELISM` to pin every
@@ -77,24 +79,39 @@ fn arb_params() -> impl Strategy<Value = SparseParams> {
     })
 }
 
-/// Replays one scripted `(kind, from, to)` triple on both sessions.
-fn play_both(a: &mut GameSession, b: &mut GameSession, kind: u8, from: usize, to: usize) {
-    if from == to {
-        return;
+/// The move of one scripted `(kind, from, to)` triple; `None` for a
+/// self-link.
+fn script_move(kind: u8, from: usize, to: usize) -> Option<Move> {
+    let (from, to) = (PeerId::new(from), PeerId::new(to));
+    match kind {
+        _ if from == to => None,
+        0 => Some(Move::AddLink { from, to }),
+        _ => Some(Move::RemoveLink { from, to }),
     }
-    let mv = match kind {
-        0 => Move::AddLink {
-            from: PeerId::new(from),
-            to: PeerId::new(to),
-        },
-        _ => Move::RemoveLink {
-            from: PeerId::new(from),
-            to: PeerId::new(to),
-        },
-    };
-    a.apply(mv.clone())
-        .expect("script only uses in-bounds peers");
-    b.apply(mv).expect("script only uses in-bounds peers");
+}
+
+/// Replays one scripted triple on a sparse and a dense session.
+fn play_sparse_and_dense(
+    a: &mut SparseSession,
+    b: &mut GameSession,
+    kind: u8,
+    from: usize,
+    to: usize,
+) {
+    if let Some(mv) = script_move(kind, from, to) {
+        a.apply(mv.clone())
+            .expect("script only uses in-bounds peers");
+        b.apply(mv).expect("script only uses in-bounds peers");
+    }
+}
+
+/// Replays one scripted triple on two dense sessions.
+fn play_both(a: &mut GameSession, b: &mut GameSession, kind: u8, from: usize, to: usize) {
+    if let Some(mv) = script_move(kind, from, to) {
+        a.apply(mv.clone())
+            .expect("script only uses in-bounds peers");
+        b.apply(mv).expect("script only uses in-bounds peers");
+    }
 }
 
 /// Asserts two optional best responses are bit-identical.
@@ -165,7 +182,7 @@ fn sparse_max_stretch_keeps_no_matrix() {
     let p = StrategyProfile::from_links(n, &links).unwrap();
     let sparse_game = Game::from_line_positions(positions.clone(), 1.5).unwrap();
     let dense_game = Game::from_space(&LineSpace::new(positions).unwrap(), 1.5).unwrap();
-    let mut sparse = GameSession::new_sparse(sparse_game, p.clone()).unwrap();
+    let mut sparse = SparseSession::new(sparse_game, p.clone()).unwrap();
     let mut dense = GameSession::new(dense_game, p).unwrap();
     let got = sparse.max_stretch();
     assert!(got.is_finite() && got > 1.0, "max stretch {got}");
@@ -190,12 +207,12 @@ proptest! {
         let n = positions.len();
         let sparse_game = Game::from_line_positions(positions.clone(), alpha).unwrap();
         let dense_game = Game::from_line_positions(positions, alpha).unwrap();
-        let mut sparse =
-            GameSession::new_sparse_with(sparse_game, profile.clone(), params).unwrap();
+        let mut sparse = SparseSession::with_params(sparse_game, profile.clone(), params).unwrap();
         let mut dense = GameSession::new(dense_game, profile).unwrap();
         for &(kind, from, to) in &script {
-            play_both(&mut sparse, &mut dense, kind, from, to);
+            play_sparse_and_dense(&mut sparse, &mut dense, kind, from, to);
         }
+        let exact = dense.overlay_distances().clone();
         // The bounds are certified in real arithmetic; the float
         // evaluations of the two sides accumulate independent rounding,
         // so the bracket is checked up to a relative epsilon.
@@ -205,8 +222,7 @@ proptest! {
         for u in 0..n {
             for v in 0..n {
                 let (lo, hi) = sparse.dist_bounds(PeerId::new(u), PeerId::new(v)).unwrap();
-                let (exact, exact_hi) = dense.dist_bounds(PeerId::new(u), PeerId::new(v)).unwrap();
-                prop_assert_eq!(exact.to_bits(), exact_hi.to_bits(), "dense must answer exactly");
+                let exact = exact[(u, v)];
                 prop_assert!(
                     leq(lo, exact),
                     "pair ({},{}) lower bound {} above exact {}",
@@ -236,12 +252,9 @@ proptest! {
         };
         let sparse_game = Game::from_line_positions(positions.clone(), alpha).unwrap();
         let dense_game = Game::from_line_positions(positions, alpha).unwrap();
-        let mut sparse =
-            GameSession::new_sparse_with(sparse_game, profile.clone(), params).unwrap();
+        let mut sparse = SparseSession::with_params(sparse_game, profile.clone(), params).unwrap();
         let mut dense = GameSession::new(dense_game, profile).unwrap();
-        let workers = forced_parallelism().unwrap_or(workers);
-        sparse.set_parallelism(Some(workers));
-        dense.set_parallelism(Some(workers));
+        dense.set_parallelism(Some(forced_parallelism().unwrap_or(workers)));
         for step in 0..=script.len() {
             for peer in 0..n {
                 let s = sparse.local_response(PeerId::new(peer), 1e-9).unwrap();
@@ -249,7 +262,7 @@ proptest! {
                 assert_same_response("full-window", peer, s.as_ref(), d.as_ref())?;
             }
             if let Some(&(kind, from, to)) = script.get(step) {
-                play_both(&mut sparse, &mut dense, kind, from, to);
+                play_sparse_and_dense(&mut sparse, &mut dense, kind, from, to);
             }
         }
     }
@@ -286,10 +299,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A sparse session's `social_cost`, `all_peer_costs`, `max_stretch`
-    /// and `stretch_matrix` equal the session-free reference bit for
-    /// bit after every step; the script's moves alternate between
-    /// `apply_batch` chunks and single `apply` calls.
+    /// A sparse session's `social_cost` and `max_stretch` equal the
+    /// session-free reference bit for bit after every step; the
+    /// script's moves alternate between `apply_batch` chunks and single
+    /// `apply` calls.
     #[test]
     fn sparse_readouts_equal_the_sessionless_reference(
         (positions, alpha, profile, script) in arb_line_instance(),
@@ -297,19 +310,11 @@ proptest! {
         chunk in 1usize..4,
     ) {
         let game = Game::from_line_positions(positions, alpha).unwrap();
-        let mut s = GameSession::new_sparse_with(game, profile, params).unwrap();
-        support::readouts_match(&mut s, 0)?;
+        let mut s = SparseSession::with_params(game, profile, params).unwrap();
+        readouts_match(&mut s, 0)?;
         let moves: Vec<Move> = script
             .iter()
-            .filter(|&&(_, from, to)| from != to)
-            .map(|&(kind, from, to)| {
-                let (from, to) = (PeerId::new(from), PeerId::new(to));
-                if kind == 0 {
-                    Move::AddLink { from, to }
-                } else {
-                    Move::RemoveLink { from, to }
-                }
-            })
+            .filter_map(|&(kind, from, to)| script_move(kind, from, to))
             .collect();
         for (step, batch) in moves.chunks(chunk).enumerate() {
             if step % 2 == 0 {
@@ -319,7 +324,24 @@ proptest! {
                     s.apply(mv.clone()).unwrap();
                 }
             }
-            support::readouts_match(&mut s, step + 1)?;
+            readouts_match(&mut s, step + 1)?;
         }
     }
+}
+
+/// Asserts that a sparse session's readouts equal the session-free
+/// reference on its current profile bit for bit; `first` picks which
+/// readout runs first, so each is also read right after the other.
+fn readouts_match(session: &mut SparseSession, first: usize) -> Result<(), TestCaseError> {
+    let want = support::reference_readouts(session.game(), session.profile());
+    for k in 0..2 {
+        if (first + k).is_multiple_of(2) {
+            let got = session.social_cost();
+            prop_assert_eq!(got.link_cost.to_bits(), want.link_cost.to_bits());
+            prop_assert_eq!(got.stretch_cost.to_bits(), want.stretch_cost.to_bits());
+        } else {
+            prop_assert_eq!(session.max_stretch().to_bits(), want.max_stretch.to_bits());
+        }
+    }
+    Ok(())
 }

@@ -464,20 +464,18 @@ proptest! {
 
 /// A game — random points, or unit-spaced line positions whose equal
 /// gaps tie shortest paths and stretches — with 1 to 7 peers, a start
-/// profile (empty for one flag value), whether the session is sparse,
-/// and a script of `(kind, from, to)` steps: kinds 0–2 apply
+/// profile (empty for one flag value), and a script of `(kind, from, to)` steps: kinds 0–2 apply
 /// [`script_move`], kinds 3–5 play `from`'s best response.
 #[allow(clippy::type_complexity)]
-fn arb_play_script() -> impl Strategy<Value = (Game, StrategyProfile, bool, Vec<(u8, usize, usize)>)>
-{
-    (1usize..=7, 0u64..10_000, 0.1f64..8.0, 0u8..8).prop_flat_map(|(n, seed, alpha, flags)| {
+fn arb_play_script() -> impl Strategy<Value = (Game, StrategyProfile, Vec<(u8, usize, usize)>)> {
+    (1usize..=7, 0u64..10_000, 0.1f64..8.0, 0u8..4).prop_flat_map(|(n, seed, alpha, flags)| {
         let max_links = (n * (n - 1)).min(16);
         (
             proptest::collection::vec((0..n, 0..n), 0..=max_links),
             proptest::collection::vec((0u8..6, 0..n, 0..n), 1..12),
         )
             .prop_map(move |(pairs, script)| {
-                let (line, empty, sparse) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                let (line, empty) = (flags & 1 != 0, flags & 2 != 0);
                 let game = if line {
                     let positions = (0..n).map(|k| k as f64).collect();
                     Game::from_space(&LineSpace::new(positions).unwrap(), alpha).unwrap()
@@ -491,7 +489,7 @@ fn arb_play_script() -> impl Strategy<Value = (Game, StrategyProfile, bool, Vec<
                     pairs.into_iter().filter(|&(u, v)| u != v).collect()
                 };
                 let profile = StrategyProfile::from_links(n, &links).unwrap();
-                (game, profile, sparse, script)
+                (game, profile, script)
             })
     })
 }
@@ -555,21 +553,17 @@ proptest! {
     /// and a tolerance so large that only a disconnected peer moves).
     /// Both play the same response and replace the same links; the
     /// profiles stay equal; after every step each overlay row matches a
-    /// fresh sweep bit for bit, and after a dense play the rows are read
+    /// fresh sweep bit for bit, and after a play the rows are read
     /// without a sweep. A play that moves nothing leaves the profile and
     /// the CSR as they were.
     #[test]
     fn played_response_equals_best_response_then_apply(
-        (game, profile, sparse, script) in arb_play_script()
+        (game, profile, script) in arb_play_script()
     ) {
-        let session = |p: &StrategyProfile| if sparse {
-            GameSession::new_sparse(game.clone(), p.clone()).unwrap()
-        } else {
-            GameSession::new(game.clone(), p.clone()).unwrap()
-        };
+        let session = |p: &StrategyProfile| GameSession::new(game.clone(), p.clone()).unwrap();
         let mut s = session(&profile);
         let mut twin = session(&profile);
-        // Warm: a play then finds every dense row valid, so its sweeps
+        // Warm: a play then finds every row valid, so its sweeps
         // are its own.
         let _ = s.overlay_distances();
         for &(kind, from, to) in &script {
@@ -602,11 +596,9 @@ proptest! {
                     None => {
                         prop_assert_eq!(s.profile(), &before_profile);
                         prop_assert_eq!(after.csr_rebuilds, before.csr_rebuilds);
-                        if !sparse {
-                            prop_assert_eq!(after.full_sssp, before.full_sssp);
-                        }
+                        prop_assert_eq!(after.full_sssp, before.full_sssp);
                     }
-                    Some(_) if !sparse && game.n() > 1 => {
+                    Some(_) if game.n() > 1 => {
                         prop_assert_eq!(after.rows_invalidated, before.rows_invalidated);
                         prop_assert_eq!(after.full_sssp, before.full_sssp);
                         let rows = s.overlay_distances().clone();
@@ -620,7 +612,7 @@ proptest! {
             }
             prop_assert_eq!(s.profile(), twin.profile());
             // Every row, after every step, against a cold session; this
-            // also leaves the CSR built and every dense row valid, so
+            // also leaves the CSR built and every row valid, so
             // the next play starts from a warm cache.
             let rows = s.overlay_distances().clone();
             let fresh = session(s.profile()).overlay_distances().clone();
@@ -673,14 +665,10 @@ proptest! {
     /// read.
     #[test]
     fn lazy_oracles_equal_uncached_for_every_method(
-        (game, profile, sparse, script) in arb_play_script()
+        (game, profile, script) in arb_play_script()
     ) {
         let n = game.n();
-        let mut s = if sparse {
-            GameSession::new_sparse(game.clone(), profile.clone()).unwrap()
-        } else {
-            GameSession::new(game.clone(), profile.clone()).unwrap()
-        };
+        let mut s = GameSession::new(game.clone(), profile.clone()).unwrap();
         let mut bounded = 0;
         for (step, &(kind, from, to)) in script.iter().enumerate() {
             let peer = PeerId::new(from);
@@ -693,7 +681,7 @@ proptest! {
                 prop_assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(),
                     "{:?} peer {:?}: {} vs {}", method, peer, fresh.cost, cached.cost);
                 prop_assert_eq!(fresh.current_cost.to_bits(), cached.current_cost.to_bits());
-                if !sparse && n > 1 {
+                if n > 1 {
                     prop_assert_eq!(resolved_rows(&after) - resolved_rows(&before), n - 1,
                         "{:?}: row accounting of one oracle", method);
                     let held = after.oracle_rows_bounded - before.oracle_rows_bounded;

@@ -1,5 +1,6 @@
 //! A session-free reference for the cost readouts, shared by the dense
 //! (`proptest_session.rs`) and sparse (`proptest_backend.rs`) suites.
+//! [`readouts_match`] checks a dense session against it.
 //!
 //! The reference builds the overlay with [`sp_core::topology`], runs a
 //! fresh [`sp_graph::dijkstra`] from every source, and reduces in the

@@ -1,10 +1,10 @@
 //! Demo: two rounds of better-response dynamics on 100 000 peers.
 //!
 //! Run with `cargo run --release -p sp-dynamics --example large_scale`.
-//! The sparse backend keeps peak session memory in the tens of
+//! The sparse session keeps peak session memory in the tens of
 //! megabytes; the dense matrix alone would cost 80 GB at this size.
 
-use sp_core::{Game, GameSession, StrategyProfile};
+use sp_core::{Game, SparseSession, StrategyProfile};
 use sp_dynamics::large_scale::{run_large_scale, LargeScaleConfig};
 use std::time::Instant;
 
@@ -13,7 +13,7 @@ fn main() {
     let positions: Vec<f64> = (0..n).map(|i| i as f64 * 1.5).collect();
     let game = Game::from_line_positions(positions, 0.8).unwrap();
     let t0 = Instant::now();
-    let mut session = GameSession::new_sparse(game, StrategyProfile::empty(n)).unwrap();
+    let mut session = SparseSession::new(game, StrategyProfile::empty(n)).unwrap();
     println!("session setup: {:?}", t0.elapsed());
     let cfg = LargeScaleConfig {
         max_rounds: 2,

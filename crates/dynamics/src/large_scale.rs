@@ -4,18 +4,17 @@
 //! simultaneous round engine both freeze full `n × n` distance state
 //! between activations — exactly what a 10⁵-peer instance cannot afford.
 //! This driver never requests a full matrix: every peer is polled with
-//! [`GameSession::local_response`] against the round-start profile
-//! (sparse sessions answer from bounded balls plus landmark sketches,
-//! dense sessions from the exact cached scan), and all accepted moves
-//! commit through **one** [`GameSession::apply_batch`] per round — one
-//! CSR rebuild, one sketch repair, however many peers moved.
+//! [`SparseSession::local_response`] against the round-start profile
+//! (answered from bounded balls plus landmark sketches), and all
+//! accepted moves commit through **one** [`SparseSession::apply_batch`]
+//! per round — one CSR rebuild, one sketch repair, however many peers
+//! moved.
 //!
 //! The semantics are simultaneous (every peer reacts to the same
 //! round-start state), matching `run_simultaneous`; the budget per round
-//! is `O(n · window · ball_cap · log)` time and `O(n)` transient memory
-//! on a sparse session.
+//! is `O(n · window · ball_cap · log)` time and `O(n)` transient memory.
 
-use sp_core::{CoreError, GameSession, Move, PeerId, SessionStats};
+use sp_core::{CoreError, Move, PeerId, SessionStats, SparseSession};
 
 /// Configuration for [`run_large_scale`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +22,7 @@ pub struct LargeScaleConfig {
     /// Maximum rounds before giving up (`converged: false`).
     pub max_rounds: usize,
     /// Relative improvement tolerance handed to
-    /// [`GameSession::local_response`].
+    /// [`SparseSession::local_response`].
     pub tolerance: f64,
 }
 
@@ -44,10 +43,10 @@ pub struct LargeScaleReport {
     /// Accepted moves committed across all rounds.
     pub moves: usize,
     /// `true` when a round passed with no peer wanting to move (under
-    /// the session's response estimator — a heuristic quiescence on
-    /// sparse sessions, exact on dense ones).
+    /// the session's response estimator — a heuristic quiescence, exact
+    /// only when the window covers every peer).
     pub converged: bool,
-    /// Largest [`GameSession::memory_bytes`] observed at any round
+    /// Largest [`SparseSession::memory_bytes`] observed at any round
     /// boundary — the counter the `large_n_scale` bench gates to prove
     /// the sparse path never materialised a matrix.
     pub peak_memory_bytes: usize,
@@ -58,9 +57,8 @@ pub struct LargeScaleReport {
 /// Drives round-based better-response dynamics on `session` until an
 /// all-quiet round or `config.max_rounds`.
 ///
-/// Works on either backend; its reason to exist is the **sparse** one,
-/// where a round costs `O(n)` memory. The session's profile is mutated
-/// in place; inspect it through [`GameSession::profile`] afterwards.
+/// A round costs `O(n)` memory. The session's profile is mutated in
+/// place; inspect it through [`SparseSession::profile`] afterwards.
 ///
 /// # Errors
 ///
@@ -68,7 +66,7 @@ pub struct LargeScaleReport {
 /// commit (none occur for in-range peers; the driver only activates
 /// peers the session owns).
 pub fn run_large_scale(
-    session: &mut GameSession,
+    session: &mut SparseSession,
     config: &LargeScaleConfig,
 ) -> Result<LargeScaleReport, CoreError> {
     let n = session.n();
@@ -117,7 +115,7 @@ mod tests {
     #[test]
     fn sparse_drive_connects_empty_start() {
         let game = Game::from_line_positions(line_positions(40), 0.8).unwrap();
-        let mut session = GameSession::new_sparse(game, StrategyProfile::empty(40)).unwrap();
+        let mut session = SparseSession::new(game, StrategyProfile::empty(40)).unwrap();
         let report = run_large_scale(&mut session, &LargeScaleConfig::default()).unwrap();
         assert!(report.moves > 0, "empty start must provoke moves");
         assert!(
@@ -132,7 +130,7 @@ mod tests {
         // α high enough that no peer wants any link under the estimator's
         // stretch floor: the very first round is all-quiet.
         let game = Game::from_line_positions(line_positions(30), 1e9).unwrap();
-        let mut session = GameSession::new_sparse(game, StrategyProfile::empty(30)).unwrap();
+        let mut session = SparseSession::new(game, StrategyProfile::empty(30)).unwrap();
         let report = run_large_scale(&mut session, &LargeScaleConfig::default()).unwrap();
         assert!(report.converged);
         assert_eq!(report.moves, 0);
@@ -140,19 +138,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_session_drives_through_exact_path() {
+    fn full_window_session_drives_through_exact_path() {
+        // 12 peers fit the default 16-peer window: every response is the
+        // exact scan over a fresh oracle, and no ball is swept.
         let game = Game::from_line_positions(line_positions(12), 0.5).unwrap();
-        let mut session = GameSession::new(game, StrategyProfile::empty(12)).unwrap();
+        let mut session = SparseSession::new(game, StrategyProfile::empty(12)).unwrap();
         let report = run_large_scale(&mut session, &LargeScaleConfig::default()).unwrap();
         assert!(report.converged, "exact better-response must converge here");
         assert_eq!(report.stats.sparse_ball_sweeps, 0);
+        assert!(report.stats.oracle_builds > 0);
     }
 
     #[test]
     fn peak_memory_stays_linear_on_sparse_sessions() {
         let n = 2000;
         let game = Game::from_line_positions(line_positions(n), 0.8).unwrap();
-        let mut session = GameSession::new_sparse(game, StrategyProfile::empty(n)).unwrap();
+        let mut session = SparseSession::new(game, StrategyProfile::empty(n)).unwrap();
         let cfg = LargeScaleConfig {
             max_rounds: 2,
             ..LargeScaleConfig::default()

@@ -55,9 +55,8 @@
 //! same round engine.
 //!
 //! For instances too large for any full-matrix engine, the
-//! [`large_scale`] driver polls `GameSession::local_response` per peer
-//! and commits each round through one `apply_batch` — on a sparse
-//! session ([`sp_core::GameSession::new_sparse`]) that is `O(n)`
+//! [`large_scale`] driver polls [`sp_core::SparseSession::local_response`]
+//! per peer and commits each round through one `apply_batch` — `O(n)`
 //! transient memory per round, no `n × n` state ever.
 //!
 //! # Example

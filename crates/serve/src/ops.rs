@@ -17,20 +17,80 @@
 //! Parsing does not live here: requests arrive as typed
 //! [`sp_wire::Request`] values, decoded by the binary codec.
 
-use sp_core::{BackendMode, GameSession, LinkSet, SocialCost};
+use sp_core::{
+    BackendMode, Game, GameSession, LinkSet, Move, SessionStats, SocialCost, SparseSession,
+    StrategyProfile,
+};
 use sp_dynamics::{run_config_on_session, DynamicsConfig, ResponseRule};
 
 use crate::spec;
 use crate::wire::{
-    DynamicsBody, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec, ResultBody, SessionOp,
-    SocialCostBody, WireError,
+    BestResponseBody, DynamicsBody, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec, ResultBody,
+    SessionOp, SocialCostBody, WireError,
 };
+
+/// A served session, of the type its spec's `mode` names; a registry
+/// slot holds one, and every op dispatches on it once.
+#[derive(Debug)]
+pub enum Session {
+    /// `mode: dense`.
+    Dense(Box<GameSession>),
+    /// `mode: sparse`: `O(n)` resident state.
+    Sparse(Box<SparseSession>),
+}
+
+impl Session {
+    /// The mode this session was created in.
+    #[must_use]
+    pub fn mode(&self) -> BackendMode {
+        match self {
+            Session::Dense(_) => BackendMode::Dense,
+            Session::Sparse(_) => BackendMode::Sparse,
+        }
+    }
+
+    /// The game and the current profile.
+    #[must_use]
+    pub fn state(&self) -> (&Game, &StrategyProfile) {
+        match self {
+            Session::Dense(s) => (s.game(), s.profile()),
+            Session::Sparse(s) => (s.game(), s.profile()),
+        }
+    }
+
+    /// The session's semantic size in bytes, the game excluded.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            Session::Dense(s) => s.memory_bytes(),
+            Session::Sparse(s) => s.memory_bytes(),
+        }
+    }
+
+    /// The session's work counters.
+    #[must_use]
+    pub fn stats(&self) -> SessionStats {
+        match self {
+            Session::Dense(s) => s.stats(),
+            Session::Sparse(s) => s.stats(),
+        }
+    }
+
+    /// Zeroes the session's work counters.
+    pub fn reset_stats(&mut self) {
+        match self {
+            Session::Dense(s) => s.reset_stats(),
+            Session::Sparse(s) => s.reset_stats(),
+        }
+    }
+}
 
 /// Applies the service-wide session tuning: single-threaded refills
 /// (concurrency comes from the worker pool multiplexing sessions, and
-/// nested fan-out would oversubscribe the host). Used on both freshly
-/// created and restored sessions, and by the reference executor, so
-/// tuning can never cause divergence.
+/// nested fan-out would oversubscribe the host). Used on freshly
+/// created and restored sessions, on the transient dense sessions of a
+/// sparse slot, and by the reference executor, so tuning can never
+/// cause divergence.
 pub fn tune_for_service(session: &mut GameSession) {
     session.set_parallelism(Some(1));
 }
@@ -63,22 +123,37 @@ fn core_err(e: impl std::fmt::Display) -> WireError {
     WireError::new(ErrorCode::Core, e.to_string())
 }
 
-/// Builds a fresh session from a typed `create` spec, tuned via
-/// [`tune_for_service`].
+/// Builds the session a typed `create` spec describes, in its mode; a
+/// dense one is tuned via [`tune_for_service`].
 ///
 /// # Errors
 ///
 /// Spec problems come back as [`ErrorCode::BadSpec`], engine rejections
 /// as [`ErrorCode::Core`].
-pub fn build_session(spec: &GameSpec) -> Result<GameSession, WireError> {
+pub fn build(spec: &GameSpec) -> Result<Session, WireError> {
     let (game, profile) = spec::build(spec)?;
-    let mut session = match spec.mode {
-        BackendMode::Dense => GameSession::new(game, profile),
-        BackendMode::Sparse => GameSession::new_sparse(game, profile),
+    if spec.mode == BackendMode::Sparse {
+        let session = SparseSession::new(game, profile).map_err(core_err)?;
+        return Ok(Session::Sparse(Box::new(session)));
     }
-    .map_err(core_err)?;
+    let mut session = GameSession::new(game, profile).map_err(core_err)?;
     tune_for_service(&mut session);
-    Ok(session)
+    Ok(Session::Dense(Box::new(session)))
+}
+
+/// [`build`] for a dense spec; a sparse one is [`ErrorCode::BadSpec`].
+///
+/// # Errors
+///
+/// As [`build`].
+pub fn build_session(spec: &GameSpec) -> Result<GameSession, WireError> {
+    match build(spec)? {
+        Session::Dense(session) => Ok(*session),
+        Session::Sparse(_) => Err(WireError::new(
+            ErrorCode::BadSpec,
+            "a sparse spec builds no GameSession",
+        )),
+    }
 }
 
 fn links_vec(links: &LinkSet) -> Vec<usize> {
@@ -93,22 +168,40 @@ fn social_cost_body(sc: &SocialCost) -> SocialCostBody {
     }
 }
 
+fn created_body((game, profile): (&Game, &StrategyProfile), mode: BackendMode) -> ResultBody {
+    ResultBody::Created {
+        n: game.n(),
+        alpha: game.alpha(),
+        links: profile.link_count(),
+        mode,
+    }
+}
+
 /// The canonical `create` result body.
 #[must_use]
+pub fn created(session: &Session) -> ResultBody {
+    created_body(session.state(), session.mode())
+}
+
+/// [`created`] for a dense session.
+#[must_use]
 pub fn create_result(session: &GameSession) -> ResultBody {
-    ResultBody::Created {
-        n: session.n(),
-        alpha: session.game().alpha(),
-        links: session.profile().link_count(),
-        mode: session.backend_mode(),
-    }
+    created_body((session.game(), session.profile()), BackendMode::Dense)
 }
 
 /// The canonical `load` result body.
 #[must_use]
-pub fn loaded_result(session: &GameSession) -> ResultBody {
+pub fn loaded(session: &Session) -> ResultBody {
     ResultBody::Loaded {
-        mode: session.backend_mode(),
+        mode: session.mode(),
+    }
+}
+
+/// [`loaded`] for a dense session.
+#[must_use]
+pub fn loaded_result(_session: &GameSession) -> ResultBody {
+    ResultBody::Loaded {
+        mode: BackendMode::Dense,
     }
 }
 
@@ -117,70 +210,124 @@ pub fn loaded_result(session: &GameSession) -> ResultBody {
 /// `snapshot`/`evict`) are placement decisions and must be handled by
 /// the caller; passing one here is an error.
 ///
+/// A sparse session runs `best_response`, `nash_gap` and `run_dynamics`
+/// on a transient tuned [`GameSession`] of its game and profile —
+/// `O(n²)` memory while the op runs — and takes back the strategies the
+/// op changed in one `apply_batch`. Cached ≡ fresh makes every answer
+/// the bits a dense session gives.
+///
 /// # Errors
 ///
 /// Engine rejections come back as [`ErrorCode::Core`] with the engine's
 /// display string as the message.
+pub fn execute(op: &SessionOp, session: &mut Session) -> Result<ResultBody, WireError> {
+    let sparse = match session {
+        Session::Dense(dense) => return execute_query(op, dense),
+        Session::Sparse(sparse) => sparse,
+    };
+    match op {
+        SessionOp::Apply { mv } => sparse.apply(mv.clone()).map(|p| applied(&p)),
+        SessionOp::ApplyBatch { moves } => sparse.apply_batch(moves).map(|p| batch_applied(&p)),
+        SessionOp::SocialCost => Ok(ResultBody::SocialCost(social_cost_body(
+            &sparse.social_cost(),
+        ))),
+        SessionOp::Stretch => Ok(ResultBody::Stretch {
+            max_stretch: sparse.max_stretch(),
+        }),
+        SessionOp::BestResponse { .. } | SessionOp::NashGap { .. } | SessionOp::RunDynamics(_) => {
+            let mut dense =
+                GameSession::from_refs(sparse.game(), sparse.profile()).map_err(core_err)?;
+            tune_for_service(&mut dense);
+            let body = execute_query(op, &mut dense)?;
+            let moves: Vec<Move> = dense
+                .profile()
+                .iter()
+                .filter(|&(peer, links)| links != sparse.profile().strategy(peer))
+                .map(|(peer, links)| Move::SetStrategy {
+                    peer,
+                    links: links.clone(),
+                })
+                .collect();
+            sparse.apply_batch(&moves).map(|_| body)
+        }
+        _ => return Err(lifecycle_error()),
+    }
+    .map_err(core_err)
+}
+
+/// [`execute`] on a dense session.
+///
+/// # Errors
+///
+/// As [`execute`].
 pub fn execute_query(op: &SessionOp, session: &mut GameSession) -> Result<ResultBody, WireError> {
     match op {
-        SessionOp::Apply { mv } => {
-            let previous = session.apply(mv.clone()).map_err(core_err)?;
-            Ok(ResultBody::Applied {
-                previous: links_vec(&previous),
-            })
-        }
-        SessionOp::ApplyBatch { moves } => {
-            let previous = session.apply_batch(moves).map_err(core_err)?;
-            Ok(ResultBody::BatchApplied {
-                previous: previous.iter().map(links_vec).collect(),
-            })
-        }
+        SessionOp::Apply { mv } => session.apply(mv.clone()).map(|p| applied(&p)),
+        SessionOp::ApplyBatch { moves } => session.apply_batch(moves).map(|p| batch_applied(&p)),
         SessionOp::BestResponse { peer, method } => {
-            let br = session.best_response(*peer, *method).map_err(core_err)?;
-            Ok(ResultBody::BestResponse(crate::wire::BestResponseBody {
-                peer: br.peer.index(),
-                links: links_vec(&br.links),
-                cost: br.cost,
-                current_cost: br.current_cost,
-                exact: br.exact,
-            }))
+            session.best_response(*peer, *method).map(|br| {
+                ResultBody::BestResponse(BestResponseBody {
+                    peer: br.peer.index(),
+                    links: links_vec(&br.links),
+                    cost: br.cost,
+                    current_cost: br.current_cost,
+                    exact: br.exact,
+                })
+            })
         }
-        SessionOp::NashGap { method } => {
-            let gap = session.nash_gap(*method).map_err(core_err)?;
-            Ok(ResultBody::NashGap { gap })
-        }
+        SessionOp::NashGap { method } => session
+            .nash_gap(*method)
+            .map(|gap| ResultBody::NashGap { gap }),
         SessionOp::SocialCost => Ok(ResultBody::SocialCost(social_cost_body(
             &session.social_cost(),
         ))),
         SessionOp::Stretch => Ok(ResultBody::Stretch {
             max_stretch: session.max_stretch(),
         }),
-        SessionOp::RunDynamics(spec) => {
-            if session.n() == 0 {
-                return Err(WireError::new(
-                    ErrorCode::Core,
-                    "cannot run dynamics on an empty game",
-                ));
-            }
-            let out = run_config_on_session(dynamics_config(spec), session);
-            let after = session.social_cost();
-            Ok(ResultBody::Dynamics(DynamicsBody {
-                termination: out.termination,
-                steps: out.steps,
-                moves: out.moves,
-                social_cost: social_cost_body(&after),
-            }))
-        }
-        SessionOp::Create(_)
-        | SessionOp::Load
-        | SessionOp::Snapshot
-        | SessionOp::Evict
-        | SessionOp::WalHead
-        | SessionOp::WalVerify => Err(WireError::new(
-            ErrorCode::BadRequest,
-            "lifecycle op reached execute_query",
-        )),
+        SessionOp::RunDynamics(spec) => return run_dynamics(spec, session),
+        _ => return Err(lifecycle_error()),
     }
+    .map_err(core_err)
+}
+
+fn lifecycle_error() -> WireError {
+    WireError::new(ErrorCode::BadRequest, "lifecycle op reached execute_query")
+}
+
+fn applied(previous: &LinkSet) -> ResultBody {
+    ResultBody::Applied {
+        previous: links_vec(previous),
+    }
+}
+
+fn batch_applied(previous: &[LinkSet]) -> ResultBody {
+    ResultBody::BatchApplied {
+        previous: previous.iter().map(links_vec).collect(),
+    }
+}
+
+/// Runs `spec`'s dynamics in place on `session` and reports where they
+/// ended. A run the engine would have to abort — an empty game, or a
+/// best-response method too small for the game — is refused up front
+/// with the error a single `best_response` returns.
+fn run_dynamics(spec: &DynamicsSpec, session: &mut GameSession) -> Result<ResultBody, WireError> {
+    if session.n() == 0 {
+        return Err(WireError::new(
+            ErrorCode::Core,
+            "cannot run dynamics on an empty game",
+        ));
+    }
+    if let DynamicsRule::Best(method) = spec.rule {
+        method.check_size(session.n()).map_err(core_err)?;
+    }
+    let out = run_config_on_session(dynamics_config(spec), session);
+    let after = session.social_cost();
+    Ok(ResultBody::Dynamics(DynamicsBody {
+        termination: out.termination,
+        steps: out.steps,
+        moves: out.moves,
+        social_cost: social_cost_body(&after),
+    }))
 }
 
 #[cfg(test)]

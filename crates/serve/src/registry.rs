@@ -1,7 +1,7 @@
 //! The session registry: one locked, name-ordered map of named
-//! [`GameSession`]s with LRU spill-to-disk eviction under a global
-//! memory budget, and the worker-pool scheduler that executes requests
-//! against them.
+//! sessions ([`Session`]: dense or sparse) with LRU spill-to-disk
+//! eviction under a global memory budget, and the worker-pool scheduler
+//! that executes requests against them.
 //!
 //! The map lock is held only to find, insert or list entries; a walk
 //! over the sessions copies their `Arc`s out before it takes any entry
@@ -35,7 +35,7 @@
 //! # Memory budget and eviction
 //!
 //! Every slot's footprint is accounted semantically —
-//! [`GameSession::memory_bytes`] plus the game's metric store
+//! [`Session::memory_bytes`] plus the game's metric store
 //! (`8n²` for a dense matrix, `8n` for implicit line positions — see
 //! `Game::metric_bytes`) plus a fixed per-entry overhead — in the same
 //! machine-independent
@@ -65,12 +65,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use sp_core::{GameSession, SessionStats};
+use sp_core::SessionStats;
 use sp_obs::{Phase, SpanHandle};
 
 use crate::config::Durability;
 use crate::obs::{ObsConfig, ServeObs};
-use crate::ops;
+use crate::ops::{self, Session};
 use crate::snapshot;
 use crate::wal::{self, SessionWal};
 use crate::wire::{
@@ -164,7 +164,7 @@ struct EntryState {
     /// `true` while a worker holds the session outside the lock.
     busy: bool,
     /// The resident session; `None` when spilled or not yet created.
-    resident: Option<Box<GameSession>>,
+    resident: Option<Session>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
     /// Whether resident state has diverged from the session's file.
@@ -250,7 +250,7 @@ impl RegistryStats {
 /// [`SessionRegistry::run_job`] edits it in place.
 struct Slot {
     /// The resident session; `None` when spilled or not yet created.
-    resident: Option<Box<GameSession>>,
+    resident: Option<Session>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
     /// Whether resident state has diverged from the session's file.
@@ -485,7 +485,7 @@ impl SessionRegistry {
 
     /// Merges a session's work counters into the registry's total and
     /// zeroes them, so that no later bank counts them again.
-    fn bank(&self, session: &mut GameSession) {
+    fn bank(&self, session: &mut Session) {
         lock_unpoisoned(&self.work).merge(&session.stats());
         session.reset_stats();
     }
@@ -630,12 +630,12 @@ impl SessionRegistry {
         st.bytes = new_bytes;
     }
 
-    fn slot_bytes(session: &GameSession) -> usize {
+    fn slot_bytes(session: &Session) -> usize {
         // `metric_bytes` is `8n²` for a dense matrix store — identical
         // to the historical accounting — and `8n` for implicit line
         // positions, which is what lets thousands of sparse sessions
         // share a budget that one dense session would blow.
-        session.memory_bytes() + session.game().metric_bytes() + ENTRY_OVERHEAD_BYTES
+        session.memory_bytes() + session.state().0.metric_bytes() + ENTRY_OVERHEAD_BYTES
     }
 
     /// The session's one file: its log, checkpoint included.
@@ -687,14 +687,14 @@ impl SessionRegistry {
     fn spill(
         &self,
         name: &str,
-        session: &mut GameSession,
+        session: &mut Session,
         dirty: bool,
         wal: Option<&Arc<Mutex<SessionWal>>>,
     ) -> io::Result<()> {
         let path = self.log_path(name);
         let Some(wal) = wal else {
             if dirty || !path.exists() {
-                snapshot::save(&path, session)?;
+                snapshot::save_session(&path, session)?;
             }
             return Ok(());
         };
@@ -778,7 +778,7 @@ impl SessionRegistry {
             st.created = slot.created;
             st.dirty = slot.dirty;
             st.wal = wal;
-            let new_bytes = slot.resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
+            let new_bytes = slot.resident.as_ref().map_or(0, Self::slot_bytes);
             self.account(&mut st, new_bytes);
             st.resident = slot.resident;
             st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -856,12 +856,12 @@ impl SessionRegistry {
                 );
                 return Response::err(id, e);
             }
-            return match ops::build_session(spec) {
+            return match ops::build(spec) {
                 Ok(session) => {
                     self.sessions_created.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::ok(id, ops::create_result(&session));
+                    let response = Response::ok(id, ops::created(&session));
                     *slot = Slot {
-                        resident: Some(Box::new(session)),
+                        resident: Some(session),
                         created: true,
                         dirty: true,
                     };
@@ -900,12 +900,12 @@ impl SessionRegistry {
                     );
                     return Response::err(id, e);
                 }
-                match snapshot::load(&self.log_path(name)) {
+                match snapshot::load_session(&self.log_path(name)) {
                     Ok(s) => {
                         self.sessions_restored.fetch_add(1, Ordering::Relaxed);
                         slot.created = true;
                         slot.dirty = false;
-                        Box::new(s)
+                        s
                     }
                     Err(e) => {
                         let e = WireError::new(
@@ -919,7 +919,7 @@ impl SessionRegistry {
         };
 
         let response = match &request.op {
-            SessionOp::Load => Response::ok(id, ops::loaded_result(&resident)),
+            SessionOp::Load => Response::ok(id, ops::loaded(&resident)),
             SessionOp::Snapshot => {
                 match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
                     Ok(()) => {
@@ -948,7 +948,7 @@ impl SessionRegistry {
                     WireError::new(ErrorCode::Io, format!("evict failed: {e}")),
                 ),
             },
-            op => match ops::execute_query(op, &mut resident) {
+            op => match ops::execute(op, &mut resident) {
                 Ok(result) => {
                     slot.dirty |= op.is_mutating();
                     Response::ok(id, result)
@@ -1066,7 +1066,7 @@ impl SessionRegistry {
     /// the tail after it ([`snapshot::rebuild`]).
     fn recover_session(&self, name: &str, path: &std::path::Path) -> io::Result<()> {
         let (wal, log) = SessionWal::recover(path, self.config.durability.fsync())?;
-        let resident = snapshot::rebuild(&log)
+        let mut resident = snapshot::rebuild(&log)
             .map_err(|e| io::Error::new(e.kind(), format!("recovery of session {name:?}: {e}")))?;
         if log.checkpoint.is_some() {
             self.sessions_restored.fetch_add(1, Ordering::Relaxed);
@@ -1074,7 +1074,6 @@ impl SessionRegistry {
         self.wal_replays
             .fetch_add(log.tail.len() as u64, Ordering::Relaxed);
         let created = resident.is_some();
-        let mut resident = resident.map(Box::new);
         if let Some(session) = resident.as_mut() {
             self.bank(session);
         }
@@ -1083,7 +1082,7 @@ impl SessionRegistry {
         let mut st = lock_unpoisoned(&entry.state);
         st.created = created;
         st.wal = Some(Arc::new(Mutex::new(wal)));
-        let new_bytes = resident.as_ref().map_or(0, |s| Self::slot_bytes(s));
+        let new_bytes = resident.as_ref().map_or(0, Self::slot_bytes);
         self.account(&mut st, new_bytes);
         st.resident = resident;
         st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1152,8 +1151,8 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{GameSpec, Geometry};
-    use sp_core::{BackendMode, Move, PeerId};
+    use crate::wire::{DynamicsRule, DynamicsSpec, GameSpec, Geometry};
+    use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1296,9 +1295,9 @@ mod tests {
         let SessionOp::Create(spec) = create("probe", &LINE4).op else {
             unreachable!("create builds a create op")
         };
-        let mut session = ops::build_session(&spec).expect("valid spec");
+        let mut session = ops::build(&spec).expect("valid spec");
         let created = SessionRegistry::slot_bytes(&session);
-        ops::execute_query(&SessionOp::SocialCost, &mut session).expect("social cost");
+        ops::execute(&SessionOp::SocialCost, &mut session).expect("social cost");
         (created, SessionRegistry::slot_bytes(&session))
     }
 
@@ -1433,6 +1432,54 @@ mod tests {
         );
         let sc2 = submit_and_wait(&registry, req("big", SessionOp::SocialCost));
         assert_eq!(sc2, sc1, "restored sparse session must answer identically");
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `run_dynamics` with a best-response method too small for the game
+    /// is refused with the error `best_response` gives, in either mode;
+    /// the reply arrives, and the session and the one worker keep
+    /// serving.
+    #[test]
+    fn oversized_enumeration_dynamics_fails_typed() {
+        let dir = test_dir("enumeration");
+        let registry = SessionRegistry::new(RegistryConfig {
+            spill_dir: dir.clone(),
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let workers = registry.spawn_workers(1);
+        let answer = |request: SessionRequest| {
+            registry
+                .submit(request, None)
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the worker must answer")
+        };
+        let method = BestResponseMethod::ExactEnumeration;
+        for mode in [BackendMode::Dense, BackendMode::Sparse] {
+            let name = mode.as_str();
+            let positions = (0..26).map(f64::from).collect();
+            let r = answer(create_with(name, positions, mode));
+            assert!(r.outcome.is_ok(), "{r:?}");
+            let dynamics = SessionOp::RunDynamics(DynamicsSpec {
+                rule: DynamicsRule::Best(method),
+                max_rounds: Some(1),
+                tolerance: None,
+                detect_cycles: None,
+            });
+            let refused = answer(req(name, dynamics)).outcome.unwrap_err();
+            let single = SessionOp::BestResponse {
+                peer: PeerId::new(0),
+                method,
+            };
+            assert_eq!(refused, answer(req(name, single)).outcome.unwrap_err());
+            assert_eq!(refused.code, ErrorCode::Core);
+            let r = answer(req(name, SessionOp::SocialCost));
+            assert!(r.outcome.is_ok(), "{r:?}");
+        }
         registry.shutdown();
         for w in workers {
             w.join().unwrap();

@@ -33,9 +33,9 @@
 use std::io;
 use std::path::Path;
 
-use sp_core::{BackendMode, GameSession, SparseParams};
+use sp_core::{BackendMode, Game, GameSession, SparseParams, SparseSession, StrategyProfile};
 
-use crate::ops;
+use crate::ops::{self, Session};
 use crate::spec;
 use crate::wal::{self, Log};
 use crate::wire::{ErrorCode, GameSpec, Geometry, Request, SessionOp, WireError};
@@ -48,53 +48,59 @@ use crate::wire::{ErrorCode, GameSpec, Geometry, Request, SessionOp, WireError};
 /// [`io::ErrorKind::InvalidInput`] for a sparse session the spec cannot
 /// express — non-default [`SparseParams`] or a metric that is not a
 /// line. The service never builds such sessions.
-pub fn checkpoint(session: &mut GameSession) -> io::Result<GameSpec> {
-    let mode = session.backend_mode();
-    let game = session.game_arc();
-    let geometry = match (mode, game.line_positions()) {
-        (BackendMode::Dense, _) => {
-            let n = game.n();
-            Geometry::Matrix(
-                (0..n)
-                    .map(|i| (0..n).map(|j| game.distance(i, j)).collect())
-                    .collect(),
-            )
+pub fn checkpoint(session: &mut Session) -> io::Result<GameSpec> {
+    match session {
+        Session::Dense(s) => spec_of(s.snapshot(), s.game(), None),
+        Session::Sparse(s) => spec_of(s.snapshot(), s.game(), Some(s.params())),
+    }
+}
+
+/// The spec of a session on `game` holding `profile`: a dense session
+/// (`params: None`) carries the game's matrix, a sparse one its line
+/// positions.
+fn spec_of(
+    profile: StrategyProfile,
+    game: &Game,
+    params: Option<SparseParams>,
+) -> io::Result<GameSpec> {
+    let n = game.n();
+    let (geometry, mode) = match (params, game.line_positions()) {
+        (None, _) => {
+            let rows = (0..n).map(|i| (0..n).map(|j| game.distance(i, j)).collect());
+            (Geometry::Matrix(rows.collect()), BackendMode::Dense)
         }
-        (BackendMode::Sparse, Some(positions))
-            if session.sparse_params() == Some(SparseParams::default()) =>
-        {
-            Geometry::Line(positions.to_vec())
+        (Some(p), Some(positions)) if p == SparseParams::default() => {
+            (Geometry::Line(positions.to_vec()), BackendMode::Sparse)
         }
-        (BackendMode::Sparse, _) => {
+        (Some(_), _) => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "a sparse session checkpoints only over line positions with default parameters",
-            ));
+            ))
         }
     };
-    let links = session
-        .snapshot()
-        .iter()
-        .flat_map(|(i, links)| links.iter().map(move |t| (i.index(), t.index())))
-        .collect();
+    let links = profile.iter();
+    let links = links.flat_map(|(i, links)| links.iter().map(move |t| (i.index(), t.index())));
     Ok(GameSpec {
         alpha: game.alpha(),
         geometry,
-        links,
+        links: links.collect(),
         mode,
     })
 }
 
 /// Rebuilds the session a checkpoint describes, tuned for the service.
-fn restore(spec: &GameSpec) -> Result<GameSession, WireError> {
+fn restore(spec: &GameSpec) -> Result<Session, WireError> {
     let (game, profile) = spec::build(spec)?;
-    let mut session = match spec.mode {
-        BackendMode::Dense => GameSession::restore(game, profile),
-        BackendMode::Sparse => GameSession::restore_sparse(game, profile, SparseParams::default()),
-    }
-    .map_err(|e| WireError::new(ErrorCode::Core, e.to_string()))?;
-    ops::tune_for_service(&mut session);
-    Ok(session)
+    let restored = match spec.mode {
+        BackendMode::Dense => GameSession::restore(game, profile).map(|mut s| {
+            ops::tune_for_service(&mut s);
+            Session::Dense(Box::new(s))
+        }),
+        BackendMode::Sparse => SparseSession::restore(game, profile, SparseParams::default())
+            .map(|s| Session::Sparse(Box::new(s))),
+    };
+    restored.map_err(|e| WireError::new(ErrorCode::Core, e.to_string()))
 }
 
 /// Rebuilds the session a log describes: the header's checkpoint, then
@@ -106,7 +112,7 @@ fn restore(spec: &GameSpec) -> Result<GameSession, WireError> {
 /// [`io::ErrorKind::InvalidData`] when the checkpoint does not build or
 /// a record does not apply — a record was acknowledged, so anything
 /// but a clean apply is divergence, and rebuilding must not guess.
-pub fn rebuild(log: &Log) -> io::Result<Option<GameSession>> {
+pub fn rebuild(log: &Log) -> io::Result<Option<Session>> {
     let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     let mut session = match &log.checkpoint {
         Some(spec) => Some(restore(spec).map_err(|e| invalid(format!("checkpoint: {e}")))?),
@@ -125,30 +131,40 @@ pub fn rebuild(log: &Log) -> io::Result<Option<GameSession>> {
         match (&sr.op, session.as_mut()) {
             (SessionOp::Create(_), Some(_)) => return Err(fail("create on an existing session")),
             (SessionOp::Create(spec), None) => {
-                session = Some(ops::build_session(spec).map_err(|e| fail(&e.message))?);
+                session = Some(ops::build(spec).map_err(|e| fail(&e.message))?);
             }
             // Placement-only records: the state they acknowledged is
             // already resident.
             (SessionOp::Evict | SessionOp::Load, _) => {}
             (_, None) => return Err(fail("mutation on a session that does not exist")),
             (op, Some(s)) => {
-                ops::execute_query(op, s).map_err(|e| fail(&e.message))?;
+                ops::execute(op, s).map_err(|e| fail(&e.message))?;
             }
         }
     }
     Ok(session)
 }
 
-/// Writes `session` to `path` as a header-only log holding its
-/// checkpoint, atomically (temp file + rename), so a crash mid-spill
-/// never leaves a truncated file behind. No fsync — the non-logging
-/// spill path, where durability is best-effort by contract.
+/// Writes `session`'s [`checkpoint`] to `path` as a header-only log,
+/// atomically (temp file + rename), so a crash mid-spill never leaves a
+/// truncated file behind. No fsync — the non-logging spill path, where
+/// durability is best-effort by contract.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors, and [`checkpoint`]'s refusal.
-pub fn save(path: &Path, session: &mut GameSession) -> io::Result<()> {
+pub fn save_session(path: &Path, session: &mut Session) -> io::Result<()> {
     let checkpoint = checkpoint(session)?;
+    wal::write_fresh(path, false, 0, wal::genesis(), Some(checkpoint)).map(drop)
+}
+
+/// [`save_session`] for a dense session.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn save(path: &Path, session: &mut GameSession) -> io::Result<()> {
+    let checkpoint = spec_of(session.snapshot(), session.game(), None)?;
     wal::write_fresh(path, false, 0, wal::genesis(), Some(checkpoint)).map(drop)
 }
 
@@ -158,9 +174,25 @@ pub fn save(path: &Path, session: &mut GameSession) -> io::Result<()> {
 ///
 /// Propagates filesystem errors; malformed content, a retired format,
 /// or a log that holds no session is [`io::ErrorKind::InvalidData`].
-pub fn load(path: &Path) -> io::Result<GameSession> {
+pub fn load_session(path: &Path) -> io::Result<Session> {
     rebuild(&wal::read(path)?)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "the log holds no session"))
+}
+
+/// [`load_session`] for a log that holds a dense session.
+///
+/// # Errors
+///
+/// As [`load_session`]; a sparse session is
+/// [`io::ErrorKind::InvalidData`].
+pub fn load(path: &Path) -> io::Result<GameSession> {
+    match load_session(path)? {
+        Session::Dense(session) => Ok(*session),
+        Session::Sparse(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "the log holds a sparse session",
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -218,7 +250,7 @@ mod tests {
     fn sparse_roundtrip_restores_mode_profile_and_params() {
         let positions: Vec<f64> = (0..40).map(|i| f64::from(i) * 1.25).collect();
         let game = Game::from_line_positions(positions, 0.8).unwrap();
-        let mut s = GameSession::new_sparse(game, StrategyProfile::empty(40)).unwrap();
+        let mut s = SparseSession::new(game, StrategyProfile::empty(40)).unwrap();
         for (from, to) in [(0, 1), (1, 2)] {
             s.apply(Move::AddLink {
                 from: PeerId::new(from),
@@ -226,22 +258,26 @@ mod tests {
             })
             .unwrap();
         }
+        let mut s = Session::Sparse(Box::new(s));
         assert!(
             matches!(checkpoint(&mut s).unwrap().geometry, Geometry::Line(_)),
             "sparse checkpoints must not carry a quadratic matrix"
         );
         let path = tmp("sparse");
-        save(&path, &mut s).unwrap();
-        let mut back = load(&path).unwrap();
-        assert_eq!(back.backend_mode(), BackendMode::Sparse);
+        save_session(&path, &mut s).unwrap();
+        let (Session::Sparse(mut back), Session::Sparse(mut s)) = (load_session(&path).unwrap(), s)
+        else {
+            panic!("a sparse session must load back sparse");
+        };
         assert_eq!(back.profile(), s.profile());
-        assert_eq!(back.sparse_params(), s.sparse_params());
+        assert_eq!(back.params(), s.params());
         assert_eq!(back.game(), s.game());
+        assert_eq!(back.stats().snapshot_restores, 1);
         assert_eq!(
             back.social_cost().total().to_bits(),
             s.social_cost().total().to_bits()
         );
-        assert_eq!(back.stats().snapshot_restores, 1);
+        assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -255,14 +291,17 @@ mod tests {
             landmarks: 3,
             ..SparseParams::default()
         };
-        let mut tuned =
-            GameSession::new_sparse_with(line, StrategyProfile::empty(8), params).unwrap();
-        let e = checkpoint(&mut tuned).unwrap_err();
+        let tuned = SparseSession::with_params(line, StrategyProfile::empty(8), params).unwrap();
+        let e = checkpoint(&mut Session::Sparse(Box::new(tuned))).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
 
         let matrix = warmed_session().game().clone();
-        let mut over_matrix = GameSession::new_sparse(matrix, StrategyProfile::empty(5)).unwrap();
-        let e = save(&tmp("inexpressible"), &mut over_matrix).unwrap_err();
+        let over_matrix = SparseSession::new(matrix, StrategyProfile::empty(5)).unwrap();
+        let e = save_session(
+            &tmp("inexpressible"),
+            &mut Session::Sparse(Box::new(over_matrix)),
+        )
+        .unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
     }
 

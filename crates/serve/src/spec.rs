@@ -11,7 +11,7 @@
 //! Dense mode stores line geometries as a precomputed matrix (the
 //! historical, bit-identically accounted representation); sparse mode
 //! keeps the positions themselves so the game's metric store stays
-//! `O(n)` (see `sp_core::backend`).
+//! `O(n)` (see `sp_core::SparseSession`).
 
 use sp_core::{BackendMode, Game, StrategyProfile};
 use sp_graph::DistanceMatrix;

@@ -25,10 +25,10 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use rand::prelude::*;
-use sp_core::{BackendMode, BestResponseMethod, GameSession, Move, PeerId};
+use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 
 use crate::client::ServeClient;
-use crate::ops;
+use crate::ops::{self, Session};
 use crate::wire::{
     binary, DynamicsRule, DynamicsSpec, ErrorCode, GameSpec, Geometry, Request, Response,
     ResultBody, SessionOp, SessionRequest, WireError,
@@ -259,14 +259,14 @@ pub fn build_script(cfg: &WorkloadConfig) -> Vec<ScriptRequest> {
 /// served run must match bit for bit.
 #[must_use]
 pub fn reference_typed(script: &[ScriptRequest]) -> Vec<Response> {
-    let mut sessions: HashMap<String, GameSession> = HashMap::new();
+    let mut sessions: HashMap<String, Session> = HashMap::new();
     script
         .iter()
         .map(|r| reference_respond(&mut sessions, &r.request))
         .collect()
 }
 
-fn reference_respond(sessions: &mut HashMap<String, GameSession>, request: &Request) -> Response {
+fn reference_respond(sessions: &mut HashMap<String, Session>, request: &Request) -> Response {
     let Request::Session(req) = request else {
         return Response::err(
             request.id(),
@@ -289,9 +289,9 @@ fn reference_respond(sessions: &mut HashMap<String, GameSession>, request: &Requ
                     ),
                 );
             }
-            match ops::build_session(spec) {
+            match ops::build(spec) {
                 Ok(s) => {
-                    let result = ops::create_result(&s);
+                    let result = ops::created(&s);
                     sessions.insert(name.clone(), s);
                     Response::ok(id, result)
                 }
@@ -309,10 +309,10 @@ fn reference_respond(sessions: &mut HashMap<String, GameSession>, request: &Requ
                 );
             };
             match op {
-                SessionOp::Load => Response::ok(id, ops::loaded_result(session)),
+                SessionOp::Load => Response::ok(id, ops::loaded(session)),
                 SessionOp::Snapshot => Response::ok(id, ResultBody::Persisted),
                 SessionOp::Evict => Response::ok(id, ResultBody::Evicted),
-                _ => match ops::execute_query(op, session) {
+                _ => match ops::execute(op, session) {
                     Ok(result) => Response::ok(id, result),
                     Err(e) => Response::err(id, e),
                 },

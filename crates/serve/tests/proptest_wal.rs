@@ -16,11 +16,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use sp_core::{BackendMode, GameSession, Move, PeerId};
+use sp_core::{BackendMode, Move, PeerId};
 use sp_graph::fnv1a_extend;
+use sp_serve::ops::{self, Session};
+use sp_serve::snapshot;
 use sp_serve::wal::{self, SessionWal};
-use sp_serve::wire::{ErrorCode, GameSpec, Geometry, Request, SessionOp, SessionRequest};
-use sp_serve::{ops, snapshot};
+use sp_serve::wire::{
+    ErrorCode, GameSpec, Geometry, Request, ResultBody, SessionOp, SessionRequest,
+};
 
 /// A unique log path per proptest case (cases run concurrently across
 /// test threads, and a shrinking run revisits the same closure).
@@ -233,22 +236,23 @@ fn frames_intact(data: &[u8]) -> bool {
     true
 }
 
-fn same_session(a: &mut GameSession, b: &mut GameSession) -> bool {
-    a.game() == b.game()
-        && a.profile() == b.profile()
-        && a.backend_mode() == b.backend_mode()
-        && a.social_cost().total().to_bits() == b.social_cost().total().to_bits()
+fn same_session(a: &mut Session, b: &mut Session) -> bool {
+    let cost = |s: &mut Session| match ops::execute(&SessionOp::SocialCost, s) {
+        Ok(ResultBody::SocialCost(c)) => Some(c.total.to_bits()),
+        _ => None,
+    };
+    a.state() == b.state() && a.mode() == b.mode() && cost(a) == cost(b)
 }
 
 /// Feeds `bytes` through both readers of a session file; each must
 /// answer `Ok` or a typed `InvalidData` error, never panic.
-fn read_both(path: &Path, bytes: &[u8]) -> io::Result<GameSession> {
+fn read_both(path: &Path, bytes: &[u8]) -> io::Result<Session> {
     fs::write(path, bytes).unwrap();
     if let Err(e) = SessionWal::recover(path, false) {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "recover: {e}");
     }
     fs::write(path, bytes).unwrap();
-    let loaded = snapshot::load(path);
+    let loaded = snapshot::load_session(path);
     if let Err(e) = &loaded {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "load: {e}");
     }
@@ -257,7 +261,7 @@ fn read_both(path: &Path, bytes: &[u8]) -> io::Result<GameSession> {
 
 /// Hostile bytes into the checkpoint decoder: every truncation of a
 /// valid checkpointed file, and a few hundred seeded random mutations
-/// of it, go through `snapshot::load` and `SessionWal::recover`. Each
+/// of it, go through `snapshot::load_session` and `SessionWal::recover`. Each
 /// answers a typed `InvalidData` error — or, for cuts past the header,
 /// a clean torn tail — and never panics; a mutation that leaves every
 /// CRC valid must fail or decode to an equal session. Mutations of the
@@ -268,7 +272,7 @@ fn hostile_bytes_into_the_checkpoint_decoder_fail_typed() {
     let path = case_path();
     for sparse in [false, true] {
         let spec_links = [(0, 1), (1, 0), (1, 2), (3, 4), (4, 2)];
-        let mut session = ops::build_session(&GameSpec {
+        let mut session = ops::build(&GameSpec {
             alpha: 0.75,
             geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.5, 9.0]),
             links: spec_links.to_vec(),
@@ -279,7 +283,7 @@ fn hostile_bytes_into_the_checkpoint_decoder_fail_typed() {
             },
         })
         .unwrap();
-        snapshot::save(&path, &mut session).unwrap();
+        snapshot::save_session(&path, &mut session).unwrap();
         let header_len = fs::metadata(&path).unwrap().len() as usize;
         let mut log = SessionWal::open(&path, false).unwrap();
         let apply = Request::Session(SessionRequest {
@@ -296,7 +300,7 @@ fn hostile_bytes_into_the_checkpoint_decoder_fail_typed() {
         log.commit().unwrap();
         drop(log);
         let clean = fs::read(&path).unwrap();
-        let mut expected = snapshot::load(&path).unwrap();
+        let mut expected = snapshot::load_session(&path).unwrap();
 
         for cut in 0..clean.len() {
             let loaded = read_both(&path, &clean[..cut]);
