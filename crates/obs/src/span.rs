@@ -38,7 +38,7 @@ pub enum Phase {
     Execute = 3,
     /// WAL record appended.
     Wal = 4,
-    /// Group-commit fsync covering this request completed.
+    /// The log commit this request's response waited on completed.
     Fsync = 5,
     /// Response encoded to frame bytes.
     Encode = 6,

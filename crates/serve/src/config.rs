@@ -31,10 +31,10 @@ pub enum Durability {
     Off,
     /// Per-session write-ahead logging ([`crate::wal`]): every
     /// state-mutating op is appended before its response is released,
-    /// synced once per worker drain batch.
+    /// synced once per log per worker drain batch.
     Wal {
-        /// Upper bound on jobs a worker drains (and therefore acks)
-        /// per commit — the group-commit batch size.
+        /// Upper bound on jobs a worker drains between two commit
+        /// points — the group-commit batch size.
         group_commit: usize,
         /// Whether commits actually `fsync`. Turning this off keeps
         /// the exact commit cadence (and counters) while eliding the

@@ -46,8 +46,8 @@
 //! * [`wal`] + [`config::Durability`] — per-session **write-ahead
 //!   logging**: every state-mutating op is appended (CRC-framed,
 //!   fnv1a hash-chained) before its response is released, synced once
-//!   per worker drain batch (group commit), rewritten as a checkpoint
-//!   on spill, and replayed from the tail on startup — so a
+//!   per log per worker drain batch (group commit), rewritten as a
+//!   checkpoint on spill, and replayed from the tail on startup — so a
 //!   `kill -9` loses nothing acknowledged, and the chain doubles as a
 //!   tamper-evident audit trail queryable via `wal_head` /
 //!   `wal_verify`.

@@ -91,9 +91,10 @@ pub struct ServeObs {
     seq: AtomicU64,
     /// Per-op latency histograms, indexed by op code.
     op_hist: Vec<Option<(String, HistogramCell)>>,
-    /// WAL group-commit batch sizes (jobs per batch with an append).
+    /// Jobs per worker drain batch that appended a record (all the
+    /// jobs it took, reads and early-released replies included).
     pub(crate) wal_batch_jobs: HistogramCell,
-    /// WAL commit latency.
+    /// Latency of each log commit.
     pub(crate) wal_fsync_ns: HistogramCell,
     /// Spans completed (one per request that reached its flush stamp).
     spans_completed: AtomicU64,

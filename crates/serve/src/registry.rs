@@ -284,13 +284,18 @@ pub struct SessionRegistry {
     obs: Option<Arc<ServeObs>>,
 }
 
-/// A finished job whose response is held back until its batch's WAL
-/// commit — append-before-acknowledge made concrete. Jobs without a
-/// WAL append carry `wal: None` and just ride along.
+/// A finished job whose response is held back until one log's commit:
+/// the record it appended, or the records its session's log still had
+/// pending when it ran (a reply must not report state that is not yet
+/// durable). A job with neither replies from
+/// [`SessionRegistry::process`] at once.
 struct PendingReply {
     reply: Reply,
     response: Response,
-    wal: Option<Arc<Mutex<SessionWal>>>,
+    /// The log whose commit releases this reply.
+    wal: Arc<Mutex<SessionWal>>,
+    /// Whether the job appended a record to `wal`.
+    appended: bool,
     span: Option<SpanHandle>,
 }
 
@@ -516,12 +521,11 @@ impl SessionRegistry {
     }
 
     fn worker_loop(&self) {
-        // The drain-batch bound is the group-commit size: every job a
-        // worker finishes between two WAL commits shares one fsync.
-        // Without WAL the bound is 1, which reproduces the historical
-        // process-then-deliver sequencing exactly.
+        // The drain-batch bound is the group-commit size: the records a
+        // worker appends to one log between two commits share one
+        // fsync. Without WAL the bound is 1 and nothing is ever held.
         let cap = self.config.durability.batch_cap();
-        let mut batch: Vec<PendingReply> = Vec::new();
+        let mut held: Vec<PendingReply> = Vec::new();
         loop {
             let entry = {
                 let mut q = lock_unpoisoned(&self.ready);
@@ -538,83 +542,66 @@ impl SessionRegistry {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            self.process(&entry, &mut batch);
+            let mut jobs = usize::from(self.process(&entry, &mut held));
             // Opportunistic drain: keep taking ready work while it's
             // there (never blocking — queued submitters must not wait
             // on an idle batch) until the commit bound fills.
-            while batch.len() < cap {
+            while jobs < cap {
                 let Some(e) = lock_unpoisoned(&self.ready).pop_front() else {
                     break;
                 };
-                self.process(&e, &mut batch);
+                jobs += usize::from(self.process(&e, &mut held));
             }
-            self.commit_batch(&mut batch);
+            self.commit_batch(jobs, &mut held);
         }
     }
 
-    /// The group-commit point: one [`SessionWal::commit`] per distinct
-    /// log touched by the batch, then every held-back response is
-    /// delivered. A failed commit turns the affected responses into
-    /// typed I/O errors — an un-synced op is never acknowledged — and
+    /// The group-commit point of a drain batch of `jobs` jobs: one
+    /// [`SessionWal::commit`] per distinct log the `held` replies wait
+    /// on, in the order the batch first touched them, each log's
+    /// replies delivered right after its own commit. A failed commit
+    /// turns that log's replies into typed I/O errors — neither an
+    /// un-synced op nor a read of its state is ever acknowledged — and
     /// poisons the log (inside [`SessionWal::commit`]): a later batch
     /// must not retry the sync, because a "successful" fsync after a
     /// failed one may not cover the records these clients were told
     /// failed, and it would make them durable and replayable anyway.
     /// The poisoned session is quarantined by [`SessionRegistry::run_job`]
     /// until a restart recovers from what actually reached disk.
-    fn commit_batch(&self, batch: &mut Vec<PendingReply>) {
-        let mut wals: Vec<Arc<Mutex<SessionWal>>> = Vec::new();
-        for p in batch.iter() {
-            if let Some(w) = &p.wal {
-                if !wals.iter().any(|x| Arc::ptr_eq(x, w)) {
-                    wals.push(Arc::clone(w));
-                }
-            }
-        }
-        if !wals.is_empty() {
+    fn commit_batch(&self, jobs: usize, held: &mut Vec<PendingReply>) {
+        if held.iter().any(|p| p.appended) {
             self.wal_batches.fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = &self.obs {
-                obs.wal_batch_jobs.record(batch.len() as u64);
+                obs.wal_batch_jobs.record(jobs as u64);
             }
         }
-        for w in &wals {
+        while let Some(w) = held.first().map(|p| Arc::clone(&p.wal)) {
             let commit_start = self.obs.as_ref().map(|o| o.now_ns());
-            let committed = lock_unpoisoned(w).commit();
+            let committed = lock_unpoisoned(&w).commit();
             if let (Some(obs), Some(start)) = (&self.obs, commit_start) {
                 obs.wal_fsync_ns.record(obs.now_ns().saturating_sub(start));
             }
-            match committed {
-                Ok(true) => {
-                    self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        // The fsync covered every record this batch
-                        // appended to this log: stamp those spans.
-                        for p in batch.iter() {
-                            if let (Some(pw), Some(span)) = (&p.wal, &p.span) {
-                                if Arc::ptr_eq(pw, w) {
-                                    obs.stamp(span, Phase::Fsync);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Already synced (a spill inside this batch committed
-                // for us) — nothing pending is fine.
-                Ok(false) => {}
-                Err(e) => {
-                    for p in batch.iter_mut() {
-                        if p.wal.as_ref().is_some_and(|x| Arc::ptr_eq(x, w)) {
-                            p.response = Response::err(
-                                p.response.id,
-                                WireError::new(ErrorCode::Io, format!("wal commit failed: {e}")),
-                            );
-                        }
-                    }
-                }
+            // `Ok(false)`: nothing was pending, because another commit
+            // (a spill's, or another worker's) already synced it.
+            if let Ok(true) = committed {
+                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        for p in batch.drain(..) {
-            (p.reply)(p.response);
+            for mut p in held.extract_if(.., |p| Arc::ptr_eq(&p.wal, &w)) {
+                match &committed {
+                    Ok(_) => {
+                        if let (Some(obs), Some(span)) = (&self.obs, &p.span) {
+                            obs.stamp(span, Phase::Fsync);
+                        }
+                    }
+                    Err(e) => {
+                        p.response = Response::err(
+                            p.response.id,
+                            WireError::new(ErrorCode::Io, format!("wal commit failed: {e}")),
+                        );
+                    }
+                }
+                (p.reply)(p.response);
+            }
         }
     }
 
@@ -707,17 +694,20 @@ impl SessionRegistry {
         w.checkpoint(checkpoint)
     }
 
-    /// Executes one job with the session checked out of its entry. The
-    /// finished reply is *pushed onto `out`*, not delivered — delivery
-    /// waits for the caller's [`SessionRegistry::commit_batch`], which
-    /// is what makes the WAL append (done here, while the session is
-    /// checked out) precede the acknowledgement.
-    fn process(&self, entry: &Arc<SessionEntry>, out: &mut Vec<PendingReply>) {
+    /// Executes the next job of `entry` with the session checked out,
+    /// and returns whether there was one. The reply leaves at its
+    /// durability point: a job that appended a record, or whose
+    /// session's log still holds records no commit has synced, is
+    /// *pushed onto `held`* for the caller's
+    /// [`SessionRegistry::commit_batch`] — which is what makes the WAL
+    /// append (done here, while the session is checked out) precede the
+    /// acknowledgement; any other reply is delivered here.
+    fn process(&self, entry: &Arc<SessionEntry>, held: &mut Vec<PendingReply>) -> bool {
         let (job, mut slot, mut wal) = {
             let mut st = lock_unpoisoned(&entry.state);
             let Some(job) = st.queue.pop_front() else {
                 st.scheduled = false;
-                return;
+                return false;
             };
             st.busy = true;
             let slot = Slot {
@@ -745,7 +735,7 @@ impl SessionRegistry {
         // resident state is installed below but unobservable — the
         // poisoned log quarantines the session (`run_job` fails every
         // later op) so reads can never serve the un-logged mutation.
-        let mut reply_wal = None;
+        let mut wait = None;
         if self.config.durability.is_wal()
             && job.request.op.is_wal_logged()
             && response.outcome.is_ok()
@@ -762,7 +752,7 @@ impl SessionRegistry {
                     if let (Some(obs), Some(span)) = (&self.obs, &job.span) {
                         obs.stamp(span, Phase::Wal);
                     }
-                    reply_wal = Some(w);
+                    wait = Some((w, true));
                 }
                 Err(e) => {
                     response = Response::err(
@@ -770,6 +760,17 @@ impl SessionRegistry {
                         WireError::new(ErrorCode::Io, format!("wal append failed: {e}")),
                     );
                 }
+            }
+        } else if let Some(w) = wal.as_ref() {
+            // Any other reply may report state that earlier records of
+            // this session made (even an error can: "no such link"), so
+            // it waits for those records' commit if no commit has
+            // synced them yet. Checked while the session is still
+            // checked out — nothing can append meanwhile — and with no
+            // entry lock held, since a commit holds the log's mutex
+            // across its fsync.
+            if lock_unpoisoned(w).has_pending() {
+                wait = Some((Arc::clone(w), false));
             }
         }
         {
@@ -800,12 +801,17 @@ impl SessionRegistry {
         // Count before replying: a submitter that reads `stats` right
         // after its response must see this request in the counter.
         self.requests_served.fetch_add(1, Ordering::Relaxed);
-        out.push(PendingReply {
-            reply: job.reply,
-            response,
-            wal: reply_wal,
-            span: job.span,
-        });
+        match wait {
+            Some((wal, appended)) => held.push(PendingReply {
+                reply: job.reply,
+                response,
+                wal,
+                appended,
+                span: job.span,
+            }),
+            None => (job.reply)(response),
+        }
+        true
     }
 
     /// The lifecycle-aware execution of one request against the
@@ -1544,6 +1550,136 @@ mod tests {
             w.join().unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A WAL registry with one worker and two committed sessions, `a`
+    /// and `b`.
+    fn wal_registry_ab(tag: &str) -> (Arc<SessionRegistry>, Vec<JoinHandle<()>>, PathBuf) {
+        let dir = test_dir(tag);
+        let registry = SessionRegistry::new(RegistryConfig {
+            spill_dir: dir.clone(),
+            durability: Durability::Wal {
+                group_commit: 8,
+                fsync: false,
+            },
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let workers = registry.spawn_workers(1);
+        for name in ["a", "b"] {
+            let r = submit_and_wait(&registry, create(name, &[0.0, 1.0, 3.0]));
+            assert!(r.outcome.is_ok(), "{r:?}");
+        }
+        (registry, workers, dir)
+    }
+
+    /// Parks the registry's one worker inside a reply callback until the
+    /// returned sender fires, so that the jobs queued meanwhile drain
+    /// as one batch.
+    fn park_worker(registry: &SessionRegistry) -> mpsc::Sender<()> {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        registry.submit_with(req("gate", SessionOp::SocialCost), None, move |_| {
+            let _ = parked_tx.send(());
+            let _ = go_rx.recv();
+        });
+        parked_rx.recv().unwrap();
+        go_tx
+    }
+
+    /// Queues `requests` behind a parked worker, releases it, and
+    /// returns each reply, in delivery order, with the `wal_fsyncs`
+    /// its callback read (minus the count before the batch ran).
+    fn one_batch(
+        registry: &Arc<SessionRegistry>,
+        requests: Vec<SessionRequest>,
+    ) -> Vec<(Option<u64>, Result<(), ErrorCode>, u64)> {
+        let go = park_worker(registry);
+        let base = registry.stats().wal_fsyncs;
+        let (tx, rx) = mpsc::channel();
+        for (k, request) in requests.into_iter().enumerate() {
+            let (tx, reg) = (tx.clone(), Arc::clone(registry));
+            let request = SessionRequest {
+                id: Some(k as u64),
+                ..request
+            };
+            registry.submit_with(request, None, move |r| {
+                let outcome = r.outcome.map(drop).map_err(|e| e.code);
+                let _ = tx.send((r.id, outcome, reg.stats().wal_fsyncs - base));
+            });
+        }
+        drop(tx);
+        go.send(()).unwrap();
+        rx.iter().collect()
+    }
+
+    fn stop(registry: &SessionRegistry, workers: Vec<JoinHandle<()>>, dir: &PathBuf) {
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A read of a session with nothing pending leaves before the
+    /// commit of another session's record in its batch.
+    #[test]
+    fn a_read_with_nothing_pending_leaves_before_the_batch_commit() {
+        let (registry, workers, dir) = wal_registry_ab("early-read");
+        let replies = one_batch(
+            &registry,
+            vec![add_0_2("a"), req("b", SessionOp::SocialCost)],
+        );
+        assert_eq!(
+            replies,
+            [(Some(1), Ok(()), 0), (Some(0), Ok(()), 1)],
+            "b's read must not wait for a's commit"
+        );
+        stop(&registry, workers, &dir);
+    }
+
+    /// A read of a session whose record is not yet durable waits for
+    /// that record's commit, and fails with it; a read of another
+    /// session in the same batch does not.
+    #[test]
+    fn a_read_held_for_a_failed_commit_fails_loudly() {
+        let (registry, workers, dir) = wal_registry_ab("held-read");
+        {
+            let entry = registry.entry("a");
+            let wal = lock_unpoisoned(&entry.state).wal.clone().expect("log");
+            lock_unpoisoned(&wal).fail_next_commit_for_test();
+        }
+        let mut replies = one_batch(
+            &registry,
+            vec![
+                add_0_2("a"),
+                req("a", SessionOp::SocialCost),
+                req("b", SessionOp::SocialCost),
+            ],
+        );
+        replies.sort_by_key(|&(id, ..)| id);
+        let outcomes: Vec<_> = replies.iter().map(|&(_, outcome, _)| outcome).collect();
+        assert_eq!(
+            outcomes,
+            [Err(ErrorCode::Io), Err(ErrorCode::Io), Ok(())],
+            "a's read reports state its log never made durable: {replies:?}"
+        );
+        stop(&registry, workers, &dir);
+    }
+
+    /// A batch that appended to two logs delivers the first log's reply
+    /// before it commits the second log.
+    #[test]
+    fn each_log_releases_its_replies_after_its_own_commit() {
+        let (registry, workers, dir) = wal_registry_ab("per-log");
+        let replies = one_batch(&registry, vec![add_0_2("a"), add_0_2("b")]);
+        assert_eq!(
+            replies,
+            [(Some(0), Ok(()), 1), (Some(1), Ok(()), 2)],
+            "a's reply must not wait for b's commit"
+        );
+        assert_eq!(registry.stats().wal_batches, 3, "two creates, one batch");
+        stop(&registry, workers, &dir);
     }
 
     #[test]

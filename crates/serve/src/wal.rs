@@ -420,8 +420,8 @@ pub struct WalHead {
 
 /// One session's open write-ahead log: an append handle plus the live
 /// chain state. Appends buffer in the OS; [`SessionWal::commit`] is the
-/// durability point (group commit calls it once per worker drain
-/// batch).
+/// durability point (group commit calls it once per log a worker's
+/// drain batch waits on).
 pub struct SessionWal {
     path: PathBuf,
     file: File,
@@ -429,7 +429,8 @@ pub struct SessionWal {
     records: u64,
     head_hash: u64,
     /// Bytes appended since the last commit — the flush-then-spill
-    /// invariant tracks this.
+    /// invariant tracks this, and so does a reply that must not report
+    /// state its log has not made durable.
     pending: bool,
     /// Set after a failed append (the file may end in a torn frame) or
     /// a failed commit (the kernel may have dropped the dirty pages):
@@ -437,6 +438,10 @@ pub struct SessionWal {
     /// fails, so nothing can retroactively acknowledge the lost
     /// records. See the module docs on poisoning.
     broken: bool,
+    /// Fault injection: the next commit with records to sync fails as
+    /// a failed `fsync` would.
+    #[cfg(test)]
+    fail_next_commit: bool,
 }
 
 fn poisoned() -> io::Error {
@@ -460,6 +465,8 @@ impl SessionWal {
             head_hash: genesis(),
             pending: false,
             broken: false,
+            #[cfg(test)]
+            fail_next_commit: false,
         })
     }
 
@@ -503,6 +510,8 @@ impl SessionWal {
             head_hash: scan.head_hash,
             pending: false,
             broken: false,
+            #[cfg(test)]
+            fail_next_commit: false,
         };
         Ok((wal, scan.log))
     }
@@ -523,12 +532,26 @@ impl SessionWal {
         self.broken
     }
 
+    /// Whether records were appended since the last commit, i.e.
+    /// whether state the log witnesses is not yet durable.
+    #[must_use]
+    pub(crate) fn has_pending(&self) -> bool {
+        self.pending
+    }
+
     /// Poisons the log as a failed append/commit would — fault
     /// injection for tests (real write and fsync failures need a
     /// misbehaving filesystem).
     #[cfg(test)]
     pub(crate) fn poison_for_test(&mut self) {
         self.broken = true;
+    }
+
+    /// Makes the next commit that has records to sync fail as a failed
+    /// `fsync` would (poisoning the log) — fault injection for tests.
+    #[cfg(test)]
+    pub(crate) fn fail_next_commit_for_test(&mut self) {
+        self.fail_next_commit = true;
     }
 
     /// Appends one request record (no sync — durability waits for
@@ -579,14 +602,23 @@ impl SessionWal {
         if !self.pending {
             return Ok(false);
         }
-        if self.fsync {
-            if let Err(e) = self.file.sync_data() {
-                self.broken = true;
-                return Err(e);
-            }
+        if let Err(e) = self.sync() {
+            self.broken = true;
+            return Err(e);
         }
         self.pending = false;
         Ok(true)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_commit) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        if self.fsync {
+            self.file.sync_data()?;
+        }
+        Ok(())
     }
 
     /// The spill: atomically rewrites the file as a bare header
