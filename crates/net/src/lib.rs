@@ -11,7 +11,7 @@
 //!
 //! The crate only compiles its substance on Linux; other platforms get
 //! the types but every constructor returns [`std::io::ErrorKind::Unsupported`],
-//! and `sp-serve` falls back to its thread-per-connection model there.
+//! and `sp-serve` refuses to start there.
 //!
 //! No allocation happens per event: callers pass a reusable event
 //! buffer to [`Poller::wait`].

@@ -314,8 +314,8 @@ mod linux {
     }
 }
 
-/// Non-Linux stub: constructors report [`io::ErrorKind::Unsupported`]
-/// so `sp-serve` can fall back to its threaded connection model.
+/// Non-Linux stub: constructors report [`io::ErrorKind::Unsupported`],
+/// so `sp-serve` refuses to start.
 #[cfg(not(target_os = "linux"))]
 mod portable {
     use super::{Event, Interest};

@@ -2,13 +2,14 @@
 //!
 //! ```text
 //! sp-serve [--addr HOST:PORT] [--workers K] [--budget-mib M]
-//!          [--spill-dir DIR] [--io reactor|threaded]
-//!          [--durability off|wal] [--group-commit N] [--no-fsync]
-//!          [--obs] [--slow-ms MS]
+//!          [--spill-dir DIR] [--durability off|wal] [--group-commit N]
+//!          [--no-fsync] [--obs] [--slow-ms MS]
 //! ```
 //!
 //! Binds, prints the resolved address on stdout (`listening on …`), and
-//! serves until killed. With `--durability wal`, startup first recovers
+//! serves every connection on the epoll reactor until killed. `--io
+//! reactor` is accepted and changes nothing; any other `--io` value is
+//! an error. With `--durability wal`, startup first recovers
 //! every session from its log — checkpoint plus tail (so a `kill -9`
 //! loses nothing acknowledged), and each state-mutating op is logged
 //! before its response — group-committed every `--group-commit` jobs
@@ -25,13 +26,12 @@ use std::process::ExitCode;
 
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
-use sp_serve::server::{IoModel, Server};
+use sp_serve::server::Server;
 
 fn usage() -> String {
     "usage: sp-serve [--addr HOST:PORT] [--workers K] [--budget-mib M] \
-     [--spill-dir DIR] [--io reactor|threaded] \
-     [--durability off|wal] [--group-commit N] [--no-fsync] \
-     [--obs] [--slow-ms MS]"
+     [--spill-dir DIR] [--durability off|wal] [--group-commit N] \
+     [--no-fsync] [--obs] [--slow-ms MS]"
         .to_owned()
 }
 
@@ -59,13 +59,15 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<ServeConfig, Stri
                 config = config.memory_budget(mib << 20);
             }
             "--spill-dir" => config = config.spill_dir(value("--spill-dir")?),
-            "--io" => {
-                config = config.io(match value("--io")?.as_str() {
-                    "reactor" => IoModel::Reactor,
-                    "threaded" => IoModel::Threaded,
-                    other => return Err(format!("bad --io value {other:?} (reactor|threaded)")),
-                });
-            }
+            "--io" => match value("--io")?.as_str() {
+                "reactor" => {}
+                other => {
+                    return Err(format!(
+                        "bad --io value {other:?}: the epoll reactor is the only engine \
+                         (--io reactor)"
+                    ))
+                }
+            },
             "--durability" => {
                 config = config.durability(match value("--durability")?.as_str() {
                     "off" => Durability::Off,
@@ -139,15 +141,10 @@ fn main() -> ExitCode {
     };
     let recovered = server.registry().stats().wal_replays;
     println!(
-        "listening on {} ({} workers, {} MiB budget, {} I/O, durability {})",
+        "listening on {} ({} workers, {} MiB budget, durability {})",
         server.local_addr(),
         workers,
         budget >> 20,
-        if server.uses_reactor() {
-            "reactor"
-        } else {
-            "threaded"
-        },
         match durability {
             Durability::Off => "off".to_owned(),
             Durability::Wal {
@@ -159,9 +156,34 @@ fn main() -> ExitCode {
             ),
         },
     );
-    // Serve until the process is killed: the accept loop and worker
-    // pool run on their own threads, so just park this one.
+    // Serve until the process is killed: the reactor and worker pool
+    // run on their own threads, so just park this one.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ServeConfig, String> {
+        parse_args(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn io_accepts_only_the_reactor() {
+        let with_io = parse(&["--io", "reactor", "--workers", "3"]).expect("--io reactor parses");
+        let without = parse(&["--workers", "3"]).expect("no --io parses");
+        // The config carries no engine: `--io reactor` leaves it as if
+        // the flag were absent.
+        assert_eq!(format!("{with_io:?}"), format!("{without:?}"));
+
+        let err = parse(&["--io", "threaded"]).expect_err("the threaded engine is gone");
+        assert!(
+            err.contains("\"threaded\"") && err.contains("the epoll reactor is the only engine"),
+            "{err}"
+        );
+        assert!(parse(&["--io"]).is_err(), "--io still requires a value");
     }
 }

@@ -21,7 +21,6 @@ use std::path::PathBuf;
 
 use crate::obs::ObsConfig;
 use crate::registry::RegistryConfig;
-use crate::server::IoModel;
 
 /// Whether (and how) sessions keep a write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,15 +78,13 @@ impl Durability {
 
 /// Everything a [`crate::server::Server`] needs, with builder-style
 /// setters. `ServeConfig::new()` is a working local default (ephemeral
-/// port, reactor I/O, durability off).
+/// port, durability off).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 lets the OS pick (tests do).
     pub addr: String,
     /// Worker-pool size for the registry scheduler.
     pub workers: usize,
-    /// Connection I/O engine.
-    pub io: IoModel,
     /// The registry's slice: memory budget, spill directory,
     /// durability and observability.
     pub registry: RegistryConfig,
@@ -100,7 +97,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2),
-            io: IoModel::Reactor,
             registry: RegistryConfig::default(),
         }
     }
@@ -125,13 +121,6 @@ impl ServeConfig {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the connection I/O engine.
-    #[must_use]
-    pub fn io(mut self, io: IoModel) -> Self {
-        self.io = io;
         self
     }
 
@@ -173,7 +162,6 @@ mod tests {
         let cfg = ServeConfig::new()
             .addr("127.0.0.1:7171")
             .workers(3)
-            .io(IoModel::Threaded)
             .memory_budget(1 << 20)
             .spill_dir("/tmp/x")
             .durability(Durability::Wal {

@@ -17,10 +17,9 @@
 //!   session execute strictly in submission order (one worker owns a
 //!   session at a time), distinct sessions run in parallel across the
 //!   pool, and a job has one non-blocking way in. The service's
-//!   backpressure is **per connection**: a threaded connection has one
-//!   request in flight, a reactor connection at most its pipeline
-//!   window, so a session's queue never outgrows the connections
-//!   addressing it.
+//!   backpressure is **per connection**: a connection has at most its
+//!   pipeline window in flight, so a session's queue never outgrows the
+//!   connections addressing it.
 //! * [`wire`] / [`server`] / [`client`] — the typed protocol layer
 //!   (re-exporting `sp-wire`'s [`wire::Request`] / [`wire::Response`]
 //!   enums, stable [`wire::ErrorCode`]s, and the binary codec) over
@@ -31,12 +30,11 @@
 //!   opens with a JSON `hello` for protocol 2 and speaks binary after
 //!   it (frame layout, op-code table, and the handshake diagram are in
 //!   this crate's README).
-//! * [`reactor`] (Linux) — the default connection engine: one epoll
-//!   event loop on nonblocking sockets driving every connection, with
-//!   per-connection read/write buffers and **pipelined frames**
-//!   (responses always return in request order). The portable
-//!   thread-per-connection model remains as
-//!   [`server::IoModel::Threaded`] and answers identically.
+//! * [`reactor`] — the connection engine: one epoll event loop on
+//!   nonblocking sockets driving every connection, with per-connection
+//!   read/write buffers and **pipelined frames** (responses always
+//!   return in request order). It needs Linux; elsewhere
+//!   [`server::Server::start`] fails with `Unsupported`.
 //! * [`workload`] — a deterministic mixed-workload generator, a
 //!   single-threaded no-eviction **reference executor**, and a
 //!   closed-loop multi-connection replayer; the `sp-loadgen` bin wraps
@@ -61,7 +59,7 @@
 //!   Observation never steers: with `--obs` on, responses stay
 //!   bit-identical to an unobserved run.
 //! * [`config::ServeConfig`] — the one builder-style front door for
-//!   every server knob (address, workers, I/O engine, budget,
+//!   every server knob (address, workers, budget,
 //!   durability, observability), parsed once in `sp-serve` and threaded
 //!   through server → reactor → registry.
 //!
@@ -78,7 +76,6 @@ pub mod client;
 pub mod config;
 pub mod obs;
 pub mod ops;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod registry;
 pub mod server;

@@ -11,8 +11,7 @@
 //! finishing a job parks the encoded response in the connection's
 //! completion map and wakes the loop through an `eventfd`
 //! ([`sp_net::WakeHandle`]) — many completions coalesce into one
-//! wakeup, which is where the reactor's syscall advantage over
-//! thread-per-connection comes from.
+//! wakeup.
 //!
 //! # Pipelining and ordering
 //!
@@ -48,7 +47,7 @@ use sp_obs::{Phase, SpanHandle};
 
 use crate::obs::ServeObs;
 use crate::registry::SessionRegistry;
-use crate::server::respond_request_traced;
+use crate::server::respond_inline;
 use crate::wire::{binary, ConnProtocol, ErrorCode, FrameAction, Request, WireError};
 
 /// Token of the listening socket.
@@ -372,7 +371,7 @@ impl Reactor {
                     // ping/stats/metrics/trace_tail: answered inline,
                     // without a round trip through the worker pool.
                     let span = obs.as_ref().map(|o| o.begin_span(other.code() as u8));
-                    let resp = respond_request_traced(&registry, other, span.clone());
+                    let resp = respond_inline(&registry, other, span.clone());
                     let bytes = binary::encode_response(&resp);
                     if let (Some(o), Some(s)) = (&obs, &span) {
                         o.stamp(s, Phase::Encode);
@@ -525,39 +524,18 @@ impl Drop for ReactorHandle {
 ///
 /// # Errors
 ///
-/// Hands the listener back (restored to blocking mode) along with the
-/// error, so the caller can fall back to the threaded model — in
-/// particular on [`io::ErrorKind::Unsupported`] from an epoll-less
-/// environment.
-pub fn spawn(
-    listener: TcpListener,
-    registry: Arc<SessionRegistry>,
-) -> Result<ReactorHandle, (io::Error, TcpListener)> {
-    let give_back = |e: io::Error, listener: TcpListener| {
-        let _ = listener.set_nonblocking(false);
-        Err((e, listener))
-    };
-    let poller = match Poller::new() {
-        Ok(p) => p,
-        Err(e) => return give_back(e, listener),
-    };
-    let wake = match WakeHandle::new() {
-        Ok(w) => w,
-        Err(e) => return give_back(e, listener),
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        return give_back(e, listener);
-    }
-    if let Err(e) = poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE) {
-        return give_back(e, listener);
-    }
+/// Propagates poller, eventfd and listener setup failures —
+/// [`io::ErrorKind::Unsupported`] where there is no epoll.
+pub fn spawn(listener: TcpListener, registry: Arc<SessionRegistry>) -> io::Result<ReactorHandle> {
+    let poller = Poller::new()?;
+    let wake = WakeHandle::new()?;
+    listener.set_nonblocking(true)?;
+    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     let notifier = Arc::new(Notifier {
         dirty: Mutex::new(Vec::new()),
         wake,
     });
-    if let Err(e) = poller.register(notifier.wake.raw_fd(), WAKE_TOKEN, Interest::READABLE) {
-        return give_back(e, listener);
-    }
+    poller.register(notifier.wake.raw_fd(), WAKE_TOKEN, Interest::READABLE)?;
     let stop = Arc::new(AtomicBool::new(false));
     let obs = registry.obs().cloned();
     let mut reactor = Reactor {
@@ -593,7 +571,7 @@ mod tests {
 
     use super::PIPELINE_WINDOW;
     use crate::config::ServeConfig;
-    use crate::server::{IoModel, Server};
+    use crate::server::Server;
     use crate::wire::{
         binary, hello, GameSpec, Geometry, Request, Response, ResultBody, SessionOp, SessionRequest,
     };
@@ -602,14 +580,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("sp-serve-reactor-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let server = Server::start(
-            ServeConfig::new()
-                .workers(workers)
-                .io(IoModel::Reactor)
-                .spill_dir(dir.clone()),
-        )
-        .expect("server starts");
-        assert!(server.uses_reactor(), "linux test host must have epoll");
+        let server = Server::start(ServeConfig::new().workers(workers).spill_dir(dir.clone()))
+            .expect("server starts");
         (server, dir)
     }
 

@@ -24,13 +24,11 @@
 //! blocks, and one way out, the reply callback it carries.
 //! [`SessionRegistry::submit`] wraps it in a channel for callers that
 //! wait. The queues themselves are unbounded: the bound is per
-//! connection, set by the engine that submits. A threaded connection
-//! waits for each response before it reads its next frame, so it has
-//! at most one request in flight; the reactor stops *reading* a
-//! connection once `PIPELINE_WINDOW` of its frames are in flight.
-//! A session's queue depth is therefore at most the sum of those
-//! bounds over the connections that address it, and a flooding client
-//! stalls itself, not the pool.
+//! connection, set by the reactor, which stops *reading* a connection
+//! once `PIPELINE_WINDOW` of its frames are in flight (a client that
+//! waits for each response has one). A session's queue depth is
+//! therefore at most the sum of those bounds over the connections that
+//! address it, and a flooding client stalls itself, not the pool.
 //!
 //! # Memory budget and eviction
 //!
@@ -158,8 +156,8 @@ impl Job {
 struct EntryState {
     queue: VecDeque<Job>,
     /// `true` while the entry sits in the ready queue or a worker is
-    /// processing it — the invariant that serialises a session's
-    /// requests.
+    /// processing or spilling it — the invariant that serialises a
+    /// session's requests.
     scheduled: bool,
     /// `true` while a worker holds the session outside the lock.
     busy: bool,
@@ -361,7 +359,7 @@ impl SessionRegistry {
 
     /// Enqueues a request and returns the receiver its response will
     /// arrive on — [`SessionRegistry::submit_with`] for callers that
-    /// block (the threaded engine, tests, benches). After
+    /// block; tests and benches are its only callers. After
     /// [`SessionRegistry::shutdown`] the response is an
     /// [`ErrorCode::Shutdown`] error.
     pub fn submit(
@@ -433,8 +431,8 @@ impl SessionRegistry {
         for e in self.entries() {
             // Drain queued jobs and answer each with a typed shutdown
             // error — a submit racing the stop flag must not strand its
-            // connection (thread blocked in `recv`, or reactor sequence
-            // slot never completed). (A worker mid-process simply finds
+            // caller (blocked in `recv`, or a reactor sequence slot
+            // never completed). (A worker mid-process simply finds
             // an empty queue when it re-locks.)
             let drained: Vec<Job> = lock_unpoisoned(&e.state).queue.drain(..).collect();
             for job in drained {
@@ -518,6 +516,17 @@ impl SessionRegistry {
     fn push_ready(&self, entry: Arc<SessionEntry>) {
         lock_unpoisoned(&self.ready).push_back(entry);
         self.ready_cv.notify_one();
+    }
+
+    /// Ends a worker's hold on `entry`, whose lock `st` is: re-queues
+    /// the entry if jobs wait on it, else clears `scheduled`.
+    fn release(&self, entry: &Arc<SessionEntry>, mut st: MutexGuard<'_, EntryState>) {
+        if st.queue.is_empty() {
+            st.scheduled = false;
+        } else {
+            drop(st);
+            self.push_ready(Arc::clone(entry));
+        }
     }
 
     fn worker_loop(&self) {
@@ -783,12 +792,7 @@ impl SessionRegistry {
             self.account(&mut st, new_bytes);
             st.resident = slot.resident;
             st.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            if st.queue.is_empty() {
-                st.scheduled = false;
-            } else {
-                drop(st);
-                self.push_ready(Arc::clone(entry));
-            }
+            self.release(entry, st);
         }
         // Enforce the budget *before* replying: a closed-loop client's
         // next submit happens only after it reads this response, so
@@ -1112,43 +1116,56 @@ impl SessionRegistry {
 
     /// Evicts LRU sessions until the total drops under the budget (or
     /// nothing evictable remains). Called after every completed request.
+    ///
+    /// The victim is checked out as [`SessionRegistry::process`] checks
+    /// out a job's session (`scheduled` and `busy` set), so the spill —
+    /// a WAL commit and a checkpoint rewrite — runs with no entry lock
+    /// held: a submit to the victim queues at once rather than waiting
+    /// out the disk, and its job runs on the restored session after the
+    /// spill.
     fn enforce_budget(&self) {
         let mut misses = 0usize;
         while self.total_bytes.load(Ordering::Relaxed) > self.config.memory_budget {
             let Some(victim) = self.pick_lru() else {
                 return;
             };
-            // Hold the state lock through the spill: the entry is idle
-            // (no queued work), and holding the lock keeps a racing
-            // submit from scheduling the session while its file is
-            // half-written.
-            let mut st = lock_unpoisoned(&victim.state);
-            let Some(mut session) = st.evictable().then(|| st.resident.take()).flatten() else {
-                misses += 1;
-                if misses > EVICT_RETRIES {
-                    return;
-                }
-                continue;
+            let (mut session, dirty, victim_wal) = {
+                let mut st = lock_unpoisoned(&victim.state);
+                let Some(session) = st.evictable().then(|| st.resident.take()).flatten() else {
+                    misses += 1;
+                    if misses > EVICT_RETRIES {
+                        return;
+                    }
+                    continue;
+                };
+                st.scheduled = true;
+                st.busy = true;
+                (session, st.dirty, st.wal.clone())
             };
             // The budget path hits the eviction edge head-on: an idle
             // session can hold appended-but-uncommitted WAL records
             // (appends precede the batch-end commit), and `spill`
             // flushes them before the snapshot — never the reverse.
-            let victim_wal = st.wal.clone();
-            // sp-lint: allow(lock-hygiene, reason = "deliberate hold-across-spill: entry is idle and the lock blocks a racing submit while the file is half-written")
-            match self.spill(&victim.name, &mut session, st.dirty, victim_wal.as_ref()) {
+            let spilled = self.spill(&victim.name, &mut session, dirty, victim_wal.as_ref());
+            let mut st = lock_unpoisoned(&victim.state);
+            st.busy = false;
+            match spilled {
                 Ok(()) => {
                     st.dirty = false;
                     self.bank(&mut session);
                     self.account(&mut st, 0);
                     self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(_) => {
-                    // Disk trouble: keep the session resident and stop
-                    // evicting for now rather than dropping state.
-                    st.resident = Some(session);
-                    return;
-                }
+                // Disk trouble: keep the session resident rather than
+                // drop state.
+                Err(_) => st.resident = Some(session),
+            }
+            // Jobs submitted during the spill wait on this entry.
+            self.release(&victim, st);
+            if spilled.is_err() {
+                // Stop evicting for now; the next completed request
+                // retries.
+                return;
             }
         }
     }
@@ -1384,6 +1401,88 @@ mod tests {
         assert_eq!(resident(&registry), ["a"]);
         let stats = registry.stats();
         assert_eq!((stats.sessions_evicted, stats.sessions_restored), (1, 0));
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether `entry` looks mid-spill: checked out with its session
+    /// gone, or its lock held (as a spill under the entry lock would).
+    fn spilling(entry: &SessionEntry) -> bool {
+        match entry.state.try_lock() {
+            Ok(st) => st.busy && st.resident.is_none(),
+            Err(std::sync::TryLockError::WouldBlock) => true,
+            Err(std::sync::TryLockError::Poisoned(_)) => false,
+        }
+    }
+
+    /// A budget spill holds no entry lock across its disk work: while
+    /// the victim's log is blocked, a submit to the victim returns at
+    /// once, and its job is answered on the restored session once the
+    /// spill ends.
+    #[test]
+    fn a_submit_to_a_spilling_session_does_not_wait_for_the_spill() {
+        use std::time::{Duration, Instant};
+
+        let dir = test_dir("spill-submit");
+        let (_, used) = line4_slot_bytes();
+        let registry = SessionRegistry::new(RegistryConfig {
+            // Room for one used session: `b`'s create evicts `a`.
+            memory_budget: used,
+            spill_dir: dir.clone(),
+            durability: Durability::Wal {
+                group_commit: 8,
+                fsync: false,
+            },
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let workers = registry.spawn_workers(1);
+        let r = submit_and_wait(&registry, create("a", &LINE4));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let before = submit_and_wait(&registry, req("a", SessionOp::SocialCost));
+        assert!(before.outcome.is_ok(), "{before:?}");
+
+        // Block the spill of `a` on its log, then overflow the budget.
+        let entry = registry.entry("a");
+        let wal = lock_unpoisoned(&entry.state).wal.clone().expect("log");
+        let held = lock_unpoisoned(&wal);
+        let created_b = registry.submit(create("b", &LINE4), None);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seen = 0;
+        while seen < 5 {
+            assert!(Instant::now() < deadline, "the spill of `a` never started");
+            seen = if spilling(&entry) { seen + 1 } else { 0 };
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        let (queued_tx, queued_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let submitter = Arc::clone(&registry);
+        std::thread::spawn(move || {
+            submitter.submit_with(req("a", SessionOp::SocialCost), None, move |r| {
+                let _ = reply_tx.send(r);
+            });
+            let _ = queued_tx.send(());
+        });
+        queued_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a submit to the spilling session must not wait for the spill");
+        drop(held);
+
+        let after = reply_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job queued during the spill is answered");
+        assert_eq!(after, before, "the restored session answers as before");
+        let r = created_b.recv().unwrap();
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let stats = registry.stats();
+        assert!(
+            stats.sessions_evicted >= 1 && stats.sessions_restored >= 1,
+            "`a` must spill and restore: {stats:?}"
+        );
         registry.shutdown();
         for w in workers {
             w.join().unwrap();

@@ -8,10 +8,10 @@
 //! ([`binary`]). Any other first frame gets a typed JSON reject and
 //! the connection closes.
 //!
-//! [`ConnProtocol`] encodes those rules once, for both the threaded
-//! connection handler and the epoll reactor: feed it each decoded
-//! payload, get back a [`FrameAction`] saying whether to route a typed
-//! request, write an inline reply, or write a typed reject and close.
+//! [`ConnProtocol`] encodes those rules once for the reactor: feed it
+//! each decoded payload, get back a [`FrameAction`] saying whether to
+//! route a typed request, write an inline reply, or write a typed
+//! reject and close.
 
 pub use sp_wire::{
     binary, hello, validate_name, BestResponseBody, DecodeError, DynamicsBody, DynamicsRule,

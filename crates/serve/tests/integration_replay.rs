@@ -1,6 +1,6 @@
 //! End-to-end replay equivalence: a concurrent sp-serve under memory
 //! pressure answers bit-identically to a single-threaded, no-eviction
-//! reference executor — on **either I/O engine**.
+//! reference executor.
 //!
 //! `acceptance_replay_is_bit_identical_under_eviction` is the
 //! acceptance gate: the mixed 10k-request workload over 256 sessions
@@ -15,14 +15,14 @@
 //! Every server here runs with **observability on** (wall-clock
 //! spans, no slow threshold): the bit-identity assertions double as the
 //! proof that tracing observes the pipeline without steering it —
-//! `--obs` must never change a response byte, on either engine.
+//! `--obs` must never change a response byte.
 
 use std::path::PathBuf;
 
 use sp_serve::client::ServeClient;
 use sp_serve::config::ServeConfig;
 use sp_serve::obs::ObsConfig;
-use sp_serve::server::{IoModel, Server};
+use sp_serve::server::Server;
 use sp_serve::wire::{Request, Response, ResultBody, SessionOp};
 use sp_serve::workload::{self, WorkloadConfig};
 
@@ -38,7 +38,6 @@ fn run_replay(
     budget: usize,
     workers: usize,
     clients: usize,
-    io: IoModel,
 ) -> (
     Vec<Response>,
     Vec<Response>,
@@ -49,7 +48,6 @@ fn run_replay(
     let server = Server::start(
         ServeConfig::new()
             .workers(workers)
-            .io(io)
             .memory_budget(budget)
             .spill_dir(dir.clone())
             .obs(ObsConfig::enabled()),
@@ -77,8 +75,8 @@ fn run_replay(
         .iter()
         .find(|(name, _)| name == "obs.spans_completed")
         .map_or(0, |&(_, v)| v);
-    // A conn thread finishes its span just *after* the response bytes
-    // reach the client, so the final response per connection may still
+    // The reactor finishes a span just *after* the socket takes the
+    // response bytes, so the final response per connection may still
     // be mid-finish when `metrics` answers — allow that much slack.
     let floor = (cfg.requests - clients) as u64;
     assert!(
@@ -137,23 +135,13 @@ fn assert_quick_outcome(
     assert_eq!(stats.requests_served, cfg.requests as u64);
 }
 
-/// Small smoke on the default (reactor) engine: generous budget
+/// Small smoke: generous budget
 /// (explicit `evict` ops still force spill/restore cycles), several
 /// workers and clients.
 #[test]
 fn quick_replay_is_bit_identical() {
     let cfg = WorkloadConfig::quick();
-    let (served, reference, stats, _) = run_replay("quick", &cfg, 64 << 20, 4, 4, IoModel::Reactor);
-    assert_quick_outcome(&cfg, &served, &reference, &stats);
-}
-
-/// The same smoke on the portable thread-per-connection engine: both
-/// I/O models must answer any request sequence identically.
-#[test]
-fn quick_replay_is_bit_identical_on_threaded_io() {
-    let cfg = WorkloadConfig::quick();
-    let (served, reference, stats, _) =
-        run_replay("quick-threaded", &cfg, 64 << 20, 4, 4, IoModel::Threaded);
+    let (served, reference, stats, _) = run_replay("quick", &cfg, 64 << 20, 4, 4);
     assert_quick_outcome(&cfg, &served, &reference, &stats);
 }
 
@@ -166,14 +154,8 @@ const ACCEPTANCE_BUDGET: usize = 32 << 20;
 #[test]
 fn acceptance_replay_is_bit_identical_under_eviction() {
     let cfg = WorkloadConfig::acceptance();
-    let (served, reference, stats, explicit_evicts) = run_replay(
-        "acceptance",
-        &cfg,
-        ACCEPTANCE_BUDGET,
-        4,
-        8,
-        IoModel::Reactor,
-    );
+    let (served, reference, stats, explicit_evicts) =
+        run_replay("acceptance", &cfg, ACCEPTANCE_BUDGET, 4, 8);
     assert_eq!(served.len(), 10_000);
     assert!(
         served.iter().all(|r| r.outcome.is_ok()),

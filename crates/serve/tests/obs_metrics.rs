@@ -18,7 +18,7 @@ use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
 use sp_serve::registry::RegistryStats;
-use sp_serve::server::{IoModel, Server};
+use sp_serve::server::Server;
 use sp_serve::wire::{ErrorCode, GameSpec, Geometry, MetricsBody};
 use sp_serve::workload::{self, WorkloadConfig};
 
@@ -38,12 +38,11 @@ fn spec() -> GameSpec {
     }
 }
 
-fn obs_server(tag: &str, io: IoModel) -> (Server, PathBuf) {
+fn obs_server(tag: &str) -> (Server, PathBuf) {
     let dir = test_dir(tag);
     let server = Server::start(
         ServeConfig::new()
             .workers(1)
-            .io(io)
             .spill_dir(dir.clone())
             .obs(ObsConfig::enabled()),
     )
@@ -133,7 +132,6 @@ fn wal_run(tag: &str, obs: bool) -> (RegistryStats, Option<MetricsBody>) {
     // the next frame, so `metrics` sees every replayed span completed.
     let mut config = ServeConfig::new()
         .workers(1)
-        .io(IoModel::Reactor)
         .memory_budget(64 << 10)
         .spill_dir(dir.clone())
         .durability(Durability::Wal {
@@ -219,7 +217,7 @@ fn exported_names_are_pinned_and_obs_never_changes_counting() {
 /// reset across evict → restore, and must not double-count either.
 #[test]
 fn work_counters_survive_evict_and_restore() {
-    let (server, dir) = obs_server("carry", IoModel::Threaded);
+    let (server, dir) = obs_server("carry");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     client.create("carry", spec()).expect("create");
@@ -342,7 +340,7 @@ fn work_counters_survive_evict_and_restore() {
 /// earlier request's span has finished by the time the tail is read.
 #[test]
 fn trace_tail_reports_completed_spans_over_binary() {
-    let (server, dir) = obs_server("tail", IoModel::Reactor);
+    let (server, dir) = obs_server("tail");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     client.create("traced", spec()).expect("create");

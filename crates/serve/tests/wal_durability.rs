@@ -24,7 +24,7 @@ use sp_core::{BackendMode, Move, PeerId};
 use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::registry::{RegistryConfig, SessionRegistry};
-use sp_serve::server::{IoModel, Server};
+use sp_serve::server::Server;
 use sp_serve::wal;
 use sp_serve::wire::{
     ErrorCode, GameSpec, Geometry, Response, ResultBody, SessionOp, SessionRequest,
@@ -107,19 +107,14 @@ fn last_frame_start(data: &[u8]) -> usize {
     last
 }
 
-/// The acceptance gate in-process, on each I/O engine: crash (drop
+/// The acceptance gate in-process: crash (drop
 /// without shutdown) at the script midpoint, restart on the same spill
 /// directory, replay the rest — the combined responses must be
 /// bit-identical to the no-crash reference. A full `wal_verify` sweep
 /// closes it.
 #[test]
 fn crash_restart_replay_is_bit_identical_to_an_uncrashed_run() {
-    crash_restart_replay(IoModel::Reactor, "crash-reactor");
-    crash_restart_replay(IoModel::Threaded, "crash-threaded");
-}
-
-fn crash_restart_replay(io: IoModel, tag: &str) {
-    let dir = test_dir(tag);
+    let dir = test_dir("crash");
     let cfg = WorkloadConfig::quick();
     let script = workload::build_script(&cfg);
     let k = script.len() / 2;
@@ -127,7 +122,6 @@ fn crash_restart_replay(io: IoModel, tag: &str) {
     let server = Server::start(
         ServeConfig::new()
             .workers(2)
-            .io(io)
             .spill_dir(dir.clone())
             .durability(wal_mode(8)),
     )
@@ -141,7 +135,6 @@ fn crash_restart_replay(io: IoModel, tag: &str) {
     let server = Server::start(
         ServeConfig::new()
             .workers(2)
-            .io(io)
             .spill_dir(dir.clone())
             .durability(wal_mode(8)),
     )

@@ -3,8 +3,7 @@
 //! a live loopback server whose registry budget is far below the
 //! workload's resident footprint, must answer byte for byte like the
 //! single-threaded reference executor that keeps every session resident.
-//! It runs once per I/O engine, each against a fresh server and spill
-//! directory. The budget must evict on its own, beyond the script's
+//! It runs against a fresh server and spill directory. The budget must evict on its own, beyond the script's
 //! explicit `evict` ops, so the LRU spill and transparent restore are
 //! exercised and not just the scripted ones.
 //!
@@ -13,7 +12,7 @@
 
 use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 use sp_serve::config::ServeConfig;
-use sp_serve::server::{IoModel, Server};
+use sp_serve::server::Server;
 use sp_serve::wire::{
     binary, DynamicsRule, DynamicsSpec, GameSpec, Geometry, Request, Response, ResultBody,
     SessionOp, SessionRequest,
@@ -24,16 +23,16 @@ use sp_serve::workload::{self, ScriptRequest, WorkloadConfig};
 /// sessions, so the budget keeps evicting.
 const BUDGET: usize = 128 << 10;
 
-fn replay_matches_reference(tag: &str, io: IoModel) {
+#[test]
+fn quick_replay_matches_the_reference_on_the_reactor() {
     let dir = std::env::temp_dir().join(format!(
-        "selfish-peers-serve-reference-{tag}-{}",
+        "selfish-peers-serve-reference-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(
         ServeConfig::new()
             .workers(2)
-            .io(io)
             .memory_budget(BUDGET)
             .spill_dir(dir.clone()),
     )
@@ -59,16 +58,6 @@ fn replay_matches_reference(tag: &str, io: IoModel) {
             outcome.responses[k], reference[k]
         );
     }
-}
-
-#[test]
-fn quick_replay_matches_the_reference_on_the_reactor() {
-    replay_matches_reference("reactor", IoModel::Reactor);
-}
-
-#[test]
-fn quick_replay_matches_the_reference_on_threaded_io() {
-    replay_matches_reference("threaded", IoModel::Threaded);
 }
 
 /// The line game both modes serve: 20 peers with uneven spacing, linked
@@ -176,16 +165,14 @@ fn mode_blind(response: &Response) -> Response {
 /// Every answer of the sparse session must equal the dense session's
 /// byte for byte, but for the `mode` of `created`/`loaded`, and the
 /// served run must equal the reference executor's.
-fn sparse_mode_answers_like_dense(tag: &str, io: IoModel) {
-    let dir = std::env::temp_dir().join(format!(
-        "selfish-peers-serve-modes-{tag}-{}",
-        std::process::id()
-    ));
+#[test]
+fn sparse_mode_answers_like_dense_on_the_reactor() {
+    let dir =
+        std::env::temp_dir().join(format!("selfish-peers-serve-modes-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(
         ServeConfig::new()
             .workers(2)
-            .io(io)
             .memory_budget(1 << 10)
             .spill_dir(dir.clone()),
     )
@@ -240,14 +227,4 @@ fn sparse_mode_answers_like_dense(tag: &str, io: IoModel) {
             outcome.responses[k], reference[k]
         );
     }
-}
-
-#[test]
-fn sparse_mode_answers_like_dense_on_the_reactor() {
-    sparse_mode_answers_like_dense("reactor", IoModel::Reactor);
-}
-
-#[test]
-fn sparse_mode_answers_like_dense_on_threaded_io() {
-    sparse_mode_answers_like_dense("threaded", IoModel::Threaded);
 }
