@@ -3,7 +3,7 @@
 //! `sp-serve`'s reactor needs exactly four things from the OS: watch
 //! many sockets at once ([`Poller::wait`]), change what each is watched
 //! for ([`Poller::register`]/[`Poller::modify`]), be woken from another
-//! thread when a worker finishes a job ([`WakeHandle::wake`], an
+//! thread when a worker needs the event loop ([`WakeHandle::wake`], an
 //! `eventfd`), and nothing else. This crate provides those four things
 //! behind a safe API and keeps every `unsafe` FFI call inside the
 //! private `sys` module, where each call site carries a `SAFETY:`

@@ -42,7 +42,9 @@ pub enum Phase {
     Fsync = 5,
     /// Response encoded to frame bytes.
     Encode = 6,
-    /// Response bytes written to the socket.
+    /// Response bytes moved, in request order, into the connection's
+    /// write buffer, just before the write that can deliver them; the
+    /// span completes here.
     Flush = 7,
 }
 

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Binds, prints the resolved address on stdout (`listening on …`), and
-//! serves every connection on the epoll reactor until killed. `--io
+//! serves every connection on the epoll reactor, run by the `--workers`
+//! threads in turns, until killed. `--io
 //! reactor` is accepted and changes nothing; any other `--io` value is
 //! an error. With `--durability wal`, startup first recovers
 //! every session from its log — checkpoint plus tail (so a `kill -9`
@@ -156,8 +157,8 @@ fn main() -> ExitCode {
             ),
         },
     );
-    // Serve until the process is killed: the reactor and worker pool
-    // run on their own threads, so just park this one.
+    // Serve until the process is killed: the workers serve every
+    // connection on their own threads, so just park this one.
     loop {
         std::thread::park();
     }

@@ -30,11 +30,13 @@
 //!   opens with a JSON `hello` for protocol 2 and speaks binary after
 //!   it (frame layout, op-code table, and the handshake diagram are in
 //!   this crate's README).
-//! * [`reactor`] — the connection engine: one epoll event loop on
-//!   nonblocking sockets driving every connection, with per-connection
-//!   read/write buffers and **pipelined frames** (responses always
-//!   return in request order). It needs Linux; elsewhere
-//!   [`server::Server::start`] fails with `Unsupported`.
+//! * [`reactor`] — the connection engine: one epoll poller on
+//!   nonblocking sockets driving every connection, with **pipelined
+//!   frames** (responses always return in request order). It has no
+//!   thread of its own: the registry workers take turns polling it
+//!   (leader/followers), the worker that reads a request runs it, and
+//!   the worker that finishes a reply writes it. It needs Linux;
+//!   elsewhere [`server::Server::start`] fails with `Unsupported`.
 //! * [`workload`] — a deterministic mixed-workload generator, a
 //!   single-threaded no-eviction **reference executor**, and a
 //!   closed-loop multi-connection replayer; the `sp-loadgen` bin wraps

@@ -214,7 +214,8 @@ pub fn loaded_result(_session: &GameSession) -> ResultBody {
 /// on a transient tuned [`GameSession`] of its game and profile —
 /// `O(n²)` memory while the op runs — and takes back the strategies the
 /// op changed in one `apply_batch`. Cached ≡ fresh makes every answer
-/// the bits a dense session gives.
+/// the bits a dense session gives. Over [`spec::MAX_DENSE_PEERS`] peers
+/// those three ops are refused before the dense session is built.
 ///
 /// # Errors
 ///
@@ -235,6 +236,18 @@ pub fn execute(op: &SessionOp, session: &mut Session) -> Result<ResultBody, Wire
             max_stretch: sparse.max_stretch(),
         }),
         SessionOp::BestResponse { .. } | SessionOp::NashGap { .. } | SessionOp::RunDynamics(_) => {
+            let n = sparse.game().n();
+            if n > spec::MAX_DENSE_PEERS {
+                return Err(WireError::new(
+                    ErrorCode::Core,
+                    format!(
+                        "{} on a sparse session of {n} peers needs a dense session, \
+                         capped at {} peers",
+                        op.code().name(),
+                        spec::MAX_DENSE_PEERS
+                    ),
+                ));
+            }
             let mut dense =
                 GameSession::from_refs(sparse.game(), sparse.profile()).map_err(core_err)?;
             tune_for_service(&mut dense);

@@ -18,6 +18,26 @@
 //! requests to one session execute **strictly in submission order**
 //! while distinct sessions run in parallel across the pool.
 //!
+//! # Threads: leader/followers
+//!
+//! The pool's workers are the server's only threads. Under a server
+//! they also run the connection engine ([`crate::reactor`]) in turns:
+//! a worker that finds no ready job, while no other worker *leads*,
+//! becomes the leader and polls the sockets; the other idle workers
+//! (the *followers*) wait on the ready queue's condvar. Jobs the leader
+//! submits during its poll wake nobody. When the poll returns, the
+//! leader keeps one ready job for itself and wakes one follower per job
+//! left plus one to lead next — so a request read by a worker runs on
+//! it, and its reply leaves from it, with no hand-off between threads.
+//!
+//! A job pushed onto the ready queue wakes a follower when one waits.
+//! Pushed by a worker, it needs nothing more: that worker looks at the
+//! queue again before it waits or polls. Pushed by any other thread (a
+//! [`SessionRegistry::submit`] from a test or bench) while a worker is
+//! parked in the poller and no follower waits, it wakes the poller.
+//! Without a server ([`SessionRegistry::spawn_workers`] alone) the
+//! workers only wait on the condvar.
+//!
 //! # Backpressure
 //!
 //! A job has one way in, [`SessionRegistry::submit_with`], which never
@@ -56,11 +76,12 @@
 //! becomes of the session. [`SessionRegistry::work_stats`] reads the
 //! total.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use sp_core::SessionStats;
@@ -69,6 +90,7 @@ use sp_obs::{Phase, SpanHandle};
 use crate::config::Durability;
 use crate::obs::{ObsConfig, ServeObs};
 use crate::ops::{self, Session};
+use crate::reactor::Reactor;
 use crate::snapshot;
 use crate::wal::{self, SessionWal};
 use crate::wire::{
@@ -130,7 +152,7 @@ impl Default for RegistryConfig {
 }
 
 /// Where a finished job's response goes: a closure the worker calls
-/// (the reactor encodes the frame and wakes its event loop;
+/// (the reactor encodes the frame and writes it to the connection;
 /// [`SessionRegistry::submit`] sends on a channel).
 type Reply = Box<dyn FnOnce(Response) + Send>;
 
@@ -244,6 +266,33 @@ impl RegistryStats {
     }
 }
 
+/// A thread's part in the pool, which decides whom a ready push wakes
+/// (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Not a worker: a test or bench thread calling `submit`.
+    Outside,
+    /// A worker, running jobs.
+    Worker,
+    /// The worker polling the reactor.
+    Leader,
+}
+
+thread_local! {
+    static ROLE: Cell<Role> = const { Cell::new(Role::Outside) };
+}
+
+/// The ready queue and who waits for it.
+#[derive(Default)]
+struct Ready {
+    /// Scheduled entries, each at most once.
+    entries: VecDeque<Arc<SessionEntry>>,
+    /// Followers waiting on `ready_cv`.
+    idle: usize,
+    /// Whether a worker is polling the reactor.
+    leading: bool,
+}
+
 /// The residency a worker checks out of an entry for one job;
 /// [`SessionRegistry::run_job`] edits it in place.
 struct Slot {
@@ -259,8 +308,11 @@ struct Slot {
 /// for the ordering, backpressure, eviction and lock contracts.
 pub struct SessionRegistry {
     sessions: Mutex<BTreeMap<String, Arc<SessionEntry>>>,
-    ready: Mutex<VecDeque<Arc<SessionEntry>>>,
+    ready: Mutex<Ready>,
     ready_cv: Condvar,
+    /// The connection engine the workers take turns polling; unset
+    /// without a server.
+    reactor: OnceLock<Reactor>,
     stop: AtomicBool,
     clock: AtomicU64,
     total_bytes: AtomicUsize,
@@ -316,8 +368,9 @@ impl SessionRegistry {
         let obs = ServeObs::new(&config.obs);
         let registry = Arc::new(SessionRegistry {
             sessions: Mutex::new(BTreeMap::new()),
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready::default()),
             ready_cv: Condvar::new(),
+            reactor: OnceLock::new(),
             stop: AtomicBool::new(false),
             clock: AtomicU64::new(0),
             total_bytes: AtomicUsize::new(0),
@@ -340,10 +393,17 @@ impl SessionRegistry {
         Ok(registry)
     }
 
-    /// Spawns `count` worker threads draining the ready queue. Callable
-    /// once or repeatedly (the pool is just a set of identical loops);
-    /// the benches submit a burst *before* spawning to measure queue
-    /// depth deterministically.
+    /// Hands the workers the connection engine to take turns at; the
+    /// server calls this once, before it spawns them.
+    pub(crate) fn attach(&self, reactor: Reactor) {
+        let _ = self.reactor.set(reactor);
+    }
+
+    /// Spawns `count` worker threads draining the ready queue (and,
+    /// under a server, taking turns at the reactor). Callable once or
+    /// repeatedly (the pool is just a set of identical loops); the
+    /// benches submit a burst *before* spawning to measure queue depth
+    /// deterministically.
     pub fn spawn_workers(self: &Arc<Self>, count: usize) -> Vec<JoinHandle<()>> {
         (0..count.max(1))
             .map(|k| {
@@ -427,6 +487,11 @@ impl SessionRegistry {
     /// later requests are answered with [`ErrorCode::Shutdown`].
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
+        // Close the connections first, so the refusals below are
+        // silent drops rather than replies.
+        if let Some(reactor) = self.reactor.get() {
+            reactor.close();
+        }
         self.ready_cv.notify_all();
         for e in self.entries() {
             // Drain queued jobs and answer each with a typed shutdown
@@ -514,8 +579,75 @@ impl SessionRegistry {
     }
 
     fn push_ready(&self, entry: Arc<SessionEntry>) {
-        lock_unpoisoned(&self.ready).push_back(entry);
-        self.ready_cv.notify_one();
+        let mut ready = lock_unpoisoned(&self.ready);
+        ready.entries.push_back(entry);
+        let wake_poller = match ROLE.get() {
+            // The leader hands its jobs out when its poll returns.
+            Role::Leader => false,
+            _ if ready.idle > 0 => {
+                self.ready_cv.notify_one();
+                false
+            }
+            // A worker looks at the queue again before it waits or
+            // polls.
+            Role::Worker => false,
+            Role::Outside => ready.leading,
+        };
+        drop(ready);
+        if wake_poller {
+            if let Some(reactor) = self.reactor.get() {
+                reactor.wake();
+            }
+        }
+    }
+
+    /// Whether a worker is polling the reactor now.
+    #[cfg(test)]
+    pub(crate) fn leading(&self) -> bool {
+        lock_unpoisoned(&self.ready).leading
+    }
+
+    /// Blocks until a ready entry is this worker's, or returns `None`
+    /// once the registry stops. While none is ready, the worker leads —
+    /// polls the reactor — if nobody else does, and otherwise follows:
+    /// waits on `ready_cv` (see the module docs).
+    fn next_ready(&self) -> Option<Arc<SessionEntry>> {
+        let mut ready = lock_unpoisoned(&self.ready);
+        loop {
+            if let Some(e) = ready.entries.pop_front() {
+                return Some(e);
+            }
+            if self.stop.load(Ordering::Acquire) {
+                return None;
+            }
+            match self.reactor.get() {
+                Some(reactor) if !ready.leading && reactor.is_open() => {
+                    ready.leading = true;
+                    drop(ready);
+                    ROLE.set(Role::Leader);
+                    reactor.lead(self);
+                    ROLE.set(Role::Worker);
+                    ready = lock_unpoisoned(&self.ready);
+                    ready.leading = false;
+                    if let Some(e) = ready.entries.pop_front() {
+                        // Keep this job; wake a follower for each job
+                        // left and one to lead next.
+                        for _ in 0..ready.idle.min(ready.entries.len() + 1) {
+                            self.ready_cv.notify_one();
+                        }
+                        return Some(e);
+                    }
+                }
+                _ => {
+                    ready.idle += 1;
+                    ready = self
+                        .ready_cv
+                        .wait(ready)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    ready.idle -= 1;
+                }
+            }
+        }
     }
 
     /// Ends a worker's hold on `entry`, whose lock `st` is: re-queues
@@ -535,28 +667,14 @@ impl SessionRegistry {
         // fsync. Without WAL the bound is 1 and nothing is ever held.
         let cap = self.config.durability.batch_cap();
         let mut held: Vec<PendingReply> = Vec::new();
-        loop {
-            let entry = {
-                let mut q = lock_unpoisoned(&self.ready);
-                loop {
-                    if let Some(e) = q.pop_front() {
-                        break e;
-                    }
-                    if self.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    q = self
-                        .ready_cv
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
+        ROLE.set(Role::Worker);
+        while let Some(entry) = self.next_ready() {
             let mut jobs = usize::from(self.process(&entry, &mut held));
             // Opportunistic drain: keep taking ready work while it's
             // there (never blocking — queued submitters must not wait
             // on an idle batch) until the commit bound fills.
             while jobs < cap {
-                let Some(e) = lock_unpoisoned(&self.ready).pop_front() else {
+                let Some(e) = lock_unpoisoned(&self.ready).entries.pop_front() else {
                     break;
                 };
                 jobs += usize::from(self.process(&e, &mut held));

@@ -1,14 +1,22 @@
-//! The TCP front end: binding the listener, and running the epoll
-//! reactor ([`crate::reactor`]) that serves every connection and routes
-//! typed requests into the [`SessionRegistry`] scheduler.
+//! The TCP front end: binding the listener, setting up the epoll
+//! reactor ([`crate::reactor`]) that serves every connection, and
+//! starting the [`SessionRegistry`] workers that run it.
 //!
-//! One event loop drives every connection on nonblocking sockets.
+//! A server runs exactly its `workers` threads and no other. They take
+//! turns at the reactor (leader/followers, see [`crate::registry`]): the
+//! worker that reads a request runs it, and the worker that finishes a
+//! reply writes it to the connection's nonblocking socket. The poller
+//! is woken only when a worker needs the event loop (a full socket, a
+//! stalled read side that can go on, a connection to close), when
+//! shutdown starts, and when a job arrives from outside the poller
+//! while a worker is parked in it.
+//!
 //! Frames are pipelined (many requests in flight per connection,
-//! responses written back **in request order**) and completed
-//! responses are batched into single writes. Registry-level ops
-//! (`ping`, `stats`, `metrics`, `trace_tail`) answer inline without
-//! touching the scheduler ([`respond_inline`]); session requests go
-//! through the non-blocking [`SessionRegistry::submit_with`].
+//! responses written back **in request order**). Registry-level ops
+//! (`ping`, `stats`, `metrics`, `trace_tail`) answer inline on the
+//! leading worker without touching the scheduler (`respond_inline`);
+//! session requests go through the non-blocking
+//! [`SessionRegistry::submit_with`].
 //!
 //! The reactor stops reading a connection once `PIPELINE_WINDOW` of its
 //! requests are in flight. That per-connection bound is the service's
@@ -24,21 +32,20 @@ use std::thread::JoinHandle;
 use sp_obs::{Phase, SpanHandle};
 
 use crate::config::ServeConfig;
-use crate::reactor::ReactorHandle;
+use crate::reactor::Reactor;
 use crate::registry::SessionRegistry;
 use crate::wire::{ErrorCode, Request, Response, ResultBody, WireError};
 
-/// A running sp-serve instance: listener, reactor, and the registry
-/// worker pool.
+/// A running sp-serve instance: the registry, whose worker pool serves
+/// the listener's connections. Dropping it shuts it down.
 pub struct Server {
     local_addr: SocketAddr,
     registry: Arc<SessionRegistry>,
-    reactor: ReactorHandle,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and the reactor, and returns.
+    /// Binds, sets up the reactor, spawns the worker pool, and returns.
     ///
     /// # Errors
     ///
@@ -50,12 +57,11 @@ impl Server {
         let registry = SessionRegistry::new(config.registry)?;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let reactor = crate::reactor::spawn(listener, Arc::clone(&registry))?;
+        registry.attach(Reactor::new(listener, registry.obs().cloned())?);
         let worker_handles = registry.spawn_workers(config.workers);
         Ok(Server {
             local_addr,
             registry,
-            reactor,
             worker_handles,
         })
     }
@@ -72,22 +78,25 @@ impl Server {
         &self.registry
     }
 
-    /// Stops accepting, shuts the scheduler down, and joins everything.
-    /// Connections still open are dropped.
+    /// Stops accepting, shuts the scheduler down, and joins every
+    /// worker. Connections still open are shut down.
     pub fn shutdown(self) {
-        // Stop the reactor first so no new work reaches the registry
-        // after its shutdown drain starts.
-        self.reactor.shutdown();
+        drop(self);
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
         self.registry.shutdown();
-        for h in self.worker_handles {
+        for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
 /// Computes the response for one registry-level request (`ping`,
-/// `stats`, `metrics`, `trace_tail`), answered inline on the reactor
-/// thread, and stamps [`Phase::Execute`] on `span`.
+/// `stats`, `metrics`, `trace_tail`), answered inline by the leading
+/// worker, and stamps [`Phase::Execute`] on `span`.
 #[must_use]
 pub(crate) fn respond_inline(
     registry: &SessionRegistry,
@@ -148,13 +157,17 @@ mod tests {
     use std::io::BufReader;
     use std::net::TcpStream;
     use std::path::PathBuf;
+    use std::time::{Duration, Instant};
 
-    use sp_core::BackendMode;
+    use sp_core::{BackendMode, BestResponseMethod, PeerId};
     use sp_json::frame;
 
     use super::*;
     use crate::client::ServeClient;
-    use crate::wire::{binary, GameSpec, Geometry};
+    use crate::spec::MAX_DENSE_PEERS;
+    use crate::wire::{
+        binary, DynamicsRule, DynamicsSpec, GameSpec, Geometry, SessionOp, SessionRequest,
+    };
 
     fn start(tag: &str) -> (Server, PathBuf) {
         let dir =
@@ -286,6 +299,88 @@ mod tests {
             (1..=CLIENTS).contains(&hwm),
             "{CLIENTS} synchronous connections queued {hwm} jobs on one session"
         );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With one worker, that worker both polls and executes. A job
+    /// submitted from a thread that is no connection, while the worker
+    /// is parked in the poller, must wake it.
+    #[test]
+    fn a_submit_from_outside_wakes_the_parked_poller() {
+        let (server, dir) = start("outside");
+        let registry = Arc::clone(server.registry());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !registry.leading() {
+            assert!(
+                Instant::now() < deadline,
+                "the worker never took the poller"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let request = SessionRequest {
+            id: Some(1),
+            session: "outside".to_owned(),
+            op: SessionOp::Create(GameSpec {
+                alpha: 1.0,
+                geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
+                links: Vec::new(),
+                mode: BackendMode::Dense,
+            }),
+        };
+        let response = registry
+            .submit(request, None)
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a submit while the only worker polls is answered");
+        assert!(response.outcome.is_ok(), "{response:?}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A dense `create` over the peer cap, and a sparse slot's heavy ops
+    /// over it, fail typed before anything allocates; the server goes on
+    /// answering on the same connection.
+    #[test]
+    fn oversized_games_fail_typed_and_the_server_survives() {
+        let (server, dir) = start("cap");
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        let line = |n: usize| Geometry::Line((0..n).map(|i| i as f64).collect());
+        let spec = |geometry, mode| GameSpec {
+            alpha: 1.0,
+            geometry,
+            links: Vec::new(),
+            mode,
+        };
+        let err = client
+            .create("huge", spec(line(1 << 20), BackendMode::Dense))
+            .expect_err("a 2^20-peer dense game must be refused");
+        assert_eq!(err.code, ErrorCode::BadSpec, "{err}");
+        assert_eq!(client.ping(), Ok(ResultBody::Pong));
+
+        client
+            .create("wide", spec(line(MAX_DENSE_PEERS + 1), BackendMode::Sparse))
+            .expect("a sparse slot has no dense cap");
+        let method = BestResponseMethod::Greedy;
+        let refusals = [
+            client.best_response("wide", PeerId::new(0), method),
+            client.nash_gap("wide", method),
+            client.run_dynamics(
+                "wide",
+                DynamicsSpec {
+                    rule: DynamicsRule::Better,
+                    max_rounds: Some(1),
+                    tolerance: None,
+                    detect_cycles: None,
+                },
+            ),
+        ];
+        for refusal in refusals {
+            let err = refusal.expect_err("a heavy op over the cap must be refused");
+            assert_eq!(err.code, ErrorCode::Core, "{err}");
+            assert!(err.message.contains("capped at"), "{err}");
+        }
+        assert!(client.social_cost("wide").is_ok());
+        assert_eq!(client.ping(), Ok(ResultBody::Pong));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

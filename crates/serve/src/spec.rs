@@ -12,12 +12,23 @@
 //! historical, bit-identically accounted representation); sparse mode
 //! keeps the positions themselves so the game's metric store stays
 //! `O(n)` (see `sp_core::SparseSession`).
+//!
+//! A dense game holds `n × n` matrices, so its size is checked against
+//! [`MAX_DENSE_PEERS`] before anything is allocated: one `create` must
+//! fail on its own, not abort the process that serves every session.
 
 use sp_core::{BackendMode, Game, StrategyProfile};
 use sp_graph::DistanceMatrix;
 use sp_metric::{Euclidean2D, LineSpace, Point2};
 
 use crate::wire::{ErrorCode, GameSpec, Geometry, WireError};
+
+/// The most peers a dense game may have: `8n²` bytes is 32 MiB per
+/// `n × n` matrix at this size, and a dense session holds several (the
+/// metric, the overlay distances, an oracle's candidate rows). A served
+/// sparse slot's `best_response`, `nash_gap` and `run_dynamics` run on a
+/// transient dense session, so they are refused over it too.
+pub const MAX_DENSE_PEERS: usize = 2048;
 
 fn bad(message: String) -> WireError {
     WireError::new(ErrorCode::BadSpec, message)
@@ -29,13 +40,25 @@ fn bad(message: String) -> WireError {
 ///
 /// Returns a [`ErrorCode::BadSpec`] error when the geometry is
 /// semantically invalid (non-finite points, non-square or asymmetric
-/// matrix, bad metric, out-of-bounds links) or when sparse mode is
-/// asked for without a line geometry.
+/// matrix, bad metric, out-of-bounds links), when sparse mode is asked
+/// for without a line geometry, or when a dense game would have more
+/// than [`MAX_DENSE_PEERS`] peers.
 pub fn build(spec: &GameSpec) -> Result<(Game, StrategyProfile), WireError> {
     if spec.mode == BackendMode::Sparse && !matches!(spec.geometry, Geometry::Line(_)) {
         return Err(bad(
             "sparse mode requires a positions_1d geometry".to_owned()
         ));
+    }
+    let n = match &spec.geometry {
+        Geometry::Line(positions) => positions.len(),
+        Geometry::Points2D(points) => points.len(),
+        Geometry::Matrix(rows) => rows.len(),
+    };
+    if spec.mode == BackendMode::Dense && n > MAX_DENSE_PEERS {
+        return Err(bad(format!(
+            "a dense game of {n} peers exceeds the cap of {MAX_DENSE_PEERS}; \
+             use mode sparse with positions_1d"
+        )));
     }
     let game = match &spec.geometry {
         Geometry::Line(positions) => {
@@ -164,6 +187,32 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::BadSpec);
+    }
+
+    /// A dense spec over the cap is refused before the game allocates;
+    /// at the cap it builds, and a sparse spec has no cap.
+    #[test]
+    fn dense_games_are_capped_before_they_allocate() {
+        let line = |n: usize| (0..n).map(|i| i as f64).collect::<Vec<_>>();
+        for geometry in [
+            Geometry::Line(line(1 << 20)),
+            Geometry::Points2D(vec![(0.0, 0.0); MAX_DENSE_PEERS + 1]),
+            Geometry::Matrix(vec![Vec::new(); MAX_DENSE_PEERS + 1]),
+        ] {
+            let e = build(&GameSpec {
+                alpha: 1.0,
+                geometry,
+                links: Vec::new(),
+                mode: BackendMode::Dense,
+            })
+            .unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadSpec);
+            assert!(e.message.contains("exceeds the cap"), "{e}");
+        }
+        let (g, _) = build(&line_spec(line(MAX_DENSE_PEERS), BackendMode::Dense)).unwrap();
+        assert_eq!(g.n(), MAX_DENSE_PEERS);
+        let (g, _) = build(&line_spec(line(1 << 20), BackendMode::Sparse)).unwrap();
+        assert_eq!(g.n(), 1 << 20);
     }
 
     /// The binary codec carries any f64, so non-finite values reach

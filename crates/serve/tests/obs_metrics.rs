@@ -128,8 +128,8 @@ const GAUGES: [&str; 2] = ["queue.depth_hwm", "reactor.pipeline_depth_hwm"];
 /// `metrics` body when observability is on.
 fn wal_run(tag: &str, obs: bool) -> (RegistryStats, Option<MetricsBody>) {
     let dir = test_dir(tag);
-    // The reactor finishes each span on its loop thread before it reads
-    // the next frame, so `metrics` sees every replayed span completed.
+    // A reply's span completes before its bytes are written, so
+    // `metrics` sees every replayed span completed.
     let mut config = ServeConfig::new()
         .workers(1)
         .memory_budget(64 << 10)
@@ -376,6 +376,33 @@ fn trace_tail_reports_completed_spans_over_binary() {
         assert_eq!(span.total_ns, last, "total is the last stamped offset");
     }
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A synchronous client that reads each reply and then asks for
+/// `metrics` finds every reply it has read counted in
+/// `obs.spans_completed`, although the reply was written by one worker
+/// and `metrics` is answered by another: a span completes before its
+/// reply's bytes can reach the client.
+#[test]
+fn every_reply_read_is_a_completed_span() {
+    let dir = test_dir("span-order");
+    let server = Server::start(
+        ServeConfig::new()
+            .workers(2)
+            .spill_dir(dir.clone())
+            .obs(ObsConfig::enabled()),
+    )
+    .expect("server starts");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    client.create("s", spec()).expect("create");
+    for k in 1..=200u64 {
+        client.social_cost("s").expect("social_cost");
+        let m = client.metrics().expect("metrics");
+        // Read so far: the create, k social costs and k - 1 metrics.
+        assert_eq!(counter(&m, "obs.spans_completed"), 2 * k, "round {k}");
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
