@@ -30,7 +30,7 @@
 //! Snapshot committed as `BENCH_serve_throughput.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sp_core::{BackendMode, Move, PeerId};
+use sp_core::{Move, PeerId};
 use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
@@ -246,7 +246,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 alpha: 1.0,
                 geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
                 links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-                mode: BackendMode::Dense,
             }),
         },
         None,
@@ -317,7 +316,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 alpha: 1.0,
                 geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
                 links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-                mode: BackendMode::Dense,
             }),
         },
         None,

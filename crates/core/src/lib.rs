@@ -111,7 +111,7 @@ pub use error::CoreError;
 pub use game::Game;
 pub use peer::{LinkSet, PeerId};
 pub use session::{GameSession, Move, SessionStats};
-pub use sparse::{BackendMode, SparseParams, SparseSession};
+pub use sparse::{SparseParams, SparseSession};
 pub use strategy::StrategyProfile;
 pub use topology::{
     max_stretch, overlay_distances, stretch_matrix, topology, topology_without_peer,

@@ -43,6 +43,9 @@
 //! (the free [`best_response`](crate::best_response) and
 //! [`nash_gap`](crate::nash_gap) build one), `O(n²)` while it runs.
 //!
+//! A `SparseSession` lives in process only: it has no checkpoint, and
+//! `sp-serve` serves [`GameSession`]s alone.
+//!
 //! [`GameSession`]: crate::GameSession
 //! [`GameSession::first_improving_move`]: crate::GameSession::first_improving_move
 
@@ -57,28 +60,6 @@ use crate::session::{
 use crate::{
     BestResponse, CoreError, Game, LinkSet, Move, PeerId, SessionStats, SocialCost, StrategyProfile,
 };
-
-/// Which session type evaluates a game: the exact dense
-/// [`GameSession`](crate::GameSession) or the landmark [`SparseSession`].
-/// `sp-serve` names it on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendMode {
-    /// Exact dense evaluation over the full overlay distance matrix.
-    Dense,
-    /// Landmark-sketch evaluation in `O(n)`-per-row memory.
-    Sparse,
-}
-
-impl BackendMode {
-    /// The wire name used by `sp-serve` (`"dense"` / `"sparse"`).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendMode::Dense => "dense",
-            BackendMode::Sparse => "sparse",
-        }
-    }
-}
 
 /// Tuning knobs for a sparse session ([`SparseSession::with_params`]).
 ///
@@ -181,24 +162,6 @@ impl SparseSession {
         })
     }
 
-    /// Rebuilds a session from a profile captured by
-    /// [`SparseSession::snapshot`] and the session's [`SparseParams`].
-    /// Work counters start fresh except
-    /// [`SessionStats::snapshot_restores`], which is `1`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseSession::new`].
-    pub fn restore(
-        game: Game,
-        profile: StrategyProfile,
-        params: SparseParams,
-    ) -> Result<Self, CoreError> {
-        let mut session = SparseSession::with_params(game, profile, params)?;
-        session.core.stats.snapshot_restores = 1;
-        Ok(session)
-    }
-
     /// The game being evaluated.
     #[must_use]
     pub fn game(&self) -> &Game {
@@ -217,23 +180,10 @@ impl SparseSession {
         self.core.game.n()
     }
 
-    /// The tuning parameters — what a service persists so that a
-    /// restored session behaves identically.
-    #[must_use]
-    pub fn params(&self) -> SparseParams {
-        self.landmarks.params
-    }
-
-    /// Work counters accumulated since creation (or the last
-    /// [`SparseSession::reset_stats`]).
+    /// Work counters accumulated since creation.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
         self.core.stats
-    }
-
-    /// Zeroes the work counters.
-    pub fn reset_stats(&mut self) {
-        self.core.stats = SessionStats::default();
     }
 
     /// Semantic size of this session's mutable state in bytes: the
@@ -251,13 +201,6 @@ impl SparseSession {
             + lm.near.len() * std::mem::size_of::<u32>()
             + self.row.len() * std::mem::size_of::<f64>()
             + lm.sketch.as_ref().map_or(0, LandmarkSketch::memory_bytes)
-    }
-
-    /// Captures the session's mutable state, the strategy profile;
-    /// counts one [`SessionStats::snapshot_exports`].
-    #[must_use]
-    pub fn snapshot(&mut self) -> StrategyProfile {
-        self.core.snapshot()
     }
 
     /// Applies a unilateral move, repairing the sketch, and returns the

@@ -54,13 +54,13 @@ impl Durability {
 
     /// Whether write-ahead logging is on.
     #[must_use]
-    pub fn is_wal(&self) -> bool {
+    pub(crate) fn is_wal(&self) -> bool {
         matches!(self, Durability::Wal { .. })
     }
 
     /// Whether commits issue real fsyncs.
     #[must_use]
-    pub fn fsync(&self) -> bool {
+    pub(crate) fn fsync(&self) -> bool {
         matches!(self, Durability::Wal { fsync: true, .. })
     }
 
@@ -68,7 +68,7 @@ impl Durability {
     /// 1 otherwise (each job commits — trivially — on its own, which
     /// is byte-for-byte the historical scheduling).
     #[must_use]
-    pub fn batch_cap(&self) -> usize {
+    pub(crate) fn batch_cap(&self) -> usize {
         match *self {
             Durability::Off => 1,
             Durability::Wal { group_commit, .. } => group_commit.max(1),

@@ -2,13 +2,13 @@
 //! exporter, and the glue between [`sp_obs`]'s primitives and the
 //! serve pipeline.
 //!
-//! [`ServeObs`] is built once per registry (when [`ObsConfig::enabled`]
+//! `ServeObs` is built once per registry (when [`ObsConfig::enabled`]
 //! is set) and threaded — as an `Option<Arc<ServeObs>>` — through the
 //! connection engines, the scheduler, and the WAL group-commit point.
 //! Each request gets an [`sp_obs::ActiveSpan`] at decode time; the
 //! pipeline stamps phase boundaries as the request passes the existing
 //! seams (enqueue, dequeue, execute, WAL append, group-commit fsync,
-//! encode, flush), and [`ServeObs::finish_span`] records the completed
+//! encode, flush), and `ServeObs::finish_span` records the completed
 //! span into the trace sink, feeds the per-op latency histogram, and —
 //! past the slow threshold — emits one structured log line.
 //!
@@ -19,7 +19,7 @@
 //! ([`RegistryStats`]) always count, with or without `--obs`; `stats`
 //! reads them. The span counters (`obs.spans_completed`,
 //! `obs.slow_logged`) and the reactor's (`reactor.*`) live here and
-//! count only with observability on. [`ServeObs::metrics_body`] is the
+//! count only with observability on. `ServeObs::metrics_body` is the
 //! one exporter: it names those atomics, the histograms and the
 //! aggregated `work.*` counters for the `metrics` op.
 //!
@@ -84,7 +84,7 @@ impl ObsConfig {
 /// sink, histograms, and the counters only observability counts.
 /// Shared (`Arc`) by the connection engine, the scheduler workers, and
 /// the inline `metrics` / `trace_tail` ops.
-pub struct ServeObs {
+pub(crate) struct ServeObs {
     trace: TraceSink,
     clock: Box<dyn Clock>,
     slow_ns: Option<u64>,
@@ -119,7 +119,7 @@ impl ServeObs {
     /// Builds the observability state, or `None` when disabled — the
     /// `None` is what makes every instrumentation site free when off.
     #[must_use]
-    pub fn new(cfg: &ObsConfig) -> Option<Arc<ServeObs>> {
+    pub(crate) fn new(cfg: &ObsConfig) -> Option<Arc<ServeObs>> {
         if !cfg.enabled {
             return None;
         }
@@ -151,7 +151,7 @@ impl ServeObs {
 
     /// The current clock reading.
     #[must_use]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.clock.now_ns()
     }
 
@@ -159,7 +159,7 @@ impl ServeObs {
     /// [`Phase::Decode`]) and hands back the shared handle that rides
     /// the pipeline.
     #[must_use]
-    pub fn begin_span(&self, op: u8) -> SpanHandle {
+    pub(crate) fn begin_span(&self, op: u8) -> SpanHandle {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let span = Arc::new(ActiveSpan::new(seq, op));
         span.stamp(Phase::Decode, self.now_ns());
@@ -167,14 +167,14 @@ impl ServeObs {
     }
 
     /// Stamps `phase` on `span` at the current clock reading.
-    pub fn stamp(&self, span: &SpanHandle, phase: Phase) {
+    pub(crate) fn stamp(&self, span: &SpanHandle, phase: Phase) {
         span.stamp(phase, self.now_ns());
     }
 
     /// Completes a span: records it into the trace sink, feeds the
     /// per-op latency histogram, and applies the slow-request
     /// threshold. Called exactly once, after the flush stamp.
-    pub fn finish_span(&self, span: &SpanHandle) {
+    pub(crate) fn finish_span(&self, span: &SpanHandle) {
         let snap = span.snapshot();
         self.trace.record(snap);
         self.spans_completed.fetch_add(1, Ordering::Relaxed);
@@ -196,7 +196,7 @@ impl ServeObs {
     /// not the cache-internals fine structure. Each list is
     /// name-sorted, so identical state encodes to identical bytes.
     #[must_use]
-    pub fn metrics_body(&self, stats: &RegistryStats, work: &SessionStats) -> MetricsBody {
+    pub(crate) fn metrics_body(&self, stats: &RegistryStats, work: &SessionStats) -> MetricsBody {
         // sp-lint: counters(RegistryStats)
         let RegistryStats {
             requests_served,
@@ -284,7 +284,7 @@ impl ServeObs {
     /// (ascending by sequence number), optionally filtered to those at
     /// least `slow_ns` slow.
     #[must_use]
-    pub fn trace_tail_body(&self, limit: usize, slow_ns: Option<u64>) -> Vec<TraceSpanBody> {
+    pub(crate) fn trace_tail_body(&self, limit: usize, slow_ns: Option<u64>) -> Vec<TraceSpanBody> {
         self.trace
             .tail(limit, slow_ns.unwrap_or(0))
             .into_iter()

@@ -1,4 +1,5 @@
-//! Execution of typed session operations.
+//! Execution of typed session operations on the one served session
+//! type, [`GameSession`].
 //!
 //! The split matters for the determinism contract: everything that
 //! *computes* — [`execute_query`] and the canonical result builders —
@@ -17,10 +18,7 @@
 //! Parsing does not live here: requests arrive as typed
 //! [`sp_wire::Request`] values, decoded by the binary codec.
 
-use sp_core::{
-    BackendMode, Game, GameSession, LinkSet, Move, SessionStats, SocialCost, SparseSession,
-    StrategyProfile,
-};
+use sp_core::{GameSession, LinkSet, SocialCost};
 use sp_dynamics::{run_config_on_session, DynamicsConfig, ResponseRule};
 
 use crate::spec;
@@ -29,68 +27,11 @@ use crate::wire::{
     SessionOp, SocialCostBody, WireError,
 };
 
-/// A served session, of the type its spec's `mode` names; a registry
-/// slot holds one, and every op dispatches on it once.
-#[derive(Debug)]
-pub enum Session {
-    /// `mode: dense`.
-    Dense(Box<GameSession>),
-    /// `mode: sparse`: `O(n)` resident state.
-    Sparse(Box<SparseSession>),
-}
-
-impl Session {
-    /// The mode this session was created in.
-    #[must_use]
-    pub fn mode(&self) -> BackendMode {
-        match self {
-            Session::Dense(_) => BackendMode::Dense,
-            Session::Sparse(_) => BackendMode::Sparse,
-        }
-    }
-
-    /// The game and the current profile.
-    #[must_use]
-    pub fn state(&self) -> (&Game, &StrategyProfile) {
-        match self {
-            Session::Dense(s) => (s.game(), s.profile()),
-            Session::Sparse(s) => (s.game(), s.profile()),
-        }
-    }
-
-    /// The session's semantic size in bytes, the game excluded.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            Session::Dense(s) => s.memory_bytes(),
-            Session::Sparse(s) => s.memory_bytes(),
-        }
-    }
-
-    /// The session's work counters.
-    #[must_use]
-    pub fn stats(&self) -> SessionStats {
-        match self {
-            Session::Dense(s) => s.stats(),
-            Session::Sparse(s) => s.stats(),
-        }
-    }
-
-    /// Zeroes the session's work counters.
-    pub fn reset_stats(&mut self) {
-        match self {
-            Session::Dense(s) => s.reset_stats(),
-            Session::Sparse(s) => s.reset_stats(),
-        }
-    }
-}
-
 /// Applies the service-wide session tuning: single-threaded refills
 /// (concurrency comes from the worker pool multiplexing sessions, and
 /// nested fan-out would oversubscribe the host). Used on freshly
-/// created and restored sessions, on the transient dense sessions of a
-/// sparse slot, and by the reference executor, so tuning can never
-/// cause divergence.
+/// created and restored sessions, and by the reference executor, so
+/// tuning can never cause divergence.
 pub fn tune_for_service(session: &mut GameSession) {
     session.set_parallelism(Some(1));
 }
@@ -123,37 +64,18 @@ fn core_err(e: impl std::fmt::Display) -> WireError {
     WireError::new(ErrorCode::Core, e.to_string())
 }
 
-/// Builds the session a typed `create` spec describes, in its mode; a
-/// dense one is tuned via [`tune_for_service`].
+/// Builds the session a typed `create` spec describes, tuned via
+/// [`tune_for_service`].
 ///
 /// # Errors
 ///
 /// Spec problems come back as [`ErrorCode::BadSpec`], engine rejections
 /// as [`ErrorCode::Core`].
-pub fn build(spec: &GameSpec) -> Result<Session, WireError> {
+pub fn build_session(spec: &GameSpec) -> Result<GameSession, WireError> {
     let (game, profile) = spec::build(spec)?;
-    if spec.mode == BackendMode::Sparse {
-        let session = SparseSession::new(game, profile).map_err(core_err)?;
-        return Ok(Session::Sparse(Box::new(session)));
-    }
     let mut session = GameSession::new(game, profile).map_err(core_err)?;
     tune_for_service(&mut session);
-    Ok(Session::Dense(Box::new(session)))
-}
-
-/// [`build`] for a dense spec; a sparse one is [`ErrorCode::BadSpec`].
-///
-/// # Errors
-///
-/// As [`build`].
-pub fn build_session(spec: &GameSpec) -> Result<GameSession, WireError> {
-    match build(spec)? {
-        Session::Dense(session) => Ok(*session),
-        Session::Sparse(_) => Err(WireError::new(
-            ErrorCode::BadSpec,
-            "a sparse spec builds no GameSession",
-        )),
-    }
+    Ok(session)
 }
 
 fn links_vec(links: &LinkSet) -> Vec<usize> {
@@ -168,41 +90,20 @@ fn social_cost_body(sc: &SocialCost) -> SocialCostBody {
     }
 }
 
-fn created_body((game, profile): (&Game, &StrategyProfile), mode: BackendMode) -> ResultBody {
-    ResultBody::Created {
-        n: game.n(),
-        alpha: game.alpha(),
-        links: profile.link_count(),
-        mode,
-    }
-}
-
 /// The canonical `create` result body.
 #[must_use]
-pub fn created(session: &Session) -> ResultBody {
-    created_body(session.state(), session.mode())
-}
-
-/// [`created`] for a dense session.
-#[must_use]
 pub fn create_result(session: &GameSession) -> ResultBody {
-    created_body((session.game(), session.profile()), BackendMode::Dense)
+    ResultBody::Created {
+        n: session.n(),
+        alpha: session.game().alpha(),
+        links: session.profile().link_count(),
+    }
 }
 
 /// The canonical `load` result body.
 #[must_use]
-pub fn loaded(session: &Session) -> ResultBody {
-    ResultBody::Loaded {
-        mode: session.mode(),
-    }
-}
-
-/// [`loaded`] for a dense session.
-#[must_use]
 pub fn loaded_result(_session: &GameSession) -> ResultBody {
-    ResultBody::Loaded {
-        mode: BackendMode::Dense,
-    }
+    ResultBody::Loaded
 }
 
 /// Executes a **query or mutation** op against a resident session and
@@ -210,69 +111,10 @@ pub fn loaded_result(_session: &GameSession) -> ResultBody {
 /// `snapshot`/`evict`) are placement decisions and must be handled by
 /// the caller; passing one here is an error.
 ///
-/// A sparse session runs `best_response`, `nash_gap` and `run_dynamics`
-/// on a transient tuned [`GameSession`] of its game and profile —
-/// `O(n²)` memory while the op runs — and takes back the strategies the
-/// op changed in one `apply_batch`. Cached ≡ fresh makes every answer
-/// the bits a dense session gives. Over [`spec::MAX_DENSE_PEERS`] peers
-/// those three ops are refused before the dense session is built.
-///
 /// # Errors
 ///
 /// Engine rejections come back as [`ErrorCode::Core`] with the engine's
 /// display string as the message.
-pub fn execute(op: &SessionOp, session: &mut Session) -> Result<ResultBody, WireError> {
-    let sparse = match session {
-        Session::Dense(dense) => return execute_query(op, dense),
-        Session::Sparse(sparse) => sparse,
-    };
-    match op {
-        SessionOp::Apply { mv } => sparse.apply(mv.clone()).map(|p| applied(&p)),
-        SessionOp::ApplyBatch { moves } => sparse.apply_batch(moves).map(|p| batch_applied(&p)),
-        SessionOp::SocialCost => Ok(ResultBody::SocialCost(social_cost_body(
-            &sparse.social_cost(),
-        ))),
-        SessionOp::Stretch => Ok(ResultBody::Stretch {
-            max_stretch: sparse.max_stretch(),
-        }),
-        SessionOp::BestResponse { .. } | SessionOp::NashGap { .. } | SessionOp::RunDynamics(_) => {
-            let n = sparse.game().n();
-            if n > spec::MAX_DENSE_PEERS {
-                return Err(WireError::new(
-                    ErrorCode::Core,
-                    format!(
-                        "{} on a sparse session of {n} peers needs a dense session, \
-                         capped at {} peers",
-                        op.code().name(),
-                        spec::MAX_DENSE_PEERS
-                    ),
-                ));
-            }
-            let mut dense =
-                GameSession::from_refs(sparse.game(), sparse.profile()).map_err(core_err)?;
-            tune_for_service(&mut dense);
-            let body = execute_query(op, &mut dense)?;
-            let moves: Vec<Move> = dense
-                .profile()
-                .iter()
-                .filter(|&(peer, links)| links != sparse.profile().strategy(peer))
-                .map(|(peer, links)| Move::SetStrategy {
-                    peer,
-                    links: links.clone(),
-                })
-                .collect();
-            sparse.apply_batch(&moves).map(|_| body)
-        }
-        _ => return Err(lifecycle_error()),
-    }
-    .map_err(core_err)
-}
-
-/// [`execute`] on a dense session.
-///
-/// # Errors
-///
-/// As [`execute`].
 pub fn execute_query(op: &SessionOp, session: &mut GameSession) -> Result<ResultBody, WireError> {
     match op {
         SessionOp::Apply { mv } => session.apply(mv.clone()).map(|p| applied(&p)),
@@ -355,7 +197,6 @@ mod tests {
             alpha: 1.0,
             geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
             links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
-            mode: BackendMode::Dense,
         })
         .unwrap();
         let ResultBody::Created { n, .. } = create_result(&session) else {
@@ -425,7 +266,6 @@ mod tests {
             alpha: 1.0,
             geometry: Geometry::Line(vec![0.0, 1.0]),
             links: Vec::new(),
-            mode: BackendMode::Dense,
         })
         .unwrap();
         let e = execute_query(&SessionOp::Evict, &mut session).unwrap_err();

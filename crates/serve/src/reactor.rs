@@ -9,7 +9,7 @@
 //! ([`crate::registry::SessionRegistry`] runs the turns): an idle worker
 //! with no ready job *leads* — it waits in `epoll_wait`, then reads and
 //! decodes whatever became readable and submits each session request
-//! with [`SessionRegistry::submit_with`]. When its turn ends it keeps
+//! with `SessionRegistry::submit_with`. When its turn ends it keeps
 //! one ready job for itself, hands leadership to an idle follower, and
 //! runs that job; no other thread touches the request before its
 //! reply. `ping`, `stats`, `metrics` and `trace_tail` are answered by
@@ -45,7 +45,7 @@
 //! reply waits in the connection's map until every lower sequence has
 //! been written. Distinct sessions still execute concurrently —
 //! ordering is a per-connection write discipline, not an execution
-//! barrier — so one connection can keep [`PIPELINE_WINDOW`] requests
+//! barrier — so one connection can keep `PIPELINE_WINDOW` requests
 //! in flight. When the window fills, the leader stops *reading* that
 //! connection (drops read interest); kernel-buffer backpressure does
 //! the rest.
@@ -87,7 +87,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// have at most this many jobs queued in the registry, so a session's
 /// queue depth is at most `window × connections` addressing it, while
 /// leaving plenty of pipelining headroom.
-pub const PIPELINE_WINDOW: u64 = 64;
+pub(crate) const PIPELINE_WINDOW: u64 = 64;
 
 /// Read chunk size; frames larger than this simply take several reads.
 const READ_CHUNK: usize = 16 * 1024;
@@ -631,7 +631,7 @@ mod tests {
     use std::path::PathBuf;
     use std::time::Duration;
 
-    use sp_core::{BackendMode, Move, PeerId};
+    use sp_core::{Move, PeerId};
     use sp_json::frame;
 
     use super::PIPELINE_WINDOW;
@@ -679,7 +679,6 @@ mod tests {
                 alpha: 1.0,
                 geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
                 links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
-                mode: BackendMode::Dense,
             }),
         )
     }
@@ -783,7 +782,6 @@ mod tests {
                     alpha: 1.0,
                     geometry: Geometry::Line((0..n).map(|i| i as f64).collect()),
                     links,
-                    mode: BackendMode::Dense,
                 }),
             ),
         );

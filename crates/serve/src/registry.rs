@@ -1,5 +1,5 @@
 //! The session registry: one locked, name-ordered map of named
-//! sessions ([`Session`]: dense or sparse) with LRU spill-to-disk
+//! [`GameSession`]s with LRU spill-to-disk
 //! eviction under a global memory budget, and the worker-pool scheduler
 //! that executes requests against them.
 //!
@@ -40,7 +40,7 @@
 //!
 //! # Backpressure
 //!
-//! A job has one way in, [`SessionRegistry::submit_with`], which never
+//! A job has one way in, `SessionRegistry::submit_with`, which never
 //! blocks, and one way out, the reply callback it carries.
 //! [`SessionRegistry::submit`] wraps it in a channel for callers that
 //! wait. The queues themselves are unbounded: the bound is per
@@ -53,10 +53,9 @@
 //! # Memory budget and eviction
 //!
 //! Every slot's footprint is accounted semantically —
-//! [`Session::memory_bytes`] plus the game's metric store
-//! (`8n²` for a dense matrix, `8n` for implicit line positions — see
-//! `Game::metric_bytes`) plus a fixed per-entry overhead — in the same
-//! machine-independent
+//! [`GameSession::memory_bytes`] plus the game's metric store (`8n²`
+//! for its matrix, see `Game::metric_bytes`) plus a fixed per-entry
+//! overhead — in the same machine-independent
 //! style as the core's `OracleCache` budget, so eviction behaviour is
 //! reproducible across hosts. When the total exceeds
 //! [`RegistryConfig::memory_budget`], the least-recently-used idle
@@ -73,7 +72,7 @@
 //! A session's [`SessionStats`] are banked into one registry total, and
 //! zeroed, when a job ends, when a spill drops the session and when WAL
 //! recovery rebuilds it, so each unit of work counts once whatever
-//! becomes of the session. [`SessionRegistry::work_stats`] reads the
+//! becomes of the session. `SessionRegistry::work_stats` reads the
 //! total.
 
 use std::cell::Cell;
@@ -84,12 +83,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use sp_core::SessionStats;
+use sp_core::{GameSession, SessionStats};
 use sp_obs::{Phase, SpanHandle};
 
 use crate::config::Durability;
 use crate::obs::{ObsConfig, ServeObs};
-use crate::ops::{self, Session};
+use crate::ops;
 use crate::reactor::Reactor;
 use crate::snapshot;
 use crate::wal::{self, SessionWal};
@@ -184,7 +183,7 @@ struct EntryState {
     /// `true` while a worker holds the session outside the lock.
     busy: bool,
     /// The resident session; `None` when spilled or not yet created.
-    resident: Option<Session>,
+    resident: Option<GameSession>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
     /// Whether resident state has diverged from the session's file.
@@ -214,7 +213,7 @@ struct SessionEntry {
 
 /// A point-in-time snapshot of the registry's counters. Each is one
 /// atomic that counts whether or not observability is on; `stats`
-/// answers with a subset, and [`crate::obs::ServeObs::metrics_body`]
+/// answers with a subset, and `crate::obs::ServeObs::metrics_body`
 /// exports the event counters under the names noted here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
@@ -253,7 +252,7 @@ pub struct RegistryStats {
 impl RegistryStats {
     /// The wire-protocol rendering of these counters.
     #[must_use]
-    pub fn to_wire(&self) -> ServiceStats {
+    pub(crate) fn to_wire(self) -> ServiceStats {
         ServiceStats {
             requests_served: self.requests_served,
             sessions_created: self.sessions_created,
@@ -297,7 +296,7 @@ struct Ready {
 /// [`SessionRegistry::run_job`] edits it in place.
 struct Slot {
     /// The resident session; `None` when spilled or not yet created.
-    resident: Option<Session>,
+    resident: Option<GameSession>,
     /// Whether the session logically exists (resident or spilled).
     created: bool,
     /// Whether resident state has diverged from the session's file.
@@ -418,7 +417,7 @@ impl SessionRegistry {
     }
 
     /// Enqueues a request and returns the receiver its response will
-    /// arrive on — [`SessionRegistry::submit_with`] for callers that
+    /// arrive on — `SessionRegistry::submit_with` for callers that
     /// block; tests and benches are its only callers. After
     /// [`SessionRegistry::shutdown`] the response is an
     /// [`ErrorCode::Shutdown`] error.
@@ -442,7 +441,7 @@ impl SessionRegistry {
     /// stopping). `span` is the request's trace span, stamped at each
     /// scheduler seam when observability is on. The caller bounds its
     /// own in-flight work (see the module docs on backpressure).
-    pub fn submit_with(
+    pub(crate) fn submit_with(
         &self,
         request: SessionRequest,
         span: Option<SpanHandle>,
@@ -540,20 +539,20 @@ impl SessionRegistry {
 
     /// The observability state, when [`RegistryConfig::obs`] enabled it.
     #[must_use]
-    pub fn obs(&self) -> Option<&Arc<ServeObs>> {
+    pub(crate) fn obs(&self) -> Option<&Arc<ServeObs>> {
         self.obs.as_ref()
     }
 
     /// The work counters of every job the registry has run, evicted
     /// and restored incarnations included (see the module docs).
     #[must_use]
-    pub fn work_stats(&self) -> SessionStats {
+    pub(crate) fn work_stats(&self) -> SessionStats {
         *lock_unpoisoned(&self.work)
     }
 
     /// Merges a session's work counters into the registry's total and
     /// zeroes them, so that no later bank counts them again.
-    fn bank(&self, session: &mut Session) {
+    fn bank(&self, session: &mut GameSession) {
         lock_unpoisoned(&self.work).merge(&session.stats());
         session.reset_stats();
     }
@@ -744,12 +743,9 @@ impl SessionRegistry {
         st.bytes = new_bytes;
     }
 
-    fn slot_bytes(session: &Session) -> usize {
-        // `metric_bytes` is `8n²` for a dense matrix store — identical
-        // to the historical accounting — and `8n` for implicit line
-        // positions, which is what lets thousands of sparse sessions
-        // share a budget that one dense session would blow.
-        session.memory_bytes() + session.state().0.metric_bytes() + ENTRY_OVERHEAD_BYTES
+    fn slot_bytes(session: &GameSession) -> usize {
+        // `metric_bytes` is the `8n²` of the game's matrix store.
+        session.memory_bytes() + session.game().metric_bytes() + ENTRY_OVERHEAD_BYTES
     }
 
     /// The session's one file: its log, checkpoint included.
@@ -801,18 +797,18 @@ impl SessionRegistry {
     fn spill(
         &self,
         name: &str,
-        session: &mut Session,
+        session: &mut GameSession,
         dirty: bool,
         wal: Option<&Arc<Mutex<SessionWal>>>,
     ) -> io::Result<()> {
         let path = self.log_path(name);
         let Some(wal) = wal else {
             if dirty || !path.exists() {
-                snapshot::save_session(&path, session)?;
+                snapshot::save(&path, session)?;
             }
             return Ok(());
         };
-        let checkpoint = snapshot::checkpoint(session)?;
+        let checkpoint = snapshot::checkpoint(session);
         let mut w = lock_unpoisoned(wal);
         if w.commit()? {
             self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -984,10 +980,10 @@ impl SessionRegistry {
                 );
                 return Response::err(id, e);
             }
-            return match ops::build(spec) {
+            return match ops::build_session(spec) {
                 Ok(session) => {
                     self.sessions_created.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::ok(id, ops::created(&session));
+                    let response = Response::ok(id, ops::create_result(&session));
                     *slot = Slot {
                         resident: Some(session),
                         created: true,
@@ -1028,7 +1024,7 @@ impl SessionRegistry {
                     );
                     return Response::err(id, e);
                 }
-                match snapshot::load_session(&self.log_path(name)) {
+                match snapshot::load(&self.log_path(name)) {
                     Ok(s) => {
                         self.sessions_restored.fetch_add(1, Ordering::Relaxed);
                         slot.created = true;
@@ -1047,7 +1043,7 @@ impl SessionRegistry {
         };
 
         let response = match &request.op {
-            SessionOp::Load => Response::ok(id, ops::loaded(&resident)),
+            SessionOp::Load => Response::ok(id, ops::loaded_result(&resident)),
             SessionOp::Snapshot => {
                 match self.spill(name, &mut resident, slot.dirty, wal.as_ref()) {
                     Ok(()) => {
@@ -1076,7 +1072,7 @@ impl SessionRegistry {
                     WireError::new(ErrorCode::Io, format!("evict failed: {e}")),
                 ),
             },
-            op => match ops::execute(op, &mut resident) {
+            op => match ops::execute_query(op, &mut resident) {
                 Ok(result) => {
                     slot.dirty |= op.is_mutating();
                     Response::ok(id, result)
@@ -1293,7 +1289,7 @@ impl SessionRegistry {
 mod tests {
     use super::*;
     use crate::wire::{DynamicsRule, DynamicsSpec, GameSpec, Geometry};
-    use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
+    use sp_core::{BestResponseMethod, Move, PeerId};
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1314,20 +1310,15 @@ mod tests {
         registry.submit(request, None).recv().expect("response")
     }
 
-    fn create_with(name: &str, positions: Vec<f64>, mode: BackendMode) -> SessionRequest {
+    fn create(name: &str, positions: &[f64]) -> SessionRequest {
         req(
             name,
             SessionOp::Create(GameSpec {
                 alpha: 1.0,
-                geometry: Geometry::Line(positions),
+                geometry: Geometry::Line(positions.to_vec()),
                 links: vec![(0, 1), (1, 0), (1, 2), (2, 1)],
-                mode,
             }),
         )
-    }
-
-    fn create(name: &str, positions: &[f64]) -> SessionRequest {
-        create_with(name, positions.to_vec(), BackendMode::Dense)
     }
 
     fn add_0_2(name: &str) -> SessionRequest {
@@ -1436,9 +1427,9 @@ mod tests {
         let SessionOp::Create(spec) = create("probe", &LINE4).op else {
             unreachable!("create builds a create op")
         };
-        let mut session = ops::build(&spec).expect("valid spec");
+        let mut session = ops::build_session(&spec).expect("valid spec");
         let created = SessionRegistry::slot_bytes(&session);
-        ops::execute(&SessionOp::SocialCost, &mut session).expect("social cost");
+        ops::execute_query(&SessionOp::SocialCost, &mut session).expect("social cost");
         (created, SessionRegistry::slot_bytes(&session))
     }
 
@@ -1608,64 +1599,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn sparse_sessions_round_trip_and_account_linearly() {
-        let dir = test_dir("sparse");
-        let registry = SessionRegistry::new(RegistryConfig {
-            spill_dir: dir.clone(),
-            ..RegistryConfig::default()
-        })
-        .unwrap();
-        let workers = registry.spawn_workers(2);
-        let n = 400;
-        let positions = (0..n).map(f64::from).collect();
-        let r = submit_and_wait(
-            &registry,
-            create_with("big", positions, BackendMode::Sparse),
-        );
-        assert!(r.outcome.is_ok(), "{r:?}");
-        assert!(matches!(
-            r.outcome,
-            Ok(ResultBody::Created {
-                mode: BackendMode::Sparse,
-                ..
-            })
-        ));
-        // A dense 400-peer slot charges ≥ 2 × 400² × 8 B (metric +
-        // overlay matrix); the sparse slot must stay well under one
-        // such matrix.
-        let dense_matrix = n as usize * n as usize * std::mem::size_of::<f64>();
-        assert!(
-            registry.stats().resident_bytes < dense_matrix / 2,
-            "sparse slot accounted {} bytes",
-            registry.stats().resident_bytes
-        );
-        let sc1 = submit_and_wait(&registry, req("big", SessionOp::SocialCost));
-        assert!(sc1.outcome.is_ok(), "{sc1:?}");
-        // Spill to the v2 file and restore transparently, bit-identically.
-        let r = submit_and_wait(&registry, req("big", SessionOp::Evict));
-        assert!(r.outcome.is_ok(), "{r:?}");
-        let r = submit_and_wait(&registry, req("big", SessionOp::Load));
-        assert!(r.outcome.is_ok(), "{r:?}");
-        assert_eq!(
-            r.outcome,
-            Ok(ResultBody::Loaded {
-                mode: BackendMode::Sparse
-            })
-        );
-        let sc2 = submit_and_wait(&registry, req("big", SessionOp::SocialCost));
-        assert_eq!(sc2, sc1, "restored sparse session must answer identically");
-        registry.shutdown();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// `run_dynamics` with a best-response method too small for the game
-    /// is refused with the error `best_response` gives, in either mode;
-    /// the reply arrives, and the session and the one worker keep
-    /// serving.
+    /// is refused with the error `best_response` gives; the reply
+    /// arrives, and the session and the one worker keep serving.
     #[test]
     fn oversized_enumeration_dynamics_fails_typed() {
         let dir = test_dir("enumeration");
@@ -1682,27 +1618,24 @@ mod tests {
                 .expect("the worker must answer")
         };
         let method = BestResponseMethod::ExactEnumeration;
-        for mode in [BackendMode::Dense, BackendMode::Sparse] {
-            let name = mode.as_str();
-            let positions = (0..26).map(f64::from).collect();
-            let r = answer(create_with(name, positions, mode));
-            assert!(r.outcome.is_ok(), "{r:?}");
-            let dynamics = SessionOp::RunDynamics(DynamicsSpec {
-                rule: DynamicsRule::Best(method),
-                max_rounds: Some(1),
-                tolerance: None,
-                detect_cycles: None,
-            });
-            let refused = answer(req(name, dynamics)).outcome.unwrap_err();
-            let single = SessionOp::BestResponse {
-                peer: PeerId::new(0),
-                method,
-            };
-            assert_eq!(refused, answer(req(name, single)).outcome.unwrap_err());
-            assert_eq!(refused.code, ErrorCode::Core);
-            let r = answer(req(name, SessionOp::SocialCost));
-            assert!(r.outcome.is_ok(), "{r:?}");
-        }
+        let positions: Vec<f64> = (0..26).map(f64::from).collect();
+        let r = answer(create("wide", &positions));
+        assert!(r.outcome.is_ok(), "{r:?}");
+        let dynamics = SessionOp::RunDynamics(DynamicsSpec {
+            rule: DynamicsRule::Best(method),
+            max_rounds: Some(1),
+            tolerance: None,
+            detect_cycles: None,
+        });
+        let refused = answer(req("wide", dynamics)).outcome.unwrap_err();
+        let single = SessionOp::BestResponse {
+            peer: PeerId::new(0),
+            method,
+        };
+        assert_eq!(refused, answer(req("wide", single)).outcome.unwrap_err());
+        assert_eq!(refused.code, ErrorCode::Core);
+        let r = answer(req("wide", SessionOp::SocialCost));
+        assert!(r.outcome.is_ok(), "{r:?}");
         registry.shutdown();
         for w in workers {
             w.join().unwrap();

@@ -16,7 +16,7 @@
 //! (`ping`, `stats`, `metrics`, `trace_tail`) answer inline on the
 //! leading worker without touching the scheduler (`respond_inline`);
 //! session requests go through the non-blocking
-//! [`SessionRegistry::submit_with`].
+//! `SessionRegistry::submit_with`.
 //!
 //! The reactor stops reading a connection once `PIPELINE_WINDOW` of its
 //! requests are in flight. That per-connection bound is the service's
@@ -159,15 +159,12 @@ mod tests {
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
 
-    use sp_core::{BackendMode, BestResponseMethod, PeerId};
     use sp_json::frame;
 
     use super::*;
     use crate::client::ServeClient;
     use crate::spec::MAX_DENSE_PEERS;
-    use crate::wire::{
-        binary, DynamicsRule, DynamicsSpec, GameSpec, Geometry, SessionOp, SessionRequest,
-    };
+    use crate::wire::{binary, GameSpec, Geometry, SessionOp, SessionRequest};
 
     fn start(tag: &str) -> (Server, PathBuf) {
         let dir =
@@ -279,7 +276,6 @@ mod tests {
                     alpha: 1.0,
                     geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
                     links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-                    mode: BackendMode::Dense,
                 },
             )
             .expect("create");
@@ -325,7 +321,6 @@ mod tests {
                 alpha: 1.0,
                 geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
                 links: Vec::new(),
-                mode: BackendMode::Dense,
             }),
         };
         let response = registry
@@ -337,50 +332,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A dense `create` over the peer cap, and a sparse slot's heavy ops
-    /// over it, fail typed before anything allocates; the server goes on
-    /// answering on the same connection.
+    /// A `create` over the peer cap fails typed before anything
+    /// allocates; the server goes on answering on the same connection.
     #[test]
     fn oversized_games_fail_typed_and_the_server_survives() {
         let (server, dir) = start("cap");
         let mut client = ServeClient::connect(server.local_addr()).expect("connect");
         let line = |n: usize| Geometry::Line((0..n).map(|i| i as f64).collect());
-        let spec = |geometry, mode| GameSpec {
-            alpha: 1.0,
-            geometry,
-            links: Vec::new(),
-            mode,
-        };
-        let err = client
-            .create("huge", spec(line(1 << 20), BackendMode::Dense))
-            .expect_err("a 2^20-peer dense game must be refused");
-        assert_eq!(err.code, ErrorCode::BadSpec, "{err}");
-        assert_eq!(client.ping(), Ok(ResultBody::Pong));
-
-        client
-            .create("wide", spec(line(MAX_DENSE_PEERS + 1), BackendMode::Sparse))
-            .expect("a sparse slot has no dense cap");
-        let method = BestResponseMethod::Greedy;
-        let refusals = [
-            client.best_response("wide", PeerId::new(0), method),
-            client.nash_gap("wide", method),
-            client.run_dynamics(
-                "wide",
-                DynamicsSpec {
-                    rule: DynamicsRule::Better,
-                    max_rounds: Some(1),
-                    tolerance: None,
-                    detect_cycles: None,
-                },
-            ),
-        ];
-        for refusal in refusals {
-            let err = refusal.expect_err("a heavy op over the cap must be refused");
-            assert_eq!(err.code, ErrorCode::Core, "{err}");
-            assert!(err.message.contains("capped at"), "{err}");
+        for n in [1 << 20, MAX_DENSE_PEERS + 1] {
+            let spec = GameSpec {
+                alpha: 1.0,
+                geometry: line(n),
+                links: Vec::new(),
+            };
+            let err = client
+                .create("huge", spec)
+                .expect_err("a game over the cap must be refused");
+            assert_eq!(err.code, ErrorCode::BadSpec, "{err}");
+            assert!(err.message.contains("exceeds the cap"), "{err}");
+            assert_eq!(client.ping(), Ok(ResultBody::Pong));
         }
-        assert!(client.social_cost("wide").is_ok());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `create` whose mode byte asks for the removed sparse mode gets
+    /// a typed `bad_frame` reject naming the removal, then EOF, as every
+    /// undecodable frame does; the server goes on serving.
+    #[test]
+    fn a_create_in_the_retired_sparse_mode_is_rejected_typed() {
+        let (server, dir) = start("sparse-mode");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        frame::write_frame_bytes(&mut stream, crate::wire::hello::REQUEST).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_some());
+        let request = |op| {
+            binary::encode_request(&Request::Session(SessionRequest {
+                id: Some(5),
+                session: "sparse".to_owned(),
+                op,
+            }))
+        };
+        let mut create = request(SessionOp::Create(GameSpec {
+            alpha: 1.0,
+            geometry: Geometry::Line(vec![0.0, 1.0, 3.0]),
+            links: Vec::new(),
+        }));
+        // The mode byte follows the header, the name and `alpha`.
+        let at = request(SessionOp::Load).len() + 8;
+        assert_eq!(create[at], 0);
+        create[at] = 1;
+        frame::write_frame_bytes(&mut stream, &create).unwrap();
+        let reject = frame::read_frame_bytes(&mut reader)
+            .unwrap()
+            .expect("typed reject");
+        let reject = binary::decode_response(&reject).expect("binary envelope");
+        assert_eq!(reject.id, Some(5));
+        let e = reject.outcome.unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadFrame, "{e}");
+        assert!(e.message.contains("sparse mode was removed"), "{e}");
+        assert!(frame::read_frame_bytes(&mut reader).unwrap().is_none());
+
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
         assert_eq!(client.ping(), Ok(ResultBody::Pong));
+        assert_eq!(
+            client.social_cost("sparse").unwrap_err().code,
+            ErrorCode::UnknownSession,
+            "the refused create must not create the session"
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -528,7 +528,7 @@ impl SessionWal {
     /// Whether the log is poisoned by an earlier failed append or
     /// commit (the registry quarantines the session while this holds).
     #[must_use]
-    pub fn is_broken(&self) -> bool {
+    pub(crate) fn is_broken(&self) -> bool {
         self.broken
     }
 
@@ -623,7 +623,7 @@ impl SessionWal {
 
     /// The spill: atomically rewrites the file as a bare header
     /// carrying the current `(records, head_hash)` and `checkpoint` —
-    /// the [`crate::snapshot::checkpoint`] spec of the session as it
+    /// the checkpoint ([`crate::snapshot`]) spec of the session as it
     /// stands after every record so far — so the tail is dropped while
     /// the chain continues uninterrupted. Callers must
     /// [`SessionWal::commit`] first (flush-then-spill).
@@ -751,7 +751,6 @@ mod tests {
             alpha: 1.0,
             geometry: crate::wire::Geometry::Line(vec![0.0, 1.0, 3.0]),
             links: vec![(0, 1)],
-            mode: sp_core::BackendMode::Dense,
         }
     }
 
@@ -924,6 +923,58 @@ mod tests {
         let (wal, log) = SessionWal::recover(&path, false).unwrap();
         assert_eq!(log.tail.len(), 2);
         assert_eq!(wal.head().records, 2);
+    }
+
+    /// A `create` whose mode byte asks for the removed sparse mode: the
+    /// bytes of `create(spec())` addressed to `session`, with the byte
+    /// that follows the header, the name and `alpha` set to 1.
+    fn sparse_mode_create(session: &str) -> Vec<u8> {
+        let request = |op| {
+            binary::encode_request(&Request::Session(SessionRequest {
+                id: None,
+                session: session.to_owned(),
+                op,
+            }))
+        };
+        let mut bytes = request(SessionOp::Create(spec()));
+        let at = request(SessionOp::Load).len() + 8;
+        assert_eq!(bytes[at], 0, "the encoder writes mode 0");
+        bytes[at] = 1;
+        bytes
+    }
+
+    /// A sparse-mode `create` is a CRC-valid frame that does not decode.
+    /// As a log's checkpoint or as its final record, it fails `read` and
+    /// `recover` with `InvalidData`, and recovery leaves the file as it
+    /// is instead of truncating the record as a torn tail.
+    #[test]
+    fn a_sparse_mode_create_fails_loudly_and_is_never_truncated() {
+        let path = tmp("sparse-mode");
+        let as_checkpoint = header_frame(0, genesis(), &sparse_mode_create(CHECKPOINT_NAME));
+        let mut as_record = header_frame(0, genesis(), &[]);
+        let sparse = sparse_mode_create("s");
+        let mut record = Writer::new();
+        record.varint(1);
+        record.varint(genesis());
+        record.usize(sparse.len());
+        record.bytes(&sparse);
+        as_record.extend(frame_bytes(&record.into_vec()));
+        for bytes in [as_checkpoint, as_record] {
+            fs::write(&path, &bytes).unwrap();
+            let e = read(&path).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("sparse mode was removed"), "{e}");
+            let e = match SessionWal::recover(&path, false) {
+                Err(e) => e,
+                Ok(_) => panic!("a sparse-mode create must fail recovery"),
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                bytes,
+                "recovery must not truncate"
+            );
+        }
     }
 
     #[test]

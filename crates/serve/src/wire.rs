@@ -8,8 +8,8 @@
 //! ([`binary`]). Any other first frame gets a typed JSON reject and
 //! the connection closes.
 //!
-//! [`ConnProtocol`] encodes those rules once for the reactor: feed it
-//! each decoded payload, get back a [`FrameAction`] saying whether to
+//! `ConnProtocol` encodes those rules once for the reactor: feed it
+//! each decoded payload, get back a `FrameAction` saying whether to
 //! route a typed request, write an inline reply, or write a typed
 //! reject and close.
 
@@ -22,7 +22,7 @@ pub use sp_wire::{
 
 /// What the connection handler should do with one incoming frame.
 #[derive(Debug)]
-pub enum FrameAction {
+pub(crate) enum FrameAction {
     /// A routable request: dispatch it and write the encoded response.
     Request(Request),
     /// An inline reply (the hello verdict, non-fatal decode errors):
@@ -36,21 +36,21 @@ pub enum FrameAction {
 
 /// Per-connection protocol state: whether the hello has been accepted.
 #[derive(Debug, Default)]
-pub struct ConnProtocol {
+pub(crate) struct ConnProtocol {
     negotiated: bool,
 }
 
 impl ConnProtocol {
     /// A fresh connection, waiting for its hello.
     #[must_use]
-    pub fn new() -> ConnProtocol {
+    pub(crate) fn new() -> ConnProtocol {
         ConnProtocol::default()
     }
 
     /// Encodes an error response in the connection's current state:
     /// the JSON envelope before the hello, binary after.
     #[must_use]
-    pub fn encode_error(&self, id: Option<u64>, error: WireError) -> Vec<u8> {
+    pub(crate) fn encode_error(&self, id: Option<u64>, error: WireError) -> Vec<u8> {
         if self.negotiated {
             binary::encode_response(&Response::err(id, error))
         } else {
@@ -63,7 +63,7 @@ impl ConnProtocol {
     /// typed reject); after it, a binary request routes, a binary
     /// `hello` is a non-fatal error, and an undecodable frame is a
     /// typed reject.
-    pub fn on_frame(&mut self, payload: &[u8]) -> FrameAction {
+    pub(crate) fn on_frame(&mut self, payload: &[u8]) -> FrameAction {
         if !self.negotiated {
             return match hello::decode_request(payload) {
                 Ok(id) => {

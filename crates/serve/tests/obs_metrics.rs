@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use sp_core::{BackendMode, Move, PeerId};
+use sp_core::{Move, PeerId};
 use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::obs::ObsConfig;
@@ -34,7 +34,6 @@ fn spec() -> GameSpec {
         alpha: 1.0,
         geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
         links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-        mode: BackendMode::Dense,
     }
 }
 

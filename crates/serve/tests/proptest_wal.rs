@@ -16,9 +16,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use sp_core::{BackendMode, Move, PeerId};
+use sp_core::{GameSession, Move, PeerId};
 use sp_graph::fnv1a_extend;
-use sp_serve::ops::{self, Session};
+use sp_serve::ops;
 use sp_serve::snapshot;
 use sp_serve::wal::{self, SessionWal};
 use sp_serve::wire::{
@@ -78,26 +78,19 @@ fn arb_request() -> impl Strategy<Value = Request> {
         })
 }
 
-/// Arbitrary checkpoints: the spec of a small line game in either
-/// mode.
+/// Arbitrary checkpoints: the spec of a small line game.
 fn arb_checkpoint() -> impl Strategy<Value = GameSpec> {
     (
         2usize..7,
-        proptest::bool::ANY,
         proptest::collection::vec((0usize..7, 0usize..7), 0..8),
     )
-        .prop_map(|(n, sparse, pairs)| GameSpec {
+        .prop_map(|(n, pairs)| GameSpec {
             alpha: 1.5,
             geometry: Geometry::Line((0..n).map(|i| i as f64 * 1.25).collect()),
             links: pairs
                 .into_iter()
                 .filter(|&(u, v)| u != v && u < n && v < n)
                 .collect(),
-            mode: if sparse {
-                BackendMode::Sparse
-            } else {
-                BackendMode::Dense
-            },
         })
 }
 
@@ -236,23 +229,23 @@ fn frames_intact(data: &[u8]) -> bool {
     true
 }
 
-fn same_session(a: &mut Session, b: &mut Session) -> bool {
-    let cost = |s: &mut Session| match ops::execute(&SessionOp::SocialCost, s) {
+fn same_session(a: &mut GameSession, b: &mut GameSession) -> bool {
+    let cost = |s: &mut GameSession| match ops::execute_query(&SessionOp::SocialCost, s) {
         Ok(ResultBody::SocialCost(c)) => Some(c.total.to_bits()),
         _ => None,
     };
-    a.state() == b.state() && a.mode() == b.mode() && cost(a) == cost(b)
+    a.game() == b.game() && a.profile() == b.profile() && cost(a) == cost(b)
 }
 
 /// Feeds `bytes` through both readers of a session file; each must
 /// answer `Ok` or a typed `InvalidData` error, never panic.
-fn read_both(path: &Path, bytes: &[u8]) -> io::Result<Session> {
+fn read_both(path: &Path, bytes: &[u8]) -> io::Result<GameSession> {
     fs::write(path, bytes).unwrap();
     if let Err(e) = SessionWal::recover(path, false) {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "recover: {e}");
     }
     fs::write(path, bytes).unwrap();
-    let loaded = snapshot::load_session(path);
+    let loaded = snapshot::load(path);
     if let Err(e) = &loaded {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "load: {e}");
     }
@@ -261,7 +254,7 @@ fn read_both(path: &Path, bytes: &[u8]) -> io::Result<Session> {
 
 /// Hostile bytes into the checkpoint decoder: every truncation of a
 /// valid checkpointed file, and a few hundred seeded random mutations
-/// of it, go through `snapshot::load_session` and `SessionWal::recover`. Each
+/// of it, go through `snapshot::load` and `SessionWal::recover`. Each
 /// answers a typed `InvalidData` error — or, for cuts past the header,
 /// a clean torn tail — and never panics; a mutation that leaves every
 /// CRC valid must fail or decode to an equal session. Mutations of the
@@ -270,75 +263,68 @@ fn read_both(path: &Path, bytes: &[u8]) -> io::Result<Session> {
 #[test]
 fn hostile_bytes_into_the_checkpoint_decoder_fail_typed() {
     let path = case_path();
-    for sparse in [false, true] {
-        let spec_links = [(0, 1), (1, 0), (1, 2), (3, 4), (4, 2)];
-        let mut session = ops::build(&GameSpec {
-            alpha: 0.75,
-            geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.5, 9.0]),
-            links: spec_links.to_vec(),
-            mode: if sparse {
-                BackendMode::Sparse
-            } else {
-                BackendMode::Dense
+    let spec_links = [(0, 1), (1, 0), (1, 2), (3, 4), (4, 2)];
+    let mut session = ops::build_session(&GameSpec {
+        alpha: 0.75,
+        geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.5, 9.0]),
+        links: spec_links.to_vec(),
+    })
+    .unwrap();
+    snapshot::save(&path, &mut session).unwrap();
+    let header_len = fs::metadata(&path).unwrap().len() as usize;
+    let mut log = SessionWal::open(&path, false).unwrap();
+    let apply = Request::Session(SessionRequest {
+        id: Some(1),
+        session: "h".to_owned(),
+        op: SessionOp::Apply {
+            mv: Move::AddLink {
+                from: PeerId::new(0),
+                to: PeerId::new(4),
             },
-        })
-        .unwrap();
-        snapshot::save_session(&path, &mut session).unwrap();
-        let header_len = fs::metadata(&path).unwrap().len() as usize;
-        let mut log = SessionWal::open(&path, false).unwrap();
-        let apply = Request::Session(SessionRequest {
-            id: Some(1),
-            session: "h".to_owned(),
-            op: SessionOp::Apply {
-                mv: Move::AddLink {
-                    from: PeerId::new(0),
-                    to: PeerId::new(4),
-                },
-            },
-        });
-        log.append(&apply).unwrap();
-        log.commit().unwrap();
-        drop(log);
-        let clean = fs::read(&path).unwrap();
-        let mut expected = snapshot::load_session(&path).unwrap();
+        },
+    });
+    log.append(&apply).unwrap();
+    log.commit().unwrap();
+    drop(log);
+    let clean = fs::read(&path).unwrap();
+    let mut expected = snapshot::load(&path).unwrap();
 
-        for cut in 0..clean.len() {
-            let loaded = read_both(&path, &clean[..cut]);
-            assert_eq!(
-                loaded.is_ok(),
-                cut >= header_len,
-                "cut at {cut}: only a cut header may fail"
-            );
-        }
+    for cut in 0..clean.len() {
+        let loaded = read_both(&path, &clean[..cut]);
+        assert_eq!(
+            loaded.is_ok(),
+            cut >= header_len,
+            "cut at {cut}: only a cut header may fail"
+        );
+    }
 
-        let mut rng = StdRng::seed_from_u64(27 + u64::from(sparse));
-        for round in 0..300 {
-            let mut bent = clean.clone();
-            for _ in 0..rng.random_range(1..=4usize) {
-                let at = rng.random_range(0..bent.len());
-                bent[at] ^= rng.random_range(1..=255u8);
-            }
-            let loaded = read_both(&path, &bent);
-            if frames_intact(&bent) {
-                if let Ok(mut s) = loaded {
-                    assert!(
-                        same_session(&mut s, &mut expected),
-                        "round {round}: a CRC-valid mutation decoded to a different session"
-                    );
-                }
+    let mut rng = StdRng::seed_from_u64(27);
+    for round in 0..300 {
+        let mut bent = clean.clone();
+        for _ in 0..rng.random_range(1..=4usize) {
+            let at = rng.random_range(0..bent.len());
+            bent[at] ^= rng.random_range(1..=255u8);
+        }
+        let loaded = read_both(&path, &bent);
+        if frames_intact(&bent) {
+            if let Ok(mut s) = loaded {
+                assert!(
+                    same_session(&mut s, &mut expected),
+                    "round {round}: a CRC-valid mutation decoded to a different session"
+                );
             }
         }
-        for _ in 0..300 {
-            let mut bent = clean.clone();
-            let body = 4..header_len - 4;
-            for _ in 0..rng.random_range(1..=4usize) {
-                let at = rng.random_range(body.clone());
-                bent[at] ^= rng.random_range(1..=255u8);
-            }
-            let crc = wal::crc32(&bent[body.clone()]);
-            bent[body.end..header_len].copy_from_slice(&crc.to_le_bytes());
-            let _ = read_both(&path, &bent);
+    }
+    for _ in 0..300 {
+        let mut bent = clean.clone();
+        let body = 4..header_len - 4;
+        for _ in 0..rng.random_range(1..=4usize) {
+            let at = rng.random_range(body.clone());
+            bent[at] ^= rng.random_range(1..=255u8);
         }
+        let crc = wal::crc32(&bent[body.clone()]);
+        bent[body.end..header_len].copy_from_slice(&crc.to_le_bytes());
+        let _ = read_both(&path, &bent);
     }
     let _ = fs::remove_file(&path);
 }

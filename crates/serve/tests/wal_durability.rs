@@ -9,8 +9,9 @@
 //! rejected over the wire with a typed error, eviction flushes pending
 //! WAL records before it spills (and rewrites the log as a
 //! checkpoint), a session cold-started from a file keeps that file's
-//! checkpoint across a crash, and the audit ops answer `bad_request`
-//! when durability is off.
+//! checkpoint across a crash, the audit ops answer `bad_request`
+//! when durability is off, and a log written by an earlier build
+//! replays bit-identically.
 //!
 //! In-process, "crash" means dropping the [`Server`] without
 //! `shutdown()`: no graceful drain runs, yet every *acknowledged*
@@ -18,16 +19,16 @@
 //! the append-before-ack claim recovery leans on.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use sp_core::{BackendMode, Move, PeerId};
+use sp_core::{Move, PeerId};
 use sp_serve::client::ServeClient;
 use sp_serve::config::{Durability, ServeConfig};
 use sp_serve::registry::{RegistryConfig, SessionRegistry};
 use sp_serve::server::Server;
 use sp_serve::wal;
 use sp_serve::wire::{
-    ErrorCode, GameSpec, Geometry, Response, ResultBody, SessionOp, SessionRequest,
+    binary, ErrorCode, GameSpec, Geometry, Request, Response, ResultBody, SessionOp, SessionRequest,
 };
 use sp_serve::workload::{self, WorkloadConfig};
 use sp_serve::{ops, snapshot};
@@ -51,7 +52,6 @@ fn spec() -> GameSpec {
         alpha: 1.0,
         geometry: Geometry::Line(vec![0.0, 1.0, 3.0, 4.0]),
         links: vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)],
-        mode: BackendMode::Dense,
     }
 }
 
@@ -507,4 +507,93 @@ fn a_loaded_session_survives_a_crash_bit_identically() {
     }
     let _ = fs::remove_dir_all(&ref_dir);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The 7-peer game of `tests/fixtures/checkpoint_and_tail.wal`.
+fn fixture_spec() -> GameSpec {
+    GameSpec {
+        alpha: 1.25,
+        geometry: Geometry::Points2D(vec![
+            (0.0, 0.0),
+            (1.0, 0.5),
+            (2.5, 0.0),
+            (3.0, 2.0),
+            (1.5, 3.0),
+            (0.0, 2.5),
+            (4.0, 4.0),
+        ]),
+        links: (0..7)
+            .flat_map(|i| [(i, (i + 1) % 7), ((i + 1) % 7, i)])
+            .collect(),
+    }
+}
+
+/// The fixture session's ops after its `create`: the first two are
+/// folded into the log's checkpoint, the last three are its records.
+fn fixture_ops() -> Vec<SessionOp> {
+    let mv = |from, to, add| {
+        let (from, to) = (PeerId::new(from), PeerId::new(to));
+        if add {
+            Move::AddLink { from, to }
+        } else {
+            Move::RemoveLink { from, to }
+        }
+    };
+    vec![
+        SessionOp::Apply { mv: mv(0, 3, true) },
+        SessionOp::ApplyBatch {
+            moves: vec![mv(2, 3, false), mv(6, 1, true)],
+        },
+        SessionOp::Apply {
+            mv: mv(4, 5, false),
+        },
+        SessionOp::ApplyBatch {
+            moves: vec![
+                Move::SetStrategy {
+                    peer: PeerId::new(5),
+                    links: [0usize, 3].into_iter().collect(),
+                },
+                mv(1, 6, true),
+            ],
+        },
+        SessionOp::Apply { mv: mv(2, 4, true) },
+    ]
+}
+
+/// A log written by the build that still served sparse mode, whose
+/// checkpoint `create` carries the mode byte (0), replays unchanged:
+/// the loaded session answers `social_cost` and `stretch` with the
+/// bytes of a live session that ran the same ops. The fixture is the
+/// log that build's registry wrote under `Durability::Wal` for a
+/// `create` of [`fixture_spec`], the first two [`fixture_ops`], a
+/// `snapshot` (which folded them into the checkpoint) and the last
+/// three.
+#[test]
+fn a_log_from_an_earlier_build_replays_bit_identically() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_and_tail.wal");
+    let log = wal::read(&path).expect("the fixture is an intact log");
+    assert!(log.checkpoint.is_some(), "the fixture holds a checkpoint");
+    let tail: Vec<&SessionOp> = log
+        .tail
+        .iter()
+        .map(|r| match r {
+            Request::Session(s) => &s.op,
+            other => panic!("not a session record: {other:?}"),
+        })
+        .collect();
+    assert_eq!(tail, fixture_ops()[2..].iter().collect::<Vec<_>>());
+
+    let mut restored = snapshot::load(&path).expect("the fixture loads");
+    let mut live = ops::build_session(&fixture_spec()).unwrap();
+    for op in fixture_ops() {
+        ops::execute_query(&op, &mut live).expect("the op applies");
+    }
+    assert_eq!(restored.profile(), live.profile());
+    for op in [SessionOp::SocialCost, SessionOp::Stretch] {
+        let answer = |session| {
+            let body = ops::execute_query(&op, session).expect("the query answers");
+            binary::encode_response(&Response::ok(None, body))
+        };
+        assert_eq!(answer(&mut restored), answer(&mut live), "{op:?}");
+    }
 }

@@ -20,7 +20,7 @@
 //! absurd collection counts all fail with [`ErrorCode::BadFrame`]
 //! rather than panicking or over-allocating.
 
-use sp_core::{BackendMode, BestResponseMethod, LinkSet, Move, PeerId};
+use sp_core::{BestResponseMethod, LinkSet, Move, PeerId};
 use sp_dynamics::Termination;
 
 use crate::{
@@ -327,19 +327,18 @@ fn read_method(r: &mut Reader<'_>) -> Result<BestResponseMethod, WireError> {
     })
 }
 
-fn write_mode(w: &mut Writer, m: BackendMode) {
-    w.u8(match m {
-        BackendMode::Dense => 0,
-        BackendMode::Sparse => 1,
-    });
-}
+/// A `create` keeps the byte that once chose the evaluation backend,
+/// so the `create` bytes every session log stores decode unchanged.
+/// Only 0, the dense session, is left.
+const MODE_DENSE: u8 = 0;
 
-fn read_mode(r: &mut Reader<'_>) -> Result<BackendMode, WireError> {
-    Ok(match r.u8()? {
-        0 => BackendMode::Dense,
-        1 => BackendMode::Sparse,
-        other => return Err(bad(format!("unknown mode tag {other}"))),
-    })
+fn read_mode(r: &mut Reader<'_>) -> Result<(), WireError> {
+    match r.u8()? {
+        MODE_DENSE => Ok(()),
+        other => Err(bad(format!(
+            "mode {other} is not served: sparse mode was removed, every session is dense (mode 0)"
+        ))),
+    }
 }
 
 fn write_move(w: &mut Writer, mv: &Move) {
@@ -523,7 +522,7 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             match &s.op {
                 SessionOp::Create(spec) => {
                     w.f64(spec.alpha);
-                    write_mode(&mut w, spec.mode);
+                    w.u8(MODE_DENSE);
                     write_geometry(&mut w, &spec.geometry);
                     w.usize(spec.links.len());
                     for &(a, b) in &spec.links {
@@ -657,7 +656,7 @@ fn read_session_op(r: &mut Reader<'_>, code: OpCode) -> Result<SessionOp, WireEr
     Ok(match code {
         OpCode::Create => {
             let alpha = r.f64()?;
-            let mode = read_mode(r)?;
+            read_mode(r)?;
             let geometry = read_geometry(r)?;
             let n = r.count(2)?;
             let mut links = Vec::with_capacity(n);
@@ -668,7 +667,6 @@ fn read_session_op(r: &mut Reader<'_>, code: OpCode) -> Result<SessionOp, WireEr
                 alpha,
                 geometry,
                 links,
-                mode,
             })
         }
         OpCode::Load => SessionOp::Load,
@@ -778,7 +776,7 @@ fn result_tag(body: &ResultBody) -> u8 {
         ResultBody::Pong => OpCode::Ping,
         ResultBody::Stats(_) => OpCode::Stats,
         ResultBody::Created { .. } => OpCode::Create,
-        ResultBody::Loaded { .. } => OpCode::Load,
+        ResultBody::Loaded => OpCode::Load,
         ResultBody::Applied { .. } => OpCode::Apply,
         ResultBody::BatchApplied { .. } => OpCode::ApplyBatch,
         ResultBody::BestResponse(_) => OpCode::BestResponse,
@@ -807,7 +805,10 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             w.u8(result_tag(body));
             match body {
                 ResultBody::Hello { proto } => w.u8(*proto),
-                ResultBody::Pong | ResultBody::Persisted | ResultBody::Evicted => {}
+                ResultBody::Pong
+                | ResultBody::Loaded
+                | ResultBody::Persisted
+                | ResultBody::Evicted => {}
                 ResultBody::Stats(s) => {
                     w.varint(s.requests_served);
                     w.varint(s.sessions_created);
@@ -817,18 +818,11 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
                     w.usize(s.resident_sessions);
                     w.usize(s.resident_bytes);
                 }
-                ResultBody::Created {
-                    n,
-                    alpha,
-                    links,
-                    mode,
-                } => {
+                ResultBody::Created { n, alpha, links } => {
                     w.usize(*n);
                     w.f64(*alpha);
                     w.usize(*links);
-                    write_mode(&mut w, *mode);
                 }
-                ResultBody::Loaded { mode } => write_mode(&mut w, *mode),
                 ResultBody::Applied { previous } => write_usize_array(&mut w, previous),
                 ResultBody::BatchApplied { previous } => {
                     w.usize(previous.len());
@@ -949,11 +943,8 @@ fn read_result(r: &mut Reader<'_>, tag: u8) -> Result<ResultBody, WireError> {
             n: r.usize()?,
             alpha: r.f64()?,
             links: r.usize()?,
-            mode: read_mode(r)?,
         },
-        OpCode::Load => ResultBody::Loaded {
-            mode: read_mode(r)?,
-        },
+        OpCode::Load => ResultBody::Loaded,
         OpCode::Apply => ResultBody::Applied {
             previous: read_usize_array(r)?,
         },
@@ -1092,7 +1083,6 @@ mod tests {
                 alpha: 1.5,
                 geometry: Geometry::Points2D(vec![(0.0, 0.0), (3.0, 4.0)]),
                 links: vec![(0, 1)],
-                mode: BackendMode::Dense,
             }),
         }));
         round_trip_request(&Request::Session(SessionRequest {

@@ -25,7 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
+use sp_core::{BestResponseMethod, Move, PeerId};
 use sp_dynamics::Termination;
 
 pub mod binary;
@@ -271,8 +271,6 @@ pub struct GameSpec {
     pub geometry: Geometry,
     /// Initial directed links; empty means the empty profile.
     pub links: Vec<(usize, usize)>,
-    /// Evaluation backend.
-    pub mode: BackendMode,
 }
 
 /// The update rule of a `run_dynamics` request.
@@ -619,14 +617,9 @@ pub enum ResultBody {
         alpha: f64,
         /// Initial link count.
         links: usize,
-        /// Evaluation backend.
-        mode: BackendMode,
     },
     /// `load`.
-    Loaded {
-        /// Evaluation backend of the restored session.
-        mode: BackendMode,
-    },
+    Loaded,
     /// `apply`: the peer's links before the move.
     Applied {
         /// Prior out-links of the moving peer.

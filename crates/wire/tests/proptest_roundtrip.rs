@@ -6,7 +6,7 @@
 //! misread.
 
 use proptest::prelude::*;
-use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
+use sp_core::{BestResponseMethod, Move, PeerId};
 use sp_dynamics::Termination;
 use sp_json::frame;
 use sp_wire::{
@@ -58,10 +58,6 @@ fn arb_cost() -> impl Strategy<Value = f64> {
     prop_oneof![arb_finite(), Just(f64::INFINITY)]
 }
 
-fn arb_mode() -> impl Strategy<Value = BackendMode> {
-    prop_oneof![Just(BackendMode::Dense), Just(BackendMode::Sparse)]
-}
-
 fn arb_method() -> impl Strategy<Value = BestResponseMethod> {
     prop_oneof![
         Just(BestResponseMethod::Exact),
@@ -105,29 +101,12 @@ fn arb_geometry() -> impl Strategy<Value = Geometry> {
 }
 
 fn arb_spec() -> impl Strategy<Value = GameSpec> {
-    let links = || proptest::collection::vec((0usize..64, 0usize..64), 0..8);
-    // The decoders enforce the backend invariant (sparse mode requires a
-    // line geometry), so the generator respects it too: the property is
-    // about decodable specs, not about re-testing validation.
-    prop_oneof![
-        (0.01f64..100.0, arb_geometry(), links()).prop_map(|(alpha, geometry, links)| GameSpec {
-            alpha,
-            geometry,
-            links,
-            mode: BackendMode::Dense,
-        }),
-        (
-            0.01f64..100.0,
-            proptest::collection::vec(arb_finite(), 0..6).prop_map(Geometry::Line),
-            links(),
-        )
-            .prop_map(|(alpha, geometry, links)| GameSpec {
-                alpha,
-                geometry,
-                links,
-                mode: BackendMode::Sparse,
-            }),
-    ]
+    let links = proptest::collection::vec((0usize..64, 0usize..64), 0..8);
+    (0.01f64..100.0, arb_geometry(), links).prop_map(|(alpha, geometry, links)| GameSpec {
+        alpha,
+        geometry,
+        links,
+    })
 }
 
 fn arb_dynamics_spec() -> impl Strategy<Value = DynamicsSpec> {
@@ -223,15 +202,9 @@ fn arb_body() -> impl Strategy<Value = ResultBody> {
                 resident_sessions: f,
                 resident_bytes: g,
             })),
-        (1usize..200, 0.01f64..100.0, 0usize..400, arb_mode()).prop_map(
-            |(n, alpha, links, mode)| ResultBody::Created {
-                n,
-                alpha,
-                links,
-                mode
-            }
-        ),
-        arb_mode().prop_map(|mode| ResultBody::Loaded { mode }),
+        (1usize..200, 0.01f64..100.0, 0usize..400)
+            .prop_map(|(n, alpha, links)| ResultBody::Created { n, alpha, links }),
+        Just(ResultBody::Loaded),
         proptest::collection::vec(0usize..64, 0..6)
             .prop_map(|previous| ResultBody::Applied { previous }),
         proptest::collection::vec(proptest::collection::vec(0usize..64, 0..6), 0..4)
@@ -351,6 +324,39 @@ proptest! {
         let mut padded = full;
         padded.push(0);
         prop_assert!(binary::decode_request(&padded).is_err(), "trailing byte accepted");
+    }
+
+    /// A `create` still carries the byte that once chose sparse mode,
+    /// at the same position (after the name and `alpha`), and the
+    /// encoder writes 0. Every other value decodes to a typed
+    /// `bad_frame` that names the removal, never a panic or a session.
+    #[test]
+    fn retired_mode_bytes_are_bad_frame(
+        id in arb_id(),
+        session in arb_name(),
+        spec in arb_spec(),
+    ) {
+        let create = binary::encode_request(&Request::Session(SessionRequest {
+            id,
+            session: session.clone(),
+            op: SessionOp::Create(spec),
+        }));
+        // A `load` is the same header and name with an empty body.
+        let load = binary::encode_request(&Request::Session(SessionRequest {
+            id,
+            session,
+            op: SessionOp::Load,
+        }));
+        let at = load.len() + 8;
+        prop_assert_eq!(create[at], 0);
+        for mode in 1..=u8::MAX {
+            let mut bent = create.clone();
+            bent[at] = mode;
+            let e = binary::decode_request(&bent).expect_err("a retired mode byte decoded");
+            prop_assert_eq!(e.id, id);
+            prop_assert_eq!(e.error.code, ErrorCode::BadFrame);
+            prop_assert!(e.error.message.contains("sparse mode was removed"), "{}", e.error);
+        }
     }
 
     /// Same for response frames.

@@ -7,17 +7,20 @@
 //! explicit `evict` ops, so the LRU spill and transparent restore are
 //! exercised and not just the scripted ones.
 //!
-//! A second gate serves one line game twice, in sparse and in dense
-//! mode, and requires the two sessions to answer alike byte for byte.
+//! A second gate checks restore ≡ live: the quick workload runs on
+//! sessions that are saved to their checkpoint files and loaded back at
+//! a few cut points, and every answer must equal, byte for byte, the
+//! reference executor's, whose sessions never leave memory.
 
-use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use sp_core::GameSession;
 use sp_serve::config::ServeConfig;
 use sp_serve::server::Server;
-use sp_serve::wire::{
-    binary, DynamicsRule, DynamicsSpec, GameSpec, Geometry, Request, Response, ResultBody,
-    SessionOp, SessionRequest,
-};
+use sp_serve::wire::{Request, Response, ResultBody, SessionOp};
 use sp_serve::workload::{self, ScriptRequest, WorkloadConfig};
+use sp_serve::{ops, snapshot};
 
 /// Registry budget: room for a handful of the quick workload's 32-peer
 /// sessions, so the budget keeps evicting.
@@ -60,171 +63,65 @@ fn quick_replay_matches_the_reference_on_the_reactor() {
     }
 }
 
-/// The line game both modes serve: 20 peers with uneven spacing, linked
-/// as a bidirectional chain.
-fn line_spec(mode: BackendMode) -> GameSpec {
-    let n = 20;
-    GameSpec {
-        alpha: 1.2,
-        geometry: Geometry::Line(
-            (0..n)
-                .map(|i| i as f64 * 1.5 + if i % 3 == 0 { 0.4 } else { 0.0 })
-                .collect(),
-        ),
-        links: (1..n).flat_map(|i| [(i - 1, i), (i, i - 1)]).collect(),
-        mode,
-    }
-}
-
-/// The op script each mode's session runs: every query and mutation op,
-/// both dynamics rules, and explicit evict/load cycles between them.
-fn mode_ops() -> Vec<SessionOp> {
-    let peer = PeerId::new;
-    let dynamics = |rule| {
-        SessionOp::RunDynamics(DynamicsSpec {
-            rule,
-            max_rounds: Some(2),
-            tolerance: None,
-            detect_cycles: None,
-        })
-    };
-    vec![
-        SessionOp::SocialCost,
-        SessionOp::Apply {
-            mv: Move::AddLink {
-                from: peer(0),
-                to: peer(5),
-            },
-        },
-        SessionOp::Stretch,
-        SessionOp::ApplyBatch {
-            moves: vec![
-                Move::RemoveLink {
-                    from: peer(3),
-                    to: peer(4),
-                },
-                Move::AddLink {
-                    from: peer(7),
-                    to: peer(2),
-                },
-                Move::SetStrategy {
-                    peer: peer(9),
-                    links: [8usize, 12].into_iter().collect(),
-                },
-            ],
-        },
-        SessionOp::BestResponse {
-            peer: peer(4),
-            method: BestResponseMethod::Greedy,
-        },
-        SessionOp::BestResponse {
-            peer: peer(9),
-            method: BestResponseMethod::Exact,
-        },
-        SessionOp::NashGap {
-            method: BestResponseMethod::Greedy,
-        },
-        SessionOp::Evict,
-        SessionOp::SocialCost,
-        dynamics(DynamicsRule::Better),
-        SessionOp::Stretch,
-        SessionOp::Load,
-        dynamics(DynamicsRule::Best(BestResponseMethod::Exact)),
-        SessionOp::NashGap {
-            method: BestResponseMethod::Exact,
-        },
-        SessionOp::BestResponse {
-            peer: peer(0),
-            method: BestResponseMethod::Exact,
-        },
-        SessionOp::SocialCost,
-        SessionOp::Apply {
-            mv: Move::RemoveLink {
-                from: peer(0),
-                to: peer(5),
-            },
-        },
-        SessionOp::Evict,
-        SessionOp::Load,
-        SessionOp::Stretch,
-    ]
-}
-
-/// `response` with the `mode` of a `created`/`loaded` body set to dense:
-/// the one field in which the two modes' answers may differ.
-fn mode_blind(response: &Response) -> Response {
-    let mut r = response.clone();
-    if let Ok(ResultBody::Created { mode, .. } | ResultBody::Loaded { mode }) = &mut r.outcome {
-        *mode = BackendMode::Dense;
-    }
-    r
-}
-
-/// The same line game is served once in sparse and once in dense mode,
-/// side by side on one server whose budget evicts every idle session.
-/// Every answer of the sparse session must equal the dense session's
-/// byte for byte, but for the `mode` of `created`/`loaded`, and the
-/// served run must equal the reference executor's.
-#[test]
-fn sparse_mode_answers_like_dense_on_the_reactor() {
-    let dir =
-        std::env::temp_dir().join(format!("selfish-peers-serve-modes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let server = Server::start(
-        ServeConfig::new()
-            .workers(2)
-            .memory_budget(1 << 10)
-            .spill_dir(dir.clone()),
-    )
-    .expect("server starts");
-    let modes = [BackendMode::Dense, BackendMode::Sparse];
-    let ops = mode_ops();
-    let mut script = Vec::new();
-    for (step, op) in std::iter::once(None)
-        .chain(ops.iter().map(Some))
-        .enumerate()
-    {
-        for (index, &mode) in modes.iter().enumerate() {
-            let op = op
-                .cloned()
-                .unwrap_or_else(|| SessionOp::Create(line_spec(mode)));
-            script.push(ScriptRequest {
-                session_index: index,
-                request: Request::Session(SessionRequest {
-                    id: Some(step as u64),
-                    session: mode.as_str().to_owned(),
-                    op,
-                }),
-            });
+/// Runs `script` as the reference executor does, but at each of `cuts`
+/// (script indices) saves every session to its checkpoint file in
+/// `dir` and goes on with the session loaded back from it.
+fn run_with_restores(script: &[ScriptRequest], cuts: &[usize], dir: &Path) -> Vec<Response> {
+    let mut sessions: BTreeMap<String, GameSession> = BTreeMap::new();
+    let mut responses = Vec::with_capacity(script.len());
+    for (k, r) in script.iter().enumerate() {
+        if cuts.contains(&k) {
+            for (name, session) in &mut sessions {
+                let path = dir.join(format!("{name}.wal"));
+                snapshot::save(&path, session).expect("save");
+                *session = snapshot::load(&path).expect("load");
+            }
         }
+        let Request::Session(req) = &r.request else {
+            panic!("the workload holds session requests only");
+        };
+        let id = req.id;
+        let response = match (&req.op, sessions.get_mut(&req.session)) {
+            (SessionOp::Create(spec), None) => {
+                let session = ops::build_session(spec).expect("the workload's specs build");
+                let body = ops::create_result(&session);
+                sessions.insert(req.session.clone(), session);
+                Response::ok(id, body)
+            }
+            (_, None) => panic!("request {k} addresses a session before its create"),
+            (SessionOp::Load, Some(s)) => Response::ok(id, ops::loaded_result(s)),
+            (SessionOp::Snapshot, Some(_)) => Response::ok(id, ResultBody::Persisted),
+            (SessionOp::Evict, Some(_)) => Response::ok(id, ResultBody::Evicted),
+            (op, Some(s)) => match ops::execute_query(op, s) {
+                Ok(body) => Response::ok(id, body),
+                Err(e) => Response::err(id, e),
+            },
+        };
+        responses.push(response);
     }
-    let outcome = workload::replay(server.local_addr(), &script, 2).expect("replay completes");
-    let stats = server.registry().stats();
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    responses
+}
 
-    let explicit_evicts = 2 * ops
-        .iter()
-        .filter(|op| matches!(op, SessionOp::Evict))
-        .count();
-    assert!(
-        stats.sessions_evicted > explicit_evicts as u64,
-        "the budget must evict beyond the scripted evicts: {stats:?}"
-    );
-    for (k, pair) in outcome.responses.chunks(2).enumerate() {
-        let (dense, sparse) = (mode_blind(&pair[0]), mode_blind(&pair[1]));
-        assert!(dense.outcome.is_ok(), "step {k}: {dense:?}");
-        assert_eq!(
-            binary::encode_response(&dense),
-            binary::encode_response(&sparse),
-            "step {k} diverged:\n  dense:  {dense:?}\n  sparse: {sparse:?}"
-        );
-    }
+/// Restore ≡ live: sessions saved and loaded back at four cut points
+/// answer every later request of the quick workload byte for byte like
+/// the live sessions of the reference executor.
+#[test]
+fn restored_sessions_answer_like_live_ones() {
+    let dir = std::env::temp_dir().join(format!(
+        "selfish-peers-serve-restore-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let script = workload::build_script(&WorkloadConfig::quick());
+    let n = script.len();
+    let restored = run_with_restores(&script, &[n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5], &dir);
+    let _ = std::fs::remove_dir_all(&dir);
     let reference = workload::reference_typed(&script);
-    if let Err(k) = workload::verify(&outcome.responses, &reference) {
+    if let Err(k) = workload::verify(&restored, &reference) {
         panic!(
-            "response {k} diverged:\n  served:    {:?}\n  reference: {:?}",
-            outcome.responses[k], reference[k]
+            "response {k} diverged:\n  restored:  {:?}\n  reference: {:?}",
+            restored[k], reference[k]
         );
     }
 }
